@@ -8,8 +8,8 @@ records the paper-versus-measured outcomes.
 """
 
 from .harness import (
+    TABLE1_EXECUTORS,
     SpeedupSummary,
-    executor_suite,
     measure_speedups,
     prefetched_world,
     standard_chain,
@@ -32,7 +32,6 @@ from .report import render_table, render_series, render_histogram
 from .suite import (
     BENCH_SCHEMA_VERSION,
     BenchSuiteConfig,
-    EXECUTOR_FACTORIES,
     SUITES,
     compare_bench,
     load_bench,
@@ -43,7 +42,7 @@ from .suite import (
 
 __all__ = [
     "SpeedupSummary",
-    "executor_suite",
+    "TABLE1_EXECUTORS",
     "measure_speedups",
     "prefetched_world",
     "standard_chain",
@@ -64,7 +63,6 @@ __all__ = [
     "render_histogram",
     "BENCH_SCHEMA_VERSION",
     "BenchSuiteConfig",
-    "EXECUTOR_FACTORIES",
     "SUITES",
     "compare_bench",
     "load_bench",

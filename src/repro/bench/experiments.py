@@ -21,6 +21,7 @@ from ..concurrency import (
     SerialExecutor,
     TwoPLExecutor,
 )
+from ..concurrency.registry import make_executor
 from ..core.executor import ParallelEVMExecutor
 from ..core.tracer import SSATracer
 from ..errors import ConcurrencyError
@@ -29,8 +30,8 @@ from ..workloads import conflict_ratio_block
 from ..workloads.zipf import zipf_head_share
 from .harness import (
     DEFAULT_THREADS,
+    TABLE1_EXECUTORS,
     block_touched_keys,
-    executor_suite,
     measure_speedups,
     standard_chain,
     standard_workload,
@@ -38,6 +39,10 @@ from .harness import (
 from .report import render_histogram, render_series, render_table
 
 START_BLOCK = 14_000_000  # the paper's evaluation window starts here
+
+
+def _table1_suite(threads: int) -> list:
+    return [make_executor(name, threads) for name in TABLE1_EXECUTORS]
 
 
 @dataclass(slots=True)
@@ -91,7 +96,7 @@ def run_table1(
     chain = standard_chain(accounts=accounts)
     workload = standard_workload(chain, txs_per_block)
     block_list = workload.blocks(START_BLOCK, blocks)
-    summaries = measure_speedups(chain, block_list, executor_suite(threads))
+    summaries = measure_speedups(chain, block_list, _table1_suite(threads))
 
     data = {
         name: summary.mean
@@ -150,7 +155,7 @@ def run_table2(
             serial_cold.makespan_us / serial_warm.makespan_us
         )
 
-        for executor in executor_suite(threads):
+        for executor in _table1_suite(threads):
             world = chain.fresh_world()
             world.warm(keys)
             result = executor.execute_block(world, block.txs, block.env)
@@ -293,7 +298,7 @@ def run_fig10(
 
     series: dict[str, list[float]] = {}
     for threads in thread_counts:
-        summaries = measure_speedups(chain, block_list, executor_suite(threads))
+        summaries = measure_speedups(chain, block_list, _table1_suite(threads))
         for name, summary in summaries.items():
             if name == "serial":
                 continue
@@ -607,7 +612,7 @@ def run_pipeline(
     Every configuration must end on the identical state fingerprint — the
     pipeline changes *when* the clock says stages ran, never what executed.
     """
-    # Lazy imports: repro.service pulls in this module via bench.suite.
+    # Lazy imports: experiments that never serve need no service layer.
     from ..durability import DurableCommitPipeline
     from ..pipeline import PipelineConfig, PipelineCoordinator
     from ..service import ChainService
@@ -675,11 +680,12 @@ def run_ingress_overload(
     and serial equivalence, and no row makes a performance claim; the
     point is that the *accounting* closes at every load factor.
     """
-    # Lazy import: repro.rpc pulls the service layer in on top of bench.
+    # Lazy imports: experiments that never serve need no service layer.
     from ..mempool import MempoolConfig
     from ..rpc import IngressConfig, run_ingress
 
     from ..obs.lifecycle import WATERFALL_PHASES
+    from ..obs.streaming import format_stat
 
     rates = [0.8, 1.5, 2.5, 4.0]
     rows = []
@@ -730,15 +736,10 @@ def run_ingress_overload(
             },
             "slo_alerts": report.slo["alerts"],
         }
-
-        def _p(stats: dict, name: str) -> str:
-            value = stats[name]
-            return "-" if value is None else f"{value:.0f}"
-
         waterfall_rows.append(
             [label]
-            + [_p(blame["phases"][name], "p99") for name in WATERFALL_PHASES]
-            + [_p(latency, "p99")]
+            + [format_stat(blame["phases"][name], "p99") for name in WATERFALL_PHASES]
+            + [format_stat(latency, "p99")]
         )
         rows.append(
             [

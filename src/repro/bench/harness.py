@@ -1,18 +1,11 @@
-"""Common experiment machinery: fixtures, executor suites, speedup runs."""
+"""Common experiment machinery: fixtures, the Table 1 selection, speedup runs."""
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
 
-from ..concurrency import (
-    BlockExecutor,
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import BlockExecutor, SerialExecutor
 from ..errors import ConcurrencyError
 from ..evm.message import BlockEnv
 from ..state.world import WorldState
@@ -38,14 +31,9 @@ def standard_workload(
     return MainnetWorkload(chain, config)
 
 
-def executor_suite(threads: int = DEFAULT_THREADS) -> list[BlockExecutor]:
-    """The paper's four concurrent executors, in Table 1 order."""
-    return [
-        TwoPLExecutor(threads=threads),
-        OCCExecutor(threads=threads),
-        BlockSTMExecutor(threads=threads),
-        ParallelEVMExecutor(threads=threads),
-    ]
+# The paper's four concurrent executors, in Table 1 column order (names
+# from repro.concurrency.registry).
+TABLE1_EXECUTORS = ("2pl", "occ", "block-stm", "parallelevm")
 
 
 @dataclass(slots=True)

@@ -20,14 +20,8 @@ import json
 from dataclasses import asdict, dataclass
 
 from ..analysis.conflict_graph import analyze_block
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
+from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..errors import ConcurrencyError
 
 # Submodule imports (not the obs package) — repro.obs itself renders tables
@@ -42,32 +36,6 @@ from .harness import standard_chain
 BENCH_SCHEMA_VERSION = 1
 
 START_BLOCK = 14_000_000
-
-# Every executor the CLI's ``run`` command addresses, in report order.
-EXECUTOR_FACTORIES = {
-    "serial": lambda threads, observer: SerialExecutor(
-        threads=threads, observer=observer
-    ),
-    "2pl": lambda threads, observer: TwoPLExecutor(
-        threads=threads, observer=observer
-    ),
-    "occ": lambda threads, observer: OCCExecutor(
-        threads=threads, observer=observer
-    ),
-    "block-stm": lambda threads, observer: BlockSTMExecutor(
-        threads=threads, observer=observer
-    ),
-    "two-phase": lambda threads, observer: TwoPhaseExecutor(
-        threads=threads, observer=observer
-    ),
-    "parallelevm": lambda threads, observer: ParallelEVMExecutor(
-        threads=threads, observer=observer
-    ),
-    "parallelevm-preexec": lambda threads, observer: ParallelEVMExecutor(
-        threads=threads, preexecute=True, observer=observer
-    ),
-}
-
 
 @dataclass(slots=True, frozen=True)
 class BenchSuiteConfig:
@@ -131,9 +99,9 @@ def _run_point(chain, block, threads: int) -> dict:
     tx_count = len(block.txs) or 1
     analysis = analyze_block(chain.fresh_world(), block.txs, block.env)
     executors: dict[str, dict] = {}
-    for name, factory in EXECUTOR_FACTORIES.items():
+    for name in EXECUTOR_NAMES:
         observer = BlockObserver()
-        executor = factory(threads, observer)
+        executor = make_executor(name, threads, observer=observer)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         if result.writes != serial.writes:
             raise ConcurrencyError(

@@ -30,20 +30,14 @@ CLI entry points: ``repro fuzz``, ``repro certify``, ``repro chaos`` and
 """
 
 from .certify import (
-    CERTIFIED_EXECUTORS,
     CertificationReport,
     Divergence,
+    SweepReport,
     block_to_json,
     certify_block,
 )
-from .chaos import (
-    CHAOS_EXECUTORS,
-    ChaosBlockReport,
-    chaos_executors,
-    run_chaos_block,
-)
+from .chaos import ChaosBlockReport, run_chaos_block
 from .crashfuzz import (
-    CRASH_EXECUTORS,
     CrashSweepReport,
     PipelinedCrashSweepReport,
     ReorgRoundTripReport,
@@ -73,15 +67,11 @@ from .shrink import ShrinkResult, shrink_block
 
 __all__ = [
     "BlockFuzzer",
-    "CERTIFIED_EXECUTORS",
-    "CHAOS_EXECUTORS",
-    "CRASH_EXECUTORS",
     "CertificationReport",
     "ChaosBlockReport",
     "CrashSweepReport",
     "PipelinedCrashSweepReport",
     "ReorgRoundTripReport",
-    "chaos_executors",
     "crash_sweep_block",
     "ingress_config_for",
     "ingress_seed",
@@ -97,6 +87,7 @@ __all__ = [
     "ReplayDivergence",
     "SelfTestReport",
     "ShrinkResult",
+    "SweepReport",
     "block_to_json",
     "certify_block",
     "inject_conflict_bug",

@@ -21,37 +21,19 @@ by executor and field), and renderable for humans and CI artifacts.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
+from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..core.schedule import ScheduledValidatorExecutor, propose_schedule
 from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.receipts import receipts_root
 from ..workloads import Block, Chain
 from .replay import RedoReplayChecker
 
-# Executor factories: name -> (threads, redo_checker) -> BlockExecutor.
-# ParallelEVM variants take the replay oracle; the rest ignore it.
-CERTIFIED_EXECUTORS: dict[str, Callable] = {
-    "2pl": lambda threads, checker: TwoPLExecutor(threads=threads),
-    "occ": lambda threads, checker: OCCExecutor(threads=threads),
-    "block-stm": lambda threads, checker: BlockSTMExecutor(threads=threads),
-    "two-phase": lambda threads, checker: TwoPhaseExecutor(threads=threads),
-    "parallelevm": lambda threads, checker: ParallelEVMExecutor(
-        threads=threads, redo_checker=checker
-    ),
-    "parallelevm-preexec": lambda threads, checker: ParallelEVMExecutor(
-        threads=threads, preexecute=True, redo_checker=checker
-    ),
-}
+# Every concurrent config is certified against the serial reference.
+_CONCURRENT_EXECUTORS = tuple(name for name in EXECUTOR_NAMES if name != "serial")
 
 
 @dataclass(slots=True)
@@ -93,6 +75,42 @@ class CertificationReport:
         return "\n".join(lines)
 
 
+@dataclass(slots=True, kw_only=True)
+class SweepReport:
+    """What the crash, reorg and failover sweep reports share.
+
+    One block swept across executor configs: which ran, what diverged,
+    and the plumbing (``ok``, the :class:`CertificationReport` adapter the
+    shrink/dump code consumes, the verdict tail of ``describe()``).
+    """
+
+    block_number: int
+    tx_count: int
+    executors: list[str] = field(default_factory=list)
+    divergences: list[Divergence] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.divergences
+
+    @property
+    def certification(self) -> CertificationReport:
+        """The sweep as a :class:`CertificationReport` (shared plumbing)."""
+        return CertificationReport(
+            block_number=self.block_number,
+            tx_count=self.tx_count,
+            executors=list(self.executors),
+            divergences=list(self.divergences),
+        )
+
+    def _verdict(self, head: str, passed: str) -> str:
+        if self.ok:
+            return head + passed
+        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
+        lines += ["  " + d.describe() for d in self.divergences]
+        return "\n".join(lines)
+
+
 def _diff_keys(ours: dict, theirs: dict, limit: int = 4) -> str:
     keys = sorted(
         k
@@ -112,7 +130,8 @@ def certify_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = _CONCURRENT_EXECUTORS,
+    factory: Callable = make_executor,
     include_scheduled: bool = True,
     check_roots: bool = True,
     metrics=None,
@@ -120,12 +139,15 @@ def certify_block(
     """Certify that every executor reproduces serial execution of ``block``.
 
     Each run starts from a fresh cold clone of the chain's genesis world,
-    mirroring how the equivalence theorem is stated.  ``executors`` narrows
-    the suite (e.g. during shrinking, when only the failing executor
-    matters); ``include_scheduled`` adds the proposer/validator replays,
-    which cost one extra proposer execution of the block.
+    mirroring how the equivalence theorem is stated.  ``executors`` names
+    the registry configs to run (narrowed e.g. during shrinking, when only
+    the failing executor matters); ``factory`` is called as
+    ``factory(name, threads, redo_checker=...)`` — a harness that attaches
+    more (a fault plan per executor) passes a closure over
+    :func:`make_executor`.  ``include_scheduled`` adds the
+    proposer/validator replays, which cost one extra proposer execution of
+    the block.
     """
-    executors = CERTIFIED_EXECUTORS if executors is None else executors
     serial = SerialExecutor().execute_block(
         chain.fresh_world(), block.txs, block.env
     )
@@ -201,11 +223,11 @@ def certify_block(
                     field=divergence.field,
                 ).inc()
 
-    for name, factory in executors.items():
+    for name in executors:
         checker = RedoReplayChecker(
             cost_model=DEFAULT_COST_MODEL, strict=False, metrics=metrics
         )
-        executor = factory(threads, checker)
+        executor = factory(name, threads, redo_checker=checker)
         if getattr(executor, "redo_checker", None) is not checker:
             checker = None
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)

@@ -18,16 +18,9 @@ seed reproduces the identical fault sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
+from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..resilience import SCENARIOS, ChaosScenario, FaultPlan, RecoveryPolicy
 from ..workloads import Block, Chain
 from .certify import CertificationReport, certify_block
@@ -38,72 +31,12 @@ from .certify import CertificationReport, certify_block
 # livelock, not a scenario that fires on every run.
 DEFAULT_DEADLINE_FACTOR = 25.0
 
-# The chaos suite covers every executor, including the serial baseline
-# (which can still hit hard storage failures) and the §6.3 preexec variant.
-CHAOS_EXECUTORS = (
-    "serial",
-    "2pl",
-    "occ",
-    "block-stm",
-    "two-phase",
-    "parallelevm",
-    "parallelevm-preexec",
-)
-
 # Counters summarized by ChaosBlockReport.describe()'s degradation line.
 _SUMMARY_COUNTERS = (
     "storage_retries",
     "serial_tx_fallbacks",
     "serial_block_fallbacks",
 )
-
-
-def chaos_executors(
-    scenario: ChaosScenario,
-    seed: int | str,
-    recovery: RecoveryPolicy,
-) -> tuple[dict[str, Callable], dict[str, FaultPlan]]:
-    """Executor factories for :func:`certify_block`, each with its own plan.
-
-    Per-executor plans (seeded ``f"{seed}:{scenario}:{executor}"``) keep
-    the fault streams independent: one executor's draw count cannot shift
-    another's fault sequence, so single-executor repros replay exactly.
-    """
-    plans = {
-        name: FaultPlan(
-            f"{seed}:{scenario.name}:{name}", scenario.config, recovery
-        )
-        for name in CHAOS_EXECUTORS
-    }
-    factories: dict[str, Callable] = {
-        "serial": lambda threads, checker: SerialExecutor(
-            fault_plan=plans["serial"]
-        ),
-        "2pl": lambda threads, checker: TwoPLExecutor(
-            threads=threads, fault_plan=plans["2pl"]
-        ),
-        "occ": lambda threads, checker: OCCExecutor(
-            threads=threads, fault_plan=plans["occ"]
-        ),
-        "block-stm": lambda threads, checker: BlockSTMExecutor(
-            threads=threads, fault_plan=plans["block-stm"]
-        ),
-        "two-phase": lambda threads, checker: TwoPhaseExecutor(
-            threads=threads, fault_plan=plans["two-phase"]
-        ),
-        "parallelevm": lambda threads, checker: ParallelEVMExecutor(
-            threads=threads,
-            redo_checker=checker,
-            fault_plan=plans["parallelevm"],
-        ),
-        "parallelevm-preexec": lambda threads, checker: ParallelEVMExecutor(
-            threads=threads,
-            preexecute=True,
-            redo_checker=checker,
-            fault_plan=plans["parallelevm-preexec"],
-        ),
-    }
-    return factories, plans
 
 
 @dataclass(slots=True)
@@ -143,6 +76,36 @@ class ChaosBlockReport:
         lines = [head + f"{len(cert.divergences)} DIVERGENCES ({tail})"]
         lines += ["  " + d.describe() for d in cert.divergences]
         return "\n".join(lines)
+
+
+def chaos_report(
+    scenario: ChaosScenario,
+    seed: int | str,
+    certification: CertificationReport,
+    counters: dict[str, float],
+    faults_injected: float,
+    metrics=None,
+    deadline_us: float = 0.0,
+) -> ChaosBlockReport:
+    """Count one finished scenario run into ``chaos_*`` and wrap it up.
+
+    Every scenario kind ends here, so the chaos CLI, CI jobs and dump
+    plumbing see one report shape and one pair of counters.
+    """
+    if metrics is not None:
+        metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
+        if not certification.ok:
+            metrics.counter(
+                "chaos_failed_blocks_total", scenario=scenario.name
+            ).inc()
+    return ChaosBlockReport(
+        scenario=scenario.name,
+        seed=seed,
+        certification=certification,
+        deadline_us=deadline_us,
+        counters=counters,
+        faults_injected=faults_injected,
+    )
 
 
 def run_chaos_block(
@@ -210,13 +173,24 @@ def run_chaos_block(
         policy = recovery
     if redo_budget is not None:
         policy = replace(policy, redo_budget=redo_budget)
-    factories, plans = chaos_executors(scenario, seed, policy)
+    # The chaos suite covers every config, including the serial baseline
+    # (which can still hit hard storage failures).  Per-executor plans keep
+    # the fault streams independent: one executor's draw count cannot shift
+    # another's fault sequence, so single-executor repros replay exactly.
+    plans = {
+        name: FaultPlan(f"{seed}:{scenario.name}:{name}", scenario.config, policy)
+        for name in EXECUTOR_NAMES
+    }
+
+    def under_plan(name: str, threads: int, **kwargs):
+        return make_executor(name, threads, fault_plan=plans[name], **kwargs)
 
     certification = certify_block(
         chain,
         block,
         threads=threads,
-        executors=factories,
+        executors=EXECUTOR_NAMES,
+        factory=under_plan,
         include_scheduled=False,
         check_roots=check_roots,
         metrics=metrics,
@@ -229,19 +203,14 @@ def run_chaos_block(
         faults += plan.faults_injected
         for counter, value in plan.counters.items():
             counters[counter] = counters.get(counter, 0) + value
-    if metrics is not None:
-        metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
-        if not certification.ok:
-            metrics.counter(
-                "chaos_failed_blocks_total", scenario=scenario.name
-            ).inc()
-    return ChaosBlockReport(
-        scenario=scenario.name,
-        seed=seed,
-        certification=certification,
+    return chaos_report(
+        scenario,
+        seed,
+        certification,
+        counters,
+        faults,
+        metrics,
         deadline_us=policy.block_deadline_us or 0.0,
-        counters=counters,
-        faults_injected=faults,
     )
 
 
@@ -298,17 +267,4 @@ def _run_durability_scenario(
     else:
         raise ValueError(f"unknown chaos scenario kind {scenario.kind!r}")
 
-    if metrics is not None:
-        metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
-        if not certification.ok:
-            metrics.counter(
-                "chaos_failed_blocks_total", scenario=scenario.name
-            ).inc()
-    return ChaosBlockReport(
-        scenario=scenario.name,
-        seed=seed,
-        certification=certification,
-        deadline_us=0.0,
-        counters=counters,
-        faults_injected=faults,
-    )
+    return chaos_report(scenario, seed, certification, counters, faults, metrics)

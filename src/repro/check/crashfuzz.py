@@ -42,17 +42,11 @@ just the serial one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
+from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..durability import (
     CrashInjector,
     DurableCommitPipeline,
@@ -64,54 +58,67 @@ from ..durability import (
     site_expected_state,
 )
 from ..errors import DurabilityError, RecoveryError, ReorgDepthExceeded
-from ..workloads import Block, Chain
-from .certify import CertificationReport, Divergence
-
-# Executor factories for the crash sweep: name -> (threads) -> executor.
-# The same seven configs the chaos suite certifies; crash injection lives
-# in the commit pipeline, so the executors themselves run fault-free.
-CRASH_EXECUTORS: dict[str, Callable] = {
-    "serial": lambda threads: SerialExecutor(),
-    "2pl": lambda threads: TwoPLExecutor(threads=threads),
-    "occ": lambda threads: OCCExecutor(threads=threads),
-    "block-stm": lambda threads: BlockSTMExecutor(threads=threads),
-    "two-phase": lambda threads: TwoPhaseExecutor(threads=threads),
-    "parallelevm": lambda threads: ParallelEVMExecutor(threads=threads),
-    "parallelevm-preexec": lambda threads: ParallelEVMExecutor(
-        threads=threads, preexecute=True
-    ),
-}
+from ..workloads import Block, Chain, copy_block
+from .certify import Divergence, SweepReport
 
 # Sites where the sweep upgrades the fingerprint check to a full MPT root
 # comparison: the two states bracketing the atomicity boundary.
-_ROOT_CHECK_SITES = frozenset({"pre-commit", "post-commit"})
+ROOT_CHECK_SITES = frozenset({"pre-commit", "post-commit"})
 
 
-@dataclass(slots=True)
-class CrashSweepReport:
+class _SiteFailed(Exception):
+    """A crash site that could not be certified; the message says why."""
+
+
+def _crash_and_recover(
+    chain: Chain,
+    number: int,
+    result,
+    site: str,
+    report,
+    metrics,
+    checkpoint_interval: int = 0,
+):
+    """Commit ``result`` with the process dying at ``site``, then recover.
+
+    Everything but the durable medium is discarded between the two steps.
+    Counts the crash and the recovery on ``report`` and returns ``(medium,
+    recovered)``; raises :class:`_SiteFailed` when either step misbehaves.
+    """
+    medium = MemoryMedium()
+    crash = CrashInjector(site)
+    pipeline = DurableCommitPipeline(
+        medium,
+        checkpoint_interval=checkpoint_interval,
+        crash=crash,
+        metrics=metrics,
+    )
+    try:
+        pipeline.commit(chain.fresh_world(), number, result)
+    except SimulatedCrash:
+        pass
+    except (DurabilityError, RecoveryError) as exc:
+        raise _SiteFailed(f"commit raised {exc}") from exc
+    if not crash.fired:
+        # The site silently stopped existing: the sweep would be
+        # certifying nothing there.
+        raise _SiteFailed("site never fired")
+    report.crashes_injected += 1
+    try:
+        recovered = recover(medium, chain.fresh_world, metrics=metrics)
+    except (DurabilityError, RecoveryError) as exc:
+        raise _SiteFailed(f"recovery raised {exc}") from exc
+    report.recoveries += 1
+    return medium, recovered
+
+
+@dataclass(slots=True, kw_only=True)
+class CrashSweepReport(SweepReport):
     """One block's crash sweep across sites × executor configs."""
 
-    block_number: int
-    tx_count: int
     sites: list[str] = field(default_factory=list)
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
     crashes_injected: int = 0
     recoveries: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        """The sweep as a :class:`CertificationReport` (shared plumbing)."""
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
 
     def describe(self) -> str:
         head = (
@@ -119,18 +126,14 @@ class CrashSweepReport:
             f"{len(self.sites)} sites x {len(self.executors)} executors, "
             f"{self.crashes_injected} crashes, {self.recoveries} recoveries): "
         )
-        if self.ok:
-            return head + "atomic at every site"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
+        return self._verdict(head, "atomic at every site")
 
 
 def crash_sweep_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTOR_NAMES,
     checkpoint_interval: int = 0,
     check_roots: bool = True,
     metrics=None,
@@ -144,7 +147,6 @@ def crash_sweep_block(
     ``check_roots`` upgrades the boundary sites' fingerprint comparison to
     full MPT root equality.
     """
-    executors = CRASH_EXECUTORS if executors is None else executors
     sites = enumerate_crash_sites(
         len(block.txs), checkpoint=checkpoint_interval == 1
     )
@@ -156,9 +158,9 @@ def crash_sweep_block(
     pre_fp = pre_world.fingerprint()
     pre_root = pre_world.state_root() if check_roots else None
 
-    for name, factory in executors.items():
+    for name in executors:
         report.executors.append(name)
-        executor = factory(threads)
+        executor = make_executor(name, threads)
         result = executor.execute_block(
             chain.fresh_world(), block.txs, block.env
         )
@@ -168,41 +170,21 @@ def crash_sweep_block(
         post_root = post_world.state_root() if check_roots else None
 
         for site in sites:
-            medium = MemoryMedium()
-            crash = CrashInjector(site)
-            pipeline = DurableCommitPipeline(
-                medium,
-                checkpoint_interval=checkpoint_interval,
-                crash=crash,
-                metrics=metrics,
-            )
-            world = chain.fresh_world()
             try:
-                pipeline.commit(world, block.number, result)
-            except SimulatedCrash:
-                pass
-            except (DurabilityError, RecoveryError) as exc:
+                _medium, recovered = _crash_and_recover(
+                    chain,
+                    block.number,
+                    result,
+                    site,
+                    report,
+                    metrics,
+                    checkpoint_interval,
+                )
+            except _SiteFailed as failure:
                 report.divergences.append(
-                    Divergence(name, f"crash:{site}", f"commit raised {exc}")
+                    Divergence(name, f"crash:{site}", str(failure))
                 )
                 continue
-            if not crash.fired:
-                # The site silently stopped existing: the sweep would be
-                # certifying nothing there.
-                report.divergences.append(
-                    Divergence(name, f"crash:{site}", "site never fired")
-                )
-                continue
-            report.crashes_injected += 1
-
-            try:
-                recovered = recover(medium, chain.fresh_world, metrics=metrics)
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(name, f"crash:{site}", f"recovery raised {exc}")
-                )
-                continue
-            report.recoveries += 1
 
             expected = site_expected_state(site)
             want_fp = pre_fp if expected == "pre" else post_fp
@@ -216,7 +198,7 @@ def crash_sweep_block(
                     )
                 )
                 continue
-            if check_roots and site in _ROOT_CHECK_SITES:
+            if check_roots and site in ROOT_CHECK_SITES:
                 want_root = pre_root if expected == "pre" else post_root
                 if recovered.world.state_root() != want_root:
                     report.divergences.append(
@@ -238,32 +220,15 @@ def crash_sweep_block(
 # ---------------------------------------------------------------- pipeline
 
 
-@dataclass(slots=True)
-class PipelinedCrashSweepReport:
+@dataclass(slots=True, kw_only=True)
+class PipelinedCrashSweepReport(SweepReport):
     """Crash sweep of block N's commit with block N+1 executing speculatively."""
 
-    block_number: int
-    tx_count: int
     sites: list[str] = field(default_factory=list)
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
     crashes_injected: int = 0
     recoveries: int = 0
     speculations_discarded: int = 0
     speculations_salvaged: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
 
     def describe(self) -> str:
         head = (
@@ -274,18 +239,14 @@ class PipelinedCrashSweepReport:
             f"{self.speculations_discarded} speculations discarded, "
             f"{self.speculations_salvaged} salvaged): "
         )
-        if self.ok:
-            return head + "no speculative state survived any crash"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
+        return self._verdict(head, "no speculative state survived any crash")
 
 
 def pipelined_crash_sweep_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTOR_NAMES,
     check_roots: bool = True,
     metrics=None,
 ) -> PipelinedCrashSweepReport:
@@ -307,13 +268,12 @@ def pipelined_crash_sweep_block(
        and its tip matches the serial reference of N then N+1;
     3. a second recovery from the resumed journal reproduces that tip.
     """
-    executors = CRASH_EXECUTORS if executors is None else executors
     txs = block.txs
     if len(txs) < 2:
         raise ValueError("pipelined sweep needs at least 2 transactions")
     half = len(txs) // 2
-    block_n = _copy_block(block.number, txs[:half], block.env)
-    block_n1 = _copy_block(block.number + 1, txs[half:], block.env)
+    block_n = copy_block(block.number, txs[:half], block.env)
+    block_n1 = copy_block(block.number + 1, txs[half:], block.env)
 
     sites = enumerate_crash_sites(len(block_n.txs), checkpoint=False)
     report = PipelinedCrashSweepReport(
@@ -332,9 +292,9 @@ def pipelined_crash_sweep_block(
     final_fp = ref.fingerprint()
     final_root = ref.state_root() if check_roots else None
 
-    for name, factory in executors.items():
+    for name in executors:
         report.executors.append(name)
-        executor = factory(threads)
+        executor = make_executor(name, threads)
         result_n = executor.execute_block(
             chain.fresh_world(), block_n.txs, block_n.env
         )
@@ -355,40 +315,15 @@ def pipelined_crash_sweep_block(
         spec_fp = spec_world.fingerprint()
 
         for site in sites:
-            medium = MemoryMedium()
-            crash = CrashInjector(site)
-            pipeline = DurableCommitPipeline(
-                medium, crash=crash, metrics=metrics
-            )
-            world = chain.fresh_world()
             try:
-                pipeline.commit(world, block_n.number, result_n)
-            except SimulatedCrash:
-                pass
-            except (DurabilityError, RecoveryError) as exc:
+                medium, recovered = _crash_and_recover(
+                    chain, block_n.number, result_n, site, report, metrics
+                )
+            except _SiteFailed as failure:
                 report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", f"commit raised {exc}"
-                    )
+                    Divergence(name, f"pipeline:{site}", str(failure))
                 )
                 continue
-            if not crash.fired:
-                report.divergences.append(
-                    Divergence(name, f"pipeline:{site}", "site never fired")
-                )
-                continue
-            report.crashes_injected += 1
-
-            try:
-                recovered = recover(medium, chain.fresh_world, metrics=metrics)
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", f"recovery raised {exc}"
-                    )
-                )
-                continue
-            report.recoveries += 1
 
             expected = site_expected_state(site)
             want_fp = pre_fp if expected == "pre" else post_fp
@@ -404,7 +339,7 @@ def pipelined_crash_sweep_block(
                     Divergence(name, f"pipeline:{site}", leak)
                 )
                 continue
-            if check_roots and site in _ROOT_CHECK_SITES:
+            if check_roots and site in ROOT_CHECK_SITES:
                 want_root = pre_root if expected == "pre" else post_root
                 if recovered.world.state_root() != want_root:
                     report.divergences.append(
@@ -495,29 +430,12 @@ def pipelined_crash_sweep_block(
 # ------------------------------------------------------------------- reorg
 
 
-@dataclass(slots=True)
-class ReorgRoundTripReport:
+@dataclass(slots=True, kw_only=True)
+class ReorgRoundTripReport(SweepReport):
     """One block's reorg round trip across executor configs."""
 
-    block_number: int
-    tx_count: int
     depth: int
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
     rollbacks: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
 
     def describe(self) -> str:
         head = (
@@ -525,27 +443,14 @@ class ReorgRoundTripReport:
             f"({self.tx_count} txs, depth {self.depth}, "
             f"{len(self.executors)} executors, {self.rollbacks} rollbacks): "
         )
-        if self.ok:
-            return head + "fork state matches the serial reference"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
-
-
-def _copy_block(number: int, txs, env) -> Block:
-    """A Block over *copies* of ``txs`` (``__post_init__`` renumbers them)."""
-    return Block(
-        number=number,
-        txs=[replace(tx) for tx in txs],
-        env=replace(env, number=number),
-    )
+        return self._verdict(head, "fork state matches the serial reference")
 
 
 def reorg_roundtrip_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTOR_NAMES,
     check_roots: bool = True,
     metrics=None,
 ) -> ReorgRoundTripReport:
@@ -559,14 +464,13 @@ def reorg_roundtrip_block(
     verify the final state — and a recovery from the post-reorg journal —
     against a serial reference of A+F.
     """
-    executors = CRASH_EXECUTORS if executors is None else executors
     txs = block.txs
     third = max(1, len(txs) // 3)
     base = block.number
-    ancestor = _copy_block(base, txs[:third], block.env)
-    main1 = _copy_block(base + 1, txs[third : 2 * third], block.env)
-    main2 = _copy_block(base + 2, txs[2 * third :], block.env)
-    fork = _copy_block(base + 1, txs[third:], block.env)
+    ancestor = copy_block(base, txs[:third], block.env)
+    main1 = copy_block(base + 1, txs[third : 2 * third], block.env)
+    main2 = copy_block(base + 2, txs[2 * third :], block.env)
+    fork = copy_block(base + 1, txs[third:], block.env)
 
     report = ReorgRoundTripReport(
         block_number=block.number, tx_count=len(block), depth=2
@@ -582,9 +486,9 @@ def reorg_roundtrip_block(
     fork_fp = ref.fingerprint()
     fork_root = ref.state_root() if check_roots else None
 
-    for name, factory in executors.items():
+    for name in executors:
         report.executors.append(name)
-        executor = factory(threads)
+        executor = make_executor(name, threads)
         medium = MemoryMedium()
         pipeline = DurableCommitPipeline(medium, metrics=metrics)
         world = chain.fresh_world()

@@ -35,10 +35,11 @@ chaos harness's :class:`~repro.check.chaos.ChaosBlockReport` shape.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..concurrency import SerialExecutor
+from ..concurrency.registry import EXECUTOR_NAMES
 from ..durability import (
     CrashInjector,
     SimulatedCrash,
@@ -58,14 +59,11 @@ from ..replication import (
     ReplicaConfig,
     ReplicatedChainService,
 )
-from ..workloads import Block
-from .certify import CertificationReport, Divergence
-from .crashfuzz import CRASH_EXECUTORS, _copy_block
+from ..workloads import Block, copy_block
+from .certify import CertificationReport, Divergence, SweepReport
+from .crashfuzz import ROOT_CHECK_SITES
 from .fuzzer import BlockFuzzer, FuzzConfig
 from .ingress import ingress_seed
-
-# Sites where the sweep upgrades fingerprints to full MPT root equality.
-_ROOT_CHECK_SITES = frozenset({"pre-commit", "post-commit"})
 
 
 def _synthetic_hashes(block: Block) -> list[bytes]:
@@ -130,40 +128,23 @@ def _fixture(seed: int, blocks: int, txs_per_block: int) -> _Fixture:
     )
     base = fuzzer.chain.env.number
     prepared = [
-        _copy_block(base + i, fuzzer.block(seed + i).txs, fuzzer.chain.env)
+        copy_block(base + i, fuzzer.block(seed + i).txs, fuzzer.chain.env)
         for i in range(blocks)
     ]
     return _Fixture(fuzzer, prepared)
 
 
-@dataclass(slots=True)
-class FailoverSweepReport:
+@dataclass(slots=True, kw_only=True)
+class FailoverSweepReport(SweepReport):
     """Crash sites × executor configs, each ending in a verified promotion."""
 
-    block_number: int
-    tx_count: int
     sites: list[str] = field(default_factory=list)
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
     crashes_injected: int = 0
     failovers: int = 0
     stale_frames_rejected: int = 0
     requeued_blocks: int = 0
     max_failover_us: float = 0.0
     min_failover_us: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
 
     def describe(self) -> str:
         head = (
@@ -173,11 +154,7 @@ class FailoverSweepReport:
             f"frames fenced, failover {self.min_failover_us:.0f}-"
             f"{self.max_failover_us:.0f}us): "
         )
-        if self.ok:
-            return head + "RPO=0 at every site"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
+        return self._verdict(head, "RPO=0 at every site")
 
 
 def failover_sweep(
@@ -185,14 +162,13 @@ def failover_sweep(
     warmup_blocks: int = 2,
     txs_per_block: int = 6,
     threads: int = 4,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTOR_NAMES,
     replicas: int = 2,
     policy: FailoverPolicy | None = None,
     check_roots: bool = True,
     metrics=None,
 ) -> FailoverSweepReport:
     """Certify zero-loss failover at every commit crash site, per executor."""
-    executors = CRASH_EXECUTORS if executors is None else executors
     policy = policy or FailoverPolicy()
     fixture = _fixture(fuzz_seed, warmup_blocks + 1, txs_per_block)
     warmups, crash_block = fixture.blocks[:-1], fixture.blocks[-1]
@@ -210,12 +186,11 @@ def failover_sweep(
         sites=sites,
     )
 
-    for name, factory in executors.items():
+    for name in executors:
         report.executors.append(name)
         for site in sites:
             diverged = _sweep_one(
                 name,
-                factory,
                 site,
                 fixture,
                 warmups,
@@ -241,7 +216,6 @@ def failover_sweep(
 
 def _sweep_one(
     name: str,
-    factory: Callable,
     site: str,
     fixture: _Fixture,
     warmups: list[Block],
@@ -262,7 +236,7 @@ def _sweep_one(
     post_fp, post_root = post_state
     cluster = ReplicatedChainService(
         fixture.chainlike(),
-        factory,
+        name,
         ClusterConfig(replicas=replicas, threads=threads, policy=policy),
         metrics=metrics,
     )
@@ -333,7 +307,7 @@ def _sweep_one(
             f"promotion preserved {promotion.blocks_preserved} blocks, "
             f"expected {want_blocks}",
         )
-    if check_roots and site in _ROOT_CHECK_SITES:
+    if check_roots and site in ROOT_CHECK_SITES:
         want_root = pre_root if expected == "pre" else post_root
         if cluster.service.world.state_root() != want_root:
             return Divergence(
@@ -415,7 +389,7 @@ def run_replication_scenario(
     block the generic harness passes around plays no role (reproduce with
     ``(scenario, seed)``, exactly like the ingress scenarios).
     """
-    from .chaos import ChaosBlockReport
+    from .chaos import chaos_report
 
     mode = scenario.replication.get("mode", "primary-crash")
     seed_int = ingress_seed(seed)
@@ -450,20 +424,7 @@ def run_replication_scenario(
     else:
         raise ValueError(f"unknown replication scenario mode {mode!r}")
 
-    if metrics is not None:
-        metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
-        if not certification.ok:
-            metrics.counter(
-                "chaos_failed_blocks_total", scenario=scenario.name
-            ).inc()
-    return ChaosBlockReport(
-        scenario=scenario.name,
-        seed=seed,
-        certification=certification,
-        deadline_us=0.0,
-        counters=counters,
-        faults_injected=faults,
-    )
+    return chaos_report(scenario, seed, certification, counters, faults, metrics)
 
 
 _SCENARIO_EXECUTOR = "parallelevm"
@@ -479,7 +440,7 @@ def _scenario_cluster(
 ) -> ReplicatedChainService:
     return ReplicatedChainService(
         fixture.chainlike(),
-        CRASH_EXECUTORS[_SCENARIO_EXECUTOR],
+        _SCENARIO_EXECUTOR,
         ClusterConfig(
             replicas=2, threads=threads, policy=policy or FailoverPolicy()
         ),
@@ -488,13 +449,30 @@ def _scenario_cluster(
     )
 
 
-def _certify(fixture: _Fixture, divergences) -> CertificationReport:
+def _certify(fixture: _Fixture, mode: str, problems: list[str]) -> CertificationReport:
+    """The targeted hazards pin one executor; each problem is a divergence."""
     return CertificationReport(
         block_number=fixture.blocks[0].number,
         tx_count=sum(len(b.txs) for b in fixture.blocks),
         executors=[_SCENARIO_EXECUTOR],
-        divergences=list(divergences),
+        divergences=[
+            Divergence(_SCENARIO_EXECUTOR, mode, detail) for detail in problems
+        ],
     )
+
+
+def _fail_over(cluster: ReplicatedChainService, problems: list[str]):
+    """Kill the primary and promote after the heartbeat timeout; the
+    promotion report, or None (with the reason noted) when failover raised."""
+    now = cluster.service.sim_time_us
+    cluster.fail_primary(now)
+    try:
+        return cluster.failover(
+            now + cluster.controller.policy.heartbeat_timeout_us + 1.0
+        )
+    except (ReplicationError, DurabilityError, RecoveryError) as exc:
+        problems.append(f"failover raised {exc}")
+        return None
 
 
 def _laggy_replica_scenario(seed: int, threads: int, metrics):
@@ -509,43 +487,27 @@ def _laggy_replica_scenario(seed: int, threads: int, metrics):
         policy=policy,
         replica_configs={"replica-1": ReplicaConfig(max_frames_per_poll=1)},
     )
-    divergences: list[Divergence] = []
+    problems: list[str] = []
     flagged = 0
     for block in fixture.blocks:
         cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
         if any(r.name == "replica-1" for r in cluster.laggards()):
             flagged += 1
         if any(r.name == "replica-0" for r in cluster.laggards()):
-            divergences.append(
-                Divergence(
-                    _SCENARIO_EXECUTOR,
-                    "laggy-replica",
-                    "the healthy replica tripped the lag budget",
-                )
-            )
+            problems.append("the healthy replica tripped the lag budget")
     if flagged == 0:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "laggy-replica",
-                "the laggy replica never tripped the lag budget",
-            )
-        )
+        problems.append("the laggy replica never tripped the lag budget")
     laggard = next(r for r in cluster.replicas if r.name == "replica-1")
     max_lag = laggard.lag_blocks(cluster.service.height - 1)
     laggard.poll(cluster.service.sim_time_us, max_frames=0)
     tip_fp = cluster.service.world.fingerprint()
     for replica in cluster.replicas:
         if replica.world.fingerprint() != tip_fp:
-            divergences.append(
-                Divergence(
-                    _SCENARIO_EXECUTOR,
-                    "laggy-replica",
-                    f"{replica.name} did not converge to the primary's state",
-                )
+            problems.append(
+                f"{replica.name} did not converge to the primary's state"
             )
     return (
-        _certify(fixture, divergences),
+        _certify(fixture, "laggy-replica", problems),
         {"laggard_flags": float(flagged), "max_lag_blocks": float(max_lag)},
         float(flagged),
     )
@@ -556,7 +518,7 @@ def _corrupt_feed_scenario(seed: int, threads: int, metrics):
     dump, and failover onto the intact replica still preserves everything."""
     fixture = _fixture(seed, blocks=3, txs_per_block=6)
     cluster = _scenario_cluster(fixture, threads, metrics)
-    divergences: list[Divergence] = []
+    problems: list[str] = []
     for block in fixture.blocks[:-1]:
         cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
     last = fixture.blocks[-1]
@@ -568,56 +530,26 @@ def _corrupt_feed_scenario(seed: int, threads: int, metrics):
     victim.flip_feed_byte = pre_len + 8 + (seed % 8 if region > 16 else 0)
     cluster.poll_replicas(cluster.service.sim_time_us)
     if victim.state != "quarantined":
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                "corrupted frame bytes were not detected",
-            )
-        )
+        problems.append("corrupted frame bytes were not detected")
     elif victim.flight.triggered == 0:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                "quarantine did not dump the flight recorder",
-            )
-        )
-    now = cluster.service.sim_time_us
-    cluster.fail_primary(now)
-    try:
-        promotion = cluster.failover(
-            now + cluster.controller.policy.heartbeat_timeout_us + 1.0
-        )
-    except (ReplicationError, DurabilityError, RecoveryError) as exc:
-        divergences.append(
-            Divergence(_SCENARIO_EXECUTOR, "corrupt-feed", f"failover raised {exc}")
-        )
-        return _certify(fixture, divergences), {}, 1.0
+        problems.append("quarantine did not dump the flight recorder")
+    promotion = _fail_over(cluster, problems)
+    if promotion is None:
+        return _certify(fixture, "corrupt-feed", problems), {}, 1.0
     states = _serial_states(
         fixture.fuzzer.chain.fresh_world(), fixture.blocks, False
     )
     if promotion.promoted != "replica-1":
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                f"promotion picked {promotion.promoted}, not the intact replica",
-            )
+        problems.append(
+            f"promotion picked {promotion.promoted}, not the intact replica"
         )
     if cluster.service.world.fingerprint() != states[-1][0]:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                "promoted state lost blocks despite an intact replica",
-            )
-        )
+        problems.append("promoted state lost blocks despite an intact replica")
     counters = {
         "quarantines": 1.0 if victim.state == "quarantined" else 0.0,
         "blocks_preserved": float(promotion.blocks_preserved),
     }
-    return _certify(fixture, divergences), counters, 1.0
+    return _certify(fixture, "corrupt-feed", problems), counters, 1.0
 
 
 def _divergent_replica_scenario(seed: int, threads: int, metrics):
@@ -625,7 +557,7 @@ def _divergent_replica_scenario(seed: int, threads: int, metrics):
     the sealed-root check, quarantined, and excluded from promotion."""
     fixture = _fixture(seed, blocks=3, txs_per_block=6)
     cluster = _scenario_cluster(fixture, threads, metrics)
-    divergences: list[Divergence] = []
+    problems: list[str] = []
     victim = cluster.replicas[0]
     victim.corrupt_block = fixture.blocks[1].number
     for block in fixture.blocks:
@@ -633,52 +565,20 @@ def _divergent_replica_scenario(seed: int, threads: int, metrics):
     if victim.state != "quarantined" or not isinstance(
         victim.error, ReplicaDivergence
     ):
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "a corrupted replay was not caught by root verification",
-            )
-        )
+        problems.append("a corrupted replay was not caught by root verification")
     elif not victim.flight.dumps:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "divergence quarantine did not dump the flight recorder",
-            )
-        )
-    now = cluster.service.sim_time_us
-    cluster.fail_primary(now)
-    try:
-        promotion = cluster.failover(
-            now + cluster.controller.policy.heartbeat_timeout_us + 1.0
-        )
-    except (ReplicationError, DurabilityError, RecoveryError) as exc:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR, "divergent-replica", f"failover raised {exc}"
-            )
-        )
-        return _certify(fixture, divergences), {}, 1.0
+        problems.append("divergence quarantine did not dump the flight recorder")
+    promotion = _fail_over(cluster, problems)
+    if promotion is None:
+        return _certify(fixture, "divergent-replica", problems), {}, 1.0
     if promotion.promoted == victim.name:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "promotion elected the quarantined replica",
-            )
-        )
+        problems.append("promotion elected the quarantined replica")
     states = _serial_states(
         fixture.fuzzer.chain.fresh_world(), fixture.blocks, False
     )
     if cluster.service.world.fingerprint() != states[-1][0]:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "the promoted replica's state differs from the serial reference",
-            )
+        problems.append(
+            "the promoted replica's state differs from the serial reference"
         )
     counters = {
         "divergences_caught": 1.0
@@ -686,4 +586,4 @@ def _divergent_replica_scenario(seed: int, threads: int, metrics):
         else 0.0,
         "blocks_preserved": float(promotion.blocks_preserved),
     }
-    return _certify(fixture, divergences), counters, 1.0
+    return _certify(fixture, "divergent-replica", problems), counters, 1.0

@@ -41,6 +41,7 @@ def ingress_config_for(
     seed,
     threads: int = 4,
     blocks: int = INGRESS_SCENARIO_BLOCKS,
+    executor: str = "parallelevm",
 ):
     """Build the :class:`IngressConfig` a scenario's overrides describe.
 
@@ -65,6 +66,7 @@ def ingress_config_for(
         txs_per_block=12,
         accounts=160,
         clients=6,
+        executor=executor,
         threads=threads,
         seed=ingress_seed(seed),
         mempool=(
@@ -85,7 +87,7 @@ def run_ingress_scenario(
 ):
     """Run one ingress chaos scenario; returns a :class:`ChaosBlockReport`."""
     from ..rpc.ingress import run_ingress
-    from .chaos import ChaosBlockReport
+    from .chaos import chaos_report
 
     config = ingress_config_for(scenario, seed, threads=threads, blocks=blocks)
     report = run_ingress(config)
@@ -118,19 +120,14 @@ def run_ingress_scenario(
         ),
     }
     if metrics is not None:
-        metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
-        if divergences:
-            metrics.counter(
-                "chaos_failed_blocks_total", scenario=scenario.name
-            ).inc()
         for name, value in report.counters.items():
             if name.startswith(("rpc_", "mempool_")):
                 metrics.counter(name, scenario=scenario.name).inc(value)
-    return ChaosBlockReport(
-        scenario=scenario.name,
-        seed=seed,
-        certification=certification,
-        deadline_us=0.0,
-        counters=counters,
-        faults_injected=float(rejected + shed + report.reads_shed),
+    return chaos_report(
+        scenario,
+        seed,
+        certification,
+        counters,
+        float(rejected + shed + report.reads_shed),
+        metrics,
     )

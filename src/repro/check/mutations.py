@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..state.keys import is_storage_key
 from ..workloads import Chain, conflict_ratio_block
-from .certify import CERTIFIED_EXECUTORS, CertificationReport, certify_block
+from .certify import CertificationReport, certify_block
 from .shrink import ShrinkResult, shrink_block
 
 
@@ -113,7 +113,7 @@ def mutation_self_test(
     oracle, not the honest baselines.
     """
     block = conflict_ratio_block(chain, block_number, tx_count, ratio=1.0)
-    mutant_suite = {"parallelevm": CERTIFIED_EXECUTORS["parallelevm"]}
+    mutant_suite = ["parallelevm"]
 
     with inject_conflict_bug(mutation):
         report = certify_block(

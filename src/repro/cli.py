@@ -28,9 +28,8 @@ import sys
 
 from .analysis.conflict_graph import analyze_block
 from .bench import experiments as exp
-from .bench.harness import executor_suite, standard_chain, standard_workload
+from .bench.harness import TABLE1_EXECUTORS, standard_chain, standard_workload
 from .bench.suite import (
-    EXECUTOR_FACTORIES,
     SUITES,
     compare_bench,
     load_bench,
@@ -38,7 +37,7 @@ from .bench.suite import (
     to_json,
 )
 from .concurrency import SerialExecutor
-from .core.executor import ParallelEVMExecutor
+from .concurrency.registry import EXECUTOR_NAMES, make_executor
 from .obs import BlockObserver, render_block_report, structural_bound_lines
 
 EXPERIMENTS = {
@@ -67,7 +66,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     analysis = analyze_block(chain.fresh_world(), block.txs, block.env)
     executors: dict[str, dict] = {}
-    for executor in executor_suite(args.threads):
+    for name in TABLE1_EXECUTORS:
+        executor = make_executor(name, args.threads)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         if result.writes != serial.writes:
             print(f"{executor.name:<14}  STATE DIVERGED", file=sys.stderr)
@@ -109,19 +109,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-# Executors addressable by ``repro run --executor`` (superset of the
-# Table 1 suite: adds serial, Saraph-Herlihy two-phase and §6.3 preexec).
-# Shared with the benchmark suite so `bench` and `run` agree on names.
-RUN_EXECUTORS = EXECUTOR_FACTORIES
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     chain = standard_chain(accounts=args.accounts)
     workload = standard_workload(chain, args.txs)
     block = workload.block(args.block)
 
     observer = BlockObserver()
-    executor = RUN_EXECUTORS[args.executor](args.threads, observer)
+    executor = make_executor(args.executor, args.threads, observer=observer)
     world = chain.fresh_world()
     result = executor.execute_block(world, block.txs, block.env)
 
@@ -221,7 +215,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             FileMedium(args.durable_dir),
             checkpoint_interval=args.checkpoint_interval,
         )
-    executor = ParallelEVMExecutor(threads=args.threads, durability=pipeline)
+    executor = make_executor("parallelevm", args.threads, durability=pipeline)
 
     for number in range(args.block, args.block + args.count):
         block = workload.block(number)
@@ -639,32 +633,25 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .mempool import Mempool, MempoolConfig
+    from .mempool import MempoolConfig
     from .obs import MetricsRegistry
-    from .rpc import RpcConfig, RpcDispatcher, RpcFacade, serve_http
-    from .service import ChainService
+    from .rpc import RpcConfig, ServingSession, serve_http
     from .workloads import ChainSpec, build_chain
 
-    chain = build_chain(ChainSpec(accounts=args.accounts, seed=args.seed))
-    metrics = MetricsRegistry()
-    executor = RUN_EXECUTORS[args.executor](args.threads, None)
-    service = ChainService(None, executor, chain=chain)
-    mempool = Mempool(
-        MempoolConfig(
-            capacity=args.capacity, per_sender_quota=args.sender_quota
-        ),
-        chain.world,
-        metrics=metrics,
-    )
-    facade = RpcFacade(
-        service,
-        mempool,
-        RpcConfig(
+    session = ServingSession(
+        build_chain(ChainSpec(accounts=args.accounts, seed=args.seed)),
+        args.executor,
+        args.threads,
+        rpc=RpcConfig(
             block_txs=args.block_txs, block_interval_us=args.interval_us
         ),
-        metrics=metrics,
+        mempool=MempoolConfig(
+            capacity=args.capacity, per_sender_quota=args.sender_quota
+        ),
+        metrics=MetricsRegistry(),
+        lifecycle=False,
     )
-    dispatcher = RpcDispatcher(facade, metrics=metrics)
+    service, mempool, facade = session.service, session.mempool, session.facade
 
     async def produce_forever() -> None:
         # Wall-clock pacing is fine here: `serve` is the interactive demo
@@ -685,7 +672,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
 
     async def main() -> None:
-        server = await serve_http(dispatcher, args.host, args.port)
+        server = await serve_http(session.dispatcher, args.host, args.port)
         print(
             f"serving JSON-RPC on http://{args.host}:{args.port} "
             f"(executor {args.executor}, block every "
@@ -713,22 +700,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .mempool import MempoolConfig
     from .obs import format_window_line
-    from .resilience import SCENARIOS
     from .rpc import IngressConfig, run_ingress
 
     if args.scenario:
         from .check import ingress_config_for
+        from .resilience import scenario_of_kind
 
-        scenario = SCENARIOS[args.scenario]
-        if scenario.kind != "ingress":
-            print(
-                f"loadgen: scenario {args.scenario!r} is kind "
-                f"{scenario.kind!r}, not an ingress scenario",
-                file=sys.stderr,
-            )
+        try:
+            scenario = scenario_of_kind(args.scenario, "ingress")
+        except ValueError as exc:
+            print(f"loadgen: {exc}", file=sys.stderr)
             return 2
         config = ingress_config_for(
-            scenario, args.seed, threads=args.threads, blocks=args.blocks
+            scenario,
+            args.seed,
+            threads=args.threads,
+            blocks=args.blocks,
+            executor=args.executor,
         )
     else:
         config = IngressConfig(
@@ -883,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run one block under one executor, with trace/metrics export"
     )
-    run.add_argument("--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm")
+    run.add_argument("--executor", choices=sorted(EXECUTOR_NAMES), default="parallelevm")
     run.add_argument("--txs", type=int, default=60)
     run.add_argument("--threads", type=int, default=16)
     run.add_argument("--accounts", type=int, default=200)
@@ -1067,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="blocks per telemetry window (one JSONL line each)",
     )
     soak.add_argument(
-        "--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm"
+        "--executor", choices=sorted(EXECUTOR_NAMES), default="parallelevm"
     )
     soak.add_argument("--threads", type=int, default=8)
     soak.add_argument(
@@ -1183,7 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8545)
     serve.add_argument(
-        "--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm"
+        "--executor", choices=sorted(EXECUTOR_NAMES), default="parallelevm"
     )
     serve.add_argument("--threads", type=int, default=4)
     serve.add_argument("--accounts", type=int, default=192)
@@ -1227,7 +1215,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--blocks", type=int, default=40)
     loadgen.add_argument("--txs", type=int, default=16, help="txs per block")
     loadgen.add_argument(
-        "--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm"
+        "--executor", choices=sorted(EXECUTOR_NAMES), default="parallelevm"
     )
     loadgen.add_argument("--threads", type=int, default=4)
     loadgen.add_argument("--accounts", type=int, default=192)

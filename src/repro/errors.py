@@ -73,14 +73,6 @@ class ConcurrencyError(ReproError):
     """A concurrency-control executor reached an inconsistent internal state."""
 
 
-class RedoAbort(ReproError):
-    """The redo phase failed (a constraint guard was violated).
-
-    The transaction must fall back to a full serial re-execution in the write
-    phase, exactly as in Algorithm 1 of the paper.
-    """
-
-
 class SimulationError(ReproError):
     """The discrete-event machine was driven with inconsistent events."""
 

@@ -50,7 +50,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .streaming import LogHistogram
+from .streaming import LogHistogram, format_stat
 from .trace import TraceRecorder
 
 #: Waterfall phases in lifecycle order (also the serving-lane order in the
@@ -696,10 +696,7 @@ class LifecycleReport:
         return cls(**data)
 
     def describe(self) -> str:
-        def _q(stats: dict, name: str) -> str:
-            value = stats[name]
-            return "-" if value is None else f"{value:.0f}"
-
+        _q = format_stat
         latency = self.blame["latency_us"]
         lines = [
             f"  lifecycle   {self.committed} committed · {self.shed} shed · "
@@ -726,3 +723,33 @@ class LifecycleReport:
                 f"{self.slow_threshold_us:.0f} us · dominant phase: {dominant}"
             )
         return "\n".join(lines)
+
+
+def describe_serving_sections(
+    lifecycle: dict | None, slo: dict | None, flight: dict | None
+) -> list[str]:
+    """The lifecycle / SLO / flight-recorder lines of an end-of-run report.
+
+    Takes the three sections in their report (``as_dict``) form, each None
+    when lifecycle tracing was off, so the soak and ingress reports render
+    them identically — including after a JSON round trip.
+    """
+    lines = []
+    if lifecycle is not None:
+        lines.append(LifecycleReport.from_dict(lifecycle).describe())
+    if slo is not None:
+        latency = slo["latency"]
+        errors = slo["errors"]
+        lines.append(
+            f"  slo         latency burn {latency['total_burn']:.2f}x "
+            f"({latency['bad']}/{latency['total']} over "
+            f"{latency['objective_us']:.0f} us) · error burn "
+            f"{errors['total_burn']:.2f}x · {slo['alerts']} alert(s)"
+        )
+    if flight is not None and flight["triggered"]:
+        lines.append(
+            f"  flight      {flight['triggered']} incident(s) · "
+            f"{len(flight['dumps'])} dump(s) retained "
+            f"(ring {flight['capacity']})"
+        )
+    return lines

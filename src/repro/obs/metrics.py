@@ -234,6 +234,27 @@ class MetricsRegistry:
             for name, key, metric in self.series()
         }
 
+    def counter_totals(self, window: bool = False) -> dict:
+        """Counter totals, labelled series folded into their base names.
+
+        Cumulative by default (the ``counters`` field of the soak and
+        ingress end-of-run reports); ``window=True`` folds the deltas of
+        :meth:`window_snapshot` instead (the per-window section of the
+        soak JSONL stream, advancing the window baseline).  Counters only:
+        gauges are point-in-time and histogram deltas would bloat every
+        line; folding keeps line width bounded no matter how many distinct
+        label values a long run touches.  Zero-valued series are omitted.
+        """
+        kinds = self.kinds()
+        values = self.window_snapshot() if window else self.as_dict()
+        totals: dict = {}
+        for series, value in values.items():
+            if kinds.get(series) != "counter" or not value:
+                continue
+            base = series.split("{", 1)[0]
+            totals[base] = totals.get(base, 0) + value
+        return totals
+
     def window_snapshot(self) -> dict:
         """A delta-since-last-snapshot view of every series.
 

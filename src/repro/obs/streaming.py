@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 from .metrics import MetricsRegistry
 
@@ -329,22 +330,6 @@ class SoakTelemetry:
             "window_evictions": window["evictions"],
         }
 
-    def _counters_section(self) -> dict | None:
-        if self.registry is None:
-            return None
-        kinds = self.registry.kinds()
-        counters: dict[str, float] = {}
-        for series, value in self.registry.window_snapshot().items():
-            # Counter deltas only: gauges are point-in-time, and histogram
-            # deltas would bloat every line (the soak snapshot carries its
-            # own latency sketches).  Labelled series fold into their base
-            # name so line width stays bounded on long runs.
-            if kinds.get(series) != "counter" or not value:
-                continue
-            base = series.split("{", 1)[0]
-            counters[base] = counters.get(base, 0) + value
-        return counters
-
     def _close_window(self) -> dict:
         window = self.window
         snapshot = {
@@ -364,9 +349,8 @@ class SoakTelemetry:
         cache = self._cache_section()
         if cache is not None:
             snapshot["cache"] = cache
-        counters = self._counters_section()
-        if counters is not None:
-            snapshot["counters"] = counters
+        if self.registry is not None:
+            snapshot["counters"] = self.registry.counter_totals(window=True)
         if self.lifecycle is not None:
             snapshot["lifecycle"] = self.lifecycle.window_section()
         if self.slo is not None:
@@ -409,12 +393,40 @@ class SoakTelemetry:
         return out
 
 
+@contextmanager
+def snapshot_sink(out, progress=None):
+    """Yield ``emit(snapshot)`` for a run's windowed JSONL stream.
+
+    ``out`` is a path (opened here, closed on exit), a writable text file,
+    or None to discard; every emitted snapshot is written as one canonical
+    line and then handed to ``progress`` (the CLI's live per-window report).
+    """
+    opened = open(out, "w") if isinstance(out, str) else None
+    sink = out if opened is None else opened
+
+    def emit(snapshot: dict) -> None:
+        if sink is not None:
+            sink.write(SoakTelemetry.snapshot_line(snapshot))
+            sink.write("\n")
+        if progress is not None:
+            progress(snapshot)
+
+    try:
+        yield emit
+    finally:
+        if opened is not None:
+            opened.close()
+
+
+def format_stat(stats: dict, name: str) -> str:
+    """One latency-summary field for humans: whole us, ``-`` when empty."""
+    value = stats[name]
+    return "-" if value is None else f"{value:.0f}"
+
+
 def format_window_line(snapshot: dict) -> str:
     """A human one-liner for the CLI's live progress report."""
-
-    def _fmt(value) -> str:
-        return "-" if value is None else f"{value:.0f}"
-
+    _q = format_stat
     throughput = snapshot["throughput"]
     tx = snapshot["latency_tx_us"]
     block = snapshot["latency_block_us"]
@@ -422,8 +434,8 @@ def format_window_line(snapshot: dict) -> str:
         f"window {snapshot['window']:>3} · blocks "
         f"{snapshot['first_block']}-{snapshot['last_block']} · "
         f"{throughput['tx_per_s']:>9.1f} tx/s · "
-        f"tx p50/p90/p99 {_fmt(tx['p50'])}/{_fmt(tx['p90'])}/{_fmt(tx['p99'])} us · "
-        f"block p50/p99 {_fmt(block['p50'])}/{_fmt(block['p99'])} us"
+        f"tx p50/p90/p99 {_q(tx, 'p50')}/{_q(tx, 'p90')}/{_q(tx, 'p99')} us · "
+        f"block p50/p99 {_q(block, 'p50')}/{_q(block, 'p99')} us"
     )
     cache = snapshot.get("cache")
     if cache is not None and cache["capacity"] > 0:

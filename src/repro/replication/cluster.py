@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..concurrency.registry import make_executor
 from ..durability.checkpoint import encode_snapshot
 from ..durability.commit import DurableCommitPipeline
 from ..durability.medium import MemoryMedium
@@ -115,10 +116,9 @@ class ReplicationView:
 class ReplicatedChainService:
     """A :class:`ChainService` primary shipping its journal to replicas.
 
-    ``executor_factory`` is a ``threads -> BlockExecutor`` callable (the
-    :data:`~repro.check.crashfuzz.CRASH_EXECUTORS` shape); the factory is
-    re-invoked on promotion so the successor gets a fresh executor wired
-    to the successor's pipeline.  The wrapped ``chain`` must be eagerly
+    ``executor`` names a :mod:`repro.concurrency.registry` config; it is
+    constructed again on promotion so the successor gets a fresh executor
+    wired to the successor's pipeline.  The wrapped ``chain`` must be eagerly
     funded (``Chain.world`` already holding every account the workload
     will touch) — replicas see only journal bytes, so out-of-band world
     mutation during block *generation* would silently diverge them; the
@@ -128,7 +128,7 @@ class ReplicatedChainService:
     def __init__(
         self,
         chain,
-        executor_factory,
+        executor: str,
         config: ClusterConfig | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         metrics=None,
@@ -136,7 +136,7 @@ class ReplicatedChainService:
         replica_configs: dict[str, ReplicaConfig] | None = None,
     ) -> None:
         self.chain = chain
-        self.executor_factory = executor_factory
+        self.executor_name = executor
         self.config = config or ClusterConfig()
         self.cost_model = cost_model
         self.metrics = metrics
@@ -157,18 +157,7 @@ class ReplicatedChainService:
         self.medium.write_snapshot(
             snapshot_block, encode_snapshot(chain.world, snapshot_block)
         )
-        pipeline = DurableCommitPipeline(
-            self.medium,
-            cost_model=cost_model,
-            checkpoint_interval=self.config.checkpoint_interval,
-            metrics=metrics,
-            epoch=self.controller.epoch,
-        )
-        executor = executor_factory(self.config.threads)
-        executor.durability = pipeline
-        self.service = ChainService(
-            None, executor, observer=observer, chain=chain
-        )
+        self.service = self._primary_service(chain, self.controller.epoch)
         self.previous_service = None
 
         overrides = replica_configs or {}
@@ -183,6 +172,25 @@ class ReplicatedChainService:
             )
             for name in (f"replica-{i}" for i in range(self.config.replicas))
         ]
+
+    def _primary_service(self, chain, epoch: int) -> ChainService:
+        """A primary over ``self.medium``: a fresh executor wired to a fresh
+        commit pipeline journaling at ``epoch``."""
+        pipeline = DurableCommitPipeline(
+            self.medium,
+            cost_model=self.cost_model,
+            checkpoint_interval=self.config.checkpoint_interval,
+            metrics=self.metrics,
+            epoch=epoch,
+        )
+        return ChainService(
+            None,
+            make_executor(
+                self.executor_name, self.config.threads, durability=pipeline
+            ),
+            observer=self.observer,
+            chain=chain,
+        )
 
     # -- views ----------------------------------------------------------
 
@@ -294,21 +302,9 @@ class ReplicatedChainService:
             + len(blob) * self.cost_model.journal_byte_us
             + self.cost_model.fsync_us
         )
-        pipeline = DurableCommitPipeline(
-            self.medium,
-            cost_model=self.cost_model,
-            checkpoint_interval=self.config.checkpoint_interval,
-            metrics=self.metrics,
-            epoch=epoch,
-        )
-        executor = self.executor_factory(self.config.threads)
-        executor.durability = pipeline
         old_service = self.service
-        new_service = ChainService(
-            None,
-            executor,
-            observer=self.observer,
-            chain=_ClusterChain(new_world, self.chain.env),
+        new_service = self._primary_service(
+            _ClusterChain(new_world, self.chain.env), epoch
         )
         new_service.height = (
             last_committed + 1

@@ -33,7 +33,13 @@ from .faults import (
     StorageFaultInjector,
 )
 from .policy import EscalationLadder, RecoveryPolicy
-from .scenarios import SCENARIOS, ChaosScenario, default_suite
+from .scenarios import (
+    SCENARIOS,
+    ChaosScenario,
+    block_fault_plans,
+    default_suite,
+    scenario_of_kind,
+)
 
 __all__ = [
     "ChaosScenario",
@@ -46,5 +52,7 @@ __all__ = [
     "SCENARIOS",
     "SchedulerFaultInjector",
     "StorageFaultInjector",
+    "block_fault_plans",
     "default_suite",
+    "scenario_of_kind",
 ]

@@ -14,9 +14,11 @@ no performance claim is ever derived from a chaos run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
-from .faults import FaultConfig
+from .faults import FaultConfig, FaultPlan
+from .policy import RecoveryPolicy
 
 
 @dataclass(slots=True, frozen=True)
@@ -232,3 +234,55 @@ SCENARIOS: dict[str, ChaosScenario] = {
 def default_suite() -> list[ChaosScenario]:
     """The default chaos suite, in catalogue order."""
     return list(SCENARIOS.values())
+
+
+def scenario_of_kind(name: str, kind: str) -> ChaosScenario:
+    """Look ``name`` up in the catalogue, insisting on its ``kind``.
+
+    Scenario names arrive from the command line and from config objects;
+    an unknown or wrong-kind one fails here with a one-line
+    :class:`ValueError` listing the names that would have worked.
+    """
+    scenario = SCENARIOS.get(name)
+    if scenario is not None and scenario.kind == kind:
+        return scenario
+    known = ", ".join(s.name for s in SCENARIOS.values() if s.kind == kind)
+    if scenario is None:
+        raise ValueError(
+            f"unknown chaos scenario {name!r} (scenarios of kind {kind!r}: {known})"
+        )
+    article = "an" if kind[0] in "aeiou" else "a"
+    raise ValueError(
+        f"scenario {name!r} is kind {scenario.kind!r}, not {article} "
+        f"{kind} scenario (known: {known})"
+    )
+
+
+def block_fault_plans(
+    seed_prefix: str,
+    scenario: str | None = None,
+    fault_config: FaultConfig | None = None,
+) -> Callable[[int], FaultPlan] | None:
+    """The per-block :class:`FaultPlan` factory a chain service injects from.
+
+    ``scenario`` names a ``kind="faults"`` catalogue entry (its recovery
+    overrides applied to the stock policy); an explicit ``fault_config``
+    is used when no scenario is named.  Each block's plan is seeded
+    ``f"{seed_prefix}:{number}"``, so injection streams are a pure
+    function of (harness, seed, height).  Returns None when neither is
+    given — the service then runs with no plan attached at all.
+    """
+    recovery = None
+    if scenario is not None:
+        chosen = scenario_of_kind(scenario, "faults")
+        fault_config = chosen.config
+        recovery = replace(RecoveryPolicy(), **chosen.recovery_overrides)
+    if fault_config is None:
+        return None
+
+    def factory(number: int) -> FaultPlan:
+        return FaultPlan(
+            f"{seed_prefix}:{number}", config=fault_config, recovery=recovery
+        )
+
+    return factory

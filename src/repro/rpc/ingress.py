@@ -22,29 +22,20 @@ on every run and reported as divergences when violated:
 
 from __future__ import annotations
 
-import heapq
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from ..bench.suite import EXECUTOR_FACTORIES
-from ..mempool.pool import Mempool, MempoolConfig
-from ..obs.lifecycle import (
-    DEGRADATION_COUNTERS,
-    FlightRecorder,
-    LifecycleReport,
-    LifecycleTracker,
-    SloConfig,
-    SloMonitor,
-)
+from ..concurrency.registry import make_executor
+from ..mempool.pool import MempoolConfig
+from ..obs.lifecycle import SloConfig, describe_serving_sections
 from ..obs.metrics import MetricsRegistry
-from ..obs.streaming import SoakTelemetry
-from ..service.chain_service import ChainService, SoakObserver
+from ..resilience import block_fault_plans
 from ..state.receipts import receipts_root
 from ..workloads.block import ChainSpec, build_chain
-from ..workloads.clients import ClientSpec, build_fleet
-from .dispatcher import RpcDispatcher
-from .facade import RpcConfig, RpcFacade, ingress_backoff_policy
-from .transport import SimTransport
+from ..workloads.clients import ClientSpec
+from .facade import RpcConfig
+from .session import ServingSession
 
 
 @dataclass(slots=True)
@@ -175,23 +166,7 @@ class IngressReport:
             f"{self.retries} retries · {self.gave_up} gave up · "
             f"circuit opened {self.circuit_opened}x",
         ]
-        if self.lifecycle is not None:
-            lines.append(LifecycleReport.from_dict(self.lifecycle).describe())
-        if self.slo is not None:
-            latency = self.slo["latency"]
-            errors = self.slo["errors"]
-            lines.append(
-                f"  slo         latency burn {latency['total_burn']:.2f}x "
-                f"({latency['bad']}/{latency['total']} over "
-                f"{latency['objective_us']:.0f} us) · error burn "
-                f"{errors['total_burn']:.2f}x · {self.slo['alerts']} alert(s)"
-            )
-        if self.flight is not None and self.flight["triggered"]:
-            lines.append(
-                f"  flight      {self.flight['triggered']} incident(s) · "
-                f"{len(self.flight['dumps'])} dump(s) retained "
-                f"(ring {self.flight['capacity']})"
-            )
+        lines += describe_serving_sections(self.lifecycle, self.slo, self.flight)
         if self.divergences:
             lines.append("  DIVERGENCES:")
             lines.extend(f"    - {d}" for d in self.divergences)
@@ -200,37 +175,6 @@ class IngressReport:
                 "  certified: conservation + serial equivalence + typed sheds"
             )
         return "\n".join(lines)
-
-
-def _fault_plan_factory(config: IngressConfig):
-    fault_config = config.fault_config
-    recovery = None
-    if config.scenario is not None:
-        from dataclasses import replace
-
-        from ..resilience import SCENARIOS, RecoveryPolicy
-
-        scenario = SCENARIOS[config.scenario]
-        if scenario.kind != "faults":
-            raise ValueError(
-                f"scenario {scenario.name!r} is not a runtime-fault scenario"
-            )
-        fault_config = scenario.config
-        recovery = RecoveryPolicy()
-        if scenario.recovery_overrides:
-            recovery = replace(recovery, **scenario.recovery_overrides)
-    if fault_config is None:
-        return None
-    from ..resilience import FaultPlan
-
-    def factory(number: int) -> "FaultPlan":
-        return FaultPlan(
-            f"ingress:{config.seed}:{number}",
-            config=fault_config,
-            recovery=recovery,
-        )
-
-    return factory
 
 
 def run_ingress(
@@ -259,236 +203,96 @@ def run_ingress(
     )
     genesis = chain.world.clone()
     registry = MetricsRegistry(label_limit=config.label_limit)
-    observer = SoakObserver(metrics=registry)
-    executor = EXECUTOR_FACTORIES[config.executor](config.threads, observer)
     pipeline = None
     if config.pipeline:
         from ..pipeline import PipelineConfig, PipelineCoordinator
 
         pipeline = PipelineCoordinator(PipelineConfig(), metrics=registry)
-    service = ChainService(
-        None,
-        executor,
-        observer=observer,
-        fault_plan_factory=_fault_plan_factory(config),
-        pipeline=pipeline,
-        chain=chain,
-    )
-    mempool = Mempool(config.mempool, chain.world, metrics=registry)
-
-    tracker = slo = recorder = None
-    waterfall_opened = waterfall_sink = None
-    if config.lifecycle:
-        recorder = FlightRecorder(capacity=config.flight_capacity)
-        slo_config = config.slo or SloConfig()
-        # An SLO alert is itself an incident: snapshot the flight ring at
-        # the close of the offending window so the dump carries the txs
-        # that burned the budget.
-        slo = SloMonitor(
-            slo_config,
-            metrics=registry,
-            on_alert=lambda alert: recorder.trigger(
-                f"slo:{alert['objective']}",
-                (alert["window"] + 1) * slo_config.window_us,
-            ),
-        )
-        if waterfalls is not None:
-            waterfall_sink = waterfalls
-            if isinstance(waterfalls, str):
-                waterfall_opened = waterfall_sink = open(waterfalls, "w")
-        tracker = LifecycleTracker(
-            metrics=registry,
-            slo=slo,
-            recorder=recorder,
-            slow_threshold_us=config.slow_threshold_us,
-            trace=trace_out is not None,
-            sink=waterfall_sink,
-        )
-
-    facade = RpcFacade(
-        service,
-        mempool,
-        config=RpcConfig(
+    session = ServingSession(
+        chain,
+        config.executor,
+        config.threads,
+        rpc=RpcConfig(
             block_txs=config.txs_per_block,
             block_interval_us=config.block_interval_us,
             circuit_open_lag_us=config.circuit_open_lag_us,
             circuit_close_lag_us=config.circuit_close_lag_us,
             record_blocks=True,
         ),
+        mempool=config.mempool,
         metrics=registry,
-        lifecycle=tracker,
-    )
-    transport = SimTransport(RpcDispatcher(facade, metrics=registry))
-    policy = ingress_backoff_policy()
-    fleet = build_fleet(
-        config.client_spec(), chain.accounts, policy, chain.env.chain_id
-    )
-    telemetry = SoakTelemetry(
-        window_blocks=config.window_blocks,
-        registry=registry,
-        lifecycle=tracker,
-        slo=slo,
+        pipeline=pipeline,
+        fault_plan_factory=block_fault_plans(
+            f"ingress:{config.seed}", config.scenario, config.fault_config
+        ),
+        lifecycle=config.lifecycle,
+        slo=config.slo,
+        flight_capacity=config.flight_capacity,
+        slow_threshold_us=config.slow_threshold_us,
+        trace=trace_out is not None,
     )
 
-    # -- the merged event loop ------------------------------------------
-    # Heap entries are (time_us, seq, kind, payload); seq is the global
-    # deterministic tie-break.
-    events: list = []
-    seq = 0
-
-    def push(at_us: float, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(events, (at_us, seq, kind, payload))
-        seq += 1
-
-    interval = config.block_interval_us * config.consumer_slowdown
-    horizon_us = config.blocks * interval
-    for client in fleet:
-        push(client.next_arrival(0.0), "arrival", client)
-    push(interval, "tick", None)
-
-    admitted_at: dict[str, float] = {}
+    # -- the conservation ledgers, fed by the session's callbacks --------
+    admitted: set[str] = set()
     committed: dict[str, int] = {}
     shed: dict[str, str] = {}
     rejected: dict = {}
     reads_ok = reads_shed = backpressure_events = 0
     live_roots: list[bytes] = []
     divergences: list[str] = []
-    ticks = 0
 
-    def serve(
-        client, request: dict, now_us: float, attempt: int, first_us: float
-    ) -> None:
+    def on_response(request: dict, response: dict) -> None:
         nonlocal reads_ok, reads_shed, backpressure_events
-        response = transport.request(request, now_us)
         error = response.get("error")
-        method = request["method"]
+        is_send = request["method"] == "send_transaction"
         if error is None:
-            if method == "send_transaction":
-                tx_hash = response["result"]["tx_hash"]
-                admitted_at[tx_hash] = now_us
-                client.note_accepted(tx_hash)
-                if tracker is not None and attempt > 0:
-                    # The facade saw only the successful attempt; backdate
-                    # the lifecycle to the first submission so the retry
-                    # segment of the waterfall carries the backoff time.
-                    tracker.note_submission(tx_hash, first_us, attempt + 1)
+            if is_send:
+                admitted.add(response["result"]["tx_hash"])
             else:
                 reads_ok += 1
-            return
-        data = error.get("data") or {}
-        reason = data.get("reason", f"code{error['code']}")
-        if method != "send_transaction":
+        elif not is_send:
             reads_shed += 1
-            return
-        rejected[reason] = rejected.get(reason, 0) + 1
-        if reason == "backpressure":
-            backpressure_events += 1
-        if data.get("retryable"):
-            delay = client.retry_delay_us(
-                attempt, data.get("retry_after_us", 0.0)
-            )
-            if delay is not None:
-                push(
-                    now_us + delay,
-                    "retry",
-                    (client, request, attempt + 1, first_us),
-                )
+        else:
+            data = error.get("data") or {}
+            reason = data.get("reason", f"code{error['code']}")
+            rejected[reason] = rejected.get(reason, 0) + 1
+            if reason == "backpressure":
+                backpressure_events += 1
 
-    def record_block(produced, now_us: float) -> None:
-        outcome = produced.outcome
+    def on_block(produced) -> None:
         for entry in produced.shed:
             shed["0x" + entry.tx_hash.hex()] = "expired"
         for entry in produced.stale:
             shed["0x" + entry.tx_hash.hex()] = "stale-nonce"
-        if outcome is None:
+        if produced.outcome is None:
             return
         for entry in produced.entries:
             tx_hash = "0x" + entry.tx_hash.hex()
             if tx_hash in committed:
                 divergences.append(f"double commit of {tx_hash}")
-            committed[tx_hash] = outcome.number
-        live_roots.append(receipts_root(service.last_result.tx_results))
-        latencies = [
-            now_us + outcome.latency_us - entry.admitted_at_us
-            for entry in produced.entries
-        ]
-        snapshot = telemetry.record_block(
-            outcome.number,
-            tx_count=outcome.tx_count,
-            gas_used=outcome.gas_used,
-            latency_us=outcome.latency_us,
-            tx_latencies_us=latencies,
-            advance_us=None,
-        )
-        if snapshot is not None:
-            emit(snapshot)
+            committed[tx_hash] = produced.outcome.number
+        live_roots.append(receipts_root(session.service.last_result.tx_results))
 
-    opened = None
-    sink = out
-    if isinstance(out, str):
-        opened = sink = open(out, "w")
-    try:
-        def emit(snapshot: dict) -> None:
-            if sink is not None:
-                sink.write(SoakTelemetry.snapshot_line(snapshot))
-                sink.write("\n")
-            if progress is not None:
-                progress(snapshot)
-
-        # Degradation watch: the four resilience fallback counters, read
-        # as per-tick deltas; any increase snapshots the flight ring.
-        degradation_seen = {
-            name: registry.sum_by_name(name) for name in DEGRADATION_COUNTERS
-        }
-        last_now = 0.0
-        while events:
-            now_us, _, kind, payload = heapq.heappop(events)
-            last_now = max(last_now, now_us)
-            if kind == "tick":
-                ticks += 1
-                record_block(facade.produce_block(now_us), now_us)
-                if recorder is not None:
-                    for name in DEGRADATION_COUNTERS:
-                        total = registry.sum_by_name(name)
-                        if total > degradation_seen[name]:
-                            recorder.trigger(f"degradation:{name}", now_us)
-                        degradation_seen[name] = total
-                if ticks < config.blocks:
-                    push(now_us + interval, "tick", None)
-            elif kind == "arrival":
-                client = payload
-                if now_us < horizon_us:
-                    serve(client, client.make_request(now_us), now_us, 0, now_us)
-                    nxt = client.next_arrival(now_us)
-                    if nxt < horizon_us:
-                        push(nxt, "arrival", client)
-            else:  # retry
-                client, request, attempt, first_us = payload
-                if now_us < horizon_us:
-                    serve(client, request, now_us, attempt, first_us)
-            if ticks >= config.blocks:
-                break
-        if slo is not None:
-            slo.finalize(last_now)
-        tail = telemetry.finish()
-        if tail is not None:
-            emit(tail)
-    finally:
-        if opened is not None:
-            opened.close()
-        if waterfall_opened is not None:
-            waterfall_opened.close()
-    if trace_out is not None and tracker is not None:
-        trace = tracker.to_chrome_trace()
+    session.run(
+        config.client_spec(),
+        config.blocks,
+        config.block_interval_us * config.consumer_slowdown,
+        config.window_blocks,
+        out=out,
+        progress=progress,
+        waterfalls=waterfalls,
+        on_response=on_response,
+        on_block=on_block,
+    )
+    if trace_out is not None and session.tracker is not None:
+        trace = session.tracker.to_chrome_trace()
         if trace is not None:
             with open(trace_out, "w") as handle:
                 json.dump(trace, handle, sort_keys=True, indent=1)
                 handle.write("\n")
 
     # -- conservation ----------------------------------------------------
-    pending = {"0x" + h.hex() for h in mempool.pending_hashes()}
-    admitted = set(admitted_at)
+    pending = {"0x" + h.hex() for h in session.mempool.pending_hashes()}
     accounted = set(committed) | set(shed) | pending
     for tx_hash in sorted(admitted - accounted):
         divergences.append(f"admitted tx lost: {tx_hash}")
@@ -502,8 +306,8 @@ def run_ingress(
             divergences.append("untyped rejection observed")
 
     # -- serial equivalence ---------------------------------------------
-    serial = EXECUTOR_FACTORIES["serial"](1, None)
-    for index, block in enumerate(facade.committed_blocks):
+    serial = make_executor("serial", 1)
+    for index, block in enumerate(session.facade.committed_blocks):
         result = serial.execute_block(genesis, block.txs, block.env)
         serial.commit_block(genesis, block.number, result)
         root = receipts_root(result.tx_results)
@@ -514,40 +318,26 @@ def run_ingress(
     if genesis.fingerprint() != chain.world.fingerprint():
         divergences.append("final state diverges from serial replay")
 
-    kinds = registry.kinds()
-    counters: dict = {}
-    for series, value in registry.as_dict().items():
-        if kinds.get(series) != "counter" or not value:
-            continue
-        base = series.split("{", 1)[0]
-        counters[base] = counters.get(base, 0) + value
-
-    shed_by_reason: dict[str, int] = {}
-    for reason in shed.values():
-        shed_by_reason[reason] = shed_by_reason.get(reason, 0) + 1
-
+    fleet = session.fleet
+    sections = session.report_sections()
     return IngressReport(
         executor=config.executor,
         threads=config.threads,
         seed=config.seed,
-        blocks_committed=service.blocks_committed,
-        requests=transport.requests,
+        blocks_committed=session.service.blocks_committed,
+        requests=session.transport.requests,
         submitted=sum(c.submitted for c in fleet) + sum(c.retries for c in fleet),
         admitted=len(admitted),
         committed=len(committed),
         pending=len(pending),
-        shed=shed_by_reason,
+        shed=dict(Counter(shed.values())),
         rejected=dict(sorted(rejected.items())),
         reads_ok=reads_ok,
         reads_shed=reads_shed,
         retries=sum(c.retries for c in fleet),
         gave_up=sum(c.gave_up for c in fleet),
         backpressure_events=backpressure_events,
-        circuit_opened=int(counters.get("rpc_circuit_opened_total", 0)),
+        circuit_opened=int(sections["counters"].get("rpc_circuit_opened_total", 0)),
         divergences=divergences,
-        summary=telemetry.summary(),
-        counters=counters,
-        lifecycle=tracker.report().as_dict() if tracker is not None else None,
-        slo=slo.summary() if slo is not None else None,
-        flight=recorder.as_dict() if recorder is not None else None,
+        **sections,
     )

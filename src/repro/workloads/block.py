@@ -9,7 +9,7 @@ accounts (each pre-approving every AMM pair, as real DEX users do).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..contracts import (
     AMM,
@@ -49,6 +49,20 @@ class Block:
 
     def __len__(self) -> int:
         return len(self.txs)
+
+
+def copy_block(number: int, txs, env: BlockEnv) -> Block:
+    """A Block over *copies* of ``txs`` (``__post_init__`` renumbers them).
+
+    The sweep harnesses re-cut one fuzzed block into several (pre/post
+    halves, ancestor + fork); copying keeps the pieces from renumbering
+    each other's transactions.
+    """
+    return Block(
+        number=number,
+        txs=[replace(tx) for tx in txs],
+        env=replace(env, number=number),
+    )
 
 
 @dataclass(slots=True)

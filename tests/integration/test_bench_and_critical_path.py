@@ -19,13 +19,9 @@ import json
 
 import pytest
 
-from repro.bench.suite import (
-    EXECUTOR_FACTORIES,
-    compare_bench,
-    run_suite,
-    to_json,
-)
+from repro.bench.suite import compare_bench, run_suite, to_json
 from repro.check import BlockFuzzer, FuzzConfig
+from repro.concurrency.registry import EXECUTOR_NAMES, make_executor
 from repro.obs import BlockObserver, collect_attribution, critical_path
 
 THREADS = 4
@@ -53,12 +49,12 @@ class TestCriticalPathInvariants:
         fuzzer = BlockFuzzer(FuzzConfig(txs_per_block=24))
         return fuzzer.chain, [fuzzer.block(seed) for seed in (0, 3)]
 
-    @pytest.mark.parametrize("name", sorted(EXECUTOR_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(EXECUTOR_NAMES))
     def test_invariants_hold_for_every_executor(self, fuzz_blocks, name):
         chain, blocks = fuzz_blocks
         for block in blocks:
             observer = BlockObserver()
-            executor = EXECUTOR_FACTORIES[name](THREADS, observer)
+            executor = make_executor(name, THREADS, observer=observer)
             result = executor.execute_block(
                 chain.fresh_world(), block.txs, block.env
             )
@@ -74,12 +70,12 @@ class TestAcceptanceBlock:
         fuzzer = BlockFuzzer(FuzzConfig(txs_per_block=200))
         return fuzzer.chain, fuzzer.block(1)
 
-    @pytest.mark.parametrize("name", sorted(EXECUTOR_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(EXECUTOR_NAMES))
     def test_blame_chain_and_hot_slots(self, big_block, name):
         chain, block = big_block
         assert len(block.txs) >= 200
         observer = BlockObserver()
-        executor = EXECUTOR_FACTORIES[name](THREADS, observer)
+        executor = make_executor(name, THREADS, observer=observer)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         report = blame_invariants(observer, result.makespan_us, name)
         # Top-3 blamed transactions exist and are ranked.
@@ -109,7 +105,7 @@ class TestBenchSuite:
         assert set(tiny_doc["sweeps"]) == {"threads", "contention", "block_size"}
         for sweep in tiny_doc["sweeps"].values():
             for point in sweep["points"]:
-                assert set(point["executors"]) == set(EXECUTOR_FACTORIES)
+                assert set(point["executors"]) == set(EXECUTOR_NAMES)
                 assert point["serial_us"] > 0
                 assert "tx_level_speedup_bound" in point["analysis"]
                 for entry in point["executors"].values():

@@ -58,11 +58,7 @@ class TestCertifier:
             chain,
             block,
             threads=4,
-            executors={
-                "parallelevm": lambda threads, checker: ParallelEVMExecutor(
-                    threads=threads, redo_checker=checker
-                )
-            },
+            executors=["parallelevm"],
             include_scheduled=False,
         )
         assert report.ok, report.describe()

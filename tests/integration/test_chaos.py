@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import (
-    CHAOS_EXECUTORS,
-    BlockFuzzer,
-    FuzzConfig,
-    run_chaos_block,
-)
+from repro.check import BlockFuzzer, FuzzConfig, run_chaos_block
 from repro.cli import main
 from repro.concurrency import SerialExecutor
+from repro.concurrency.registry import EXECUTOR_NAMES, make_executor
 from repro.core.executor import ParallelEVMExecutor
 from repro.obs import MetricsRegistry, degradation_table
 from repro.resilience import SCENARIOS, FaultConfig, FaultPlan, RecoveryPolicy
@@ -55,9 +51,9 @@ class TestChaosSuite:
         elif kind == "replication":
             # Cluster hazards: the sweep covers every executor config,
             # the targeted hazards pin one.
-            assert set(report.certification.executors) <= set(CHAOS_EXECUTORS)
+            assert set(report.certification.executors) <= set(EXECUTOR_NAMES)
         else:
-            assert set(report.certification.executors) == set(CHAOS_EXECUTORS)
+            assert set(report.certification.executors) == set(EXECUTOR_NAMES)
         assert report.faults_injected > 0, "scenario injected nothing"
 
     def test_chaos_runs_replay_from_seed(self, fuzzer, block):
@@ -78,9 +74,7 @@ class TestChaosSuite:
         )
         assert report.ok, report.describe()
         per_executor = metrics.labelled_values("resilience_cache_drops")
-        assert {dict(k)["executor"] for k in per_executor} == set(
-            CHAOS_EXECUTORS
-        )
+        assert {dict(k)["executor"] for k in per_executor} == set(EXECUTOR_NAMES)
         assert metrics.sum_by_name("resilience_cache_drops") == pytest.approx(
             report.counters["cache_drops"]
         )
@@ -93,20 +87,12 @@ class TestDisabledInjectionIsFree:
     def test_zero_rate_plan_leaves_makespans_bit_identical(self, fuzzer, block):
         # The determinism contract: attaching the resilience layer with no
         # faults enabled must not move a single simulated microsecond.
-        from repro.check.chaos import chaos_executors
-
-        quiet = type(SCENARIOS["havoc"])(
-            name="quiet", description="all rates zero", config=FaultConfig()
-        )
-        factories, _plans = chaos_executors(quiet, 0, RecoveryPolicy())
-        for name, factory in factories.items():
-            baseline = factory(4, None)
-            baseline.fault_plan = None
-            baseline.recovery = None
-            plain = baseline.execute_block(
+        for name in EXECUTOR_NAMES:
+            plain = make_executor(name, 4).execute_block(
                 fuzzer.chain.fresh_world(), block.txs, block.env
             )
-            quiet_run = factory(4, None).execute_block(
+            quiet = FaultPlan(f"0:quiet:{name}", FaultConfig(), RecoveryPolicy())
+            quiet_run = make_executor(name, 4, fault_plan=quiet).execute_block(
                 fuzzer.chain.fresh_world(), block.txs, block.env
             )
             assert quiet_run.makespan_us == plain.makespan_us, name
@@ -158,11 +144,8 @@ class TestSerialFallbacks:
         )
         assert report.ok, report.describe()
         # Everyone except the serial baseline runs against the deadline.
-        assert report.counters["deadline_aborts"] == len(CHAOS_EXECUTORS) - 1
-        assert (
-            report.counters["serial_block_fallbacks"]
-            == len(CHAOS_EXECUTORS) - 1
-        )
+        assert report.counters["deadline_aborts"] == len(EXECUTOR_NAMES) - 1
+        assert report.counters["serial_block_fallbacks"] == len(EXECUTOR_NAMES) - 1
 
     def test_fallback_result_charges_the_burned_parallel_time(self):
         chain = build_chain(ChainSpec(tokens=1, amm_pairs=0, accounts=24))

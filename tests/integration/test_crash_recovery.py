@@ -12,14 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.check import (
-    CRASH_EXECUTORS,
     BlockFuzzer,
     FuzzConfig,
     crash_sweep_block,
     reorg_roundtrip_block,
     run_chaos_block,
 )
-from repro.concurrency import SerialExecutor
+from repro.concurrency.registry import EXECUTOR_NAMES
 from repro.core.executor import ParallelEVMExecutor
 from repro.durability import (
     DurableCommitPipeline,
@@ -55,10 +54,10 @@ class TestCrashSweep:
         assert report.ok, report.describe()
         sites = enumerate_crash_sites(len(block.txs), checkpoint=True)
         assert report.sites == sites
-        assert sorted(report.executors) == sorted(CRASH_EXECUTORS)
+        assert sorted(report.executors) == sorted(EXECUTOR_NAMES)
         # Every (site, executor) pair crashed once and recovered once; a
         # site that silently stopped firing would be a divergence instead.
-        expected = len(sites) * len(CRASH_EXECUTORS)
+        expected = len(sites) * len(EXECUTOR_NAMES)
         assert report.crashes_injected == expected
         assert report.recoveries == expected
         assert metrics.value("crashfuzz_blocks_total") == 1
@@ -66,7 +65,7 @@ class TestCrashSweep:
 
     def test_sweep_report_shares_the_certification_plumbing(self, fuzzer, block):
         report = crash_sweep_block(
-            fuzzer.chain, block, threads=4, executors={"serial": lambda t: SerialExecutor()}
+            fuzzer.chain, block, threads=4, executors=["serial"]
         )
         cert = report.certification
         assert cert.ok
@@ -89,7 +88,7 @@ class TestPipelinedCrashSweep:
         assert report.ok, report.describe()
         sites = enumerate_crash_sites(len(block.txs) // 2, checkpoint=False)
         assert report.sites == sites
-        expected = len(sites) * len(CRASH_EXECUTORS)
+        expected = len(sites) * len(EXECUTOR_NAMES)
         assert report.crashes_injected == expected
         assert report.recoveries == expected
         # Pre-marker crashes discard the speculation; post-marker crashes
@@ -118,7 +117,7 @@ class TestReorgRoundTrip:
         metrics = MetricsRegistry()
         report = reorg_roundtrip_block(fuzzer.chain, block, threads=4, metrics=metrics)
         assert report.ok, report.describe()
-        assert sorted(report.executors) == sorted(CRASH_EXECUTORS)
+        assert sorted(report.executors) == sorted(EXECUTOR_NAMES)
         assert metrics.value("crashfuzz_reorg_roundtrips_total") == 1
 
 

@@ -1,0 +1,155 @@
+"""Golden hashes of small deterministic artefacts, one per harness.
+
+Every harness output is simulated time over seeded inputs, so the bytes
+are a pure function of the arguments.  The hashes below were recorded
+before the executor-registry / serving-session refactor and pin it (and
+any later one) to byte-identical behaviour: a changed hash means a
+changed fault stream, event order, report field or rendered line — bump
+it only together with the change that explains it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from repro.cli import main
+
+GOLDEN = {
+    "loadgen/windows.jsonl": (
+        "29a0407a3d8a3959eaed659f0d04d4986378e194e58c4fde696f12a394bce718"
+    ),
+    "loadgen/report.json": (
+        "8e0c39729eb530afd4474fa51e516874d556ddfd69e92fd2bd959cb181460449"
+    ),
+    "loadgen/waterfalls.jsonl": (
+        "73c6c334be8d6c779bf2edf571f14c3915befe6cc93e1d576fb5bfe19ed16e7c"
+    ),
+    "loadgen/trace.json": (
+        "9a64bc42499b2ebdea1f18b78f9d8df9bc4716bacd944a912231cbd273bac1a4"
+    ),
+    "soak-loadgen/soak.jsonl": (
+        "bb854ccffcfe9ab1a075241706d53e11f49002f1dcfc40296c744b28fdb76c01"
+    ),
+    "soak-loadgen/report.json": (
+        "7627a29866ef2d05e2b715a3fa069763752920c80ea331e6e863717331966ad1"
+    ),
+    "soak-faults/soak.jsonl": (
+        "e053d4891b552a65d0373c897899d61b2ed67985b96c0f59c94f8ded76acd5ad"
+    ),
+    "soak-faults/report.json": (
+        "321f09149b9da962d9972d1552ef7bd7008a6a5962911b12dc28fb5497a1aa3d"
+    ),
+    "replicate/replicate.jsonl": (
+        "821312c6e387fa68fdfccc4eda2800aa96dc6f823776c0229aae7df452aacb74"
+    ),
+    "chaos/stdout": (
+        "d3dbeb5eed48a1cf3a39f9a3fbc279db2eb5f8504a27f7f7a5eb38b00dbcfcbe"
+    ),
+    "crashfuzz/stdout": (
+        "9bae429b253d14c49523ed40fe16817385462ba6b079a2e16b500ae7075a0430"
+    ),
+    "bench/tiny.json": (
+        "875a9bc089fd184c59d92a93efd6530eb0f58cb6d8108edac2486a90860e3bf0"
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _check(label: str, argv: list[str], tmp_path, capsys, files=()) -> None:
+    """Run one CLI command; compare its files (or its stdout) to GOLDEN."""
+    flags = [
+        part
+        for flag, name in files
+        for part in (flag, str(tmp_path / name))
+    ]
+    assert main(argv + flags) == 0
+    got = {
+        f"{label}/{name}": _sha((tmp_path / name).read_bytes())
+        for _flag, name in files
+    }
+    if not files:
+        got[f"{label}/stdout"] = _sha(capsys.readouterr().out.encode())
+    assert got == {key: GOLDEN[key] for key in got}
+
+
+def test_loadgen(tmp_path, capsys):
+    _check(
+        "loadgen",
+        ["loadgen", "--blocks", "8", "--txs", "8", "--accounts", "64",
+         "--clients", "4", "--threads", "4", "--seed", "1", "--quiet"],
+        tmp_path,
+        capsys,
+        files=[
+            ("--out", "windows.jsonl"),
+            ("--report-json", "report.json"),
+            ("--waterfalls", "waterfalls.jsonl"),
+            ("--trace", "trace.json"),
+        ],
+    )
+
+
+def test_soak_loadgen(tmp_path, capsys):
+    _check(
+        "soak-loadgen",
+        ["soak", "--loadgen", "4", "--blocks", "8", "--window", "4",
+         "--txs", "8", "--accounts", "200", "--threads", "4", "--quiet"],
+        tmp_path,
+        capsys,
+        files=[("--out", "soak.jsonl"), ("--report-json", "report.json")],
+    )
+
+
+def test_soak_stream_under_faults(tmp_path, capsys):
+    _check(
+        "soak-faults",
+        ["soak", "--blocks", "8", "--window", "4", "--txs", "8",
+         "--accounts", "200", "--threads", "4", "--scenario", "havoc",
+         "--quiet"],
+        tmp_path,
+        capsys,
+        files=[("--out", "soak.jsonl"), ("--report-json", "report.json")],
+    )
+
+
+def test_replicate(tmp_path, capsys):
+    _check(
+        "replicate",
+        ["replicate", "--seed", "0", "--sweeps", "1", "--txs", "3",
+         "--threads", "2", "--warmup", "1"],
+        tmp_path,
+        capsys,
+        files=[("--out", "replicate.jsonl")],
+    )
+
+
+def test_chaos_fault_scenario(tmp_path, capsys):
+    _check(
+        "chaos",
+        ["chaos", "--scenario", "havoc", "--seed", "0", "--blocks", "1",
+         "--txs", "8", "--threads", "4"],
+        tmp_path,
+        capsys,
+    )
+
+
+def test_crashfuzz_block(tmp_path, capsys):
+    _check(
+        "crashfuzz",
+        ["crashfuzz", "--seed", "0", "--blocks", "1", "--txs", "4",
+         "--threads", "2", "--checkpoint-interval", "1"],
+        tmp_path,
+        capsys,
+    )
+
+
+def test_tiny_bench_document(tmp_path, capsys):
+    _check(
+        "bench",
+        ["bench", "--suite", "tiny"],
+        tmp_path,
+        capsys,
+        files=[("--out", "tiny.json")],
+    )

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.suite import EXECUTOR_FACTORIES
-from repro.check import run_chaos_block, run_ingress_scenario
+from repro.check import ingress_config_for, run_chaos_block, run_ingress_scenario
+from repro.concurrency.registry import make_executor
 from repro.errors import DuplicateTransaction, NonMonotonicBlock
 from repro.evm.message import Transaction
 from repro.mempool import MempoolConfig
@@ -58,6 +58,14 @@ class TestIngressHarness:
         assert a.requests != b.requests
 
 
+    @pytest.mark.parametrize("name", ["bogus", "traffic-spike"])
+    def test_a_non_fault_scenario_is_a_typed_config_error(self, name):
+        # The config's ``scenario`` names a *fault* scenario to inject on
+        # the execution path; anything else must fail before any block runs.
+        with pytest.raises(ValueError, match="storage-spike"):
+            run_ingress(small_config(scenario=name))
+
+
 class TestOverloadScenarios:
     def run(self, name: str):
         report = run_chaos_block(
@@ -65,6 +73,14 @@ class TestOverloadScenarios:
         )
         assert report.ok, report.describe()
         return report
+
+    def test_catalogue_config_runs_the_requested_executor(self):
+        scenario = SCENARIOS["traffic-spike"]
+        assert ingress_config_for(scenario, 1).executor == "parallelevm"
+        config = ingress_config_for(scenario, 1, blocks=4, executor="occ")
+        report = run_ingress(config)
+        assert report.ok, report.divergences
+        assert report.executor == "occ"
 
     def test_traffic_spike_sheds_gracefully(self):
         report = self.run("traffic-spike")
@@ -96,7 +112,7 @@ class TestOverloadScenarios:
 class TestExternalBlockValidation:
     def service(self):
         chain = build_chain(ChainSpec(accounts=12, tokens=1, amm_pairs=0, seed=2))
-        executor = EXECUTOR_FACTORIES["serial"](1, None)
+        executor = make_executor("serial", 1)
         return chain, ChainService(None, executor, chain=chain)
 
     def transfer(self, chain, sender_index=0, nonce=0, value=500):

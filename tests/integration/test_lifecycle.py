@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.bench.suite import EXECUTOR_FACTORIES
+from repro.concurrency.registry import EXECUTOR_NAMES
 from repro.obs.lifecycle import TILING_EPS_US, WATERFALL_PHASES, SloConfig
 from repro.resilience import SCENARIOS
 from repro.rpc import IngressConfig, run_ingress
@@ -30,7 +30,7 @@ def _waterfalls(report_sink: io.StringIO) -> list[dict]:
 
 
 class TestTilingInvariant:
-    @pytest.mark.parametrize("executor", sorted(EXECUTOR_FACTORIES))
+    @pytest.mark.parametrize("executor", sorted(EXECUTOR_NAMES))
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_every_traced_tx_tiles_exactly(self, executor, pipelined):
         sink = io.StringIO()

@@ -19,8 +19,9 @@ import json
 import pytest
 
 from repro import BlockObserver
-from repro.bench.harness import executor_suite, standard_chain, standard_workload
+from repro.bench.harness import TABLE1_EXECUTORS, standard_chain, standard_workload
 from repro.concurrency import SerialExecutor, TwoPhaseExecutor
+from repro.concurrency.registry import make_executor
 from repro.core.executor import ParallelEVMExecutor
 from repro.workloads import conflict_ratio_block
 
@@ -47,7 +48,10 @@ def fixture():
 
 
 def _suite():
-    return [SerialExecutor(threads=THREADS), *executor_suite(threads=THREADS)]
+    return [
+        SerialExecutor(threads=THREADS),
+        *(make_executor(name, THREADS) for name in TABLE1_EXECUTORS),
+    ]
 
 
 class TestDeterminismGuard:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 
-from repro.bench.suite import EXECUTOR_FACTORIES
+from repro.concurrency.registry import EXECUTOR_NAMES, make_executor
 from repro.durability import DurableCommitPipeline
 from repro.obs import TraceRecorder
 from repro.obs.critical_path import critical_path
@@ -60,7 +60,7 @@ def _service_run(
         }
     )
     chain = build_stream_chain(spec, cache_capacity=100_000)
-    executor = EXECUTOR_FACTORIES[executor_name](4, None)
+    executor = make_executor(executor_name, 4)
     if durable:
         executor.durability = DurableCommitPipeline()
     coordinator = (
@@ -100,7 +100,7 @@ class TestPipelineEquivalence:
         """All seven configs, pipelined, land on the serial sync state."""
         serial, serial_chain = _service_run("serial", None)
         fingerprint = serial_chain.world.fingerprint()
-        for name in sorted(EXECUTOR_FACTORIES):
+        for name in sorted(EXECUTOR_NAMES):
             service, chain = _service_run(
                 name, PipelineConfig(), durable=True
             )
@@ -140,7 +140,7 @@ class TestPipelineEquivalence:
 
         spec = StreamSpec(accounts=400, txs_per_block=8, seed=11)
         chain = build_stream_chain(spec, cache_capacity=100_000)
-        executor = EXECUTOR_FACTORIES["parallelevm"](4, None)
+        executor = make_executor("parallelevm", 4)
         executor.durability = DurableCommitPipeline()
         service = ChainService(
             BlockStream(chain),
@@ -214,7 +214,7 @@ class TestFaultPlanRecoveryRestore:
         policy = RecoveryPolicy(redo_budget=7)
         spec = StreamSpec(accounts=64, txs_per_block=4, seed=3)
         chain = build_stream_chain(spec, cache_capacity=10_000)
-        executor = EXECUTOR_FACTORIES["parallelevm"](2, None)
+        executor = make_executor("parallelevm", 2)
         executor.recovery = policy
 
         plans = {}

@@ -17,7 +17,6 @@ from __future__ import annotations
 import pytest
 
 from repro.check import run_chaos_block
-from repro.check.crashfuzz import CRASH_EXECUTORS
 from repro.check.failover import failover_sweep
 from repro.check.fuzzer import BlockFuzzer, FuzzConfig
 from repro.errors import NotPrimary
@@ -71,7 +70,7 @@ class TestClusterStreaming:
     def test_replicas_track_the_primary_exactly(self, fuzzer):
         cluster = ReplicatedChainService(
             _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env),
-            CRASH_EXECUTORS["parallelevm"],
+            "parallelevm",
             ClusterConfig(replicas=2, threads=4),
         )
         for block in _blocks(fuzzer, 3):
@@ -87,7 +86,7 @@ class TestClusterStreaming:
     def test_checkpoint_shipping_prunes_replica_journals(self, fuzzer):
         cluster = ReplicatedChainService(
             _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env),
-            CRASH_EXECUTORS["serial"],
+            "serial",
             ClusterConfig(replicas=1, threads=1, checkpoint_interval=2),
         )
         blocks = _blocks(fuzzer, 4)
@@ -108,10 +107,7 @@ class TestFailoverSweep:
         report = failover_sweep(
             txs_per_block=5,
             threads=4,
-            executors={
-                name: CRASH_EXECUTORS[name]
-                for name in ("serial", "parallelevm")
-            },
+            executors=("serial", "parallelevm"),
         )
         assert report.ok, report.describe()
         assert report.crashes_injected == len(report.sites) * 2
@@ -161,7 +157,7 @@ class TestFacadeFailover:
         chainlike = _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env)
         cluster = ReplicatedChainService(
             chainlike,
-            CRASH_EXECUTORS["parallelevm"],
+            "parallelevm",
             ClusterConfig(replicas=2, threads=4),
         )
         mempool = Mempool(MempoolConfig(), cluster.service.world)
@@ -217,7 +213,7 @@ class TestFacadeFailover:
         chainlike = _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env)
         cluster = ReplicatedChainService(
             chainlike,
-            CRASH_EXECUTORS["serial"],
+            "serial",
             ClusterConfig(replicas=1, threads=1),
         )
         mempool = Mempool(MempoolConfig(), cluster.service.world)

@@ -121,17 +121,17 @@ class TestSoakIntegration:
 
     def test_executors_agree_on_final_state(self):
         """Every executor config folds the same stream into the same world."""
-        from repro.bench.suite import EXECUTOR_FACTORIES
+        from repro.concurrency.registry import EXECUTOR_NAMES, make_executor
         from repro.service import ChainService
         from repro.workloads import BlockStream, build_stream_chain
 
         config = SoakConfig(**SMALL)
         fingerprints = {}
-        for name in sorted(EXECUTOR_FACTORIES):
+        for name in sorted(EXECUTOR_NAMES):
             chain = build_stream_chain(
                 config.spec(), cache_capacity=config.cache_capacity
             )
-            executor = EXECUTOR_FACTORIES[name](2, None)
+            executor = make_executor(name, 2)
             service = ChainService(BlockStream(chain), executor)
             for _ in service.run(6):
                 pass

@@ -56,12 +56,13 @@ class TestRenderHistogram:
 
 
 class TestHarness:
-    def test_executor_suite_order(self):
-        from repro.bench.harness import executor_suite
+    def test_table1_suite_order(self):
+        from repro.bench.harness import TABLE1_EXECUTORS
+        from repro.concurrency.registry import make_executor
 
-        names = [ex.name for ex in executor_suite(4)]
-        assert names == ["2pl", "occ", "block-stm", "parallelevm"]
-        assert all(ex.threads == 4 for ex in executor_suite(4))
+        suite = [make_executor(name, 4) for name in TABLE1_EXECUTORS]
+        assert [ex.name for ex in suite] == ["2pl", "occ", "block-stm", "parallelevm"]
+        assert all(ex.threads == 4 for ex in suite)
 
     def test_speedup_summary_stats(self):
         from repro.bench.harness import SpeedupSummary

@@ -39,9 +39,9 @@ class TestParser:
             build_parser().parse_args(["run", "--executor", "nonsense"])
 
     def test_all_run_executor_names_parse(self):
-        from repro.cli import RUN_EXECUTORS
+        from repro.concurrency.registry import EXECUTOR_NAMES
 
-        for name in RUN_EXECUTORS:
+        for name in EXECUTOR_NAMES:
             args = build_parser().parse_args(["run", "--executor", name])
             assert args.executor == name
 
@@ -319,7 +319,10 @@ class TestCommands:
              "--scenario", "nonsense"]
         )
         assert code == 2
-        assert "unknown chaos scenario" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err  # one line, not a traceback
+        assert "unknown chaos scenario 'nonsense'" in err
+        assert "storage-spike" in err  # names the fault scenarios that exist
 
     def test_crashfuzz_small(self, capsys):
         argv = [
@@ -399,3 +402,23 @@ class TestCommands:
     def test_loadgen_rejects_non_ingress_scenarios(self, capsys):
         assert main(["loadgen", "--scenario", "havoc", "--quiet"]) == 2
         assert "not an ingress scenario" in capsys.readouterr().err
+
+    def test_loadgen_unknown_scenario_is_a_usage_error(self, capsys):
+        assert main(["loadgen", "--scenario", "bogus", "--quiet"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err  # one line, not a traceback
+        assert "unknown chaos scenario 'bogus'" in err
+        assert "traffic-spike" in err
+
+    def test_loadgen_scenario_runs_the_requested_executor(self, capsys, tmp_path):
+        import json
+
+        report_path = tmp_path / "spike.json"
+        argv = [
+            "loadgen", "--scenario", "traffic-spike", "--executor", "occ",
+            "--blocks", "4", "--seed", "1", "--quiet",
+            "--report-json", str(report_path),
+        ]
+        assert main(argv) == 0
+        assert "ingress: occ x4" in capsys.readouterr().out
+        assert json.loads(report_path.read_text())["executor"] == "occ"

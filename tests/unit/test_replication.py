@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.suite import EXECUTOR_FACTORIES
+from repro.concurrency.registry import make_executor
 from repro.durability import DurableCommitPipeline, MemoryMedium
 from repro.durability.checkpoint import encode_snapshot
 from repro.errors import (
@@ -326,7 +326,7 @@ class _View:
 
 @pytest.fixture()
 def facade(chain):
-    executor = EXECUTOR_FACTORIES["serial"](1, None)
+    executor = make_executor("serial", 1)
     service = ChainService(None, executor, chain=chain)
     mempool = Mempool(MempoolConfig(), chain.world)
     return RpcFacade(service, mempool, RpcConfig(block_txs=4))

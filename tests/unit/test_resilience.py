@@ -27,7 +27,9 @@ from repro.resilience import (
     FaultPlan,
     RecoveryPolicy,
     SCENARIOS,
+    block_fault_plans,
     default_suite,
+    scenario_of_kind,
 )
 from repro.sim.machine import SimMachine, Task
 
@@ -303,3 +305,49 @@ class TestScenarioCatalogue:
             # Overrides must name real RecoveryPolicy fields.
             for field_name in scenario.recovery_overrides:
                 assert hasattr(RecoveryPolicy(), field_name)
+
+
+class TestScenarioLookup:
+    def test_unknown_name_lists_the_scenarios_of_that_kind(self):
+        with pytest.raises(ValueError) as excinfo:
+            scenario_of_kind("bogus", "faults")
+        message = str(excinfo.value)
+        assert "unknown chaos scenario 'bogus'" in message
+        assert "storage-spike" in message and "havoc" in message
+        assert "traffic-spike" not in message  # an ingress scenario
+
+    def test_wrong_kind_is_typed_too(self):
+        assert scenario_of_kind("havoc", "faults") is SCENARIOS["havoc"]
+        with pytest.raises(ValueError, match="not an ingress scenario"):
+            scenario_of_kind("havoc", "ingress")
+        with pytest.raises(ValueError, match="is kind 'crash'"):
+            scenario_of_kind("crash-commit", "faults")
+
+
+class TestBlockFaultPlans:
+    def test_nothing_to_inject_means_no_factory(self):
+        assert block_fault_plans("soak:1") is None
+
+    def test_scenario_plans_are_seeded_per_block_with_overrides(self):
+        factory = block_fault_plans("soak:7", "abort-storm")
+        plan = factory(12)
+        assert plan.seed == "soak:7:12"
+        assert plan.config is SCENARIOS["abort-storm"].config
+        assert plan.recovery.abort_storm_floor == 8
+        assert factory(13).seed == "soak:7:13"
+
+    def test_explicit_config_runs_under_the_stock_policy(self):
+        config = FaultConfig(storage_spike_rate=0.5)
+        plan = block_fault_plans("ingress:1", None, config)(3)
+        assert plan.seed == "ingress:1:3"
+        assert plan.config is config
+        assert plan.recovery == RecoveryPolicy()
+
+    def test_a_named_scenario_wins_over_an_explicit_config(self):
+        plan = block_fault_plans("x", "havoc", FaultConfig())(0)
+        assert plan.config is SCENARIOS["havoc"].config
+
+    @pytest.mark.parametrize("name", ["bogus", "traffic-spike"])
+    def test_non_fault_scenarios_are_refused(self, name):
+        with pytest.raises(ValueError, match="scenario"):
+            block_fault_plans("soak:1", name)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.suite import EXECUTOR_FACTORIES
+from repro.concurrency.registry import make_executor
 from repro.errors import BackpressureActive, CircuitOpen
 from repro.evm.message import Transaction
 from repro.mempool import Mempool, MempoolConfig, wire_transaction
@@ -19,7 +19,7 @@ from repro.workloads import ChainSpec, build_chain
 @pytest.fixture()
 def stack():
     chain = build_chain(ChainSpec(accounts=12, tokens=1, amm_pairs=0, seed=5))
-    executor = EXECUTOR_FACTORIES["serial"](1, None)
+    executor = make_executor("serial", 1)
     service = ChainService(None, executor, chain=chain)
     metrics = MetricsRegistry()
     mempool = Mempool(MempoolConfig(capacity=8, high_watermark=0.5, low_watermark=0.25), chain.world, metrics=metrics)
