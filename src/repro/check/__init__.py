@@ -16,23 +16,30 @@ serial block-order execution) gets an automated hunter:
 - :mod:`repro.check.chaos` — the certifier under systematic fault
   injection (:mod:`repro.resilience`): every executor must survive every
   chaos scenario and still match serial state, receipts and gas;
+- :mod:`repro.check.sweep` — the sweep engine the crash, reorg and
+  failover sweeps share: the executor × site loop, the report base, the
+  pre-/post-block commit boundary and the crash-at-a-site step;
 - :mod:`repro.check.crashfuzz` — the crash fuzzer: process death at
   every site of the durable commit path (:mod:`repro.durability`) must
   recover to exactly the pre- or post-block state, and reorg rollbacks
   must reproduce the serial reference;
+- :mod:`repro.check.failover` — the failover sweep: the primary of a
+  replicated cluster (:mod:`repro.replication`) dies at every commit
+  crash site and the promoted replica must hold exactly the sealed
+  blocks (RPO = 0) behind a fencing epoch, plus the targeted cluster
+  hazards of the chaos catalogue;
 - :mod:`repro.check.ingress` — the overload scenarios: a seeded client
   fleet against the JSON-RPC facade (:mod:`repro.rpc`), certifying
   conservation, typed shedding and serial equivalence under traffic
   spikes, slow consumers, malformed storms and nonce-gap floods.
 
-CLI entry points: ``repro fuzz``, ``repro certify``, ``repro chaos`` and
-``repro crashfuzz``.
+CLI entry points (:mod:`repro.cli.certify`): ``repro fuzz``, ``repro
+certify``, ``repro chaos``, ``repro crashfuzz`` and ``repro replicate``.
 """
 
 from .certify import (
     CertificationReport,
     Divergence,
-    SweepReport,
     block_to_json,
     certify_block,
 )
@@ -45,11 +52,7 @@ from .crashfuzz import (
     pipelined_crash_sweep_block,
     reorg_roundtrip_block,
 )
-from .failover import (
-    FailoverSweepReport,
-    failover_sweep,
-    run_replication_scenario,
-)
+from .failover import FailoverSweepReport, failover_sweep
 from .fuzzer import BlockFuzzer, FuzzConfig
 from .ingress import (
     ingress_config_for,
@@ -64,6 +67,7 @@ from .mutations import (
 )
 from .replay import RedoReplayChecker, ReplayDivergence
 from .shrink import ShrinkResult, shrink_block
+from .sweep import SweepReport
 
 __all__ = [
     "BlockFuzzer",
@@ -80,7 +84,6 @@ __all__ = [
     "Divergence",
     "FailoverSweepReport",
     "failover_sweep",
-    "run_replication_scenario",
     "FuzzConfig",
     "MUTATIONS",
     "RedoReplayChecker",

@@ -62,6 +62,11 @@ class CertificationReport:
     def ok(self) -> bool:
         return not self.divergences
 
+    @property
+    def certification(self) -> CertificationReport:
+        """Itself: what every harness report offers the shrink/dump plumbing."""
+        return self
+
     def describe(self) -> str:
         head = (
             f"block {self.block_number} ({self.tx_count} txs, "
@@ -71,42 +76,6 @@ class CertificationReport:
         if self.ok:
             return head + "serial-equivalent"
         lines = [head + f"{len(self.divergences)} DIVERGENCES"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
-
-
-@dataclass(slots=True, kw_only=True)
-class SweepReport:
-    """What the crash, reorg and failover sweep reports share.
-
-    One block swept across executor configs: which ran, what diverged,
-    and the plumbing (``ok``, the :class:`CertificationReport` adapter the
-    shrink/dump code consumes, the verdict tail of ``describe()``).
-    """
-
-    block_number: int
-    tx_count: int
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        """The sweep as a :class:`CertificationReport` (shared plumbing)."""
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
-
-    def _verdict(self, head: str, passed: str) -> str:
-        if self.ok:
-            return head + passed
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
         lines += ["  " + d.describe() for d in self.divergences]
         return "\n".join(lines)
 

@@ -24,6 +24,9 @@ from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..resilience import SCENARIOS, ChaosScenario, FaultPlan, RecoveryPolicy
 from ..workloads import Block, Chain
 from .certify import CertificationReport, certify_block
+from .crashfuzz import crash_sweep_block, reorg_roundtrip_block
+from .failover import REPLICATION_HAZARDS
+from .ingress import ingress_seed, run_ingress_scenario
 
 # Deadline headroom over the fault-free serial makespan.  Generous on
 # purpose: the default scenarios should recover *in place* (retries, redo
@@ -133,33 +136,29 @@ def run_chaos_block(
     if scenario.kind == "ingress":
         # Overload scenarios drive the serving stack end to end; the
         # fuzzer block plays no role (reproduce with (scenario, seed)).
-        from .ingress import run_ingress_scenario
-
         return run_ingress_scenario(
             scenario, seed=seed, threads=threads, metrics=metrics
         )
-    if scenario.kind == "replication":
-        # Cluster hazards drive a replicated service end to end; like the
-        # ingress kinds, the fuzzer block plays no role.
-        from .failover import run_replication_scenario
-
-        return run_replication_scenario(
-            scenario,
-            seed=seed,
-            threads=threads,
-            check_roots=check_roots,
-            metrics=metrics,
-        )
     if scenario.kind != "faults":
-        return _run_durability_scenario(
-            chain,
-            block,
-            scenario,
-            seed=seed,
+        mode = (
+            scenario.replication.get("mode", "primary-crash")
+            if scenario.kind == "replication"
+            else scenario.kind
+        )
+        hazard = _HAZARDS.get(mode)
+        if hazard is None:
+            raise ValueError(
+                f"unknown chaos scenario kind/mode {mode!r} ({scenario.name})"
+            )
+        outcome = hazard(
+            chain=chain,
+            block=block,
+            seed=ingress_seed(seed),
             threads=threads,
             check_roots=check_roots,
             metrics=metrics,
         )
+        return chaos_report(scenario, seed, *outcome, metrics)
     if recovery is None:
         probe = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
@@ -214,57 +213,28 @@ def run_chaos_block(
     )
 
 
-def _run_durability_scenario(
-    chain: Chain,
-    block: Block,
-    scenario: ChaosScenario,
-    seed: int | str = 0,
-    threads: int = 8,
-    check_roots: bool = True,
-    metrics=None,
-) -> ChaosBlockReport:
-    """Chaos kinds whose adversary is process death, not slow hardware.
+def _crash_commit(*, chain, block, seed, **common):
+    """``kind="crash"``: sweep every crash site of the durable commit path."""
+    return crash_sweep_block(
+        chain, block, checkpoint_interval=1, **common
+    ).chaos_outcome()
 
-    ``kind="crash"`` sweeps every crash site of the durable commit path;
-    ``kind="reorg"`` runs the rollback round trip.  Both cover the same
-    seven executor configs as the fault scenarios and reuse the
-    certification/shrink/dump plumbing via the reports' ``certification``
-    adapters; "faults injected" counts simulated process deaths (crash
-    sweeps) or block rollbacks (reorgs).
-    """
-    from .crashfuzz import crash_sweep_block, reorg_roundtrip_block
 
-    if scenario.kind == "crash":
-        sweep = crash_sweep_block(
-            chain,
-            block,
-            threads=threads,
-            checkpoint_interval=1,
-            check_roots=check_roots,
-            metrics=metrics,
-        )
-        certification = sweep.certification
-        counters = {
-            "crash_sites": float(len(sweep.sites)),
-            "crashes_injected": float(sweep.crashes_injected),
-            "recoveries": float(sweep.recoveries),
-        }
-        faults = float(sweep.crashes_injected)
-    elif scenario.kind == "reorg":
-        roundtrip = reorg_roundtrip_block(
-            chain,
-            block,
-            threads=threads,
-            check_roots=check_roots,
-            metrics=metrics,
-        )
-        certification = roundtrip.certification
-        counters = {
-            "reorg_depth": float(roundtrip.depth),
-            "rollbacks": float(roundtrip.rollbacks),
-        }
-        faults = float(roundtrip.rollbacks)
-    else:
-        raise ValueError(f"unknown chaos scenario kind {scenario.kind!r}")
+def _reorg_rollback(*, chain, block, seed, **common):
+    """``kind="reorg"``: the rollback round trip."""
+    return reorg_roundtrip_block(chain, block, **common).chaos_outcome()
 
-    return chaos_report(scenario, seed, certification, counters, faults, metrics)
+
+# The chaos kinds whose adversary is process death, not slow hardware, by
+# scenario kind — or, for ``kind="replication"``, by the scenario's mode.
+# All cover the same executor configs as the fault scenarios and reuse the
+# certification/shrink/dump plumbing via ``SweepReport.chaos_outcome``;
+# "faults injected" counts simulated process deaths (crash sweeps), block
+# rollbacks (reorgs) or failovers.  The durability sweeps run on the
+# fuzzer's block; the cluster hazards are a function of (scenario, seed)
+# alone, exactly like the ingress scenarios.
+_HAZARDS = {
+    "crash": _crash_commit,
+    "reorg": _reorg_rollback,
+    **REPLICATION_HAZARDS,
+}

@@ -43,31 +43,27 @@ just the serial one.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..concurrency import SerialExecutor
 from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..durability import (
-    CrashInjector,
     DurableCommitPipeline,
     MemoryMedium,
     ReorgManager,
-    SimulatedCrash,
     enumerate_crash_sites,
     recover,
-    site_expected_state,
 )
-from ..errors import DurabilityError, RecoveryError, ReorgDepthExceeded
+from ..errors import ReorgDepthExceeded
 from ..workloads import Block, Chain, copy_block
-from .certify import Divergence, SweepReport
-
-# Sites where the sweep upgrades the fingerprint check to a full MPT root
-# comparison: the two states bracketing the atomicity boundary.
-ROOT_CHECK_SITES = frozenset({"pre-commit", "post-commit"})
-
-
-class _SiteFailed(Exception):
-    """A crash site that could not be certified; the message says why."""
+from .sweep import (
+    CommitBoundary,
+    SweepReport,
+    apply_serially,
+    crashing_at,
+    failing_as,
+    run_sweep,
+    world_state,
+)
 
 
 def _crash_and_recover(
@@ -83,31 +79,18 @@ def _crash_and_recover(
 
     Everything but the durable medium is discarded between the two steps.
     Counts the crash and the recovery on ``report`` and returns ``(medium,
-    recovered)``; raises :class:`_SiteFailed` when either step misbehaves.
+    recovered)``; raises ``_SiteFailed`` when either step misbehaves.
     """
     medium = MemoryMedium()
-    crash = CrashInjector(site)
-    pipeline = DurableCommitPipeline(
-        medium,
-        checkpoint_interval=checkpoint_interval,
-        crash=crash,
-        metrics=metrics,
-    )
-    try:
-        pipeline.commit(chain.fresh_world(), number, result)
-    except SimulatedCrash:
-        pass
-    except (DurabilityError, RecoveryError) as exc:
-        raise _SiteFailed(f"commit raised {exc}") from exc
-    if not crash.fired:
-        # The site silently stopped existing: the sweep would be
-        # certifying nothing there.
-        raise _SiteFailed("site never fired")
-    report.crashes_injected += 1
-    try:
+    with crashing_at(site, report, "commit") as crash:
+        DurableCommitPipeline(
+            medium,
+            checkpoint_interval=checkpoint_interval,
+            crash=crash,
+            metrics=metrics,
+        ).commit(chain.fresh_world(), number, result)
+    with failing_as("recovery"):
         recovered = recover(medium, chain.fresh_world, metrics=metrics)
-    except (DurabilityError, RecoveryError) as exc:
-        raise _SiteFailed(f"recovery raised {exc}") from exc
     report.recoveries += 1
     return medium, recovered
 
@@ -116,9 +99,7 @@ def _crash_and_recover(
 class CrashSweepReport(SweepReport):
     """One block's crash sweep across sites × executor configs."""
 
-    sites: list[str] = field(default_factory=list)
-    crashes_injected: int = 0
-    recoveries: int = 0
+    kind = "crash"
 
     def describe(self) -> str:
         head = (
@@ -147,72 +128,53 @@ def crash_sweep_block(
     ``check_roots`` upgrades the boundary sites' fingerprint comparison to
     full MPT root equality.
     """
-    sites = enumerate_crash_sites(
-        len(block.txs), checkpoint=checkpoint_interval == 1
-    )
     report = CrashSweepReport(
-        block_number=block.number, tx_count=len(block), sites=sites
+        block_number=block.number,
+        tx_count=len(block),
+        sites=enumerate_crash_sites(
+            len(block.txs), checkpoint=checkpoint_interval == 1
+        ),
     )
+    pre = world_state(chain.fresh_world(), check_roots)
 
-    pre_world = chain.fresh_world()
-    pre_fp = pre_world.fingerprint()
-    pre_root = pre_world.state_root() if check_roots else None
-
-    for name in executors:
-        report.executors.append(name)
-        executor = make_executor(name, threads)
-        result = executor.execute_block(
+    def prepare(name: str):
+        result = make_executor(name, threads).execute_block(
             chain.fresh_world(), block.txs, block.env
         )
         post_world = chain.fresh_world()
         post_world.apply(result.writes)
-        post_fp = post_world.fingerprint()
-        post_root = post_world.state_root() if check_roots else None
+        return result, CommitBoundary(pre, world_state(post_world, check_roots))
 
-        for site in sites:
-            try:
-                _medium, recovered = _crash_and_recover(
-                    chain,
-                    block.number,
-                    result,
-                    site,
-                    report,
-                    metrics,
-                    checkpoint_interval,
-                )
-            except _SiteFailed as failure:
-                report.divergences.append(
-                    Divergence(name, f"crash:{site}", str(failure))
-                )
-                continue
+    def check(prepared, site: str) -> str | None:
+        result, boundary = prepared
+        _medium, recovered = _crash_and_recover(
+            chain,
+            block.number,
+            result,
+            site,
+            report,
+            metrics,
+            checkpoint_interval,
+        )
+        expected, want_fp, want_root = boundary.at(site)
+        if recovered.world.fingerprint() != want_fp:
+            return (
+                f"recovered state is neither pre- nor the expected "
+                f"{expected}-block state ({recovered.describe()})"
+            )
+        if want_root is not None and recovered.world.state_root() != want_root:
+            return f"MPT root differs from the {expected}-block root"
+        return None
 
-            expected = site_expected_state(site)
-            want_fp = pre_fp if expected == "pre" else post_fp
-            if recovered.world.fingerprint() != want_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"crash:{site}",
-                        f"recovered state is neither pre- nor the expected "
-                        f"{expected}-block state ({recovered.describe()})",
-                    )
-                )
-                continue
-            if check_roots and site in ROOT_CHECK_SITES:
-                want_root = pre_root if expected == "pre" else post_root
-                if recovered.world.state_root() != want_root:
-                    report.divergences.append(
-                        Divergence(
-                            name,
-                            f"crash:{site}",
-                            f"MPT root differs from the {expected}-block root",
-                        )
-                    )
-
+    run_sweep(
+        report,
+        executors,
+        prepare,
+        check,
+        metrics,
+        ("crashfuzz_blocks_total", "crashfuzz_failed_blocks_total"),
+    )
     if metrics is not None:
-        metrics.counter("crashfuzz_blocks_total").inc()
-        if not report.ok:
-            metrics.counter("crashfuzz_failed_blocks_total").inc()
         metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
     return report
 
@@ -224,9 +186,7 @@ def crash_sweep_block(
 class PipelinedCrashSweepReport(SweepReport):
     """Crash sweep of block N's commit with block N+1 executing speculatively."""
 
-    sites: list[str] = field(default_factory=list)
-    crashes_injected: int = 0
-    recoveries: int = 0
+    kind = "pipeline"
     speculations_discarded: int = 0
     speculations_salvaged: int = 0
 
@@ -275,33 +235,25 @@ def pipelined_crash_sweep_block(
     block_n = copy_block(block.number, txs[:half], block.env)
     block_n1 = copy_block(block.number + 1, txs[half:], block.env)
 
-    sites = enumerate_crash_sites(len(block_n.txs), checkpoint=False)
     report = PipelinedCrashSweepReport(
-        block_number=block.number, tx_count=len(block), sites=sites
+        block_number=block.number,
+        tx_count=len(block),
+        sites=enumerate_crash_sites(len(block_n.txs), checkpoint=False),
+    )
+    pre = world_state(chain.fresh_world(), check_roots)
+    # Serial reference of the fully resumed chain: N then N+1.
+    final_fp, final_root = world_state(
+        apply_serially(chain.fresh_world(), block_n, block_n1), check_roots
     )
 
-    pre_world = chain.fresh_world()
-    pre_fp = pre_world.fingerprint()
-    pre_root = pre_world.state_root() if check_roots else None
-
-    # Serial reference of the fully resumed chain: N then N+1.
-    serial = SerialExecutor()
-    ref = chain.fresh_world()
-    ref.apply(serial.execute_block(ref, block_n.txs, block_n.env).writes)
-    ref.apply(serial.execute_block(ref, block_n1.txs, block_n1.env).writes)
-    final_fp = ref.fingerprint()
-    final_root = ref.state_root() if check_roots else None
-
-    for name in executors:
-        report.executors.append(name)
+    def prepare(name: str):
         executor = make_executor(name, threads)
         result_n = executor.execute_block(
             chain.fresh_world(), block_n.txs, block_n.env
         )
         post_world = chain.fresh_world()
         post_world.apply(result_n.writes)
-        post_fp = post_world.fingerprint()
-        post_root = post_world.state_root() if check_roots else None
+        boundary = CommitBoundary(pre, world_state(post_world, check_roots))
 
         # The pipeline overlap: N+1 executes against N's uncommitted
         # overlay while N's durable commit is in flight.  ``spec_fp`` is
@@ -312,117 +264,70 @@ def pipelined_crash_sweep_block(
         spec_world = chain.fresh_world()
         spec_world.apply(result_n.writes)
         spec_world.apply(spec_result.writes)
-        spec_fp = spec_world.fingerprint()
+        return executor, result_n, boundary, spec_result, spec_world.fingerprint()
 
-        for site in sites:
-            try:
-                medium, recovered = _crash_and_recover(
-                    chain, block_n.number, result_n, site, report, metrics
-                )
-            except _SiteFailed as failure:
-                report.divergences.append(
-                    Divergence(name, f"pipeline:{site}", str(failure))
-                )
-                continue
+    def check(prepared, site: str) -> str | None:
+        executor, result_n, boundary, spec_result, spec_fp = prepared
+        medium, recovered = _crash_and_recover(
+            chain, block_n.number, result_n, site, report, metrics
+        )
+        expected, want_fp, want_root = boundary.at(site)
+        world = recovered.world
+        recovered_fp = world.fingerprint()
+        if recovered_fp != want_fp:
+            if recovered_fp == spec_fp:
+                return "speculative N+1 state leaked into recovery"
+            return (
+                f"recovered state is not the expected "
+                f"{expected}-block state ({recovered.describe()})"
+            )
+        if want_root is not None and world.state_root() != want_root:
+            return f"MPT root differs from the {expected}-block root"
 
-            expected = site_expected_state(site)
-            want_fp = pre_fp if expected == "pre" else post_fp
-            recovered_fp = recovered.world.fingerprint()
-            if recovered_fp != want_fp:
-                leak = (
-                    "speculative N+1 state leaked into recovery"
-                    if recovered_fp == spec_fp
-                    else f"recovered state is not the expected "
-                    f"{expected}-block state ({recovered.describe()})"
-                )
-                report.divergences.append(
-                    Divergence(name, f"pipeline:{site}", leak)
-                )
-                continue
-            if check_roots and site in ROOT_CHECK_SITES:
-                want_root = pre_root if expected == "pre" else post_root
-                if recovered.world.state_root() != want_root:
-                    report.divergences.append(
-                        Divergence(
-                            name,
-                            f"pipeline:{site}",
-                            f"MPT root differs from the {expected}-block root",
-                        )
+        # Resume: a restarted process continues journaling over the
+        # recovered (truncated-clean) medium.
+        resumed = DurableCommitPipeline(medium, metrics=metrics)
+        with failing_as("resume"):
+            if expected == "pre":
+                # N never committed: the speculation ran against a
+                # state that no longer exists — discard and redo both.
+                for redo in (block_n, block_n1):
+                    resumed.commit(
+                        world,
+                        redo.number,
+                        executor.execute_block(world, redo.txs, redo.env),
                     )
-                    continue
+                report.speculations_discarded += 1
+            else:
+                # N's commit survived: the recovered state is exactly
+                # the overlay the speculation ran against — salvage it.
+                resumed.commit(world, block_n1.number, spec_result)
+                report.speculations_salvaged += 1
+        if world.fingerprint() != final_fp:
+            return "resumed tip differs from the serial N,N+1 reference"
+        if check_roots and world.state_root() != final_root:
+            return "resumed MPT root differs"
+        with failing_as("post-resume recovery"):
+            resumed_rec = recover(medium, chain.fresh_world, metrics=metrics)
+        if resumed_rec.world.fingerprint() != final_fp:
+            return (
+                f"recovery from the resumed journal diverged "
+                f"({resumed_rec.describe()})"
+            )
+        return None
 
-            # Resume: a restarted process continues journaling over the
-            # recovered (truncated-clean) medium.
-            resumed = DurableCommitPipeline(medium, metrics=metrics)
-            world = recovered.world
-            try:
-                if expected == "pre":
-                    # N never committed: the speculation ran against a
-                    # state that no longer exists — discard and redo both.
-                    redo_n = executor.execute_block(
-                        world, block_n.txs, block_n.env
-                    )
-                    resumed.commit(world, block_n.number, redo_n)
-                    redo_n1 = executor.execute_block(
-                        world, block_n1.txs, block_n1.env
-                    )
-                    resumed.commit(world, block_n1.number, redo_n1)
-                    report.speculations_discarded += 1
-                else:
-                    # N's commit survived: the recovered state is exactly
-                    # the overlay the speculation ran against — salvage it.
-                    resumed.commit(world, block_n1.number, spec_result)
-                    report.speculations_salvaged += 1
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", f"resume raised {exc}"
-                    )
-                )
-                continue
-            if world.fingerprint() != final_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"pipeline:{site}",
-                        "resumed tip differs from the serial N,N+1 reference",
-                    )
-                )
-                continue
-            if check_roots and world.state_root() != final_root:
-                report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", "resumed MPT root differs"
-                    )
-                )
-                continue
-            try:
-                resumed_rec = recover(
-                    medium, chain.fresh_world, metrics=metrics
-                )
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"pipeline:{site}",
-                        f"post-resume recovery raised {exc}",
-                    )
-                )
-                continue
-            if resumed_rec.world.fingerprint() != final_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"pipeline:{site}",
-                        f"recovery from the resumed journal diverged "
-                        f"({resumed_rec.describe()})",
-                    )
-                )
-
+    run_sweep(
+        report,
+        executors,
+        prepare,
+        check,
+        metrics,
+        (
+            "crashfuzz_pipeline_blocks_total",
+            "crashfuzz_failed_pipeline_blocks_total",
+        ),
+    )
     if metrics is not None:
-        metrics.counter("crashfuzz_pipeline_blocks_total").inc()
-        if not report.ok:
-            metrics.counter("crashfuzz_failed_pipeline_blocks_total").inc()
         metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
     return report
 
@@ -434,8 +339,16 @@ def pipelined_crash_sweep_block(
 class ReorgRoundTripReport(SweepReport):
     """One block's reorg round trip across executor configs."""
 
+    kind = "reorg"
+    faults_counter = "rollbacks"
     depth: int
     rollbacks: int = 0
+
+    def counters(self) -> dict[str, float]:
+        return {
+            "reorg_depth": float(self.depth),
+            "rollbacks": float(self.rollbacks),
+        }
 
     def describe(self) -> str:
         head = (
@@ -475,24 +388,17 @@ def reorg_roundtrip_block(
     report = ReorgRoundTripReport(
         block_number=block.number, tx_count=len(block), depth=2
     )
-
     # Serial references: the ancestor state (the rollback target) and the
     # ancestor+fork state (the post-reorg tip).
-    serial = SerialExecutor()
-    ref = chain.fresh_world()
-    ref.apply(serial.execute_block(ref, ancestor.txs, ancestor.env).writes)
+    ref = apply_serially(chain.fresh_world(), ancestor)
     ancestor_fp = ref.fingerprint()
-    ref.apply(serial.execute_block(ref, fork.txs, fork.env).writes)
-    fork_fp = ref.fingerprint()
-    fork_root = ref.state_root() if check_roots else None
+    fork_fp, fork_root = world_state(apply_serially(ref, fork), check_roots)
 
-    for name in executors:
-        report.executors.append(name)
-        executor = make_executor(name, threads)
+    def round_trip(executor, _site: None) -> str | None:
         medium = MemoryMedium()
         pipeline = DurableCommitPipeline(medium, metrics=metrics)
         world = chain.fresh_world()
-        try:
+        with failing_as("round trip", ReorgDepthExceeded):
             for canonical in (ancestor, main1, main2):
                 result = executor.execute_block(
                     world, canonical.txs, canonical.env
@@ -503,56 +409,34 @@ def reorg_roundtrip_block(
             undone = manager.rollback(world, ancestor.number)
             report.rollbacks += 1
             if undone != [main2.number, main1.number]:
-                report.divergences.append(
-                    Divergence(name, "reorg", f"unexpected undo set {undone}")
-                )
-                continue
+                return f"unexpected undo set {undone}"
             if world.fingerprint() != ancestor_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        "reorg",
-                        "rolled-back state differs from the serial "
-                        "ancestor reference",
-                    )
+                return (
+                    "rolled-back state differs from the serial "
+                    "ancestor reference"
                 )
-                continue
 
             result = executor.execute_block(world, fork.txs, fork.env)
             pipeline.commit(world, fork.number, result)
-        except (DurabilityError, RecoveryError, ReorgDepthExceeded) as exc:
-            report.divergences.append(
-                Divergence(name, "reorg", f"round trip raised {exc}")
-            )
-            continue
 
         if world.fingerprint() != fork_fp:
-            report.divergences.append(
-                Divergence(
-                    name,
-                    "reorg",
-                    "post-reorg state differs from the serial A+F reference",
-                )
-            )
-            continue
+            return "post-reorg state differs from the serial A+F reference"
         if check_roots and world.state_root() != fork_root:
-            report.divergences.append(
-                Divergence(name, "reorg", "post-reorg MPT root differs")
-            )
-            continue
+            return "post-reorg MPT root differs"
         recovered = recover(medium, chain.fresh_world, metrics=metrics)
         if recovered.world.fingerprint() != fork_fp:
-            report.divergences.append(
-                Divergence(
-                    name,
-                    "reorg",
-                    f"recovery from the post-reorg journal diverged "
-                    f"({recovered.describe()})",
-                )
+            return (
+                f"recovery from the post-reorg journal diverged "
+                f"({recovered.describe()})"
             )
+        return None
 
-    if metrics is not None:
-        metrics.counter("crashfuzz_reorg_roundtrips_total").inc()
-        if not report.ok:
-            metrics.counter("crashfuzz_failed_reorgs_total").inc()
-    return report
+    # No crash sites: the engine runs the round trip once per executor.
+    return run_sweep(
+        report,
+        executors,
+        lambda name: make_executor(name, threads),
+        round_trip,
+        metrics,
+        ("crashfuzz_reorg_roundtrips_total", "crashfuzz_failed_reorgs_total"),
+    )

@@ -27,25 +27,20 @@ per ``(executor, site)`` pair:
    promotion in simulated microseconds, reported per promotion and
    aggregated.
 
-``run_replication_scenario`` adapts the sweep plus three targeted
-hazards (laggy replica, corrupted feed link, divergent replica) into the
-chaos harness's :class:`~repro.check.chaos.ChaosBlockReport` shape.
+``REPLICATION_HAZARDS`` offers the sweep plus three targeted hazards
+(laggy replica, corrupted feed link, divergent replica) to the chaos
+harness (:func:`repro.check.chaos.run_chaos_block`), keyed by the
+``mode`` of its ``kind="replication"`` scenarios.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..concurrency import SerialExecutor
 from ..concurrency.registry import EXECUTOR_NAMES
-from ..durability import (
-    CrashInjector,
-    SimulatedCrash,
-    enumerate_crash_sites,
-    site_expected_state,
-)
+from ..durability import enumerate_crash_sites
 from ..errors import (
     DurabilityError,
     RecoveryError,
@@ -60,10 +55,17 @@ from ..replication import (
     ReplicatedChainService,
 )
 from ..workloads import Block, copy_block
-from .certify import CertificationReport, Divergence, SweepReport
-from .crashfuzz import ROOT_CHECK_SITES
+from .certify import CertificationReport, Divergence
 from .fuzzer import BlockFuzzer, FuzzConfig
-from .ingress import ingress_seed
+from .sweep import (
+    CommitBoundary,
+    SweepReport,
+    apply_serially,
+    crashing_at,
+    failing_as,
+    run_sweep,
+    world_state,
+)
 
 
 def _synthetic_hashes(block: Block) -> list[bytes]:
@@ -84,15 +86,10 @@ def _synthetic_hashes(block: Block) -> list[bytes]:
 
 def _serial_states(chain_world, blocks, check_roots: bool):
     """Fingerprint (and optionally MPT root) after each block, serially."""
-    serial = SerialExecutor()
-    world = chain_world
-    states = []
-    for block in blocks:
-        world.apply(serial.execute_block(world, block.txs, block.env).writes)
-        states.append(
-            (world.fingerprint(), world.state_root() if check_roots else None)
-        )
-    return states
+    return [
+        world_state(apply_serially(chain_world, block), check_roots)
+        for block in blocks
+    ]
 
 
 @dataclass(slots=True)
@@ -101,10 +98,6 @@ class _Fixture:
 
     fuzzer: BlockFuzzer
     blocks: list[Block]
-
-    @property
-    def base(self) -> int:
-        return self.fuzzer.chain.env.number
 
     def chainlike(self):
         return _SweepChain(self.fuzzer.chain.fresh_world(), self.fuzzer.chain.env)
@@ -138,13 +131,39 @@ def _fixture(seed: int, blocks: int, txs_per_block: int) -> _Fixture:
 class FailoverSweepReport(SweepReport):
     """Crash sites × executor configs, each ending in a verified promotion."""
 
-    sites: list[str] = field(default_factory=list)
-    crashes_injected: int = 0
+    kind = "failover"
+    faults_counter = "failovers"
     failovers: int = 0
     stale_frames_rejected: int = 0
     requeued_blocks: int = 0
     max_failover_us: float = 0.0
     min_failover_us: float = 0.0
+
+    def counters(self) -> dict[str, float]:
+        return {
+            "crash_sites": float(len(self.sites)),
+            "failovers": float(self.failovers),
+            "stale_frames_rejected": float(self.stale_frames_rejected),
+            "requeued_blocks": float(self.requeued_blocks),
+            "max_failover_us": self.max_failover_us,
+        }
+
+    def as_dict(self) -> dict:
+        """The sweep as one JSON-ready record (``repro replicate``'s line)."""
+        return {
+            "ok": self.ok,
+            "block_number": self.block_number,
+            "tx_count": self.tx_count,
+            "sites": len(self.sites),
+            "executors": len(self.executors),
+            "crashes_injected": self.crashes_injected,
+            "failovers": self.failovers,
+            "stale_frames_rejected": self.stale_frames_rejected,
+            "requeued_blocks": self.requeued_blocks,
+            "min_failover_us": round(self.min_failover_us, 3),
+            "max_failover_us": round(self.max_failover_us, 3),
+            "divergences": [d.describe() for d in self.divergences],
+        }
 
     def describe(self) -> str:
         head = (
@@ -172,259 +191,134 @@ def failover_sweep(
     policy = policy or FailoverPolicy()
     fixture = _fixture(fuzz_seed, warmup_blocks + 1, txs_per_block)
     warmups, crash_block = fixture.blocks[:-1], fixture.blocks[-1]
-    sites = enumerate_crash_sites(len(crash_block.txs), checkpoint=False)
+    crash_hashes = _synthetic_hashes(crash_block)
 
     states = _serial_states(
         fixture.fuzzer.chain.fresh_world(), fixture.blocks, check_roots
     )
-    pre_fp, pre_root = states[warmup_blocks - 1]
-    post_fp, post_root = states[warmup_blocks]
+    boundary = CommitBoundary(states[warmup_blocks - 1], states[warmup_blocks])
+    post_fp = boundary.post[0]
 
     report = FailoverSweepReport(
         block_number=crash_block.number,
         tx_count=len(crash_block.txs),
-        sites=sites,
+        sites=enumerate_crash_sites(len(crash_block.txs), checkpoint=False),
     )
 
-    for name in executors:
-        report.executors.append(name)
-        for site in sites:
-            diverged = _sweep_one(
-                name,
-                site,
-                fixture,
-                warmups,
-                crash_block,
-                (pre_fp, pre_root),
-                (post_fp, post_root),
-                threads=threads,
-                replicas=replicas,
-                policy=policy,
-                check_roots=check_roots,
-                metrics=metrics,
-                report=report,
-            )
-            if diverged is not None:
-                report.divergences.append(diverged)
-
-    if metrics is not None:
-        metrics.counter("replication_sweeps_total").inc()
-        if not report.ok:
-            metrics.counter("replication_failed_sweeps_total").inc()
-    return report
-
-
-def _sweep_one(
-    name: str,
-    site: str,
-    fixture: _Fixture,
-    warmups: list[Block],
-    crash_block: Block,
-    pre_state,
-    post_state,
-    *,
-    threads: int,
-    replicas: int,
-    policy: FailoverPolicy,
-    check_roots: bool,
-    metrics,
-    report: FailoverSweepReport,
-) -> Divergence | None:
-    """One (executor, site) pair; returns a Divergence or None."""
-    where = f"failover:{site}"
-    pre_fp, pre_root = pre_state
-    post_fp, post_root = post_state
-    cluster = ReplicatedChainService(
-        fixture.chainlike(),
-        name,
-        ClusterConfig(replicas=replicas, threads=threads, policy=policy),
-        metrics=metrics,
-    )
-    try:
-        for block in warmups:
-            cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
-    except (DurabilityError, RecoveryError, ReplicationError) as exc:
-        return Divergence(name, where, f"warm-up raised {exc}")
-    for replica in cluster.replicas:
-        if replica.last_committed_block != warmups[-1].number:
-            return Divergence(
-                name, where, f"{replica.name} fell behind during warm-up"
-            )
-
-    # -- crash the primary mid-commit at exactly this site ---------------
-    injector = CrashInjector(site)
-    pipeline = cluster.service.executor.durability
-    pipeline.crash = injector
-    pipeline.journal.crash = injector
-    crash_hashes = _synthetic_hashes(crash_block)
-    try:
-        cluster.ingest_block(crash_block, tx_hashes=crash_hashes)
-    except SimulatedCrash:
-        pass
-    except (DurabilityError, RecoveryError) as exc:
-        return Divergence(name, where, f"crashed commit raised {exc}")
-    if not injector.fired:
-        return Divergence(name, where, "site never fired")
-    report.crashes_injected += 1
-    pipeline.crash = None
-    pipeline.journal.crash = None
-
-    # -- detect, elect, promote ------------------------------------------
-    now = cluster.service.sim_time_us
-    cluster.fail_primary(now)
-    lost_at = now + policy.heartbeat_timeout_us + 1.0
-    if not cluster.controller.primary_lost(lost_at):
-        return Divergence(name, where, "heartbeat timeout never detected")
-    try:
-        promotion = cluster.failover(lost_at)
-    except (ReplicationError, DurabilityError, RecoveryError) as exc:
-        return Divergence(name, where, f"failover raised {exc}")
-    report.failovers += 1
-    total_us = promotion.total_us
-    if report.min_failover_us == 0.0 or total_us < report.min_failover_us:
-        report.min_failover_us = total_us
-    report.max_failover_us = max(report.max_failover_us, total_us)
-    if total_us < policy.heartbeat_timeout_us:
-        return Divergence(
-            name, where, "failover time excludes the detection window"
-        )
-
-    expected = site_expected_state(site)
-    want_fp = pre_fp if expected == "pre" else post_fp
-    want_blocks = len(warmups) + (0 if expected == "pre" else 1)
-    promoted_fp = cluster.service.world.fingerprint()
-    if promoted_fp != want_fp:
-        return Divergence(
+    def prepare(name: str):
+        """How to stand up this executor config's cluster, fresh per site."""
+        return lambda: ReplicatedChainService(
+            fixture.chainlike(),
             name,
-            where,
-            f"promoted state is not the expected {expected}-crash state "
-            f"(sealed blocks were lost or invented: RPO violated)",
-        )
-    if promotion.blocks_preserved != want_blocks:
-        return Divergence(
-            name,
-            where,
-            f"promotion preserved {promotion.blocks_preserved} blocks, "
-            f"expected {want_blocks}",
-        )
-    if check_roots and site in ROOT_CHECK_SITES:
-        want_root = pre_root if expected == "pre" else post_root
-        if cluster.service.world.state_root() != want_root:
-            return Divergence(
-                name, where, f"promoted MPT root differs from the {expected} root"
-            )
-
-    # -- the zombie window: a deposed primary keeps writing ---------------
-    survivors = cluster.healthy_replicas()
-    survivor_fps = {r.name: r.world.fingerprint() for r in survivors}
-    zombie = cluster.previous_service
-    try:
-        zombie.ingest_block(crash_block, tx_hashes=crash_hashes)
-    except (DurabilityError, RecoveryError) as exc:
-        return Divergence(name, where, f"zombie commit raised {exc}")
-    for replica in survivors:
-        before = replica.stale_frames_rejected
-        try:
-            replica.poll(lost_at, max_frames=0)
-        except Exception as exc:  # noqa: BLE001 — any raise here is a bug
-            return Divergence(
-                name, where, f"{replica.name} raised on zombie frames: {exc}"
-            )
-        rejected = replica.stale_frames_rejected - before
-        if rejected == 0:
-            return Divergence(
-                name, where, f"{replica.name} accepted a deposed primary's frames"
-            )
-        if not any(isinstance(e, StaleEpoch) for e in replica.stale_rejections):
-            return Divergence(
-                name, where, f"{replica.name} kept no typed StaleEpoch evidence"
-            )
-        if replica.world.fingerprint() != survivor_fps[replica.name]:
-            return Divergence(
-                name, where, f"zombie frames mutated {replica.name}'s state"
-            )
-        report.stale_frames_rejected += rejected
-
-    # -- converge: re-queue the lost block, survivors follow the new feed -
-    cluster.rebase_survivors()
-    try:
-        if expected == "pre":
-            cluster.ingest_block(crash_block, tx_hashes=crash_hashes)
-            report.requeued_blocks += 1
-        else:
-            cluster.poll_replicas(lost_at)
-    except (DurabilityError, RecoveryError, ReplicationError) as exc:
-        return Divergence(name, where, f"post-failover serving raised {exc}")
-    if cluster.service.world.fingerprint() != post_fp:
-        return Divergence(
-            name, where, "promoted chain did not converge to the full reference"
-        )
-    for replica in cluster.healthy_replicas():
-        if replica.last_committed_block != crash_block.number:
-            return Divergence(
-                name,
-                where,
-                f"{replica.name} did not follow the promoted primary's feed",
-            )
-        if replica.world.fingerprint() != post_fp:
-            return Divergence(
-                name, where, f"{replica.name} diverged on the promoted feed"
-            )
-    return None
-
-
-# ------------------------------------------------------------- chaos modes
-
-
-def run_replication_scenario(
-    scenario,
-    seed=0,
-    threads: int = 4,
-    check_roots: bool = True,
-    metrics=None,
-):
-    """Run one ``kind="replication"`` chaos scenario.
-
-    Returns a :class:`~repro.check.chaos.ChaosBlockReport`; the fuzzer
-    block the generic harness passes around plays no role (reproduce with
-    ``(scenario, seed)``, exactly like the ingress scenarios).
-    """
-    from .chaos import chaos_report
-
-    mode = scenario.replication.get("mode", "primary-crash")
-    seed_int = ingress_seed(seed)
-    if mode == "primary-crash":
-        sweep = failover_sweep(
-            fuzz_seed=seed_int,
-            threads=threads,
-            check_roots=check_roots,
+            ClusterConfig(replicas=replicas, threads=threads, policy=policy),
             metrics=metrics,
         )
-        certification = sweep.certification
-        counters = {
-            "crash_sites": float(len(sweep.sites)),
-            "failovers": float(sweep.failovers),
-            "stale_frames_rejected": float(sweep.stale_frames_rejected),
-            "requeued_blocks": float(sweep.requeued_blocks),
-            "max_failover_us": sweep.max_failover_us,
-        }
-        faults = float(sweep.failovers)
-    elif mode == "laggy-replica":
-        certification, counters, faults = _laggy_replica_scenario(
-            seed_int, threads, metrics
-        )
-    elif mode == "corrupt-feed":
-        certification, counters, faults = _corrupt_feed_scenario(
-            seed_int, threads, metrics
-        )
-    elif mode == "divergent-replica":
-        certification, counters, faults = _divergent_replica_scenario(
-            seed_int, threads, metrics
-        )
-    else:
-        raise ValueError(f"unknown replication scenario mode {mode!r}")
 
-    return chaos_report(scenario, seed, certification, counters, faults, metrics)
+    def check(new_cluster, site: str) -> str | None:
+        cluster = new_cluster()
+        with failing_as("warm-up", ReplicationError):
+            for block in warmups:
+                cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
+        for replica in cluster.replicas:
+            if replica.last_committed_block != warmups[-1].number:
+                return f"{replica.name} fell behind during warm-up"
+
+        # -- crash the primary mid-commit at exactly this site -----------
+        pipeline = cluster.service.executor.durability
+        with crashing_at(site, report, "crashed commit") as injector:
+            pipeline.crash = pipeline.journal.crash = injector
+            cluster.ingest_block(crash_block, tx_hashes=crash_hashes)
+        pipeline.crash = pipeline.journal.crash = None
+
+        # -- detect, elect, promote --------------------------------------
+        now = cluster.service.sim_time_us
+        cluster.fail_primary(now)
+        lost_at = now + policy.heartbeat_timeout_us + 1.0
+        if not cluster.controller.primary_lost(lost_at):
+            return "heartbeat timeout never detected"
+        with failing_as("failover", ReplicationError):
+            promotion = cluster.failover(lost_at)
+        report.failovers += 1
+        total_us = promotion.total_us
+        if report.min_failover_us == 0.0 or total_us < report.min_failover_us:
+            report.min_failover_us = total_us
+        report.max_failover_us = max(report.max_failover_us, total_us)
+        if total_us < policy.heartbeat_timeout_us:
+            return "failover time excludes the detection window"
+
+        expected, want_fp, want_root = boundary.at(site)
+        want_blocks = len(warmups) + (0 if expected == "pre" else 1)
+        if cluster.service.world.fingerprint() != want_fp:
+            return (
+                f"promoted state is not the expected {expected}-crash state "
+                f"(sealed blocks were lost or invented: RPO violated)"
+            )
+        if promotion.blocks_preserved != want_blocks:
+            return (
+                f"promotion preserved {promotion.blocks_preserved} blocks, "
+                f"expected {want_blocks}"
+            )
+        if (
+            want_root is not None
+            and cluster.service.world.state_root() != want_root
+        ):
+            return f"promoted MPT root differs from the {expected} root"
+
+        # -- the zombie window: a deposed primary keeps writing -----------
+        survivors = cluster.healthy_replicas()
+        survivor_fps = {r.name: r.world.fingerprint() for r in survivors}
+        with failing_as("zombie commit"):
+            cluster.previous_service.ingest_block(
+                crash_block, tx_hashes=crash_hashes
+            )
+        for replica in survivors:
+            before = replica.stale_frames_rejected
+            try:
+                replica.poll(lost_at, max_frames=0)
+            except Exception as exc:  # noqa: BLE001 — any raise here is a bug
+                return f"{replica.name} raised on zombie frames: {exc}"
+            rejected = replica.stale_frames_rejected - before
+            if rejected == 0:
+                return f"{replica.name} accepted a deposed primary's frames"
+            if not any(isinstance(e, StaleEpoch) for e in replica.stale_rejections):
+                return f"{replica.name} kept no typed StaleEpoch evidence"
+            if replica.world.fingerprint() != survivor_fps[replica.name]:
+                return f"zombie frames mutated {replica.name}'s state"
+            report.stale_frames_rejected += rejected
+
+        # -- converge: re-queue the lost block, survivors follow the new feed
+        cluster.rebase_survivors()
+        with failing_as("post-failover serving", ReplicationError):
+            if expected == "pre":
+                cluster.ingest_block(crash_block, tx_hashes=crash_hashes)
+                report.requeued_blocks += 1
+            else:
+                cluster.poll_replicas(lost_at)
+        if cluster.service.world.fingerprint() != post_fp:
+            return "promoted chain did not converge to the full reference"
+        for replica in cluster.healthy_replicas():
+            if replica.last_committed_block != crash_block.number:
+                return f"{replica.name} did not follow the promoted primary's feed"
+            if replica.world.fingerprint() != post_fp:
+                return f"{replica.name} diverged on the promoted feed"
+        return None
+
+    return run_sweep(
+        report,
+        executors,
+        prepare,
+        check,
+        metrics,
+        ("replication_sweeps_total", "replication_failed_sweeps_total"),
+    )
+
+
+# ----------------------------------------------------------- chaos hazards
+#
+# Each returns ``(certification, counters, faults injected)``.  The chaos
+# harness calls every hazard with the same keywords (``chain``, ``block``,
+# ``seed``, ``threads``, ``check_roots``, ``metrics``); these build their
+# cluster from the seed alone and take what they use.
 
 
 _SCENARIO_EXECUTOR = "parallelevm"
@@ -475,7 +369,14 @@ def _fail_over(cluster: ReplicatedChainService, problems: list[str]):
         return None
 
 
-def _laggy_replica_scenario(seed: int, threads: int, metrics):
+def _primary_crash_scenario(*, seed, threads, check_roots, metrics, **_):
+    """The full failover sweep: every crash site × every executor config."""
+    return failover_sweep(
+        fuzz_seed=seed, threads=threads, check_roots=check_roots, metrics=metrics
+    ).chaos_outcome()
+
+
+def _laggy_replica_scenario(*, seed, threads, metrics, **_):
     """A replica consuming one frame per poll must trip the lag budget —
     and still converge once drained."""
     fixture = _fixture(seed, blocks=5, txs_per_block=6)
@@ -513,7 +414,7 @@ def _laggy_replica_scenario(seed: int, threads: int, metrics):
     )
 
 
-def _corrupt_feed_scenario(seed: int, threads: int, metrics):
+def _corrupt_feed_scenario(*, seed, threads, metrics, **_):
     """One replica's feed link corrupts a byte: typed quarantine, flight
     dump, and failover onto the intact replica still preserves everything."""
     fixture = _fixture(seed, blocks=3, txs_per_block=6)
@@ -552,7 +453,7 @@ def _corrupt_feed_scenario(seed: int, threads: int, metrics):
     return _certify(fixture, "corrupt-feed", problems), counters, 1.0
 
 
-def _divergent_replica_scenario(seed: int, threads: int, metrics):
+def _divergent_replica_scenario(*, seed, threads, metrics, **_):
     """A replica whose replay silently corrupts one block must be caught by
     the sealed-root check, quarantined, and excluded from promotion."""
     fixture = _fixture(seed, blocks=3, txs_per_block=6)
@@ -587,3 +488,12 @@ def _divergent_replica_scenario(seed: int, threads: int, metrics):
         "blocks_preserved": float(promotion.blocks_preserved),
     }
     return _certify(fixture, "divergent-replica", problems), counters, 1.0
+
+
+# ``kind="replication"`` scenarios select a hazard by ``mode``.
+REPLICATION_HAZARDS = {
+    "primary-crash": _primary_crash_scenario,
+    "laggy-replica": _laggy_replica_scenario,
+    "corrupt-feed": _corrupt_feed_scenario,
+    "divergent-replica": _divergent_replica_scenario,
+}

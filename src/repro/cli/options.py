@@ -1,0 +1,25 @@
+"""Argument groups more than one command family declares."""
+
+from __future__ import annotations
+
+import argparse
+
+from ..concurrency.registry import EXECUTOR_NAMES
+
+
+def add_executor(parser: argparse.ArgumentParser) -> None:
+    """``--executor``: any config of the registry, ParallelEVM by default."""
+    parser.add_argument(
+        "--executor", choices=sorted(EXECUTOR_NAMES), default="parallelevm"
+    )
+
+
+def add_durability(parser: argparse.ArgumentParser, durable_dir_help: str) -> None:
+    """``--durable-dir`` / ``--checkpoint-interval``: the on-disk journal."""
+    parser.add_argument("--durable-dir", metavar="DIR", help=durable_dir_help)
+    parser.add_argument(
+        "--checkpoint-interval",
+        type=int,
+        default=0,
+        help="snapshot + prune the journal every N blocks (0 disables)",
+    )

@@ -37,7 +37,7 @@ class ChaosScenario:
     drives a seeded open-loop client fleet through the JSON-RPC facade
     (:func:`repro.rpc.run_ingress`) with the overload knobs in
     ``ingress``; ``"replication"`` runs the replicated-cluster hazards
-    (:func:`repro.check.failover.run_replication_scenario`) selected by
+    (:data:`repro.check.failover.REPLICATION_HAZARDS`) selected by
     ``replication["mode"]``.  The non-fault kinds carry an empty
     :class:`FaultConfig` — their adversary is process death or hostile
     traffic, not degraded hardware.

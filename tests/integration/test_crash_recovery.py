@@ -126,10 +126,16 @@ class TestChaosScenarios:
         report = run_chaos_block(fuzzer.chain, block, "crash-commit", threads=4)
         assert report.ok, report.describe()
         assert report.faults_injected > 0
+        assert set(report.counters) == {
+            "crash_sites", "crashes_injected", "recoveries"
+        }
+        assert report.faults_injected == report.counters["crashes_injected"]
 
     def test_reorg_rollback_scenario(self, fuzzer, block):
         report = run_chaos_block(fuzzer.chain, block, "reorg-rollback", threads=4)
         assert report.ok, report.describe()
+        assert report.counters == {"reorg_depth": 2.0, "rollbacks": 7.0}
+        assert report.faults_injected == 7.0
 
 
 class TestDurabilityOffByDefault:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 from repro.cli import main
 
 GOLDEN = {
@@ -50,6 +52,22 @@ GOLDEN = {
     ),
     "bench/tiny.json": (
         "875a9bc089fd184c59d92a93efd6530eb0f58cb6d8108edac2486a90860e3bf0"
+    ),
+    # Recorded before the sweep-engine / seed-matrix-command refactor: the
+    # pipelined sweep and one chaos scenario per non-fault kind.  (The
+    # fourth, primary-crash, costs 6 s; test_replication.py pins the
+    # counters its sweep hands the chaos dispatch instead.)
+    "crashfuzz-pipeline/stdout": (
+        "7b0d86f21b4d90c891777588f5ad77a449e007792d592ee98532162d554a75c0"
+    ),
+    "chaos-crash-commit/stdout": (
+        "613d1c03f3be92d95e544a43300c1eeda889bbf7b34de9a3b94c03695578b5f6"
+    ),
+    "chaos-reorg-rollback/stdout": (
+        "ee5df39457edbc59e2740b4a85068412a22c54a6d9c0441096f282cf020a3b9b"
+    ),
+    "chaos-laggy-replica/stdout": (
+        "9e4b95e362741947981d9caa44bfa31323d828ba148bc7a7683307abff3be4ab"
     ),
 }
 
@@ -130,6 +148,29 @@ def test_chaos_fault_scenario(tmp_path, capsys):
         "chaos",
         ["chaos", "--scenario", "havoc", "--seed", "0", "--blocks", "1",
          "--txs", "8", "--threads", "4"],
+        tmp_path,
+        capsys,
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario", ["crash-commit", "reorg-rollback", "laggy-replica"]
+)
+def test_chaos_sweep_scenarios(scenario, tmp_path, capsys):
+    _check(
+        f"chaos-{scenario}",
+        ["chaos", "--scenario", scenario, "--seed", "0", "--blocks", "1",
+         "--txs", "8", "--threads", "4"],
+        tmp_path,
+        capsys,
+    )
+
+
+def test_crashfuzz_pipelined_block(tmp_path, capsys):
+    _check(
+        "crashfuzz-pipeline",
+        ["crashfuzz", "--pipeline", "--seed", "0", "--blocks", "1",
+         "--txs", "4", "--threads", "2"],
         tmp_path,
         capsys,
     )

@@ -126,6 +126,12 @@ class TestFailoverSweep:
         assert report.ok, report.describe()
         assert report.counters["failovers"] > 0
         assert report.counters["stale_frames_rejected"] > 0
+        assert set(report.counters) == {
+            "crash_sites", "failovers", "stale_frames_rejected",
+            "requeued_blocks", "max_failover_us",
+        }
+        assert report.faults_injected == report.counters["failovers"]
+        assert all(type(v) is float for v in report.counters.values())
 
 
 class TestReplicationChaosScenarios:
