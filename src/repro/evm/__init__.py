@@ -4,7 +4,11 @@ The interpreter implements the stack machine of the yellow paper: volatile
 byte-addressable memory, persistent key-value storage, 1024-deep word stack,
 gas accounting with the dynamic costs that matter to the paper (cold/warm
 SLOAD, value-dependent SSTORE, memory expansion, EXP, CALL), and nested
-message calls.  It exposes tracer hooks at every semantic step so
+message calls.  Each distinct bytecode is decoded once (repro.evm.analysis:
+JUMPDEST set + a pre-decoded dispatch table, memoised by the code bytes, as
+geth analyses a contract once per code hash), so a frame starts executing
+without scanning its code and a step dispatches without classifying its
+opcode.  It exposes tracer hooks at every semantic step so
 ParallelEVM's SSA-operation-log generator (repro.core.tracer) can maintain
 its shadow stack and shadow memory in lockstep, exactly as §5.2 describes
 for the Go Ethereum prototype.

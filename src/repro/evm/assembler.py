@@ -18,7 +18,8 @@ contracts are far below 64 KiB.
 from __future__ import annotations
 
 from ..errors import AssemblerError
-from .opcodes import Op, is_push
+from .analysis import decode
+from .opcodes import Op, is_push, opcode_name
 
 _MNEMONICS: dict[str, int] = {op.name: op.value for op in Op}
 for _i in range(1, 33):
@@ -131,19 +132,12 @@ def assemble(source: str) -> bytes:
 
 
 def disassemble(code: bytes) -> list[tuple[int, str, int | None]]:
-    """Decode bytecode into (pc, mnemonic, immediate) rows for debugging."""
-    from .opcodes import opcode_name, push_width
+    """Decode bytecode into (pc, mnemonic, immediate) rows for debugging.
 
-    rows: list[tuple[int, str, int | None]] = []
-    pc = 0
-    while pc < len(code):
-        op = code[pc]
-        if is_push(op):
-            width = push_width(op)
-            imm = int.from_bytes(code[pc + 1 : pc + 1 + width], "big")
-            rows.append((pc, opcode_name(op), imm))
-            pc += 1 + width
-        else:
-            rows.append((pc, opcode_name(op), None))
-            pc += 1
-    return rows
+    A trailing PUSH whose operand is cut short by the end of the code shows
+    the value the EVM would push: the missing low bytes read as zero.
+    """
+    return [
+        (pc, opcode_name(opcode), immediate)
+        for pc, opcode, immediate, _next_pc in decode(code)
+    ]

@@ -3,11 +3,21 @@
 Execution model
 ---------------
 ``EVM.call`` runs one message-call frame against a :class:`StateView`
-(transaction-local overlay).  ``execute_transaction`` wraps a frame in the
-transaction envelope: intrinsic gas, nonce bump, value transfer, fee charge —
-each of which is reported to the tracer as *intrinsic* read-modify-write
-operations so they participate in the SSA operation log (hot account
-balances conflict exactly like hot storage slots).
+(transaction-local overlay).  It reads the frame's code through the view —
+the read is charged simulated storage latency and enters the read set — and
+takes the code's :func:`~repro.evm.analysis.analyse` result: the valid
+JUMPDEST set and a pre-decoded ``(handler, argument)`` table, built once per
+distinct bytecode and memoised by the bytes themselves.  The step loop
+(``EVM._run``) is then ``handler, arg = table[pc]``, count the step, charge
+its dispatch cost, ``handler(evm, frame, arg)``: no opcode is classified and
+no immediate decoded at run time.  ``OPCODE_ENTRIES``, below the ``EVM``
+class, is the one opcode -> handler table the analysis lays out.
+
+``execute_transaction`` wraps a frame in the transaction envelope: intrinsic
+gas, nonce bump, value transfer, fee charge — each of which is reported to
+the tracer as *intrinsic* read-modify-write operations so they participate
+in the SSA operation log (hot account balances conflict exactly like hot
+storage slots).
 
 The block reward is intentionally **not** paid per transaction: crediting
 the coinbase inside every transaction would serialise all of them on one
@@ -38,19 +48,10 @@ from ..sim.meter import CostMeter
 from ..state.keys import balance_key, code_key, nonce_key, storage_key
 from ..state.view import StateView
 from . import gas as G
+from .analysis import CodeAnalysis, analyse
 from .memory import Memory
 from .message import BlockEnv, CallMessage, LogRecord, Transaction, TxResult
-from .opcodes import (
-    ALU_OPS,
-    TX_CONST_OPS,
-    Op,
-    is_dup,
-    is_log,
-    is_push,
-    is_swap,
-    opcode_name,
-    push_width,
-)
+from .opcodes import ALU_OPS, TX_CONST_OPS, Op, opcode_name
 from .stack import Stack
 
 CALL_DEPTH_LIMIT = 1024
@@ -58,39 +59,22 @@ CALL_DEPTH_LIMIT = 1024
 
 @dataclass(slots=True)
 class Frame:
-    """One message-call frame: code, pc, stack, memory, gas."""
+    """One message-call frame: code and its analysis, pc, stack, memory, gas."""
 
     msg: CallMessage
     code: bytes
+    analysis: CodeAnalysis
     stack: Stack = field(default_factory=Stack)
     memory: Memory = field(default_factory=Memory)
     pc: int = 0
     gas: int = 0
     return_data: bytes = b""  # returndata of the *last completed* sub-call
-    jumpdests: frozenset[int] = frozenset()
 
     def charge(self, amount: int) -> None:
         if amount > self.gas:
             self.gas = 0
             raise OutOfGas(f"need {amount} gas at pc={self.pc}")
         self.gas -= amount
-
-
-def valid_jumpdests(code: bytes) -> frozenset[int]:
-    """Positions of JUMPDEST bytes that are not PUSH immediates."""
-    dests = set()
-    pc = 0
-    length = len(code)
-    while pc < length:
-        op = code[pc]
-        if op == Op.JUMPDEST:
-            dests.add(pc)
-            pc += 1
-        elif is_push(op):
-            pc += 1 + push_width(op)
-        else:
-            pc += 1
-    return frozenset(dests)
 
 
 # Pure ALU semantics, keyed by opcode, applied to operands in pop order.
@@ -121,6 +105,7 @@ ALU_FUNCS = {
     Op.SAR: lambda s, v: prim.sar(s, v),
     Op.EXP: lambda b, e: prim.exp(b, e),
 }
+_EXP = int(Op.EXP)  # the one ALU opcode with a dynamic gas cost
 
 
 class _Halt(Exception):
@@ -164,9 +149,7 @@ class EVM:
         remaining gas is preserved, on other EVM errors it is consumed.
         """
         code = self.view.read(code_key(code_address or msg.to))
-        frame = Frame(
-            msg=msg, code=code, gas=msg.gas, jumpdests=valid_jumpdests(code)
-        )
+        frame = Frame(msg=msg, code=code, analysis=analyse(code), gas=msg.gas)
         mark = self.view.snapshot()
         if self.tracer is not None:
             self.tracer.begin_frame(frame)
@@ -189,32 +172,16 @@ class EVM:
     # ------------------------------------------------------------ run loop
 
     def _run(self, frame: Frame) -> bytes:
-        code = frame.code
-        length = len(code)
+        table = frame.analysis.table
         meter = self.meter
         dispatch_us = self.cm.op_dispatch_us
         try:
             while True:
-                pc = frame.pc
-                op = code[pc] if pc < length else Op.STOP
+                handler, arg = table[frame.pc]
                 self.ops_executed += 1
                 if meter is not None:
                     meter.charge_compute(dispatch_us)
-                handler = _DISPATCH.get(op)
-                if handler is not None:
-                    handler(self, frame, op)
-                elif is_push(op):
-                    self._op_push(frame, op)
-                elif is_dup(op):
-                    self._op_dup(frame, op)
-                elif is_swap(op):
-                    self._op_swap(frame, op)
-                elif is_log(op):
-                    self._op_log(frame, op)
-                else:
-                    raise InvalidOpcode(
-                        f"undefined opcode {opcode_name(op)} at pc={pc}"
-                    )
+                handler(self, frame, arg)
         except _Halt as halt:
             return halt.data
 
@@ -231,33 +198,31 @@ class EVM:
             )
 
     # ------------------------------------------------------ opcode bodies
+    #
+    # Every handler is called as ``handler(evm, frame, arg)`` with the
+    # argument its OPCODE_ENTRIES row (or, for PUSHn, the code analysis)
+    # pre-computed; ``op`` arguments are the opcode byte, for the tracer.
 
     def _op_stop(self, frame: Frame, op: int) -> None:
         if self.tracer is not None:
             self.tracer.trace_halt(frame, op, 0, 0)
         raise _Halt(b"")
 
-    def _op_alu(self, frame: Frame, op: int) -> None:
-        pops, static_gas = ALU_OPS[op]
+    def _op_alu(self, frame: Frame, arg: tuple) -> None:
+        op, pops, gas_cost, fn = arg
         operands = frame.stack.pop_n(pops)
-        dynamic = False
-        if op == Op.EXP:
+        dynamic = op == _EXP
+        if dynamic:
             gas_cost = G.exp_gas(operands[1])
-            dynamic = True
             if self.meter is not None:
                 exponent_bytes = (operands[1].bit_length() + 7) // 8
                 self.meter.charge_compute(self.cm.exp_byte_us * exponent_bytes, 0)
-        else:
-            gas_cost = static_gas
         frame.charge(gas_cost)
-        result = ALU_FUNCS[op](*operands)
+        result = fn(*operands)
         frame.stack.push(result)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_alu(frame, op, operands, result, gas_cost, dynamic)
-
-    def _op_exp(self, frame: Frame, op: int) -> None:
-        self._op_alu(frame, op)
 
     def _op_sha3(self, frame: Frame, op: int) -> None:
         offset, size = frame.stack.pop_n(2)
@@ -274,49 +239,14 @@ class EVM:
 
     # -- transaction-constant environment values ----------------------------
 
-    def _op_tx_const(self, frame: Frame, op: int) -> None:
-        frame.charge(TX_CONST_OPS[op])
-        value = self._tx_const_value(frame, op)
+    def _op_tx_const(self, frame: Frame, arg: tuple) -> None:
+        op, gas_cost, getter = arg
+        frame.charge(gas_cost)
+        value = getter(self, frame)
         frame.stack.push(value)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_tx_const(frame, op, value)
-
-    def _tx_const_value(self, frame: Frame, op: int) -> int:
-        msg, env = frame.msg, self.env
-        if op == Op.ADDRESS:
-            return prim.address_to_word(msg.to)
-        if op == Op.ORIGIN:
-            return prim.address_to_word(self.tx.sender)
-        if op == Op.CALLER:
-            return prim.address_to_word(msg.caller)
-        if op == Op.CALLVALUE:
-            return msg.value
-        if op == Op.CALLDATASIZE:
-            return len(msg.data)
-        if op == Op.CODESIZE:
-            return len(frame.code)
-        if op == Op.GASPRICE:
-            return self.tx.gas_price
-        if op == Op.COINBASE:
-            return prim.address_to_word(env.coinbase)
-        if op == Op.TIMESTAMP:
-            return env.timestamp
-        if op == Op.NUMBER:
-            return env.number
-        if op == Op.GASLIMIT:
-            return env.gas_limit
-        if op == Op.CHAINID:
-            return env.chain_id
-        if op == Op.PC:
-            return frame.pc
-        if op == Op.MSIZE:
-            return len(frame.memory)
-        if op == Op.GAS:
-            return frame.gas
-        if op == Op.RETURNDATASIZE:
-            return len(frame.return_data)
-        raise InvalidOpcode(f"not a tx-const op: {opcode_name(op)}")
 
     # -- account-state reads -------------------------------------------------
 
@@ -454,12 +384,11 @@ class EVM:
         if self.tracer is not None:
             self.tracer.trace_pop(frame)
 
-    def _op_push(self, frame: Frame, op: int) -> None:
+    def _op_push(self, frame: Frame, arg: tuple[int, int]) -> None:
+        value, next_pc = arg
         frame.charge(G.GAS_FASTEST)
-        width = push_width(op)
-        value = int.from_bytes(frame.code[frame.pc + 1 : frame.pc + 1 + width], "big")
         frame.stack.push(value)
-        frame.pc += 1 + width
+        frame.pc = next_pc
         if self.tracer is not None:
             self.tracer.trace_push(frame, value)
 
@@ -470,17 +399,15 @@ class EVM:
         if self.tracer is not None:
             self.tracer.trace_push(frame, 0)
 
-    def _op_dup(self, frame: Frame, op: int) -> None:
+    def _op_dup(self, frame: Frame, n: int) -> None:
         frame.charge(G.GAS_FASTEST)
-        n = op - 0x7F
         frame.stack.dup(n)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_dup(frame, n)
 
-    def _op_swap(self, frame: Frame, op: int) -> None:
+    def _op_swap(self, frame: Frame, n: int) -> None:
         frame.charge(G.GAS_FASTEST)
-        n = op - 0x8F
         frame.stack.swap(n)
         frame.pc += 1
         if self.tracer is not None:
@@ -551,7 +478,7 @@ class EVM:
     def _op_jump(self, frame: Frame, op: int) -> None:
         frame.charge(G.GAS_MID)
         dest = frame.stack.pop()
-        if dest not in frame.jumpdests:
+        if dest not in frame.analysis.jumpdests:
             raise InvalidJump(f"JUMP to non-JUMPDEST {dest}")
         if self.tracer is not None:
             self.tracer.trace_jump(frame, dest)
@@ -561,7 +488,7 @@ class EVM:
         frame.charge(G.GAS_HIGH)
         dest, cond = frame.stack.pop_n(2)
         taken = cond != 0
-        if taken and dest not in frame.jumpdests:
+        if taken and dest not in frame.analysis.jumpdests:
             raise InvalidJump(f"JUMPI to non-JUMPDEST {dest}")
         if self.tracer is not None:
             self.tracer.trace_jumpi(frame, dest, cond, taken)
@@ -573,10 +500,9 @@ class EVM:
 
     # -- logging ---------------------------------------------------------------
 
-    def _op_log(self, frame: Frame, op: int) -> None:
+    def _op_log(self, frame: Frame, topic_count: int) -> None:
         if frame.msg.static:
             raise WriteProtection("LOG in a static call")
-        topic_count = op - Op.LOG0
         offset, size = frame.stack.pop_n(2)
         topics = frame.stack.pop_n(topic_count)
         frame.charge(G.log_gas(topic_count, size))
@@ -725,15 +651,46 @@ class EVM:
     def _op_invalid(self, frame: Frame, op: int) -> None:
         raise InvalidOpcode("INVALID opcode executed")
 
+    def _op_undefined(self, frame: Frame, op: int) -> None:
+        raise InvalidOpcode(f"undefined opcode {opcode_name(op)} at pc={frame.pc}")
 
-_DISPATCH: dict[int, object] = {Op.STOP: EVM._op_stop}
-for _op in ALU_OPS:
-    _DISPATCH[_op] = EVM._op_alu
-_DISPATCH[Op.EXP] = EVM._op_exp
-for _op in TX_CONST_OPS:
-    _DISPATCH[_op] = EVM._op_tx_const
-_DISPATCH.update(
-    {
+
+# Transaction-constant environment values, by opcode: ``getter(evm, frame)``.
+_TX_CONST_GETTERS = {
+    Op.ADDRESS: lambda evm, frame: prim.address_to_word(frame.msg.to),
+    Op.ORIGIN: lambda evm, frame: prim.address_to_word(evm.tx.sender),
+    Op.CALLER: lambda evm, frame: prim.address_to_word(frame.msg.caller),
+    Op.CALLVALUE: lambda evm, frame: frame.msg.value,
+    Op.CALLDATASIZE: lambda evm, frame: len(frame.msg.data),
+    Op.CODESIZE: lambda evm, frame: len(frame.code),
+    Op.GASPRICE: lambda evm, frame: evm.tx.gas_price,
+    Op.COINBASE: lambda evm, frame: prim.address_to_word(evm.env.coinbase),
+    Op.TIMESTAMP: lambda evm, frame: evm.env.timestamp,
+    Op.NUMBER: lambda evm, frame: evm.env.number,
+    Op.GASLIMIT: lambda evm, frame: evm.env.gas_limit,
+    Op.CHAINID: lambda evm, frame: evm.env.chain_id,
+    Op.PC: lambda evm, frame: frame.pc,
+    Op.MSIZE: lambda evm, frame: len(frame.memory),
+    Op.GAS: lambda evm, frame: frame.gas,
+    Op.RETURNDATASIZE: lambda evm, frame: len(frame.return_data),
+}
+
+
+def _opcode_entries() -> tuple:
+    """The ``(handler, argument)`` dispatch entry of each of the 256 opcodes.
+
+    ``analysis.analyse`` lays these out per pc, so the step loop never
+    classifies an opcode.  Opcode arguments are plain ints (what the tracer
+    has always been handed: ``code[pc]``).  PUSH1-32 carry no argument
+    here: theirs is ``(immediate, next_pc)``, which only the analysis of a
+    particular bytecode knows.  A byte with no row of its own gets
+    ``_op_undefined``, which raises only if it is ever executed.  GAS, PC
+    and the like go through ``_op_tx_const``: their values are constant for
+    the transaction under the paper's gas-flow and control-flow guards.
+    """
+    entries: list = [(EVM._op_undefined, opcode) for opcode in range(256)]
+    handlers = {
+        Op.STOP: EVM._op_stop,
         Op.SHA3: EVM._op_sha3,
         Op.BALANCE: EVM._op_balance,
         Op.SELFBALANCE: EVM._op_selfbalance,
@@ -761,10 +718,23 @@ _DISPATCH.update(
         Op.REVERT: EVM._op_revert,
         Op.INVALID: EVM._op_invalid,
     }
-)
-# EXP shares the ALU body; the dispatch above routes GAS/PC/etc. through
-# _op_tx_const, whose values are constant for the transaction under the
-# paper's gas-flow and control-flow guards.
+    for op, handler in handlers.items():
+        entries[op] = (handler, int(op))
+    for op, (pops, static_gas) in ALU_OPS.items():
+        entries[op] = (EVM._op_alu, (int(op), pops, static_gas, ALU_FUNCS[op]))
+    for op, gas_cost in TX_CONST_OPS.items():
+        entries[op] = (EVM._op_tx_const, (int(op), gas_cost, _TX_CONST_GETTERS[op]))
+    for n in range(1, 33):
+        entries[Op.PUSH0 + n] = (EVM._op_push, None)
+    for n in range(1, 17):
+        entries[Op.DUP1 + n - 1] = (EVM._op_dup, n)
+        entries[Op.SWAP1 + n - 1] = (EVM._op_swap, n)
+    for topic_count in range(5):
+        entries[Op.LOG0 + topic_count] = (EVM._op_log, topic_count)
+    return tuple(entries)
+
+
+OPCODE_ENTRIES = _opcode_entries()
 
 
 def execute_transaction(

@@ -179,15 +179,3 @@ def is_push(opcode: int) -> bool:
 def push_width(opcode: int) -> int:
     """Number of immediate bytes following a PUSH opcode."""
     return opcode - 0x5F
-
-
-def is_dup(opcode: int) -> bool:
-    return Op.DUP1 <= opcode <= Op.DUP16
-
-
-def is_swap(opcode: int) -> bool:
-    return Op.SWAP1 <= opcode <= Op.SWAP16
-
-
-def is_log(opcode: int) -> bool:
-    return Op.LOG0 <= opcode <= Op.LOG4

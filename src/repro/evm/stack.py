@@ -31,6 +31,8 @@ class Stack:
 
     def pop_n(self, n: int) -> tuple[int, ...]:
         """Pop ``n`` items; result[0] is the value that was on top."""
+        if n == 0:  # LOG0's topics; `del items[-0:]` would clear the stack
+            return ()
         if len(self._items) < n:
             raise StackUnderflow(f"need {n} stack items, have {len(self._items)}")
         popped = tuple(self._items[-1 : -n - 1 : -1])

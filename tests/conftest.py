@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.contracts import (
     AMM,
@@ -22,6 +23,10 @@ from repro.primitives import address_to_word, make_address
 from repro.state.world import WorldState
 
 ETHER = 10**18
+
+# Tier-1 keeps Hypothesis's default example budget; CI re-runs the decoder
+# property tests and the opcode corpus with `--hypothesis-profile=ci`.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture()

@@ -138,3 +138,11 @@ class TestDisassemble:
         rows = disassemble(assemble("PUSH2 0x1234 STOP"))
         assert rows[0][0] == 0
         assert rows[1][0] == 3
+
+    def test_truncated_trailing_push_is_zero_padded_on_the_right(self):
+        # Bytes past the end of the code read as zero (yellow paper, geth):
+        # `PUSH2 AB` pushes 0xAB00, not 0xAB.
+        assert disassemble(bytes.fromhex("61ab")) == [(0, "PUSH2", 0xAB00)]
+        assert disassemble(bytes.fromhex("0160")) == [
+            (0, "ADD", None), (1, "PUSH1", 0),
+        ]

@@ -39,6 +39,15 @@ class TestStack:
     def test_pop_n_zero(self):
         assert Stack().pop_n(0) == ()
 
+    def test_pop_n_zero_leaves_the_stack_alone(self):
+        # `del items[-0:]` is `del items[0:]`: LOG0 (no topics) used to wipe
+        # every item below its own two operands.
+        s = Stack()
+        for v in (1, 2, 3):
+            s.push(v)
+        assert s.pop_n(0) == ()
+        assert s.as_list() == [1, 2, 3]
+
     def test_peek(self):
         s = Stack()
         s.push(10)
