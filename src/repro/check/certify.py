@@ -117,6 +117,11 @@ def certify_block(
     proposer/validator replays, which cost one extra proposer execution of
     the block.
     """
+    if check_roots:
+        # Root the genesis once (as sweep.root_genesis does; that module
+        # imports this one): every fresh_world() below is then a clone that
+        # re-hashes only its own delta, not the whole state.
+        chain.world.state_root()
     serial = SerialExecutor().execute_block(
         chain.fresh_world(), block.txs, block.env
     )

@@ -61,6 +61,7 @@ from .sweep import (
     apply_serially,
     crashing_at,
     failing_as,
+    root_genesis,
     run_sweep,
     world_state,
 )
@@ -135,6 +136,7 @@ def crash_sweep_block(
             len(block.txs), checkpoint=checkpoint_interval == 1
         ),
     )
+    root_genesis(chain, check_roots)
     pre = world_state(chain.fresh_world(), check_roots)
 
     def prepare(name: str):
@@ -240,6 +242,7 @@ def pipelined_crash_sweep_block(
         tx_count=len(block),
         sites=enumerate_crash_sites(len(block_n.txs), checkpoint=False),
     )
+    root_genesis(chain, check_roots)
     pre = world_state(chain.fresh_world(), check_roots)
     # Serial reference of the fully resumed chain: N then N+1.
     final_fp, final_root = world_state(
@@ -388,6 +391,7 @@ def reorg_roundtrip_block(
     report = ReorgRoundTripReport(
         block_number=block.number, tx_count=len(block), depth=2
     )
+    root_genesis(chain, check_roots)
     # Serial references: the ancestor state (the rollback target) and the
     # ancestor+fork state (the post-reorg tip).
     ref = apply_serially(chain.fresh_world(), ancestor)

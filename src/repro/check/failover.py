@@ -63,6 +63,7 @@ from .sweep import (
     apply_serially,
     crashing_at,
     failing_as,
+    root_genesis,
     run_sweep,
     world_state,
 )
@@ -193,6 +194,7 @@ def failover_sweep(
     warmups, crash_block = fixture.blocks[:-1], fixture.blocks[-1]
     crash_hashes = _synthetic_hashes(crash_block)
 
+    root_genesis(fixture.fuzzer.chain, check_roots)
     states = _serial_states(
         fixture.fuzzer.chain.fresh_world(), fixture.blocks, check_roots
     )

@@ -141,6 +141,20 @@ def apply_serially(world, *blocks):
     return world
 
 
+def root_genesis(chain, check_roots: bool) -> None:
+    """Take the genesis root once, before a sweep's first ``fresh_world()``.
+
+    Every world a sweep builds — the serial reference, each candidate, each
+    ``recover(medium, chain.fresh_world)`` — is a clone of the genesis, and a
+    clone of a rooted world shares its tries and re-hashes only its own
+    delta.  Not done inside ``Chain.fresh_world()``: the replays clone the
+    genesis per block and never root it.  The root reads through ``peek``,
+    so the simulated clock (and every sweep's output) does not notice.
+    """
+    if check_roots:
+        chain.world.state_root()
+
+
 def world_state(world, check_roots: bool) -> tuple[bytes, bytes | None]:
     """A world's fingerprint and, when roots are checked, its MPT root."""
     return world.fingerprint(), world.state_root() if check_roots else None

@@ -22,7 +22,7 @@ from ..bench.suite import (
 from ..concurrency import SerialExecutor
 from ..concurrency.registry import make_executor
 from ..obs import BlockObserver, render_block_report, structural_bound_lines
-from .options import add_durability, add_executor
+from .options import add_durability, add_executor, positive_int
 
 EXPERIMENTS = {
     "table1": exp.run_table1,
@@ -42,7 +42,7 @@ EXPERIMENTS = {
 def _add_block_arguments(parser, *, txs: int, accounts: int, threads: int = 16):
     """``--txs/--threads/--accounts/--block``: one standard-workload block."""
     parser.add_argument("--txs", type=int, default=txs)
-    parser.add_argument("--threads", type=int, default=threads)
+    parser.add_argument("--threads", type=positive_int, default=threads)
     parser.add_argument("--accounts", type=int, default=accounts)
     parser.add_argument("--block", type=int, default=14_000_000)
 
@@ -247,7 +247,7 @@ def _add_replay(sub) -> None:
     replay.add_argument("--block", type=int, default=14_000_000)
     replay.add_argument("--count", type=int, default=3)
     replay.add_argument("--txs", type=int, default=60)
-    replay.add_argument("--threads", type=int, default=16)
+    replay.add_argument("--threads", type=positive_int, default=16)
     replay.add_argument("--accounts", type=int, default=120)
     add_durability(
         replay,

@@ -43,6 +43,7 @@ from ..obs import (
 )
 from ..resilience import SCENARIOS, default_suite
 from ..workloads import Block
+from .options import positive_int
 
 
 @dataclass(slots=True)
@@ -133,7 +134,7 @@ def _add_matrix_arguments(
     parser.add_argument("--seed", type=int, default=0, help="first seed")
     parser.add_argument(count, type=int, default=seeds, help="seeds to run")
     parser.add_argument("--txs", type=int, default=txs, help="txs per block")
-    parser.add_argument("--threads", type=int, default=threads)
+    parser.add_argument("--threads", type=positive_int, default=threads)
 
 
 def _add_repro_arguments(parser, shrink: bool = True) -> None:

@@ -7,6 +7,17 @@ import argparse
 from ..concurrency.registry import EXECUTOR_NAMES
 
 
+def positive_int(text: str) -> int:
+    """argparse type of ``--threads``: an integer of at least 1.
+
+    A non-integer raises ``ValueError``, which argparse reports itself.
+    """
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def add_executor(parser: argparse.ArgumentParser) -> None:
     """``--executor``: any config of the registry, ParallelEVM by default."""
     parser.add_argument(

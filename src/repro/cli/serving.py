@@ -12,7 +12,7 @@ import sys
 
 from ..obs import SloConfig, format_window_line
 from ..resilience import scenario_of_kind
-from .options import add_durability, add_executor
+from .options import add_durability, add_executor, positive_int
 
 
 def _add_report_arguments(parser) -> None:
@@ -81,7 +81,7 @@ def _add_soak(sub) -> None:
         help="blocks per telemetry window (one JSONL line each)",
     )
     add_executor(soak)
-    soak.add_argument("--threads", type=int, default=8)
+    soak.add_argument("--threads", type=positive_int, default=8)
     soak.add_argument(
         "--accounts", type=int, default=20_000, help="account universe size"
     )
@@ -224,7 +224,7 @@ def _add_serve(sub) -> None:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8545)
     add_executor(serve)
-    serve.add_argument("--threads", type=int, default=4)
+    serve.add_argument("--threads", type=positive_int, default=4)
     serve.add_argument("--accounts", type=int, default=192)
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument(
@@ -335,7 +335,7 @@ def _add_loadgen(sub) -> None:
     loadgen.add_argument("--blocks", type=int, default=40)
     loadgen.add_argument("--txs", type=int, default=16, help="txs per block")
     add_executor(loadgen)
-    loadgen.add_argument("--threads", type=int, default=4)
+    loadgen.add_argument("--threads", type=positive_int, default=4)
     loadgen.add_argument("--accounts", type=int, default=192)
     loadgen.add_argument("--seed", type=int, default=1)
     loadgen.add_argument("--clients", type=int, default=8)

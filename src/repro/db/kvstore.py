@@ -4,6 +4,10 @@
 miss the block cache are charged a disk latency on the *simulated* clock (no
 real I/O happens).  The store never sleeps — it just reports how long each
 read would have taken, and the discrete-event machine accounts for it.
+
+It is also where the incremental state root learns what changed: once
+``WorldState.state_root`` has installed a ``dirty`` set, ``write`` — the one
+funnel every writer of committed state goes through — adds each key to it.
 """
 
 from __future__ import annotations
@@ -89,6 +93,10 @@ class SimulatedDiskKV:
         # path that matters for calibration: with no injector installed the
         # read path below is byte-identical to the unfaulted build.
         self.faults = None
+        # Keys written since the owning WorldState last took a state root.
+        # None until a root is first taken, so a store nobody roots pays one
+        # test per write and keeps no set.  Only ``state_root`` drains it.
+        self.dirty: set[Hashable] | None = None
 
     def read(self, key: Hashable, default=None) -> ReadSample:
         """Read ``key``, reporting the simulated latency of this access.
@@ -123,9 +131,13 @@ class SimulatedDiskKV:
 
         LevelDB writes land in the memtable and are flushed asynchronously,
         so the paper's cost profile attributes block-processing latency to
-        reads; we mirror that by charging writes nothing.
+        reads; we mirror that by charging writes nothing.  Every writer of
+        committed state funnels through here, which is what lets the world
+        state re-hash only :attr:`dirty` keys at its next root.
         """
         self._data[key] = value
+        if self.dirty is not None:
+            self.dirty.add(key)
         if key in self.cache:
             self.cache.put(key, value)
 

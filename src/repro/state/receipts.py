@@ -30,34 +30,49 @@ BLOOM_BITS = 2048
 BLOOM_BYTES = BLOOM_BITS // 8
 
 
+def _bloom_mask(element: bytes) -> int:
+    """The three yellow-paper bloom bits of ``element``, as one mask."""
+    digest = keccak256(element)
+    mask = 0
+    for i in (0, 2, 4):
+        mask |= 1 << (int.from_bytes(digest[i : i + 2], "big") % BLOOM_BITS)
+    return mask
+
+
 def bloom_add(bloom: int, element: bytes) -> int:
     """Set the three yellow-paper bloom bits for ``element``."""
-    digest = keccak256(element)
-    for i in (0, 2, 4):
-        bit = int.from_bytes(digest[i : i + 2], "big") % BLOOM_BITS
-        bloom |= 1 << bit
-    return bloom
+    return bloom | _bloom_mask(element)
 
 
 def bloom_contains(bloom: int, element: bytes) -> bool:
     """Probabilistic membership: False is definite, True may be a false
     positive (the usual bloom contract)."""
-    digest = keccak256(element)
-    for i in (0, 2, 4):
-        bit = int.from_bytes(digest[i : i + 2], "big") % BLOOM_BITS
-        if not bloom & (1 << bit):
-            return False
-    return True
+    mask = _bloom_mask(element)
+    return bloom & mask == mask
+
+
+def _logs_bloom(logs: "list[LogRecord]", masks: dict[bytes, int]) -> int:
+    """:func:`logs_bloom`, hashing only elements ``masks`` has not seen.
+
+    A block's logs repeat a handful of elements (the token address, the
+    ``Transfer`` topic), so one dict per block — created by the caller and
+    dropped with it, never kept between blocks — hashes each once.
+    """
+    bloom = 0
+    for log in logs:
+        elements = [log.address]
+        elements += [topic.to_bytes(32, "big") for topic in log.topics]
+        for element in elements:
+            mask = masks.get(element)
+            if mask is None:
+                mask = masks[element] = _bloom_mask(element)
+            bloom |= mask
+    return bloom
 
 
 def logs_bloom(logs: "list[LogRecord]") -> int:
     """The bloom over the addresses and topics of ``logs``."""
-    bloom = 0
-    for log in logs:
-        bloom = bloom_add(bloom, log.address)
-        for topic in log.topics:
-            bloom = bloom_add(bloom, topic.to_bytes(32, "big"))
-    return bloom
+    return _logs_bloom(logs, {})
 
 
 @dataclass(slots=True)
@@ -92,13 +107,14 @@ def build_receipts(results: "list[TxResult]") -> list[Receipt]:
     ordered = sorted(results, key=lambda r: r.tx.tx_index)
     receipts = []
     cumulative = 0
+    masks: dict[bytes, int] = {}  # this block's bloom elements, hashed once
     for result in ordered:
         cumulative += result.gas_used
         receipts.append(
             Receipt(
                 status=1 if result.success else 0,
                 cumulative_gas=cumulative,
-                bloom=logs_bloom(result.logs),
+                bloom=_logs_bloom(result.logs, masks),
                 logs=list(result.logs),
             )
         )
@@ -116,6 +132,7 @@ def receipts_root(results: "list[TxResult]") -> bytes:
 def block_bloom(results: "list[TxResult]") -> int:
     """The header-level bloom: the OR of every receipt's bloom."""
     bloom = 0
+    masks: dict[bytes, int] = {}
     for result in results:
-        bloom |= logs_bloom(result.logs)
+        bloom |= _logs_bloom(result.logs, masks)
     return bloom

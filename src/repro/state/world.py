@@ -5,12 +5,23 @@ free, matching the read-dominated cost profile the paper measures.  The
 state root is computed with the same construction as Ethereum: a secure MPT
 of RLP-encoded accounts, each holding the root of its own storage trie
 (paper §6.2 uses root equality as the correctness criterion).
+
+The root is incremental.  A world keeps the account trie, one storage trie
+per contract and each contract's code hash *as of its last* ``state_root()``
+call; the database records every key written since in ``db.dirty`` (the
+store owns the set because every writer — ``apply``, the ``set_*`` helpers,
+the commit pipeline's mid-apply crash path, snapshot restore, reorg undo, a
+test poking ``world.db`` — already goes through ``SimulatedDiskKV.write``;
+this module is the only reader, and only ``state_root`` drains it).  The
+tries are persistent (:mod:`repro.trie.mpt`), so a root re-hashes just the
+paths those keys sit on and ``clone()`` shares structure instead of copying
+it.  The from-scratch construction lives on only as the test oracle
+``tests/unit/state_root_reference.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
 from typing import Iterable, Mapping
 
 from .. import rlp
@@ -18,9 +29,7 @@ from ..crypto import keccak256_cached
 from ..db import SimulatedDiskKV
 from ..trie import EMPTY_ROOT, MerklePatriciaTrie
 from .keys import (
-    BALANCE_TAG,
     CODE_TAG,
-    NONCE_TAG,
     STORAGE_TAG,
     StateKey,
     balance_key,
@@ -44,6 +53,12 @@ class WorldState:
 
     def __init__(self, db: SimulatedDiskKV | None = None) -> None:
         self.db = db if db is not None else SimulatedDiskKV()
+        # The account trie, one storage trie per contract and each contract's
+        # code hash, as of the last state_root() call (empty until the
+        # first); see state_root().
+        self._accounts = MerklePatriciaTrie()
+        self._storage: dict[bytes, MerklePatriciaTrie] = {}
+        self._code_hashes: dict[bytes, bytes] = {}
 
     # ------------------------------------------------------------- reading
 
@@ -115,55 +130,82 @@ class WorldState:
         keyed by ``keccak(slot)``.  Zero-valued entries are omitted, so two
         states agree on their root iff they agree on all non-default values —
         the same criterion the paper's §6.2 validation relies on.
+
+        Incremental: the tries held by this world describe the state *as of
+        the previous call*, and ``db.dirty`` names every key written since
+        (written, not necessarily changed: a key put back to its old value
+        costs a lookup and no hashing).  This call drains that set — re-puts
+        or deletes just those slots, re-hashes just the rewritten codes,
+        rebuilds just the touched accounts' leaves, drops a storage trie
+        that became empty and an account that became all-default — and the
+        persistent tries re-hash only the copied paths.  The first call on a
+        world treats every stored key as dirty.  Values are read with
+        ``peek``: taking a root must not warm the block cache, count as a
+        read or trip the fault injector, or the simulated clock would see
+        it.  Keys are visited in sorted order so that the work done, not
+        just the root, is the same in every process.
         """
-        balances: dict[bytes, int] = {}
-        nonces: dict[bytes, int] = {}
-        codes: dict[bytes, bytes] = {}
-        storages: dict[bytes, dict[int, int]] = defaultdict(dict)
+        db = self.db
+        dirty = db.dirty
+        if dirty is None:
+            dirty = [key for key, _ in db.items()]
+        db.dirty = set()
+        peek = self.peek
 
-        for key, value in self.db.items():
-            tag = key[0]
-            address = key[1]
-            if tag == BALANCE_TAG and value:
-                balances[address] = value
-            elif tag == NONCE_TAG and value:
-                nonces[address] = value
-            elif tag == CODE_TAG and value:
-                codes[address] = value
-            elif tag == STORAGE_TAG and value:
-                storages[address][key[2]] = value
+        # Fold each written key into what this world remembers per contract.
+        storage = self._storage
+        code_hashes = self._code_hashes
+        touched: dict[bytes, None] = {}  # addresses, in first-seen order
+        for key in sorted(dirty):
+            tag, address = key[0], key[1]
+            touched[address] = None
+            if tag == STORAGE_TAG:
+                value = peek(key)
+                trie = storage.get(address)
+                if trie is None:
+                    if not value:
+                        continue
+                    trie = storage[address] = MerklePatriciaTrie()
+                trie.put(
+                    keccak256_cached(key[2].to_bytes(32, "big")),
+                    rlp.encode_uint(value) if value else b"",
+                )
+            elif tag == CODE_TAG:
+                code = peek(key)
+                if code:
+                    code_hashes[address] = keccak256_cached(code)
+                else:
+                    code_hashes.pop(address, None)
 
-        addresses = (
-            set(balances) | set(nonces) | set(codes) | set(storages)
-        )
-
-        account_trie = MerklePatriciaTrie()
-        for address in addresses:
-            storage_root = self._storage_root(storages.get(address, {}))
-            code = codes.get(address, b"")
-            code_hash = keccak256_cached(code) if code else EMPTY_CODE_HASH
-            account = rlp.encode(
-                [
-                    rlp.uint_to_bytes(nonces.get(address, 0)),
-                    rlp.uint_to_bytes(balances.get(address, 0)),
-                    storage_root,
-                    code_hash,
-                ]
-            )
-            account_trie.put(keccak256_cached(address), account)
-        return account_trie.root_hash()
-
-    @staticmethod
-    def _storage_root(slots: Mapping[int, int]) -> bytes:
-        if not slots:
-            return EMPTY_ROOT
-        trie = MerklePatriciaTrie()
-        for slot, value in slots.items():
-            trie.put(
-                keccak256_cached(slot.to_bytes(32, "big")),
-                rlp.encode_uint(value),
-            )
-        return trie.root_hash()
+        # Rebuild the leaf of every account one of those keys belongs to.
+        accounts = self._accounts
+        for address in touched:
+            storage_root = EMPTY_ROOT
+            if address in storage:
+                storage_root = storage[address].root_hash()
+                if storage_root == EMPTY_ROOT:
+                    del storage[address]
+            code_hash = code_hashes.get(address, EMPTY_CODE_HASH)
+            nonce = peek(nonce_key(address))
+            balance = peek(balance_key(address))
+            if (
+                nonce
+                or balance
+                or storage_root != EMPTY_ROOT
+                or code_hash != EMPTY_CODE_HASH
+            ):
+                account = rlp.encode(
+                    [
+                        rlp.uint_to_bytes(nonce),
+                        rlp.uint_to_bytes(balance),
+                        storage_root,
+                        code_hash,
+                    ]
+                )
+            else:
+                account = b""  # all-default: the account leaves the trie
+            accounts.put(keccak256_cached(address), account)
+        return accounts.root_hash()
 
     def fingerprint(self) -> bytes:
         """A fast digest of all non-default state (for bulk equality checks).
@@ -186,7 +228,13 @@ class WorldState:
         return dict(self.db.items())
 
     def clone(self) -> "WorldState":
-        """An independent copy with a fresh (cold) database and cache."""
+        """An independent copy with a fresh (cold) database and cache.
+
+        The copy also inherits what this world knows about its last root:
+        O(1) handles on the same persistent tries plus a copy of the pending
+        dirty set, so a clone of a rooted world re-hashes only its own delta.
+        Trie nodes are immutable, so neither side can see the other's writes.
+        """
         other = WorldState(
             SimulatedDiskKV(
                 disk_latency_us=self.db.disk_latency_us,
@@ -198,4 +246,11 @@ class WorldState:
             other.db.write(key, value)
         other.db.cache.clear()
         other.db.reset_stats()
+        other._accounts = self._accounts.copy()
+        other._storage = {
+            address: trie.copy() for address, trie in self._storage.items()
+        }
+        other._code_hashes = dict(self._code_hashes)
+        if self.db.dirty is not None:
+            other.db.dirty = set(self.db.dirty)
         return other

@@ -163,6 +163,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["soak", "--executor", "nonsense"])
 
+    @pytest.mark.parametrize(
+        "command",
+        ["compare", "run", "replay", "fuzz", "certify", "chaos", "crashfuzz",
+         "replicate", "soak", "serve", "loadgen"],
+    )
+    @pytest.mark.parametrize("threads", ["0", "-1", "x"])
+    def test_threads_must_be_a_positive_integer(self, command, threads, capsys):
+        """A usage error (exit 2, one line), not SimMachine's SimulationError."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, f"--threads={threads}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"repro {command}: error: argument --threads:" in err.splitlines()[-1]
+
+    def test_threads_accepts_positive_integers(self):
+        assert build_parser().parse_args(["run", "--threads", "1"]).threads == 1
+
 
 class TestCommands:
     def test_compare_small(self, capsys):

@@ -129,6 +129,18 @@ class TestSimulatedDiskKV:
         kv.write("k", 2)
         assert kv.read("k").value == 2
 
+    def test_writes_are_recorded_once_a_dirty_set_is_installed(self):
+        kv = SimulatedDiskKV()
+        kv.write("before", 1)
+        assert kv.dirty is None  # nobody asked: no set, no bookkeeping
+        kv.dirty = set()
+        kv.write("k", 1)
+        kv.write("k", 1)  # same value: still a write
+        kv.read("other")
+        kv.peek("third")
+        kv.warm(["before"])
+        assert kv.dirty == {"k"}
+
     def test_warm_makes_reads_cache_hits(self):
         kv = SimulatedDiskKV(disk_latency_us=20.0, cache_latency_us=0.5)
         kv.write("a", 1)

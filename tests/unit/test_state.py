@@ -104,6 +104,63 @@ class TestWorldState:
         w2.set_storage(B, 1, 0)
         assert w1.state_root() == w2.state_root()
 
+    def test_an_unrooted_world_tracks_no_writes(self):
+        world = WorldState()
+        world.set_balance(A, 5)
+        assert world.db.dirty is None  # nothing to pay until a root is taken
+        world.state_root()
+        assert world.db.dirty == set()
+        world.set_storage(B, 1, 2)
+        assert world.db.dirty == {storage_key(B, 1)}
+
+    def test_state_root_leaves_cache_and_counters_alone(self):
+        world = WorldState()
+        world.set_balance(A, 5)
+        world.set_storage(B, 1, 2)
+        world.db.cache.clear()
+        world.db.reset_stats()
+        world.state_root()
+        world.set_storage(B, 1, 3)
+        world.state_root()
+        assert (world.db.disk_reads, world.db.cache_reads) == (0, 0)
+        assert len(world.db.cache) == 0
+
+    def test_state_root_drops_what_became_empty_and_brings_it_back(self):
+        world = WorldState()
+        world.set_storage(B, 1, 2)
+        world.set_code(B, b"\x00")
+        populated = world.state_root()
+        assert set(world._storage) == {B} and set(world._code_hashes) == {B}
+
+        world.set_storage(B, 1, 0)  # the last slot: the storage trie goes
+        world.set_code(B, b"")  # ... and with the code, the account
+        assert world.state_root() == EMPTY_ROOT
+        assert world._storage == {} and world._code_hashes == {}
+
+        world.set_code(B, b"\x00")
+        world.set_storage(B, 1, 2)
+        assert world.state_root() == populated
+
+    def test_clone_of_a_rooted_world_shares_tries_not_writes(self):
+        world = WorldState()
+        world.set_storage(B, 1, 2)
+        world.set_balance(A, 5)
+        root = world.state_root()
+        world.set_balance(A, 6)  # pending in the source when the clone is cut
+        clone = world.clone()
+        assert clone._accounts._root is world._accounts._root
+        assert clone.db.dirty == world.db.dirty == {balance_key(A)}
+        assert clone.db.dirty is not world.db.dirty
+
+        clone.set_storage(B, 1, 3)
+        clone_root = clone.state_root()
+        world.set_balance(A, 5)
+        assert world.state_root() == root  # unmoved by the clone's write
+        assert clone_root != root
+        clone.set_storage(B, 1, 2)
+        clone.set_balance(A, 5)
+        assert clone.state_root() == root
+
     def test_fingerprint_tracks_content(self):
         w1 = WorldState()
         w1.set_balance(A, 5)

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import crypto
+from repro.crypto import keccak256
 from repro.errors import TrieError
-from repro.trie import EMPTY_ROOT, MerklePatriciaTrie
+from repro.trie import EMPTY_ROOT, MerklePatriciaTrie, get_proof
 from repro.trie.mpt import trie_root
+
+from .trie_reference import reference_root
 from repro.trie.nibbles import (
     bytes_to_nibbles,
     common_prefix_length,
@@ -71,6 +77,215 @@ class TestTrieVectors:
         trie = MerklePatriciaTrie()
         trie.put(b"k", b"v")
         assert trie.root_hash() != EMPTY_ROOT
+
+
+# ethereum/tests TrieTests: trieanyorder.json (a final key/value set, any
+# insertion order) and trietest.json (an ordered list of writes, "" deletes).
+ANY_ORDER_VECTORS = {
+    "singleItem": (
+        {b"A": b"a" * 50},
+        "d23786fb4a010da3ce639d66d5e904a11dbc02746d1ce25029e53290cabf28ab",
+    ),
+    "dogs": (  # extension split
+        {b"doe": b"reindeer", b"dog": b"puppy", b"dogglesworth": b"cat"},
+        "8aad789dff2f538bca5d8ea56e8abe10f4c7ba3a5dea95fea4cd6e7c3a1168d3",
+    ),
+    "puppy": (  # branch with a value
+        {b"do": b"verb", b"horse": b"stallion", b"doge": b"coin", b"dog": b"puppy"},
+        "5991bb8c6514148a29db676a14ac506cd2cd5775ace63c30a4fe457715e9ac84",
+    ),
+    "foo": (
+        {b"foo": b"bar", b"food": b"bass"},
+        "17beaa1648bafa633cda809c90c04af50fc8aed3cb40d16efbddee6fdf63c4c3",
+    ),
+    "smallValues": (  # inline (< 32-byte) nodes
+        {b"be": b"e", b"dog": b"puppy", b"bed": b"d"},
+        "3f67c7a47520f79faa29255d2d3c084a7a6df0453116ed7232ff10277a8be68b",
+    ),
+    "testy": (
+        {b"test": b"test", b"te": b"testy"},
+        "8452568af70d8d140f58d941338542f645fcca50094b20f3c3d8c3df49337928",
+    ),
+    "hex": (
+        {
+            bytes.fromhex("0045"): bytes.fromhex("0123456789"),
+            bytes.fromhex("4500"): bytes.fromhex("9876543210"),
+        },
+        "285505fcabe84badc8aa310e2aae17eddc7d120aabec8a476902c8184b3a3503",
+    ),
+}
+
+# trietest.json "emptyValues": the two deletes collapse a branch and merge an
+# extension, landing on the "puppy" root.
+EMPTY_VALUES_WRITES = [
+    (b"do", b"verb"),
+    (b"ether", b"wookiedoo"),
+    (b"horse", b"stallion"),
+    (b"shaman", b"horse"),
+    (b"doge", b"coin"),
+    (b"ether", b""),
+    (b"dog", b"puppy"),
+    (b"shaman", b""),
+]
+EMPTY_VALUES_ROOT = ANY_ORDER_VECTORS["puppy"][1]
+
+
+class TestExternalVectors:
+    @pytest.mark.parametrize("name", ANY_ORDER_VECTORS)
+    def test_trie_in_every_insertion_order(self, name):
+        pairs, root = ANY_ORDER_VECTORS[name]
+        for order in permutations(pairs):
+            trie = MerklePatriciaTrie()
+            for key in order:
+                trie.put(key, pairs[key])
+            assert trie.root_hash().hex() == root, order
+
+    @pytest.mark.parametrize("name", ANY_ORDER_VECTORS)
+    def test_reference(self, name):
+        pairs, root = ANY_ORDER_VECTORS[name]
+        assert reference_root(pairs).hex() == root
+
+    def test_empty_values_trie(self):
+        trie = MerklePatriciaTrie()
+        for key, value in EMPTY_VALUES_WRITES:
+            trie.put(key, value)
+            trie.root_hash()  # fill the memos a later delete must not reuse
+        assert trie.root_hash().hex() == EMPTY_VALUES_ROOT
+
+    def test_empty_values_reference(self):
+        final: dict[bytes, bytes] = {}
+        for key, value in EMPTY_VALUES_WRITES:
+            if value:
+                final[key] = value
+            else:
+                del final[key]
+        assert reference_root(final).hex() == EMPTY_VALUES_ROOT
+
+    def test_reference_empty_root(self):
+        assert reference_root({}) == EMPTY_ROOT
+
+
+@pytest.fixture()
+def keccak_calls(monkeypatch):
+    """Inputs reaching ``repro.crypto.keccak256`` — the module global that
+    ``keccak256_cached`` calls on a miss and the wall benchmark rebinds."""
+    seen: list[bytes] = []
+
+    def spy(data):
+        seen.append(data)
+        return keccak256(data)
+
+    monkeypatch.setattr(crypto, "keccak256", spy)
+    return seen
+
+
+class TestPersistence:
+    """Writes path-copy; nodes remember their encoding; copies share nodes."""
+
+    @staticmethod
+    def big_trie(count: int = 1000) -> tuple[MerklePatriciaTrie, list[bytes]]:
+        keys = [keccak256(i.to_bytes(4, "big")) for i in range(count)]
+        trie = MerklePatriciaTrie()
+        for key in keys:
+            trie.put(key, b"value-of-" + key)
+        return trie, keys
+
+    def test_a_write_that_changes_nothing_keeps_the_root_node(self):
+        trie = MerklePatriciaTrie()
+        for key, value in EMPTY_VALUES_WRITES[:5]:
+            trie.put(key, value)
+        root = trie._root
+        trie.put(b"doge", b"coin")  # the value already stored
+        assert trie._root is root
+        trie.put(b"do", b"verb")  # ... on a branch's own value
+        assert trie._root is root
+        trie.delete(b"dog")  # absent: path ends inside a branch
+        trie.delete(b"zebra")  # absent: diverges at the root
+        trie.put(b"d", b"")  # empty value on an absent key
+        assert trie._root is root
+
+    def test_a_second_root_hashes_nothing(self, keccak_calls):
+        trie, keys = self.big_trie(200)
+        root = trie.root_hash()
+        assert keccak_calls
+        keccak_calls.clear()
+        assert trie.root_hash() == root
+        assert get_proof(trie, keys[0])
+        assert keccak_calls == []
+
+    def test_a_one_key_overwrite_rehashes_only_its_path(self, keccak_calls):
+        trie, keys = self.big_trie()
+        trie.root_hash()
+        keccak_calls.clear()
+        trie.put(keys[123], b"a value no node of this process ever held")
+        root = trie.root_hash()
+        depth = len(get_proof(trie, keys[123]))  # hashed nodes, root to leaf
+        assert 1 <= len(keccak_calls) <= depth <= 4  # of 1 000+ nodes
+        model = {key: b"value-of-" + key for key in keys}
+        model[keys[123]] = b"a value no node of this process ever held"
+        assert root == reference_root(model)
+
+    def test_untouched_subtrees_are_shared_not_copied(self):
+        trie, keys = self.big_trie(200)
+        before = trie._root
+        trie.put(keys[0], b"changed")
+        after = trie._root
+        assert after is not before
+        shared = [
+            i
+            for i in range(16)
+            if before.children[i] is not None
+            and after.children[i] is before.children[i]
+        ]
+        assert len(shared) == sum(c is not None for c in before.children) - 1
+
+    @pytest.mark.parametrize("pad", [b"", b"!" * 33], ids=["inline", "hashed"])
+    def test_every_single_write_from_every_rooted_state(self, pad):
+        """Exhaustive over a prefix-closed pool: each subset, memos filled,
+        then each possible put, overwrite and delete — every leaf / extension
+        / branch-with-value split, collapse and merge there is."""
+        pool = [b"", b"\x12", b"\x12\x34", b"\x12\x34\x56", b"\x12\x35", b"\x13"]
+        for mask in range(1 << len(pool)):
+            model = {
+                key: key + b"." + pad
+                for bit, key in enumerate(pool)
+                if mask >> bit & 1
+            }
+            base = MerklePatriciaTrie()
+            for key, value in model.items():
+                base.put(key, value)
+            root = base.root_hash()
+            assert root == reference_root(model)
+            for key in pool:
+                written, deleted = base.copy(), base.copy()
+                written.put(key, b"new" + pad)
+                assert written.root_hash() == reference_root(
+                    {**model, key: b"new" + pad}
+                )
+                deleted.delete(key)
+                assert deleted.root_hash() == reference_root(
+                    {k: v for k, v in model.items() if k != key}
+                )
+            assert base.root_hash() == root
+            assert dict(base.items()) == model
+
+    def test_copy_is_independent_in_both_directions(self):
+        trie, keys = self.big_trie(50)
+        root = trie.root_hash()
+        other = trie.copy()
+        assert other._root is trie._root  # O(1): no node was copied
+
+        other.put(keys[0], b"only in the copy")
+        other.delete(keys[1])
+        assert trie.root_hash() == root
+        assert trie.get(keys[0]) == b"value-of-" + keys[0]
+
+        trie.put(keys[2], b"only in the source")
+        assert other.get(keys[2]) == b"value-of-" + keys[2]
+        model = {key: b"value-of-" + key for key in keys}
+        del model[keys[1]]
+        model[keys[0]] = b"only in the copy"
+        assert other.root_hash() == reference_root(model)
 
 
 class TestTrieOperations:
