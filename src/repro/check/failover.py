@@ -54,7 +54,7 @@ from ..replication import (
     ReplicaConfig,
     ReplicatedChainService,
 )
-from ..workloads import Block, copy_block
+from ..workloads import Block, ChainView, copy_block
 from .certify import CertificationReport, Divergence
 from .fuzzer import BlockFuzzer, FuzzConfig
 from .sweep import (
@@ -101,17 +101,7 @@ class _Fixture:
     blocks: list[Block]
 
     def chainlike(self):
-        return _SweepChain(self.fuzzer.chain.fresh_world(), self.fuzzer.chain.env)
-
-
-class _SweepChain:
-    """The chain surface a cluster needs, over a per-run fresh world."""
-
-    __slots__ = ("world", "env")
-
-    def __init__(self, world, env) -> None:
-        self.world = world
-        self.env = env
+        return ChainView(self.fuzzer.chain.fresh_world(), self.fuzzer.chain.env)
 
 
 def _fixture(seed: int, blocks: int, txs_per_block: int) -> _Fixture:

@@ -142,15 +142,17 @@ def apply_serially(world, *blocks):
 
 
 def root_genesis(chain, check_roots: bool) -> None:
-    """Take the genesis root once, before a sweep's first ``fresh_world()``.
+    """Take the genesis digests once, before a sweep's first ``fresh_world()``.
 
     Every world a sweep builds — the serial reference, each candidate, each
     ``recover(medium, chain.fresh_world)`` — is a clone of the genesis, and a
-    clone of a rooted world shares its tries and re-hashes only its own
-    delta.  Not done inside ``Chain.fresh_world()``: the replays clone the
-    genesis per block and never root it.  The root reads through ``peek``,
-    so the simulated clock (and every sweep's output) does not notice.
+    clone inherits what its source remembers of its last fingerprint and its
+    last root, so it re-terms and re-hashes only its own delta.  Not done
+    inside ``Chain.fresh_world()``: the replays clone the genesis per block
+    and take neither digest.  Both read through ``peek``, so the simulated
+    clock (and every sweep's output) does not notice.
     """
+    chain.world.fingerprint()
     if check_roots:
         chain.world.state_root()
 

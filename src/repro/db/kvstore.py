@@ -5,9 +5,16 @@ miss the block cache are charged a disk latency on the *simulated* clock (no
 real I/O happens).  The store never sleeps — it just reports how long each
 read would have taken, and the discrete-event machine accounts for it.
 
-It is also where the incremental state root learns what changed: once
-``WorldState.state_root`` has installed a ``dirty`` set, ``write`` — the one
-funnel every writer of committed state goes through — adds each key to it.
+It is also where every incremental reader of committed state — the state
+root, the state fingerprint, the snapshot encoder — learns what changed.
+``write`` is the one funnel all writers go through, so the store owns one
+*write log*: ``written`` maps each key to the sequence number of its last
+write, newest last.  The store knows nothing about who reads it: a reader
+holds a *cursor* — the sequence number up to which it has caught up,
+``None`` for "never read" — and asks :meth:`SimulatedDiskKV.written_since`
+for the keys written after it.  Nothing registers, unregisters or drains,
+so any number of readers (and any number of worlds over one store) read the
+same log without taking keys from one another.
 """
 
 from __future__ import annotations
@@ -93,10 +100,13 @@ class SimulatedDiskKV:
         # path that matters for calibration: with no injector installed the
         # read path below is byte-identical to the unfaulted build.
         self.faults = None
-        # Keys written since the owning WorldState last took a state root.
-        # None until a root is first taken, so a store nobody roots pays one
-        # test per write and keeps no set.  Only ``state_root`` drains it.
-        self.dirty: set[Hashable] | None = None
+        # The write log: key -> sequence number of its last write, in write
+        # order (newest last).  None until a reader first calls
+        # ``written_since``, so a store nobody reads incrementally pays one
+        # test per write and keeps no bookkeeping.  ``sequence`` is the
+        # number of the newest logged write (0: none yet).
+        self.written: dict[Hashable, int] | None = None
+        self.sequence = 0
 
     def read(self, key: Hashable, default=None) -> ReadSample:
         """Read ``key``, reporting the simulated latency of this access.
@@ -132,14 +142,44 @@ class SimulatedDiskKV:
         LevelDB writes land in the memtable and are flushed asynchronously,
         so the paper's cost profile attributes block-processing latency to
         reads; we mirror that by charging writes nothing.  Every writer of
-        committed state funnels through here, which is what lets the world
-        state re-hash only :attr:`dirty` keys at its next root.
+        committed state funnels through here, which is what lets the readers
+        of :attr:`written` redo only the keys a block wrote.  A key written
+        again moves to the end of the log (``pop`` + insert), so the log is
+        always ordered by last write and holds each key once.
         """
         self._data[key] = value
-        if self.dirty is not None:
-            self.dirty.add(key)
+        written = self.written
+        if written is not None:
+            written.pop(key, None)
+            self.sequence = written[key] = self.sequence + 1
         if key in self.cache:
             self.cache.put(key, value)
+
+    def written_since(self, cursor: int | None) -> tuple[list[Hashable], int]:
+        """The keys written after ``cursor``, and the cursor to pass next time.
+
+        A cursor is a reader's private bookmark into the write log: the
+        sequence number of the newest write it has already seen.  ``None``
+        means the reader has never read this store; it is handed every
+        stored key (written or not: the log may have started after them),
+        and the first such call is what starts the log.  Otherwise the log
+        is walked backwards from its newest entry until ``cursor`` is met,
+        so the cost is the number of distinct keys written since, not the
+        size of the store.  Keys come newest first, each once; callers that
+        need a reproducible order sort them.  The store keeps nothing about
+        the caller, so readers cannot interfere with one another.
+        """
+        written = self.written
+        if written is None:
+            written = self.written = {}
+        if cursor is None:
+            return list(self._data), self.sequence
+        keys = []
+        for key, sequence in reversed(written.items()):
+            if sequence <= cursor:
+                break
+            keys.append(key)
+        return keys, self.sequence
 
     def peek(self, key: Hashable, default=None):
         """Read ``key`` with no side effects at all.
@@ -191,6 +231,26 @@ class SimulatedDiskKV:
 
     def items(self):
         return self._data.items()
+
+    def copy(self) -> "SimulatedDiskKV":
+        """An independent store with the same entries and the same write log.
+
+        The copy has the same latencies and cache capacity, a cold cache,
+        zeroed counters and no fault injector.  Copying the log (not sharing
+        it) is what lets a reader's cursor be copied along with the reader:
+        the cursor means the same thing in both stores, and from then on
+        each store logs only its own writes.
+        """
+        other = SimulatedDiskKV(
+            disk_latency_us=self.disk_latency_us,
+            cache_latency_us=self.cache_latency_us,
+            cache_capacity=self.cache.capacity,
+        )
+        other._data = dict(self._data)
+        if self.written is not None:
+            other.written = dict(self.written)
+            other.sequence = self.sequence
+        return other
 
     def reset_stats(self) -> None:
         self.disk_reads = 0

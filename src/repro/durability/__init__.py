@@ -21,7 +21,12 @@ Durability is **off by default** everywhere: executors take
 benchmark makespans are bit-identical to a build without this package.
 """
 
-from .checkpoint import encode_snapshot, decode_snapshot, latest_valid_snapshot
+from .checkpoint import (
+    SnapshotEncoder,
+    decode_snapshot,
+    encode_snapshot,
+    latest_valid_snapshot,
+)
 from .commit import DurableCommitPipeline, delta_digest
 from .crash import (
     CrashInjector,
@@ -61,6 +66,7 @@ __all__ = [
     "SealRecord",
     "SettleRecord",
     "SimulatedCrash",
+    "SnapshotEncoder",
     "TxWriteRecord",
     "UndoRecord",
     "WriteAheadJournal",

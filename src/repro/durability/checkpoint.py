@@ -10,6 +10,17 @@ After a snapshot of block N is durable, the journal records a CHECKPT
 marker and prunes every frame of blocks ``<= N``: the journal tail plus
 the newest valid snapshot are always sufficient to rebuild the tip, and
 undo history (hence reorg depth) extends exactly back to that snapshot.
+
+The payload is the RLP list ``[block number, fingerprint, [[key, value],
+...]]`` with the entries in sorted-key order.  :class:`SnapshotEncoder`
+produces it incrementally: it remembers each entry's encoded bytes for the
+store it last encoded plus a cursor into that store's write log
+(:mod:`repro.db.kvstore`), so a checkpoint re-encodes only the entries
+written since the previous one and re-frames the rest.  The cursor is the
+encoder's own — the world's state root and fingerprint hold theirs — and the
+store has no delete, so between two checkpoints entries only appear or
+change.  The one-pass nested-list encoder this replaced lives on as the test
+oracle ``tests/unit/snapshot_reference.py``; the blobs are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,16 +37,51 @@ SNAPSHOT_MAGIC = b"RSNP1\n"
 _HEADER = struct.Struct(">II")
 
 
+class SnapshotEncoder:
+    """Encodes successive snapshots of one store, re-encoding only what changed.
+
+    Holds, for the store it last encoded: every stored entry's RLP bytes
+    (``[encode_value(key), encode_value(value)]``), the keys in sorted
+    order, and its cursor into the store's write log.  Handed a world over
+    a different store it forgets all three and starts over.
+    """
+
+    def __init__(self) -> None:
+        self._store = None
+        self._cursor: int | None = None
+        self._entries: dict = {}
+        self._order: list = []
+
+    def encode(self, world: WorldState, block_number: int) -> bytes:
+        """Serialize the world's full committed state as one framed blob."""
+        store = world.db
+        if store is not self._store:
+            self._store, self._cursor = store, None
+            self._entries, self._order = {}, []
+        written, self._cursor = store.written_since(self._cursor)
+        entries = self._entries
+        order = self._order
+        for key in written:
+            if key not in entries:
+                order.append(key)
+            entries[key] = rlp.encode(
+                [encode_value(key), encode_value(store.peek(key))]
+            )
+        order.sort()  # one long sorted run plus the new keys: near-linear
+        items = b"".join(map(entries.__getitem__, order))
+        head = (
+            rlp.encode(rlp.uint_to_bytes(block_number))
+            + rlp.encode(world.fingerprint())
+            + rlp.list_header(len(items))
+        )
+        payload = rlp.list_header(len(head) + len(items)) + head + items
+        header = _HEADER.pack(len(payload), zlib.crc32(payload))
+        return SNAPSHOT_MAGIC + header + payload
+
+
 def encode_snapshot(world: WorldState, block_number: int) -> bytes:
-    """Serialize the world's full committed state as one framed blob."""
-    items = [
-        [encode_value(key), encode_value(value)]
-        for key, value in sorted(world.db.items())
-    ]
-    payload = rlp.encode(
-        [rlp.uint_to_bytes(block_number), world.fingerprint(), items]
-    )
-    return SNAPSHOT_MAGIC + _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    """One snapshot from a fresh encoder, for callers that take just one."""
+    return SnapshotEncoder().encode(world, block_number)
 
 
 def decode_snapshot(data: bytes) -> tuple[int, bytes, dict]:

@@ -31,7 +31,7 @@ import hashlib
 
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
-from .checkpoint import encode_snapshot
+from .checkpoint import SnapshotEncoder
 from .journal import (
     BeginRecord,
     CheckpointRecord,
@@ -119,6 +119,9 @@ class DurableCommitPipeline:
         self.metrics = metrics
         self.epoch = epoch
         self.journal = WriteAheadJournal(self.medium, crash=crash)
+        # Long-lived, so each checkpoint re-encodes only the entries written
+        # since the previous one.
+        self._snapshots = SnapshotEncoder()
         self.blocks_committed = 0
         self.commit_us_total = 0.0
         self.fsyncs = 0
@@ -264,7 +267,7 @@ class DurableCommitPipeline:
 
     def _checkpoint(self, world: WorldState, block_number: int) -> float:
         cost = self.cost_model
-        blob = encode_snapshot(world, block_number)
+        blob = self._snapshots.encode(world, block_number)
         crash = self.crash
         if crash is not None and crash.site == "mid-snapshot":
             # A torn snapshot: half the blob reaches the medium.  Recovery

@@ -23,7 +23,9 @@ from __future__ import annotations
 import os
 import re
 
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)\.bin$")
+# Exactly the names ``FileMedium._snapshot_path`` produces (no leading zeros),
+# so a matched number always maps back to the file it was read off.
+_SNAPSHOT_RE = re.compile(r"^snapshot-(0|[1-9]\d*)\.bin$")
 
 
 class MemoryMedium:
@@ -125,18 +127,24 @@ class FileMedium:
             fh.write(data)
         os.replace(tmp, path)
 
+    def _snapshot_numbers(self) -> list[int]:
+        """Block numbers of the snapshot files in the directory, ascending.
+
+        Read off the file names alone; temp files of an interrupted
+        ``write_snapshot``, the journal and foreign files do not match.
+        """
+        matches = map(_SNAPSHOT_RE.match, os.listdir(self.directory))
+        return sorted(int(match.group(1)) for match in matches if match)
+
     def read_snapshots(self) -> dict[int, bytes]:
         snapshots: dict[int, bytes] = {}
-        for name in os.listdir(self.directory):
-            match = _SNAPSHOT_RE.match(name)
-            if match is None:
-                continue
-            with open(os.path.join(self.directory, name), "rb") as fh:
-                snapshots[int(match.group(1))] = fh.read()
+        for block_number in self._snapshot_numbers():
+            with open(self._snapshot_path(block_number), "rb") as fh:
+                snapshots[block_number] = fh.read()
         return snapshots
 
     def prune_snapshots(self, keep: int) -> int:
-        numbers = sorted(self.read_snapshots())
+        numbers = self._snapshot_numbers()
         doomed = numbers[:-keep] if keep else numbers
         for block_number in doomed:
             os.remove(self._snapshot_path(block_number))

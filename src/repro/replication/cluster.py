@@ -45,6 +45,7 @@ from ..errors import JournalCorruptionError, ReplicationError
 from ..obs.lifecycle import FlightRecorder
 from ..service.chain_service import ChainService
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
+from ..workloads.block import ChainView
 from .failover import FailoverController, FailoverPolicy, FailoverReport
 from .replica import ReplicaConfig, ReplicaService
 from .ship import ShipFeed, ShippingMedium
@@ -59,16 +60,6 @@ class ClusterConfig:
     checkpoint_interval: int = 0
     replica: ReplicaConfig = field(default_factory=ReplicaConfig)
     policy: FailoverPolicy = field(default_factory=FailoverPolicy)
-
-
-class _ClusterChain:
-    """The minimal chain surface a promoted service needs (world + env)."""
-
-    __slots__ = ("world", "env")
-
-    def __init__(self, world, env) -> None:
-        self.world = world
-        self.env = env
 
 
 class ReplicationView:
@@ -304,7 +295,7 @@ class ReplicatedChainService:
         )
         old_service = self.service
         new_service = self._primary_service(
-            _ClusterChain(new_world, self.chain.env), epoch
+            ChainView(new_world, self.chain.env), epoch
         )
         new_service.height = (
             last_committed + 1

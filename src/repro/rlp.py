@@ -26,6 +26,16 @@ def encode(item: RLPItem) -> bytes:
     raise RLPError(f"cannot RLP-encode {type(item).__name__}")
 
 
+def list_header(payload_length: int) -> bytes:
+    """The prefix of a list whose item encodings total ``payload_length`` bytes.
+
+    ``list_header(len(p)) + p``, with ``p`` the concatenation of the items'
+    encodings, is ``encode`` of the list: a caller that already holds its
+    items encoded can frame them without going through the nested form.
+    """
+    return _encode_length(payload_length, 0xC0)
+
+
 def encode_uint(value: int) -> bytes:
     """RLP-encode a non-negative integer using minimal big-endian bytes."""
     if value < 0:

@@ -6,17 +6,27 @@ state root is computed with the same construction as Ethereum: a secure MPT
 of RLP-encoded accounts, each holding the root of its own storage trie
 (paper §6.2 uses root equality as the correctness criterion).
 
-The root is incremental.  A world keeps the account trie, one storage trie
-per contract and each contract's code hash *as of its last* ``state_root()``
-call; the database records every key written since in ``db.dirty`` (the
-store owns the set because every writer — ``apply``, the ``set_*`` helpers,
-the commit pipeline's mid-apply crash path, snapshot restore, reorg undo, a
-test poking ``world.db`` — already goes through ``SimulatedDiskKV.write``;
-this module is the only reader, and only ``state_root`` drains it).  The
-tries are persistent (:mod:`repro.trie.mpt`), so a root re-hashes just the
-paths those keys sit on and ``clone()`` shares structure instead of copying
-it.  The from-scratch construction lives on only as the test oracle
-``tests/unit/state_root_reference.py``.
+Both digests of the state are incremental, and both learn what changed from
+the store's write log (:mod:`repro.db.kvstore`).  The store owns the log
+because every writer — ``apply``, the ``set_*`` helpers, the commit
+pipeline's mid-apply crash path, snapshot restore, reorg undo, a test poking
+``world.db`` — already goes through ``SimulatedDiskKV.write``; a world owns
+only *cursors* into it, one per digest: the log position up to which that
+digest has been brought up to date (``None``: never computed, so the first
+call scans every stored key).  A call asks ``db.written_since(cursor)`` and
+redoes just those keys; the two digests, the snapshot encoder
+(:mod:`repro.durability.checkpoint`) and any second world over the same
+store each advance their own cursor and never see fewer keys because another
+reader looked first.
+
+The root: a world keeps the account trie, one storage trie per contract and
+each contract's code hash *as of its last* ``state_root()`` call.  The tries
+are persistent (:mod:`repro.trie.mpt`), so a root re-hashes just the paths
+the written keys sit on and ``clone()`` shares structure instead of copying
+it.  The fingerprint: a world keeps a running sum and each key's current
+term (see :meth:`WorldState.fingerprint`).  The from-scratch constructions
+live on only as the test oracles ``tests/unit/state_root_reference.py`` and
+``tests/unit/fingerprint_reference.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .keys import (
 )
 
 EMPTY_CODE_HASH = keccak256_cached(b"")
+_FINGERPRINT_MASK = (1 << 128) - 1
 
 
 class WorldState:
@@ -59,6 +70,12 @@ class WorldState:
         self._accounts = MerklePatriciaTrie()
         self._storage: dict[bytes, MerklePatriciaTrie] = {}
         self._code_hashes: dict[bytes, bytes] = {}
+        self._root_cursor: int | None = None
+        # The fingerprint as of the last fingerprint() call: the sum of the
+        # terms, and the term of every key whose value is not its default.
+        self._fingerprint_sum = 0
+        self._fingerprint_terms: dict[StateKey, int] = {}
+        self._fingerprint_cursor: int | None = None
 
     # ------------------------------------------------------------- reading
 
@@ -132,31 +149,28 @@ class WorldState:
         the same criterion the paper's §6.2 validation relies on.
 
         Incremental: the tries held by this world describe the state *as of
-        the previous call*, and ``db.dirty`` names every key written since
-        (written, not necessarily changed: a key put back to its old value
-        costs a lookup and no hashing).  This call drains that set — re-puts
-        or deletes just those slots, re-hashes just the rewritten codes,
-        rebuilds just the touched accounts' leaves, drops a storage trie
-        that became empty and an account that became all-default — and the
-        persistent tries re-hash only the copied paths.  The first call on a
-        world treats every stored key as dirty.  Values are read with
-        ``peek``: taking a root must not warm the block cache, count as a
-        read or trip the fault injector, or the simulated clock would see
-        it.  Keys are visited in sorted order so that the work done, not
-        just the root, is the same in every process.
+        the previous call*, and the store's write log names every key
+        written since (written, not necessarily changed: a key put back to
+        its old value costs a lookup and no hashing).  This call takes the
+        keys past its cursor — re-puts or deletes just those slots,
+        re-hashes just the rewritten codes, rebuilds just the touched
+        accounts' leaves, drops a storage trie that became empty and an
+        account that became all-default — and the persistent tries re-hash
+        only the copied paths.  The first call on a world is handed every
+        stored key.  Values are read with ``peek``: taking a root must not
+        warm the block cache, count as a read or trip the fault injector,
+        or the simulated clock would see it.  Keys are visited in sorted
+        order so that the work done, not just the root, is the same in
+        every process.
         """
-        db = self.db
-        dirty = db.dirty
-        if dirty is None:
-            dirty = [key for key, _ in db.items()]
-        db.dirty = set()
+        written, self._root_cursor = self.db.written_since(self._root_cursor)
         peek = self.peek
 
         # Fold each written key into what this world remembers per contract.
         storage = self._storage
         code_hashes = self._code_hashes
         touched: dict[bytes, None] = {}  # addresses, in first-seen order
-        for key in sorted(dirty):
+        for key in sorted(written):
             tag, address = key[0], key[1]
             touched[address] = None
             if tag == STORAGE_TAG:
@@ -208,20 +222,59 @@ class WorldState:
         return accounts.root_hash()
 
     def fingerprint(self) -> bytes:
-        """A fast digest of all non-default state (for bulk equality checks).
+        """A fast 16-byte digest of all non-default state (bulk equality checks).
 
-        Benchmarks compare executor outputs across hundreds of blocks;
+        Benchmarks compare executor outputs across hundreds of blocks and
+        the commit pipeline stamps every BEGIN / SEAL / snapshot frame;
         recomputing full MPT roots there would dominate runtime without
-        strengthening the check, so they use this blake2b fingerprint while
-        the integration tests exercise true root equality.
+        strengthening the check, so they use this fingerprint while the
+        integration tests exercise true root equality.
+
+        It is a set-homomorphic hash (AdHash, Bellare–Micciancio 1997): the
+        sum mod 2**128 of one blake2b term per entry whose value is not its
+        key's default, so changing an entry is "subtract its old term, add
+        its new one" and the order of writes cannot matter.  Each term
+        hashes the *pair* — key and value in one input: hashing them apart
+        and adding would give two keys that swap values the same sum.  A
+        sum rather than an XOR, so a term counted twice by a bookkeeping
+        bug shows up instead of cancelling.  A value at its default
+        contributes nothing whether it is stored or absent, so two worlds
+        agree on their fingerprint iff they agree on all non-default
+        content (up to a 128-bit collision), whatever their histories.
+
+        Incremental: this world remembers the sum and each key's term as of
+        its previous call, and re-terms only the keys the store's write log
+        names past its cursor; the first call is handed every stored key.
+        Values are read with ``peek``, as ``state_root`` does and for the
+        same reason.
+
+        What it defends against is bugs and bit rot — a replay, recovery,
+        undo or replica that did not reproduce the state.  It is **not** a
+        consensus object and not collision-resistant against an adversary
+        who chooses entries (additive hashes over a 128-bit group fall to
+        generalised-birthday attacks); the MPT ``state_root`` is the
+        adversarial check and keeps guarding the root-check crash sites.
         """
-        hasher = hashlib.blake2b(digest_size=16)
-        for key, value in sorted(self.db.items()):
-            if value == default_value(key):
-                continue
-            hasher.update(repr(key).encode())
-            hasher.update(repr(value).encode())
-        return hasher.digest()
+        written, self._fingerprint_cursor = self.db.written_since(
+            self._fingerprint_cursor
+        )
+        terms = self._fingerprint_terms
+        total = self._fingerprint_sum
+        peek = self.db.peek
+        for key in written:
+            total -= terms.pop(key, 0)
+            default = default_value(key)
+            value = peek(key, default)
+            if value != default:
+                terms[key] = term = int.from_bytes(
+                    hashlib.blake2b(
+                        repr((key, value)).encode(), digest_size=16
+                    ).digest(),
+                    "big",
+                )
+                total += term
+        self._fingerprint_sum = total = total & _FINGERPRINT_MASK
+        return total.to_bytes(16, "big")
 
     def snapshot_items(self) -> dict[StateKey, object]:
         """A plain-dict copy of all stored entries (tests and cloning)."""
@@ -230,27 +283,23 @@ class WorldState:
     def clone(self) -> "WorldState":
         """An independent copy with a fresh (cold) database and cache.
 
-        The copy also inherits what this world knows about its last root:
-        O(1) handles on the same persistent tries plus a copy of the pending
-        dirty set, so a clone of a rooted world re-hashes only its own delta.
-        Trie nodes are immutable, so neither side can see the other's writes.
+        The copy also inherits what this world remembers about its last
+        root and its last fingerprint: O(1) handles on the same persistent
+        tries, copies of the code hashes and fingerprint terms, the sum,
+        both cursors and — through ``db.copy()`` — a copy of the write log
+        the cursors point into.  A clone of a rooted or fingerprinted world
+        therefore redoes only its own delta, and neither side can see the
+        other's writes: trie nodes are immutable and everything else is
+        copied.
         """
-        other = WorldState(
-            SimulatedDiskKV(
-                disk_latency_us=self.db.disk_latency_us,
-                cache_latency_us=self.db.cache_latency_us,
-                cache_capacity=self.db.cache.capacity,
-            )
-        )
-        for key, value in self.db.items():
-            other.db.write(key, value)
-        other.db.cache.clear()
-        other.db.reset_stats()
+        other = WorldState(self.db.copy())
         other._accounts = self._accounts.copy()
         other._storage = {
             address: trie.copy() for address, trie in self._storage.items()
         }
         other._code_hashes = dict(self._code_hashes)
-        if self.db.dirty is not None:
-            other.db.dirty = set(self.db.dirty)
+        other._root_cursor = self._root_cursor
+        other._fingerprint_sum = self._fingerprint_sum
+        other._fingerprint_terms = dict(self._fingerprint_terms)
+        other._fingerprint_cursor = self._fingerprint_cursor
         return other

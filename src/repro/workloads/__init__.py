@@ -8,7 +8,7 @@ them ERC20s — take ~25% of invocations), using real EVM bytecode for every
 transaction.  DESIGN.md documents the substitution.
 """
 
-from .block import Block, Chain, build_chain, ChainSpec, copy_block
+from .block import Block, Chain, ChainSpec, ChainView, build_chain, copy_block
 from .zipf import ZipfSampler
 from .erc20_workload import conflict_ratio_block, independent_transfers_block
 from .mainnet import MainnetConfig, MainnetWorkload
@@ -19,6 +19,7 @@ __all__ = [
     "BlockStream",
     "Chain",
     "ChainSpec",
+    "ChainView",
     "StreamSpec",
     "build_chain",
     "build_stream_chain",

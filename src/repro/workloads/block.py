@@ -107,6 +107,20 @@ class Chain:
         return self.world.clone()
 
 
+@dataclass(slots=True)
+class ChainView:
+    """Just the ``(world, env)`` of a chain: what a service needs to run on.
+
+    A :class:`~repro.service.chain_service.ChainService` built with
+    ``chain=`` reads nothing else, so a promoted replica's recovered world,
+    or one fixture's genesis cloned afresh for each sweep run, is stood up
+    as a chain through this rather than through a full :class:`Chain`.
+    """
+
+    world: WorldState
+    env: BlockEnv
+
+
 def build_chain(spec: ChainSpec | None = None) -> Chain:
     """Construct a genesis world state per ``spec``.
 

@@ -25,19 +25,12 @@ from repro.obs import MetricsRegistry
 from repro.replication import ClusterConfig, ReplicatedChainService
 from repro.resilience import SCENARIOS
 from repro.rpc import RpcConfig, RpcFacade
+from repro.workloads import ChainView
 
 
 @pytest.fixture(scope="module")
 def fuzzer():
     return BlockFuzzer(FuzzConfig(txs_per_block=6, accounts=32, tokens=2, amm_pairs=1))
-
-
-class _SweepChain:
-    __slots__ = ("world", "env")
-
-    def __init__(self, world, env):
-        self.world = world
-        self.env = env
 
 
 def _blocks(fuzzer, count, seed=0):
@@ -69,7 +62,7 @@ def _hashes(block):
 class TestClusterStreaming:
     def test_replicas_track_the_primary_exactly(self, fuzzer):
         cluster = ReplicatedChainService(
-            _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env),
+            ChainView(fuzzer.chain.fresh_world(), fuzzer.chain.env),
             "parallelevm",
             ClusterConfig(replicas=2, threads=4),
         )
@@ -85,7 +78,7 @@ class TestClusterStreaming:
 
     def test_checkpoint_shipping_prunes_replica_journals(self, fuzzer):
         cluster = ReplicatedChainService(
-            _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env),
+            ChainView(fuzzer.chain.fresh_world(), fuzzer.chain.env),
             "serial",
             ClusterConfig(replicas=1, threads=1, checkpoint_interval=2),
         )
@@ -160,7 +153,7 @@ class TestReplicationChaosScenarios:
 
 class TestFacadeFailover:
     def test_promotion_repoints_facade_and_requeues(self, fuzzer):
-        chainlike = _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env)
+        chainlike = ChainView(fuzzer.chain.fresh_world(), fuzzer.chain.env)
         cluster = ReplicatedChainService(
             chainlike,
             "parallelevm",
@@ -216,7 +209,7 @@ class TestFacadeFailover:
         assert len(produced.entries) == 3
 
     def test_demoted_primarys_facade_sheds_writes(self, fuzzer):
-        chainlike = _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env)
+        chainlike = ChainView(fuzzer.chain.fresh_world(), fuzzer.chain.env)
         cluster = ReplicatedChainService(
             chainlike,
             "serial",

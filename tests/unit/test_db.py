@@ -129,17 +129,72 @@ class TestSimulatedDiskKV:
         kv.write("k", 2)
         assert kv.read("k").value == 2
 
-    def test_writes_are_recorded_once_a_dirty_set_is_installed(self):
+    def test_an_unread_store_keeps_no_write_log(self):
         kv = SimulatedDiskKV()
         kv.write("before", 1)
-        assert kv.dirty is None  # nobody asked: no set, no bookkeeping
-        kv.dirty = set()
+        assert kv.written is None  # nobody asked: no log, no bookkeeping
+        assert kv.sequence == 0
+
+    def test_writes_are_logged_once_a_reader_has_asked(self):
+        kv = SimulatedDiskKV()
+        kv.write("before", 1)
+        keys, cursor = kv.written_since(None)
+        assert keys == ["before"]  # never read: every stored key
+        assert kv.written == {}  # the log starts now, after "before"
         kv.write("k", 1)
         kv.write("k", 1)  # same value: still a write
         kv.read("other")
         kv.peek("third")
         kv.warm(["before"])
-        assert kv.dirty == {"k"}
+        assert list(kv.written) == ["k"]
+        assert kv.written_since(cursor) == (["k"], kv.sequence)
+
+    def test_rewriting_a_key_moves_it_to_the_end_of_the_log(self):
+        kv = SimulatedDiskKV()
+        kv.written_since(None)
+        for key in ("a", "b", "c", "a"):
+            kv.write(key, 0)
+        assert list(kv.written) == ["b", "c", "a"]
+        assert list(kv.written.values()) == [2, 3, 4]
+        assert kv.sequence == 4
+
+    def test_written_since_returns_exactly_the_keys_written_after_a_cursor(self):
+        kv = SimulatedDiskKV()
+        _, start = kv.written_since(None)
+        kv.write("a", 1)
+        kv.write("b", 1)
+        _, middle = kv.written_since(start)
+        kv.write("c", 1)
+        kv.write("a", 2)
+        assert kv.written_since(middle) == (["a", "c"], 4)  # newest first
+        assert kv.written_since(start) == (["a", "c", "b"], 4)
+        _, end = kv.written_since(middle)
+        assert kv.written_since(end) == ([], 4)
+        # A second reader that has never read is handed everything stored,
+        # and asking took nothing from the first.
+        assert kv.written_since(None) == (["a", "b", "c"], 4)
+        assert kv.written_since(middle) == (["a", "c"], 4)
+
+    def test_copy_has_the_entries_and_its_own_copy_of_the_log(self):
+        kv = SimulatedDiskKV(
+            disk_latency_us=20.0, cache_latency_us=0.5, cache_capacity=7
+        )
+        kv.write("before", 1)
+        assert kv.copy().written is None  # an unread store copies no log
+        _, cursor = kv.written_since(None)
+        kv.write("k", 1)
+        kv.read("k")
+        other = kv.copy()
+        assert dict(other.items()) == dict(kv.items())
+        assert (other.disk_latency_us, other.cache_latency_us) == (20.0, 0.5)
+        assert other.cache.capacity == 7 and len(other.cache) == 0
+        assert (other.disk_reads, other.cache_reads) == (0, 0)
+        assert other.written == kv.written and other.written is not kv.written
+        other.write("mine", 1)
+        kv.write("yours", 1)
+        assert other.written_since(cursor) == (["mine", "k"], 2)
+        assert kv.written_since(cursor) == (["yours", "k"], 2)
+        assert "mine" not in kv and "yours" not in other
 
     def test_warm_makes_reads_cache_hits(self):
         kv = SimulatedDiskKV(disk_latency_us=20.0, cache_latency_us=0.5)

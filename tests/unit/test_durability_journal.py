@@ -11,6 +11,7 @@ from repro.durability import (
     CheckpointRecord,
     CommitRecord,
     CrashInjector,
+    FileMedium,
     JOURNAL_MAGIC,
     MemoryMedium,
     SealRecord,
@@ -185,6 +186,55 @@ class TestAppendAndPrune:
         journal.medium.append_journal(b"\x01\x02\x03")  # torn garbage
         journal.prune_through(1)
         assert journal.medium.read_journal() == JOURNAL_MAGIC
+
+
+class TestSnapshotFiles:
+    @pytest.fixture()
+    def media(self, tmp_path):
+        """A file medium and a memory medium holding the same four snapshots,
+        the directory also holding what pruning must never touch."""
+        file_medium, memory_medium = FileMedium(str(tmp_path)), MemoryMedium()
+        for medium in (file_medium, memory_medium):
+            WriteAheadJournal(medium)  # wal.bin
+            for number in (3, 7, 11, 100):
+                medium.write_snapshot(number, b"blob-%d" % number)
+        (tmp_path / "snapshot-7.bin.tmp").write_bytes(b"interrupted write")
+        (tmp_path / "notes.txt").write_bytes(b"foreign")
+        (tmp_path / "snapshot-007.bin").write_bytes(b"not a name we write")
+        return tmp_path, file_medium, memory_medium
+
+    BYSTANDERS = {"wal.bin", "snapshot-7.bin.tmp", "notes.txt", "snapshot-007.bin"}
+
+    def test_read_snapshots_sees_only_snapshot_files(self, media):
+        _path, file_medium, memory_medium = media
+        assert file_medium.read_snapshots() == memory_medium.read_snapshots()
+        assert sorted(file_medium.read_snapshots()) == [3, 7, 11, 100]
+
+    def test_prune_keeps_the_newest_and_touches_nothing_else(self, media):
+        path, file_medium, memory_medium = media
+        assert file_medium.prune_snapshots(keep=2) == 2
+        assert memory_medium.prune_snapshots(keep=2) == 2
+        assert file_medium.read_snapshots() == memory_medium.read_snapshots()
+        assert sorted(file_medium.read_snapshots()) == [11, 100]  # numeric order
+        assert file_medium.prune_snapshots(keep=2) == 0
+        names = {entry.name for entry in path.iterdir()}
+        assert names == self.BYSTANDERS | {"snapshot-11.bin", "snapshot-100.bin"}
+        assert (path / "snapshot-7.bin.tmp").read_bytes() == b"interrupted write"
+        assert file_medium.read_journal() == JOURNAL_MAGIC
+
+    def test_prune_keep_zero_removes_every_snapshot(self, media):
+        path, file_medium, memory_medium = media
+        assert file_medium.prune_snapshots(keep=0) == 4
+        assert memory_medium.prune_snapshots(keep=0) == 4
+        assert file_medium.read_snapshots() == memory_medium.read_snapshots() == {}
+        assert {entry.name for entry in path.iterdir()} == self.BYSTANDERS
+
+    def test_prune_does_not_read_snapshot_contents(self, media, monkeypatch):
+        _path, file_medium, _memory = media
+        monkeypatch.setattr(
+            "builtins.open", lambda *a, **k: pytest.fail("opened a file to prune")
+        )
+        assert file_medium.prune_snapshots(keep=1) == 3
 
 
 class TestCrashSites:

@@ -23,6 +23,7 @@ from repro.durability import (
     latest_valid_snapshot,
     recover,
 )
+from repro.durability import SnapshotEncoder, checkpoint
 from repro.durability.checkpoint import restore_snapshot
 from repro.errors import JournalCorruptionError, RecoveryError, ReorgDepthExceeded
 from repro.obs import MetricsRegistry
@@ -30,6 +31,8 @@ from repro.primitives import make_address
 from repro.resilience.policy import RecoveryPolicy
 from repro.state.keys import balance_key
 from repro.state.world import WorldState
+
+from tests.unit.snapshot_reference import reference_snapshot
 
 
 def k(i: int):
@@ -83,6 +86,42 @@ class TestSnapshots:
         assert number == 9
         assert fingerprint == world.fingerprint()
         assert restore_snapshot(items).fingerprint() == world.fingerprint()
+
+    def test_long_lived_encoder_matches_the_reference_at_every_checkpoint(self):
+        world = WorldState()
+        encoder = SnapshotEncoder()
+        world.apply({k(3): 100, k(1): 7})
+        assert encoder.encode(world, 1) == reference_snapshot(world, 1)
+        world.apply({k(1): 8, k(2): 0, k(0): 2**200})  # change, default, new
+        assert encoder.encode(world, 2) == reference_snapshot(world, 2)
+        assert encoder.encode(world, 3) == reference_snapshot(world, 3)  # no writes
+        assert encode_snapshot(world, 3) == reference_snapshot(world, 3)
+
+    def test_encoder_re_encodes_only_written_entries(self, monkeypatch):
+        world = WorldState()
+        world.apply({k(i): i + 1 for i in range(10)})
+        encoder = SnapshotEncoder()
+        encoder.encode(world, 1)
+        encoded = []
+        real = checkpoint.encode_value
+        monkeypatch.setattr(
+            checkpoint, "encode_value", lambda v: encoded.append(v) or real(v)
+        )
+        world.apply({k(4): 44, k(10): 11})
+        assert encoder.encode(world, 2) == reference_snapshot(world, 2)
+        assert sorted(encoded, key=repr) == sorted([k(4), 44, k(10), 11], key=repr)
+
+    def test_encoder_handed_a_second_world_starts_over(self):
+        first, second = WorldState(), WorldState()
+        first.apply({k(1): 100, k(2): 7})
+        second.apply({k(2): 9})
+        encoder = SnapshotEncoder()
+        assert encoder.encode(first, 1) == reference_snapshot(first, 1)
+        # Nothing of the first store may survive: k(1) is absent here.
+        assert encoder.encode(second, 2) == reference_snapshot(second, 2)
+        first.apply({k(3): 1})
+        assert encoder.encode(first, 3) == reference_snapshot(first, 3)
+        assert encoder.encode(first.clone(), 4) == reference_snapshot(first, 4)
 
     def test_corrupt_snapshot_is_a_typed_error(self):
         world = WorldState()

@@ -54,6 +54,11 @@ class TestEncodeVectors:
         assert encoded[0] == 0xF8
         assert encoded[1] == 66
 
+    def test_list_header_frames_already_encoded_items(self):
+        for items in ([], [b"cat", b"dog"], [b"x" * 30, [b"y" * 30]], [b"z" * 70_000]):
+            payload = b"".join(rlp.encode(item) for item in items)
+            assert rlp.list_header(len(payload)) + payload == rlp.encode(items)
+
     def test_bytearray_accepted(self):
         assert rlp.encode(bytearray(b"dog")) == b"\x83dog"
 

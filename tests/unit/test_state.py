@@ -16,6 +16,8 @@ from repro.state import (
 from repro.state.keys import default_value, is_storage_key, key_address
 from repro.trie import EMPTY_ROOT
 
+from tests.unit.fingerprint_reference import reference_fingerprint
+
 A = make_address(1)
 B = make_address(2)
 
@@ -107,11 +109,11 @@ class TestWorldState:
     def test_an_unrooted_world_tracks_no_writes(self):
         world = WorldState()
         world.set_balance(A, 5)
-        assert world.db.dirty is None  # nothing to pay until a root is taken
+        assert world.db.written is None  # nothing to pay until a digest is taken
         world.state_root()
-        assert world.db.dirty == set()
+        assert world.db.written == {}
         world.set_storage(B, 1, 2)
-        assert world.db.dirty == {storage_key(B, 1)}
+        assert list(world.db.written) == [storage_key(B, 1)]
 
     def test_state_root_leaves_cache_and_counters_alone(self):
         world = WorldState()
@@ -149,8 +151,8 @@ class TestWorldState:
         world.set_balance(A, 6)  # pending in the source when the clone is cut
         clone = world.clone()
         assert clone._accounts._root is world._accounts._root
-        assert clone.db.dirty == world.db.dirty == {balance_key(A)}
-        assert clone.db.dirty is not world.db.dirty
+        assert clone.db.written == world.db.written == {balance_key(A): 1}
+        assert clone.db.written is not world.db.written
 
         clone.set_storage(B, 1, 3)
         clone_root = clone.state_root()
@@ -169,6 +171,122 @@ class TestWorldState:
         assert w1.fingerprint() == w2.fingerprint()
         w2.set_balance(A, 6)
         assert w1.fingerprint() != w2.fingerprint()
+
+    def test_fingerprint_matches_the_from_scratch_reference(self):
+        world = WorldState()
+        assert world.fingerprint() == reference_fingerprint(world) == bytes(16)
+        world.set_balance(A, 5)
+        world.set_code(B, b"\x60\x00")
+        world.set_storage(B, 1, 2**200)
+        assert world.fingerprint() == reference_fingerprint(world)
+        assert len(world.fingerprint()) == 16
+
+    def test_fingerprint_ignores_write_order_and_history(self):
+        writes = [
+            (balance_key(A), 5),
+            (nonce_key(A), 1),
+            (storage_key(B, 1), 2),
+            (code_key(B), b"\x00"),
+        ]
+        forward, backward, detour = WorldState(), WorldState(), WorldState()
+        for key, value in writes:
+            forward.db.write(key, value)
+        for key, value in reversed(writes):
+            backward.db.write(key, value)
+            backward.fingerprint()  # one key per call, newest first
+        detour.set_balance(A, 99)
+        detour.fingerprint()
+        detour.set_storage(B, 7, 7)
+        detour.apply(dict(writes))
+        detour.set_storage(B, 7, 0)
+        assert (
+            forward.fingerprint()
+            == backward.fingerprint()
+            == detour.fingerprint()
+            == reference_fingerprint(forward)
+        )
+
+    def test_fingerprint_of_a_stored_default_equals_an_absent_key(self):
+        absent, stored = WorldState(), WorldState()
+        for world in (absent, stored):
+            world.set_balance(A, 5)
+        stored.set_storage(B, 1, 0)
+        stored.set_code(B, b"")
+        assert len(stored.db) == 3 and len(absent.db) == 1
+        assert stored.fingerprint() == absent.fingerprint()
+        stored.set_storage(B, 1, 4)  # from a stored default to a value ...
+        assert stored.fingerprint() != absent.fingerprint()
+        stored.set_storage(B, 1, 0)  # ... and back to the default
+        assert stored.fingerprint() == absent.fingerprint()
+
+    def test_fingerprint_changes_when_two_keys_swap_values(self):
+        world = WorldState()
+        world.set_balance(A, 5)
+        world.set_balance(B, 6)
+        before = world.fingerprint()
+        world.set_balance(A, 6)
+        world.set_balance(B, 5)
+        # Same keys, same multiset of values: only pair-hashing tells.
+        assert world.fingerprint() != before
+        assert world.fingerprint() == reference_fingerprint(world)
+
+    def test_fingerprint_is_restored_by_writing_a_value_back(self):
+        world = WorldState()
+        world.set_balance(A, 5)
+        world.set_storage(B, 1, 2)
+        before = world.fingerprint()
+        world.set_storage(B, 1, 3)
+        assert world.fingerprint() != before
+        world.set_storage(B, 1, 2)
+        assert world.fingerprint() == before
+
+    def test_fingerprint_leaves_cache_and_counters_alone(self):
+        world = WorldState()
+        world.set_balance(A, 5)
+        world.db.cache.clear()
+        world.db.reset_stats()
+        world.fingerprint()
+        world.set_balance(A, 6)
+        world.fingerprint()
+        assert (world.db.disk_reads, world.db.cache_reads) == (0, 0)
+        assert len(world.db.cache) == 0
+
+    def test_fingerprint_and_state_root_do_not_take_each_others_keys(self):
+        world = WorldState()
+        world.set_balance(A, 5)
+        world.state_root()
+        world.fingerprint()
+        world.set_balance(A, 6)
+        root = world.state_root()  # sees the write first ...
+        assert world.fingerprint() == reference_fingerprint(world)  # ... so does this
+        world.set_balance(A, 7)
+        world.fingerprint()
+        assert world.state_root() != root
+
+    def test_two_worlds_over_one_store_each_see_every_write(self):
+        first = WorldState()
+        second = WorldState(first.db)
+        first.set_balance(A, 5)
+        assert first.fingerprint() == second.fingerprint()
+        second.set_balance(A, 6)
+        assert second.fingerprint() == reference_fingerprint(second)
+        assert first.fingerprint() == second.fingerprint()
+        assert first.state_root() == second.state_root()
+
+    def test_clone_carries_the_fingerprint_state_and_is_independent(self):
+        world = WorldState()
+        world.set_balance(A, 5)
+        world.fingerprint()
+        world.set_balance(B, 6)  # pending in the source when the clone is cut
+        clone = world.clone()
+        assert clone._fingerprint_terms == world._fingerprint_terms
+        assert clone._fingerprint_terms is not world._fingerprint_terms
+        clone.set_balance(A, 7)
+        assert clone.fingerprint() == reference_fingerprint(clone)
+        assert world.fingerprint() == reference_fingerprint(world)
+        assert clone.fingerprint() != world.fingerprint()
+        clone.set_balance(A, 5)
+        assert clone.fingerprint() == world.fingerprint()
 
     def test_clone_is_isolated_and_cold(self):
         world = WorldState()
