@@ -25,6 +25,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from ..crypto import DigestMemo
 from ..errors import (
     AbortStormDetected,
     BlockDeadlineExceeded,
@@ -38,6 +39,13 @@ from ..sim.meter import CostMeter
 from ..state.keys import StateKey, balance_key, key_address
 from ..state.view import BlockOverlay, StateView
 from ..state.world import WorldState
+
+
+# Entries in one executor's digest memo.  Sized from the wall benchmark's
+# working sets: an executor's whole life there (100-160 blocks) hashes at most
+# 1 043 distinct SHA3 inputs, so 4 096 holds four such lives, and at <= 128
+# input bytes + 32 digest bytes per entry it is about 1 MiB when full.
+DIGEST_MEMO_ENTRIES = 4096
 
 
 @dataclass(slots=True)
@@ -94,6 +102,14 @@ class BlockExecutor(ABC):
     write-ahead journal (crash-atomic, reorg-capable) instead of bare
     ``world.apply``; when ``None`` (the default) the commit path is
     byte-identical to the pre-durability build.
+
+    ``digests`` is the executor's own :class:`~repro.crypto.DigestMemo`, the
+    hasher of every interpreter it runs: hot contracts and accounts derive
+    the same mapping slots block after block, so over an executor's life
+    most SHA3 inputs have been hashed before.  It lives exactly as long as
+    the executor and is keyed by content, so worlds may be cloned, rebuilt,
+    rolled back or recovered under it; a hit is still charged the full
+    simulated hash cost, so no makespan depends on it.
     """
 
     name: str = "base"
@@ -115,6 +131,7 @@ class BlockExecutor(ABC):
             recovery = fault_plan.recovery
         self.recovery = recovery
         self.durability = durability
+        self.digests = DigestMemo(DIGEST_MEMO_ENTRIES)
 
     @property
     def metrics(self):
@@ -204,6 +221,7 @@ class BlockExecutor(ABC):
             observer=self.observer,
             start_us=start_us,
             span_kind="serial-fallback",
+            hasher=self.digests,
         )
         stats = {
             "serial_fallback": 1.0,
@@ -254,18 +272,22 @@ def run_speculative(
     env: BlockEnv,
     cost_model: CostModel,
     tracer=None,
+    hasher=None,
 ) -> tuple[TxResult, CostMeter]:
     """One read-phase execution: run ``tx`` against world+overlay.
 
     Returns the result (read/write sets, logs, gas) and the meter whose
-    total is the execution's simulated duration.
+    total is the execution's simulated duration.  ``hasher`` is the
+    interpreter's Keccak-256 — an executor passes its ``digests`` memo; None
+    means plain ``keccak256``.
     """
     meter = CostMeter()
     if tracer is not None and getattr(tracer, "meter", None) is None:
         tracer.meter = meter
     view = StateView(world, base=overlay, meter=meter, cost_model=cost_model)
     result = execute_transaction(
-        view, tx, env, tracer=tracer, meter=meter, cost_model=cost_model
+        view, tx, env, tracer=tracer, meter=meter, cost_model=cost_model,
+        hasher=hasher,
     )
     return result, meter
 
@@ -278,6 +300,7 @@ def run_serial_pass(
     observer=None,
     start_us: float = 0.0,
     span_kind: str = "execute",
+    hasher=None,
 ) -> tuple[BlockOverlay, list[TxResult], float]:
     """One in-order, single-worker execution of the whole block.
 
@@ -291,7 +314,9 @@ def run_serial_pass(
     results: list[TxResult] = []
     now = start_us
     for index, tx in enumerate(txs):
-        result, meter = run_speculative(world, overlay, tx, env, cost_model)
+        result, meter = run_speculative(
+            world, overlay, tx, env, cost_model, hasher=hasher
+        )
         overlay.apply(result.write_set)
         commit_us = commit_cost_us(result, cost_model)
         if observer is not None:

@@ -142,7 +142,8 @@ class _BlockSTMScheduler:
         view = StateView(self.world, base=adapter, meter=meter, cost_model=cm)
         try:
             result = execute_transaction(
-                view, self.txs[index], self.env, meter=meter, cost_model=cm
+                view, self.txs[index], self.env, meter=meter, cost_model=cm,
+                hasher=self.executor.digests,
             )
         except EstimateDependency as dep:
             self.estimate_suspensions += 1

@@ -81,7 +81,7 @@ class _OCCScheduler:
             index = self.pending.popleft()
             result, meter = run_speculative(
                 self.world, self.overlay, self.txs[index], self.env,
-                self.executor.cost_model,
+                self.executor.cost_model, hasher=self.executor.digests,
             )
             self.executions += 1
             return Task(

@@ -39,7 +39,8 @@ class SerialExecutor(BlockExecutor):
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         overlay, results, makespan = run_serial_pass(
-            world, txs, env, self.cost_model, observer=self.observer
+            world, txs, env, self.cost_model, observer=self.observer,
+            hasher=self.digests,
         )
         publish_stats(self.metrics, {"executions": len(txs)})
         return BlockResult(

@@ -62,7 +62,9 @@ class TwoPhaseExecutor(BlockExecutor):
         speculative: list[TxResult] = []
         durations: list[float] = []
         for tx in txs:
-            result, meter = run_speculative(world, None, tx, env, cm)
+            result, meter = run_speculative(
+                world, None, tx, env, cm, hasher=self.digests
+            )
             speculative.append(result)
             duration = meter.total_us + cm.scheduler_slot_us
             if plan is not None:
@@ -150,7 +152,9 @@ class TwoPhaseExecutor(BlockExecutor):
                         on_edge("reexecute", None, i)
             if not survivor[i]:
                 discarded += 1
-                result, meter = run_speculative(world, overlay, tx, env, cm)
+                result, meter = run_speculative(
+                    world, overlay, tx, env, cm, hasher=self.digests
+                )
                 span("execute", i, meter.total_us)
             overlay.apply(result.write_set)
             if committed_writer is not None:

@@ -116,7 +116,8 @@ class TwoPLExecutor(BlockExecutor):
         for i, tx in enumerate(txs):
             tracer = _AccessTraceTracer()
             result, meter = run_speculative(
-                world, overlay, tx, env, self.cost_model, tracer=tracer
+                world, overlay, tx, env, self.cost_model, tracer=tracer,
+                hasher=self.digests,
             )
             overlay.apply(result.write_set)
             results.append(result)

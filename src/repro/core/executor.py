@@ -101,7 +101,8 @@ class _ParallelEVMScheduler:
         cm = self.executor.cost_model
         tracer = SSATracer(cost_model=cm, metrics=self.metrics)
         result, meter = run_speculative(
-            self.world, self.overlay, self.txs[index], self.env, cm, tracer=tracer
+            self.world, self.overlay, self.txs[index], self.env, cm,
+            tracer=tracer, hasher=self.executor.digests,
         )
         self.executions += 1
         self.log_entries_total += len(tracer.log)
@@ -177,7 +178,8 @@ class _ParallelEVMScheduler:
                 # exclusive commit point, where no concurrent commit can
                 # invalidate it — commit needs no validation.
                 result, meter = run_speculative(
-                    self.world, self.overlay, self.txs[index], self.env, cm
+                    self.world, self.overlay, self.txs[index], self.env, cm,
+                    hasher=self.executor.digests,
                 )
                 self.executions += 1
                 self.exec_done[index] = (result, None)

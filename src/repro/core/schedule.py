@@ -155,7 +155,8 @@ class _ScheduledScheduler:
                 # The schedule lied (or was stale): serial fallback.
                 self.fallbacks += 1
                 result, meter = run_speculative(
-                    self.world, self.overlay, self.txs[index], self.env, cm
+                    self.world, self.overlay, self.txs[index], self.env, cm,
+                    hasher=self.executor.digests,
                 )
                 self.executed[index] = result
                 duration += meter.total_us
@@ -181,7 +182,7 @@ class _ScheduledScheduler:
                     base.update(self.executed[dep].write_set)
             result, meter = run_speculative(
                 self.world, base, self.txs[index], self.env,
-                self.executor.cost_model,
+                self.executor.cost_model, hasher=self.executor.digests,
             )
             return Task(
                 kind="execute",

@@ -11,11 +11,37 @@ held in local variables, about 5 900 integer operations per permutation.  On
 the wall-clock benchmark (``benchmarks/wall``, at its reference host speed) a
 single-block ``keccak256`` call costs ≈160 µs; the textbook loop form it
 replaced, kept as the test oracle in ``tests/unit/keccak_reference.py``, costs
-≈430 µs.  Hashing is still the largest single layer of most workloads there,
-and little is left inside the permutation, so the next lever is the number of
-calls: only the trie and ``storage_slot_for_mapping`` go through
-``keccak256_cached``, while the SHA3 opcode, ``core.redo``, receipt blooms and
-mempool admission run ``keccak256`` on every call.
+≈430 µs.  Little is left inside the permutation, so what remains is the number
+of calls, and :class:`DigestMemo` — the module's one memo, a bounded
+content-keyed table for inputs of at most 128 bytes — is how callers avoid them.
+
+Who memoises what, and for how long:
+
+* **The process**, through ``keccak256_cached`` (65 536 entries): the trie's
+  node digests, the hashed trie keys and code hashes of
+  ``WorldState.state_root`` and ``storage_slot_for_mapping``.  These are
+  consensus encodings that recur for as long as the state they describe does.
+* **One block executor, for its lifetime** (``BlockExecutor.digests``, 4 096
+  entries): the interpreter's SHA3, EXTCODEHASH and BLOCKHASH.  Hot contracts
+  and hot accounts derive the same mapping slots block after block — on the
+  wall benchmark 63–85 % of an executor's SHA3 inputs repeat over its life,
+  only 28–40 % inside one block — and a digest is a pure function of the
+  bytes, so a new world, a clone, a reorg or a recovery invalidates nothing.
+  It is not process-wide: ``storage_slot_for_mapping`` leaves every generated
+  slot preimage in ``keccak256_cached``, so a shared table would let the
+  workload generator hash on the executor's behalf.
+
+Who calls ``keccak256`` directly, each for a measured reason:
+
+* ``core.redo`` — no traffic: of the 29–890 redos in a pass of each of the five
+  benchmark workloads not one patches a SHA3 input, so it recomputes no digest.
+* mempool admission — unique inputs: every transaction and signature digest is
+  new (repeat ratio 0 on ``serve_ingress``); a table could only cost.
+* receipt blooms — ``build_receipts`` already hashes each distinct element
+  once per call, and the elements of the next block's receipts are new.
+
+A miss always reaches ``keccak256`` through this module's global, looked up at
+call time: ``benchmarks/wall/trace.py`` times the kernel by rebinding that name.
 """
 
 from __future__ import annotations
@@ -176,26 +202,47 @@ def keccak256(data: bytes) -> bytes:
     return _DIGEST_LANES.pack(*state[:4])
 
 
-_word_cache: dict[bytes, bytes] = {}
-_WORD_CACHE_LIMIT = 65536
+class DigestMemo:
+    """A bounded memo of ``keccak256`` for short inputs; call it like the hash.
 
-
-def keccak256_cached(data: bytes) -> bytes:
-    """Keccak-256 with memoisation for short, frequently rehashed inputs.
-
-    The Merkle Patricia trie rehashes identical small nodes constantly while
-    recomputing roots block after block; caching those digests is a large
-    constant-factor win without changing semantics.
+    Inputs of at most ``MAX_INPUT_BYTES`` are remembered by content, longer
+    ones are hashed and forgotten (a long buffer rarely recurs and would
+    dominate the table's memory).  At ``capacity`` entries the oldest entry
+    makes room for the new one, so a working set larger than the table
+    degrades to plain hashing instead of losing every entry at once.  A digest
+    is a pure function of the bytes: nothing ever has to be invalidated.
     """
-    if len(data) > 128:
-        return keccak256(data)
-    cached = _word_cache.get(data)
-    if cached is None:
-        if len(_word_cache) >= _WORD_CACHE_LIMIT:
-            _word_cache.clear()
-        cached = keccak256(data)
-        _word_cache[data] = cached
-    return cached
+
+    MAX_INPUT_BYTES = 128
+
+    __slots__ = ("capacity", "_digests")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._digests: dict[bytes, bytes] = {}
+
+    def __call__(self, data: bytes) -> bytes:
+        if len(data) > self.MAX_INPUT_BYTES:
+            return keccak256(data)
+        data = bytes(data)
+        digests = self._digests
+        digest = digests.get(data)
+        if digest is None:
+            # ``keccak256`` is this module's global, resolved now: a reference
+            # taken any earlier would hide misses from whoever rebinds it.
+            digest = keccak256(data)
+            if len(digests) >= self.capacity:
+                del digests[next(iter(digests))]
+            digests[data] = digest
+        return digest
+
+    def __len__(self) -> int:
+        return len(self._digests)
+
+
+# Process-lifetime memo for consensus encodings that recur as long as the state
+# does: trie node digests, hashed trie keys, code hashes, mapping slots.
+keccak256_cached = DigestMemo(65536)
 
 
 def storage_slot_for_mapping(key: bytes, slot_index: int) -> int:

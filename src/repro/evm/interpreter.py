@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import crypto
 from .. import primitives as prim
-from ..crypto import keccak256
 from ..errors import (
     EVMError,
     InvalidJump,
@@ -115,8 +115,25 @@ class _Halt(Exception):
         self.data = data
 
 
+def _plain_keccak256(data: bytes) -> bytes:
+    """The hasher of an ``EVM`` that was handed none.
+
+    ``repro.crypto.keccak256`` is looked up on every call: the wall benchmark
+    and the tests rebind that module global, and an ``EVM`` built before they
+    did must not keep hashing through the function it replaced.
+    """
+    return crypto.keccak256(data)
+
+
 class EVM:
-    """An interpreter bound to one state view, block env, tracer and meter."""
+    """An interpreter bound to one state view, block env, tracer and meter.
+
+    ``hasher`` is the Keccak-256 every hashing opcode goes through
+    (``bytes -> 32-byte digest``).  Block executors hand in their
+    :class:`~repro.crypto.DigestMemo`, so an input one executor has hashed
+    before costs a table lookup on the host; the simulated hash cost is
+    charged either way.
+    """
 
     def __init__(
         self,
@@ -126,6 +143,7 @@ class EVM:
         tracer=None,
         meter: CostMeter | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
+        hasher=None,
     ) -> None:
         self.view = view
         self.env = env
@@ -133,6 +151,7 @@ class EVM:
         self.tracer = tracer
         self.meter = meter
         self.cm = cost_model
+        self.hasher = hasher if hasher is not None else _plain_keccak256
         self.logs: list[LogRecord] = []
         self.ops_executed = 0
 
@@ -229,7 +248,7 @@ class EVM:
         frame.charge(G.sha3_gas(size))
         self._expand(frame, offset, size)
         data = frame.memory.read(offset, size)
-        result = int.from_bytes(keccak256(data), "big")
+        result = int.from_bytes(self.hasher(data), "big")
         frame.stack.push(result)
         frame.pc += 1
         if self.meter is not None:
@@ -298,7 +317,7 @@ class EVM:
         self.view.mark_warm(warm_key)
         frame.charge(G.GAS_ACCOUNT_COLD if cold else G.GAS_ACCOUNT_WARM)
         code = self.view.peek_committed(code_key(address))
-        value = int.from_bytes(keccak256(code), "big") if code else 0
+        value = int.from_bytes(self.hasher(code), "big") if code else 0
         frame.stack.push(value)
         frame.pc += 1
         if self.meter is not None:
@@ -316,7 +335,7 @@ class EVM:
         # 256 blocks resolve, as on mainnet).
         if 0 <= self.env.number - number <= 256 and number < self.env.number:
             value = int.from_bytes(
-                keccak256(b"blockhash:" + number.to_bytes(32, "big")), "big"
+                self.hasher(b"blockhash:" + number.to_bytes(32, "big")), "big"
             )
         else:
             value = 0
@@ -744,12 +763,14 @@ def execute_transaction(
     tracer=None,
     meter: CostMeter | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
+    hasher=None,
 ) -> TxResult:
     """Run one transaction against ``view`` (the paper's read phase body).
 
     Applies the full envelope: intrinsic gas, nonce bump, value transfer,
     bytecode execution, and the gas fee charge — all buffered in the view.
     The caller decides what to do with the view's read/write sets.
+    ``hasher`` is handed to the :class:`EVM` (plain ``keccak256`` when None).
     """
     if meter is not None:
         meter.charge_compute(cost_model.tx_fixed_us, 0)
@@ -779,7 +800,10 @@ def execute_transaction(
         )
 
     view.mark_warm(("a", tx.sender))
-    evm = EVM(view, env, tx, tracer=tracer, meter=meter, cost_model=cost_model)
+    evm = EVM(
+        view, env, tx, tracer=tracer, meter=meter, cost_model=cost_model,
+        hasher=hasher,
+    )
 
     success = True
     error = None

@@ -8,18 +8,22 @@ the parity of the path length.
 
 from __future__ import annotations
 
+from binascii import hexlify
+
 from ..errors import TrieError
 
 Nibbles = tuple[int, ...]
 
+# ``bytes.translate`` table: ASCII hex digit -> its value (``hexlify`` emits
+# nothing else).
+_HEX_DIGIT_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
 
 def bytes_to_nibbles(key: bytes) -> Nibbles:
     """Split each key byte into its high and low nibble, in order."""
-    out = []
-    for b in key:
-        out.append(b >> 4)
-        out.append(b & 0x0F)
-    return tuple(out)
+    # A key's hex digits are its nibbles; translate turns each digit's
+    # character code into its value without a Python-level loop.
+    return tuple(hexlify(key).translate(_HEX_DIGIT_VALUES))
 
 
 def nibbles_to_bytes(nibbles: Nibbles) -> bytes:

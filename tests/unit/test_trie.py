@@ -24,9 +24,35 @@ from repro.trie.nibbles import (
 )
 
 
+def nibbles_by_loop(key: bytes) -> tuple[int, ...]:
+    """The loop ``bytes_to_nibbles`` was before it became one table-driven
+    ``translate``: kept here as the oracle for it."""
+    out = []
+    for b in key:
+        out.append(b >> 4)
+        out.append(b & 0x0F)
+    return tuple(out)
+
+
 class TestNibbles:
     def test_bytes_to_nibbles(self):
         assert bytes_to_nibbles(b"\x12\xab") == (1, 2, 0xA, 0xB)
+
+    def test_every_byte_value_splits_into_its_two_nibbles(self):
+        every = bytes(range(256))
+        assert bytes_to_nibbles(every) == nibbles_by_loop(every)
+
+    @pytest.mark.parametrize("length", range(65))
+    def test_table_form_equals_the_loop_on_every_key_length(self, length):
+        key = keccak256(bytes([length])) * 2  # 64 well-mixed bytes
+        nibbles = bytes_to_nibbles(key[:length])
+        assert nibbles == nibbles_by_loop(key[:length])
+        assert type(nibbles) is tuple and len(nibbles) == 2 * length
+        assert bytes_to_nibbles(bytearray(key[:length])) == nibbles
+
+    @given(st.binary())
+    def test_table_form_equals_the_loop(self, key):
+        assert bytes_to_nibbles(key) == nibbles_by_loop(key)
 
     def test_nibbles_roundtrip(self):
         data = b"\x00\xff\x5a"
