@@ -11,6 +11,7 @@ becomes.  The compaction is DESIGN.md's first called-out design choice.
 from __future__ import annotations
 
 from repro.concurrency.base import run_speculative
+from repro.core.ssa_log import LogEntry
 from repro.core.tracer import SSATracer
 from repro.sim.cost import DEFAULT_COST_MODEL
 from repro.state.view import BlockOverlay
@@ -21,19 +22,17 @@ class UnfoldedTracer(SSATracer):
     """SSATracer with constant folding disabled: every ALU op is logged."""
 
     def trace_alu(self, frame, opcode, operands, result, gas_cost, dynamic_gas):
-        self._charge_event()
-        shadows = self._top.pop_n(len(operands))
-        lsn = self._append(
-            self._new_entry(
-                opcode,
-                operands=operands,
-                def_stack=shadows,
-                result=result,
-                gas_cost=gas_cost,
-                gas_dynamic=dynamic_gas,
-            )
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        n = len(operands)
+        shadows = tuple(stack[-1 : -n - 1 : -1])
+        del stack[-n:]
+        entry = LogEntry(
+            len(self.log.entries), opcode, operands, result, shadows, None, (),
+            None, gas_cost, dynamic_gas,
         )
-        self._top.push(lsn)
+        stack.append(self._append(entry))
 
 
 def measure_log_sizes(txs_per_block: int):

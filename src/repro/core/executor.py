@@ -99,13 +99,16 @@ class _ParallelEVMScheduler:
 
     def _execute(self, index: int) -> Task:
         cm = self.executor.cost_model
-        tracer = SSATracer(cost_model=cm, metrics=self.metrics)
+        tracer = SSATracer(cost_model=cm)
         result, meter = run_speculative(
             self.world, self.overlay, self.txs[index], self.env, cm,
             tracer=tracer, hasher=self.executor.digests,
         )
         self.executions += 1
         self.log_entries_total += len(tracer.log)
+        if self.metrics is not None:
+            self.metrics.counter("ssa_events_total").inc(tracer.events)
+            self.metrics.counter("ssa_log_entries_total").inc(len(tracer.log))
         self.instructions_total += result.ops_executed
         return Task(
             kind="execute",

@@ -103,7 +103,8 @@ class SSAOperationLog:
         """Add ``entry`` (its lsn must equal the next index); wire DUG edges."""
         assert entry.lsn == len(self.entries), "non-sequential LSN"
         self.entries.append(entry)
-        self._add_edges(entry)
+        if entry.def_stack or entry.def_memory or entry.def_storage is not None:
+            self._add_edges(entry)
         return entry.lsn
 
     def next_lsn(self) -> int:

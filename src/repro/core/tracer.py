@@ -28,71 +28,55 @@ from __future__ import annotations
 from ..evm import gas as G
 from ..evm.opcodes import Op
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
+from ..sim.meter import CostMeter
 from ..state.keys import StateKey
 from .shadow import FrameShadow
 from .ssa_log import LogEntry, PseudoOp, SSAOperationLog
 
+# Entries are built positionally: lsn, opcode, operands, result, def_stack,
+# def_storage, def_memory, key, gas_cost, gas_dynamic, meta.
+
 
 class SSATracer:
-    """Builds the SSA operation log for one transaction execution."""
+    """Builds the SSA operation log for one transaction execution.
+
+    Each hook is one Python call (it runs once per traced opcode): it adds
+    to ``meter``'s fields inline and works on the top frame's shadow stack
+    list, which ``begin_frame`` / ``end_frame`` bind.  ``run_speculative``
+    binds the execution's meter when none was given; a tracer driven any
+    other way charges one of its own.
+    """
 
     def __init__(
-        self,
-        meter=None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        metrics=None,
+        self, meter=None, cost_model: CostModel = DEFAULT_COST_MODEL
     ) -> None:
         self.log = SSAOperationLog()
         self.meter = meter
-        self.cm = cost_model
+        self._event_us = cost_model.shadow_event_us
+        self._entry_us = cost_model.log_entry_us
         self.frames: list[FrameShadow] = []
+        # The top frame's shadow and its stack list (None between frames).
+        self._shadow: FrameShadow | None = None
+        self._stack: list[int | None] | None = None
         self._pending_calldata: dict[int, tuple[int, int]] | None = None
         self._pending_returndata: dict[int, tuple[int, int]] = {}
         # Events seen (≈ opcodes traced) — the §6.4 tracking-overhead stat.
         self.events = 0
-        # Optional observability counters (repro.obs.MetricsRegistry),
-        # resolved once here so the per-event cost is a single attribute
-        # test + inc, and exactly zero when no registry is attached.
-        self._m_events = None if metrics is None else metrics.counter(
-            "ssa_events_total"
-        )
-        self._m_entries = None if metrics is None else metrics.counter(
-            "ssa_log_entries_total"
-        )
 
     # ------------------------------------------------------------- helpers
 
-    @property
-    def _top(self) -> FrameShadow:
-        return self.frames[-1]
-
-    def _charge_event(self) -> None:
-        self.events += 1
-        if self.meter is not None:
-            self.meter.charge_tracking(self.cm.shadow_event_us)
-        if self._m_events is not None:
-            self._m_events.inc()
-
     def _append(self, entry: LogEntry) -> int:
-        if self.meter is not None:
-            self.meter.charge_tracking(self.cm.log_entry_us, entries=1)
-        if self._m_entries is not None:
-            self._m_entries.inc()
+        meter = self.meter
+        if meter is None:
+            meter = self.meter = CostMeter()
+        meter.tracking_us += self._entry_us
+        meter.log_entries += 1
         return self.log.append(entry)
-
-    def _new_entry(self, opcode: int, **kwargs) -> LogEntry:
-        return LogEntry(lsn=self.log.next_lsn(), opcode=opcode, **kwargs)
 
     def _guard_eq(self, value: int, def_lsn: int) -> None:
         """Emit an ASSERT_EQ constraint guard on a non-constant operand."""
-        self._append(
-            self._new_entry(
-                PseudoOp.ASSERT_EQ,
-                operands=(value,),
-                def_stack=(def_lsn,),
-                result=None,
-            )
-        )
+        lsn = len(self.log.entries)
+        self._append(LogEntry(lsn, PseudoOp.ASSERT_EQ, (value,), None, (def_lsn,)))
 
     def _guard_operands(
         self, values: tuple[int, ...], shadows: tuple[int | None, ...]
@@ -105,45 +89,60 @@ class SSATracer:
     # ------------------------------------------------------ frame lifecycle
 
     def begin_frame(self, frame) -> None:
+        if self.meter is None:
+            self.meter = CostMeter()
         shadow = FrameShadow()
         if self._pending_calldata is not None:
             shadow.calldata = self._pending_calldata
             self._pending_calldata = None
         self.frames.append(shadow)
+        self._shadow, self._stack = shadow, shadow.stack
 
     def end_frame(self, frame, success: bool) -> None:
-        self.frames.pop()
+        frames = self.frames
+        frames.pop()
         if not success:
             # A reverted frame leaves log entries whose effects were rolled
             # back; the redo phase cannot reason about those, so the whole
             # transaction falls back to re-execution on conflict.
             self.log.redoable = False
             self._pending_returndata = {}
-        if self.frames:
-            self.frames[-1].returndata = self._pending_returndata
+        if frames:
+            top = frames[-1]
+            top.returndata = self._pending_returndata
+            self._shadow, self._stack = top, top.stack
+        else:
+            self._shadow = self._stack = None
         self._pending_returndata = {}
 
     # -------------------------------------------------------- stack traffic
 
     def trace_push(self, frame, value: int) -> None:
-        self._charge_event()
-        self._top.push(None)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        self._stack.append(None)
 
     def trace_pop(self, frame) -> None:
-        self._charge_event()
-        self._top.pop()
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        self._stack.pop()
 
     def trace_dup(self, frame, n: int) -> None:
-        self._charge_event()
-        self._top.dup(n)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        stack.append(stack[-n])
 
     def trace_swap(self, frame, n: int) -> None:
-        self._charge_event()
-        self._top.swap(n)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
 
     def trace_tx_const(self, frame, opcode: int, value: int) -> None:
-        self._charge_event()
-        self._top.push(None)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        self._stack.append(None)
 
     # ---------------------------------------------------------- computation
 
@@ -156,67 +155,61 @@ class SSATracer:
         gas_cost: int,
         dynamic_gas: bool,
     ) -> None:
-        self._charge_event()
-        shadows = self._top.pop_n(len(operands))
-        if all(s is None for s in shadows):
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        n = len(operands)  # every ALU opcode pops at least one
+        shadows = tuple(stack[-1 : -n - 1 : -1])
+        del stack[-n:]
+        if shadows.count(None) == n:
             # Constant inputs -> constant result: fold, no entry (§5.2.1).
-            self._top.push(None)
+            stack.append(None)
             return
-        lsn = self._append(
-            self._new_entry(
-                opcode,
-                operands=operands,
-                def_stack=shadows,
-                result=result,
-                gas_cost=gas_cost,
-                gas_dynamic=dynamic_gas,
-            )
+        entry = LogEntry(
+            len(self.log.entries), opcode, operands, result, shadows, None, (),
+            None, gas_cost, dynamic_gas,
         )
-        self._top.push(lsn)
+        stack.append(self._append(entry))
 
     def trace_sha3(
         self, frame, offset: int, size: int, data: bytes, result: int
     ) -> None:
-        self._charge_event()
-        shadows = self._top.pop_n(2)  # (offset, size)
-        self._guard_operands((offset, size), shadows)
-        deps = self._top.memory_deps(offset, size)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        self._guard_operands((offset, size), (stack.pop(), stack.pop()))
+        deps = self._shadow.memory_deps(offset, size)
         if not deps:
-            self._top.push(None)
+            stack.append(None)
             return
-        lsn = self._append(
-            self._new_entry(
-                Op.SHA3,
-                operands=(data,),
-                def_memory=deps,
-                result=result,
-                gas_cost=G.sha3_gas(size),
-            )
+        entry = LogEntry(
+            len(self.log.entries), Op.SHA3, (data,), result, (), None, deps,
+            None, G.sha3_gas(size),
         )
-        self._top.push(lsn)
+        stack.append(self._append(entry))
 
     # -------------------------------------------------------------- storage
 
     def trace_sload(
         self, frame, key: StateKey, value: int, gas_cost: int, operand_count: int
     ) -> None:
-        self._charge_event()
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
         if operand_count:
-            shadows = self._top.pop_n(operand_count)
             # The slot/address operand is a runtime-context address: guard it
             # if non-constant (data-flow constraint).
-            operand_value = key[2] if len(key) > 2 else int.from_bytes(key[1], "big")
-            self._guard_operands((operand_value,), shadows)
-        entry = self._new_entry(
-            Op.SLOAD,
-            key=key,
-            result=value,
-            def_storage=self.log.latest_writes.get(key),
-            gas_cost=gas_cost,
+            slot_shadow = stack.pop()
+            if slot_shadow is not None:
+                operand = key[2] if len(key) > 2 else int.from_bytes(key[1], "big")
+                self._guard_eq(operand, slot_shadow)
+        log = self.log
+        entry = LogEntry(
+            len(log.entries), Op.SLOAD, (), value, (), log.latest_writes.get(key),
+            (), key, gas_cost,
         )
-        lsn = self._append(entry)
-        self.log.record_load(entry)
-        self._top.push(lsn)
+        stack.append(self._append(entry))
+        log.record_load(entry)
 
     def trace_sstore(
         self,
@@ -227,78 +220,74 @@ class SSATracer:
         current: int = 0,
         cold: bool = False,
     ) -> None:
-        self._charge_event()
-        slot_shadow, value_shadow = self._top.pop_n(2)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        slot_shadow, value_shadow = stack.pop(), stack.pop()
         if slot_shadow is not None:
             self._guard_eq(key[2], slot_shadow)
-        entry = self._new_entry(
-            Op.SSTORE,
-            key=key,
-            operands=(value,),
-            def_stack=(value_shadow,),
-            result=value,
-            gas_cost=gas_cost,
-            gas_dynamic=True,
-            meta={"current": current, "cold": cold},
+        log = self.log
+        entry = LogEntry(
+            len(log.entries), Op.SSTORE, (value,), value, (value_shadow,), None,
+            (), key, gas_cost, True, {"current": current, "cold": cold},
         )
         self._append(entry)
-        self.log.record_store(entry)
+        log.record_store(entry)
 
     # --------------------------------------------------------------- memory
 
     def trace_mload(self, frame, offset: int, value: int) -> None:
-        self._charge_event()
-        (offset_shadow,) = self._top.pop_n(1)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        offset_shadow = stack.pop()
         if offset_shadow is not None:
             self._guard_eq(offset, offset_shadow)
-        deps = self._top.memory_deps(offset, 32)
+        deps = self._shadow.memory_deps(offset, 32)
         if not deps:
-            self._top.push(None)
+            stack.append(None)
             return
-        lsn = self._append(
-            self._new_entry(
-                Op.MLOAD,
-                operands=(value.to_bytes(32, "big"),),
-                def_memory=deps,
-                result=value,
-                gas_cost=G.GAS_FASTEST,
-            )
+        entry = LogEntry(
+            len(self.log.entries), Op.MLOAD, (value.to_bytes(32, "big"),),
+            value, (), None, deps, None, G.GAS_FASTEST,
         )
-        self._top.push(lsn)
+        stack.append(self._append(entry))
 
     def trace_mstore(self, frame, offset: int, value: int) -> None:
-        self._charge_event()
-        offset_shadow, value_shadow = self._top.pop_n(2)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        offset_shadow, value_shadow = stack.pop(), stack.pop()
         if offset_shadow is not None:
             self._guard_eq(offset, offset_shadow)
-        self._top.mark_memory(offset, 32, value_shadow)
+        self._shadow.mark_memory(offset, 32, value_shadow)
 
     def trace_mstore8(self, frame, offset: int, value: int) -> None:
-        self._charge_event()
-        offset_shadow, value_shadow = self._top.pop_n(2)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        offset_shadow, value_shadow = stack.pop(), stack.pop()
         if offset_shadow is not None:
             self._guard_eq(offset, offset_shadow)
-        self._top.mark_memory(offset, 1, value_shadow)
+        self._shadow.mark_memory(offset, 1, value_shadow)
 
     def trace_calldataload(self, frame, offset: int, value: int) -> None:
-        self._charge_event()
-        (offset_shadow,) = self._top.pop_n(1)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        offset_shadow = stack.pop()
         if offset_shadow is not None:
             self._guard_eq(offset, offset_shadow)
-        deps = self._top.buffer_deps(self._top.calldata, offset, 32)
+        shadow = self._shadow
+        deps = shadow.buffer_deps(shadow.calldata, offset, 32)
         if not deps:
-            self._top.push(None)
+            stack.append(None)
             return
-        lsn = self._append(
-            self._new_entry(
-                Op.CALLDATALOAD,
-                operands=(value.to_bytes(32, "big"),),
-                def_memory=deps,
-                result=value,
-                gas_cost=G.GAS_FASTEST,
-            )
+        entry = LogEntry(
+            len(self.log.entries), Op.CALLDATALOAD, (value.to_bytes(32, "big"),),
+            value, (), None, deps, None, G.GAS_FASTEST,
         )
-        self._top.push(lsn)
+        stack.append(self._append(entry))
 
     def trace_copy(
         self,
@@ -309,10 +298,13 @@ class SSATracer:
         size: int,
         operand_count: int,
     ) -> None:
-        self._charge_event()
-        shadows = self._top.pop_n(operand_count)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        shadows = tuple(stack[-1 : -operand_count - 1 : -1])
+        del stack[-operand_count:]
         self._guard_operands((dest_offset, src_offset, size), shadows)
-        top = self._top
+        top = self._shadow
         if opcode == Op.CALLDATACOPY:
             top.copy_into_memory(dest_offset, size, top.calldata, src_offset)
         elif opcode == Op.RETURNDATACOPY:
@@ -323,14 +315,17 @@ class SSATracer:
     # --------------------------------------------------------- control flow
 
     def trace_jump(self, frame, dest: int) -> None:
-        self._charge_event()
-        (dest_shadow,) = self._top.pop_n(1)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        dest_shadow = self._stack.pop()
         if dest_shadow is not None:
             self._guard_eq(dest, dest_shadow)
 
     def trace_jumpi(self, frame, dest: int, cond: int, taken: bool) -> None:
-        self._charge_event()
-        dest_shadow, cond_shadow = self._top.pop_n(2)
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        dest_shadow, cond_shadow = stack.pop(), stack.pop()
         if dest_shadow is not None:
             self._guard_eq(dest, dest_shadow)
         if cond_shadow is not None:
@@ -346,58 +341,65 @@ class SSATracer:
         args_offset: int,
         args_size: int,
     ) -> None:
-        self._charge_event()
-        shadows = self._top.pop_n(len(operands))
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        n = len(operands)
+        shadows = tuple(stack[-1 : -n - 1 : -1])
+        del stack[-n:]
         # Operand order: gas, to, [value,] args_offset, args_size,
         # ret_offset, ret_size.  Every non-constant one is a runtime-context
         # dependency of the call (the target address and value most
         # prominently): guard them all (data-flow constraints).
         self._guard_operands(operands, shadows)
-        self._pending_calldata = self._top.capture_region(args_offset, args_size)
+        self._pending_calldata = self._shadow.capture_region(args_offset, args_size)
 
     def trace_call_end(
         self, frame, success: bool, ret_offset: int, ret_copy_size: int
     ) -> None:
-        self._charge_event()
-        top = self._top
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        top = self._shadow
         top.copy_into_memory(ret_offset, ret_copy_size, top.returndata, 0)
-        top.push(None)  # the success flag is constant under the guards
+        self._stack.append(None)  # the success flag is constant under the guards
 
     def trace_log(
         self, frame, record, topic_count: int, offset: int, size: int
     ) -> None:
-        self._charge_event()
-        shadows = self._top.pop_n(2 + topic_count)
-        offset_shadow, size_shadow = shadows[0], shadows[1]
-        topic_shadows = shadows[2:]
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        offset_shadow, size_shadow = stack.pop(), stack.pop()
+        topic_shadows = tuple(stack[-1 : -topic_count - 1 : -1])
+        if topic_count:
+            del stack[-topic_count:]
         if offset_shadow is not None:
             self._guard_eq(offset, offset_shadow)
         if size_shadow is not None:
             self._guard_eq(size, size_shadow)
-        data_deps = self._top.memory_deps(offset, size)
-        if all(s is None for s in topic_shadows) and not data_deps:
+        data_deps = self._shadow.memory_deps(offset, size)
+        if topic_shadows.count(None) == topic_count and not data_deps:
             return
-        entry = self._new_entry(
-            PseudoOp.LOGDATA,
-            operands=(record.topics, record.data),
-            def_stack=topic_shadows,
-            def_memory=data_deps,
-            result=None,
-            meta={"record": record},
+        entry = LogEntry(
+            len(self.log.entries), PseudoOp.LOGDATA, (record.topics, record.data),
+            None, topic_shadows, None, data_deps, None, 0, False, {"record": record},
         )
         self._append(entry)
 
     def trace_halt(self, frame, opcode: int, offset: int, size: int) -> None:
-        self._charge_event()
+        self.events += 1
+        self.meter.tracking_us += self._event_us
         if opcode == Op.STOP:
             self._pending_returndata = {}
             return
-        offset_shadow, size_shadow = self._top.pop_n(2)
+        stack = self._stack
+        offset_shadow, size_shadow = stack.pop(), stack.pop()
         if offset_shadow is not None:
             self._guard_eq(offset, offset_shadow)
         if size_shadow is not None:
             self._guard_eq(size, size_shadow)
-        self._pending_returndata = self._top.capture_region(offset, size)
+        shadow = self._shadow
+        self._pending_returndata = shadow.capture_region(offset, size)
         if opcode == Op.RETURN and len(self.frames) == 1:
             # The top-level RETURN buffer becomes the receipt's return data.
             # When it depends on storage (an AMM swap returning amountOut
@@ -406,17 +408,14 @@ class SSATracer:
             # like LOGDATA payloads do.  Inner frames need no entry: their
             # buffers only matter through RETURNDATACOPY, which the caller's
             # shadow memory already tracks per byte.
-            deps = self._top.memory_deps(offset, size)
+            deps = shadow.memory_deps(offset, size)
             if deps:
                 data = bytes(frame.memory.read(offset, size))
-                self._append(
-                    self._new_entry(
-                        PseudoOp.RETDATA,
-                        operands=(data,),
-                        def_memory=deps,
-                        result=data,
-                    )
+                entry = LogEntry(
+                    len(self.log.entries), PseudoOp.RETDATA, (data,), data, (),
+                    None, deps,
                 )
+                self._append(entry)
 
     # ----------------------------------------------------- intrinsic traffic
 
@@ -434,47 +433,43 @@ class SSATracer:
         read-modify-write chain.  Conflicts on hot account balances then
         redo exactly like conflicts on hot storage slots.
         """
-        load = self._new_entry(
-            PseudoOp.ILOAD,
-            key=key,
-            result=observed,
-            def_storage=self.log.latest_writes.get(key),
+        log = self.log
+        load = LogEntry(
+            len(log.entries), PseudoOp.ILOAD, (), observed, (),
+            log.latest_writes.get(key), (), key,
         )
         load_lsn = self._append(load)
-        self.log.record_load(load)
+        log.record_load(load)
 
         if minimum is not None:
             self._append(
-                self._new_entry(
-                    PseudoOp.GUARD_GE,
-                    operands=(observed, minimum),
-                    def_stack=(load_lsn,),
-                    result=None,
+                LogEntry(
+                    len(log.entries), PseudoOp.GUARD_GE, (observed, minimum), None,
+                    (load_lsn,),
                 )
             )
 
         if delta == 0:
             return
 
-        add = self._new_entry(
-            PseudoOp.IADD,
-            operands=(observed, delta),
-            def_stack=(load_lsn, None),
-            result=observed + delta,
+        updated = observed + delta
+        add_lsn = self._append(
+            LogEntry(
+                len(log.entries), PseudoOp.IADD, (observed, delta), updated,
+                (load_lsn, None),
+            )
         )
-        add_lsn = self._append(add)
-
-        store = self._new_entry(
-            PseudoOp.ISTORE,
-            key=key,
-            operands=(observed + delta,),
-            def_stack=(add_lsn,),
-            result=observed + delta,
+        store = LogEntry(
+            len(log.entries), PseudoOp.ISTORE, (updated,), updated, (add_lsn,),
+            None, (), key,
         )
         self._append(store)
-        self.log.record_store(store)
+        log.record_store(store)
 
     def trace_intrinsic_read(self, key: StateKey, observed: int) -> None:
-        entry = self._new_entry(PseudoOp.ILOAD, key=key, result=observed)
+        log = self.log
+        entry = LogEntry(
+            len(log.entries), PseudoOp.ILOAD, (), observed, (), None, (), key
+        )
         self._append(entry)
-        self.log.record_load(entry)
+        log.record_load(entry)

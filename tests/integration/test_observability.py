@@ -7,9 +7,10 @@ Two invariants protect the zero-cost-when-absent contract:
 2. the seed makespans themselves are pinned bit-for-bit, so instrumentation
    refactors cannot silently perturb the simulation.
 
-The agreement tests cross-check independently maintained counters: the
-scheduler's §6.4 stats dict versus the metric series the SSA tracer and
-redo phase publish on their own.
+The agreement tests cross-check the scheduler's §6.4 stats dict against
+the metric series: the redo phase publishes its own, and the SSA counters,
+which the scheduler fills from each execution's tracer, are pinned to the
+values they had when the tracer published them itself.
 """
 
 from __future__ import annotations
@@ -132,13 +133,17 @@ class TestStatsMetricsAgreement:
         assert m.value("redo_slice_entries")["count"] == result.stats["redo_attempts"]
 
     def test_ssa_log_counters_agree(self, contended_run):
-        """The tracer counts entries as it appends; the scheduler sums
-        len(log) per execution.  Both must see the same total."""
+        """The scheduler reads each execution's tracer once — ``events`` and
+        ``len(log)`` — into both the counters and the stats dict, so the two
+        have one source and must agree; the literals were recorded when the
+        tracer still incremented the counters per event and per entry."""
         result, obs = contended_run
         assert (
             obs.metrics.value("ssa_log_entries_total")
             == result.stats["log_entries_total"]
         )
+        assert obs.metrics.value("ssa_events_total") == 3264
+        assert obs.metrics.value("ssa_log_entries_total") == 660
 
     def test_task_counts_match_spans(self, contended_run):
         result, obs = contended_run

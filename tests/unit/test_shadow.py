@@ -1,4 +1,8 @@
-"""Shadow stack and shadow memory (§5.2.1, §5.2.3 — the Figure 8 example)."""
+"""Shadow memory (§5.2.3 — the Figure 8 example).
+
+The shadow stack is a plain list the tracer works on directly; its traffic
+is covered by the tracer tests and the SSA-log digests.
+"""
 
 from __future__ import annotations
 
@@ -6,39 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.shadow import FrameShadow
-
-
-class TestShadowStack:
-    def test_push_pop(self):
-        s = FrameShadow()
-        s.push(None)
-        s.push(4)
-        assert s.pop() == 4
-        assert s.pop() is None
-
-    def test_pop_n_top_first(self):
-        s = FrameShadow()
-        for x in (1, 2, 3):
-            s.push(x)
-        assert s.pop_n(2) == (3, 2)
-
-    def test_pop_n_zero(self):
-        assert FrameShadow().pop_n(0) == ()
-
-    def test_dup_copies_cell(self):
-        s = FrameShadow()
-        s.push(7)
-        s.push(None)
-        s.dup(2)
-        assert s.stack == [7, None, 7]
-
-    def test_swap(self):
-        s = FrameShadow()
-        s.push(1)
-        s.push(2)
-        s.push(3)
-        s.swap(2)
-        assert s.stack == [3, 2, 1]
 
 
 class TestShadowMemory:
