@@ -272,24 +272,27 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             checkpoint_interval=args.checkpoint_interval,
         )
     executor = make_executor("parallelevm", args.threads, durability=pipeline)
-
-    for number in range(args.block, args.block + args.count):
-        block = workload.block(number)
-        serial = SerialExecutor().execute_block(
-            serial_world, block.txs, block.env
-        )
-        serial_world.apply(serial.writes)
-        result = executor.execute_block(parallel_world, block.txs, block.env)
-        commit_us = executor.commit_block(parallel_world, number, result)
-        serial_root = serial_world.state_root()
-        if parallel_world.state_root() != serial_root:
-            print(f"block {number}: STATE ROOT MISMATCH", file=sys.stderr)
-            return 1
-        durable = f", durable commit {commit_us:.0f} us" if pipeline else ""
-        print(
-            f"block {number}: root {serial_root.hex()[:16]}… ok, "
-            f"speedup {serial.makespan_us / result.makespan_us:.2f}x{durable}"
-        )
+    try:
+        for number in range(args.block, args.block + args.count):
+            block = workload.block(number)
+            serial = SerialExecutor().execute_block(
+                serial_world, block.txs, block.env
+            )
+            serial_world.apply(serial.writes)
+            result = executor.execute_block(parallel_world, block.txs, block.env)
+            commit_us = executor.commit_block(parallel_world, number, result)
+            serial_root = serial_world.state_root()
+            if parallel_world.state_root() != serial_root:
+                print(f"block {number}: STATE ROOT MISMATCH", file=sys.stderr)
+                return 1
+            durable = f", durable commit {commit_us:.0f} us" if pipeline else ""
+            print(
+                f"block {number}: root {serial_root.hex()[:16]}… ok, "
+                f"speedup {serial.makespan_us / result.makespan_us:.2f}x{durable}"
+            )
+    finally:
+        if pipeline is not None:
+            pipeline.medium.close()
     if pipeline is not None:
         print(
             f"journal: {pipeline.journal.records_written} records, "

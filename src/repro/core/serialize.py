@@ -87,6 +87,28 @@ def encode_value(value) -> rlp.RLPItem:
     return _encode_value(value)
 
 
+def encode_value_bytes(value) -> bytes:
+    """``rlp.encode(encode_value(value))``, without building the nested list.
+
+    The durability layer's codec for state keys — ``(str, bytes[, int])``
+    tuples — and values (ints, bytes): those types are framed here directly
+    (a one-byte tag is its own RLP encoding), anything else generically.
+    """
+    kind = type(value)
+    if kind is int and value >= 0:
+        body = _T_INT + rlp.encode_bytes(rlp.uint_to_bytes(value))
+    elif kind is bytes:
+        body = _T_BYTES + rlp.encode_bytes(value)
+    elif kind is tuple:
+        items = b"".join(map(encode_value_bytes, value))
+        body = _T_TUPLE + rlp.list_header(len(items)) + items
+    elif kind is str:
+        body = _T_STR + rlp.encode_bytes(value.encode())
+    else:
+        return rlp.encode(_encode_value(value))
+    return rlp.list_header(len(body)) + body
+
+
 def decode_value(item: rlp.RLPItem):
     """Inverse of :func:`encode_value`."""
     return _decode_value(item)

@@ -29,7 +29,7 @@ import struct
 import zlib
 
 from .. import rlp
-from ..core.serialize import decode_value, encode_value
+from ..core.serialize import decode_value, encode_value_bytes
 from ..errors import JournalCorruptionError
 from ..state.world import WorldState
 
@@ -41,9 +41,10 @@ class SnapshotEncoder:
     """Encodes successive snapshots of one store, re-encoding only what changed.
 
     Holds, for the store it last encoded: every stored entry's RLP bytes
-    (``[encode_value(key), encode_value(value)]``), the keys in sorted
-    order, and its cursor into the store's write log.  Handed a world over
-    a different store it forgets all three and starts over.
+    (``[encode_value(key), encode_value(value)]``, built as bytes by
+    ``encode_value_bytes``), the keys in sorted order, and its cursor into
+    the store's write log.  Handed a world over a different store it
+    forgets all three and starts over.
     """
 
     def __init__(self) -> None:
@@ -64,9 +65,8 @@ class SnapshotEncoder:
         for key in written:
             if key not in entries:
                 order.append(key)
-            entries[key] = rlp.encode(
-                [encode_value(key), encode_value(store.peek(key))]
-            )
+            pair = encode_value_bytes(key) + encode_value_bytes(store.peek(key))
+            entries[key] = rlp.list_header(len(pair)) + pair
         order.sort()  # one long sorted run plus the new keys: near-linear
         items = b"".join(map(entries.__getitem__, order))
         head = (

@@ -41,7 +41,7 @@ import zlib
 from dataclasses import dataclass
 
 from .. import rlp
-from ..core.serialize import decode_value, encode_value
+from ..core.serialize import decode_value, encode_value_bytes
 from ..errors import JournalCorruptionError
 
 JOURNAL_MAGIC = b"RWAL1\n"
@@ -129,49 +129,57 @@ JournalRecord = (
 )
 
 
-def _encode_writes(writes: dict) -> rlp.RLPItem:
-    """A write set as a deterministic (sorted-key) RLP list of pairs."""
-    return [
-        [encode_value(key), encode_value(value)]
-        for key, value in sorted(writes.items())
-    ]
+def _uint(value: int) -> bytes:
+    return rlp.encode_bytes(rlp.uint_to_bytes(value))
+
+
+def _write_set_bytes(writes: dict, keys: dict) -> bytes:
+    """A write set as a deterministic (sorted-key) RLP list of pairs.
+
+    ``keys`` memoises key encodings (the journal shares one per block).
+    """
+    pairs = []
+    for key, value in sorted(writes.items()):
+        encoded = keys.get(key)
+        if encoded is None:
+            encoded = keys[key] = encode_value_bytes(key)
+        pair = encoded + encode_value_bytes(value)
+        pairs.append(rlp.list_header(len(pair)) + pair)
+    body = b"".join(pairs)
+    return rlp.list_header(len(body)) + body
 
 
 def _decode_writes(item: rlp.RLPItem) -> dict:
     return {decode_value(pair[0]): decode_value(pair[1]) for pair in item}
 
 
-def encode_record(record: JournalRecord) -> bytes:
-    """One journal record as RLP payload bytes (frame body, no header)."""
-    number = rlp.uint_to_bytes(record.block_number)
+def encode_record(record: JournalRecord, keys: dict | None = None) -> bytes:
+    """One journal record as RLP payload bytes (frame body, no header).
+
+    Each one-byte tag is its own RLP encoding; ``keys`` as for write sets.
+    """
+    if keys is None:
+        keys = {}
+    number = _uint(record.block_number)
     if isinstance(record, BeginRecord):
-        item = [
-            TAG_BEGIN,
-            number,
-            rlp.uint_to_bytes(record.tx_count),
-            record.pre_root,
-            rlp.uint_to_bytes(record.epoch),
-        ]
+        body = TAG_BEGIN + number + _uint(record.tx_count)
+        body += rlp.encode_bytes(record.pre_root) + _uint(record.epoch)
     elif isinstance(record, TxWriteRecord):
-        item = [
-            TAG_TXWRITE,
-            number,
-            rlp.uint_to_bytes(record.tx_index),
-            _encode_writes(record.writes),
-        ]
+        body = TAG_TXWRITE + number + _uint(record.tx_index)
+        body += _write_set_bytes(record.writes, keys)
     elif isinstance(record, SettleRecord):
-        item = [TAG_SETTLE, number, _encode_writes(record.writes)]
+        body = TAG_SETTLE + number + _write_set_bytes(record.writes, keys)
     elif isinstance(record, UndoRecord):
-        item = [TAG_UNDO, number, _encode_writes(record.preimages)]
+        body = TAG_UNDO + number + _write_set_bytes(record.preimages, keys)
     elif isinstance(record, CommitRecord):
-        item = [TAG_COMMIT, number, record.delta_digest]
+        body = TAG_COMMIT + number + rlp.encode_bytes(record.delta_digest)
     elif isinstance(record, SealRecord):
-        item = [TAG_SEAL, number, record.post_root]
+        body = TAG_SEAL + number + rlp.encode_bytes(record.post_root)
     elif isinstance(record, CheckpointRecord):
-        item = [TAG_CHECKPT, number]
+        body = TAG_CHECKPT + number
     else:  # pragma: no cover - exhaustive over JournalRecord
         raise TypeError(f"not a journal record: {record!r}")
-    return rlp.encode(item)
+    return rlp.list_header(len(body)) + body
 
 
 def decode_record(payload: bytes, offset: int = 0) -> JournalRecord:
@@ -301,6 +309,13 @@ class WriteAheadJournal:
     is how the crash fuzzer enumerates every failure point of the commit
     path.  ``bytes_written`` / ``records_written`` feed the ``durability_*``
     metrics.
+
+    ``_begins`` indexes ``(block_number, offset)`` of every BEGIN frame; it
+    is exact while the medium is ``_size`` bytes of whole frames this
+    journal wrote (None when it was opened on a non-empty medium).  Other
+    bytes — a torn frame, another writer — leave another length, and
+    pruning then rebuilds the index with one scan.  ``_keys`` is the
+    current block's key-encoding memo.
     """
 
     def __init__(self, medium, crash=None) -> None:
@@ -308,9 +323,13 @@ class WriteAheadJournal:
         self.crash = crash
         self.bytes_written = 0
         self.records_written = 0
+        self._begins: list[tuple[int, int]] = []
+        self._size: int | None = None
+        self._keys: dict = {}
         if self.medium.journal_size() == 0:
             self.medium.append_journal(JOURNAL_MAGIC)
             self.bytes_written += len(JOURNAL_MAGIC)
+            self._size = len(JOURNAL_MAGIC)
 
     def append(self, record: JournalRecord, site: str | None = None) -> int:
         """Frame and append one record; returns the frame's byte length.
@@ -319,7 +338,9 @@ class WriteAheadJournal:
         the frame reaches the medium before :class:`SimulatedCrash` is
         raised; armed on ``<site>``, the full frame lands first.
         """
-        data = frame(encode_record(record))
+        if isinstance(record, BeginRecord):
+            self._keys.clear()  # bounded by one block's write set
+        data = frame(encode_record(record, self._keys))
         crash = self.crash
         if crash is not None and site is not None:
             torn = crash.tear_fraction(site)
@@ -331,12 +352,31 @@ class WriteAheadJournal:
         self.medium.append_journal(data)
         self.bytes_written += len(data)
         self.records_written += 1
+        offset = self._size
+        if offset is not None:
+            self._size = offset + len(data)
+            if isinstance(record, BeginRecord):
+                self._begins.append((record.block_number, offset))
         if crash is not None and site is not None:
             crash.maybe_crash(site)
         return len(data)
 
     def scan(self) -> JournalScan:
         return scan_journal(self.medium.read_journal())
+
+    def truncate(self, length: int) -> None:
+        """Cut the journal back to ``length`` bytes (a reorg's rollback).
+
+        A cut at one of the journal's own BEGIN frames keeps the index
+        exact; any other cut leaves it to the next prune's scan.
+        """
+        known = self._size == self.medium.journal_size()
+        self.medium.truncate_journal(length)
+        begins = self._begins
+        boundary = length == self._size
+        while begins and begins[-1][1] >= length:
+            boundary = begins.pop()[1] == length
+        self._size = length if known and boundary else None
 
     def prune_through(self, block_number: int) -> int:
         """Drop all frames of blocks ``<= block_number`` (post-checkpoint).
@@ -347,18 +387,30 @@ class WriteAheadJournal:
         recovery semantics are untouched.
         """
         data = self.medium.read_journal()
-        scan = scan_journal(data)
+        if len(data) != self._size:
+            scan = scan_journal(data)
+            self._begins = [
+                (record.block_number, offset)
+                for offset, record in scan.frames
+                if isinstance(record, BeginRecord)
+            ]
+            # An empty medium scans clean but has no magic to append behind.
+            clean = data and scan.tail_status == "clean"
+            self._size = len(data) if clean else None
         # Everything survives from the first BEGIN of a newer block on; if
         # no newer block exists, the whole journal (including any torn
         # tail) is reclaimable.
-        cut = len(data)
-        for offset, record in scan.frames:
-            if isinstance(record, BeginRecord) and record.block_number > block_number:
-                cut = offset
+        cut, kept = len(data), []
+        for index, (number, offset) in enumerate(self._begins):
+            if number > block_number:
+                cut, kept = offset, self._begins[index:]
                 break
         if cut <= len(JOURNAL_MAGIC):
             return 0
         survivor = JOURNAL_MAGIC + data[cut:]
-        reclaimed = len(data) - len(survivor)
         self.medium.reset_journal(survivor)
-        return reclaimed
+        shift = cut - len(JOURNAL_MAGIC)
+        self._begins = [(number, offset - shift) for number, offset in kept]
+        if self._size is not None:
+            self._size = len(survivor)
+        return len(data) - len(survivor)

@@ -77,6 +77,10 @@ class FileMedium:
     atomic-rename discipline LevelDB uses for its MANIFEST.  (The crash
     *fuzzer* still exercises torn snapshots through :class:`MemoryMedium`,
     where tears are injected above the medium.)
+
+    Appends share one unbuffered handle, held until :meth:`close`;
+    truncating or replacing the journal closes it, so the next append
+    reopens whatever file is then at the path.
     """
 
     JOURNAL_NAME = "wal.bin"
@@ -85,12 +89,25 @@ class FileMedium:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         self._journal_path = os.path.join(directory, self.JOURNAL_NAME)
+        self._append_handle = None
+
+    def close(self) -> None:
+        """Close the held append handle (idempotent; a later append reopens)."""
+        handle, self._append_handle = self._append_handle, None
+        if handle is not None:
+            handle.close()
 
     # ------------------------------------------------------------- journal
 
     def append_journal(self, data: bytes) -> None:
-        with open(self._journal_path, "ab") as fh:
-            fh.write(data)
+        handle = self._append_handle
+        if handle is None:
+            handle = self._append_handle = open(
+                self._journal_path, "ab", buffering=0
+            )
+        view = memoryview(data)
+        while view:  # a raw write may be short
+            view = view[handle.write(view) :]
 
     def read_journal(self) -> bytes:
         try:
@@ -106,10 +123,12 @@ class FileMedium:
             return 0
 
     def truncate_journal(self, length: int) -> None:
+        self.close()
         with open(self._journal_path, "ab") as fh:
             fh.truncate(length)
 
     def reset_journal(self, data: bytes) -> None:
+        self.close()
         tmp = self._journal_path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(data)

@@ -106,7 +106,7 @@ class ReorgManager:
 
         # Drop the undone blocks' frames: journal history and world state
         # move together, so a crash right here recovers to exactly to_block.
-        self.pipeline.medium.truncate_journal(to_undo[0].begin_offset)
+        self.pipeline.journal.truncate(to_undo[0].begin_offset)
         if self.metrics is not None:
             self.metrics.counter("durability_reorg_blocks").inc(len(undone))
             self.metrics.counter("durability_reorgs").inc()

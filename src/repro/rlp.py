@@ -17,9 +17,9 @@ RLPItem = bytes | list
 def encode(item: RLPItem) -> bytes:
     """RLP-encode a byte string or nested list of byte strings."""
     if isinstance(item, bytes):
-        return _encode_bytes(item)
+        return encode_bytes(item)
     if isinstance(item, bytearray):
-        return _encode_bytes(bytes(item))
+        return encode_bytes(bytes(item))
     if isinstance(item, (list, tuple)):
         payload = b"".join(encode(child) for child in item)
         return _encode_length(len(payload), 0xC0) + payload
@@ -54,7 +54,8 @@ def bytes_to_uint(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def _encode_bytes(data: bytes) -> bytes:
+def encode_bytes(data: bytes) -> bytes:
+    """``encode`` of one byte string, for callers that frame lists themselves."""
     if len(data) == 1 and data[0] < 0x80:
         return data
     return _encode_length(len(data), 0x80) + data

@@ -276,6 +276,8 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
             "slo": slo.summary() if slo is not None else None,
         }
 
+    if durability is not None:
+        durability.medium.close()
     cache = chain.world.db.cache
     return SoakReport(
         executor=config.executor,

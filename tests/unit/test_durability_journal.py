@@ -37,6 +37,8 @@ from repro.errors import (
 from repro.primitives import make_address
 from repro.state.keys import balance_key, storage_key
 
+from tests.unit.journal_reference import reference_prune
+
 
 def k(i: int):
     return balance_key(make_address(10_000 + i))
@@ -168,6 +170,14 @@ class TestAppendAndPrune:
         assert scan.tail_status == "clean"
         assert scan.records == [SAMPLE_RECORDS[0]]
 
+    def test_key_memo_holds_only_the_current_blocks_keys(self):
+        journal = WriteAheadJournal(MemoryMedium())
+        for number in (1, 2, 3):
+            journal.append(BeginRecord(number, 1, b"\x00" * 16))
+            journal.append(TxWriteRecord(number, 0, {k(number): number}))
+            journal.append(UndoRecord(number, {k(number): 0, k(0): 1}))
+        assert sorted(journal._keys) == sorted([k(3), k(0)])
+
     def test_prune_through_keeps_newer_blocks(self):
         journal = WriteAheadJournal(MemoryMedium())
         for number in (1, 2, 3):
@@ -188,6 +198,48 @@ class TestAppendAndPrune:
         assert journal.medium.read_journal() == JOURNAL_MAGIC
 
 
+def begin(number: int) -> BeginRecord:
+    return BeginRecord(number, 0, b"\x00" * 16)
+
+
+class TestPruneIndex:
+    """The BEGIN index against the scanning prune, where it must not be
+    trusted: bytes on the medium that the journal did not write."""
+
+    def prune_both(self, journal, number):
+        before = journal.medium.read_journal()
+        journal.prune_through(number)
+        assert journal.medium.read_journal() == reference_prune(before, number)
+
+    def test_another_writers_begin_frame_survives(self):
+        journal = WriteAheadJournal(MemoryMedium())
+        journal.append(begin(1))
+        journal.medium.append_journal(frame(encode_record(begin(3))))
+        journal.append(SealRecord(3, b"\x00" * 16))
+        self.prune_both(journal, 2)
+        assert [r.block_number for r in journal.scan().records] == [3, 3]
+
+    def test_an_emptied_medium_has_no_magic_to_keep(self):
+        journal = WriteAheadJournal(MemoryMedium())
+        journal.append(begin(1))
+        journal.truncate(0)
+        self.prune_both(journal, 0)
+        journal.append(begin(1))
+        self.prune_both(journal, 0)
+        assert journal.medium.read_journal() == JOURNAL_MAGIC
+
+    def test_offsets_stale_after_another_writers_truncate_are_dropped(self):
+        journal = WriteAheadJournal(MemoryMedium())
+        journal.append(begin(1))
+        second = journal.medium.journal_size()
+        size = journal.append(begin(2))
+        journal.medium.truncate_journal(second)  # recovery drops block 2
+        journal.medium.append_journal(b"\x00" * 3)
+        journal.append(begin(3))  # the journal believes it sits at second + size
+        journal.truncate(second + size)
+        self.prune_both(journal, 1)
+
+
 class TestSnapshotFiles:
     @pytest.fixture()
     def media(self, tmp_path):
@@ -201,7 +253,8 @@ class TestSnapshotFiles:
         (tmp_path / "snapshot-7.bin.tmp").write_bytes(b"interrupted write")
         (tmp_path / "notes.txt").write_bytes(b"foreign")
         (tmp_path / "snapshot-007.bin").write_bytes(b"not a name we write")
-        return tmp_path, file_medium, memory_medium
+        yield tmp_path, file_medium, memory_medium
+        file_medium.close()
 
     BYSTANDERS = {"wal.bin", "snapshot-7.bin.tmp", "notes.txt", "snapshot-007.bin"}
 
@@ -235,6 +288,43 @@ class TestSnapshotFiles:
             "builtins.open", lambda *a, **k: pytest.fail("opened a file to prune")
         )
         assert file_medium.prune_snapshots(keep=1) == 3
+
+
+class TestFileMediumHandle:
+    def test_a_second_medium_reads_every_byte_without_a_close(self, tmp_path):
+        writer = FileMedium(str(tmp_path))
+        journal = WriteAheadJournal(writer)
+        for record in SAMPLE_RECORDS:
+            journal.append(record)
+        reader = FileMedium(str(tmp_path))
+        assert reader.read_journal() == writer.read_journal()
+        assert reader.journal_size() == journal.bytes_written
+        assert reader.journal_size() == writer.journal_size()
+        assert journal.scan().records == SAMPLE_RECORDS
+        writer.close()
+
+    def test_append_after_reset_lands_in_the_new_file(self, tmp_path):
+        medium = FileMedium(str(tmp_path))
+        medium.append_journal(JOURNAL_MAGIC + b"old")
+        replaced = (tmp_path / "wal.bin").stat().st_ino
+        medium.reset_journal(JOURNAL_MAGIC)
+        medium.append_journal(b"new")
+        assert (tmp_path / "wal.bin").stat().st_ino != replaced
+        assert medium.read_journal() == JOURNAL_MAGIC + b"new"
+        medium.truncate_journal(len(JOURNAL_MAGIC) + 1)
+        medium.append_journal(b"!")
+        assert medium.read_journal() == JOURNAL_MAGIC + b"n!"
+        medium.close()
+
+    def test_close_is_idempotent_and_appends_reopen(self, tmp_path):
+        medium = FileMedium(str(tmp_path))
+        medium.close()  # nothing open yet
+        medium.append_journal(b"a")
+        medium.close()
+        medium.close()
+        medium.append_journal(b"b")
+        medium.close()
+        assert medium.read_journal() == b"ab"
 
 
 class TestCrashSites:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.durability import (
+    JOURNAL_MAGIC,
     BeginRecord,
     CommitRecord,
     DurableCommitPipeline,
@@ -32,6 +33,7 @@ from repro.resilience.policy import RecoveryPolicy
 from repro.state.keys import balance_key
 from repro.state.world import WorldState
 
+from tests.unit.journal_reference import reference_prune
 from tests.unit.snapshot_reference import reference_snapshot
 
 
@@ -103,9 +105,11 @@ class TestSnapshots:
         encoder = SnapshotEncoder()
         encoder.encode(world, 1)
         encoded = []
-        real = checkpoint.encode_value
+        real = checkpoint.encode_value_bytes
         monkeypatch.setattr(
-            checkpoint, "encode_value", lambda v: encoded.append(v) or real(v)
+            checkpoint,
+            "encode_value_bytes",
+            lambda v: encoded.append(v) or real(v),
         )
         world.apply({k(4): 44, k(10): 11})
         assert encoder.encode(world, 2) == reference_snapshot(world, 2)
@@ -385,6 +389,48 @@ class TestReorgRollback:
             manager.rollback(world, 1)
         # Rolling back only past the checkpoint still works.
         assert manager.rollback(world, 2) == [3]
+
+    def test_checkpoint_after_a_reorg_prunes_through_the_trimmed_index(
+        self, monkeypatch
+    ):
+        class PruneTap(MemoryMedium):
+            def reset_journal(self, data: bytes) -> None:
+                self.pruned = (self.read_journal(), data)
+                super().reset_journal(data)
+
+        medium = PruneTap()
+        pipeline = DurableCommitPipeline(medium, checkpoint_interval=5)
+        world = WorldState()
+        commit_chain(
+            pipeline,
+            world,
+            [(n, make_result({k(n): n}, {k(0): n})) for n in (1, 2, 3)],
+        )
+        assert ReorgManager(pipeline).rollback(world, 1) == [3, 2]
+        # The rollback truncated through the journal, which kept its index:
+        # the fork's checkpoint (the fifth commit) prunes without a scan,
+        # and so does a prune that keeps blocks.
+        monkeypatch.setattr(
+            "repro.durability.journal.scan_journal",
+            lambda data: pytest.fail("pruned by scanning"),
+        )
+        commit_chain(
+            pipeline,
+            world,
+            [(n, make_result({k(n + 10): n}, {k(0): n + 100})) for n in (2, 3)],
+        )
+        before, after = medium.pruned
+        assert after == reference_prune(before, 3) == JOURNAL_MAGIC
+        commit_chain(
+            pipeline,
+            world,
+            [(n, make_result({k(n + 10): n}, {k(0): n + 100})) for n in (4, 5)],
+        )
+        assert pipeline.journal.prune_through(4) > 0
+        before, after = medium.pruned
+        assert after == reference_prune(before, 4)
+        monkeypatch.undo()
+        assert {r.block_number for r in pipeline.journal.scan().records} == {5}
 
     def test_rollback_from_tampered_world_refuses(self):
         _medium, pipeline, world, _fps = self.build()
