@@ -5,6 +5,7 @@ crashes, without touching the simulation's performance story:
 
 - :mod:`repro.durability.journal` — the framed, CRC-checksummed
   write-ahead journal (BEGIN/TXWRITE/SETTLE/UNDO/COMMIT/SEAL/CHECKPT);
+  ``read_frame`` is the one frame reader, replicas' and snapshots' too;
 - :mod:`repro.durability.commit` — the journal-first atomic commit
   pipeline executors route through when a pipeline is attached;
 - :mod:`repro.durability.checkpoint` — periodic snapshots bounding

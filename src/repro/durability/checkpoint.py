@@ -1,15 +1,16 @@
 """World-state checkpoints: periodic snapshots that bound recovery replay.
 
-A snapshot is a full copy of all non-default world state, framed with the
-same length+CRC discipline as journal frames (plus its own magic), so a
-torn snapshot — a crash mid-write — is *detected* rather than trusted:
-recovery validates candidates newest-first and silently falls back to an
-older snapshot (ultimately genesis) when one fails its checksum.
+A snapshot is a full copy of all non-default world state: its own magic
+plus one journal frame, so a torn snapshot — a crash mid-write — is
+*detected* rather than trusted: recovery and a bootstrapping replica
+validate candidates newest-first (:func:`latest_valid_snapshot`) and fall
+back to an older snapshot (ultimately genesis) when one fails.
 
 After a snapshot of block N is durable, the journal records a CHECKPT
-marker and prunes every frame of blocks ``<= N``: the journal tail plus
-the newest valid snapshot are always sufficient to rebuild the tip, and
-undo history (hence reorg depth) extends exactly back to that snapshot.
+marker and :func:`prune_behind_snapshot` drops every frame of blocks
+``<= N``: the journal tail plus the newest valid snapshot are always
+sufficient to rebuild the tip, and undo history (hence reorg depth)
+extends exactly back to that snapshot.
 
 The payload is the RLP list ``[block number, fingerprint, [[key, value],
 ...]]`` with the entries in sorted-key order.  :class:`SnapshotEncoder`
@@ -25,16 +26,20 @@ oracle ``tests/unit/snapshot_reference.py``; the blobs are byte-identical.
 
 from __future__ import annotations
 
-import struct
-import zlib
-
 from .. import rlp
 from ..core.serialize import decode_value, encode_value_bytes
 from ..errors import JournalCorruptionError
+from ..sim.cost import CostModel
 from ..state.world import WorldState
+from .journal import BAD_CRC, PARTIAL_HEADER, frame, read_frame
 
 SNAPSHOT_MAGIC = b"RSNP1\n"
-_HEADER = struct.Struct(">II")
+
+# Snapshot wording of read_frame's problems; any other means a short blob.
+_FRAME_PROBLEMS = {
+    PARTIAL_HEADER: "truncated snapshot header",
+    BAD_CRC: "snapshot CRC mismatch",
+}
 
 
 class SnapshotEncoder:
@@ -75,8 +80,7 @@ class SnapshotEncoder:
             + rlp.list_header(len(items))
         )
         payload = rlp.list_header(len(head) + len(items)) + head + items
-        header = _HEADER.pack(len(payload), zlib.crc32(payload))
-        return SNAPSHOT_MAGIC + header + payload
+        return SNAPSHOT_MAGIC + frame(payload)
 
 
 def encode_snapshot(world: WorldState, block_number: int) -> bytes:
@@ -88,29 +92,29 @@ def decode_snapshot(data: bytes) -> tuple[int, bytes, dict]:
     """Validate and decode one snapshot blob.
 
     Returns ``(block_number, fingerprint, items)``; raises
-    :class:`JournalCorruptionError` on any framing/CRC/structure failure
-    (recovery treats that as "this snapshot does not exist").
+    :class:`JournalCorruptionError` on any framing/CRC/structure failure,
+    a CRC-valid body that does not decode included (recovery treats that
+    as "this snapshot does not exist").
     """
     if not data.startswith(SNAPSHOT_MAGIC):
         raise JournalCorruptionError(0, "bad snapshot magic")
-    body = data[len(SNAPSHOT_MAGIC) :]
-    if len(body) < _HEADER.size:
-        raise JournalCorruptionError(0, "truncated snapshot header")
-    length, crc = _HEADER.unpack_from(body)
-    payload = body[_HEADER.size : _HEADER.size + length]
-    if len(payload) < length:
-        raise JournalCorruptionError(0, "truncated snapshot body")
-    if zlib.crc32(payload) != crc:
-        raise JournalCorruptionError(0, "snapshot CRC mismatch")
-    decoded = rlp.decode(payload)
-    if not isinstance(decoded, list) or len(decoded) != 3:
-        raise JournalCorruptionError(0, "malformed snapshot structure")
-    number = rlp.bytes_to_uint(decoded[0])
-    fingerprint = decoded[1]
-    items = {
-        decode_value(pair[0]): decode_value(pair[1]) for pair in decoded[2]
-    }
-    return number, fingerprint, items
+    payload, _end, problem = read_frame(data, len(SNAPSHOT_MAGIC))
+    if problem:
+        detail = _FRAME_PROBLEMS.get(problem, "truncated snapshot body")
+        raise JournalCorruptionError(0, detail)
+    try:
+        decoded = rlp.decode(payload)
+        if not isinstance(decoded, list) or len(decoded) != 3:
+            raise JournalCorruptionError(0, "malformed snapshot structure")
+        number = rlp.bytes_to_uint(decoded[0])
+        items = {
+            decode_value(pair[0]): decode_value(pair[1]) for pair in decoded[2]
+        }
+    except JournalCorruptionError:
+        raise
+    except Exception as exc:
+        raise JournalCorruptionError(0, f"malformed snapshot body: {exc}") from exc
+    return number, decoded[1], items
 
 
 def restore_snapshot(items: dict) -> WorldState:
@@ -122,32 +126,45 @@ def restore_snapshot(items: dict) -> WorldState:
 
 
 def latest_valid_snapshot(
-    medium, metrics=None
+    snapshots: dict[int, bytes], reject
 ) -> tuple[int, WorldState] | None:
-    """The newest snapshot on the medium that passes validation, restored.
+    """The newest candidate snapshot that passes validation, restored.
 
-    Torn or corrupt candidates are skipped (counted into
-    ``durability_snapshots_rejected``), newest first, so a crash
-    mid-snapshot can never poison recovery — it only costs replay length.
+    ``snapshots`` maps a block number to its blob — a medium's
+    ``read_snapshots()``, or a shipped feed's.  Torn or corrupt candidates
+    are skipped newest first, each with one call to ``reject()``, so a
+    crash mid-snapshot can never poison recovery — it only costs replay
+    length.
     """
-
-    def reject() -> None:
-        if metrics is not None:
-            metrics.counter("durability_snapshots_rejected").inc()
-
-    snapshots = medium.read_snapshots()
     for block_number in sorted(snapshots, reverse=True):
         try:
             number, fingerprint, items = decode_snapshot(snapshots[block_number])
         except JournalCorruptionError:
-            reject()
-            continue
-        if number != block_number:
-            reject()
-            continue
-        world = restore_snapshot(items)
-        if world.fingerprint() != fingerprint:
-            reject()
-            continue
-        return number, world
+            number = None
+        if number == block_number:
+            world = restore_snapshot(items)
+            if world.fingerprint() == fingerprint:
+                return number, world
+        reject()
     return None
+
+
+def snapshot_cost_us(world: WorldState, blob: bytes, cost_model: CostModel) -> float:
+    """Simulated time to make a snapshot durable: keys, bytes, one fsync."""
+    return (
+        len(world.db) * cost_model.snapshot_key_us
+        + len(blob) * cost_model.journal_byte_us
+        + cost_model.fsync_us
+    )
+
+
+def prune_behind_snapshot(journal, block_number: int) -> int:
+    """Drop what a durable snapshot of ``block_number`` makes redundant.
+
+    The ``WriteAheadJournal``'s frames of blocks ``<= block_number`` and all
+    but the newest two snapshots (a fallback should the newest be torn).
+    Returns the journal bytes reclaimed.
+    """
+    pruned = journal.prune_through(block_number)
+    journal.medium.prune_snapshots(keep=2)
+    return pruned

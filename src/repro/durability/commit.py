@@ -31,7 +31,7 @@ import hashlib
 
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
-from .checkpoint import SnapshotEncoder
+from .checkpoint import SnapshotEncoder, prune_behind_snapshot, snapshot_cost_us
 from .journal import (
     BeginRecord,
     CheckpointRecord,
@@ -266,7 +266,6 @@ class DurableCommitPipeline:
         return elapsed
 
     def _checkpoint(self, world: WorldState, block_number: int) -> float:
-        cost = self.cost_model
         blob = self._snapshots.encode(world, block_number)
         crash = self.crash
         if crash is not None and crash.site == "mid-snapshot":
@@ -276,14 +275,10 @@ class DurableCommitPipeline:
             self.medium.write_snapshot(block_number, blob[: max(1, len(blob) // 2)])
             crash.crash("mid-snapshot")
         self.medium.write_snapshot(block_number, blob)
-        elapsed = (
-            len(world.db) * cost.snapshot_key_us
-            + len(blob) * cost.journal_byte_us
-            + self._fsync()
-        )
+        self.fsyncs += 1
+        elapsed = snapshot_cost_us(world, blob, self.cost_model)
         self.journal.append(CheckpointRecord(block_number), site=None)
-        pruned = self.journal.prune_through(block_number)
-        self.medium.prune_snapshots(keep=2)
+        pruned = prune_behind_snapshot(self.journal, block_number)
         self._count("durability_checkpoints")
         self._count("durability_pruned_bytes", pruned)
         if crash is not None:

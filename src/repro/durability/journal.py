@@ -222,6 +222,38 @@ def frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+# read_frame's problems, besides "implausible frame length N".
+PARTIAL_HEADER = "partial frame header"
+PARTIAL_BODY = "partial frame body"
+BAD_CRC = "frame CRC mismatch"
+
+
+def read_frame(data: bytes, pos: int) -> tuple[bytes | None, int, str]:
+    """The frame at ``data[pos]`` as ``(payload, end, problem)``: the one reader.
+
+    ``problem`` is empty for a sound frame, whose CRC-checked ``payload``
+    ends at ``end``.  Otherwise ``payload`` is None and ``problem`` is
+    :data:`PARTIAL_HEADER` / :data:`PARTIAL_BODY` (``data`` ends inside the
+    frame), an implausible length (checked first, so a flipped length byte
+    never waits for gigabytes) or :data:`BAD_CRC` (complete, ending at
+    ``end``).  Journal scans, replicas and snapshots word these their way.
+    """
+    size = len(data)
+    if size - pos < _HEADER.size:
+        return None, size, PARTIAL_HEADER
+    length, crc = _HEADER.unpack_from(data, pos)
+    if length > MAX_FRAME_BYTES:
+        return None, size, f"implausible frame length {length}"
+    start = pos + _HEADER.size
+    end = start + length
+    if end > size:
+        return None, size, PARTIAL_BODY
+    payload = data[start:end]
+    if zlib.crc32(payload) != crc:
+        return None, end, BAD_CRC
+    return payload, end, ""
+
+
 # -------------------------------------------------------------------- scan
 
 
@@ -264,34 +296,27 @@ def scan_journal(data: bytes) -> JournalScan:
     offset = len(JOURNAL_MAGIC)
     size = len(data)
     while offset < size:
-        remaining = size - offset
-        if remaining < _HEADER.size:
-            return JournalScan(frames, offset, "torn", "partial frame header")
-        length, crc = _HEADER.unpack_from(data, offset)
-        if length > MAX_FRAME_BYTES:
-            return JournalScan(
-                frames, offset, "corrupt", f"implausible frame length {length}"
-            )
-        body_start = offset + _HEADER.size
-        if size - body_start < length:
-            return JournalScan(frames, offset, "torn", "partial frame body")
-        payload = data[body_start : body_start + length]
-        end = body_start + length
-        if zlib.crc32(payload) != crc:
-            if end >= size:
-                # The damaged frame is the very last thing on the medium: a
-                # torn append is indistinguishable from a flipped bit here,
-                # and truncating is always safe (the frame never committed).
+        payload, end, problem = read_frame(data, offset)
+        if problem in (PARTIAL_HEADER, PARTIAL_BODY):
+            return JournalScan(frames, offset, "torn", problem)
+        # A damaged frame that is the very last thing on the medium: a torn
+        # append is indistinguishable from a flipped bit there, and
+        # truncating is always safe (the frame never committed).
+        tail = end >= size
+        if problem == BAD_CRC:
+            if tail:
                 return JournalScan(frames, offset, "torn", "bad CRC on tail frame")
             return JournalScan(
                 frames, offset, "corrupt", f"CRC mismatch at byte {offset}"
             )
+        if problem:
+            return JournalScan(frames, offset, "corrupt", problem)
         try:
             record = decode_record(payload, offset)
         except JournalCorruptionError as exc:
-            if end >= size:
-                return JournalScan(frames, offset, "torn", exc.detail)
-            return JournalScan(frames, offset, "corrupt", exc.detail)
+            return JournalScan(
+                frames, offset, "torn" if tail else "corrupt", exc.detail
+            )
         frames.append((offset, record))
         offset = end
     return JournalScan(frames, offset, "clean")

@@ -3,8 +3,8 @@
 ``recover`` rebuilds the world state from nothing but the durable medium
 and a genesis factory:
 
-1. restore the newest *valid* snapshot (torn/corrupt candidates are
-   rejected by CRC and skipped), or genesis when none exists;
+1. restore the newest *valid* snapshot (torn/corrupt candidates — a bad
+   CRC, an undecodable body — are skipped), or genesis when none exists;
 2. scan the journal, truncating a torn tail (and, under the default
    ``corrupt_tail_policy="truncate"``, a corrupt interior — the degraded
    result is then exactly the last certified prefix);
@@ -42,22 +42,37 @@ from .journal import (
     scan_journal,
 )
 
-_MISSING = object()
-
 
 @dataclass(slots=True)
 class ReplayedBlock:
-    """One fully-journaled block reconstructed from the frames."""
+    """One journaled block reconstructed from its frames.
+
+    Built by :func:`group_blocks` and by a streaming replica; both replay
+    it through :meth:`apply_verified` and :meth:`seal_matches`.
+    """
 
     number: int
     begin_offset: int
-    tx_count: int
     pre_root: bytes
     writes: dict = field(default_factory=dict)
     undo: dict = field(default_factory=dict)
     committed: bool = False
     delta_digest: bytes = b""
     post_root: bytes | None = None  # from the SEAL record, when present
+
+    def apply_verified(self, world: WorldState, cost_model: CostModel) -> float | None:
+        """Apply the writes to ``world`` if they match the COMMIT digest.
+
+        Returns the simulated replay cost, or None (``world`` untouched).
+        """
+        if delta_digest(self.pre_root, self.writes) != self.delta_digest:
+            return None
+        world.apply(self.writes)
+        return len(self.writes) * cost_model.commit_key_us + cost_model.fsync_us
+
+    def seal_matches(self, world: WorldState) -> bool:
+        """Whether ``world`` holds the SEAL record's post-state (or no SEAL)."""
+        return self.post_root is None or world.fingerprint() == self.post_root
 
 
 @dataclass(slots=True)
@@ -127,7 +142,6 @@ def group_blocks(records) -> tuple[list[ReplayedBlock], int | None]:
             open_block = ReplayedBlock(
                 number=record.block_number,
                 begin_offset=offset,
-                tx_count=record.tx_count,
                 pre_root=record.pre_root,
             )
         elif isinstance(record, CheckpointRecord):
@@ -161,7 +175,6 @@ def recover(
     policy: RecoveryPolicy | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     metrics=None,
-    verify_roots: bool = True,
 ) -> RecoveryResult:
     """Rebuild the world state from the durable medium.
 
@@ -170,13 +183,18 @@ def recover(
     ``policy.corrupt_tail_policy`` decides whether a corrupt journal
     interior degrades to the last certified prefix (``"truncate"``, the
     default) or raises :class:`JournalCorruptionError` (``"raise"``).
-    ``verify_roots`` checks each replayed block's SEAL fingerprint; a
-    mismatch is a :class:`RecoveryError` (the journal lies about state —
-    no prefix can be certified past that point).
+    Every replayed block's delta is checked against its COMMIT digest and
+    its post-state against its SEAL fingerprint; a mismatch is a
+    :class:`RecoveryError` (the journal lies about state — no prefix can be
+    certified past that point).
     """
     policy = policy if policy is not None else RecoveryPolicy()
 
-    snapshot = latest_valid_snapshot(medium, metrics=metrics)
+    def reject() -> None:
+        if metrics is not None:
+            metrics.counter("durability_snapshots_rejected").inc()
+
+    snapshot = latest_valid_snapshot(medium.read_snapshots(), reject)
     if snapshot is not None:
         snapshot_block, world = snapshot
     else:
@@ -214,7 +232,6 @@ def recover(
             policy=policy,
             cost_model=cost_model,
             metrics=metrics,
-            verify_roots=verify_roots,
         )
         result.corrupt_truncated = True
         result.truncated_bytes += truncated + max(dropped, 0)
@@ -238,22 +255,18 @@ def recover(
             # Already folded into the snapshot; frames survive only when
             # the crash hit between snapshot write and journal pruning.
             continue
-        if verify_roots and delta_digest(block.pre_root, block.writes) != block.delta_digest:
+        cost = block.apply_verified(world, cost_model)
+        if cost is None:
             raise RecoveryError(
                 f"block {block.number}: replayed delta does not match the "
                 f"COMMIT marker's digest"
             )
-        world.apply(block.writes)
-        replay_us += (
-            len(block.writes) * cost_model.commit_key_us
-            + cost_model.fsync_us
-        )
-        if verify_roots and block.post_root is not None:
-            if world.fingerprint() != block.post_root:
-                raise RecoveryError(
-                    f"block {block.number}: post-replay state fingerprint "
-                    f"does not match the sealed root"
-                )
+        replay_us += cost
+        if not block.seal_matches(world):
+            raise RecoveryError(
+                f"block {block.number}: post-replay state fingerprint "
+                f"does not match the sealed root"
+            )
         blocks_replayed += 1
         last_committed = block.number
 

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..concurrency.registry import make_executor
-from ..durability.checkpoint import encode_snapshot
+from ..durability.checkpoint import encode_snapshot, snapshot_cost_us
 from ..durability.commit import DurableCommitPipeline
 from ..durability.medium import MemoryMedium
 from ..errors import JournalCorruptionError, ReplicationError
@@ -288,11 +288,7 @@ class ReplicatedChainService:
         )
         blob = encode_snapshot(new_world, snapshot_at)
         self.medium.write_snapshot(snapshot_at, blob)
-        promotion_us = (
-            len(new_world.db) * self.cost_model.snapshot_key_us
-            + len(blob) * self.cost_model.journal_byte_us
-            + self.cost_model.fsync_us
-        )
+        promotion_us = snapshot_cost_us(new_world, blob, self.cost_model)
         old_service = self.service
         new_service = self._primary_service(
             ChainView(new_world, self.chain.env), epoch

@@ -1,13 +1,14 @@
 """The replica: incremental feed replay with independent verification.
 
 A replica is a recovery loop that never finishes: it consumes the shipped
-feed frame by frame, maintains its *own* durable journal (byte-identical
-frames, locally pruned at checkpoints), and applies each block to its own
-world exactly as :func:`repro.durability.recover` would — verifying the
-COMMIT marker's delta digest before apply and the SEAL record's
-fingerprint after.  Because every executor is deterministic (the
-Block-STM argument), a verified replica *certifies* the primary's output
-rather than trusting it; any contradiction is a typed
+feed frame by frame, keeps its *own* durable journal (byte-identical
+frames, pruned at checkpoints) and applies each block to its own world
+with recovery's code — ``read_frame``, ``latest_valid_snapshot``,
+``ReplayedBlock.apply_verified`` (COMMIT digest, then apply) and
+``seal_matches`` (SEAL fingerprint), ``prune_behind_snapshot``; it knows
+no durable format of its own.  Because every executor is deterministic
+(the Block-STM argument), a verified replica *certifies* the primary's
+output rather than trusting it; any contradiction is a typed
 :class:`~repro.errors.ReplicaDivergence`, the replica quarantines itself,
 and its flight recorder dumps the evidence.
 
@@ -24,22 +25,19 @@ Three consumption outcomes at the feed tail are distinguished:
   the fence — counted, evidence kept, frames dropped, replica healthy
   (:class:`~repro.errors.StaleEpoch` instances in ``stale_rejections``).
 
-Simulated time: applying a block charges the same replay cost recovery
-does (``commit_key_us`` per write + one fsync), accrued in ``apply_us`` —
-the failover controller counts outstanding replay toward failover time.
+Simulated time: a block charges recovery's replay cost, accrued in
+``apply_us`` — the failover controller counts it toward failover time.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..durability.checkpoint import decode_snapshot, restore_snapshot
-from ..durability.commit import delta_digest
+from ..durability.checkpoint import latest_valid_snapshot, prune_behind_snapshot
 from ..durability.journal import (
     JOURNAL_MAGIC,
-    MAX_FRAME_BYTES,
+    PARTIAL_BODY,
+    PARTIAL_HEADER,
     BeginRecord,
     CheckpointRecord,
     CommitRecord,
@@ -49,14 +47,13 @@ from ..durability.journal import (
     UndoRecord,
     WriteAheadJournal,
     decode_record,
+    read_frame,
 )
 from ..durability.medium import MemoryMedium
-from ..durability.recovery import recover
+from ..durability.recovery import ReplayedBlock, recover
 from ..errors import JournalCorruptionError, ReplicaDivergence, StaleEpoch
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
-
-_HEADER = struct.Struct(">II")  # the journal's frame header (length, crc32)
 
 # How many StaleEpoch instances a replica retains as rejection evidence.
 _STALE_EVIDENCE_CAP = 8
@@ -69,26 +66,9 @@ class ReplicaConfig:
     ``max_frames_per_poll`` models a slow apply loop (0 = unbounded): a
     laggy replica consumes at most that many frames per poll tick, falling
     behind under load — the hazard the lag budget exists for.
-    ``verify_roots`` controls the per-block SEAL fingerprint check (the
-    expensive half of verification; the delta digest is always checked).
     """
 
     max_frames_per_poll: int = 0
-    verify_roots: bool = True
-    prune_on_checkpoint: bool = True
-
-
-@dataclass(slots=True)
-class _OpenBlock:
-    """The block whose frames are currently streaming in."""
-
-    number: int
-    tx_count: int
-    pre_root: bytes
-    epoch: int
-    begin_own_offset: int
-    writes: dict = field(default_factory=dict)
-    committed: bool = False
 
 
 class ReplicaService:
@@ -114,26 +94,24 @@ class ReplicaService:
         self.state = "syncing"  # syncing -> streaming; terminal: quarantined
         self.error: Exception | None = None
         self.fence_epoch = feed.epoch
-        self.max_epoch_seen = 0
         self.snapshot_block: int | None = None
         self.last_committed_block: int | None = None
         self.last_sealed_block: int | None = None
         self.blocks_applied = 0
-        self.frames_applied = 0
         self.apply_us = 0.0
         self.stale_frames_rejected = 0
         self.stale_rejections: list[StaleEpoch] = []
-        # Test/chaos hooks.  ``corrupt_block`` corrupts that block's delta
-        # just before apply, forcing the SEAL verification to catch a
-        # divergent replica.  ``flip_feed_byte`` flips one byte of *this
-        # replica's view* of the feed at the given absolute offset — a
-        # per-link transport corruption (the shared feed stays intact for
-        # other replicas).
+        # Test/chaos hooks.  ``corrupt_block`` corrupts one of that block's
+        # keys in the world right after its verified apply, forcing the
+        # SEAL verification to catch a divergent replica.  ``flip_feed_byte``
+        # flips one byte of *this replica's view* of the feed at the given
+        # absolute offset — a per-link transport corruption (the shared
+        # feed stays intact for other replicas).
         self.corrupt_block: int | None = None
         self.flip_feed_byte: int | None = None
         self._cursor = 0
         self._magic_done = False
-        self._open: _OpenBlock | None = None
+        self._open: ReplayedBlock | None = None  # the block streaming in
         self._stale_block: int | None = None
         self._stale_epoch = 0
         self._skip_block: int | None = None
@@ -223,30 +201,17 @@ class ReplicaService:
 
     def _bootstrap(self) -> bool:
         """Restore the newest valid shipped snapshot; False while none."""
-        best: tuple[int, WorldState, bytes] | None = None
-        for number, blob in self.feed.snapshots:
-            try:
-                decoded_number, fingerprint, items = decode_snapshot(blob)
-            except JournalCorruptionError:
-                self._count("replication_snapshots_rejected_total")
-                continue
-            if decoded_number != number:
-                self._count("replication_snapshots_rejected_total")
-                continue
-            world = restore_snapshot(items)
-            if world.fingerprint() != fingerprint:
-                self._count("replication_snapshots_rejected_total")
-                continue
-            if best is None or number >= best[0]:
-                best = (number, world, blob)
+        snapshots = dict(self.feed.snapshots)  # the last blob per block wins
+        best = latest_valid_snapshot(
+            snapshots, lambda: self._count("replication_snapshots_rejected_total")
+        )
         if best is None:
             return False
-        number, world, blob = best
-        self.world = world
+        number, self.world = best
         self.snapshot_block = number
         self.last_committed_block = number
         self.last_sealed_block = number
-        self.medium.write_snapshot(number, blob)
+        self.medium.write_snapshot(number, snapshots[number])
         self.medium.append_journal(JOURNAL_MAGIC)
         self.state = "streaming"
         return True
@@ -290,30 +255,18 @@ class ReplicaService:
                 # journal) starts directly with frames.
                 self._magic_done = True
         consumed = 0
-        size = len(data)
-        while pos < size:
-            if budget and consumed >= budget:
-                break
-            if size - pos < _HEADER.size:
-                break  # partial header: wait
-            length, crc = _HEADER.unpack_from(data, pos)
+        while pos < len(data) and not (budget and consumed >= budget):
+            payload, end, problem = read_frame(data, pos)
+            if problem in (PARTIAL_HEADER, PARTIAL_BODY):
+                break  # an append still in flight: wait for the rest
             offset = base + pos
-            if length > MAX_FRAME_BYTES:
-                self._corrupt_feed(
-                    offset, f"implausible frame length {length}", now_us
-                )
-            body_start = pos + _HEADER.size
-            if size - body_start < length:
-                break  # partial body: a torn append in progress
-            payload = data[body_start : body_start + length]
-            end = body_start + length
-            if zlib.crc32(payload) != crc:
-                self._corrupt_feed(offset, "frame CRC mismatch", now_us)
+            if problem:
+                self._corrupt_feed(offset, problem, now_us)
             try:
                 record = decode_record(payload, offset)
             except JournalCorruptionError as exc:
                 self._corrupt_feed(offset, exc.detail, now_us)
-            raw = bytes(data[pos:end])
+            raw = data[pos:end]
             pos = end
             self._cursor = base + pos
             self._handle(record, raw, offset, now_us)
@@ -344,7 +297,6 @@ class ReplicaService:
                 now_us,
             )
         self.medium.append_journal(raw)
-        self.frames_applied += 1
         if isinstance(record, (TxWriteRecord, SettleRecord)):
             open_block.writes.update(record.writes)
         elif isinstance(record, UndoRecord):
@@ -352,7 +304,7 @@ class ReplicaService:
         elif isinstance(record, CommitRecord):
             self._handle_commit(record, open_block, now_us)
         elif isinstance(record, SealRecord):
-            self._handle_seal(record, open_block, now_us)
+            self._handle_seal(record, open_block, offset, now_us)
 
     def _handle_begin(
         self, record: BeginRecord, raw: bytes, offset: int, now_us: float
@@ -364,7 +316,6 @@ class ReplicaService:
             self._reject_stale(record.block_number, record.epoch, now_us)
             return
         self._stale_block = None
-        self.max_epoch_seen = max(self.max_epoch_seen, record.epoch)
         if self._open is not None:
             if self._open.committed:
                 # A committed, seal-less predecessor is legitimate history
@@ -382,87 +333,73 @@ class ReplicaService:
             self._skip_block = record.block_number
             return
         self._skip_block = None
-        self._open = _OpenBlock(
+        self._open = ReplayedBlock(
             number=record.block_number,
-            tx_count=record.tx_count,
+            begin_offset=self.medium.journal_size(),
             pre_root=record.pre_root,
-            epoch=record.epoch,
-            begin_own_offset=self.medium.journal_size(),
         )
         self.medium.append_journal(raw)
-        self.frames_applied += 1
 
     def _handle_commit(
-        self, record: CommitRecord, open_block: _OpenBlock, now_us: float
+        self, record: CommitRecord, block: ReplayedBlock, now_us: float
     ) -> None:
-        if delta_digest(open_block.pre_root, open_block.writes) != record.delta_digest:
+        block.delta_digest = record.delta_digest
+        cost = block.apply_verified(self.world, self.cost_model)
+        if cost is None:
             self._diverge(
-                open_block.number,
+                block.number,
                 "replayed delta does not match the COMMIT marker's digest",
                 now_us,
             )
-        if self.corrupt_block == open_block.number and open_block.writes:
-            key = min(open_block.writes)
-            value = open_block.writes[key]
-            open_block.writes[key] = (
-                value + 1 if isinstance(value, int) else value + b"\x00"
+        if self.corrupt_block == block.number and block.writes:
+            key = min(block.writes)
+            value = block.writes[key]
+            self.world.apply(
+                {key: value + 1 if isinstance(value, int) else value + b"\x00"}
             )
-        self.world.apply(open_block.writes)
-        self.apply_us += (
-            len(open_block.writes) * self.cost_model.commit_key_us
-            + self.cost_model.fsync_us
-        )
-        open_block.committed = True
-        self.last_committed_block = open_block.number
+        self.apply_us += cost
+        block.committed = True
+        self.last_committed_block = block.number
         self.blocks_applied += 1
         self._count("replication_blocks_applied_total")
 
     def _handle_seal(
-        self, record: SealRecord, open_block: _OpenBlock, now_us: float
+        self, record: SealRecord, block: ReplayedBlock, offset: int, now_us: float
     ) -> None:
-        if not open_block.committed:
-            self._corrupt_feed(
-                self._cursor, "SEAL before the COMMIT marker", now_us
-            )
-        if (
-            self.config.verify_roots
-            and self.world.fingerprint() != record.post_root
-        ):
+        if not block.committed:
+            self._corrupt_feed(offset, "SEAL before the COMMIT marker", now_us)
+        block.post_root = record.post_root
+        if not block.seal_matches(self.world):
             self._diverge(
-                open_block.number,
+                block.number,
                 "post-apply state fingerprint does not match the sealed root",
                 now_us,
             )
-        self.last_sealed_block = open_block.number
+        self.last_sealed_block = block.number
         self._open = None
         if self.metrics is not None:
             self.metrics.gauge(
                 "replication_last_sealed_block", replica=self.name
-            ).set(float(open_block.number))
+            ).set(float(block.number))
 
     def _handle_checkpoint(self, record: CheckpointRecord, raw: bytes) -> None:
         if self._open is not None and self._open.committed:
             self._open = None
         self.medium.append_journal(raw)
-        self.frames_applied += 1
-        for number, blob in self.feed.snapshots:
-            if number == record.block_number:
-                self.medium.write_snapshot(number, blob)
-                self.snapshot_block = number
-                break
-        if self.config.prune_on_checkpoint:
-            WriteAheadJournal(self.medium).prune_through(record.block_number)
-            self.medium.prune_snapshots(keep=2)
+        number = record.block_number
+        blob = dict(self.feed.snapshots).get(number)
+        if blob is not None:
+            self.medium.write_snapshot(number, blob)
+            self.snapshot_block = number
+        prune_behind_snapshot(WriteAheadJournal(self.medium), number)
 
     # -- failover support ----------------------------------------------
 
     def finalize_source(self) -> None:
         """The feed is dead: drop its torn tail and any unterminated block."""
         if self._open is not None and not self._open.committed:
-            self.medium.truncate_journal(self._open.begin_own_offset)
-            self._open = None
-        elif self._open is not None:
-            self._open = None
+            self.medium.truncate_journal(self._open.begin_offset)
+        self._open = None
         self._stale_block = None
         self._cursor = len(self.feed)
 
@@ -490,7 +427,6 @@ class ReplicaService:
             WorldState,
             cost_model=self.cost_model,
             metrics=self.metrics,
-            verify_roots=self.config.verify_roots,
         )
         self.world = result.world
         self.last_committed_block = result.last_committed_block

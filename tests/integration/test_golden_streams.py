@@ -69,6 +69,18 @@ GOLDEN = {
     "chaos-laggy-replica/stdout": (
         "9e4b95e362741947981d9caa44bfa31323d828ba148bc7a7683307abff3be4ab"
     ),
+    # Recorded before the replica read the journal through repro.durability:
+    # every replication_* counter, durability_recovery_us and the failover
+    # counters of the three replica scenarios.
+    "chaos-metrics-laggy-replica/metrics.json": (
+        "86fca7025a1eb34d38aaec26f341e5c83be2798cc8f4ead5987f2816cf7d2525"
+    ),
+    "chaos-metrics-corrupt-feed/metrics.json": (
+        "b9761c4d536036ca625d27c5cc243ad82f4426e29e9b97b7163e0930202a26ea"
+    ),
+    "chaos-metrics-divergent-replica/metrics.json": (
+        "a2a23f16dafb1d35bc9ba1489c68772e44bb029c3ff31002d2028bca1930428e"
+    ),
 }
 
 
@@ -163,6 +175,20 @@ def test_chaos_sweep_scenarios(scenario, tmp_path, capsys):
          "--txs", "8", "--threads", "4"],
         tmp_path,
         capsys,
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario", ["laggy-replica", "corrupt-feed", "divergent-replica"]
+)
+def test_chaos_replica_metrics(scenario, tmp_path, capsys):
+    _check(
+        f"chaos-metrics-{scenario}",
+        ["chaos", "--scenario", scenario, "--seed", "0", "--blocks", "1",
+         "--txs", "8", "--threads", "4"],
+        tmp_path,
+        capsys,
+        files=[("--metrics-json", "metrics.json")],
     )
 
 

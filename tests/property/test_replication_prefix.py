@@ -8,6 +8,9 @@ post-state, exactly what a prefix replay of the primary's own journal
 produces) or quarantine with a typed error.  It must never hold a state
 fingerprint that differs from every certified prefix — silent divergence
 is the one forbidden outcome.
+
+The example budget comes from the active Hypothesis profile (CI re-runs
+this file under ``--hypothesis-profile=ci``).
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ FLIPS = st.tuples(
 
 
 class TestPrefixReplay:
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None)
     @given(
         length=st.integers(min_value=0, max_value=10_000),
         checkpointed=st.booleans(),
@@ -108,7 +111,7 @@ class TestPrefixReplay:
         assert again.world.fingerprint() == replica.world.fingerprint()
         assert again.last_committed_block == replica.last_committed_block
 
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None)
     @given(flip=FLIPS, length=st.integers(min_value=0, max_value=10_000))
     def test_flipped_prefix_is_typed_error_or_certified_ancestor(
         self, flip, length
@@ -134,7 +137,7 @@ class TestPrefixReplay:
             return
         assert replica.world.fingerprint() in certified
 
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None)
     @given(
         cut=st.integers(min_value=0, max_value=10_000),
         batch=st.integers(min_value=1, max_value=5),

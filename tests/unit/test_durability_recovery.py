@@ -6,11 +6,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro import rlp
 from repro.durability import (
     JOURNAL_MAGIC,
     BeginRecord,
     CommitRecord,
     DurableCommitPipeline,
+    FileMedium,
     MemoryMedium,
     ReorgManager,
     SealRecord,
@@ -25,7 +27,8 @@ from repro.durability import (
     recover,
 )
 from repro.durability import SnapshotEncoder, checkpoint
-from repro.durability.checkpoint import restore_snapshot
+from repro.durability.checkpoint import SNAPSHOT_MAGIC, restore_snapshot
+from repro.durability.journal import frame
 from repro.errors import JournalCorruptionError, RecoveryError, ReorgDepthExceeded
 from repro.obs import MetricsRegistry
 from repro.primitives import make_address
@@ -145,18 +148,60 @@ class TestSnapshots:
         torn = encode_snapshot(new, 2)
         medium.write_snapshot(2, torn[: len(torn) // 2])
 
-        metrics = MetricsRegistry()
-        snapshot = latest_valid_snapshot(medium, metrics=metrics)
+        rejected = []
+        snapshot = latest_valid_snapshot(
+            medium.read_snapshots(), lambda: rejected.append(1)
+        )
         assert snapshot is not None
         number, world = snapshot
         assert number == 1
         assert world.fingerprint() == old.fingerprint()
+        assert rejected == [1]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            rlp.encode([b"\x05", b"fp", [b"notapair"]]),  # SerializationError
+            rlp.encode([b"\x05", b"fp", b"items"]),  # TypeError
+            rlp.encode([[b"\x05"], b"fp", []]),  # a list where the number goes
+            b"\xf8",  # truncated RLP: RLPError
+        ],
+    )
+    def test_crc_valid_but_malformed_body_is_a_typed_error(self, payload):
+        with pytest.raises(JournalCorruptionError, match="malformed snapshot body"):
+            decode_snapshot(SNAPSHOT_MAGIC + frame(payload))
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_recovery_skips_a_malformed_snapshot(self, on_disk, tmp_path):
+        medium = FileMedium(str(tmp_path)) if on_disk else MemoryMedium()
+        medium.write_snapshot(0, encode_snapshot(WorldState(), 0))
+        world = WorldState()
+        fps = commit_chain(
+            DurableCommitPipeline(medium),
+            world,
+            [(1, make_result({k(1): 10})), (2, make_result({k(2): 20}))],
+        )
+        malformed = SNAPSHOT_MAGIC + frame(
+            rlp.encode([b"\x05", b"fp", [b"notapair"]])
+        )
+        if on_disk:  # written by hand, as a damaged disk would leave it
+            (tmp_path / "snapshot-5.bin").write_bytes(malformed)
+        else:
+            medium.write_snapshot(5, malformed)
+
+        metrics = MetricsRegistry()
+        result = recover(medium, WorldState, metrics=metrics)
+        assert result.snapshot_block == 0
+        assert result.blocks_replayed == 2
+        assert result.world.fingerprint() == fps[2]
         assert metrics.value("durability_snapshots_rejected") == 1
+        if on_disk:
+            medium.close()
 
     def test_all_snapshots_invalid_means_none(self):
         medium = MemoryMedium()
         medium.write_snapshot(3, b"garbage")
-        assert latest_valid_snapshot(medium) is None
+        assert latest_valid_snapshot(medium.read_snapshots(), lambda: None) is None
 
 
 class TestRecover:

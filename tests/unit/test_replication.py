@@ -11,9 +11,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro import rlp
 from repro.concurrency.registry import make_executor
-from repro.durability import DurableCommitPipeline, MemoryMedium
-from repro.durability.checkpoint import encode_snapshot
+from repro.durability import (
+    BeginRecord,
+    DurableCommitPipeline,
+    MemoryMedium,
+    SealRecord,
+    WriteAheadJournal,
+    recover,
+)
+from repro.durability.checkpoint import SNAPSHOT_MAGIC, encode_snapshot
+from repro.durability.journal import frame
 from repro.errors import (
     JournalCorruptionError,
     NotPrimary,
@@ -33,11 +42,17 @@ from repro.replication import (
     ShipFeed,
     ShippingMedium,
 )
+from repro.resilience.policy import RecoveryPolicy
 from repro.rpc import RpcConfig, RpcFacade
 from repro.service import ChainService
 from repro.state.keys import balance_key
 from repro.state.world import WorldState
 from repro.workloads import ChainSpec, build_chain
+
+# A snapshot whose frame and CRC are sound but whose body does not decode.
+MALFORMED_SNAPSHOT = SNAPSHOT_MAGIC + frame(
+    rlp.encode([b"\x05", b"fp", [b"notapair"]])
+)
 
 
 # -- shipping primitives -------------------------------------------------
@@ -150,6 +165,8 @@ class TestReplica:
         assert replica.state == "quarantined"
         assert excinfo.value.replica == "r0"
         assert excinfo.value.block_number == 1
+        # The hook corrupts the world, not the delta: the SEAL check fires.
+        assert "sealed root" in excinfo.value.detail
         assert flight.triggered >= 1 and flight.dumps
 
     def test_corrupted_feed_byte_quarantines(self):
@@ -161,6 +178,39 @@ class TestReplica:
             replica.poll()
         assert replica.state == "quarantined"
         assert replica.poll() == 0  # quarantine is terminal
+
+    def test_seal_before_commit_is_reported_at_the_seal_frame(self):
+        feed = ShipFeed(epoch=1)
+        feed.ship_snapshot(0, encode_snapshot(WorldState(), 0))
+        medium = MemoryMedium()
+        journal = WriteAheadJournal(medium)
+        root = WorldState().fingerprint()
+        journal.append(BeginRecord(1, 0, root, epoch=1))
+        seal_at = medium.journal_size()
+        journal.append(SealRecord(1, root))
+        feed.append(medium.read_journal())
+        with pytest.raises(JournalCorruptionError) as excinfo:
+            ReplicaService("r0", feed).poll()
+        assert excinfo.value.detail == "SEAL before the COMMIT marker"
+        assert excinfo.value.offset == seal_at == 36
+        # Recovery reports the same offset for the same bytes.
+        strict = RecoveryPolicy(corrupt_tail_policy="raise")
+        with pytest.raises(JournalCorruptionError) as recovered:
+            recover(medium, WorldState, policy=strict)
+        assert recovered.value.offset == seal_at
+
+    def test_bootstrap_skips_a_crc_valid_but_malformed_snapshot(self):
+        metrics = MetricsRegistry()
+        feed = ShipFeed(epoch=1)
+        feed.ship_snapshot(0, encode_snapshot(WorldState(), 0))
+        feed.ship_snapshot(5, MALFORMED_SNAPSHOT)
+        replica = ReplicaService("r0", feed, metrics=metrics)
+        assert replica.poll() == 0
+        assert replica.state == "streaming"
+        assert replica.snapshot_block == 0
+        assert metrics.value(
+            "replication_snapshots_rejected_total", replica="r0"
+        ) == 1
 
     def test_promote_recovers_from_the_replicas_own_journal(self):
         feed, _medium, pipeline, world = _shipped_pipeline()
