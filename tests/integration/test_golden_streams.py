@@ -81,6 +81,33 @@ GOLDEN = {
     "chaos-metrics-divergent-replica/metrics.json": (
         "a2a23f16dafb1d35bc9ba1489c68772e44bb029c3ff31002d2028bca1930428e"
     ),
+    # Recorded before the serving CLI stopped restating its config defaults:
+    # every soak / loadgen flag that only reaches its field through the
+    # CLI's flag-to-config mapping.
+    "soak-pipeline-durable/soak.jsonl": (
+        "b9e0d0067a1f54f213935f436aa610d76b8f45ed17a6dc504cfbf002601910f2"
+    ),
+    "soak-pipeline-durable/report.json": (
+        "6735456e899e2ed2837054a7a7b720391846d7c6fa537101b4ef5a8fa7267a18"
+    ),
+    "soak-loadgen-knobs/soak.jsonl": (
+        "251e4921f926823fa4528a8ea22cd4ba7cbb2b582fbac2708e654ead3154ba9a"
+    ),
+    "soak-loadgen-knobs/report.json": (
+        "356f8d97b5168f590e9355f63cdca5b2d814653643e3fde5c4d4c36ffdc94b5d"
+    ),
+    "loadgen-knobs/windows.jsonl": (
+        "e5bafd2f6ccc35c8cd00b58b6c7619e064f39176bce03a47c43ab1ef887a2e34"
+    ),
+    "loadgen-knobs/report.json": (
+        "99df0cfa434eb9ea0e720f69bd4a639e539982c6016c7a429377e9fefd707cde"
+    ),
+    "loadgen-traffic-spike/windows.jsonl": (
+        "bb5297e3a0ac56b1d13a3022bc4c7ee38735a49763ebdb81978f3f59d9317814"
+    ),
+    "loadgen-traffic-spike/report.json": (
+        "a93a5fdc227f6c94e13139047f6f167fd9a62946fca50cae0a807be8cbfc848d"
+    ),
 }
 
 
@@ -141,6 +168,57 @@ def test_soak_stream_under_faults(tmp_path, capsys):
         tmp_path,
         capsys,
         files=[("--out", "soak.jsonl"), ("--report-json", "report.json")],
+    )
+
+
+def test_soak_pipelined_durable(tmp_path, capsys):
+    _check(
+        "soak-pipeline-durable",
+        ["soak", "--pipeline", "--no-async-commit", "--prefetch-io-depth", "2",
+         "--hot-share", "0.5", "--hot-drift", "5",
+         "--durable-dir", str(tmp_path / "wal"), "--checkpoint-interval", "4",
+         "--blocks", "8", "--window", "4", "--txs", "8", "--accounts", "200",
+         "--threads", "4", "--quiet"],
+        tmp_path,
+        capsys,
+        files=[("--out", "soak.jsonl"), ("--report-json", "report.json")],
+    )
+
+
+def test_soak_loadgen_knobs(tmp_path, capsys):
+    _check(
+        "soak-loadgen-knobs",
+        ["soak", "--loadgen", "4", "--interval-us", "40000", "--rate", "1.5",
+         "--no-lifecycle", "--blocks", "8", "--window", "4", "--txs", "8",
+         "--accounts", "200", "--threads", "4", "--quiet"],
+        tmp_path,
+        capsys,
+        files=[("--out", "soak.jsonl"), ("--report-json", "report.json")],
+    )
+
+
+def test_loadgen_knobs(tmp_path, capsys):
+    _check(
+        "loadgen-knobs",
+        ["loadgen", "--spike", "2", "--read-share", "0.3",
+         "--malformed-share", "0.1", "--nonce-gap-share", "0.1",
+         "--slowdown", "1.5", "--capacity", "64", "--slo-objective-us", "50000",
+         "--blocks", "8", "--txs", "8", "--accounts", "64", "--clients", "4",
+         "--threads", "4", "--seed", "1", "--quiet"],
+        tmp_path,
+        capsys,
+        files=[("--out", "windows.jsonl"), ("--report-json", "report.json")],
+    )
+
+
+def test_loadgen_scenario(tmp_path, capsys):
+    _check(
+        "loadgen-traffic-spike",
+        ["loadgen", "--scenario", "traffic-spike", "--no-lifecycle",
+         "--blocks", "8", "--threads", "4", "--seed", "1", "--quiet"],
+        tmp_path,
+        capsys,
+        files=[("--out", "windows.jsonl"), ("--report-json", "report.json")],
     )
 
 
