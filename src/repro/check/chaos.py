@@ -9,7 +9,7 @@ gas.  Makespans are reported for visibility only; chaos runs make no
 performance claims (EXPERIMENTS.md).
 
 The block deadline is sized from a fault-free serial probe of the same
-block (``deadline_factor`` × the serial makespan), so the watchdog scales
+block (``DEADLINE_FACTOR`` × the serial makespan), so the watchdog scales
 with the workload instead of needing per-block tuning.  Everything is a
 pure function of ``(scenario, seed, block)``: re-running a failed chaos
 seed reproduces the identical fault sequence.
@@ -32,7 +32,7 @@ from .ingress import ingress_seed, run_ingress_scenario
 # purpose: the default scenarios should recover *in place* (retries, redo
 # budget, abort-storm detection); the watchdog is the backstop for
 # livelock, not a scenario that fires on every run.
-DEFAULT_DEADLINE_FACTOR = 25.0
+DEADLINE_FACTOR = 25.0
 
 # Counters summarized by ChaosBlockReport.describe()'s degradation line.
 _SUMMARY_COUNTERS = (
@@ -117,7 +117,6 @@ def run_chaos_block(
     scenario: ChaosScenario | str,
     seed: int | str = 0,
     threads: int = 8,
-    deadline_factor: float = DEFAULT_DEADLINE_FACTOR,
     recovery: RecoveryPolicy | None = None,
     redo_budget: int | None = None,
     check_roots: bool = True,
@@ -164,7 +163,7 @@ def run_chaos_block(
             chain.fresh_world(), block.txs, block.env
         )
         policy = RecoveryPolicy(
-            block_deadline_us=max(probe.makespan_us, 1.0) * deadline_factor
+            block_deadline_us=max(probe.makespan_us, 1.0) * DEADLINE_FACTOR
         )
         if scenario.recovery_overrides:
             policy = replace(policy, **scenario.recovery_overrides)

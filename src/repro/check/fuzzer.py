@@ -40,36 +40,25 @@ from ..workloads.block import ETHER
 
 ERC20_GAS = 200_000
 FUZZ_BLOCK_BASE = 15_000_000  # fuzz blocks live above the replay window
+HOT_OWNERS = 2  # accounts pre-approved as transferFrom victims
+SEED_SALT = 0xF0CC  # separates fuzz streams from workload streams
 
 
 @dataclass(slots=True)
 class FuzzConfig:
-    """Sizing and mix knobs for :class:`BlockFuzzer`.
+    """Sizing and conflict knobs for :class:`BlockFuzzer`.
 
-    Weights are relative, not normalised; a family picked per slot may
-    emit more than one transaction (nonce chains, balance drains), so
-    blocks contain *at least* ``txs_per_block`` transactions.
+    A family picked per slot may emit more than one transaction (nonce
+    chains, balance drains), so blocks contain *at least*
+    ``txs_per_block`` transactions.
     """
 
     txs_per_block: int = 40
     accounts: int = 64
     tokens: int = 3
     amm_pairs: int = 2
-    hot_owners: int = 2  # accounts pre-approved as transferFrom victims
     hot_recipients: int = 2
     hot_recipient_share: float = 0.35
-    token_zipf_exponent: float = 1.3
-    w_native: float = 0.16
-    w_native_drain: float = 0.06
-    w_burn: float = 0.04
-    w_erc20: float = 0.28
-    w_erc20_no_allowance: float = 0.06
-    w_erc20_over_balance: float = 0.05
-    w_amm: float = 0.12
-    w_crowdfund: float = 0.07
-    w_gas_starved: float = 0.08
-    w_nonce_chain: float = 0.08
-    seed_salt: int = 0xF0CC  # separates fuzz streams from workload streams
 
 
 class BlockFuzzer:
@@ -90,20 +79,19 @@ class BlockFuzzer:
                 crowdfunds=1,
             )
         )
-        self._token_sampler = ZipfSampler(
-            len(self.chain.tokens), cfg.token_zipf_exponent
-        )
+        self._token_sampler = ZipfSampler(len(self.chain.tokens), 1.3)
+        # (family, relative weight — not normalised, generator)
         self._families = [
-            ("native", cfg.w_native, self._native),
-            ("native-drain", cfg.w_native_drain, self._native_drain),
-            ("burn", cfg.w_burn, self._burn),
-            ("erc20", cfg.w_erc20, self._erc20),
-            ("erc20-no-allowance", cfg.w_erc20_no_allowance, self._erc20_no_allowance),
-            ("erc20-over-balance", cfg.w_erc20_over_balance, self._erc20_over_balance),
-            ("amm", cfg.w_amm, self._amm_swap),
-            ("crowdfund", cfg.w_crowdfund, self._crowdfund),
-            ("gas-starved", cfg.w_gas_starved, self._gas_starved),
-            ("nonce-chain", cfg.w_nonce_chain, self._nonce_chain),
+            ("native", 0.16, self._native),
+            ("native-drain", 0.06, self._native_drain),
+            ("burn", 0.04, self._burn),
+            ("erc20", 0.28, self._erc20),
+            ("erc20-no-allowance", 0.06, self._erc20_no_allowance),
+            ("erc20-over-balance", 0.05, self._erc20_over_balance),
+            ("amm", 0.12, self._amm_swap),
+            ("crowdfund", 0.07, self._crowdfund),
+            ("gas-starved", 0.08, self._gas_starved),
+            ("nonce-chain", 0.08, self._nonce_chain),
         ]
         self._weights = [w for _, w, _ in self._families]
         # Pre-approve the hot owners for every (token, spender) pair once,
@@ -122,7 +110,7 @@ class BlockFuzzer:
 
     @property
     def hot_owners(self) -> list[bytes]:
-        return self.chain.accounts[: self.config.hot_owners]
+        return self.chain.accounts[:HOT_OWNERS]
 
     @property
     def hot_recipients(self) -> list[bytes]:
@@ -140,7 +128,7 @@ class BlockFuzzer:
 
     def _generate(self, seed: int) -> tuple[Block, Counter]:
         cfg = self.config
-        rng = random.Random((cfg.seed_salt << 32) ^ seed)
+        rng = random.Random((SEED_SALT << 32) ^ seed)
         generators = [g for _, _, g in self._families]
         names = [n for n, _, _ in self._families]
         txs: list[Transaction] = []
@@ -269,9 +257,9 @@ class BlockFuzzer:
         """transferFrom against an owner who never approved: must revert."""
         sender = self._sender(rng)
         # Owners outside the pre-approved hot set have zero allowance.
-        owner = rng.choice(self.chain.accounts[self.config.hot_owners : -2])
+        owner = rng.choice(self.chain.accounts[HOT_OWNERS:-2])
         if owner == sender:
-            owner = self.chain.accounts[self.config.hot_owners]
+            owner = self.chain.accounts[HOT_OWNERS]
         return [
             Transaction(
                 sender=sender,

@@ -36,24 +36,20 @@ def ingress_seed(seed) -> int:
     return int.from_bytes(keccak256(str(seed).encode())[:4], "big")
 
 
-def ingress_config_for(
-    scenario: ChaosScenario,
-    seed,
-    threads: int = 4,
-    blocks: int = INGRESS_SCENARIO_BLOCKS,
-    executor: str = "parallelevm",
-):
+def ingress_config_for(scenario: ChaosScenario, seed=None, **fields):
     """Build the :class:`IngressConfig` a scenario's overrides describe.
 
     The scenario's ``ingress`` dict holds plain field overrides; the
     nested ``"mempool"`` key (if present) overrides
     :class:`MempoolConfig` fields.  Unknown keys fail loudly — a typo in
-    the catalogue must not silently run the default scenario.
+    the catalogue must not silently run the default scenario.  ``fields``
+    (the caller's scale: ``blocks``, ``threads``, ``executor`` …) override
+    both; ``seed`` is the chaos harness's int-or-str.
     """
     from ..rpc.ingress import IngressConfig
 
     overrides = dict(scenario.ingress)
-    mempool_overrides = overrides.pop("mempool", None)
+    mempool = MempoolConfig(**overrides.pop("mempool", {}))
     known = {f.name for f in dataclass_fields(IngressConfig)}
     unknown = set(overrides) - known
     if unknown:
@@ -61,35 +57,24 @@ def ingress_config_for(
             f"scenario {scenario.name!r} overrides unknown IngressConfig "
             f"fields: {sorted(unknown)}"
         )
-    return IngressConfig(
-        blocks=blocks,
-        txs_per_block=12,
-        accounts=160,
-        clients=6,
-        executor=executor,
-        threads=threads,
-        seed=ingress_seed(seed),
-        mempool=(
-            MempoolConfig(**mempool_overrides)
-            if mempool_overrides
-            else MempoolConfig()
-        ),
-        **overrides,
+    if seed is not None:
+        fields["seed"] = ingress_seed(seed)
+    scale = dict(
+        blocks=INGRESS_SCENARIO_BLOCKS, txs_per_block=12, accounts=160, clients=6
     )
+    return IngressConfig(**{**scale, "mempool": mempool, **overrides, **fields})
 
 
-def run_ingress_scenario(
-    scenario: ChaosScenario,
-    seed=0,
-    threads: int = 4,
-    blocks: int = INGRESS_SCENARIO_BLOCKS,
-    metrics=None,
-):
-    """Run one ingress chaos scenario; returns a :class:`ChaosBlockReport`."""
+def run_ingress_scenario(scenario: ChaosScenario, seed=0, metrics=None, **fields):
+    """Run one ingress chaos scenario; returns a :class:`ChaosBlockReport`.
+
+    ``fields`` override the :class:`IngressConfig` as in
+    :func:`ingress_config_for`.
+    """
     from ..rpc.ingress import run_ingress
     from .chaos import chaos_report
 
-    config = ingress_config_for(scenario, seed, threads=threads, blocks=blocks)
+    config = ingress_config_for(scenario, seed, **fields)
     report = run_ingress(config)
 
     divergences = [

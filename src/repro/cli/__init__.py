@@ -21,21 +21,31 @@ loadgen      drive the serving stack with the seeded open-loop client fleet
 Every command is deterministic: the same arguments print the same numbers.
 One module per command family — :mod:`.blocks`, :mod:`.certify`,
 :mod:`.serving` — each declaring its commands' arguments next to their
-handlers and adding them through ``register(sub)``.
+handlers and adding them through ``register(sub)``.  Every usage error is
+one stderr line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from . import blocks, certify, serving
 from .blocks import EXPERIMENTS
+from .options import UsageError
 
 __all__ = ["EXPERIMENTS", "build_parser", "main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line (no usage echo)."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="ParallelEVM (EuroSys '25) reproduction toolkit",
     )
@@ -47,4 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2

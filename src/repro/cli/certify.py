@@ -41,9 +41,10 @@ from ..obs import (
     durability_table,
     replication_table,
 )
+from ..replication import FailoverPolicy
 from ..resilience import SCENARIOS, default_suite
 from ..workloads import Block
-from .options import positive_int
+from .options import given, positive_int
 
 
 @dataclass(slots=True)
@@ -75,7 +76,7 @@ class SeedMatrix:
 
     @cached_property
     def fuzzer(self) -> BlockFuzzer:
-        return BlockFuzzer(FuzzConfig(txs_per_block=self.args.txs))
+        return BlockFuzzer(FuzzConfig(txs_per_block=self.args.txs_per_block))
 
     def run(
         self,
@@ -128,12 +129,21 @@ class SeedMatrix:
 
 
 def _add_matrix_arguments(
-    parser, *, seeds: int, txs: int, threads: int = 8, count: str = "--blocks"
+    parser,
+    *,
+    seeds: int,
+    txs: int | None,
+    threads: int | None = 8,
+    count: str = "--blocks",
 ) -> None:
-    """``--seed/--blocks/--txs/--threads``: the seed matrix and its scale."""
+    """``--seed/--blocks/--txs/--threads``: the seed matrix and its scale
+    (``txs`` / ``threads`` None: the harness's own default)."""
     parser.add_argument("--seed", type=int, default=0, help="first seed")
     parser.add_argument(count, type=int, default=seeds, help="seeds to run")
-    parser.add_argument("--txs", type=int, default=txs, help="txs per block")
+    parser.add_argument(
+        "--txs", dest="txs_per_block", metavar="TXS", type=int, default=txs,
+        help="txs per block",
+    )
     parser.add_argument("--threads", type=positive_int, default=threads)
 
 
@@ -359,14 +369,15 @@ def _add_replicate(sub) -> None:
         "crash site x every executor config, promote the freshest replica, "
         "prove RPO=0 and epoch fencing; deterministic JSONL per seed",
     )
-    _add_matrix_arguments(replicate, seeds=1, txs=6, threads=4, count="--sweeps")
-    replicate.add_argument("--warmup", type=int, default=2, help="warm-up blocks")
-    replicate.add_argument("--replicas", type=int, default=2)
+    _add_matrix_arguments(replicate, seeds=1, txs=None, threads=None, count="--sweeps")
     replicate.add_argument(
-        "--heartbeat-us",
-        type=float,
-        default=150_000.0,
-        help="heartbeat silence declaring the primary dead (simulated us)",
+        "--warmup", dest="warmup_blocks", metavar="WARMUP", type=int,
+        help="warm-up blocks",
+    )
+    replicate.add_argument("--replicas", type=int)
+    replicate.add_argument(
+        "--heartbeat-us", dest="heartbeat_timeout_us", metavar="HEARTBEAT_US",
+        type=float, help="heartbeat silence declaring the primary dead (simulated us)",
     )
     replicate.add_argument(
         "--out", metavar="FILE", help="also write the JSONL lines here"
@@ -374,23 +385,21 @@ def _add_replicate(sub) -> None:
     replicate.set_defaults(func=_cmd_replicate)
 
 
+def replicate_sweep_arguments(args: argparse.Namespace) -> dict:
+    """The :func:`failover_sweep` arguments a ``replicate`` command line set."""
+    sweep = given(args, failover_sweep)
+    if policy := given(args, FailoverPolicy):
+        sweep["policy"] = FailoverPolicy(**policy)
+    return sweep
+
+
 def _cmd_replicate(args: argparse.Namespace) -> int:
     """Failover sweep(s) as deterministic JSONL, one line per seed."""
-    from ..replication import FailoverPolicy
-
-    policy = FailoverPolicy(heartbeat_timeout_us=args.heartbeat_us)
+    sweep = replicate_sweep_arguments(args)
     lines = []
 
     def cases(matrix: SeedMatrix, seed: int):
-        report = failover_sweep(
-            fuzz_seed=seed,
-            warmup_blocks=args.warmup,
-            txs_per_block=args.txs,
-            threads=args.threads,
-            replicas=args.replicas,
-            policy=policy,
-            metrics=matrix.metrics,
-        )
+        report = failover_sweep(fuzz_seed=seed, metrics=matrix.metrics, **sweep)
         line = json.dumps({"seed": seed, **report.as_dict()}, sort_keys=True)
         lines.append(line)
         yield Case(report, line, f"{line}\n{report.describe()}")

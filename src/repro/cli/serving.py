@@ -1,7 +1,9 @@
 """The serving commands: the long-lived chain service and its RPC front end.
 
 soak, serve, loadgen — each declared (``_add_<command>``) next to its
-handler (``_cmd_<command>``).
+handler (``_cmd_<command>``) and the config builder it runs.  A flag that
+sets a config field has ``dest=<field>`` and no default, so every default
+lives in the config; a flag the chosen mode would ignore is a usage error.
 """
 
 from __future__ import annotations
@@ -10,9 +12,12 @@ import argparse
 import json
 import sys
 
+from ..mempool import MempoolConfig
 from ..obs import SloConfig, format_window_line
 from ..resilience import scenario_of_kind
-from .options import add_durability, add_executor, positive_int
+from ..service import SoakConfig, run_soak
+from .options import UsageError, add_durability, add_executor, given
+from .options import positive_float, positive_int, share
 
 
 def _add_report_arguments(parser) -> None:
@@ -28,28 +33,39 @@ def _add_report_arguments(parser) -> None:
     )
 
 
-def _add_lifecycle_arguments(parser, no_lifecycle_help: str, slo_help: str) -> None:
-    """``--no-lifecycle/--slo-objective-us``: per-tx tracing and its SLO."""
-    parser.add_argument("--no-lifecycle", action="store_true", help=no_lifecycle_help)
-    parser.add_argument(
-        "--slo-objective-us", type=float, default=None, help=slo_help
+def _slo_objective(text: str) -> SloConfig:
+    return SloConfig(latency_objective_us=float(text))
+
+
+def _add_lifecycle_arguments(
+    parser, slo_field: str, no_lifecycle_help: str, slo_help: str
+) -> argparse.Action:
+    """``--no-lifecycle/--slo-objective-us``: per-tx tracing and its SLO
+    (fields ``lifecycle`` and ``slo_field``); returns the first."""
+    no_lifecycle = parser.add_argument(
+        "--no-lifecycle", dest="lifecycle", action="store_const", const=False,
+        help=no_lifecycle_help,
     )
+    parser.add_argument(
+        "--slo-objective-us", dest=slo_field, metavar="SLO_OBJECTIVE_US",
+        type=_slo_objective, help=slo_help,
+    )
+    return no_lifecycle
 
 
-def _slo_config(args: argparse.Namespace) -> SloConfig | None:
-    if args.slo_objective_us is None:
-        return None
-    return SloConfig(latency_objective_us=args.slo_objective_us)
+def _reject_set(args: argparse.Namespace, actions, why: str) -> None:
+    """A usage error naming every flag of ``actions`` this command line set."""
+    flags = [a.option_strings[0] for a in actions if getattr(args, a.dest) is not None]
+    if flags:
+        raise UsageError(f"ignored {why}: {', '.join(flags)}")
 
 
-def _catalogue_scenario(command: str, name: str, kind: str):
-    """The catalogue scenario ``name`` of ``kind`` — or None, with the
-    one-line usage error already on stderr (exit 2 on it)."""
+def _catalogue_scenario(name: str, kind: str):
+    """The catalogue scenario ``name`` of ``kind`` (a usage error if none)."""
     try:
         return scenario_of_kind(name, kind)
     except ValueError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(exc) from None
 
 
 def _progress(args: argparse.Namespace):
@@ -75,129 +91,106 @@ def _add_soak(sub) -> None:
         help="run the long-lived chain service over a seeded block stream, "
         "streaming windowed latency/throughput/memory telemetry as JSONL",
     )
-    soak.add_argument("--blocks", type=int, default=200, help="blocks to ingest")
+    soak.add_argument("--blocks", type=int, help="blocks to ingest")
     soak.add_argument(
-        "--window", type=int, default=20,
+        "--window", dest="window_blocks", metavar="WINDOW", type=positive_int,
         help="blocks per telemetry window (one JSONL line each)",
     )
-    add_executor(soak)
-    soak.add_argument("--threads", type=positive_int, default=8)
+    add_executor(soak, default=None)
+    soak.add_argument("--threads", type=positive_int)
+    soak.add_argument("--accounts", type=positive_int, help="account universe size")
     soak.add_argument(
-        "--accounts", type=int, default=20_000, help="account universe size"
+        "--txs", dest="txs_per_block", metavar="TXS", type=positive_int,
+        help="transactions per block",
     )
-    soak.add_argument("--txs", type=int, default=40, help="transactions per block")
-    soak.add_argument("--seed", type=int, default=1)
+    soak.add_argument("--seed", type=int)
     soak.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=100_000,
+        "--cache-capacity", type=int,
         help="state block-cache capacity in entries (the memory bound the "
         "run is gated on)",
     )
-    soak.add_argument(
-        "--hot-share",
-        type=float,
-        default=0.25,
-        help="share of transfers aimed at the hot recipients (conflict rate)",
-    )
-    soak.add_argument(
-        "--hot-drift",
-        type=float,
-        default=0.0,
-        help="hot-share drift per 1000 blocks (conflict trajectory)",
-    )
+    stream_only = [
+        soak.add_argument(
+            "--hot-share", dest="hot_recipient_share", metavar="HOT_SHARE",
+            type=share,
+            help="share of transfers aimed at the hot recipients (conflict rate)",
+        ),
+        soak.add_argument(
+            "--hot-drift", dest="hot_drift_per_1k", metavar="HOT_DRIFT",
+            type=float, help="hot-share drift per 1000 blocks (conflict trajectory)",
+        ),
+    ]
     soak.add_argument(
         "--scenario",
         metavar="NAME",
         help="inject a repro.resilience chaos scenario every block",
     )
     add_durability(
-        soak, "commit every block through the write-ahead journal in DIR"
+        soak, "commit every block through the write-ahead journal in DIR", None
     )
     soak.add_argument(
-        "--pipeline",
-        action="store_true",
+        "--pipeline", action="store_const", const=True,
         help="overlap prefetch, execution and commit across blocks on the "
         "simulated clock (repro.pipeline)",
     )
+    pipeline_only = [
+        soak.add_argument(
+            "--no-prefetch", dest="prefetch", action="store_const", const=False,
+            help="with --pipeline: disable the read-set prefetch stage",
+        ),
+        soak.add_argument(
+            "--no-async-commit", dest="async_commit", action="store_const",
+            const=False, help="with --pipeline: commit synchronously (no commit lane)",
+        ),
+        soak.add_argument(
+            "--prefetch-io-depth", type=int,
+            help="parallel reads the prefetcher keeps in flight",
+        ),
+    ]
     soak.add_argument(
-        "--no-prefetch",
-        action="store_true",
-        help="with --pipeline: disable the read-set prefetch stage",
-    )
-    soak.add_argument(
-        "--no-async-commit",
-        action="store_true",
-        help="with --pipeline: commit synchronously (no commit lane)",
-    )
-    soak.add_argument(
-        "--prefetch-io-depth",
-        type=int,
-        default=8,
-        help="parallel reads the prefetcher keeps in flight",
-    )
-    soak.add_argument(
-        "--loadgen",
-        type=int,
-        default=0,
-        metavar="N",
+        "--loadgen", dest="loadgen_clients", type=int, metavar="N",
         help="drive the service through the RPC stack with N open-loop "
         "clients instead of the trusted block stream (0 = stream mode)",
     )
-    soak.add_argument(
-        "--interval-us",
-        type=float,
-        default=50_000.0,
-        help="with --loadgen: block production interval in simulated us",
-    )
-    soak.add_argument(
-        "--rate",
-        type=float,
-        default=1.0,
-        help="with --loadgen: offered load over the sustainable rate",
-    )
-    _add_lifecycle_arguments(
-        soak,
-        "with --loadgen: disable per-tx lifecycle tracing",
-        "latency SLO objective in simulated us (per tx with --loadgen, "
-        "per block in stream mode)",
-    )
+    loadgen_only = [
+        soak.add_argument(
+            "--interval-us", dest="block_interval_us", metavar="INTERVAL_US",
+            type=positive_float,
+            help="with --loadgen: block production interval in simulated us",
+        ),
+        soak.add_argument(
+            "--rate", dest="rate_multiplier", metavar="RATE", type=positive_float,
+            help="with --loadgen: offered load over the sustainable rate",
+        ),
+        _add_lifecycle_arguments(
+            soak, "slo_config", "with --loadgen: disable per-tx lifecycle tracing",
+            "latency SLO objective in simulated us (per tx with --loadgen, "
+            "per block in stream mode)",
+        ),
+    ]
     _add_report_arguments(soak)
-    soak.set_defaults(func=_cmd_soak)
+    soak.set_defaults(
+        func=_cmd_soak, stream_only=stream_only, pipeline_only=pipeline_only,
+        loadgen_only=loadgen_only,
+    )
+
+
+def soak_config(args: argparse.Namespace) -> SoakConfig:
+    """The :class:`SoakConfig` a ``soak`` command line asks for."""
+    config = SoakConfig(**given(args, SoakConfig))
+    if config.scenario:
+        _catalogue_scenario(config.scenario, "faults")
+    if config.loadgen_clients > 0:
+        _reject_set(args, args.stream_only, "with --loadgen")
+    else:
+        _reject_set(args, args.loadgen_only, "without --loadgen")
+    if not config.pipeline:
+        _reject_set(args, args.pipeline_only, "without --pipeline")
+    return config
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from ..service import SoakConfig, run_soak
-
-    # Only the scenario lookup is a usage error; anything the run itself
-    # raises keeps its type and traceback.
-    if args.scenario and not _catalogue_scenario("soak", args.scenario, "faults"):
-        return 2
-    config = SoakConfig(
-        blocks=args.blocks,
-        window_blocks=args.window,
-        executor=args.executor,
-        threads=args.threads,
-        accounts=args.accounts,
-        txs_per_block=args.txs,
-        seed=args.seed,
-        cache_capacity=args.cache_capacity,
-        hot_recipient_share=args.hot_share,
-        hot_drift_per_1k=args.hot_drift,
-        scenario=args.scenario,
-        durable_dir=args.durable_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        pipeline=args.pipeline,
-        prefetch=not args.no_prefetch,
-        async_commit=not args.no_async_commit,
-        prefetch_io_depth=args.prefetch_io_depth,
-        loadgen_clients=args.loadgen,
-        block_interval_us=args.interval_us,
-        rate_multiplier=args.rate,
-        lifecycle=not args.no_lifecycle,
-        slo_config=_slo_config(args),
-    )
-    report = run_soak(config, out=args.out, progress=_progress(args))
+    report = run_soak(soak_config(args), out=args.out, progress=_progress(args))
     if not args.quiet:
         print()
     print(report.describe())
@@ -234,52 +227,51 @@ def _add_serve(sub) -> None:
         help="stop after this many production ticks (0 = serve forever)",
     )
     serve.add_argument(
-        "--block-txs",
-        type=int,
-        default=24,
-        help="max transactions selected per produced block",
+        "--block-txs", type=int, help="max transactions selected per produced block"
     )
     serve.add_argument(
-        "--interval-us",
-        type=float,
-        default=50_000.0,
+        "--interval-us", dest="block_interval_us", metavar="INTERVAL_US",
+        type=positive_float,
         help="block production interval in simulated microseconds "
         "(also the wall-clock pacing of the demo loop)",
     )
+    serve.add_argument("--capacity", type=int, help="mempool capacity")
     serve.add_argument(
-        "--capacity", type=int, default=2048, help="mempool capacity"
-    )
-    serve.add_argument(
-        "--sender-quota",
-        type=int,
-        default=16,
-        help="max pooled transactions per sender",
+        "--sender-quota", dest="per_sender_quota", metavar="SENDER_QUOTA",
+        type=int, help="max pooled transactions per sender",
     )
     serve.set_defaults(func=_cmd_serve)
+
+
+def serve_configs(args: argparse.Namespace):
+    """The ``(RpcConfig, MempoolConfig)`` a ``serve`` command line asks for."""
+    from ..rpc import RpcConfig
+
+    return (
+        RpcConfig(**given(args, RpcConfig)),
+        MempoolConfig(**given(args, MempoolConfig)),
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from ..mempool import MempoolConfig
     from ..obs import MetricsRegistry
-    from ..rpc import RpcConfig, ServingSession, serve_http
+    from ..rpc import ServingSession, serve_http
     from ..workloads import ChainSpec, build_chain
 
+    rpc, mempool_config = serve_configs(args)
     session = ServingSession(
         build_chain(ChainSpec(accounts=args.accounts, seed=args.seed)),
         args.executor,
         args.threads,
-        rpc=RpcConfig(
-            block_txs=args.block_txs, block_interval_us=args.interval_us
-        ),
-        mempool=MempoolConfig(
-            capacity=args.capacity, per_sender_quota=args.sender_quota
-        ),
+        rpc=rpc,
+        mempool=mempool_config,
         metrics=MetricsRegistry(),
         lifecycle=False,
     )
     service, mempool, facade = session.service, session.mempool, session.facade
+    interval_us = rpc.block_interval_us
 
     async def produce_forever() -> None:
         # Wall-clock pacing is fine here: `serve` is the interactive demo
@@ -287,8 +279,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         now_us = 0.0
         ticks = 0
         while args.blocks == 0 or ticks < args.blocks:
-            await asyncio.sleep(args.interval_us / 1e6)
-            now_us += args.interval_us
+            await asyncio.sleep(interval_us / 1e6)
+            now_us += interval_us
             ticks += 1
             produced = facade.produce_block(now_us)
             if produced.outcome is not None:
@@ -304,7 +296,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving JSON-RPC on http://{args.host}:{args.port} "
             f"(executor {args.executor}, block every "
-            f"{args.interval_us / 1e3:.0f} ms)",
+            f"{interval_us / 1e3:.0f} ms)",
             flush=True,
         )
         try:
@@ -332,37 +324,39 @@ def _add_loadgen(sub) -> None:
         "certifies conservation + serial equivalence, exits non-zero on "
         "any divergence",
     )
-    loadgen.add_argument("--blocks", type=int, default=40)
-    loadgen.add_argument("--txs", type=int, default=16, help="txs per block")
-    add_executor(loadgen)
-    loadgen.add_argument("--threads", type=positive_int, default=4)
-    loadgen.add_argument("--accounts", type=int, default=192)
-    loadgen.add_argument("--seed", type=int, default=1)
-    loadgen.add_argument("--clients", type=int, default=8)
-    loadgen.add_argument(
-        "--rate",
-        type=float,
-        default=1.0,
-        help="offered load as a multiple of the sustainable rate",
-    )
-    loadgen.add_argument(
-        "--spike",
-        type=float,
-        default=1.0,
-        help="extra rate multiplier inside the mid-run spike window",
-    )
-    loadgen.add_argument("--read-share", type=float, default=0.15)
-    loadgen.add_argument("--malformed-share", type=float, default=0.0)
-    loadgen.add_argument("--nonce-gap-share", type=float, default=0.0)
-    loadgen.add_argument(
-        "--slowdown",
-        type=float,
-        default=1.0,
-        help="stretch the production interval (slow-consumer regime)",
-    )
-    loadgen.add_argument(
-        "--capacity", type=int, default=2048, help="mempool capacity"
-    )
+    loadgen.add_argument("--blocks", type=int)
+    # The knobs a catalogue --scenario sets itself.
+    explicit_only = [
+        loadgen.add_argument(
+            "--txs", dest="txs_per_block", metavar="TXS", type=positive_int,
+            help="txs per block",
+        ),
+    ]
+    add_executor(loadgen, default=None)
+    loadgen.add_argument("--threads", type=positive_int)
+    explicit_only.append(loadgen.add_argument("--accounts", type=positive_int))
+    loadgen.add_argument("--seed", type=int)
+    explicit_only += [
+        loadgen.add_argument("--clients", type=int),
+        loadgen.add_argument(
+            "--rate", dest="rate_multiplier", metavar="RATE", type=positive_float,
+            help="offered load as a multiple of the sustainable rate",
+        ),
+        loadgen.add_argument(
+            "--spike", dest="spike_multiplier", metavar="SPIKE",
+            type=positive_float,
+            help="extra rate multiplier inside the mid-run spike window",
+        ),
+        loadgen.add_argument("--read-share", type=share),
+        loadgen.add_argument("--malformed-share", type=share),
+        loadgen.add_argument("--nonce-gap-share", type=share),
+        loadgen.add_argument(
+            "--slowdown", dest="consumer_slowdown", metavar="SLOWDOWN",
+            type=positive_float,
+            help="stretch the production interval (slow-consumer regime)",
+        ),
+        loadgen.add_argument("--capacity", type=int, help="mempool capacity"),
+    ]
     loadgen.add_argument(
         "--scenario",
         metavar="NAME",
@@ -388,56 +382,37 @@ def _add_loadgen(sub) -> None:
     )
     _add_lifecycle_arguments(
         loadgen,
+        "slo",
         "disable per-tx lifecycle tracing (also disables --waterfalls, "
         "--trace and --flight-dump)",
         "per-tx latency SLO objective in simulated microseconds",
     )
     _add_report_arguments(loadgen)
-    loadgen.set_defaults(func=_cmd_loadgen)
+    loadgen.set_defaults(func=_cmd_loadgen, explicit_only=explicit_only)
+
+
+def loadgen_config(args: argparse.Namespace):
+    """The :class:`IngressConfig` a ``loadgen`` command line asks for."""
+    from ..rpc import IngressConfig
+
+    fields = given(args, IngressConfig)
+    # ``--scenario`` names a catalogue ingress scenario, not a fault scenario.
+    name = fields.pop("scenario", None)
+    if name is None:
+        mempool = MempoolConfig(**given(args, MempoolConfig))
+        return IngressConfig(**fields, mempool=mempool)
+    from ..check import ingress_config_for
+
+    scenario = _catalogue_scenario(name, "ingress")
+    _reject_set(args, args.explicit_only, "with --scenario")
+    return ingress_config_for(scenario, **fields)
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from ..mempool import MempoolConfig
-    from ..rpc import IngressConfig, run_ingress
-
-    if args.scenario:
-        from ..check import ingress_config_for
-
-        scenario = _catalogue_scenario("loadgen", args.scenario, "ingress")
-        if scenario is None:
-            return 2
-        config = ingress_config_for(
-            scenario,
-            args.seed,
-            threads=args.threads,
-            blocks=args.blocks,
-            executor=args.executor,
-        )
-    else:
-        config = IngressConfig(
-            blocks=args.blocks,
-            txs_per_block=args.txs,
-            executor=args.executor,
-            threads=args.threads,
-            accounts=args.accounts,
-            seed=args.seed,
-            clients=args.clients,
-            rate_multiplier=args.rate,
-            spike_multiplier=args.spike,
-            read_share=args.read_share,
-            malformed_share=args.malformed_share,
-            nonce_gap_share=args.nonce_gap_share,
-            consumer_slowdown=args.slowdown,
-            mempool=MempoolConfig(capacity=args.capacity),
-        )
-
-    if args.no_lifecycle:
-        config.lifecycle = False
-    if args.slo_objective_us is not None:
-        config.slo = _slo_config(args)
+    from ..rpc import run_ingress
 
     report = run_ingress(
-        config,
+        loadgen_config(args),
         out=args.out,
         progress=_progress(args),
         waterfalls=args.waterfalls,

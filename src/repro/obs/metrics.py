@@ -30,6 +30,9 @@ LabelKey = tuple[tuple[str, str], ...]
 #: its cardinality limit (see ``MetricsRegistry(label_limit=...)``).
 OVERFLOW_LABEL = "(overflow)"
 
+#: The ``label_limit`` of a long-running harness's registry (soak, ingress).
+HARNESS_LABEL_LIMIT = 512
+
 
 def _label_key(labels: dict[str, str]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))

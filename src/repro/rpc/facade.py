@@ -61,6 +61,11 @@ class RpcConfig:
     block_history: int = 64
     record_blocks: bool = False
 
+    @property
+    def sustainable_tps(self) -> float:
+        """The offered rate one full block per production interval absorbs."""
+        return self.block_txs / (self.block_interval_us / 1e6)
+
 
 @dataclass(slots=True)
 class ProducedBlock:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 from ..concurrency.registry import make_executor
 from ..mempool.pool import MempoolConfig
 from ..obs.lifecycle import SloConfig, describe_serving_sections
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import HARNESS_LABEL_LIMIT, MetricsRegistry
 from ..resilience import block_fault_plans
 from ..state.receipts import receipts_root
 from ..workloads.block import ChainSpec, build_chain
@@ -43,8 +43,8 @@ class IngressConfig:
     """Everything an ingress run depends on (and nothing wall-clock).
 
     ``rate_multiplier`` is offered load over the sustainable rate
-    (``txs_per_block / block_interval``); ``spike_multiplier`` boosts it
-    further inside the ``[spike_from, spike_until)`` fraction of the run.
+    (:attr:`RpcConfig.sustainable_tps`); ``spike_multiplier`` boosts it
+    further inside the ``[0.4, 0.7)`` fraction of the run.
     ``consumer_slowdown`` stretches the production interval without
     touching the offered rate — the slow-consumer scenario.
     """
@@ -55,26 +55,19 @@ class IngressConfig:
     executor: str = "parallelevm"
     threads: int = 4
     accounts: int = 192
-    tokens: int = 2
-    amm_pairs: int = 1
     seed: int = 1
     window_blocks: int = 8
     # offered load
     clients: int = 8
     rate_multiplier: float = 1.0
     spike_multiplier: float = 1.0
-    spike_from: float = 0.4
-    spike_until: float = 0.7
     read_share: float = 0.15
     malformed_share: float = 0.0
     nonce_gap_share: float = 0.0
-    max_retries: int = 4
     # consumer
     consumer_slowdown: float = 1.0
-    # admission / facade knobs
+    # admission knobs
     mempool: MempoolConfig = field(default_factory=MempoolConfig)
-    circuit_open_lag_us: float = 200_000.0
-    circuit_close_lag_us: float = 75_000.0
     # fault injection on the execution path (zero-rate inertness is a
     # tested guarantee): a chaos scenario name, or an explicit FaultConfig.
     scenario: str | None = None
@@ -86,29 +79,9 @@ class IngressConfig:
     # Per-tx lifecycle tracing (repro.obs.lifecycle).  On by default: the
     # tracker observes, it never touches the simulated clock, so makespans
     # and committed state are identical either way (tested).  ``slo``
-    # (a SloConfig) defaults to the stock objectives; ``slow_threshold_us``
-    # defaults to the SLO latency objective.
+    # (a SloConfig) defaults to the stock objectives.
     lifecycle: bool = True
     slo: SloConfig | None = None
-    slow_threshold_us: float | None = None
-    flight_capacity: int = 128
-    label_limit: int | None = 512
-
-    def client_spec(self) -> ClientSpec:
-        sustainable_tps = self.txs_per_block / (self.block_interval_us / 1e6)
-        span_us = self.blocks * self.block_interval_us * self.consumer_slowdown
-        return ClientSpec(
-            clients=self.clients,
-            base_rate_tps=self.rate_multiplier * sustainable_tps,
-            spike_multiplier=self.spike_multiplier,
-            spike_from_us=self.spike_from * span_us,
-            spike_until_us=self.spike_until * span_us,
-            read_share=self.read_share,
-            malformed_share=self.malformed_share,
-            nonce_gap_share=self.nonce_gap_share,
-            max_retries=self.max_retries,
-            seed=self.seed,
-        )
 
 
 @dataclass(slots=True)
@@ -193,32 +166,25 @@ def run_ingress(
     sessions.  Both require ``config.lifecycle``.
     """
     chain = build_chain(
-        ChainSpec(
-            accounts=config.accounts,
-            tokens=config.tokens,
-            proxied_tokens=min(2, config.tokens),
-            amm_pairs=config.amm_pairs,
-            seed=config.seed,
-        )
+        ChainSpec(accounts=config.accounts, tokens=2, amm_pairs=1, seed=config.seed)
     )
     genesis = chain.world.clone()
-    registry = MetricsRegistry(label_limit=config.label_limit)
+    registry = MetricsRegistry(label_limit=HARNESS_LABEL_LIMIT)
     pipeline = None
     if config.pipeline:
         from ..pipeline import PipelineConfig, PipelineCoordinator
 
         pipeline = PipelineCoordinator(PipelineConfig(), metrics=registry)
+    rpc = RpcConfig(
+        block_txs=config.txs_per_block,
+        block_interval_us=config.block_interval_us,
+        record_blocks=True,
+    )
     session = ServingSession(
         chain,
         config.executor,
         config.threads,
-        rpc=RpcConfig(
-            block_txs=config.txs_per_block,
-            block_interval_us=config.block_interval_us,
-            circuit_open_lag_us=config.circuit_open_lag_us,
-            circuit_close_lag_us=config.circuit_close_lag_us,
-            record_blocks=True,
-        ),
+        rpc=rpc,
         mempool=config.mempool,
         metrics=registry,
         pipeline=pipeline,
@@ -227,8 +193,6 @@ def run_ingress(
         ),
         lifecycle=config.lifecycle,
         slo=config.slo,
-        flight_capacity=config.flight_capacity,
-        slow_threshold_us=config.slow_threshold_us,
         trace=trace_out is not None,
     )
 
@@ -273,8 +237,19 @@ def run_ingress(
             committed[tx_hash] = produced.outcome.number
         live_roots.append(receipts_root(session.service.last_result.tx_results))
 
+    span_us = config.blocks * config.block_interval_us * config.consumer_slowdown
     session.run(
-        config.client_spec(),
+        ClientSpec(
+            clients=config.clients,
+            base_rate_tps=config.rate_multiplier * rpc.sustainable_tps,
+            spike_multiplier=config.spike_multiplier,
+            spike_from_us=0.4 * span_us,
+            spike_until_us=0.7 * span_us,
+            read_share=config.read_share,
+            malformed_share=config.malformed_share,
+            nonce_gap_share=config.nonce_gap_share,
+            seed=config.seed,
+        ),
         config.blocks,
         config.block_interval_us * config.consumer_slowdown,
         config.window_blocks,

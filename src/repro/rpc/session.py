@@ -57,8 +57,6 @@ class ServingSession:
         fault_plan_factory=None,
         lifecycle: bool = True,
         slo: SloConfig | None = None,
-        flight_capacity: int = 128,
-        slow_threshold_us: float | None = None,
         trace: bool = False,
     ) -> None:
         self.chain = chain
@@ -77,7 +75,7 @@ class ServingSession:
         self.mempool = Mempool(mempool or MempoolConfig(), chain.world, metrics=metrics)
         self.tracker = self.slo = self.recorder = None
         if lifecycle:
-            recorder = self.recorder = FlightRecorder(capacity=flight_capacity)
+            recorder = self.recorder = FlightRecorder()
             slo_config = slo or SloConfig()
             self.slo = SloMonitor(
                 slo_config,
@@ -91,7 +89,6 @@ class ServingSession:
                 metrics=metrics,
                 slo=self.slo,
                 recorder=recorder,
-                slow_threshold_us=slow_threshold_us,
                 trace=trace,
             )
         self.facade = RpcFacade(

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..concurrency.registry import make_executor
 from ..obs.lifecycle import SloConfig, SloMonitor, describe_serving_sections
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import HARNESS_LABEL_LIMIT, MetricsRegistry
 from ..obs.streaming import SoakTelemetry, format_stat, snapshot_sink
 from ..resilience import block_fault_plans
 from ..workloads.stream import BlockStream, StreamSpec, build_stream_chain
@@ -46,8 +46,6 @@ class SoakConfig:
     prefetch: bool = True
     async_commit: bool = True
     prefetch_io_depth: int = 8
-    # A fully-specified stream overrides the scalar workload knobs above.
-    stream_spec: StreamSpec | None = None
     # Serving-path load generation (repro.workloads.clients): when
     # ``loadgen_clients`` > 0 the soak feeds the service through the full
     # RPC stack — open-loop client fleet, admission control, mempool,
@@ -58,19 +56,14 @@ class SoakConfig:
     loadgen_clients: int = 0
     block_interval_us: float = 50_000.0
     rate_multiplier: float = 1.0
-    spike_multiplier: float = 1.0
-    read_share: float = 0.15
     # Per-tx lifecycle tracing on the loadgen path (observation only; the
     # simulated clock and committed state are identical either way).  In
     # stream mode ``slo_config`` attaches a block-latency SLO monitor to
     # the service instead — same stream section, coarser signal.
     lifecycle: bool = True
     slo_config: SloConfig | None = None
-    label_limit: int | None = 512
 
     def spec(self) -> StreamSpec:
-        if self.stream_spec is not None:
-            return self.stream_spec
         return StreamSpec(
             accounts=self.accounts,
             txs_per_block=self.txs_per_block,
@@ -159,7 +152,7 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
     """
     spec = config.spec()
     chain = build_stream_chain(spec, cache_capacity=config.cache_capacity)
-    registry = MetricsRegistry(label_limit=config.label_limit)
+    registry = MetricsRegistry(label_limit=HARNESS_LABEL_LIMIT)
     durability = pipeline = None
     if config.durable_dir is not None:
         from ..durability import DurableCommitPipeline, FileMedium
@@ -188,14 +181,15 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
         from ..rpc.session import ServingSession
         from ..workloads.clients import ClientSpec
 
+        rpc = RpcConfig(
+            block_txs=config.txs_per_block,
+            block_interval_us=config.block_interval_us,
+        )
         session = ServingSession(
             chain,
             config.executor,
             config.threads,
-            rpc=RpcConfig(
-                block_txs=config.txs_per_block,
-                block_interval_us=config.block_interval_us,
-            ),
+            rpc=rpc,
             metrics=registry,
             durability=durability,
             pipeline=pipeline,
@@ -203,16 +197,10 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
             lifecycle=config.lifecycle,
             slo=config.slo_config,
         )
-        sustainable_tps = config.txs_per_block / (config.block_interval_us / 1e6)
-        span_us = config.blocks * config.block_interval_us
         session.run(
             ClientSpec(
                 clients=config.loadgen_clients,
-                base_rate_tps=config.rate_multiplier * sustainable_tps,
-                spike_multiplier=config.spike_multiplier,
-                spike_from_us=0.4 * span_us,
-                spike_until_us=0.7 * span_us,
-                read_share=config.read_share,
+                base_rate_tps=config.rate_multiplier * rpc.sustainable_tps,
                 seed=config.seed,
             ),
             config.blocks,

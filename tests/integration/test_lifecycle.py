@@ -117,7 +117,7 @@ class TestSloAndFlightRecorder:
         assert dump["reason"].split(":")[0] in (
             "backpressure", "circuit-open", "slo", "degradation"
         )
-        assert len(dump["records"]) <= config.flight_capacity
+        assert len(dump["records"]) <= report.flight["capacity"]
 
     def test_degradation_scenario_triggers_flight_dump(self):
         report = run_ingress(small_config(scenario="corrupt-guard"))

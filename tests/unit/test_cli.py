@@ -2,9 +2,31 @@
 
 from __future__ import annotations
 
+import inspect
+from operator import attrgetter
+from types import SimpleNamespace
+
 import pytest
 
+from repro.check import failover_sweep
 from repro.cli import build_parser, main
+from repro.cli.certify import replicate_sweep_arguments
+from repro.cli.serving import loadgen_config, serve_configs, soak_config
+from repro.mempool import MempoolConfig
+from repro.obs import SloConfig
+from repro.replication import FailoverPolicy
+from repro.rpc import IngressConfig, RpcConfig
+from repro.service import SoakConfig
+
+#: What each command's handler builds from its parsed command line.
+_BUILT = {
+    "soak": soak_config,
+    "loadgen": loadgen_config,
+    "serve": lambda args: SimpleNamespace(
+        **dict(zip(("rpc", "mempool"), serve_configs(args)))
+    ),
+    "replicate": lambda args: SimpleNamespace(**replicate_sweep_arguments(args)),
+}
 
 
 class TestParser:
@@ -87,11 +109,16 @@ class TestParser:
         args = build_parser().parse_args(["replicate"])
         assert args.seed == 0
         assert args.sweeps == 1
-        assert args.txs == 6
-        assert args.warmup == 2
-        assert args.replicas == 2
-        assert args.heartbeat_us == 150_000.0
         assert args.out is None
+        # Everything else is failover_sweep's (and FailoverPolicy's) own.
+        assert replicate_sweep_arguments(args) == {}
+        sweep = inspect.signature(failover_sweep).bind()
+        sweep.apply_defaults()
+        assert sweep.arguments["txs_per_block"] == 6
+        assert sweep.arguments["warmup_blocks"] == 2
+        assert sweep.arguments["replicas"] == 2
+        assert sweep.arguments["policy"] is None
+        assert FailoverPolicy().heartbeat_timeout_us == 150_000.0
 
     def test_replicate_overrides(self):
         args = build_parser().parse_args(
@@ -100,9 +127,11 @@ class TestParser:
         )
         assert args.seed == 3
         assert args.sweeps == 2
-        assert args.replicas == 3
-        assert args.heartbeat_us == 50_000.0
         assert args.out == "rep.jsonl"
+        assert replicate_sweep_arguments(args) == {
+            "replicas": 3,
+            "policy": FailoverPolicy(heartbeat_timeout_us=50_000.0),
+        }
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -110,10 +139,12 @@ class TestParser:
         assert args.port == 8545
         assert args.executor == "parallelevm"
         assert args.blocks == 0
-        assert args.block_txs == 24
-        assert args.interval_us == 50_000.0
-        assert args.capacity == 2048
-        assert args.sender_quota == 16
+        rpc, mempool = serve_configs(args)
+        assert (rpc, mempool) == (RpcConfig(), MempoolConfig())
+        assert rpc.block_txs == 24
+        assert rpc.block_interval_us == 50_000.0
+        assert mempool.capacity == 2048
+        assert mempool.per_sender_quota == 16
 
     def test_serve_validates_executor(self):
         with pytest.raises(SystemExit):
@@ -121,11 +152,13 @@ class TestParser:
 
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])
-        assert args.blocks == 40
-        assert args.executor == "parallelevm"
-        assert args.rate == 1.0
-        assert args.spike == 1.0
-        assert args.slowdown == 1.0
+        config = loadgen_config(args)
+        assert config.blocks == 40
+        assert config.executor == "parallelevm"
+        assert config.rate_multiplier == 1.0
+        assert config.spike_multiplier == 1.0
+        assert config.consumer_slowdown == 1.0
+        assert config.mempool.capacity == 2048
         assert args.scenario is None
         assert args.out is None
         assert args.report_json is None
@@ -148,16 +181,97 @@ class TestParser:
 
     def test_soak_defaults(self):
         args = build_parser().parse_args(["soak"])
-        assert args.blocks == 200
-        assert args.window == 20
-        assert args.executor == "parallelevm"
-        assert args.threads == 8
-        assert args.accounts == 20_000
-        assert args.cache_capacity == 100_000
-        assert args.scenario is None
-        assert args.durable_dir is None
+        config = soak_config(args)
+        assert config.blocks == 200
+        assert config.window_blocks == 20
+        assert config.executor == "parallelevm"
+        assert config.threads == 8
+        assert config.accounts == 20_000
+        assert config.cache_capacity == 100_000
+        assert config.scenario is None
+        assert config.durable_dir is None
         assert args.out is None
         assert not args.quiet
+
+    def test_no_flags_build_the_default_configs(self):
+        parse = build_parser().parse_args
+        assert soak_config(parse(["soak"])) == SoakConfig()
+        assert loadgen_config(parse(["loadgen"])) == IngressConfig()
+
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            (["soak", "--blocks", "7"], "blocks", 7),
+            (["soak", "--window", "3"], "window_blocks", 3),
+            (["soak", "--executor", "occ"], "executor", "occ"),
+            (["soak", "--threads", "2"], "threads", 2),
+            (["soak", "--accounts", "50"], "accounts", 50),
+            (["soak", "--txs", "5"], "txs_per_block", 5),
+            (["soak", "--seed", "9"], "seed", 9),
+            (["soak", "--cache-capacity", "77"], "cache_capacity", 77),
+            (["soak", "--hot-share", "0.5"], "hot_recipient_share", 0.5),
+            (["soak", "--hot-drift", "5"], "hot_drift_per_1k", 5.0),
+            (["soak", "--scenario", "havoc"], "scenario", "havoc"),
+            (["soak", "--durable-dir", "wal"], "durable_dir", "wal"),
+            (["soak", "--checkpoint-interval", "4"], "checkpoint_interval", 4),
+            (["soak", "--pipeline"], "pipeline", True),
+            (["soak", "--pipeline", "--no-prefetch"], "prefetch", False),
+            (["soak", "--pipeline", "--no-async-commit"], "async_commit", False),
+            (["soak", "--pipeline", "--prefetch-io-depth", "2"],
+             "prefetch_io_depth", 2),
+            (["soak", "--loadgen", "4"], "loadgen_clients", 4),
+            (["soak", "--loadgen", "4", "--interval-us", "40000"],
+             "block_interval_us", 40_000.0),
+            (["soak", "--loadgen", "4", "--rate", "1.5"], "rate_multiplier", 1.5),
+            (["soak", "--loadgen", "4", "--no-lifecycle"], "lifecycle", False),
+            (["soak", "--slo-objective-us", "900"], "slo_config",
+             SloConfig(latency_objective_us=900.0)),
+            (["loadgen", "--blocks", "7"], "blocks", 7),
+            (["loadgen", "--txs", "5"], "txs_per_block", 5),
+            (["loadgen", "--executor", "occ"], "executor", "occ"),
+            (["loadgen", "--threads", "2"], "threads", 2),
+            (["loadgen", "--accounts", "50"], "accounts", 50),
+            (["loadgen", "--seed", "9"], "seed", 9),
+            (["loadgen", "--clients", "3"], "clients", 3),
+            (["loadgen", "--rate", "1.5"], "rate_multiplier", 1.5),
+            (["loadgen", "--spike", "2"], "spike_multiplier", 2.0),
+            (["loadgen", "--read-share", "0.3"], "read_share", 0.3),
+            (["loadgen", "--malformed-share", "0.1"], "malformed_share", 0.1),
+            (["loadgen", "--nonce-gap-share", "0.2"], "nonce_gap_share", 0.2),
+            (["loadgen", "--slowdown", "1.5"], "consumer_slowdown", 1.5),
+            (["loadgen", "--capacity", "64"], "mempool",
+             MempoolConfig(capacity=64)),
+            (["loadgen", "--no-lifecycle"], "lifecycle", False),
+            (["loadgen", "--slo-objective-us", "900"], "slo",
+             SloConfig(latency_objective_us=900.0)),
+            # A catalogue scenario keeps the scale and observation flags.
+            (["loadgen", "--scenario", "traffic-spike", "--seed", "9"], "seed", 9),
+            (["loadgen", "--scenario", "traffic-spike", "--threads", "2"],
+             "threads", 2),
+            (["loadgen", "--scenario", "traffic-spike", "--blocks", "7"],
+             "blocks", 7),
+            (["loadgen", "--scenario", "traffic-spike", "--executor", "occ"],
+             "executor", "occ"),
+            (["loadgen", "--scenario", "traffic-spike", "--no-lifecycle"],
+             "lifecycle", False),
+            (["loadgen", "--scenario", "traffic-spike", "--slo-objective-us",
+              "900"], "slo", SloConfig(latency_objective_us=900.0)),
+            (["serve", "--block-txs", "8"], "rpc.block_txs", 8),
+            (["serve", "--interval-us", "20000"], "rpc.block_interval_us",
+             20_000.0),
+            (["serve", "--capacity", "64"], "mempool.capacity", 64),
+            (["serve", "--sender-quota", "3"], "mempool.per_sender_quota", 3),
+            (["replicate", "--txs", "3"], "txs_per_block", 3),
+            (["replicate", "--threads", "2"], "threads", 2),
+            (["replicate", "--warmup", "1"], "warmup_blocks", 1),
+            (["replicate", "--replicas", "3"], "replicas", 3),
+            (["replicate", "--heartbeat-us", "5000"],
+             "policy.heartbeat_timeout_us", 5_000.0),
+        ],
+    )
+    def test_flag_reaches_its_field(self, argv, field, value):
+        built = _BUILT[argv[0]](build_parser().parse_args(argv))
+        assert attrgetter(field)(built) == value
 
     def test_soak_validates_executor(self):
         with pytest.raises(SystemExit):
@@ -177,6 +291,36 @@ class TestParser:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"repro {command}: error: argument --threads:" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("soak", "--window", "0"),
+            ("soak", "--accounts", "0"),
+            ("soak", "--txs", "0"),
+            ("soak", "--interval-us", "0"),
+            ("soak", "--rate", "-1"),
+            ("soak", "--hot-share", "2"),
+            ("serve", "--interval-us", "0"),
+            ("loadgen", "--txs", "0"),
+            ("loadgen", "--accounts", "0"),
+            ("loadgen", "--slowdown", "0"),
+            ("loadgen", "--rate", "0"),
+            ("loadgen", "--spike", "0"),
+            ("loadgen", "--read-share", "2"),
+            ("loadgen", "--malformed-share", "-0.1"),
+            ("loadgen", "--nonce-gap-share", "1.5"),
+            ("loadgen", "--read-share", "x"),
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors(self, command, flag, value, capsys):
+        """Exit 2 with one stderr line, not a traceback or a bogus run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro {command}: error: argument {flag}:")
 
     def test_threads_accepts_positive_integers(self):
         assert build_parser().parse_args(["run", "--threads", "1"]).threads == 1
@@ -416,6 +560,32 @@ class TestCommands:
         assert not report["divergences"]
         for line in out_path.read_text().splitlines():
             json.loads(line)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["loadgen", "--scenario", "traffic-spike", "--rate", "3", "--txs",
+              "2", "--accounts", "64", "--capacity", "8"],
+             "loadgen: ignored with --scenario: --txs, --accounts, --rate, "
+             "--capacity"),
+            (["soak", "--no-prefetch", "--no-async-commit",
+              "--prefetch-io-depth", "2"],
+             "soak: ignored without --pipeline: --no-prefetch, "
+             "--no-async-commit, --prefetch-io-depth"),
+            (["soak", "--interval-us", "40000", "--rate", "2", "--no-lifecycle"],
+             "soak: ignored without --loadgen: --interval-us, --rate, "
+             "--no-lifecycle"),
+            (["soak", "--loadgen", "0", "--rate", "2"],
+             "soak: ignored without --loadgen: --rate"),
+            (["soak", "--loadgen", "2", "--hot-share", "0.5", "--hot-drift", "1"],
+             "soak: ignored with --loadgen: --hot-share, --hot-drift"),
+        ],
+    )
+    def test_ignored_flags_are_usage_errors(self, argv, error, capsys):
+        assert main(argv + ["--blocks", "1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == error + "\n"
+        assert captured.out == ""
 
     def test_loadgen_rejects_non_ingress_scenarios(self, capsys):
         assert main(["loadgen", "--scenario", "havoc", "--quiet"]) == 2
