@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from ..contracts import allowance_slot, encode_call
 from ..evm.message import Transaction
 from ..workloads import Block, Chain, ChainSpec, ZipfSampler, build_chain
-from ..workloads.block import ETHER
+from ..workloads.block import ETHER, FUND_ETHER, TOKEN_BALANCE
 
 ERC20_GAS = 200_000
 FUZZ_BLOCK_BASE = 15_000_000  # fuzz blocks live above the replay window
@@ -73,10 +73,7 @@ class BlockFuzzer:
         cfg = self.config
         self.chain: Chain = build_chain(
             ChainSpec(
-                tokens=cfg.tokens,
-                amm_pairs=cfg.amm_pairs,
-                accounts=cfg.accounts,
-                crowdfunds=1,
+                tokens=cfg.tokens, amm_pairs=cfg.amm_pairs, accounts=cfg.accounts
             )
         )
         self._token_sampler = ZipfSampler(len(self.chain.tokens), 1.3)
@@ -191,12 +188,11 @@ class BlockFuzzer:
         """
         sender = self._sender(rng)
         recipient = self._recipient(rng, sender)
-        fund = self.chain.spec.fund_ether
         headroom = rng.choice((0, 1, 21_000, ETHER))
         drain = Transaction(
             sender=sender,
             to=recipient,
-            value=max(1, fund - 2 * 21_000 - headroom),
+            value=max(1, FUND_ETHER - 2 * 21_000 - headroom),
             gas_limit=21_000,
             nonce=self._next_nonce(nonces, sender),
         )
@@ -278,7 +274,7 @@ class BlockFuzzer:
     def _erc20_over_balance(self, rng: random.Random, nonces) -> list[Transaction]:
         """A transfer exceeding the sender's token balance: must revert."""
         sender = self._sender(rng)
-        amount = self.chain.spec.token_balance * rng.randrange(2, 100)
+        amount = TOKEN_BALANCE * rng.randrange(2, 100)
         return [
             Transaction(
                 sender=sender,

@@ -65,9 +65,6 @@ class _AccessTraceTracer:
     def trace_intrinsic_rmw(self, key, observed, delta, minimum) -> None:
         self.accesses.append(key)
 
-    def trace_intrinsic_read(self, key, observed) -> None:
-        self.accesses.append(key)
-
 
 @dataclass(slots=True)
 class _TxSim:

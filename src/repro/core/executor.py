@@ -207,8 +207,9 @@ class _ParallelEVMScheduler:
                 # Injected re-conflicts are benign: the "corrected" value is
                 # the current committed value, so the redo machinery runs
                 # end to end without perturbing state (real conflicts found
-                # above keep their genuinely corrected values).
-                for key in list(result.read_set)[: plan.config.reconflict_keys]:
+                # above keep their genuinely corrected values).  Two read-set
+                # keys per forced conflict.
+                for key in list(result.read_set)[:2]:
                     conflicts.setdefault(
                         key, overlay_get(self.overlay, self.world, key)
                     )

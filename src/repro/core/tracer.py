@@ -465,11 +465,3 @@ class SSATracer:
         )
         self._append(store)
         log.record_store(store)
-
-    def trace_intrinsic_read(self, key: StateKey, observed: int) -> None:
-        log = self.log
-        entry = LogEntry(
-            len(log.entries), PseudoOp.ILOAD, (), observed, (), None, (), key
-        )
-        self._append(entry)
-        log.record_load(entry)

@@ -162,6 +162,3 @@ class NullTracer:
         constraint guard — e.g. balance sufficiency), write
         ``observed + delta``.
         """
-
-    def trace_intrinsic_read(self, key: StateKey, observed: int) -> None:
-        """An intrinsic committed-state read with no write-back."""

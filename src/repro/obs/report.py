@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..bench.report import render_table
 from .metrics import MetricsRegistry
-from .trace import BlockObserver, Span, TraceRecorder
+from .trace import BlockObserver, TraceRecorder
 
 # Task kinds that run at the ordered commit point (one in flight at a time).
 # "commit-lane" is the pipeline's virtual commit core (repro.pipeline),
@@ -137,6 +137,44 @@ def redo_slice_table(metrics: MetricsRegistry) -> str | None:
     )
 
 
+def _counter_table(
+    metrics: MetricsRegistry,
+    prefix: str,
+    labels: tuple[tuple[str, str], ...],
+    title: str,
+    unlisted: bool = True,
+    more_rows: list | tuple = (),
+) -> str | None:
+    """One row per non-zero ``prefix*`` counter, summed across label sets.
+
+    Counters render in ``labels`` order under their human label; with
+    ``unlisted``, any other ``prefix*`` series follows under its raw name.
+    ``more_rows`` come last.  Returns None when no ``prefix*`` series
+    exists — the subsystem never ran against this registry — so reports
+    stay untouched outside it; when every row would be zero, the first
+    label renders as 0.
+    """
+    names = {
+        name for name, _key, _metric in metrics.series()
+        if name.startswith(prefix)
+    }
+    if not names:
+        return None
+    titles = dict(labels)
+    ordered = [name for name in titles if name in names]
+    if unlisted:
+        ordered += sorted(names - titles.keys())
+    rows = []
+    for name in ordered:
+        total = metrics.sum_by_name(name)
+        if total:
+            rows.append([titles.get(name, name), f"{total:g}"])
+    rows += more_rows
+    return render_table(
+        title, ["event", "count"], rows or [[labels[0][1], "0"]]
+    )
+
+
 # Display order + human labels for the degradation summary.  Anything the
 # resilience layer counts that is not listed here still renders, after the
 # known rows, under its raw counter name.
@@ -166,32 +204,15 @@ _DEGRADATION_LABELS = (
 def degradation_table(metrics: MetricsRegistry) -> str | None:
     """Summary of fault injection and recovery (``resilience_*`` series).
 
-    One row per non-zero counter, summed across executor labels (the chaos
-    harness runs one fault plan per executor into a shared registry).
-    Returns None when no resilience counters exist — i.e. the run had no
-    fault plan attached — so reports stay untouched outside chaos mode.
+    Summed across executor labels (the chaos harness runs one fault plan
+    per executor into a shared registry); None when the run had no fault
+    plan attached, so reports stay untouched outside chaos mode.
     """
-    names = sorted(
-        {name for name, _key, _metric in metrics.series()
-         if name.startswith("resilience_")}
-    )
-    if not names:
-        return None
-    known = [name for name, _label in _DEGRADATION_LABELS]
-    labels = dict(_DEGRADATION_LABELS)
-    ordered = [name for name in known if name in names]
-    ordered += [name for name in names if name not in labels]
-    rows = []
-    for name in ordered:
-        total = metrics.sum_by_name(name)
-        if total:
-            rows.append([labels.get(name, name), f"{total:g}"])
-    if not rows:
-        rows.append(["faults injected", "0"])
-    return render_table(
+    return _counter_table(
+        metrics,
+        "resilience_",
+        _DEGRADATION_LABELS,
         "Degradation summary (faults injected & recovery actions)",
-        ["event", "count"],
-        rows,
     )
 
 
@@ -221,32 +242,15 @@ _DURABILITY_LABELS = (
 def durability_table(metrics: MetricsRegistry) -> str | None:
     """Summary of the durable commit path (``durability_*`` series).
 
-    One row per non-zero counter.  Returns None when no durability
-    counters exist — i.e. no commit pipeline or recovery ran against this
-    registry — so reports stay untouched when journaling is off (the
-    default everywhere, including every benchmark).
+    None when no commit pipeline or recovery ran against this registry, so
+    reports stay untouched when journaling is off (the default everywhere,
+    including every benchmark).
     """
-    names = sorted(
-        {name for name, _key, _metric in metrics.series()
-         if name.startswith("durability_")}
-    )
-    if not names:
-        return None
-    known = [name for name, _label in _DURABILITY_LABELS]
-    labels = dict(_DURABILITY_LABELS)
-    ordered = [name for name in known if name in names]
-    ordered += [name for name in names if name not in labels]
-    rows = []
-    for name in ordered:
-        total = metrics.sum_by_name(name)
-        if total:
-            rows.append([labels.get(name, name), f"{total:g}"])
-    if not rows:
-        rows.append(["blocks committed durably", "0"])
-    return render_table(
+    return _counter_table(
+        metrics,
+        "durability_",
+        _DURABILITY_LABELS,
         "Durability summary (journal, checkpoints & recovery)",
-        ["event", "count"],
-        rows,
     )
 
 
@@ -268,38 +272,29 @@ _REPLICATION_LABELS = (
 def replication_table(metrics: MetricsRegistry) -> str | None:
     """Summary of journal-shipping replication (``replication_*`` series).
 
-    One row per non-zero counter across every replica label, then the
-    fencing epoch and per-replica lag gauges.  Returns None when no
-    replication counters exist — i.e. no cluster ran against this
-    registry — so unreplicated reports (every benchmark) stay untouched.
+    The listed counters across every replica label, then the fencing
+    epoch and per-replica lag gauges.  None when no cluster ran against
+    this registry, so unreplicated reports (every benchmark) stay
+    untouched.
     """
-    names = {
-        name for name, _key, _metric in metrics.series()
-        if name.startswith("replication_")
-    }
-    if not names:
-        return None
-    rows = []
-    for name, label in _REPLICATION_LABELS:
-        total = metrics.sum_by_name(name)
-        if total:
-            rows.append([label, f"{total:g}"])
+    gauges = []
     epoch = metrics.value("replication_epoch")
     if epoch is not None:
-        rows.append(["fencing epoch", f"{epoch:g}"])
+        gauges.append(["fencing epoch", f"{epoch:g}"])
     for labels, lag in sorted(
         metrics.labelled_values("replication_lag_blocks").items()
     ):
         info = dict(labels)
-        rows.append(
+        gauges.append(
             [f"lag ({info.get('replica', '?')})", f"{lag:g} blocks"]
         )
-    if not rows:
-        rows.append(["journal bytes shipped", "0"])
-    return render_table(
+    return _counter_table(
+        metrics,
+        "replication_",
+        _REPLICATION_LABELS,
         "Replication summary (journal shipping & failover)",
-        ["event", "count"],
-        rows,
+        unlisted=False,
+        more_rows=gauges,
     )
 
 

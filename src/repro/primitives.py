@@ -19,11 +19,6 @@ ADDRESS_BYTES = 20
 ADDRESS_MASK = (1 << (ADDRESS_BYTES * 8)) - 1
 
 
-def u256(value: int) -> int:
-    """Truncate an arbitrary Python int to an unsigned 256-bit word."""
-    return value & UINT_MAX
-
-
 def to_signed(value: int) -> int:
     """Reinterpret an unsigned 256-bit word as a two's-complement integer."""
     value &= UINT_MAX
@@ -217,8 +212,3 @@ def make_address(seed: int) -> bytes:
 
 
 ZERO_ADDRESS = b"\x00" * ADDRESS_BYTES
-
-
-def hex_address(address: bytes) -> str:
-    """Render an address as 0x-prefixed lowercase hex for messages/logs."""
-    return "0x" + address.hex()

@@ -63,7 +63,6 @@ class FaultConfig:
 
     # --- redo path -------------------------------------------------------
     reconflict_rate: float = 0.0  # forced benign validation conflicts
-    reconflict_keys: int = 2  # read-set keys per forced conflict
     corrupt_guard_rate: float = 0.0  # redo fails on an injected guard
 
     # --- Block-STM scheduler ---------------------------------------------

@@ -15,10 +15,10 @@ ingest -> receipts), and the three overload mechanisms the ISSUE names:
 * **Circuit breaker** — a commit-lag integrator accumulates how far each
   production tick ran behind the nominal cadence (stretched tick spacing
   plus commit-lane overrun, minus spare capacity); when the lag
-  crosses ``circuit_open_lag_us`` the read path (``get_balance``,
+  crosses ``CIRCUIT_OPEN_LAG_US`` the read path (``get_balance``,
   ``get_receipt``, ``get_block``) is shed with
   :class:`~repro.errors.CircuitOpen` until the lane catches back up below
-  ``circuit_close_lag_us``.  ``health`` is never shed.
+  ``CIRCUIT_CLOSE_LAG_US``.  ``health`` is never shed.
 
 Everything is deterministic: the facade owns no clock (callers pass
 ``now_us``), draws no randomness, and reads state only via ``peek``.
@@ -48,17 +48,19 @@ def ingress_backoff_policy() -> RecoveryPolicy:
     return RecoveryPolicy(backoff_base_us=5_000.0, backoff_cap_us=320_000.0)
 
 
+CIRCUIT_OPEN_LAG_US = 200_000.0  # commit lag that opens the read breaker
+CIRCUIT_CLOSE_LAG_US = 75_000.0  # ... and that closes it again
+MAX_BACKOFF_LEVEL = 6  # retry-after stops escalating after this streak
+RECEIPT_HISTORY = 4096  # receipts get_receipt can still serve
+BLOCK_HISTORY = 64  # blocks get_block can still serve
+
+
 @dataclass(slots=True, frozen=True)
 class RpcConfig:
-    """Facade knobs: block shape, breaker thresholds, history depth."""
+    """Facade knobs: block shape and whether committed blocks are kept."""
 
     block_txs: int = 24
     block_interval_us: float = 50_000.0
-    circuit_open_lag_us: float = 200_000.0
-    circuit_close_lag_us: float = 75_000.0
-    max_backoff_level: int = 6
-    receipt_history: int = 4096
-    block_history: int = 64
     record_blocks: bool = False
 
     @property
@@ -112,7 +114,7 @@ class RpcFacade:
         self._last_tick_us: float | None = None
         self._receipts: dict[str, dict] = {}
         self._receipt_order: deque[str] = deque()
-        self._blocks: deque[dict] = deque(maxlen=self.config.block_history)
+        self._blocks: deque[dict] = deque(maxlen=BLOCK_HISTORY)
         # Committed blocks retained for serial-equivalence certification
         # (harness use; off by default to keep memory bounded).
         self.committed_blocks: list[Block] = []
@@ -127,7 +129,7 @@ class RpcFacade:
 
     def retry_after_us(self) -> float:
         """Suggested client wait, escalating with sustained pressure."""
-        level = min(self._pressure_streak, self.config.max_backoff_level)
+        level = min(self._pressure_streak, MAX_BACKOFF_LEVEL)
         return self.policy.backoff_us(level)
 
     def _check_backpressure(self, now_us: float = 0.0) -> None:
@@ -156,7 +158,7 @@ class RpcFacade:
             self._count("rpc_reads_shed_total")
             raise CircuitOpen(
                 self.commit_lag_us,
-                self.config.circuit_open_lag_us,
+                CIRCUIT_OPEN_LAG_US,
                 self.retry_after_us(),
             )
 
@@ -184,10 +186,10 @@ class RpcFacade:
             + (advance_us - interval),
         )
         if self.circuit_open:
-            if self.commit_lag_us <= self.config.circuit_close_lag_us:
+            if self.commit_lag_us <= CIRCUIT_CLOSE_LAG_US:
                 self.circuit_open = False
                 self._count("rpc_circuit_closed_total")
-        elif self.commit_lag_us >= self.config.circuit_open_lag_us:
+        elif self.commit_lag_us >= CIRCUIT_OPEN_LAG_US:
             self.circuit_open = True
             self._count("rpc_circuit_opened_total")
             if self.lifecycle is not None:
@@ -379,7 +381,7 @@ class RpcFacade:
                 "logs": len(receipt.logs),
             }
             self._receipt_order.append(tx_hash)
-        while len(self._receipt_order) > self.config.receipt_history:
+        while len(self._receipt_order) > RECEIPT_HISTORY:
             self._receipts.pop(self._receipt_order.popleft(), None)
         self._blocks.append(
             {

@@ -42,10 +42,6 @@ def is_storage_key(key: StateKey) -> bool:
     return key[0] == STORAGE_TAG
 
 
-def is_balance_key(key: StateKey) -> bool:
-    return key[0] == BALANCE_TAG
-
-
 def key_address(key: StateKey) -> bytes:
     """The account address a state key belongs to."""
     return key[1]

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.meter import CostMeter
-from .keys import StateKey, default_value
+from .keys import StateKey
 from .world import WorldState
 
 _MISSING = object()
@@ -131,9 +131,6 @@ class StateView:
         self._local[key] = value
         if self.meter is not None:
             self.meter.charge_compute(self.cost_model.sstore_buffer_us)
-
-    def written_locally(self, key: StateKey) -> bool:
-        return key in self._local
 
     # ------------------------------------------------------------ journal
 

@@ -276,10 +276,6 @@ class WorldState:
         self._fingerprint_sum = total = total & _FINGERPRINT_MASK
         return total.to_bytes(16, "big")
 
-    def snapshot_items(self) -> dict[StateKey, object]:
-        """A plain-dict copy of all stored entries (tests and cloning)."""
-        return dict(self.db.items())
-
     def clone(self) -> "WorldState":
         """An independent copy with a fresh (cold) database and cache.
 

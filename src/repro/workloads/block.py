@@ -31,8 +31,9 @@ from ..primitives import address_to_word, make_address
 from ..state.world import WorldState
 
 ETHER = 10**18
-DEFAULT_TOKEN_BALANCE = 10**12
-DEFAULT_RESERVE = 10**15
+FUND_ETHER = 1_000 * ETHER  # every account's genesis ether
+TOKEN_BALANCE = 10**12  # an account's balance of each token it holds
+RESERVE = 10**15  # each AMM reserve
 
 
 @dataclass(slots=True)
@@ -76,10 +77,6 @@ class ChainSpec:
     proxied_tokens: int = 2
     amm_pairs: int = 8
     accounts: int = 400
-    crowdfunds: int = 1
-    fund_ether: int = 1_000 * ETHER
-    token_balance: int = DEFAULT_TOKEN_BALANCE
-    reserve: int = DEFAULT_RESERVE
     seed: int = 2022
 
 
@@ -134,10 +131,10 @@ def build_chain(spec: ChainSpec | None = None) -> Chain:
 
     accounts = [make_address(10_000 + i) for i in range(spec.accounts)]
     tokens = [make_address(1_000 + i) for i in range(spec.tokens)]
-    crowdfunds = [make_address(3_000 + i) for i in range(spec.crowdfunds)]
+    crowdfund = make_address(3_000)
 
     for account in accounts:
-        world.set_balance(account, spec.fund_ether)
+        world.set_balance(account, FUND_ETHER)
 
     # One shared implementation serves every proxied token.
     implementation = make_address(999)
@@ -153,12 +150,11 @@ def build_chain(spec: ChainSpec | None = None) -> Chain:
             )
         else:
             world.set_code(token, ERC20)
-        world.set_storage(token, 0, spec.token_balance * spec.accounts)
+        world.set_storage(token, 0, TOKEN_BALANCE * spec.accounts)
         for account in accounts:
-            world.set_storage(token, balance_slot(account), spec.token_balance)
+            world.set_storage(token, balance_slot(account), TOKEN_BALANCE)
 
-    for crowdfund in crowdfunds:
-        world.set_code(crowdfund, Crowdfund)
+    world.set_code(crowdfund, Crowdfund)
 
     rng = random.Random(spec.seed)
     amm_pairs: list[tuple[bytes, bytes, bytes]] = []
@@ -171,10 +167,10 @@ def build_chain(spec: ChainSpec | None = None) -> Chain:
         world.set_code(pair, AMM)
         world.set_storage(pair, TOKEN0_SLOT, address_to_word(token0))
         world.set_storage(pair, TOKEN1_SLOT, address_to_word(token1))
-        world.set_storage(pair, RESERVE0_SLOT, spec.reserve)
-        world.set_storage(pair, RESERVE1_SLOT, spec.reserve)
-        world.set_storage(token0, balance_slot(pair), spec.reserve)
-        world.set_storage(token1, balance_slot(pair), spec.reserve)
+        world.set_storage(pair, RESERVE0_SLOT, RESERVE)
+        world.set_storage(pair, RESERVE1_SLOT, RESERVE)
+        world.set_storage(token0, balance_slot(pair), RESERVE)
+        world.set_storage(token1, balance_slot(pair), RESERVE)
         # Every user pre-approves the pair for both legs (standard DEX UX).
         for account in accounts:
             world.set_storage(
@@ -192,7 +188,18 @@ def build_chain(spec: ChainSpec | None = None) -> Chain:
         env=env,
         tokens=tokens,
         amm_pairs=amm_pairs,
-        crowdfunds=crowdfunds,
+        crowdfunds=[crowdfund],
         accounts=accounts,
         spec=spec,
     )
+
+
+def grant_allowance(chain: Chain, token: bytes, owner: bytes, spender: bytes) -> None:
+    """Let ``spender`` move ``owner``'s ``token`` at genesis if it cannot yet.
+
+    The check is a simulated read of the genesis world (``get_storage``):
+    it warms that world's cache and counts in its read statistics.
+    """
+    slot = allowance_slot(owner, spender)
+    if chain.world.get_storage(token, slot) == 0:
+        chain.world.set_storage(token, slot, 2**255)

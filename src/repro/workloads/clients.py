@@ -41,11 +41,7 @@ class ClientSpec:
     read_share: float = 0.15
     malformed_share: float = 0.0
     nonce_gap_share: float = 0.0
-    max_nonce_skip: int = 8
     max_retries: int = 4
-    min_gas_price: int = 1
-    max_gas_price: int = 100
-    value_wei: int = 1_000_000
     seed: int = 1
 
 
@@ -133,19 +129,19 @@ class OpenLoopClient:
     def _transfer_wire(self, rng: random.Random) -> dict:
         spec = self.spec
         if spec.nonce_gap_share and rng.random() < spec.nonce_gap_share:
-            # Deliberately skip ahead: the skipped nonces are never sent,
-            # so this tx (and everything after) probes the pool's
-            # gap-window enforcement.
-            self.nonce += rng.randint(1, spec.max_nonce_skip)
+            # Deliberately skip ahead (1-8 nonces): the skipped nonces are
+            # never sent, so this tx (and everything after) probes the
+            # pool's gap-window enforcement.
+            self.nonce += rng.randint(1, 8)
         nonce = self.nonce
         self.nonce += 1
         tx = Transaction(
             sender=self.account,
             to=rng.choice(self.recipients),
-            value=rng.randint(1, spec.value_wei),
+            value=rng.randint(1, 1_000_000),
             data=b"",
             gas_limit=21_000,
-            gas_price=rng.randint(spec.min_gas_price, spec.max_gas_price),
+            gas_price=rng.randint(1, 100),  # the seeded fee level
             nonce=nonce,
         )
         return wire_transaction(tx, chain_id=self.chain_id)

@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 
 from ..contracts import encode_call
-from ..crypto import storage_slot_for_mapping
 from ..evm.message import Transaction
-from .block import Block, Chain
+from .block import Block, Chain, grant_allowance
 
 TRANSFER_GAS = 200_000
 
@@ -70,7 +69,7 @@ def conflict_ratio_block(
             # transferFrom(owner -> recipient) by `sender`: conflicts with
             # every other such tx on balances[owner] only (allowances are
             # per-spender and the chain pre-approves everyone).
-            _ensure_allowance(chain, token, owner, sender)
+            grant_allowance(chain, token, owner, sender)
             data = encode_call(
                 "transferFrom(address,address,uint256)", owner, recipient, 5
             )
@@ -87,15 +86,6 @@ def conflict_ratio_block(
         )
     rng.shuffle(txs)
     return Block(number=number, txs=txs, env=chain.env)
-
-
-def _ensure_allowance(chain: Chain, token: bytes, owner: bytes, spender: bytes) -> None:
-    """Grant ``spender`` an allowance from ``owner`` at genesis if missing."""
-    from ..contracts import allowance_slot
-
-    slot = allowance_slot(owner, spender)
-    if chain.world.get_storage(token, slot) == 0:
-        chain.world.set_storage(token, slot, 2**255)
 
 
 def hot_recipient_block(

@@ -1,22 +1,14 @@
-"""Mainnet-like block synthesis.
+"""Mainnet-like blocks: the per-block replay workload.
 
-Generates blocks statistically shaped like the paper's evaluation window
-(Ethereum 14.0M-15.0M, January-June 2022):
-
-- **Transaction mix**: roughly 30% native ETH transfers, ~55% ERC20 calls
-  (transfer / transferFrom / approve, ~9 of the top-10 contracts are
-  ERC20s), ~15% AMM swaps — the DeFi share that makes hot reserve slots.
-- **Contract popularity** is Zipf-distributed (Figure 3a's straight
-  log-log line): a handful of tokens and pairs take most invocations.
-- **Recipient skew**: a fraction of transfers credit a few hot deposit
-  addresses (exchanges), creating the commutative-RMW hot slots that
-  dominate real conflict graphs [Garamvölgyi et al., ICSE '22].
-- **Sender reuse** is low within a block (most mainnet senders appear once
-  per block), so nonce chains are rare but present.
-
-All parameters sit on :class:`MainnetConfig`; the Figure 3 benchmark
-measures the realised invocation/slot-access distributions of generated
-history and reports the paper's three headline statistics.
+The shared mix (:mod:`repro.workloads.mix`) in the calibration of the
+paper's evaluation window, plus what mainnet blocks add: per-block
+contention jitter (real blocks vary widely in contention — Figure 9's 2-7x
+spread), little sender reuse within a block (nonce chains are rare but
+present; hot *recipients* skew mainnet, not hot senders), and a genesis
+(:func:`~repro.workloads.block.build_chain`) that already funds every
+account, so only transferFrom allowances are granted.  The Figure 3
+benchmark measures the realised invocation / slot-access distributions of
+generated history against the paper's three headline statistics.
 """
 
 from __future__ import annotations
@@ -24,214 +16,75 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..contracts import encode_call
-from ..evm.message import Transaction
-from .block import Block, Chain, ETHER
-from .zipf import ZipfSampler
+from .block import Block, Chain, grant_allowance
+from .mix import TxMix
+
+HOT_RECIPIENT_SHARE = 0.34  # transfers crediting a hot deposit address
+SENDER_REPEAT_SHARE = 0.04  # same-sender-in-block probability
+CONTENTION_JITTER = 0.45  # per-block multiplicative jitter on the hot shares
 
 
 @dataclass(slots=True)
 class MainnetConfig:
-    """Shape parameters of the synthesized mainnet workload.
+    """Block size, seed and the two shares Figure 9 varies per block.
 
-    Defaults are calibrated so that the resulting contention (conflicting-
-    transaction share, hot-chain lengths) lands the four executors in the
-    paper's Table 1 bands; the calibration benchmark is
+    The defaults are calibrated so that the resulting contention
+    (conflicting-transaction share, hot-chain lengths) lands the four
+    executors in the paper's Table 1 bands; the calibration benchmark is
     benchmarks/test_table1_speedups.py.
     """
 
     txs_per_block: int = 200
-    native_share: float = 0.26
-    erc20_share: float = 0.44  # then AMM swaps, then crowdfund contributions
-    amm_share: float = 0.22
-    transfer_within_erc20: float = 0.62
-    transfer_from_within_erc20: float = 0.18  # rest: approve
-    # transferFrom draining one hot owner (the paper's §3.2 conflict pattern)
-    hot_owner_share: float = 0.75  # of transferFroms
-    hot_recipient_share: float = 0.34  # transfers crediting a hot deposit addr
-    hot_recipients: int = 2
-    token_zipf_exponent: float = 1.30
-    pair_zipf_exponent: float = 3.00
-    account_zipf_exponent: float = 0.85
-    sender_repeat_share: float = 0.04  # same-sender-in-block probability
-    # Per-block multiplicative jitter on the hot shares: real mainnet blocks
-    # vary widely in contention (Figure 9's 2-7x spread); 0 disables.
-    contention_jitter: float = 0.45
-    swap_amount: int = 10**8
-    transfer_amount: int = 997
-    gas_limit: int = 400_000
+    native_share: float = 0.26  # then ERC20 calls (0.44), then AMM swaps
+    amm_share: float = 0.22  # then crowdfund contributions
     seed: int = 14_000_000
 
 
-class MainnetWorkload:
+class MainnetWorkload(TxMix):
     """A deterministic stream of mainnet-like blocks over one chain."""
 
-    def __init__(self, chain: Chain, config: MainnetConfig | None = None) -> None:
-        self.chain = chain
-        self.config = config or MainnetConfig()
-        self._token_sampler = ZipfSampler(
-            len(chain.tokens), self.config.token_zipf_exponent
-        )
-        self._pair_sampler = ZipfSampler(
-            max(1, len(chain.amm_pairs)), self.config.pair_zipf_exponent
-        )
-        self._account_sampler = ZipfSampler(
-            len(chain.accounts), self.config.account_zipf_exponent
-        )
+    ERC20_SHARE = 0.44
+    TRANSFER_SHARE = 0.62
+    TRANSFER_FROM_SHARE = 0.18
+    HOT_OWNER_SHARE = 0.75
+    ACCOUNT_ZIPF = 0.85
+    TOKEN_ZIPF = 1.30
+    PAIR_ZIPF = 3.00
 
-    # ------------------------------------------------------------- blocks
+    def __init__(self, chain: Chain, config: MainnetConfig | None = None) -> None:
+        super().__init__(chain)
+        self.config = config or MainnetConfig()
+        self._senders: list[bytes] = []
 
     def block(self, number: int) -> Block:
         """Generate block ``number`` (deterministic in (seed, number))."""
         cfg = self.config
-        chain = self.chain
         rng = random.Random((cfg.seed << 20) ^ number)
-
         # Blocks differ in how contended they are: scale this block's hot
         # shares by a deterministic per-block factor.
-        factor = 1.0 + cfg.contention_jitter * (2.0 * rng.random() - 1.0)
-        hot_recipient_share = min(0.9, cfg.hot_recipient_share * factor)
-        amm_share = min(0.5, cfg.amm_share * factor)
-        self._block_hot_recipient_share = hot_recipient_share
-
-        hot_recipients = chain.accounts[: cfg.hot_recipients]
-        txs: list[Transaction] = []
-        senders_used: list[bytes] = []
-
-        for _ in range(cfg.txs_per_block):
-            sender = self._pick_sender(rng, senders_used)
-            senders_used.append(sender)
-            roll = rng.random()
-            if roll < cfg.native_share:
-                txs.append(self._native_transfer(rng, sender, hot_recipients))
-            elif roll < cfg.native_share + cfg.erc20_share:
-                txs.append(self._erc20_call(rng, sender, hot_recipients))
-            elif roll < cfg.native_share + cfg.erc20_share + amm_share:
-                txs.append(self._amm_swap(rng, sender))
-            else:
-                txs.append(self._crowdfund_contribution(rng, sender))
-        return Block(number=number, txs=txs, env=chain.env)
-
-    def blocks(self, start: int, count: int) -> list[Block]:
-        return [self.block(start + i) for i in range(count)]
-
-    # ------------------------------------------------------------ pickers
-
-    def _pick_sender(self, rng: random.Random, used: list[bytes]) -> bytes:
-        cfg = self.config
-        if used and rng.random() < cfg.sender_repeat_share:
-            return rng.choice(used)
-        accounts = self.chain.accounts
-        # Senders are drawn near-uniformly: hot *recipients* are what skews
-        # mainnet, not hot senders.
-        return accounts[rng.randrange(len(accounts))]
-
-    def _pick_recipient(
-        self, rng: random.Random, sender: bytes, hot_recipients: list[bytes]
-    ) -> bytes:
-        cfg = self.config
-        share = getattr(
-            self, "_block_hot_recipient_share", cfg.hot_recipient_share
-        )
-        if rng.random() < share:
-            return rng.choice(hot_recipients)
-        accounts = self.chain.accounts
-        recipient = accounts[self._account_sampler.sample(rng)]
-        if recipient == sender:
-            recipient = accounts[(accounts.index(recipient) + 1) % len(accounts)]
-        return recipient
-
-    # ---------------------------------------------------------- tx builders
-
-    def _native_transfer(
-        self, rng: random.Random, sender: bytes, hot_recipients: list[bytes]
-    ) -> Transaction:
-        recipient = self._pick_recipient(rng, sender, hot_recipients)
-        return Transaction(
-            sender=sender,
-            to=recipient,
-            value=rng.randrange(1, ETHER // 1000),
-            gas_limit=21_000,
-            nonce=self.chain.next_nonce(sender),
+        factor = 1.0 + CONTENTION_JITTER * (2.0 * rng.random() - 1.0)
+        self._senders = []
+        return self._fill(
+            number,
+            rng,
+            cfg.txs_per_block,
+            cfg.native_share,
+            amm_share=min(0.5, cfg.amm_share * factor),
+            hot_share=min(0.9, HOT_RECIPIENT_SHARE * factor),
         )
 
-    def _erc20_call(
-        self, rng: random.Random, sender: bytes, hot_recipients: list[bytes]
-    ) -> Transaction:
-        cfg = self.config
-        token = self.chain.tokens[self._token_sampler.sample(rng)]
-        recipient = self._pick_recipient(rng, sender, hot_recipients)
-        if recipient in hot_recipients:
-            # Exchange deposits flow into the dominant token: one hot
-            # balance slot, not one per token (matches the 0.1%-of-slots /
-            # 62%-of-accesses concentration of Figure 3b).
-            token = self.chain.tokens[0]
-        roll = rng.random()
-        if roll < cfg.transfer_within_erc20:
-            data = encode_call(
-                "transfer(address,uint256)", recipient, cfg.transfer_amount
-            )
-        elif roll < cfg.transfer_within_erc20 + cfg.transfer_from_within_erc20:
-            # A share of transferFroms drain one hot owner (airdrop/dispenser
-            # accounts): the paper's motivating conflict on balances[A].
-            if rng.random() < cfg.hot_owner_share:
-                owner = self.chain.accounts[0]
-                token = self.chain.tokens[0]  # the hot airdrop/dispenser token
-            else:
-                owner = self.chain.accounts[self._account_sampler.sample(rng)]
-            self._ensure_allowance(token, owner, sender)
-            data = encode_call(
-                "transferFrom(address,address,uint256)",
-                owner,
-                recipient,
-                cfg.transfer_amount,
-            )
+    def _sender(self, rng: random.Random) -> bytes:
+        used = self._senders
+        if used and rng.random() < SENDER_REPEAT_SHARE:
+            sender = rng.choice(used)
         else:
-            data = encode_call(
-                "approve(address,uint256)", recipient, cfg.transfer_amount * 100
-            )
-        return Transaction(
-            sender=sender,
-            to=token,
-            data=data,
-            gas_limit=cfg.gas_limit,
-            nonce=self.chain.next_nonce(sender),
-        )
+            accounts = self.chain.accounts
+            sender = accounts[rng.randrange(len(accounts))]
+        used.append(sender)
+        return sender
 
-    def _amm_swap(self, rng: random.Random, sender: bytes) -> Transaction:
-        cfg = self.config
-        pair, _token0, _token1 = self.chain.amm_pairs[
-            self._pair_sampler.sample(rng)
-        ]
-        return Transaction(
-            sender=sender,
-            to=pair,
-            data=encode_call(
-                "swap(uint256,uint256,address)",
-                rng.randrange(cfg.swap_amount // 2, cfg.swap_amount * 2),
-                rng.randrange(2),
-                sender,
-            ),
-            gas_limit=cfg.gas_limit,
-            nonce=self.chain.next_nonce(sender),
-        )
+    def _detour(self, rng: random.Random, index: int) -> int:
+        return (index + 1) % len(self.chain.accounts)
 
-    def _crowdfund_contribution(
-        self, rng: random.Random, sender: bytes
-    ) -> Transaction:
-        cfg = self.config
-        crowdfund = self.chain.crowdfunds[0]
-        return Transaction(
-            sender=sender,
-            to=crowdfund,
-            data=encode_call("contribute(uint256)", rng.randrange(1, 10**6)),
-            gas_limit=cfg.gas_limit,
-            nonce=self.chain.next_nonce(sender),
-        )
-
-    def _ensure_allowance(self, token: bytes, owner: bytes, spender: bytes) -> None:
-        from ..contracts import allowance_slot
-
-        slot = allowance_slot(owner, spender)
-        if self.chain.world.get_storage(token, slot) == 0:
-            self.chain.world.set_storage(token, slot, 2**255)
+    def _fund_transfer_from(self, token: bytes, owner: bytes, spender: bytes) -> None:
+        grant_allowance(self.chain, token, owner, spender)

@@ -4,13 +4,12 @@
 every account is eagerly funded with every token balance and AMM
 allowance — fine for a few hundred accounts, quadratic pain for the
 hundreds of thousands a soak run (:mod:`repro.service`) needs.  This
-module scales the same transaction mix to large universes by funding
-lazily: genesis deploys the contracts and ether balances only, and token
-balances / AMM allowances are written the first time the stream selects
-an account for a call that needs them (the precedent is
-:meth:`MainnetWorkload._ensure_allowance`).  Lazy funding goes through
-:meth:`WorldState.peek`/``set_*`` so it never perturbs the simulated
-cache, latency model or read counters.
+module draws from the same transaction mix (:mod:`repro.workloads.mix`)
+over large universes by funding lazily: genesis deploys the contracts and
+ether balances only, and token balances / allowances are written the
+first time the stream selects an account for a call that needs them.
+Lazy funding goes through :meth:`WorldState.peek`/``set_*`` so it never
+perturbs the simulated cache, latency model or read counters.
 
 Everything is deterministic in ``(spec, block number)``: generating block
 ``n`` always produces the same transactions and the same lazy-funding
@@ -28,21 +27,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
-from ..contracts import allowance_slot, balance_slot, encode_call
-from ..evm.message import Transaction
+from ..contracts import allowance_slot, balance_slot
 from ..primitives import make_address
 from ..state.keys import storage_key
-from .block import (
-    Block,
-    Chain,
-    ChainSpec,
-    DEFAULT_RESERVE,
-    DEFAULT_TOKEN_BALANCE,
-    ETHER,
-    build_chain,
-)
-from .zipf import ZipfSampler
+from .block import Block, Chain, ChainSpec, FUND_ETHER, TOKEN_BALANCE, build_chain
+from .mix import TxMix
 
 
 @dataclass(slots=True)
@@ -50,38 +41,17 @@ class StreamSpec:
     """Shape of a continuous block stream (all deterministic inputs).
 
     ``accounts`` is the universe size — soak acceptance runs use 100k+.
-    The contract mix (``native/erc20/amm`` shares, remainder crowdfund)
-    and the conflict knobs mirror :class:`MainnetConfig` so stream blocks
-    stress the same contention structure the per-block experiments are
-    calibrated on.
+    The contract mix and its calibration are :class:`BlockStream`'s.
     """
 
     accounts: int = 100_000
     tokens: int = 6
     amm_pairs: int = 2
     txs_per_block: int = 40
-    # Contract mix (remainder of the three shares goes to the crowdfund).
-    native_share: float = 0.30
-    erc20_share: float = 0.48
-    amm_share: float = 0.17
-    transfer_within_erc20: float = 0.70
-    transfer_from_within_erc20: float = 0.15  # rest: approve
-    # Conflict-rate knobs.
     hot_recipient_share: float = 0.25
-    hot_recipients: int = 2
-    hot_owner_share: float = 0.6  # of transferFroms, draining one hot owner
     hot_drift_per_1k: float = 0.0  # hot-share drift per 1000 blocks
-    account_zipf_exponent: float = 0.8
-    token_zipf_exponent: float = 1.3
-    # Funding.
-    fund_ether: int = 1_000 * ETHER
-    token_balance: int = DEFAULT_TOKEN_BALANCE
-    reserve: int = DEFAULT_RESERVE
-    transfer_amount: int = 997
-    swap_amount: int = 10**8
-    gas_limit: int = 400_000
     seed: int = 1
-    start_block: int = 14_000_000
+    start_block: ClassVar[int] = 14_000_000
 
 
 def build_stream_chain(
@@ -98,17 +68,11 @@ def build_stream_chain(
     """
     spec = spec or StreamSpec()
     chain = build_chain(
-        ChainSpec(
-            tokens=spec.tokens,
-            amm_pairs=spec.amm_pairs,
-            accounts=0,
-            token_balance=spec.token_balance,
-            reserve=spec.reserve,
-        )
+        ChainSpec(tokens=spec.tokens, amm_pairs=spec.amm_pairs, accounts=0)
     )
     accounts = [make_address(10_000 + i) for i in range(spec.accounts)]
     for account in accounts:
-        chain.world.set_balance(account, spec.fund_ether)
+        chain.world.set_balance(account, FUND_ETHER)
     chain.accounts = accounts
     chain.spec = spec  # the stream's sizing knobs travel with the chain
     if cache_capacity is not None:
@@ -118,7 +82,7 @@ def build_stream_chain(
     return chain
 
 
-class BlockStream:
+class BlockStream(TxMix):
     """A deterministic, unbounded stream of blocks over one chain.
 
     ``block(n)`` is a pure function of ``(spec.seed, n)`` *given* that
@@ -128,25 +92,24 @@ class BlockStream:
     the determinism contract — exactly like ``Chain.next_nonce``).
     """
 
+    NATIVE_SHARE = 0.30
+    ERC20_SHARE = 0.48
+    AMM_SHARE = 0.17
+    TRANSFER_SHARE = 0.70
+    TRANSFER_FROM_SHARE = 0.15
+    HOT_OWNER_SHARE = 0.6
+    ACCOUNT_ZIPF = 0.8
+    TOKEN_ZIPF = 1.3
+    PAIR_ZIPF = 2.0
+
     def __init__(self, chain: Chain, spec: StreamSpec | None = None) -> None:
-        self.chain = chain
         self.spec = spec if spec is not None else chain.spec
         if not isinstance(self.spec, StreamSpec):
             raise TypeError("BlockStream needs a StreamSpec")
-        self._account_sampler = ZipfSampler(
-            len(chain.accounts), self.spec.account_zipf_exponent
-        )
-        self._token_sampler = ZipfSampler(
-            len(chain.tokens), self.spec.token_zipf_exponent
-        )
-        self._pair_sampler = ZipfSampler(
-            max(1, len(chain.amm_pairs)), 2.0
-        )
+        super().__init__(chain)
         # Lazy-funding memo: which (token, account) balances and
-        # (token, account, pair) allowances are already provisioned.
+        # (token, owner, spender) allowances are already provisioned.
         self._funded: set = set()
-
-    # ------------------------------------------------------------- stream
 
     def hot_share(self, number: int) -> float:
         """This block's hot-recipient share (the conflict-rate trajectory)."""
@@ -155,160 +118,50 @@ class BlockStream:
         return min(0.95, max(0.0, spec.hot_recipient_share + drift))
 
     def block(self, number: int) -> Block:
-        spec = self.spec
-        rng = random.Random((spec.seed << 24) ^ number)
-        hot_recipients = self.chain.accounts[: spec.hot_recipients]
-        hot_share = self.hot_share(number)
-        txs: list[Transaction] = []
-        for _ in range(spec.txs_per_block):
-            sender = self._pick_account(rng)
-            roll = rng.random()
-            if roll < spec.native_share:
-                txs.append(self._native(rng, sender, hot_recipients, hot_share))
-            elif roll < spec.native_share + spec.erc20_share:
-                txs.append(self._erc20(rng, sender, hot_recipients, hot_share))
-            elif roll < spec.native_share + spec.erc20_share + spec.amm_share:
-                txs.append(self._swap(rng, sender))
-            else:
-                txs.append(self._contribute(rng, sender))
-        return Block(number=number, txs=txs, env=self.chain.env)
+        rng = random.Random((self.spec.seed << 24) ^ number)
+        return self._fill(
+            number,
+            rng,
+            self.spec.txs_per_block,
+            self.NATIVE_SHARE,
+            self.AMM_SHARE,
+            self.hot_share(number),
+        )
 
-    def blocks(self, start: int, count: int) -> list[Block]:
-        return [self.block(start + i) for i in range(count)]
+    def _sender(self, rng: random.Random) -> bytes:
+        return self._account(rng)
 
-    # ------------------------------------------------------------ pickers
-
-    def _pick_account(self, rng: random.Random) -> bytes:
-        return self.chain.accounts[self._account_sampler.sample(rng)]
-
-    def _pick_recipient(
-        self,
-        rng: random.Random,
-        sender: bytes,
-        hot_recipients: list[bytes],
-        hot_share: float,
-    ) -> bytes:
-        if hot_recipients and rng.random() < hot_share:
-            return rng.choice(hot_recipients)
-        recipient = self._pick_account(rng)
-        if recipient == sender:
-            accounts = self.chain.accounts
-            recipient = accounts[
-                (self._account_sampler.sample(rng) + 1) % len(accounts)
-            ]
-        return recipient
+    def _detour(self, rng: random.Random, index: int) -> int:
+        return (self._account_sampler.sample(rng) + 1) % len(self.chain.accounts)
 
     # ------------------------------------------------------- lazy funding
 
-    def _ensure_token_balance(self, token: bytes, account: bytes) -> None:
-        memo = ("bal", token, account)
+    def _fund(self, token: bytes, account: bytes, spender: bytes | None = None) -> None:
+        """Give ``account`` a ``token`` balance — or, with ``spender``, let
+        ``spender`` move it — unless already provisioned."""
+        memo = (token, account, spender)
         if memo in self._funded:
             return
         self._funded.add(memo)
-        world = self.chain.world
-        slot = balance_slot(account)
-        if world.peek(storage_key(token, slot)) == 0:
-            world.set_storage(token, slot, self.spec.token_balance)
-
-    def _ensure_allowance(self, token: bytes, owner: bytes, spender: bytes) -> None:
-        memo = ("allow", token, owner, spender)
-        if memo in self._funded:
-            return
-        self._funded.add(memo)
-        world = self.chain.world
-        slot = allowance_slot(owner, spender)
-        if world.peek(storage_key(token, slot)) == 0:
-            world.set_storage(token, slot, 2**255)
-
-    # --------------------------------------------------------- tx builders
-
-    def _native(
-        self,
-        rng: random.Random,
-        sender: bytes,
-        hot_recipients: list[bytes],
-        hot_share: float,
-    ) -> Transaction:
-        recipient = self._pick_recipient(rng, sender, hot_recipients, hot_share)
-        return Transaction(
-            sender=sender,
-            to=recipient,
-            value=rng.randrange(1, ETHER // 1000),
-            gas_limit=21_000,
-            nonce=self.chain.next_nonce(sender),
-        )
-
-    def _erc20(
-        self,
-        rng: random.Random,
-        sender: bytes,
-        hot_recipients: list[bytes],
-        hot_share: float,
-    ) -> Transaction:
-        spec = self.spec
-        token = self.chain.tokens[self._token_sampler.sample(rng)]
-        recipient = self._pick_recipient(rng, sender, hot_recipients, hot_share)
-        if recipient in hot_recipients:
-            # Exchange deposits concentrate on the dominant token: one hot
-            # balance slot rather than one per token.
-            token = self.chain.tokens[0]
-        roll = rng.random()
-        if roll < spec.transfer_within_erc20:
-            self._ensure_token_balance(token, sender)
-            data = encode_call(
-                "transfer(address,uint256)", recipient, spec.transfer_amount
-            )
-        elif roll < spec.transfer_within_erc20 + spec.transfer_from_within_erc20:
-            if rng.random() < spec.hot_owner_share:
-                owner = self.chain.accounts[0]
-                token = self.chain.tokens[0]
-            else:
-                owner = self._pick_account(rng)
-            self._ensure_token_balance(token, owner)
-            self._ensure_allowance(token, owner, sender)
-            data = encode_call(
-                "transferFrom(address,address,uint256)",
-                owner,
-                recipient,
-                spec.transfer_amount,
-            )
+        if spender is None:
+            slot, value = balance_slot(account), TOKEN_BALANCE
         else:
-            data = encode_call(
-                "approve(address,uint256)", recipient, spec.transfer_amount * 100
-            )
-        return Transaction(
-            sender=sender,
-            to=token,
-            data=data,
-            gas_limit=spec.gas_limit,
-            nonce=self.chain.next_nonce(sender),
-        )
+            slot, value = allowance_slot(account, spender), 2**255
+        world = self.chain.world
+        if world.peek(storage_key(token, slot)) == 0:
+            world.set_storage(token, slot, value)
 
-    def _swap(self, rng: random.Random, sender: bytes) -> Transaction:
-        spec = self.spec
-        pair, token0, token1 = self.chain.amm_pairs[self._pair_sampler.sample(rng)]
-        self._ensure_token_balance(token0, sender)
-        self._ensure_token_balance(token1, sender)
-        self._ensure_allowance(token0, sender, pair)
-        self._ensure_allowance(token1, sender, pair)
-        return Transaction(
-            sender=sender,
-            to=pair,
-            data=encode_call(
-                "swap(uint256,uint256,address)",
-                rng.randrange(spec.swap_amount // 2, spec.swap_amount * 2),
-                rng.randrange(2),
-                sender,
-            ),
-            gas_limit=spec.gas_limit,
-            nonce=self.chain.next_nonce(sender),
-        )
+    def _fund_transfer(self, token: bytes, sender: bytes) -> None:
+        self._fund(token, sender)
 
-    def _contribute(self, rng: random.Random, sender: bytes) -> Transaction:
-        return Transaction(
-            sender=sender,
-            to=self.chain.crowdfunds[0],
-            data=encode_call("contribute(uint256)", rng.randrange(1, 10**6)),
-            gas_limit=self.spec.gas_limit,
-            nonce=self.chain.next_nonce(sender),
-        )
+    def _fund_transfer_from(self, token: bytes, owner: bytes, spender: bytes) -> None:
+        self._fund(token, owner)
+        self._fund(token, owner, spender)
+
+    def _fund_swap(
+        self, sender: bytes, pair: bytes, token0: bytes, token1: bytes
+    ) -> None:
+        self._fund(token0, sender)
+        self._fund(token1, sender)
+        self._fund(token0, sender, pair)
+        self._fund(token1, sender, pair)

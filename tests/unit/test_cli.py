@@ -353,6 +353,8 @@ class TestCommands:
         assert "root" in out
 
     def test_run_prints_report_and_writes_artifacts(self, capsys, tmp_path):
+        """``run --trace --metrics-json``: the block report, a schema-valid
+        Chrome trace, and metrics that account for every span."""
         import json
 
         trace_path = tmp_path / "trace.json"
@@ -374,9 +376,21 @@ class TestCommands:
         assert "Worker utilization" in out
         assert "commit-point stall" in out
 
-        trace = json.loads(trace_path.read_text())
-        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        # The Chrome trace-event schema: complete spans, metadata and
+        # counter events only, every one on an integer pid/tid.
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        for event in events:
+            assert event["ph"] in ("X", "M", "C"), event
+            assert isinstance(event["pid"], int)
+            assert isinstance(event["tid"], int)
+            if event["ph"] == "X":
+                assert isinstance(event["name"], str) and event["name"]
+                assert event["ts"] >= 0 and event["dur"] >= 0
+            if event["ph"] == "C":
+                assert event["args"], event
+        spans = [e for e in events if e["ph"] == "X"]
         assert spans
+        assert any(e["ph"] == "C" for e in events), "no counter events"
 
         metrics = json.loads(metrics_path.read_text())
         assert metrics["threads"] == 4

@@ -6,6 +6,8 @@ from repro.concurrency import SerialExecutor
 from repro.contracts import balance_slot
 from repro.state.keys import balance_key, storage_key
 from repro.workloads import BlockStream, StreamSpec, build_stream_chain
+from repro.workloads.block import TOKEN_BALANCE
+from repro.workloads.mix import HOT_RECIPIENTS
 
 SMALL = StreamSpec(accounts=300, txs_per_block=20, seed=9)
 
@@ -86,13 +88,13 @@ class TestLazyFunding:
         token = chain.tokens[0]
         account = chain.accounts[5]
         assert chain.world.peek(storage_key(token, balance_slot(account))) == 0
-        stream._ensure_token_balance(token, account)
+        stream._fund(token, account)
         assert (
             chain.world.peek(storage_key(token, balance_slot(account)))
-            == SMALL.token_balance
+            == TOKEN_BALANCE
         )
         # Memoized: a second call is a no-op set lookup.
-        stream._ensure_token_balance(token, account)
+        stream._fund(token, account)
 
 
 class TestStreamExecutability:
@@ -132,7 +134,7 @@ class TestConflictKnob:
 
         def hot_hits(spec):
             stream = BlockStream(build_stream_chain(spec))
-            hot_set = set(stream.chain.accounts[: spec.hot_recipients])
+            hot_set = set(stream.chain.accounts[:HOT_RECIPIENTS])
             hits = 0
             for offset in range(4):
                 for tx in stream.block(spec.start_block + offset).txs:
