@@ -1,185 +1,46 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md by running every experiment at default scale.
+"""Regenerate the experiments record and EXPERIMENTS.md from it.
 
-Usage:  python scripts/generate_experiments_md.py [output-path]
+Usage:  PYTHONPATH=src python scripts/generate_experiments_md.py
+
+Runs every entry of ``repro.bench.experiments.EXPERIMENTS`` at its
+defaults, each in a fresh process (two at a time), and writes
+``benchmarks/results/<name>.json``; then assembles EXPERIMENTS.md from those
+files alone.  A fresh process per experiment keeps a result independent of
+what ran before it: the §6.4 memory row's ``tracemalloc`` peaks move when
+another experiment has already warmed the process-wide caches.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pathlib
-import sys
-import time
 
-# The §7 schedule study lives with the benchmarks.
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
+from repro.bench.experiments import EXPERIMENTS, ExperimentResult
 
-from repro.bench import (
-    run_fig3,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_ingress_overload,
-    run_overhead,
-    run_pipeline,
-    run_preexec,
-    run_table1,
-    run_table2,
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
 Every table and figure of *ParallelEVM: Operation-Level Concurrent
 Transaction Execution for EVM-Compatible Blockchains* (EuroSys '25),
-regenerated by this repository's benchmark harness.
+regenerated by this repository's experiment registry
+(``repro.bench.experiments``).
 
 All numbers below are **simulated-makespan ratios** produced by the
 deterministic multicore model (see DESIGN.md §2): the concurrency-control
-logic, EVM execution, SSA logs and redo runs are real; wall-clock time is
-not measured.  The paper's absolute numbers come from a Go prototype over
-one million mainnet blocks; only the *shape* — orderings, rough factors,
-crossovers — is expected to (and does) reproduce.  Regenerate with
-``python scripts/generate_experiments_md.py`` or inspect individual
-experiments via ``pytest benchmarks/ --benchmark-only``.
+logic, EVM execution, SSA logs and redo runs are real, and no number here
+is a wall-clock time — the host's wall clock is measured, layer by layer,
+by ``benchmarks/wall/``.  The paper's absolute numbers come from a Go
+prototype over one million mainnet blocks; only the *shape* — orderings,
+rough factors, crossovers — is expected to reproduce.  Each section is
+assembled from its record, ``benchmarks/results/<name>.json``; regenerate
+every record and this file with ``python scripts/generate_experiments_md.py``,
+or print one experiment with ``python -m repro experiment <name>``.
 
 """
-
-SECTIONS = [
-    (
-        "Figure 3 — hot-spot distributions",
-        lambda: run_fig3(),
-        "The workload generator's Zipf models are fitted to the paper's own "
-        "measurements (0.1% of contracts -> 76% of invocations; 0.1% of "
-        "slots -> 62% of accesses).  Block-level measured concentrations "
-        "run higher because a laptop-scale chain hosts ~10 contracts, not "
-        "10 million.",
-    ),
-    (
-        "Table 1 — speedups on mainnet-like blocks",
-        lambda: run_table1(),
-        "Ordering reproduces exactly (2PL < OCC < Block-STM < ParallelEVM). "
-        "Our 2PL lands at ~1x (paper 1.26x): the trace-driven wound-wait "
-        "model suffers wound storms on the hot keys.  Block-STM and "
-        "ParallelEVM land above the paper's absolutes — Figure 9's 2-7x "
-        "per-block band brackets both — while their ratio (~1.5x) matches "
-        "the paper's 4.28/2.82.",
-    ),
-    (
-        "Figure 9 — speedup distribution",
-        lambda: run_fig9(),
-        "The paper reports most blocks in 2-7x with 0.88% regressions; our "
-        "per-block speedups concentrate in the 5-8x buckets (the synthetic "
-        "stream has less cross-block variance than a year of mainnet).",
-    ),
-    (
-        "Figure 10 — thread scaling",
-        lambda: run_fig10(),
-        "Paper shape holds: ParallelEVM dominates at every thread count and "
-        "scales furthest; OCC saturates around 4 threads; 2PL stays flat.",
-    ),
-    (
-        "Figure 11 — contention sweep (ERC20 conflict ratio)",
-        lambda: run_fig11(),
-        "Paper shape holds: near-parity at 0% (SSA tracking overhead is "
-        "negligible), widening ParallelEVM lead as the conflicting share "
-        "grows; at 100% the transaction-level schemes sit at 2-3x while "
-        "ParallelEVM retains most of its speedup.",
-    ),
-    (
-        "Figure 12 — block-size scaling",
-        lambda: run_fig12(),
-        "Paper shape holds: speedup rises with block size and plateaus "
-        "high — larger future blocks make ParallelEVM more attractive, "
-        "not less.",
-    ),
-    (
-        "Table 2 — prefetching",
-        lambda: run_table2(),
-        "Prefetch-only lands at the paper's 2.89x almost exactly; every "
-        "algorithm improves, ParallelEVM+prefetch stays on top at ~7x "
-        "(paper 7.11x).  Our 2PL+ ends near OCC+ rather than clearly below "
-        "it: warm reads shrink its lock-wait chains more than the paper's "
-        "real lock manager allowed.",
-    ),
-    (
-        "Pre-execution (§6.3)",
-        lambda: run_preexec(),
-        "Pre-generating SSA logs in the dissemination window takes the read "
-        "phase off the critical path: the fastest configuration, as in the "
-        "paper (8.81x).",
-    ),
-    (
-        "Extension — pipelined execution (prefetch + async commit)",
-        lambda: run_pipeline(),
-        "Beyond the paper's single-block scope: the chain service run with "
-        "a durable commit pipeline attached and the repro.pipeline "
-        "coordinator overlapping blocks.  Prefetching the next block's "
-        "statically-predicted read set in the dissemination window and "
-        "moving the journal+fsync commit onto a virtual commit lane "
-        "together cut sustained simulated service time per block by more "
-        "than 15%; the next block barriers only while a key it reads is "
-        "still unpublished by the in-flight commit.  Detached (the "
-        "default), every benchmark above is bit-identical.",
-    ),
-    (
-        "Extension — ingress overload sweep (serving & admission control)",
-        lambda: run_ingress_overload(),
-        "Beyond the paper's scope: the JSON-RPC facade, fee-prioritised "
-        "mempool and chain service under rising offered load (multiples of "
-        "the sustainable rate).  Correctness-only — every row certifies "
-        "conservation (admitted = committed + pending + shed) and serial "
-        "equivalence of the committed chain; no performance claim is made. "
-        "Under light load everything commits; oversubscribed, the pool's "
-        "high-water mark answers sends with retryable backpressure (plus an "
-        "escalating retry-after), per-sender quotas and the nonce window "
-        "bound each client's footprint, and every rejection is typed — so "
-        "the accounting still closes exactly at 4x offered load.  The "
-        "p99 latency waterfall (repro.obs.lifecycle) tells the blame "
-        "story: at light load the p99 transaction's budget is pure "
-        "queue-wait — one block-cutting interval, execution and drain "
-        "are sub-millisecond — while past saturation retry backoff "
-        "plus queue-wait swallow half a simulated second.  (Columns "
-        "are independent per-phase p99 quantiles, so a row need not "
-        "sum to the client p99; the tiling invariant — the six phases "
-        "summing exactly to the client-observed latency — holds per "
-        "transaction and is asserted for every traced transaction in "
-        "the integration suite.)",
-    ),
-    (
-        "Extension — §7 proposer/validator schedules",
-        lambda: _schedule_result(),
-        "Beyond the paper's evaluation: its §7 future-work design, built "
-        "and measured.  A transaction-level dependency schedule loses to "
-        "ParallelEVM itself on hot blocks (whole transactions serialise "
-        "along the dependency chains), while shipping read values with the "
-        "schedule — the operation-level endpoint — removes all speculation "
-        "cost and beats every other configuration.  The Saraph-Herlihy "
-        "two-phase baseline from the related work is included for scale.",
-    ),
-    (
-        "Analysis — the transaction-level critical-path bound",
-        lambda: _bounds_result(),
-        "The structural thesis, quantified: the warm critical path bounds "
-        "any transaction-level scheme (OCC and Block-STM respect it), while "
-        "ParallelEVM's operation-level redo breaks straight through it on "
-        "contended blocks — only the conflicting operations serialise, not "
-        "the transactions carrying them.",
-    ),
-    (
-        "§6.4 — overhead analysis",
-        lambda: run_overhead(),
-        "Redo entries per conflicting transaction (~8 vs the paper's ~7), "
-        "redo success rate (~90% vs 87%), tracking share (~2.5% vs 4.5%) "
-        "and memory overhead (~6% vs 4.4%) all land in the paper's bands. "
-        "Ratios normalised by instruction count run higher because the "
-        "hand-assembled contracts execute ~20x fewer instructions than "
-        "solc output (DESIGN.md §2); redo time share is higher for the "
-        "same reason (a larger fraction of the block's work is "
-        "storage-dependent).",
-    ),
-]
-
 
 FOOTER = """\
 ## Validity — the differential certifier
@@ -246,47 +107,38 @@ deployment would be.
 """
 
 
-def _schedule_result():
-    from repro.bench.experiments import ExperimentResult
-    from repro.bench.report import render_table
-    from test_extensions_schedule import run_schedule_study
-
-    data = run_schedule_study(200)
-    rows = [
-        [name, f"{value:.2f}x"]
-        for name, value in data.items()
-        if isinstance(value, float)
-    ]
-    rows.append(["dependency critical path (txs)", data["critical_path"]])
-    rendered = render_table(
-        "Extension — §7 proposer/validator schedules",
-        ["configuration", "value"],
-        rows,
-    )
-    return ExperimentResult("extension_schedule", data, rendered)
+def load_record(directory: pathlib.Path = RESULTS) -> dict[str, ExperimentResult]:
+    """Every committed result, by experiment name."""
+    return {
+        path.stem: ExperimentResult.from_json(path.read_text(encoding="utf-8"))
+        for path in sorted(directory.glob("*.json"))
+    }
 
 
-def _bounds_result():
-    from test_analysis_bounds import run_bounds
+def assemble(record: dict[str, ExperimentResult]) -> str:
+    """EXPERIMENTS.md, from the record alone, in registry order."""
+    parts = [HEADER]
+    for name, entry in EXPERIMENTS.items():
+        parts.append(f"## {entry.title}\n\n```text\n{record[name].rendered}\n```\n")
+        parts.append(f"{entry.commentary(record)}\n")
+    parts.append(FOOTER)
+    return "\n".join(parts)
 
-    return run_bounds(200)
+
+def _write(name: str) -> str:
+    result = EXPERIMENTS[name].runner()
+    (RESULTS / f"{name}.json").write_text(result.to_json(), encoding="utf-8")
+    return name
 
 
 def main() -> None:
-    output = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    parts = [HEADER]
-    for title, runner, commentary in SECTIONS:
-        started = time.time()
-        print(f"running: {title} ...", flush=True)
-        result = runner()
-        elapsed = time.time() - started
-        print(f"  done in {elapsed:.0f}s")
-        parts.append(f"## {title}\n\n```text\n{result.rendered}\n```\n")
-        parts.append(f"{commentary}\n")
-    parts.append(FOOTER)
-    with open(output, "w") as fh:
-        fh.write("\n".join(parts))
-    print(f"wrote {output}")
+    RESULTS.mkdir(exist_ok=True)
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(2, maxtasksperchild=1) as pool:
+        for name in pool.imap_unordered(_write, EXPERIMENTS):
+            print(f"wrote {RESULTS.relative_to(ROOT) / name}.json", flush=True)
+    (ROOT / "EXPERIMENTS.md").write_text(assemble(load_record()), encoding="utf-8")
+    print("wrote EXPERIMENTS.md")
 
 
 if __name__ == "__main__":

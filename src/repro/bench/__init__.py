@@ -1,10 +1,14 @@
 """Experiment harness: one runner per table/figure of the paper.
 
 Each experiment function is pure given its parameters (deterministic
-workloads, deterministic simulated machine), returns a structured result,
-and can be rendered as text with :mod:`repro.bench.report`.  The
-``benchmarks/`` tree wraps these in pytest-benchmark entries; EXPERIMENTS.md
-records the paper-versus-measured outcomes.
+workloads, deterministic simulated machine) and returns an
+``ExperimentResult``.  ``repro.bench.experiments.EXPERIMENTS`` is the one
+registry of them, imported on demand so that ``import repro`` does not load
+every runner.  ``scripts/generate_experiments_md.py`` runs it into the
+committed record (``benchmarks/results/<name>.json``) and assembles
+EXPERIMENTS.md from it; ``tests/integration/test_experiments_record.py``
+asserts the paper's shapes on that record.  :mod:`.suite` is the separate
+regression suite behind ``BENCH_small.json``.
 """
 
 from .harness import (
@@ -14,19 +18,6 @@ from .harness import (
     prefetched_world,
     standard_chain,
     standard_workload,
-)
-from .experiments import (
-    run_table1,
-    run_table2,
-    run_preexec,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig3,
-    run_ingress_overload,
-    run_overhead,
-    run_pipeline,
 )
 from .report import render_table, render_series, render_histogram
 from .suite import (
@@ -47,17 +38,6 @@ __all__ = [
     "prefetched_world",
     "standard_chain",
     "standard_workload",
-    "run_table1",
-    "run_table2",
-    "run_preexec",
-    "run_fig9",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "run_fig3",
-    "run_ingress_overload",
-    "run_overhead",
-    "run_pipeline",
     "render_table",
     "render_series",
     "render_histogram",

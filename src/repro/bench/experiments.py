@@ -1,38 +1,57 @@
-"""Experiment runners: one function per table/figure of the paper.
+"""Every experiment of the reproduction: one registry, one result type.
 
-Every runner returns an :class:`ExperimentResult` holding the structured
-data, a plain-text rendering, and the paper's reference numbers so callers
-(benchmarks, EXPERIMENTS.md generation) can print paper-vs-measured rows.
+Each runner regenerates one table or figure of the paper (or one extension
+study) and returns an :class:`ExperimentResult`: the keyword arguments it
+ran with, its structured data, the paper's reference numbers and a
+plain-text rendering.  :data:`EXPERIMENTS` maps each experiment's name to
+its EXPERIMENTS.md section title, its runner and a commentary function that
+writes the section's prose from the results alone, so no measured number is
+ever typed by hand.  ``scripts/generate_experiments_md.py`` runs the
+registry into ``benchmarks/results/<name>.json`` and assembles
+EXPERIMENTS.md from those files; ``repro experiment <name>`` runs one entry.
 
-Scale parameters default to a size that completes in tens of seconds per
-experiment on a laptop; the paper's absolute numbers were measured over a
-million mainnet blocks, so only the *shape* (ordering, rough factors,
-crossovers) is expected to match — see DESIGN.md.
+Scale parameters default to the committed record's scale, a size that
+completes in seconds per experiment on a laptop; the paper's absolute
+numbers were measured over a million mainnet blocks, so only the *shape*
+(ordering, rough factors, crossovers) is expected to match — see DESIGN.md.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
+import inspect
+import json
+import random
+import sys
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping
 
+from ..analysis import analyze_block
 from ..concurrency import (
     BlockSTMExecutor,
     OCCExecutor,
     SerialExecutor,
-    TwoPLExecutor,
+    TwoPhaseExecutor,
 )
+from ..concurrency.base import run_speculative
 from ..concurrency.registry import make_executor
+from ..core import ScheduledValidatorExecutor, propose_schedule
 from ..core.executor import ParallelEVMExecutor
+from ..core.ssa_log import LogEntry
 from ..core.tracer import SSATracer
 from ..errors import ConcurrencyError
+from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.view import BlockOverlay
-from ..workloads import conflict_ratio_block
+from ..workloads import MainnetConfig, MainnetWorkload, conflict_ratio_block
 from ..workloads.zipf import zipf_head_share
 from .harness import (
     DEFAULT_THREADS,
     TABLE1_EXECUTORS,
     block_touched_keys,
     measure_speedups,
+    prefetched_world,
     standard_chain,
     standard_workload,
 )
@@ -45,17 +64,61 @@ def _table1_suite(threads: int) -> list:
     return [make_executor(name, threads) for name in TABLE1_EXECUTORS]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentResult:
-    """One experiment's outcome: data, text rendering, paper reference."""
+    """One experiment's outcome, exactly as the record stores it.
+
+    ``params`` are the keyword arguments the runner ran with (defaults
+    included), ``paper`` the paper's reference numbers.  Every field is
+    plain JSON, and nothing in it depends on the wall clock.
+    """
 
     experiment: str
+    params: dict
     data: dict
+    paper: dict
     rendered: str
-    paper: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        return self.rendered
+    def to_json(self) -> str:
+        """Sorted keys, one line per field: a regenerated record's diff
+        names exactly the fields that moved."""
+        lines = [
+            f"{json.dumps(f.name)}: "
+            f"{json.dumps(getattr(self, f.name), sort_keys=True, ensure_ascii=False)}"
+            for f in sorted(fields(self), key=lambda f: f.name)
+        ]
+        return "{\n" + ",\n".join(lines) + "\n}\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> ExperimentResult:
+        return cls(**json.loads(text))
+
+
+def _plain(value):
+    """``value`` as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
+def _recorded(name: str, paper: Mapping | None = None):
+    """Turn a runner returning ``(data, rendered)`` into one returning its
+    :class:`ExperimentResult`, with the arguments it actually ran with."""
+
+    def wrap(run):
+        signature = inspect.signature(run)
+
+        @functools.wraps(run)
+        def runner(*args, **kwargs) -> ExperimentResult:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            data, rendered = run(**bound.arguments)
+            return ExperimentResult(
+                name, _plain(bound.arguments), _plain(data),
+                _plain(paper or {}), rendered,
+            )
+
+        return runner
+
+    return wrap
 
 
 PAPER_TABLE1 = {"2pl": 1.26, "occ": 2.49, "block-stm": 2.82, "parallelevm": 4.28}
@@ -72,7 +135,10 @@ PAPER_FIG3 = {
     "slot_head_share": 0.62,  # hottest 0.1% of slots: 62% of accesses
     "top10_contract_share": 0.25,
 }
+PAPER_FIG9 = {"range": "2-7x", "below_1x_share": 0.0088}
 PAPER_OVERHEAD = {
+    "mean_instructions": 2559,
+    "mean_log_entries": 127,
     "log_to_instruction_ratio": 0.050,  # 127 / 2559
     "redo_entries_per_conflict": 7.0,
     "redo_fraction_of_instructions": 0.003,
@@ -86,12 +152,13 @@ PAPER_OVERHEAD = {
 # --------------------------------------------------------------- Table 1
 
 
+@_recorded("table1", PAPER_TABLE1)
 def run_table1(
     blocks: int = 3,
     txs_per_block: int = 200,
     threads: int = DEFAULT_THREADS,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """Table 1: mean speedup of each algorithm on mainnet-like blocks."""
     chain = standard_chain(accounts=accounts)
     workload = standard_workload(chain, txs_per_block)
@@ -113,18 +180,34 @@ def run_table1(
         ["algorithm", "paper", "measured"],
         rows,
     )
-    return ExperimentResult("table1", data, rendered, PAPER_TABLE1)
+    return data, rendered
+
+
+def _table1_text(results) -> str:
+    t1, paper = results["table1"].data, PAPER_TABLE1
+    return (
+        "Ordering reproduces exactly (2PL < OCC < Block-STM < ParallelEVM). "
+        f"Our 2PL lands at {t1['2pl']:.2f}x (paper {paper['2pl']}x): the "
+        "trace-driven wound-wait model suffers wound storms on the hot keys.  "
+        f"Block-STM ({t1['block-stm']:.2f}x) and ParallelEVM "
+        f"({t1['parallelevm']:.2f}x) land above the paper's "
+        f"{paper['block-stm']}x and {paper['parallelevm']}x — the fidelity gap "
+        "the cost model still owes an account of — and their ratio is "
+        f"{t1['parallelevm'] / t1['block-stm']:.2f} against the paper's "
+        f"{paper['parallelevm'] / paper['block-stm']:.2f}."
+    )
 
 
 # --------------------------------------------------------------- Table 2
 
 
+@_recorded("table2", PAPER_TABLE2)
 def run_table2(
     blocks: int = 3,
     txs_per_block: int = 200,
     threads: int = DEFAULT_THREADS,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """Table 2: speedups with state prefetching (two-phase protocol).
 
     Phase one replays the block purely to discover and warm its storage
@@ -135,7 +218,6 @@ def run_table2(
     workload = standard_workload(chain, txs_per_block)
     block_list = workload.blocks(START_BLOCK, blocks)
 
-    data: dict[str, float] = {"prefetch": 0.0}
     sums: dict[str, float] = {}
     counts = 0
     for block in block_list:
@@ -177,18 +259,34 @@ def run_table2(
         ["configuration", "paper", "measured"],
         rows,
     )
-    return ExperimentResult("table2", data, rendered, PAPER_TABLE2)
+    return data, rendered
+
+
+def _table2_text(results) -> str:
+    t1, t2, paper = results["table1"].data, results["table2"].data, PAPER_TABLE2
+    lifted = all(t2[name + "+"] > t1[name] for name in t1)
+    return (
+        f"Prefetch-only serial execution lands at {t2['prefetch']:.2f}x "
+        f"(paper {paper['prefetch']}x); "
+        f"{'every' if lifted else 'not every'} algorithm improves on its "
+        "Table 1 speedup, and ParallelEVM+prefetch stays on top at "
+        f"{t2['parallelevm+']:.2f}x (paper {paper['parallelevm+']}x).  Our 2PL+ "
+        f"({t2['2pl+']:.2f}x) ends near OCC+ ({t2['occ+']:.2f}x) rather than "
+        "clearly below it: warm reads shrink its lock-wait chains more than "
+        "the paper's real lock manager allowed."
+    )
 
 
 # ---------------------------------------------------------- pre-execution
 
 
+@_recorded("preexec", PAPER_PREEXEC)
 def run_preexec(
     blocks: int = 3,
     txs_per_block: int = 200,
     threads: int = DEFAULT_THREADS,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """§6.3 pre-execution: SSA logs generated before block processing.
 
     Pre-executions run in the transaction-dissemination window, so the read
@@ -218,18 +316,34 @@ def run_preexec(
         ["configuration", "paper", "measured"],
         [["parallelevm-preexec", PAPER_PREEXEC["parallelevm-preexec"], f"{mean:.2f}x"]],
     )
-    return ExperimentResult("preexec", data, rendered, PAPER_PREEXEC)
+    return data, rendered
+
+
+def _preexec_text(results) -> str:
+    preexec = results["preexec"].data["parallelevm-preexec"]
+    plain = results["table1"].data["parallelevm"]
+    prefetched = results["table2"].data["parallelevm+"]
+    return (
+        "Pre-generating SSA logs in the dissemination window takes the read "
+        "phase off the critical path, but every stale read then costs a redo "
+        f"at the commit point.  Here pre-execution lands at {preexec:.2f}x, "
+        f"{preexec / plain:.0%} of plain ParallelEVM ({plain:.2f}x) and "
+        f"{preexec / prefetched:.0%} of ParallelEVM+prefetch "
+        f"({prefetched:.2f}x); in the paper it is the fastest configuration "
+        f"({PAPER_PREEXEC['parallelevm-preexec']}x)."
+    )
 
 
 # --------------------------------------------------------------- Figure 9
 
 
+@_recorded("fig9", PAPER_FIG9)
 def run_fig9(
     blocks: int = 12,
     txs_per_block: int = 120,
     threads: int = DEFAULT_THREADS,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """Figure 9: the distribution of per-block ParallelEVM speedups.
 
     Real mainnet blocks vary widely in size and composition — that, far
@@ -238,14 +352,10 @@ def run_fig9(
     sampled block here draws its transaction count and its native/DeFi mix
     from block-seeded distributions around the calibrated defaults.
     """
-    import random as _random
-
-    from ..workloads import MainnetConfig, MainnetWorkload
-
     chain = standard_chain(accounts=accounts)
     block_list = []
     for i in range(blocks):
-        rng = _random.Random(0x9F9 ^ i)
+        rng = random.Random(0x9F9 ^ i)
         config = MainnetConfig()
         config.txs_per_block = max(10, int(txs_per_block * rng.uniform(0.15, 1.4)))
         config.native_share = min(0.8, config.native_share * rng.uniform(0.5, 2.5))
@@ -269,7 +379,8 @@ def run_fig9(
             counts[-1] += 1
     rendered = render_histogram(
         f"Figure 9 — ParallelEVM speedup distribution over {blocks} blocks "
-        "(paper: most blocks 2-7x, 0.88% below 1x)",
+        f"(paper: most blocks {PAPER_FIG9['range']}, "
+        f"{PAPER_FIG9['below_1x_share']:.2%} below 1x)",
         edges,
         counts,
     )
@@ -279,18 +390,32 @@ def run_fig9(
         "counts": counts,
         "below_1x_share": sum(1 for s in speedups if s < 1.0) / len(speedups),
     }
-    return ExperimentResult("fig9", data, rendered, {"range": "2-7x"})
+    return data, rendered
+
+
+def _fig9_text(results) -> str:
+    data = results["fig9"].data
+    filled = [i for i, count in enumerate(data["counts"]) if count]
+    low, high = data["edges"][filled[0]], data["edges"][filled[-1] + 1]
+    return (
+        f"The paper reports most blocks in {PAPER_FIG9['range']} with "
+        f"{PAPER_FIG9['below_1x_share']:.2%} regressions; our per-block "
+        f"speedups fill the {low:g}-{high:g}x buckets, and "
+        f"{data['below_1x_share']:.0%} regress (the synthetic stream has less "
+        "cross-block variance than a year of mainnet)."
+    )
 
 
 # -------------------------------------------------------------- Figure 10
 
 
+@_recorded("fig10", {"shape": "ParallelEVM dominates and scales furthest"})
 def run_fig10(
     thread_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
     blocks: int = 2,
     txs_per_block: int = 160,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """Figure 10: speedup of each algorithm versus thread count."""
     chain = standard_chain(accounts=accounts)
     workload = standard_workload(chain, txs_per_block)
@@ -310,23 +435,35 @@ def run_fig10(
         list(thread_counts),
         series,
     )
-    return ExperimentResult(
-        "fig10",
-        {"threads": list(thread_counts), "series": series},
-        rendered,
-        {"shape": "ParallelEVM dominates and scales furthest"},
+    return {"threads": list(thread_counts), "series": series}, rendered
+
+
+def _fig10_text(results) -> str:
+    data = results["fig10"].data
+    threads, series = data["threads"], data["series"]
+    pe, occ = series["parallelevm"], series["occ"]
+    occ_peak = occ.index(max(occ))
+    return (
+        "Paper shape holds: ParallelEVM leads at every thread count above "
+        f"one, rising from {pe[0]:.2f}x on one thread to {max(pe):.2f}x; OCC "
+        f"peaks at {threads[occ_peak]} threads ({occ[occ_peak]:.2f}x); 2PL "
+        f"stays flat, never above {max(series['2pl']):.2f}x."
     )
 
 
 # -------------------------------------------------------------- Figure 11
 
 
+@_recorded(
+    "fig11",
+    {"shape": "near-parity at 0%; ParallelEVM's margin grows with contention"},
+)
 def run_fig11(
     ratios: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
     txs_per_block: int = 150,
     threads: int = DEFAULT_THREADS,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """Figure 11: ERC20 blocks with a controlled conflicting-tx ratio."""
     chain = standard_chain(accounts=accounts)
     executors = [
@@ -349,23 +486,32 @@ def run_fig11(
         [f"{r:.0%}" for r in ratios],
         series,
     )
-    return ExperimentResult(
-        "fig11",
-        {"ratios": list(ratios), "series": series},
-        rendered,
-        {"shape": "near-parity at 0%; ParallelEVM's margin grows with contention"},
+    return {"ratios": list(ratios), "series": series}, rendered
+
+
+def _fig11_text(results) -> str:
+    series = results["fig11"].data["series"]
+    pe, occ, bstm = series["parallelevm"], series["occ"], series["block-stm"]
+    return (
+        "Paper shape holds: near-parity at 0% (ParallelEVM at "
+        f"{pe[0] / occ[0]:.0%} of OCC — SSA tracking overhead is negligible), "
+        "widening ParallelEVM lead as the conflicting share grows; at 100% "
+        f"OCC and Block-STM sit at {occ[-1]:.2f}x and {bstm[-1]:.2f}x while "
+        f"ParallelEVM keeps {pe[-1] / pe[0]:.0%} of its conflict-free "
+        f"speedup ({pe[-1]:.2f}x)."
     )
 
 
 # -------------------------------------------------------------- Figure 12
 
 
+@_recorded("fig12", {"shape": "speedup grows with block size"})
 def run_fig12(
-    block_sizes: tuple[int, ...] = (50, 100, 200, 400),
+    block_sizes: tuple[int, ...] = (12, 25, 50, 100, 200, 400),
     threads: int = DEFAULT_THREADS,
     accounts: int = 900,
     blocks_per_size: int = 2,
-) -> ExperimentResult:
+):
     """Figure 12: ParallelEVM speedup versus block transaction count."""
     chain = standard_chain(accounts=accounts)
     speedups: list[float] = []
@@ -383,22 +529,30 @@ def run_fig12(
         list(block_sizes),
         {"parallelevm": speedups},
     )
-    return ExperimentResult(
-        "fig12",
-        {"sizes": list(block_sizes), "speedups": speedups},
-        rendered,
-        {"shape": "speedup grows with block size"},
+    return {"sizes": list(block_sizes), "speedups": speedups}, rendered
+
+
+def _fig12_text(results) -> str:
+    data = results["fig12"].data
+    sizes, speedups = data["sizes"], data["speedups"]
+    best = speedups.index(max(speedups))
+    return (
+        f"Paper shape holds: speedup rises from {speedups[0]:.2f}x at "
+        f"{sizes[0]} transactions to {speedups[best]:.2f}x at {sizes[best]} "
+        f"and holds {speedups[-1]:.2f}x at {sizes[-1]} — larger future blocks "
+        "make ParallelEVM more attractive, not less."
     )
 
 
 # --------------------------------------------------------------- Figure 3
 
 
+@_recorded("fig3", PAPER_FIG3)
 def run_fig3(
     blocks: int = 10,
     txs_per_block: int = 200,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """Figure 3: hot-spot distributions of the synthesized workload.
 
     Reports (a) the realised invocation/access concentration measured from
@@ -444,12 +598,14 @@ def run_fig3(
         "slot_access_counts": slot_counts[:20],
     }
     rows = [
-        ["hottest 0.1% contracts (model, 10M pop)", "76%",
+        ["hottest 0.1% contracts (model, 10M pop)",
+         f"{PAPER_FIG3['contract_head_share']:.0%}",
          f"{data['model_contract_head_share']:.0%}"],
-        ["hottest 0.1% slots (model, 200M pop)", "62%",
+        ["hottest 0.1% slots (model, 200M pop)",
+         f"{PAPER_FIG3['slot_head_share']:.0%}",
          f"{data['model_slot_head_share']:.0%}"],
-        ["top-10 contracts (measured blocks, small population)", "~25%",
-         f"{top10_share:.0%}"],
+        ["top-10 contracts (measured blocks, small population)",
+         f"~{PAPER_FIG3['top10_contract_share']:.0%}", f"{top10_share:.0%}"],
         ["hottest 1% slots (measured blocks, small population)", "(skewed)",
          f"{data['measured_top1pct_slot_share']:.0%}"],
     ]
@@ -458,7 +614,21 @@ def run_fig3(
         ["statistic", "paper", "measured"],
         rows,
     )
-    return ExperimentResult("fig3", data, rendered, PAPER_FIG3)
+    return data, rendered
+
+
+def _fig3_text(results) -> str:
+    data = results["fig3"].data
+    return (
+        "The workload generator's Zipf models are fitted to the paper's own "
+        f"measurements (0.1% of contracts -> "
+        f"{PAPER_FIG3['contract_head_share']:.0%} of invocations; 0.1% of "
+        f"slots -> {PAPER_FIG3['slot_head_share']:.0%} of accesses).  "
+        "Block-level measured concentrations run higher (top-10 contracts: "
+        f"{data['measured_top10_contract_share']:.0%} against the paper's "
+        f"{PAPER_FIG3['top10_contract_share']:.0%}) because a laptop-scale "
+        "chain hosts a handful of contracts, not 10 million."
+    )
 
 
 # ------------------------------------------------------------- §6.4 stats
@@ -466,8 +636,6 @@ def run_fig3(
 
 def _state_footprint_bytes(world) -> int:
     """A rough resident-size estimate of the node's committed state."""
-    import sys
-
     total = 0
     for key, value in world.db.items():
         total += sys.getsizeof(key) + sys.getsizeof(value)
@@ -476,20 +644,33 @@ def _state_footprint_bytes(world) -> int:
     return total
 
 
+# (label, data key, paper format, measured format), in table order.
+_OVERHEAD_ROWS = (
+    ("mean EVM instructions / call", "mean_instructions", "{:.0f}", "{:.0f}"),
+    ("mean SSA log entries / call", "mean_log_entries", "{:.0f}", "{:.0f}"),
+    ("log size / instructions", "log_to_instruction_ratio", "{:.1%}", "{:.1%}"),
+    ("redo entries / conflicting tx", "redo_entries_per_conflict", "{:.0f}", "{:.1f}"),
+    ("redo / instructions", "redo_fraction_of_instructions", "{:.1%}", "{:.1%}"),
+    ("redo share of block time", "redo_time_share", "{:.1%}", "{:.1%}"),
+    ("conflicts resolved by redo", "redo_success_rate", "{:.0%}", "{:.0%}"),
+    ("SSA tracking time share", "tracking_time_share", "{:.1%}", "{:.1%}"),
+    ("memory overhead", "memory_overhead", "{:.1%}", "{:.1%}"),
+)
+
+
+@_recorded("overhead", PAPER_OVERHEAD)
 def run_overhead(
     blocks: int = 3,
     txs_per_block: int = 200,
     threads: int = DEFAULT_THREADS,
     accounts: int = 500,
-) -> ExperimentResult:
+):
     """§6.4: SSA-log size, redo cost, tracking and memory overheads."""
     chain = standard_chain(accounts=accounts)
     workload = standard_workload(chain, txs_per_block)
     block_list = workload.blocks(START_BLOCK, blocks)
 
     # -- log size and tracking share: trace every tx of every block --------
-    from ..concurrency.base import run_speculative
-
     instructions = 0
     log_entries = 0
     tracked_txs = 0
@@ -540,6 +721,9 @@ def run_overhead(
     def _run_block(with_tracer: bool) -> int:
         overlay = BlockOverlay()
         keepalive = []
+        # A full collection empties CPython's free lists, so every object
+        # below is a traced allocation whatever this process ran before.
+        gc.collect()
         tracemalloc.start()
         for tx in block.txs:
             tracer = SSATracer(cost_model=cost_model) if with_tracer else None
@@ -573,34 +757,297 @@ def run_overhead(
         "memory_overhead": memory_overhead,
         "ssa_bytes_per_tx": ssa_bytes_per_tx,
     }
-    rows = [
-        ["mean EVM instructions / call", 2559, f"{data['mean_instructions']:.0f}"],
-        ["mean SSA log entries / call", 127, f"{data['mean_log_entries']:.0f}"],
-        ["log size / instructions", "5.0%", f"{data['log_to_instruction_ratio']:.1%}"],
-        ["redo entries / conflicting tx", 7, f"{data['redo_entries_per_conflict']:.1f}"],
-        ["redo / instructions", "0.3%", f"{data['redo_fraction_of_instructions']:.1%}"],
-        ["redo share of block time", "4.9%", f"{data['redo_time_share']:.1%}"],
-        ["conflicts resolved by redo", "87%", f"{data['redo_success_rate']:.0%}"],
-        ["SSA tracking time share", "4.5%", f"{data['tracking_time_share']:.1%}"],
-        ["memory overhead", "4.4%", f"{data['memory_overhead']:.1%}"],
-    ]
     rendered = render_table(
         "§6.4 — ParallelEVM overhead analysis",
         ["metric", "paper", "measured"],
+        [
+            [label, paper_fmt.format(PAPER_OVERHEAD[key]), fmt.format(data[key])]
+            for label, key, paper_fmt, fmt in _OVERHEAD_ROWS
+        ],
+    )
+    return data, rendered
+
+
+def _overhead_text(results) -> str:
+    data, paper = results["overhead"].data, PAPER_OVERHEAD
+    return (
+        "Redo entries per conflicting transaction "
+        f"({data['redo_entries_per_conflict']:.1f} vs the paper's "
+        f"{paper['redo_entries_per_conflict']:.0f}), redo success rate "
+        f"({data['redo_success_rate']:.0%} vs "
+        f"{paper['redo_success_rate']:.0%}), tracking share "
+        f"({data['tracking_time_share']:.1%} vs "
+        f"{paper['tracking_time_share']:.1%}) and memory overhead "
+        f"({data['memory_overhead']:.1%} vs {paper['memory_overhead']:.1%}) "
+        "all land in the paper's bands. Ratios normalised by instruction "
+        "count run higher because the hand-assembled contracts execute "
+        f"{paper['mean_instructions'] / data['mean_instructions']:.0f}x fewer "
+        "instructions per call than solc output (DESIGN.md §2); redo time "
+        "share is higher for the same reason (a larger fraction of the "
+        "block's work is storage-dependent)."
+    )
+
+
+# --------------------------------------------------------- §6.4 ablation
+
+
+class UnfoldedTracer(SSATracer):
+    """SSATracer with constant folding disabled: every ALU op is logged."""
+
+    def trace_alu(self, frame, opcode, operands, result, gas_cost, dynamic_gas):
+        self.events += 1
+        self.meter.tracking_us += self._event_us
+        stack = self._stack
+        n = len(operands)
+        shadows = tuple(stack[-1 : -n - 1 : -1])
+        del stack[-n:]
+        entry = LogEntry(
+            len(self.log.entries), opcode, operands, result, shadows, None, (),
+            None, gas_cost, dynamic_gas,
+        )
+        stack.append(self._append(entry))
+
+
+@_recorded("log-compaction")
+def run_log_compaction(txs_per_block: int = 200):
+    """Ablation: SSA-log compaction (constant folding) on vs off.
+
+    The paper attributes the log's small size (5% of instructions) to
+    "cutting down stack manipulation instructions and instructions
+    independent of storage slots" (§6.4).  Disabling the constant-folding
+    rule gives every computational operation an entry, as a naive operation
+    log would; the experiment measures how much larger the log (and its
+    generation cost) becomes, and how it compares with a log of one entry
+    per executed instruction.
+    """
+    chain = standard_chain(accounts=200, tokens=4, amm_pairs=2)
+    block = standard_workload(chain, txs_per_block).block(START_BLOCK)
+    sizes = {"folded": 0, "unfolded": 0, "instructions": 0,
+             "tracking_folded": 0.0, "tracking_unfolded": 0.0}
+    for label, tracer_cls in (("folded", SSATracer), ("unfolded", UnfoldedTracer)):
+        overlay = BlockOverlay()
+        world = chain.fresh_world()
+        for tx in block.txs:
+            tracer = tracer_cls(cost_model=DEFAULT_COST_MODEL)
+            result, meter = run_speculative(
+                world, overlay, tx, block.env, DEFAULT_COST_MODEL, tracer=tracer
+            )
+            overlay.apply(result.write_set)
+            sizes[label] += len(tracer.log)
+            sizes[f"tracking_{label}"] += meter.tracking_us
+            if label == "folded":
+                # A fully naive log records one entry per executed
+                # instruction (the paper's 2559-instruction baseline).
+                sizes["instructions"] += result.ops_executed
+
+    alu_ratio = sizes["unfolded"] / max(1, sizes["folded"])
+    naive_ratio = sizes["instructions"] / max(1, sizes["folded"])
+    rendered = render_table(
+        "Ablation — SSA log compaction (constant folding)",
+        ["variant", "log entries", "tracking time (us)"],
+        [
+            ["folded (ParallelEVM)", sizes["folded"],
+             f"{sizes['tracking_folded']:.0f}"],
+            ["unfolded ALU (no constant folding)", sizes["unfolded"],
+             f"{sizes['tracking_unfolded']:.0f}"],
+            ["per-instruction (naive log)", sizes["instructions"], "-"],
+            ["ALU-unfolding inflation", f"{alu_ratio:.2f}x", "-"],
+            ["naive-log inflation", f"{naive_ratio:.2f}x", "-"],
+        ],
+    )
+    return dict(sizes, alu_ratio=alu_ratio, naive_ratio=naive_ratio), rendered
+
+
+def _log_compaction_text(results) -> str:
+    data, paper = results["log-compaction"].data, PAPER_OVERHEAD
+    return (
+        "The paper credits the log's small size "
+        f"({paper['log_to_instruction_ratio']:.0%} of instructions, "
+        f"{paper['mean_log_entries']} entries against "
+        f"{paper['mean_instructions']}) to logging only the storage-dependent "
+        "slice.  Turning constant folding off inflates the log "
+        f"{data['alu_ratio']:.2f}x and its tracking time "
+        f"{data['tracking_unfolded'] / data['tracking_folded']:.2f}x; a naive "
+        "log of one entry per executed instruction would be "
+        f"{data['naive_ratio']:.2f}x the folded log (the paper's "
+        f"{paper['mean_instructions'] / paper['mean_log_entries']:.0f}x, "
+        "scaled down by the leaner hand-assembled contracts)."
+    )
+
+
+# ----------------------------------------------------- §7 schedule study
+
+
+@_recorded("schedule")
+def run_schedule(txs_per_block: int = 200, threads: int = DEFAULT_THREADS):
+    """§7 future work: the proposer/validator split, built and measured.
+
+    Two schedule granularities (transaction dependencies, and read values
+    shipped with the schedule) against ParallelEVM itself and the
+    Saraph-Herlihy two-phase baseline from the related work.
+    """
+    chain = standard_chain()
+    block = standard_workload(chain, txs_per_block).block(START_BLOCK)
+    serial = SerialExecutor().execute_block(
+        chain.fresh_world(), block.txs, block.env
+    )
+
+    two_phase = TwoPhaseExecutor(threads=threads).execute_block(
+        chain.fresh_world(), block.txs, block.env
+    )
+    schedule, proposer = propose_schedule(
+        chain.fresh_world(), block.txs, block.env, threads=threads
+    )
+    dep_validator = ScheduledValidatorExecutor(
+        schedule, threads=threads
+    ).execute_block(chain.fresh_world(), block.txs, block.env)
+    value_validator = ScheduledValidatorExecutor(
+        schedule, threads=threads, use_read_values=True
+    ).execute_block(chain.fresh_world(), block.txs, block.env)
+
+    for result in (two_phase, proposer, dep_validator, value_validator):
+        if result.writes != serial.writes:
+            raise ConcurrencyError("a §7 schedule configuration diverged")
+
+    def speedup(result):
+        return serial.makespan_us / result.makespan_us
+
+    data = {
+        "two-phase (Saraph-Herlihy)": speedup(two_phase),
+        "parallelevm (proposer)": speedup(proposer),
+        "validator: dependency schedule": speedup(dep_validator),
+        "validator: value schedule": speedup(value_validator),
+        "critical_path": schedule.critical_path_length,
+        "edges": schedule.edge_count(),
+        "discarded": two_phase.stats["discarded"],
+    }
+    rows = [
+        [name, f"{value:.2f}x"]
+        for name, value in data.items()
+        if isinstance(value, float)
+    ]
+    rows.append(["dependency critical path (txs)", data["critical_path"]])
+    rows.append(["dependency edges", data["edges"]])
+    rows.append(["two-phase discarded txs", data["discarded"]])
+    rendered = render_table(
+        "Extension — §7 proposer/validator schedules",
+        ["configuration", "value"],
         rows,
     )
-    return ExperimentResult("overhead", data, rendered, PAPER_OVERHEAD)
+    return data, rendered
+
+
+def _schedule_text(results) -> str:
+    data = results["schedule"].data
+    return (
+        "Beyond the paper's evaluation: its §7 future-work design, built "
+        "and measured.  A transaction-level dependency schedule "
+        f"({data['validator: dependency schedule']:.2f}x) loses to "
+        f"ParallelEVM itself ({data['parallelevm (proposer)']:.2f}x) on hot "
+        "blocks (whole transactions serialise along dependency chains up to "
+        f"{data['critical_path']} transactions long), while shipping read "
+        "values with the schedule — the operation-level endpoint — removes "
+        "all speculation cost and beats every other configuration "
+        f"({data['validator: value schedule']:.2f}x).  The Saraph-Herlihy "
+        "two-phase baseline from the related work "
+        f"({data['two-phase (Saraph-Herlihy)']:.2f}x) is included for scale."
+    )
+
+
+# --------------------------------------------- critical-path bound analysis
+
+
+@_recorded("bounds")
+def run_bounds(txs_per_block: int = 200, threads: int = DEFAULT_THREADS):
+    """Achieved speedups against the transaction-level critical-path bound.
+
+    The literature the paper builds on (Garamvölgyi et al.; Reijsbergen &
+    Dinh; Saraph & Herlihy) caps *transaction-level* schemes at total work /
+    critical path.  This measures that bound on a calibrated mainnet-like
+    block and on a fully conflicting ERC20 block: transaction-level
+    executors respect it, while ParallelEVM — which serialises only
+    conflicting *operations* — passes it on the contended block.
+    """
+    chain = standard_chain()
+    rows = []
+    data = {}
+    for label, block in (
+        ("mainnet-like", standard_workload(chain, txs_per_block).block(START_BLOCK)),
+        ("100% conflicting ERC20",
+         conflict_ratio_block(chain, 77, min(150, txs_per_block), ratio=1.0)),
+    ):
+        serial = SerialExecutor().execute_block(
+            chain.fresh_world(), block.txs, block.env
+        )
+        # The chain links of a transaction-level executor re-execute against
+        # warm caches, so the binding floor is the *warm* critical path; the
+        # resulting bound is expressed against the cold serial baseline all
+        # speedups use.
+        analysis = analyze_block(
+            prefetched_world(chain, block), block.txs, block.env
+        )
+        bound = serial.makespan_us / max(1e-9, analysis.critical_path_us)
+        speedups = {}
+        for executor in (
+            OCCExecutor(threads=threads),
+            BlockSTMExecutor(threads=threads),
+            ParallelEVMExecutor(threads=threads),
+        ):
+            result = executor.execute_block(
+                chain.fresh_world(), block.txs, block.env
+            )
+            if result.writes != serial.writes:
+                raise ConcurrencyError(f"{executor.name} diverged on {label}")
+            speedups[executor.name] = serial.makespan_us / result.makespan_us
+        rows.append(
+            [
+                label,
+                f"{bound:.2f}x",
+                f"{analysis.critical_path_txs}",
+                f"{speedups['occ']:.2f}x",
+                f"{speedups['block-stm']:.2f}x",
+                f"{speedups['parallelevm']:.2f}x",
+            ]
+        )
+        data[label] = {
+            "bound": bound,
+            "chain_txs": analysis.critical_path_txs,
+            **speedups,
+        }
+    rendered = render_table(
+        "Analysis — tx-level critical-path bound vs achieved speedups",
+        ["workload", "tx-level bound", "chain", "occ", "block-stm",
+         "parallelevm"],
+        rows,
+    )
+    return data, rendered
+
+
+def _bounds_text(results) -> str:
+    contended = results["bounds"].data["100% conflicting ERC20"]
+    return (
+        "The structural thesis, quantified: the warm critical path bounds "
+        "any transaction-level scheme — on the fully conflicting block OCC "
+        f"({contended['occ']:.2f}x) and Block-STM "
+        f"({contended['block-stm']:.2f}x) stay near its "
+        f"{contended['bound']:.2f}x — while ParallelEVM's operation-level "
+        f"redo breaks straight through it ({contended['parallelevm']:.2f}x, "
+        f"{contended['parallelevm'] / contended['bound']:.1f} times the "
+        "bound): only the conflicting operations serialise, not the "
+        "transactions carrying them."
+    )
 
 
 # --------------------------------------------------- pipelined execution
 
 
+@_recorded("pipeline")
 def run_pipeline(
     blocks: int = 30,
     txs_per_block: int = 40,
     threads: int = DEFAULT_THREADS,
     accounts: int = 20_000,
-) -> ExperimentResult:
+):
     """Async-storage pipelining: prefetch and commit off the block path.
 
     Runs the chain service over the default soak stream with a durable
@@ -661,15 +1108,35 @@ def run_pipeline(
             for label, _ in configs
         ],
     )
-    return ExperimentResult("pipeline", data, rendered)
+    return data, rendered
 
 
+def _pipeline_text(results) -> str:
+    per_block = results["pipeline"].data["per_block_us"]
+    cut = 1 - per_block["prefetch + async commit"] / per_block["synchronous"]
+    return (
+        "Beyond the paper's single-block scope: the chain service run with "
+        "a durable commit pipeline attached and the repro.pipeline "
+        "coordinator overlapping blocks.  Prefetching the next block's "
+        "statically-predicted read set in the dissemination window and "
+        "moving the journal+fsync commit onto a virtual commit lane "
+        f"together cut sustained simulated service time per block by {cut:.0%}; "
+        "the next block barriers only while a key it reads is still "
+        "unpublished by the in-flight commit.  Detached (the default), every "
+        "benchmark above is bit-identical."
+    )
+
+
+# ------------------------------------------------- ingress overload sweep
+
+
+@_recorded("ingress-overload")
 def run_ingress_overload(
     blocks: int = 24,
     txs_per_block: int = 12,
     threads: int = DEFAULT_THREADS,
     accounts: int = 160,
-) -> ExperimentResult:
+):
     """Overload sweep on the serving path: admission under rising load.
 
     Runs the deterministic ingress harness (clients -> JSON-RPC facade ->
@@ -688,7 +1155,6 @@ def run_ingress_overload(
     from ..obs.streaming import format_stat
 
     rates = [0.8, 1.5, 2.5, 4.0]
-    rows = []
     waterfall_rows = []
     data: dict[str, dict] = {}
     for rate in rates:
@@ -714,8 +1180,6 @@ def run_ingress_overload(
             raise ConcurrencyError(
                 f"ingress run at {rate}x diverged: {report.divergences}"
             )
-        shed = sum(report.shed.values())
-        rejected = sum(report.rejected.values())
         label = f"{rate:.1f}x"
         blame = report.lifecycle["blame"]
         latency = blame["latency_us"]
@@ -724,8 +1188,8 @@ def run_ingress_overload(
             "admitted": report.admitted,
             "committed": report.committed,
             "pending": report.pending,
-            "shed": shed,
-            "rejected": rejected,
+            "shed": sum(report.shed.values()),
+            "rejected": sum(report.rejected.values()),
             "backpressure_events": report.backpressure_events,
             "retries": report.retries,
             "latency_p50_us": latency["p50"],
@@ -741,35 +1205,114 @@ def run_ingress_overload(
             + [format_stat(blame["phases"][name], "p99") for name in WATERFALL_PHASES]
             + [format_stat(latency, "p99")]
         )
-        rows.append(
-            [
-                label,
-                str(report.submitted),
-                str(report.admitted),
-                str(report.committed),
-                str(report.pending),
-                str(shed),
-                str(rejected),
-                str(report.backpressure_events),
-            ]
-        )
+    counts = ("submitted", "admitted", "committed", "pending", "shed", "rejected")
     rendered = render_table(
         "Ingress overload sweep (offered load vs sustainable rate)",
+        ["offered", *counts, "backpressure"],
         [
-            "offered",
-            "submitted",
-            "admitted",
-            "committed",
-            "pending",
-            "shed",
-            "rejected",
-            "backpressure",
+            [label, *(str(row[key]) for key in counts), str(row["backpressure_events"])]
+            for label, row in data.items()
         ],
-        rows,
     )
     rendered += "\n\n" + render_table(
         "Latency waterfall at p99 (simulated us, committed txs)",
         ["offered", *WATERFALL_PHASES, "client p99"],
         waterfall_rows,
     )
-    return ExperimentResult("ingress_overload", data, rendered)
+    return data, rendered
+
+
+def _ingress_text(results) -> str:
+    data = results["ingress-overload"].data
+    loads = sorted(data, key=lambda label: float(label.rstrip("x")))
+    light, heaviest = data[loads[0]], data[loads[-1]]
+    stalled_s = max(
+        (row["waterfall_p99_us"]["retry"] or 0) + (row["waterfall_p99_us"]["queue"] or 0)
+        for row in data.values()
+    ) / 1e6
+    return (
+        "Beyond the paper's scope: the JSON-RPC facade, fee-prioritised "
+        "mempool and chain service under rising offered load (multiples of "
+        "the sustainable rate).  Correctness-only — every row certifies "
+        "conservation (admitted = committed + pending + shed) and serial "
+        "equivalence of the committed chain; no performance claim is made. "
+        f"Under light load ({loads[0]}) {light['committed']} of "
+        f"{light['submitted']} transactions commit and the rest are still "
+        "pending; oversubscribed, the pool's high-water mark answers sends "
+        "with retryable backpressure (plus an escalating retry-after), "
+        "per-sender quotas and the nonce window bound each client's "
+        "footprint, and every rejection is typed — so the accounting still "
+        f"closes exactly at {loads[-1]} offered load, with "
+        f"{heaviest['rejected']} of {heaviest['submitted']} sends rejected.  "
+        "The p99 latency waterfall (repro.obs.lifecycle) tells the blame "
+        f"story: at {loads[0]} the p99 transaction's budget is queue-wait "
+        f"({light['waterfall_p99_us']['queue']:.0f} us of a "
+        f"{light['latency_p99_us']:.0f} us client p99) — execution and drain "
+        f"take {light['waterfall_p99_us']['execute']:.0f} us and "
+        f"{light['waterfall_p99_us']['drain']:.0f} us — while past saturation "
+        f"retry backoff plus queue-wait swallow up to {stalled_s:.2f} simulated "
+        "seconds.  (Columns are independent per-phase p99 quantiles, so a row "
+        "need not sum to the client p99; the tiling invariant — the six "
+        "phases summing exactly to the client-observed latency — holds per "
+        "transaction and is asserted for every traced transaction in the "
+        "integration suite.)"
+    )
+
+
+# ------------------------------------------------------------- registry
+
+
+@dataclass(frozen=True, slots=True)
+class Experiment:
+    """One registry entry.
+
+    ``title`` heads the experiment's EXPERIMENTS.md section; ``commentary``
+    writes that section's prose from the whole record (name -> result), so
+    a sentence may compare experiments and never types a measured number.
+    """
+
+    title: str
+    runner: Callable[..., ExperimentResult]
+    commentary: Callable[[Mapping[str, ExperimentResult]], str]
+
+
+#: Every experiment, by name, in EXPERIMENTS.md section order.  The names
+#: are the ``repro experiment`` choices and the record's file names.
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig3": Experiment("Figure 3 — hot-spot distributions", run_fig3, _fig3_text),
+    "table1": Experiment(
+        "Table 1 — speedups on mainnet-like blocks", run_table1, _table1_text
+    ),
+    "fig9": Experiment("Figure 9 — speedup distribution", run_fig9, _fig9_text),
+    "fig10": Experiment("Figure 10 — thread scaling", run_fig10, _fig10_text),
+    "fig11": Experiment(
+        "Figure 11 — contention sweep (ERC20 conflict ratio)", run_fig11, _fig11_text
+    ),
+    "fig12": Experiment("Figure 12 — block-size scaling", run_fig12, _fig12_text),
+    "table2": Experiment("Table 2 — prefetching", run_table2, _table2_text),
+    "preexec": Experiment("Pre-execution (§6.3)", run_preexec, _preexec_text),
+    "pipeline": Experiment(
+        "Extension — pipelined execution (prefetch + async commit)",
+        run_pipeline,
+        _pipeline_text,
+    ),
+    "ingress-overload": Experiment(
+        "Extension — ingress overload sweep (serving & admission control)",
+        run_ingress_overload,
+        _ingress_text,
+    ),
+    "schedule": Experiment(
+        "Extension — §7 proposer/validator schedules", run_schedule, _schedule_text
+    ),
+    "bounds": Experiment(
+        "Analysis — the transaction-level critical-path bound",
+        run_bounds,
+        _bounds_text,
+    ),
+    "overhead": Experiment("§6.4 — overhead analysis", run_overhead, _overhead_text),
+    "log-compaction": Experiment(
+        "Ablation — SSA log compaction (constant folding)",
+        run_log_compaction,
+        _log_compaction_text,
+    ),
+}

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ..analysis.conflict_graph import analyze_block
-from ..bench import experiments as exp
+from ..bench.experiments import EXPERIMENTS
 from ..bench.harness import TABLE1_EXECUTORS, standard_chain, standard_workload
 from ..bench.suite import (
     SUITES,
@@ -23,21 +23,6 @@ from ..concurrency import SerialExecutor
 from ..concurrency.registry import make_executor
 from ..obs import BlockObserver, render_block_report, structural_bound_lines
 from .options import add_durability, add_executor, positive_int
-
-EXPERIMENTS = {
-    "table1": exp.run_table1,
-    "table2": exp.run_table2,
-    "preexec": exp.run_preexec,
-    "fig3": exp.run_fig3,
-    "fig9": exp.run_fig9,
-    "fig10": exp.run_fig10,
-    "fig11": exp.run_fig11,
-    "fig12": exp.run_fig12,
-    "overhead": exp.run_overhead,
-    "pipeline": exp.run_pipeline,
-    "ingress-overload": exp.run_ingress_overload,
-}
-
 
 def _add_block_arguments(parser, *, txs: int, accounts: int, threads: int = 16):
     """``--txs/--threads/--accounts/--block``: one standard-workload block."""
@@ -238,7 +223,7 @@ def _add_experiment(sub) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    print(EXPERIMENTS[args.name]().rendered)
+    print(EXPERIMENTS[args.name].runner().rendered)
     return 0
 
 

@@ -30,8 +30,8 @@ class MainnetConfig:
 
     The defaults are calibrated so that the resulting contention
     (conflicting-transaction share, hot-chain lengths) lands the four
-    executors in the paper's Table 1 bands; the calibration benchmark is
-    benchmarks/test_table1_speedups.py.
+    executors in the paper's Table 1 bands; the calibration check is
+    ``test_table1`` in tests/integration/test_experiments_record.py.
     """
 
     txs_per_block: int = 200
