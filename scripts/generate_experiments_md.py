@@ -3,12 +3,12 @@
 
 Usage:  PYTHONPATH=src python scripts/generate_experiments_md.py
 
-Runs every entry of ``repro.bench.experiments.EXPERIMENTS`` at its
-defaults, each in a fresh process (two at a time), and writes
+Runs every entry of ``repro.bench.experiments.EXPERIMENTS`` and writes
 ``benchmarks/results/<name>.json``; then assembles EXPERIMENTS.md from those
-files alone.  A fresh process per experiment keeps a result independent of
-what ran before it: the §6.4 memory row's ``tracemalloc`` peaks move when
-another experiment has already warmed the process-wide caches.
+files alone.  The entries run two at a time, each in a fresh process; the
+pool is only a speed-up.  No result depends on what ran before it in the
+process: ``run_overhead`` collects garbage before each ``tracemalloc`` pass,
+so its memory row is the same alone and in a batch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import multiprocessing
 import pathlib
 
-from repro.bench.experiments import EXPERIMENTS, ExperimentResult
+from repro.bench.experiments import EXPERIMENTS, ExperimentResult, run_experiment
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
@@ -126,7 +126,7 @@ def assemble(record: dict[str, ExperimentResult]) -> str:
 
 
 def _write(name: str) -> str:
-    result = EXPERIMENTS[name].runner()
+    result = run_experiment(name)
     (RESULTS / f"{name}.json").write_text(result.to_json(), encoding="utf-8")
     return name
 

@@ -1,10 +1,11 @@
 """Experiment harness: one runner per table/figure of the paper.
 
-Each experiment function is pure given its parameters (deterministic
-workloads, deterministic simulated machine) and returns an
-``ExperimentResult``.  ``repro.bench.experiments.EXPERIMENTS`` is the one
-registry of them, imported on demand so that ``import repro`` does not load
-every runner.  ``scripts/generate_experiments_md.py`` runs it into the
+Each experiment runner takes no arguments and is pure (deterministic
+workloads, deterministic simulated machine);
+``repro.bench.experiments.EXPERIMENTS`` is the one registry of them and
+``run_experiment(name)`` turns one into an ``ExperimentResult``.  That
+module is imported on demand, so ``import repro`` does not load every
+runner.  ``scripts/generate_experiments_md.py`` runs the registry into the
 committed record (``benchmarks/results/<name>.json``) and assembles
 EXPERIMENTS.md from it; ``tests/integration/test_experiments_record.py``
 asserts the paper's shapes on that record.  :mod:`.suite` is the separate

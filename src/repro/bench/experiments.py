@@ -1,26 +1,24 @@
 """Every experiment of the reproduction: one registry, one result type.
 
 Each runner regenerates one table or figure of the paper (or one extension
-study) and returns an :class:`ExperimentResult`: the keyword arguments it
-ran with, its structured data, the paper's reference numbers and a
-plain-text rendering.  :data:`EXPERIMENTS` maps each experiment's name to
-its EXPERIMENTS.md section title, its runner and a commentary function that
-writes the section's prose from the results alone, so no measured number is
-ever typed by hand.  ``scripts/generate_experiments_md.py`` runs the
-registry into ``benchmarks/results/<name>.json`` and assembles
+study) and returns its structured data and a plain-text rendering.
+:data:`EXPERIMENTS` maps each experiment's name to its EXPERIMENTS.md
+section title, its runner, a commentary function that writes the section's
+prose from the results alone (so no measured number is ever typed by hand)
+and the paper's reference numbers; :func:`run_experiment` turns one entry
+into its :class:`ExperimentResult`.  ``scripts/generate_experiments_md.py``
+runs the registry into ``benchmarks/results/<name>.json`` and assembles
 EXPERIMENTS.md from those files; ``repro experiment <name>`` runs one entry.
 
-Scale parameters default to the committed record's scale, a size that
-completes in seconds per experiment on a laptop; the paper's absolute
+Every runner's sizes are module constants — the record's one scale, a size
+that completes in seconds per experiment on a laptop; the paper's absolute
 numbers were measured over a million mainnet blocks, so only the *shape*
 (ordering, rough factors, crossovers) is expected to match — see DESIGN.md.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
-import inspect
 import json
 import random
 import sys
@@ -58,6 +56,10 @@ from .harness import (
 from .report import render_histogram, render_series, render_table
 
 START_BLOCK = 14_000_000  # the paper's evaluation window starts here
+# The record's one scale.  Runners use ``standard_chain()`` (500 accounts)
+# and DEFAULT_THREADS unless they state otherwise.
+BLOCKS = 3  # Tables 1 and 2, pre-execution and §6.4
+TXS_PER_BLOCK = 200  # every mainnet-like block without a size of its own
 
 
 def _table1_suite(threads: int) -> list:
@@ -68,13 +70,11 @@ def _table1_suite(threads: int) -> list:
 class ExperimentResult:
     """One experiment's outcome, exactly as the record stores it.
 
-    ``params`` are the keyword arguments the runner ran with (defaults
-    included), ``paper`` the paper's reference numbers.  Every field is
-    plain JSON, and nothing in it depends on the wall clock.
+    ``paper`` holds the paper's reference numbers.  Every field is plain
+    JSON, and nothing in it depends on the wall clock.
     """
 
     experiment: str
-    params: dict
     data: dict
     paper: dict
     rendered: str
@@ -97,28 +97,6 @@ class ExperimentResult:
 def _plain(value):
     """``value`` as it reads back from JSON (tuples become lists)."""
     return json.loads(json.dumps(value))
-
-
-def _recorded(name: str, paper: Mapping | None = None):
-    """Turn a runner returning ``(data, rendered)`` into one returning its
-    :class:`ExperimentResult`, with the arguments it actually ran with."""
-
-    def wrap(run):
-        signature = inspect.signature(run)
-
-        @functools.wraps(run)
-        def runner(*args, **kwargs) -> ExperimentResult:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            data, rendered = run(**bound.arguments)
-            return ExperimentResult(
-                name, _plain(bound.arguments), _plain(data),
-                _plain(paper or {}), rendered,
-            )
-
-        return runner
-
-    return wrap
 
 
 PAPER_TABLE1 = {"2pl": 1.26, "occ": 2.49, "block-stm": 2.82, "parallelevm": 4.28}
@@ -152,18 +130,11 @@ PAPER_OVERHEAD = {
 # --------------------------------------------------------------- Table 1
 
 
-@_recorded("table1", PAPER_TABLE1)
-def run_table1(
-    blocks: int = 3,
-    txs_per_block: int = 200,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 500,
-):
+def run_table1():
     """Table 1: mean speedup of each algorithm on mainnet-like blocks."""
-    chain = standard_chain(accounts=accounts)
-    workload = standard_workload(chain, txs_per_block)
-    block_list = workload.blocks(START_BLOCK, blocks)
-    summaries = measure_speedups(chain, block_list, _table1_suite(threads))
+    chain = standard_chain()
+    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
+    summaries = measure_speedups(chain, block_list, _table1_suite(DEFAULT_THREADS))
 
     data = {
         name: summary.mean
@@ -175,8 +146,8 @@ def run_table1(
         for name, mean in data.items()
     ]
     rendered = render_table(
-        f"Table 1 — speedup vs serial ({threads} threads, "
-        f"{blocks} blocks x {txs_per_block} txs)",
+        f"Table 1 — speedup vs serial ({DEFAULT_THREADS} threads, "
+        f"{BLOCKS} blocks x {TXS_PER_BLOCK} txs)",
         ["algorithm", "paper", "measured"],
         rows,
     )
@@ -201,22 +172,15 @@ def _table1_text(results) -> str:
 # --------------------------------------------------------------- Table 2
 
 
-@_recorded("table2", PAPER_TABLE2)
-def run_table2(
-    blocks: int = 3,
-    txs_per_block: int = 200,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 500,
-):
+def run_table2():
     """Table 2: speedups with state prefetching (two-phase protocol).
 
     Phase one replays the block purely to discover and warm its storage
     slots; phase two is measured.  All speedups are against the *cold*
     serial baseline, as in the paper.
     """
-    chain = standard_chain(accounts=accounts)
-    workload = standard_workload(chain, txs_per_block)
-    block_list = workload.blocks(START_BLOCK, blocks)
+    chain = standard_chain()
+    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
 
     sums: dict[str, float] = {}
     counts = 0
@@ -237,7 +201,7 @@ def run_table2(
             serial_cold.makespan_us / serial_warm.makespan_us
         )
 
-        for executor in _table1_suite(threads):
+        for executor in _table1_suite(DEFAULT_THREADS):
             world = chain.fresh_world()
             world.warm(keys)
             result = executor.execute_block(world, block.txs, block.env)
@@ -255,7 +219,7 @@ def run_table2(
         for name, mean in data.items()
     ]
     rendered = render_table(
-        f"Table 2 — speedups with prefetching ({threads} threads)",
+        f"Table 2 — speedups with prefetching ({DEFAULT_THREADS} threads)",
         ["configuration", "paper", "measured"],
         rows,
     )
@@ -280,13 +244,7 @@ def _table2_text(results) -> str:
 # ---------------------------------------------------------- pre-execution
 
 
-@_recorded("preexec", PAPER_PREEXEC)
-def run_preexec(
-    blocks: int = 3,
-    txs_per_block: int = 200,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 500,
-):
+def run_preexec():
     """§6.3 pre-execution: SSA logs generated before block processing.
 
     Pre-executions run in the transaction-dissemination window, so the read
@@ -294,16 +252,15 @@ def run_preexec(
     reality) the state it touches is already cached when the block arrives;
     stale reads surface as conflicts repaired by the redo phase.
     """
-    chain = standard_chain(accounts=accounts)
-    workload = standard_workload(chain, txs_per_block)
-    block_list = workload.blocks(START_BLOCK, blocks)
+    chain = standard_chain()
+    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
 
     total = 0.0
     for block in block_list:
         serial = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
         )
-        executor = ParallelEVMExecutor(threads=threads, preexecute=True)
+        executor = ParallelEVMExecutor(threads=DEFAULT_THREADS, preexecute=True)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         if result.writes != serial.writes:
             raise ConcurrencyError("pre-executed ParallelEVM diverged")
@@ -337,13 +294,11 @@ def _preexec_text(results) -> str:
 # --------------------------------------------------------------- Figure 9
 
 
-@_recorded("fig9", PAPER_FIG9)
-def run_fig9(
-    blocks: int = 12,
-    txs_per_block: int = 120,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 500,
-):
+FIG9_BLOCKS = 12
+FIG9_TXS_PER_BLOCK = 120  # the centre each sampled block's size scatters around
+
+
+def run_fig9():
     """Figure 9: the distribution of per-block ParallelEVM speedups.
 
     Real mainnet blocks vary widely in size and composition — that, far
@@ -352,19 +307,21 @@ def run_fig9(
     sampled block here draws its transaction count and its native/DeFi mix
     from block-seeded distributions around the calibrated defaults.
     """
-    chain = standard_chain(accounts=accounts)
+    chain = standard_chain()
     block_list = []
-    for i in range(blocks):
+    for i in range(FIG9_BLOCKS):
         rng = random.Random(0x9F9 ^ i)
         config = MainnetConfig()
-        config.txs_per_block = max(10, int(txs_per_block * rng.uniform(0.15, 1.4)))
+        config.txs_per_block = max(
+            10, int(FIG9_TXS_PER_BLOCK * rng.uniform(0.15, 1.4))
+        )
         config.native_share = min(0.8, config.native_share * rng.uniform(0.5, 2.5))
         config.amm_share = config.amm_share * rng.uniform(0.3, 1.5)
         block_list.append(
             MainnetWorkload(chain, config).block(START_BLOCK + i)
         )
     summaries = measure_speedups(
-        chain, block_list, [ParallelEVMExecutor(threads=threads)]
+        chain, block_list, [ParallelEVMExecutor(threads=DEFAULT_THREADS)]
     )
     speedups = summaries["parallelevm"].speedups
 
@@ -378,7 +335,7 @@ def run_fig9(
         else:
             counts[-1] += 1
     rendered = render_histogram(
-        f"Figure 9 — ParallelEVM speedup distribution over {blocks} blocks "
+        f"Figure 9 — ParallelEVM speedup distribution over {FIG9_BLOCKS} blocks "
         f"(paper: most blocks {PAPER_FIG9['range']}, "
         f"{PAPER_FIG9['below_1x_share']:.2%} below 1x)",
         edges,
@@ -409,20 +366,20 @@ def _fig9_text(results) -> str:
 # -------------------------------------------------------------- Figure 10
 
 
-@_recorded("fig10", {"shape": "ParallelEVM dominates and scales furthest"})
-def run_fig10(
-    thread_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-    blocks: int = 2,
-    txs_per_block: int = 160,
-    accounts: int = 500,
-):
+FIG10_THREAD_COUNTS = (1, 2, 4, 8, 16)
+FIG10_BLOCKS = 2
+FIG10_TXS_PER_BLOCK = 160
+
+
+def run_fig10():
     """Figure 10: speedup of each algorithm versus thread count."""
-    chain = standard_chain(accounts=accounts)
-    workload = standard_workload(chain, txs_per_block)
-    block_list = workload.blocks(START_BLOCK, blocks)
+    chain = standard_chain()
+    block_list = standard_workload(chain, FIG10_TXS_PER_BLOCK).blocks(
+        START_BLOCK, FIG10_BLOCKS
+    )
 
     series: dict[str, list[float]] = {}
-    for threads in thread_counts:
+    for threads in FIG10_THREAD_COUNTS:
         summaries = measure_speedups(chain, block_list, _table1_suite(threads))
         for name, summary in summaries.items():
             if name == "serial":
@@ -432,10 +389,10 @@ def run_fig10(
     rendered = render_series(
         "Figure 10 — speedup vs number of threads",
         "threads",
-        list(thread_counts),
+        list(FIG10_THREAD_COUNTS),
         series,
     )
-    return {"threads": list(thread_counts), "series": series}, rendered
+    return {"threads": list(FIG10_THREAD_COUNTS), "series": series}, rendered
 
 
 def _fig10_text(results) -> str:
@@ -454,27 +411,22 @@ def _fig10_text(results) -> str:
 # -------------------------------------------------------------- Figure 11
 
 
-@_recorded(
-    "fig11",
-    {"shape": "near-parity at 0%; ParallelEVM's margin grows with contention"},
-)
-def run_fig11(
-    ratios: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-    txs_per_block: int = 150,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 500,
-):
+FIG11_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+FIG11_TXS_PER_BLOCK = 150
+
+
+def run_fig11():
     """Figure 11: ERC20 blocks with a controlled conflicting-tx ratio."""
-    chain = standard_chain(accounts=accounts)
+    chain = standard_chain()
     executors = [
-        OCCExecutor(threads=threads),
-        BlockSTMExecutor(threads=threads),
-        ParallelEVMExecutor(threads=threads),
+        OCCExecutor(threads=DEFAULT_THREADS),
+        BlockSTMExecutor(threads=DEFAULT_THREADS),
+        ParallelEVMExecutor(threads=DEFAULT_THREADS),
     ]
     series: dict[str, list[float]] = {ex.name: [] for ex in executors}
-    for i, ratio in enumerate(ratios):
+    for i, ratio in enumerate(FIG11_RATIOS):
         block = conflict_ratio_block(
-            chain, START_BLOCK + i, txs_per_block, ratio=ratio, seed=7
+            chain, START_BLOCK + i, FIG11_TXS_PER_BLOCK, ratio=ratio, seed=7
         )
         summaries = measure_speedups(chain, [block], executors)
         for ex in executors:
@@ -483,10 +435,10 @@ def run_fig11(
     rendered = render_series(
         "Figure 11 — speedup vs conflicting-transaction ratio (ERC20 blocks)",
         "conflict ratio",
-        [f"{r:.0%}" for r in ratios],
+        [f"{r:.0%}" for r in FIG11_RATIOS],
         series,
     )
-    return {"ratios": list(ratios), "series": series}, rendered
+    return {"ratios": list(FIG11_RATIOS), "series": series}, rendered
 
 
 def _fig11_text(results) -> str:
@@ -505,31 +457,30 @@ def _fig11_text(results) -> str:
 # -------------------------------------------------------------- Figure 12
 
 
-@_recorded("fig12", {"shape": "speedup grows with block size"})
-def run_fig12(
-    block_sizes: tuple[int, ...] = (12, 25, 50, 100, 200, 400),
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 900,
-    blocks_per_size: int = 2,
-):
+FIG12_BLOCK_SIZES = (12, 25, 50, 100, 200, 400)
+FIG12_BLOCKS_PER_SIZE = 2
+FIG12_ACCOUNTS = 900
+
+
+def run_fig12():
     """Figure 12: ParallelEVM speedup versus block transaction count."""
-    chain = standard_chain(accounts=accounts)
+    chain = standard_chain(accounts=FIG12_ACCOUNTS)
     speedups: list[float] = []
-    for i, size in enumerate(block_sizes):
+    for i, size in enumerate(FIG12_BLOCK_SIZES):
         workload = standard_workload(chain, size)
-        blocks = workload.blocks(START_BLOCK + 10 * i, blocks_per_size)
+        blocks = workload.blocks(START_BLOCK + 10 * i, FIG12_BLOCKS_PER_SIZE)
         summaries = measure_speedups(
-            chain, blocks, [ParallelEVMExecutor(threads=threads)]
+            chain, blocks, [ParallelEVMExecutor(threads=DEFAULT_THREADS)]
         )
         speedups.append(summaries["parallelevm"].mean)
 
     rendered = render_series(
         "Figure 12 — ParallelEVM speedup vs block transaction count",
         "txs/block",
-        list(block_sizes),
+        list(FIG12_BLOCK_SIZES),
         {"parallelevm": speedups},
     )
-    return {"sizes": list(block_sizes), "speedups": speedups}, rendered
+    return {"sizes": list(FIG12_BLOCK_SIZES), "speedups": speedups}, rendered
 
 
 def _fig12_text(results) -> str:
@@ -547,12 +498,10 @@ def _fig12_text(results) -> str:
 # --------------------------------------------------------------- Figure 3
 
 
-@_recorded("fig3", PAPER_FIG3)
-def run_fig3(
-    blocks: int = 10,
-    txs_per_block: int = 200,
-    accounts: int = 500,
-):
+FIG3_BLOCKS = 10
+
+
+def run_fig3():
     """Figure 3: hot-spot distributions of the synthesized workload.
 
     Reports (a) the realised invocation/access concentration measured from
@@ -560,12 +509,12 @@ def run_fig3(
     paper's populations (10M contracts, 200M slots) for the 0.1%-head
     statistics, which a laptop-scale population cannot express directly.
     """
-    chain = standard_chain(accounts=accounts)
-    workload = standard_workload(chain, txs_per_block)
+    chain = standard_chain()
+    workload = standard_workload(chain, TXS_PER_BLOCK)
 
     invocations: dict[bytes, int] = {}
     slot_accesses: dict[tuple, int] = {}
-    for block in workload.blocks(START_BLOCK, blocks):
+    for block in workload.blocks(START_BLOCK, FIG3_BLOCKS):
         serial = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
         )
@@ -610,7 +559,7 @@ def run_fig3(
          f"{data['measured_top1pct_slot_share']:.0%}"],
     ]
     rendered = render_table(
-        f"Figure 3 — hot-spot distributions ({blocks} blocks)",
+        f"Figure 3 — hot-spot distributions ({FIG3_BLOCKS} blocks)",
         ["statistic", "paper", "measured"],
         rows,
     )
@@ -658,17 +607,10 @@ _OVERHEAD_ROWS = (
 )
 
 
-@_recorded("overhead", PAPER_OVERHEAD)
-def run_overhead(
-    blocks: int = 3,
-    txs_per_block: int = 200,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 500,
-):
+def run_overhead():
     """§6.4: SSA-log size, redo cost, tracking and memory overheads."""
-    chain = standard_chain(accounts=accounts)
-    workload = standard_workload(chain, txs_per_block)
-    block_list = workload.blocks(START_BLOCK, blocks)
+    chain = standard_chain()
+    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
 
     # -- log size and tracking share: trace every tx of every block --------
     instructions = 0
@@ -700,7 +642,7 @@ def run_overhead(
     redo_time = 0.0
     block_time = 0.0
     for block in block_list:
-        executor = ParallelEVMExecutor(threads=threads)
+        executor = ParallelEVMExecutor(threads=DEFAULT_THREADS)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         stats = result.stats
         redo_entries += stats["redo_entries_total"]
@@ -740,7 +682,7 @@ def run_overhead(
     peak_traced = _run_block(with_tracer=True)
     ssa_bytes_per_tx = max(0, peak_traced - peak_plain) / len(block.txs)
     state_bytes = _state_footprint_bytes(chain.world)
-    memory_overhead = (threads * ssa_bytes_per_tx) / max(1, state_bytes)
+    memory_overhead = (DEFAULT_THREADS * ssa_bytes_per_tx) / max(1, state_bytes)
 
     data = {
         "mean_instructions": instructions / max(1, tracked_txs),
@@ -808,8 +750,7 @@ class UnfoldedTracer(SSATracer):
         stack.append(self._append(entry))
 
 
-@_recorded("log-compaction")
-def run_log_compaction(txs_per_block: int = 200):
+def run_log_compaction():
     """Ablation: SSA-log compaction (constant folding) on vs off.
 
     The paper attributes the log's small size (5% of instructions) to
@@ -821,7 +762,7 @@ def run_log_compaction(txs_per_block: int = 200):
     per executed instruction.
     """
     chain = standard_chain(accounts=200, tokens=4, amm_pairs=2)
-    block = standard_workload(chain, txs_per_block).block(START_BLOCK)
+    block = standard_workload(chain, TXS_PER_BLOCK).block(START_BLOCK)
     sizes = {"folded": 0, "unfolded": 0, "instructions": 0,
              "tracking_folded": 0.0, "tracking_unfolded": 0.0}
     for label, tracer_cls in (("folded", SSATracer), ("unfolded", UnfoldedTracer)):
@@ -878,8 +819,7 @@ def _log_compaction_text(results) -> str:
 # ----------------------------------------------------- §7 schedule study
 
 
-@_recorded("schedule")
-def run_schedule(txs_per_block: int = 200, threads: int = DEFAULT_THREADS):
+def run_schedule():
     """§7 future work: the proposer/validator split, built and measured.
 
     Two schedule granularities (transaction dependencies, and read values
@@ -887,22 +827,22 @@ def run_schedule(txs_per_block: int = 200, threads: int = DEFAULT_THREADS):
     Saraph-Herlihy two-phase baseline from the related work.
     """
     chain = standard_chain()
-    block = standard_workload(chain, txs_per_block).block(START_BLOCK)
+    block = standard_workload(chain, TXS_PER_BLOCK).block(START_BLOCK)
     serial = SerialExecutor().execute_block(
         chain.fresh_world(), block.txs, block.env
     )
 
-    two_phase = TwoPhaseExecutor(threads=threads).execute_block(
+    two_phase = TwoPhaseExecutor(threads=DEFAULT_THREADS).execute_block(
         chain.fresh_world(), block.txs, block.env
     )
     schedule, proposer = propose_schedule(
-        chain.fresh_world(), block.txs, block.env, threads=threads
+        chain.fresh_world(), block.txs, block.env, threads=DEFAULT_THREADS
     )
     dep_validator = ScheduledValidatorExecutor(
-        schedule, threads=threads
+        schedule, threads=DEFAULT_THREADS
     ).execute_block(chain.fresh_world(), block.txs, block.env)
     value_validator = ScheduledValidatorExecutor(
-        schedule, threads=threads, use_read_values=True
+        schedule, threads=DEFAULT_THREADS, use_read_values=True
     ).execute_block(chain.fresh_world(), block.txs, block.env)
 
     for result in (two_phase, proposer, dep_validator, value_validator):
@@ -957,8 +897,7 @@ def _schedule_text(results) -> str:
 # --------------------------------------------- critical-path bound analysis
 
 
-@_recorded("bounds")
-def run_bounds(txs_per_block: int = 200, threads: int = DEFAULT_THREADS):
+def run_bounds():
     """Achieved speedups against the transaction-level critical-path bound.
 
     The literature the paper builds on (Garamvölgyi et al.; Reijsbergen &
@@ -972,9 +911,8 @@ def run_bounds(txs_per_block: int = 200, threads: int = DEFAULT_THREADS):
     rows = []
     data = {}
     for label, block in (
-        ("mainnet-like", standard_workload(chain, txs_per_block).block(START_BLOCK)),
-        ("100% conflicting ERC20",
-         conflict_ratio_block(chain, 77, min(150, txs_per_block), ratio=1.0)),
+        ("mainnet-like", standard_workload(chain, TXS_PER_BLOCK).block(START_BLOCK)),
+        ("100% conflicting ERC20", conflict_ratio_block(chain, 77, 150, ratio=1.0)),
     ):
         serial = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
@@ -989,9 +927,9 @@ def run_bounds(txs_per_block: int = 200, threads: int = DEFAULT_THREADS):
         bound = serial.makespan_us / max(1e-9, analysis.critical_path_us)
         speedups = {}
         for executor in (
-            OCCExecutor(threads=threads),
-            BlockSTMExecutor(threads=threads),
-            ParallelEVMExecutor(threads=threads),
+            OCCExecutor(threads=DEFAULT_THREADS),
+            BlockSTMExecutor(threads=DEFAULT_THREADS),
+            ParallelEVMExecutor(threads=DEFAULT_THREADS),
         ):
             result = executor.execute_block(
                 chain.fresh_world(), block.txs, block.env
@@ -1041,13 +979,12 @@ def _bounds_text(results) -> str:
 # --------------------------------------------------- pipelined execution
 
 
-@_recorded("pipeline")
-def run_pipeline(
-    blocks: int = 30,
-    txs_per_block: int = 40,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 20_000,
-):
+PIPELINE_BLOCKS = 30
+PIPELINE_TXS_PER_BLOCK = 40
+PIPELINE_ACCOUNTS = 20_000
+
+
+def run_pipeline():
     """Async-storage pipelining: prefetch and commit off the block path.
 
     Runs the chain service over the default soak stream with a durable
@@ -1075,10 +1012,14 @@ def run_pipeline(
     fingerprints = set()
     for label, pipeline_config in configs:
         chain = build_stream_chain(
-            StreamSpec(accounts=accounts, txs_per_block=txs_per_block, seed=1),
+            StreamSpec(
+                accounts=PIPELINE_ACCOUNTS,
+                txs_per_block=PIPELINE_TXS_PER_BLOCK,
+                seed=1,
+            ),
             cache_capacity=100_000,
         )
-        executor = ParallelEVMExecutor(threads=threads)
+        executor = ParallelEVMExecutor(threads=DEFAULT_THREADS)
         executor.durability = DurableCommitPipeline()
         coordinator = (
             PipelineCoordinator(pipeline_config)
@@ -1086,9 +1027,9 @@ def run_pipeline(
             else None
         )
         service = ChainService(BlockStream(chain), executor, pipeline=coordinator)
-        for _ in service.run(blocks):
+        for _ in service.run(PIPELINE_BLOCKS):
             pass
-        per_block[label] = service.sim_time_us / blocks
+        per_block[label] = service.sim_time_us / PIPELINE_BLOCKS
         fingerprints.add(chain.world.fingerprint())
     if len(fingerprints) != 1:
         raise ConcurrencyError("pipelined service diverged from synchronous")
@@ -1130,13 +1071,12 @@ def _pipeline_text(results) -> str:
 # ------------------------------------------------- ingress overload sweep
 
 
-@_recorded("ingress-overload")
-def run_ingress_overload(
-    blocks: int = 24,
-    txs_per_block: int = 12,
-    threads: int = DEFAULT_THREADS,
-    accounts: int = 160,
-):
+INGRESS_BLOCKS = 24
+INGRESS_TXS_PER_BLOCK = 12
+INGRESS_ACCOUNTS = 160
+
+
+def run_ingress_overload():
     """Overload sweep on the serving path: admission under rising load.
 
     Runs the deterministic ingress harness (clients -> JSON-RPC facade ->
@@ -1160,19 +1100,19 @@ def run_ingress_overload(
     for rate in rates:
         report = run_ingress(
             IngressConfig(
-                blocks=blocks,
-                txs_per_block=txs_per_block,
-                threads=threads,
-                accounts=accounts,
+                blocks=INGRESS_BLOCKS,
+                txs_per_block=INGRESS_TXS_PER_BLOCK,
+                threads=DEFAULT_THREADS,
+                accounts=INGRESS_ACCOUNTS,
                 clients=6,
                 seed=1,
-                window_blocks=max(4, blocks // 4),
+                window_blocks=max(4, INGRESS_BLOCKS // 4),
                 rate_multiplier=rate,
                 # A pool a few blocks deep, so the global watermark (not
                 # just per-sender quotas) binds once the load exceeds 1x.
                 mempool=MempoolConfig(
-                    capacity=4 * txs_per_block,
-                    per_sender_quota=2 * txs_per_block,
+                    capacity=4 * INGRESS_TXS_PER_BLOCK,
+                    per_sender_quota=2 * INGRESS_TXS_PER_BLOCK,
                 ),
             )
         )
@@ -1266,31 +1206,58 @@ def _ingress_text(results) -> str:
 class Experiment:
     """One registry entry.
 
-    ``title`` heads the experiment's EXPERIMENTS.md section; ``commentary``
-    writes that section's prose from the whole record (name -> result), so
-    a sentence may compare experiments and never types a measured number.
+    ``title`` heads the experiment's EXPERIMENTS.md section; ``runner``
+    returns ``(data, rendered)``; ``commentary`` writes the section's prose
+    from the whole record (name -> result), so a sentence may compare
+    experiments and never types a measured number; ``paper`` holds the
+    paper's reference numbers.
     """
 
     title: str
-    runner: Callable[..., ExperimentResult]
+    runner: Callable[[], tuple[dict, str]]
     commentary: Callable[[Mapping[str, ExperimentResult]], str]
+    paper: Mapping | None = None
 
 
 #: Every experiment, by name, in EXPERIMENTS.md section order.  The names
 #: are the ``repro experiment`` choices and the record's file names.
 EXPERIMENTS: dict[str, Experiment] = {
-    "fig3": Experiment("Figure 3 — hot-spot distributions", run_fig3, _fig3_text),
+    "fig3": Experiment(
+        "Figure 3 — hot-spot distributions", run_fig3, _fig3_text, PAPER_FIG3
+    ),
     "table1": Experiment(
-        "Table 1 — speedups on mainnet-like blocks", run_table1, _table1_text
+        "Table 1 — speedups on mainnet-like blocks",
+        run_table1,
+        _table1_text,
+        PAPER_TABLE1,
     ),
-    "fig9": Experiment("Figure 9 — speedup distribution", run_fig9, _fig9_text),
-    "fig10": Experiment("Figure 10 — thread scaling", run_fig10, _fig10_text),
+    "fig9": Experiment(
+        "Figure 9 — speedup distribution", run_fig9, _fig9_text, PAPER_FIG9
+    ),
+    "fig10": Experiment(
+        "Figure 10 — thread scaling",
+        run_fig10,
+        _fig10_text,
+        {"shape": "ParallelEVM dominates and scales furthest"},
+    ),
     "fig11": Experiment(
-        "Figure 11 — contention sweep (ERC20 conflict ratio)", run_fig11, _fig11_text
+        "Figure 11 — contention sweep (ERC20 conflict ratio)",
+        run_fig11,
+        _fig11_text,
+        {"shape": "near-parity at 0%; ParallelEVM's margin grows with contention"},
     ),
-    "fig12": Experiment("Figure 12 — block-size scaling", run_fig12, _fig12_text),
-    "table2": Experiment("Table 2 — prefetching", run_table2, _table2_text),
-    "preexec": Experiment("Pre-execution (§6.3)", run_preexec, _preexec_text),
+    "fig12": Experiment(
+        "Figure 12 — block-size scaling",
+        run_fig12,
+        _fig12_text,
+        {"shape": "speedup grows with block size"},
+    ),
+    "table2": Experiment(
+        "Table 2 — prefetching", run_table2, _table2_text, PAPER_TABLE2
+    ),
+    "preexec": Experiment(
+        "Pre-execution (§6.3)", run_preexec, _preexec_text, PAPER_PREEXEC
+    ),
     "pipeline": Experiment(
         "Extension — pipelined execution (prefetch + async commit)",
         run_pipeline,
@@ -1309,10 +1276,21 @@ EXPERIMENTS: dict[str, Experiment] = {
         run_bounds,
         _bounds_text,
     ),
-    "overhead": Experiment("§6.4 — overhead analysis", run_overhead, _overhead_text),
+    "overhead": Experiment(
+        "§6.4 — overhead analysis", run_overhead, _overhead_text, PAPER_OVERHEAD
+    ),
     "log-compaction": Experiment(
         "Ablation — SSA log compaction (constant folding)",
         run_log_compaction,
         _log_compaction_text,
     ),
 }
+
+
+def run_experiment(name: str) -> ExperimentResult:
+    """Run one registry entry into its record."""
+    entry = EXPERIMENTS[name]
+    data, rendered = entry.runner()
+    return ExperimentResult(
+        name, _plain(data), _plain(entry.paper or {}), rendered
+    )

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ..analysis.conflict_graph import analyze_block
-from ..bench.experiments import EXPERIMENTS
+from ..bench.experiments import EXPERIMENTS, run_experiment
 from ..bench.harness import TABLE1_EXECUTORS, standard_chain, standard_workload
 from ..bench.suite import (
     SUITES,
@@ -223,7 +223,7 @@ def _add_experiment(sub) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    print(EXPERIMENTS[args.name].runner().rendered)
+    print(run_experiment(args.name).rendered)
     return 0
 
 

@@ -3,9 +3,8 @@
 ``benchmarks/results/<name>.json`` holds one :class:`ExperimentResult` per
 registry entry and EXPERIMENTS.md is assembled from those files alone.
 These tests only read the record, so they cost milliseconds: the record
-matches the registry and the CLI, each result was produced by its runner's
-current defaults, EXPERIMENTS.md is exactly what the writer assembles, and
-every result has the paper's shape.  A change that moves a number must
+matches the registry, EXPERIMENTS.md is exactly what the writer assembles,
+and every result has the paper's shape.  A change that moves a number must
 regenerate the record (``python scripts/generate_experiments_md.py``); CI's
 ``experiments-record`` job regenerates it and fails on any diff.
 """
@@ -13,14 +12,11 @@ regenerate the record (``python scripts/generate_experiments_md.py``); CI's
 from __future__ import annotations
 
 import importlib.util
-import inspect
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
-from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[2]
 RESULTS = ROOT / "benchmarks" / "results"
@@ -49,31 +45,11 @@ def test_record_holds_exactly_the_registry():
     assert list(record) == sorted(EXPERIMENTS)
 
 
-def test_registry_names_are_the_cli_experiment_choices():
-    sub = build_parser()._subparsers._group_actions[0]
-    positional = next(
-        action for action in sub.choices["experiment"]._actions
-        if action.dest == "name"
-    )
-    assert sorted(positional.choices) == sorted(EXPERIMENTS)
-
-
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_each_file_is_its_result_in_canonical_form(name):
     text = (RESULTS / f"{name}.json").read_text(encoding="utf-8")
     assert record[name].experiment == name
     assert record[name].to_json() == text
-
-
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_params_are_the_runners_current_defaults(name):
-    defaults = {
-        parameter.name: parameter.default
-        for parameter in inspect.signature(EXPERIMENTS[name].runner).parameters.values()
-    }
-    assert record[name].params == json.loads(json.dumps(defaults)), (
-        f"{name}'s defaults changed: regenerate the record"
-    )
 
 
 def test_experiments_md_is_assembled_from_the_record():
