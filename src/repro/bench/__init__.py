@@ -29,7 +29,6 @@ from .suite import (
     load_bench,
     run_suite,
     to_json,
-    write_bench,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "load_bench",
     "run_suite",
     "to_json",
-    "write_bench",
 ]

@@ -204,11 +204,6 @@ def to_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def write_bench(document: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json(document))
-
-
 def load_bench(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)

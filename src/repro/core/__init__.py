@@ -14,7 +14,7 @@ This package is the paper's contribution (§4-§5):
   ``preexecute`` flag and the warm-cache worlds in repro.bench.harness
   implement the §6.3 optimizations.
 - :mod:`schedule` — the §7 proposer/validator split (future work, built).
-- :mod:`serialize` — the operation log's RLP wire format.
+- :mod:`serialize` — the value codec the durability journal stores state in.
 """
 
 from .ssa_log import LogEntry, SSAOperationLog, PseudoOp

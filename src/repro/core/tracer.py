@@ -1,6 +1,9 @@
 """Dynamic SSA operation log generation during the read phase (§5.2).
 
-``SSATracer`` implements the :mod:`repro.evm.tracing` hook interface.  It
+``SSATracer`` is the interpreter's one tracer: its methods are the hooks
+the interpreter calls when a tracer is attached, each *after* the
+corresponding operation succeeded, with concrete operand and result values
+(operand tuples ordered top-of-stack first, matching pop order).  It
 maintains one :class:`FrameShadow` per call frame in lockstep with the
 interpreter and appends :class:`LogEntry` records for exactly the operations
 whose inputs depend (transitively) on storage — everything else is folded

@@ -11,11 +11,10 @@ older frames), so a rollback deeper than the journal — or deeper than
 ``RecoveryPolicy.max_reorg_depth`` — raises
 :class:`~repro.errors.ReorgDepthExceeded` instead of guessing.
 
-After the rewind, :meth:`ReorgManager.reorg` executes the fork branch with
-whatever executor the caller supplies and commits each fork block through
-the same :class:`~repro.durability.commit.DurableCommitPipeline`, so the
-post-reorg journal is indistinguishable from one where the fork was always
-canonical (and is itself crash-recoverable).
+After the rewind the caller executes the fork branch and commits each fork
+block through the same :class:`~repro.durability.commit.DurableCommitPipeline`,
+so the post-reorg journal is indistinguishable from one where the fork was
+always canonical (and is itself crash-recoverable).
 """
 
 from __future__ import annotations
@@ -27,14 +26,14 @@ from .recovery import ReplayedBlock, group_blocks
 
 
 class ReorgManager:
-    """Rolls the world (and journal) back N blocks, then grows a fork.
+    """Rolls the world (and journal) back N blocks.
 
     Parameters
     ----------
     pipeline:
         The :class:`~repro.durability.commit.DurableCommitPipeline` whose
-        journal holds the undo history (and through which fork blocks are
-        re-committed).
+        journal holds the undo history (and through which the caller
+        commits the fork blocks).
     policy:
         A :class:`~repro.resilience.policy.RecoveryPolicy`;
         ``max_reorg_depth`` bounds how far a rollback may reach.
@@ -111,27 +110,3 @@ class ReorgManager:
             self.metrics.counter("durability_reorg_blocks").inc(len(undone))
             self.metrics.counter("durability_reorgs").inc()
         return undone
-
-    # --------------------------------------------------------------- reorg
-
-    def reorg(
-        self,
-        world: WorldState,
-        executor,
-        to_block: int,
-        fork_blocks,
-    ) -> list:
-        """Roll back to ``to_block`` and grow ``fork_blocks`` in its place.
-
-        Each fork block (a :class:`~repro.workloads.block.Block`) is
-        executed with ``executor`` and durably committed through the
-        pipeline, state roots verified by the usual SEAL discipline.
-        Returns the fork branch's :class:`BlockResult` list.
-        """
-        self.rollback(world, to_block)
-        results = []
-        for block in fork_blocks:
-            result = executor.execute_block(world, block.txs, block.env)
-            self.pipeline.commit(world, block.number, result)
-            results.append(result)
-        return results

@@ -158,237 +158,45 @@ class ReorgDepthExceeded(DurabilityError):
         self.available = available
 
 
-class AdmissionError(ResilienceError):
-    """Base class for transaction-ingress rejections (:mod:`repro.mempool`).
+#: Admission codes after which resubmitting the *same* transaction later can
+#: succeed (fees, quotas, overload); every other code is final.
+RETRYABLE = frozenset(
+    {
+        "fee-too-low",
+        "replacement-underpriced",
+        "nonce-gap",
+        "sender-quota",
+        "mempool-full",
+        "backpressure",
+        "circuit-open",
+        "rate-limited",
+    }
+)
 
-    Every rejection the admission layer can hand a client is a subtype with
-    a stable machine-readable :attr:`code` (what the JSON-RPC facade puts in
-    the error ``data``) and a :attr:`retryable` flag (whether resubmitting
-    the *same* transaction later can succeed).  Sitting on the resilience
+
+class AdmissionError(ResilienceError):
+    """A transaction-ingress rejection (:mod:`repro.mempool`, the facade).
+
+    ``code`` is the stable machine-readable reason the JSON-RPC facade puts
+    in the error ``data``: ``malformed``, ``invalid-signature``,
+    ``wrong-chain-id``, ``too-large`` and ``intrinsic-gas`` from the
+    stateless wire check; ``fee-too-low``, ``nonce-too-low``, ``nonce-gap``,
+    ``replacement-underpriced``, ``sender-quota``, ``insufficient-balance``,
+    ``mempool-full`` and ``rate-limited`` from the pool; ``backpressure``
+    and ``circuit-open`` from the facade's overload guards.  ``retryable``
+    (``code in RETRYABLE``) says whether resubmitting the same transaction
+    later can succeed, and ``retry_after_us`` carries the suggested pacing
+    delay where the rejecting layer has one.  Sitting on the resilience
     hierarchy keeps the contract uniform: overload is a fault the system
     degrades through, not a crash.
     """
 
-    code = "admission"
-    retryable = False
-
-
-class MalformedTransaction(AdmissionError):
-    """The wire transaction failed structural validation (missing or
-    ill-typed fields, undecodable hex, out-of-range values)."""
-
-    code = "malformed"
-
-
-class InvalidSignature(AdmissionError):
-    """The signature field is absent or fails the shape check (65 bytes,
-    r/s in range, recovery id in {0, 1, 27, 28})."""
-
-    code = "invalid-signature"
-
-
-class WrongChainId(AdmissionError):
-    """The transaction names a chain id this service does not serve."""
-
-    code = "wrong-chain-id"
-
-    def __init__(self, got: int, expected: int) -> None:
-        super().__init__(f"chain id {got} != expected {expected}")
-        self.got = got
-        self.expected = expected
-
-
-class TransactionTooLarge(AdmissionError):
-    """The encoded transaction exceeds the wire size cap."""
-
-    code = "too-large"
-
-    def __init__(self, size: int, limit: int) -> None:
-        super().__init__(f"transaction is {size} bytes; cap is {limit}")
-        self.size = size
-        self.limit = limit
-
-
-class IntrinsicGasTooLow(AdmissionError):
-    """``gas_limit`` cannot even cover the transaction's intrinsic gas."""
-
-    code = "intrinsic-gas"
-
-    def __init__(self, gas_limit: int, intrinsic: int) -> None:
-        super().__init__(
-            f"gas limit {gas_limit} below intrinsic gas {intrinsic}"
-        )
-        self.gas_limit = gas_limit
-        self.intrinsic = intrinsic
-
-
-class FeeTooLow(AdmissionError):
-    """The gas price is below the mempool's admission floor."""
-
-    code = "fee-too-low"
-    retryable = True
-
-    def __init__(self, gas_price: int, floor: int) -> None:
-        super().__init__(f"gas price {gas_price} below floor {floor}")
-        self.gas_price = gas_price
-        self.floor = floor
-
-
-class ReplacementUnderpriced(AdmissionError):
-    """A same-(sender, nonce) replacement did not bump the fee enough."""
-
-    code = "replacement-underpriced"
-    retryable = True
-
-    def __init__(self, gas_price: int, required: int) -> None:
-        super().__init__(
-            f"replacement gas price {gas_price} below required {required}"
-        )
-        self.gas_price = gas_price
-        self.required = required
-
-
-class NonceTooLow(AdmissionError):
-    """The transaction's nonce was already consumed on chain."""
-
-    code = "nonce-too-low"
-
-    def __init__(self, nonce: int, expected: int) -> None:
-        super().__init__(f"nonce {nonce} below account nonce {expected}")
-        self.nonce = nonce
-        self.expected = expected
-
-
-class NonceGapTooWide(AdmissionError):
-    """The nonce is too far ahead of the sender's executable sequence."""
-
-    code = "nonce-gap"
-    retryable = True
-
-    def __init__(self, nonce: int, expected: int, max_gap: int) -> None:
-        super().__init__(
-            f"nonce {nonce} leaves a gap past {expected} wider than "
-            f"the {max_gap} allowed"
-        )
-        self.nonce = nonce
-        self.expected = expected
-        self.max_gap = max_gap
-
-
-class InsufficientBalance(AdmissionError):
-    """The sender cannot cover value + gas for its pooled transactions."""
-
-    code = "insufficient-balance"
-
-    def __init__(self, required: int, available: int) -> None:
-        super().__init__(
-            f"sender needs {required} wei to cover pooled txs but "
-            f"holds {available}"
-        )
-        self.required = required
-        self.available = available
-
-
-class SenderQuotaExceeded(AdmissionError):
-    """The sender already has its full quota of transactions pooled."""
-
-    code = "sender-quota"
-    retryable = True
-
-    def __init__(self, sender_txs: int, quota: int) -> None:
-        super().__init__(f"sender has {sender_txs} pooled txs; quota {quota}")
-        self.sender_txs = sender_txs
-        self.quota = quota
-
-
-class MempoolFull(AdmissionError):
-    """The pool is at capacity and the fee does not displace anything."""
-
-    code = "mempool-full"
-    retryable = True
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(f"mempool is at capacity ({capacity} txs)")
-        self.capacity = capacity
-
-
-class BackpressureActive(AdmissionError):
-    """Queue depth crossed the high watermark; client should back off.
-
-    Carries ``retry_after_us`` — the facade's suggested delay, drawn from
-    the :class:`~repro.resilience.RecoveryPolicy` backoff schedule — which
-    the JSON-RPC layer forwards in the error ``data``.
-    """
-
-    code = "backpressure"
-    retryable = True
-
-    def __init__(self, depth: int, watermark: int, retry_after_us: float) -> None:
-        super().__init__(
-            f"mempool depth {depth} over the high watermark {watermark}; "
-            f"retry after {retry_after_us:.0f} us"
-        )
-        self.depth = depth
-        self.watermark = watermark
-        self.retry_after_us = retry_after_us
-
-
-class CircuitOpen(AdmissionError):
-    """The read-path circuit breaker is open (commit lane lagging)."""
-
-    code = "circuit-open"
-    retryable = True
-
-    def __init__(self, lag_us: float, threshold_us: float, retry_after_us: float) -> None:
-        super().__init__(
-            f"read circuit open: commit lag {lag_us:.0f} us over "
-            f"{threshold_us:.0f} us"
-        )
-        self.lag_us = lag_us
-        self.threshold_us = threshold_us
-        self.retry_after_us = retry_after_us
-
-
-class NotPrimary(AdmissionError):
-    """A write reached a replica (or demoted primary) instead of the leader.
-
-    Replicas serve reads and health but must never accept transactions —
-    silently pooling a write on a follower would lose it at the next
-    failover.  Carries the responder's role and fencing epoch so clients
-    (and the chaos harness) can re-discover the leader.
-    """
-
-    code = "not-primary"
-    retryable = True
-
-    def __init__(self, role: str, epoch: int) -> None:
-        super().__init__(
-            f"writes must go to the primary; this node is {role!r} "
-            f"(epoch {epoch})"
-        )
-        self.role = role
-        self.epoch = epoch
-
-
-class RateLimited(AdmissionError):
-    """The sender exhausted its token-bucket admission allowance.
-
-    Per-sender rate shaping (fairness beyond quotas): each sender's
-    bucket refills at ``sender_rate_per_s`` with burst capacity
-    ``sender_burst``; an empty bucket rejects with the simulated time
-    until one token is available, which the JSON-RPC layer forwards as
-    ``retry_after_us``.
-    """
-
-    code = "rate-limited"
-    retryable = True
-
-    def __init__(self, sender: bytes, retry_after_us: float) -> None:
-        super().__init__(
-            f"sender 0x{sender.hex()} is over its admission rate; "
-            f"retry after {retry_after_us:.0f} us"
-        )
-        self.sender = sender
+    def __init__(
+        self, code: str, message: str, retry_after_us: float | None = None
+    ) -> None:
+        super().__init__(message)
+        self.code = code
+        self.retryable = code in RETRYABLE
         self.retry_after_us = retry_after_us
 
 

@@ -26,7 +26,7 @@ fees are accumulated and credited once per block by the executor
 (see repro.concurrency.base.settle_fees).
 
 Tracer hooks fire after each successful operation with concrete values;
-see repro.evm.tracing for the contract.
+repro.core.tracer.SSATracer, the one tracer, defines them.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The front half of the serving stack (`repro.rpc` is the protocol half).
 Stateless structural checks live in :mod:`repro.mempool.admission`; the
 stateful pool — nonce discipline, balance cover, replacement-by-fee,
 quotas, watermarks and deadline shedding — in :mod:`repro.mempool.pool`.
-Every rejection is a typed :class:`~repro.errors.AdmissionError` subtype.
+Every rejection is an :class:`~repro.errors.AdmissionError` with a ``code``.
 """
 
 from .admission import (

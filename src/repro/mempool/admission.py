@@ -9,21 +9,15 @@ id; actual key recovery is out of scope, consistent with
 the intrinsic-gas floor.  Everything stateful (nonces, balances, fees,
 quotas) lives in :mod:`repro.mempool.pool`.
 
-Every rejection is a typed :class:`~repro.errors.AdmissionError` subtype;
-nothing here raises bare ``ValueError`` at a client.
+Every rejection is an :class:`~repro.errors.AdmissionError` with its
+``code``; nothing here raises bare ``ValueError`` at a client.
 """
 
 from __future__ import annotations
 
 from .. import rlp
 from ..crypto import keccak256
-from ..errors import (
-    IntrinsicGasTooLow,
-    InvalidSignature,
-    MalformedTransaction,
-    TransactionTooLarge,
-    WrongChainId,
-)
+from ..errors import AdmissionError
 from ..evm.gas import intrinsic_gas
 from ..evm.message import Transaction
 
@@ -61,36 +55,48 @@ def transaction_hash(tx: Transaction) -> bytes:
 
 def _hex_bytes(value, field: str) -> bytes:
     if not isinstance(value, str):
-        raise MalformedTransaction(f"field {field!r} must be a hex string")
+        raise AdmissionError(
+            "malformed", f"field {field!r} must be a hex string"
+        )
     text = value[2:] if value.startswith("0x") else value
     try:
         return bytes.fromhex(text)
     except ValueError:
-        raise MalformedTransaction(f"field {field!r} is not valid hex") from None
+        raise AdmissionError(
+            "malformed", f"field {field!r} is not valid hex"
+        ) from None
 
 
 def _uint(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedTransaction(f"field {field!r} must be an integer")
+        raise AdmissionError(
+            "malformed", f"field {field!r} must be an integer"
+        )
     if value < 0:
-        raise MalformedTransaction(f"field {field!r} must be non-negative")
+        raise AdmissionError(
+            "malformed", f"field {field!r} must be non-negative"
+        )
     if value > _MAX_UINT256:
-        raise MalformedTransaction(f"field {field!r} exceeds 2**256-1")
+        raise AdmissionError("malformed", f"field {field!r} exceeds 2**256-1")
     return value
 
 
 def _check_signature(sig: bytes) -> None:
     if len(sig) != 65:
-        raise InvalidSignature(f"signature is {len(sig)} bytes, expected 65")
+        raise AdmissionError(
+            "invalid-signature", f"signature is {len(sig)} bytes, expected 65"
+        )
     r = int.from_bytes(sig[0:32], "big")
     s = int.from_bytes(sig[32:64], "big")
     v = sig[64]
     if not 0 < r < _SECP256K1_N:
-        raise InvalidSignature("signature r out of range")
+        raise AdmissionError("invalid-signature", "signature r out of range")
     if not 0 < s < _SECP256K1_N:
-        raise InvalidSignature("signature s out of range")
+        raise AdmissionError("invalid-signature", "signature s out of range")
     if v not in (0, 1, 27, 28):
-        raise InvalidSignature(f"signature recovery id {v} invalid")
+        raise AdmissionError(
+            "invalid-signature", f"signature recovery id {v} invalid"
+        )
 
 
 def wire_size(params: dict) -> int:
@@ -111,52 +117,63 @@ def decode_wire_transaction(
 ) -> Transaction:
     """Decode and structurally validate a wire transaction.
 
-    Returns a fresh :class:`Transaction` or raises a typed
-    :class:`~repro.errors.AdmissionError` subtype naming exactly what was
-    wrong — clients see the machine-readable ``code`` in the RPC error.
+    Returns a fresh :class:`Transaction` or raises an
+    :class:`~repro.errors.AdmissionError` naming exactly what was wrong —
+    clients see the machine-readable ``code`` in the RPC error.
     """
     if not isinstance(params, dict):
-        raise MalformedTransaction("transaction must be an object")
+        raise AdmissionError("malformed", "transaction must be an object")
     for field in _REQUIRED_FIELDS:
         if field not in params:
-            raise MalformedTransaction(f"missing field {field!r}")
+            raise AdmissionError("malformed", f"missing field {field!r}")
 
-    if wire_size(params) > max_tx_bytes:
-        raise TransactionTooLarge(wire_size(params), max_tx_bytes)
+    size = wire_size(params)
+    if size > max_tx_bytes:
+        raise AdmissionError(
+            "too-large", f"transaction is {size} bytes; cap is {max_tx_bytes}"
+        )
 
     got_chain = params.get("chain_id", chain_id)
     if isinstance(got_chain, bool) or not isinstance(got_chain, int):
-        raise MalformedTransaction("field 'chain_id' must be an integer")
+        raise AdmissionError(
+            "malformed", "field 'chain_id' must be an integer"
+        )
     if got_chain != chain_id:
-        raise WrongChainId(got_chain, chain_id)
+        raise AdmissionError(
+            "wrong-chain-id", f"chain id {got_chain} != expected {chain_id}"
+        )
 
     sender = _hex_bytes(params["sender"], "sender")
     if len(sender) != 20:
-        raise MalformedTransaction("sender must be a 20-byte address")
+        raise AdmissionError("malformed", "sender must be a 20-byte address")
     to = params.get("to")
     if to is not None:
         to = _hex_bytes(to, "to")
         if len(to) != 20:
-            raise MalformedTransaction("to must be a 20-byte address")
+            raise AdmissionError("malformed", "to must be a 20-byte address")
 
     value = _uint(params.get("value", 0), "value")
     nonce = _uint(params["nonce"], "nonce")
     gas_limit = _uint(params["gas_limit"], "gas_limit")
     gas_price = _uint(params["gas_price"], "gas_price")
     if gas_limit > block_gas_limit:
-        raise MalformedTransaction(
-            f"gas limit {gas_limit} exceeds block gas limit {block_gas_limit}"
+        raise AdmissionError(
+            "malformed",
+            f"gas limit {gas_limit} exceeds block gas limit {block_gas_limit}",
         )
     data = _hex_bytes(params.get("data", ""), "data") if params.get("data") \
         else b""
 
     if "sig" not in params:
-        raise InvalidSignature("missing signature")
+        raise AdmissionError("invalid-signature", "missing signature")
     _check_signature(_hex_bytes(params["sig"], "sig"))
 
     intrinsic = intrinsic_gas(data)
     if gas_limit < intrinsic:
-        raise IntrinsicGasTooLow(gas_limit, intrinsic)
+        raise AdmissionError(
+            "intrinsic-gas",
+            f"gas limit {gas_limit} below intrinsic gas {intrinsic}",
+        )
 
     return Transaction(
         sender=sender,

@@ -24,16 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from ..errors import (
-    FeeTooLow,
-    InsufficientBalance,
-    MempoolFull,
-    NonceGapTooWide,
-    NonceTooLow,
-    RateLimited,
-    ReplacementUnderpriced,
-    SenderQuotaExceeded,
-)
+from ..errors import AdmissionError
 from ..evm.message import Transaction
 from ..state.keys import balance_key, nonce_key
 from .admission import transaction_hash
@@ -54,8 +45,8 @@ class MempoolConfig:
     (0 disables it, the default): each sender's bucket starts full at
     ``sender_burst`` tokens, refills continuously at the configured rate
     on the simulated clock, and every admission attempt spends one token.
-    An empty bucket rejects with :class:`~repro.errors.RateLimited`
-    carrying ``retry_after_us`` — fairness beyond the static quota, so a
+    An empty bucket rejects with code ``rate-limited`` carrying
+    ``retry_after_us`` — fairness beyond the static quota, so a
     single chatty sender cannot monopolise admission throughput even
     while staying under its pooled-count quota.
     """
@@ -147,6 +138,13 @@ class Mempool:
         if self.metrics is not None:
             self.metrics.counter(name, **labels).inc(value)
 
+    def _reject(
+        self, code: str, message: str, retry_after_us: float | None = None
+    ) -> AdmissionError:
+        """Count one rejection under its code; the caller raises it."""
+        self._count("mempool_rejected_total", reason=code)
+        return AdmissionError(code, message, retry_after_us)
+
     def _gauge_depth(self) -> None:
         if self.metrics is not None:
             self.metrics.gauge("mempool_depth").set(len(self._by_hash))
@@ -154,7 +152,7 @@ class Mempool:
     # -- admission -----------------------------------------------------
 
     def _shape_rate(self, sender: bytes, now_us: float) -> None:
-        """Spend one token from the sender's bucket or raise RateLimited.
+        """Spend one token from the sender's bucket or reject ``rate-limited``.
 
         The bucket refills continuously on the simulated clock; tokens
         are spent per admission *attempt* (not per success), so hammering
@@ -173,8 +171,12 @@ class Mempool:
             bucket[0] = tokens
             bucket[1] = now_us
             retry_after_us = (1.0 - tokens) / rate * 1e6
-            self._count("mempool_rejected_total", reason="rate-limited")
-            raise RateLimited(sender, retry_after_us)
+            raise self._reject(
+                "rate-limited",
+                f"sender 0x{sender.hex()} is over its admission rate; "
+                f"retry after {retry_after_us:.0f} us",
+                retry_after_us,
+            )
         bucket[0] = tokens - 1.0
         bucket[1] = now_us
 
@@ -188,7 +190,7 @@ class Mempool:
         return expected
 
     def add(self, tx: Transaction, tx_hash: bytes | None = None, now_us: float = 0.0) -> bytes:
-        """Admit ``tx`` or raise a typed :class:`AdmissionError` subtype.
+        """Admit ``tx`` or raise an :class:`AdmissionError` naming the check.
 
         Returns the tx hash on success.  Checks run cheapest-first:
         per-sender rate shaping (when enabled), fee floor, sender quota,
@@ -199,15 +201,19 @@ class Mempool:
         config = self.config
         self._shape_rate(tx.sender, now_us)
         if tx.gas_price < config.min_gas_price:
-            self._count("mempool_rejected_total", reason="fee-too-low")
-            raise FeeTooLow(tx.gas_price, config.min_gas_price)
+            raise self._reject(
+                "fee-too-low",
+                f"gas price {tx.gas_price} below floor {config.min_gas_price}",
+            )
 
         sender = tx.sender
         nonce = tx.nonce or 0
         on_chain = self.world.peek(nonce_key(sender)) or 0
         if nonce < on_chain:
-            self._count("mempool_rejected_total", reason="nonce-too-low")
-            raise NonceTooLow(nonce, on_chain)
+            raise self._reject(
+                "nonce-too-low",
+                f"nonce {nonce} below account nonce {on_chain}",
+            )
 
         pooled = self._by_sender.get(sender)
         replaced = pooled.get(nonce) if pooled else None
@@ -217,18 +223,25 @@ class Mempool:
                 int(replaced.gas_price * config.replacement_bump_pct / 100.0),
             )
             if tx.gas_price < required:
-                self._count(
-                    "mempool_rejected_total", reason="replacement-underpriced"
+                raise self._reject(
+                    "replacement-underpriced",
+                    f"replacement gas price {tx.gas_price} below required "
+                    f"{required}",
                 )
-                raise ReplacementUnderpriced(tx.gas_price, required)
         else:
             if pooled is not None and len(pooled) >= config.per_sender_quota:
-                self._count("mempool_rejected_total", reason="sender-quota")
-                raise SenderQuotaExceeded(len(pooled), config.per_sender_quota)
+                raise self._reject(
+                    "sender-quota",
+                    f"sender has {len(pooled)} pooled txs; "
+                    f"quota {config.per_sender_quota}",
+                )
             expected = self._expected_nonce(sender, on_chain)
             if nonce > expected + config.max_nonce_gap:
-                self._count("mempool_rejected_total", reason="nonce-gap")
-                raise NonceGapTooWide(nonce, expected, config.max_nonce_gap)
+                raise self._reject(
+                    "nonce-gap",
+                    f"nonce {nonce} leaves a gap past {expected} wider than "
+                    f"the {config.max_nonce_gap} allowed",
+                )
 
         balance = self.world.peek(balance_key(sender)) or 0
         pooled_cost = sum(e.cost for e in pooled.values()) if pooled else 0
@@ -236,10 +249,11 @@ class Mempool:
             pooled_cost -= replaced.cost
         new_cost = tx.value + tx.gas_limit * tx.gas_price
         if pooled_cost + new_cost > balance:
-            self._count(
-                "mempool_rejected_total", reason="insufficient-balance"
+            raise self._reject(
+                "insufficient-balance",
+                f"sender needs {pooled_cost + new_cost} wei to cover pooled "
+                f"txs but holds {balance}",
             )
-            raise InsufficientBalance(pooled_cost + new_cost, balance)
 
         if tx_hash is None:
             tx_hash = transaction_hash(tx)
@@ -250,8 +264,10 @@ class Mempool:
                 tx.gas_price,
                 -self._seq,
             ):
-                self._count("mempool_rejected_total", reason="mempool-full")
-                raise MempoolFull(config.capacity)
+                raise self._reject(
+                    "mempool-full",
+                    f"mempool is at capacity ({config.capacity} txs)",
+                )
             self._remove(victim)
             self._count("mempool_shed_total", reason="displaced")
 

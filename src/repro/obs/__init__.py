@@ -25,9 +25,7 @@ from .attribution import (
     SlotAttribution,
     attribution_table,
     collect_attribution,
-    collect_serving_attribution,
     contract_attribution_table,
-    hot_sender_table,
 )
 from .lifecycle import (
     WATERFALL_PHASES,
@@ -101,7 +99,6 @@ __all__ = [
     "blamed_txs_table",
     "certification_table",
     "collect_attribution",
-    "collect_serving_attribution",
     "commit_point_stall_us",
     "conflict_heatmap_table",
     "contract_attribution_table",
@@ -111,7 +108,6 @@ __all__ = [
     "format_window_line",
     "durability_table",
     "replication_table",
-    "hot_sender_table",
     "phase_breakdown_table",
     "redo_slice_table",
     "render_block_report",

@@ -147,50 +147,6 @@ def attribution_table(report: AttributionReport, top: int = 10) -> str:
     )
 
 
-def collect_serving_attribution(tracker, metrics=None) -> dict:
-    """The serving-plane rollup: hot senders for slow txs + hot slots.
-
-    Extends the per-key execution attribution to the serving path: the
-    :class:`~repro.obs.lifecycle.LifecycleTracker`'s per-sender rollups
-    (who the slow transactions belong to) alongside the existing hot-slot
-    report from the execution counters (what state they fought over), so
-    one dict answers both halves of "where did the p99 go".
-    """
-    report = tracker.report()
-    out = {
-        "hot_senders": report.hot_senders,
-        "slow_txs": report.slow_txs,
-        "slow_threshold_us": report.slow_threshold_us,
-        "dominant_slow": report.dominant_slow,
-    }
-    if metrics is not None:
-        slots = collect_attribution(metrics)
-        if slots is not None:
-            out["hot_slots"] = slots.as_dict(top=5)["hot_slots"]
-    return out
-
-
-def hot_sender_table(hot_senders: list[dict], top: int = 10) -> str:
-    """The slow-transaction rollup per sender (serving-plane blame)."""
-    rows = [
-        [
-            _short_contract(stats["sender"].removeprefix("0x")),
-            stats["txs"],
-            stats["slow_txs"],
-            stats["shed_txs"],
-            f"{stats['mean_latency_us']:.0f}",
-            f"{stats['max_latency_us']:.0f}",
-        ]
-        for stats in hot_senders[:top]
-    ]
-    return render_table(
-        f"Hot-sender attribution (top {min(top, len(hot_senders))} "
-        f"of {len(hot_senders)} senders)",
-        ["sender", "txs", "slow", "shed", "mean us", "max us"],
-        rows,
-    )
-
-
 def contract_attribution_table(
     report: AttributionReport, top: int = 5
 ) -> str:

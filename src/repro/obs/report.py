@@ -265,7 +265,6 @@ _REPLICATION_LABELS = (
     ("replication_divergences_total", "replica divergences"),
     ("replication_quarantines_total", "replicas quarantined"),
     ("replication_failovers_total", "failovers (promotions)"),
-    ("replication_requeued_txs_total", "in-flight txs re-queued"),
 )
 
 

@@ -20,16 +20,15 @@ deposed primary are fenced off by the monotonic epoch in each BEGIN frame
 :class:`FailoverController` + :class:`ReplicatedChainService` drive
 deterministic failover on the simulated clock: detect a lost primary by
 heartbeat timeout, pick the freshest caught-up replica, drain and finalize
-the dead feed, recover the candidate's own journal, bump the fencing
-epoch, and re-point the RPC facade — preserving every sealed block and
-re-queuing the in-flight mempool contents.
+the dead feed, recover the candidate's own journal, and bump the fencing
+epoch — preserving every sealed block.
 
 Everything is off by default: no executor, service or facade imports this
 package unless replication is explicitly attached, and benchmarks are
 byte-identical with it detached.
 """
 
-from .cluster import ClusterConfig, ReplicatedChainService, ReplicationView
+from .cluster import ClusterConfig, ReplicatedChainService
 from .failover import FailoverController, FailoverPolicy, FailoverReport
 from .replica import ReplicaConfig, ReplicaService
 from .ship import ShipFeed, ShippingMedium
@@ -42,7 +41,6 @@ __all__ = [
     "ReplicaConfig",
     "ReplicaService",
     "ReplicatedChainService",
-    "ReplicationView",
     "ShipFeed",
     "ShippingMedium",
 ]

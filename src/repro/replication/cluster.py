@@ -20,11 +20,8 @@ Failover (:meth:`failover`) is the deterministic promotion sequence:
    primary that keeps writing (the partition case) produces frames every
    survivor rejects as :class:`~repro.errors.StaleEpoch`;
 5. stand up a new feed + shipping medium + commit pipeline + executor
-   over the promoted world, snapshot it onto the new feed so late
-   joiners can bootstrap, and re-point the RPC facade — the mempool's
-   pooled transactions carry over (dropping only nonces the promoted
-   chain already consumed), which is the "re-queue in-flight txs" half
-   of zero-loss failover.
+   over the promoted world, and snapshot it onto the new feed so late
+   joiners can bootstrap.
 
 Survivors stay subscribed to the *old* feed until
 :meth:`rebase_survivors` — deliberately, so the zombie-primary window is
@@ -62,48 +59,6 @@ class ClusterConfig:
     policy: FailoverPolicy = field(default_factory=FailoverPolicy)
 
 
-class ReplicationView:
-    """One node's replication identity, as the RPC facade sees it.
-
-    The facade holds a view, not the cluster: ``role`` flips to
-    ``"demoted"`` the instant another node is promoted, which is what
-    lets a zombie primary's facade shed writes with
-    :class:`~repro.errors.NotPrimary` even though its process never
-    observed its own death.
-    """
-
-    def __init__(self, cluster: "ReplicatedChainService", name: str) -> None:
-        self.cluster = cluster
-        self.name = name
-
-    @property
-    def role(self) -> str:
-        if self.cluster.primary_name == self.name:
-            return "primary"
-        return "demoted" if self.name in self.cluster.former_primaries else "replica"
-
-    @property
-    def epoch(self) -> int:
-        return self.cluster.controller.epoch
-
-    @property
-    def lag_blocks(self) -> int:
-        return self.cluster.max_replication_lag()
-
-    @property
-    def last_sealed_block(self) -> int | None:
-        return self.cluster.last_sealed_block()
-
-    def health(self) -> dict:
-        return {
-            "role": self.role,
-            "epoch": self.epoch,
-            "replication_lag_blocks": self.lag_blocks,
-            "last_sealed_block": self.last_sealed_block,
-            "replicas": [r.health() for r in self.cluster.replicas],
-        }
-
-
 class ReplicatedChainService:
     """A :class:`ChainService` primary shipping its journal to replicas.
 
@@ -134,7 +89,6 @@ class ReplicatedChainService:
         self.observer = observer
         self.controller = FailoverController(self.config.policy, metrics=metrics)
         self.primary_name = "primary-0"
-        self.former_primaries: set[str] = set()
         self.primary_alive = True
         self.quarantine_events: list[Exception] = []
         self._start_block = chain.env.number
@@ -185,22 +139,8 @@ class ReplicatedChainService:
 
     # -- views ----------------------------------------------------------
 
-    def view(self, name: str | None = None) -> ReplicationView:
-        return ReplicationView(self, name or self.primary_name)
-
     def healthy_replicas(self) -> list[ReplicaService]:
         return [r for r in self.replicas if r.state != "quarantined"]
-
-    def max_replication_lag(self) -> int:
-        tip = self.service.height - 1
-        healthy = self.healthy_replicas()
-        if not healthy:
-            return 0
-        return max(r.lag_blocks(tip) for r in healthy)
-
-    def last_sealed_block(self) -> int | None:
-        tip = self.service.height - 1
-        return tip if tip >= self._start_block else None
 
     def laggards(self) -> list[ReplicaService]:
         tip = self.service.height - 1
@@ -311,7 +251,6 @@ class ReplicatedChainService:
         )
 
         self.previous_service = old_service
-        self.former_primaries.add(self.primary_name)
         self.primary_name = candidate.name
         candidate.state = "promoted"
         self.replicas = survivors
@@ -339,29 +278,6 @@ class ReplicatedChainService:
         self.controller.record(report)
         return report
 
-    def repoint_facade(self, facade, report: FailoverReport | None = None) -> int:
-        """Re-point an RPC facade at the promoted service.
-
-        Pooled mempool transactions survive promotion (that *is* the
-        re-queue: select-but-not-committed entries were never removed);
-        only nonces the promoted chain already consumed drop as stale.
-        Returns the number of transactions re-queued.
-        """
-        facade.service = self.service
-        facade.mempool.world = self.service.world
-        if getattr(facade, "replication", None) is not None:
-            # A facade that follows the cluster (not one node) tracks the
-            # promoted leader; a per-node facade keeps its own view and
-            # starts shedding writes as "demoted".
-            facade.replication = self.view()
-        facade.mempool.drop_stale()
-        requeued = len(facade.mempool)
-        if report is not None:
-            report.requeued_txs = requeued
-        if self.metrics is not None:
-            self.metrics.counter("replication_requeued_txs_total").inc(requeued)
-        return requeued
-
     def rebase_survivors(self) -> None:
         """Move surviving replicas onto the promoted primary's feed.
 
@@ -372,5 +288,3 @@ class ReplicatedChainService:
         for replica in self.healthy_replicas():
             replica.rebase(self.feed)
 
-    def stale_frames_rejected(self) -> int:
-        return sum(r.stale_frames_rejected for r in self.replicas)

@@ -54,7 +54,6 @@ class FailoverReport:
     last_sealed_block: int | None
     blocks_preserved: int
     stale_frames_rejected: int = 0
-    requeued_txs: int = 0
     quarantined: list[str] = field(default_factory=list)
 
     @property
@@ -73,7 +72,6 @@ class FailoverReport:
             "last_sealed_block": self.last_sealed_block,
             "blocks_preserved": self.blocks_preserved,
             "stale_frames_rejected": self.stale_frames_rejected,
-            "requeued_txs": self.requeued_txs,
             "quarantined": list(self.quarantined),
         }
 

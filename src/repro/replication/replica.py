@@ -118,29 +118,12 @@ class ReplicaService:
 
     # -- introspection -------------------------------------------------
 
-    @property
-    def tip(self) -> int | None:
-        """The last block folded into this replica's world."""
-        return self.last_committed_block
-
     def lag_blocks(self, primary_tip: int | None) -> int:
         """How many committed blocks this replica trails the primary by."""
         if primary_tip is None:
             return 0
         have = self.last_committed_block
         return max(0, primary_tip - have) if have is not None else primary_tip
-
-    def health(self) -> dict:
-        return {
-            "replica": self.name,
-            "state": self.state,
-            "fence_epoch": self.fence_epoch,
-            "last_committed_block": self.last_committed_block,
-            "last_sealed_block": self.last_sealed_block,
-            "blocks_applied": self.blocks_applied,
-            "stale_frames_rejected": self.stale_frames_rejected,
-            "apply_us": self.apply_us,
-        }
 
     def _count(self, counter: str, value: float = 1) -> None:
         if self.metrics is not None:

@@ -8,11 +8,12 @@ JSON-RPC 2.0 spec:
 
 * ``-32700`` parse error, ``-32600`` invalid request, ``-32601`` method
   not found, ``-32602`` invalid params;
-* ``-32000`` for every typed :class:`~repro.errors.AdmissionError` — the
-  ``data`` object carries the machine-readable rejection ``code``, the
-  ``retryable`` flag, and ``retry_after_us`` when the facade suggested a
-  pacing delay.  Clients key their backoff off that data, never off the
-  human-readable message.
+* ``-32000`` for every :class:`~repro.errors.AdmissionError` — the
+  ``data`` object carries the rejection's machine-readable ``code`` as
+  ``reason``, its ``retryable`` flag, and ``retry_after_us`` when the
+  rejecting layer suggested a pacing delay.  Clients key their backoff off
+  that data, never off the human-readable message;
+* ``-32000`` with no ``data`` for a block that fails service validation.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ class RpcDispatcher:
                 result = facade.health()
         except AdmissionError as exc:
             data = {"reason": exc.code, "retryable": exc.retryable}
-            retry_after = getattr(exc, "retry_after_us", None)
-            if retry_after is not None:
-                data["retry_after_us"] = retry_after
+            if exc.retry_after_us is not None:
+                data["retry_after_us"] = exc.retry_after_us
             self._count("rpc_errors_total", reason=exc.code)
             return _error(request_id, APP_ERROR, str(exc), data)
         except BlockValidationError as exc:

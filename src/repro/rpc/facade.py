@@ -2,23 +2,24 @@
 
 This is the application layer under the JSON-RPC dispatcher.  It owns the
 write path (decode -> admit -> pool), the block-production step (select ->
-ingest -> receipts), and the three overload mechanisms the ISSUE names:
+ingest -> receipts), and three overload mechanisms:
 
 * **Backpressure** — when pool depth crosses the high watermark,
-  submissions are answered with :class:`~repro.errors.BackpressureActive`
-  carrying a ``retry_after_us`` drawn from the
-  :class:`~repro.resilience.RecoveryPolicy` backoff schedule, escalating
-  with the number of consecutive pressured blocks.  Hysteresis: the signal
-  clears only once depth drains below the low watermark.
+  submissions are answered with a ``backpressure``
+  :class:`~repro.errors.AdmissionError` carrying a ``retry_after_us``
+  drawn from the :class:`~repro.resilience.RecoveryPolicy` backoff
+  schedule, escalating with the number of consecutive pressured blocks.
+  Hysteresis: the signal clears only once depth drains below the low
+  watermark.
 * **Load shedding** — each production tick first sheds pooled txs past
   their TTL deadline, cheapest-first (see :meth:`Mempool.shed_expired`).
 * **Circuit breaker** — a commit-lag integrator accumulates how far each
   production tick ran behind the nominal cadence (stretched tick spacing
   plus commit-lane overrun, minus spare capacity); when the lag
   crosses ``CIRCUIT_OPEN_LAG_US`` the read path (``get_balance``,
-  ``get_receipt``, ``get_block``) is shed with
-  :class:`~repro.errors.CircuitOpen` until the lane catches back up below
-  ``CIRCUIT_CLOSE_LAG_US``.  ``health`` is never shed.
+  ``get_receipt``, ``get_block``) is shed with ``circuit-open`` until the
+  lane catches back up below ``CIRCUIT_CLOSE_LAG_US``.  ``health`` is
+  never shed.
 
 Everything is deterministic: the facade owns no clock (callers pass
 ``now_us``), draws no randomness, and reads state only via ``peek``.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..errors import AdmissionError, BackpressureActive, CircuitOpen, NotPrimary
+from ..errors import AdmissionError
 from ..mempool.admission import decode_wire_transaction, transaction_hash
 from ..mempool.pool import Mempool, PoolEntry
 from ..resilience.policy import RecoveryPolicy
@@ -90,15 +91,9 @@ class RpcFacade:
         policy: RecoveryPolicy | None = None,
         metrics=None,
         lifecycle=None,
-        replication=None,
     ) -> None:
         self.service = service
         self.mempool = mempool
-        # Optional ReplicationView (repro.replication): when set, health()
-        # reports role/epoch/lag and writes to a non-primary node shed
-        # with a typed NotPrimary instead of silently pooling a tx a
-        # failover would lose.  None-guarded like lifecycle.
-        self.replication = replication
         self.config = config or RpcConfig()
         self.policy = policy or ingress_backoff_policy()
         self.metrics = metrics
@@ -137,11 +132,8 @@ class RpcFacade:
         if self.backpressure_active:
             if pool.under_low_watermark:
                 self.backpressure_active = False
-            else:
-                self._count("rpc_backpressure_total")
-                raise BackpressureActive(
-                    len(pool), pool.config.high_depth, self.retry_after_us()
-                )
+                return
+            self._count("rpc_backpressure_total")
         elif pool.over_high_watermark:
             self.backpressure_active = True
             self._count("rpc_backpressure_total")
@@ -149,16 +141,23 @@ class RpcFacade:
                 # The activation edge only — each rejection under sustained
                 # pressure is already counted per-reason.
                 self.lifecycle.on_incident("backpressure", now_us)
-            raise BackpressureActive(
-                len(pool), pool.config.high_depth, self.retry_after_us()
-            )
+        else:
+            return
+        retry_after_us = self.retry_after_us()
+        raise AdmissionError(
+            "backpressure",
+            f"mempool depth {len(pool)} over the high watermark "
+            f"{pool.config.high_depth}; retry after {retry_after_us:.0f} us",
+            retry_after_us,
+        )
 
     def _check_circuit(self) -> None:
         if self.circuit_open:
             self._count("rpc_reads_shed_total")
-            raise CircuitOpen(
-                self.commit_lag_us,
-                CIRCUIT_OPEN_LAG_US,
+            raise AdmissionError(
+                "circuit-open",
+                f"read circuit open: commit lag {self.commit_lag_us:.0f} us "
+                f"over {CIRCUIT_OPEN_LAG_US:.0f} us",
                 self.retry_after_us(),
             )
 
@@ -202,40 +201,24 @@ class RpcFacade:
     def send_transaction(self, params, now_us: float = 0.0) -> dict:
         """Validate, admit and pool one wire transaction.
 
-        Raises a typed :class:`AdmissionError` subtype on any rejection;
-        the dispatcher maps it onto the JSON-RPC error envelope.
+        Raises an :class:`AdmissionError` on any rejection; the dispatcher
+        maps it onto the JSON-RPC error envelope.
         """
         lifecycle = self.lifecycle
-        view = self.replication
-        if view is not None and view.role != "primary":
-            exc = NotPrimary(view.role, view.epoch)
-            self._count("rpc_rejected_total", reason=exc.code)
-            if lifecycle is not None:
-                lifecycle.on_rejected(exc.code, now_us, retryable=exc.retryable)
-            raise exc
         try:
             self._check_backpressure(now_us)
-        except BackpressureActive as exc:
-            if lifecycle is not None:
-                lifecycle.on_rejected(exc.code, now_us, retryable=exc.retryable)
-            raise
-        try:
             tx = decode_wire_transaction(
                 params,
                 chain_id=self.chain_id,
                 max_tx_bytes=self.mempool.config.max_tx_bytes,
                 block_gas_limit=self.service.chain.env.gas_limit,
             )
-        except AdmissionError as exc:
-            self._count("rpc_rejected_total", reason=exc.code)
-            if lifecycle is not None:
-                lifecycle.on_rejected(exc.code, now_us, retryable=exc.retryable)
-            raise
-        tx_hash = transaction_hash(tx)
-        try:
+            tx_hash = transaction_hash(tx)
             self.mempool.add(tx, tx_hash, now_us)
         except AdmissionError as exc:
-            self._count("rpc_rejected_total", reason=exc.code)
+            # Backpressure has its own counter, rpc_backpressure_total.
+            if exc.code != "backpressure":
+                self._count("rpc_rejected_total", reason=exc.code)
             if lifecycle is not None:
                 lifecycle.on_rejected(exc.code, now_us, retryable=exc.retryable)
             raise
@@ -288,14 +271,8 @@ class RpcFacade:
         return None
 
     def health(self) -> dict:
-        """Liveness + overload state; never shed, never backpressured.
-
-        With a replication view attached the answer also carries the
-        node's role, fencing epoch, replication lag and last sealed
-        block — what a client (or the failover controller's operator)
-        needs to re-discover the leader.
-        """
-        report = {
+        """Liveness + overload state; never shed, never backpressured."""
+        return {
             "height": self.service.height,
             "blocks_committed": self.service.blocks_committed,
             "txs_committed": self.service.txs_committed,
@@ -304,9 +281,6 @@ class RpcFacade:
             "circuit_open": self.circuit_open,
             "commit_lag_us": self.commit_lag_us,
         }
-        if self.replication is not None:
-            report.update(self.replication.health())
-        return report
 
     # -- block production ---------------------------------------------
 

@@ -7,7 +7,6 @@ root hashing over RLP-encoded nodes.
 
 from .nibbles import bytes_to_nibbles, nibbles_to_bytes, common_prefix_length
 from .mpt import MerklePatriciaTrie, EMPTY_ROOT
-from .proof import get_proof, verify_proof
 
 __all__ = [
     "MerklePatriciaTrie",
@@ -15,6 +14,4 @@ __all__ = [
     "bytes_to_nibbles",
     "nibbles_to_bytes",
     "common_prefix_length",
-    "get_proof",
-    "verify_proof",
 ]

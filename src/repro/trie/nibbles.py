@@ -53,18 +53,3 @@ def hp_encode(path: Nibbles, is_leaf: bool) -> bytes:
         prefixed = (flag, 0) + path
     return nibbles_to_bytes(prefixed)
 
-
-def hp_decode(data: bytes) -> tuple[Nibbles, bool]:
-    """Decode a hex-prefix path, returning (path, is_leaf)."""
-    if not data:
-        raise TrieError("empty hex-prefix encoding")
-    nibbles = bytes_to_nibbles(data)
-    flag = nibbles[0]
-    if flag not in (0, 1, 2, 3):
-        raise TrieError(f"invalid hex-prefix flag nibble {flag}")
-    is_leaf = flag >= 2
-    if flag % 2 == 1:  # odd path length
-        return nibbles[1:], is_leaf
-    if nibbles[1] != 0:
-        raise TrieError("non-zero padding nibble in hex-prefix encoding")
-    return nibbles[2:], is_leaf

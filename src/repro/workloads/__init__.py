@@ -10,7 +10,7 @@ transaction.  DESIGN.md documents the substitution.
 
 from .block import Block, Chain, ChainSpec, ChainView, build_chain, copy_block
 from .zipf import ZipfSampler
-from .erc20_workload import conflict_ratio_block, independent_transfers_block
+from .erc20_workload import conflict_ratio_block
 from .mainnet import MainnetConfig, MainnetWorkload
 from .stream import BlockStream, StreamSpec, build_stream_chain
 
@@ -26,7 +26,6 @@ __all__ = [
     "copy_block",
     "ZipfSampler",
     "conflict_ratio_block",
-    "independent_transfers_block",
     "MainnetConfig",
     "MainnetWorkload",
 ]

@@ -20,13 +20,6 @@ from .block import Block, Chain, grant_allowance
 TRANSFER_GAS = 200_000
 
 
-def independent_transfers_block(
-    chain: Chain, number: int, tx_count: int, seed: int = 0
-) -> Block:
-    """A conflict-free block: pairwise-disjoint ERC20 transfers."""
-    return conflict_ratio_block(chain, number, tx_count, ratio=0.0, seed=seed)
-
-
 def conflict_ratio_block(
     chain: Chain,
     number: int,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import settings
 
@@ -18,6 +20,7 @@ from repro.contracts.amm import (
     TOKEN0_SLOT,
     TOKEN1_SLOT,
 )
+from repro.errors import AdmissionError
 from repro.evm.message import BlockEnv, Transaction
 from repro.primitives import address_to_word, make_address
 from repro.state.world import WorldState
@@ -129,3 +132,11 @@ def run_tx(env):
         return execute_transaction(view, tx, env, tracer=tracer, meter=meter)
 
     return _run
+
+
+@contextmanager
+def rejected(code: str):
+    """Expect an :class:`AdmissionError` with rejection ``code``."""
+    with pytest.raises(AdmissionError) as err:
+        yield err
+    assert err.value.code == code

@@ -123,7 +123,10 @@ def run_reorg() -> str:
         copy_block(fifth.number + 1, blocks[6].txs, blocks[6].env),
         copy_block(fifth.number + 2, blocks[7].txs, blocks[7].env),
     ]
-    ReorgManager(pipeline).reorg(world, executor, blocks[3].number, fork)
+    ReorgManager(pipeline).rollback(world, blocks[3].number)
+    for block in fork:
+        result = executor.execute_block(world, block.txs, block.env)
+        pipeline.commit(world, block.number, result)
     assert sorted(pipeline.medium.read_snapshots()) == [
         blocks[3].number,
         fork[1].number,

@@ -7,9 +7,7 @@ The tentpole invariants of ISSUE 10 exercised through the real stack:
 - the failover sweep (primary crashed at every commit crash site) ends
   in a verified promotion with RPO=0 and provable stale-epoch fencing;
 - the four ``kind="replication"`` chaos scenarios dispatch through
-  ``run_chaos_block`` and certify clean;
-- the RPC facade follows a promotion: re-pointed service, re-queued
-  mempool, replication-aware health.
+  ``run_chaos_block`` and certify clean.
 """
 
 from __future__ import annotations
@@ -19,12 +17,9 @@ import pytest
 from repro.check import run_chaos_block
 from repro.check.failover import failover_sweep
 from repro.check.fuzzer import BlockFuzzer, FuzzConfig
-from repro.errors import NotPrimary
-from repro.mempool import Mempool, MempoolConfig, wire_transaction
 from repro.obs import MetricsRegistry
 from repro.replication import ClusterConfig, ReplicatedChainService
 from repro.resilience import SCENARIOS
-from repro.rpc import RpcConfig, RpcFacade
 from repro.workloads import ChainView
 
 
@@ -73,7 +68,8 @@ class TestClusterStreaming:
             assert replica.state == "streaming"
             assert replica.world.fingerprint() == tip_fp
             assert replica.last_sealed_block == cluster.service.height - 1
-        assert cluster.max_replication_lag() == 0
+        tip = cluster.service.height - 1
+        assert all(r.lag_blocks(tip) == 0 for r in cluster.replicas)
         assert not cluster.laggards()
 
     def test_checkpoint_shipping_prunes_replica_journals(self, fuzzer):
@@ -149,102 +145,3 @@ class TestReplicationChaosScenarios:
         )
         assert report.ok
         assert report.counters["divergences_caught"] == 1.0
-
-
-class TestFacadeFailover:
-    def test_promotion_repoints_facade_and_requeues(self, fuzzer):
-        chainlike = ChainView(fuzzer.chain.fresh_world(), fuzzer.chain.env)
-        cluster = ReplicatedChainService(
-            chainlike,
-            "parallelevm",
-            ClusterConfig(replicas=2, threads=4),
-        )
-        mempool = Mempool(MempoolConfig(), cluster.service.world)
-        facade = RpcFacade(
-            cluster.service,
-            mempool,
-            RpcConfig(block_txs=8),
-            replication=cluster.view(),
-        )
-        assert facade.health()["role"] == "primary"
-
-        for block in _blocks(fuzzer, 2):
-            cluster.ingest_block(block, tx_hashes=_hashes(block))
-
-        # In-flight txs pooled but not yet committed at crash time.
-        from repro.evm.message import Transaction
-
-        sender = fuzzer.chain.accounts[0]
-        for nonce in range(3):
-            on_chain = facade.send_transaction(
-                wire_transaction(
-                    Transaction(
-                        sender=sender,
-                        to=fuzzer.chain.accounts[1],
-                        value=10,
-                        data=b"",
-                        gas_limit=21_000,
-                        gas_price=5,
-                        nonce=nonce,
-                    )
-                )
-            )
-            assert on_chain["tx_hash"].startswith("0x")
-        assert len(mempool) == 3
-
-        now = cluster.service.sim_time_us
-        cluster.fail_primary(now)
-        report = cluster.failover(now + 150_001.0)
-        requeued = cluster.repoint_facade(facade, report)
-        assert requeued == 3
-        assert report.requeued_txs == 3
-        assert facade.service is cluster.service
-        assert facade.mempool.world is cluster.service.world
-        health = facade.health()
-        assert health["role"] == "primary"
-        assert health["epoch"] == 2
-        # The promoted primary can produce a block from the re-queued pool.
-        produced = facade.produce_block(now + 200_000.0)
-        assert produced.outcome is not None
-        assert len(produced.entries) == 3
-
-    def test_demoted_primarys_facade_sheds_writes(self, fuzzer):
-        chainlike = ChainView(fuzzer.chain.fresh_world(), fuzzer.chain.env)
-        cluster = ReplicatedChainService(
-            chainlike,
-            "serial",
-            ClusterConfig(replicas=1, threads=1),
-        )
-        mempool = Mempool(MempoolConfig(), cluster.service.world)
-        # This facade keeps the *old primary's* view: after failover its
-        # role flips to "demoted" and it must shed writes.
-        facade = RpcFacade(
-            cluster.service,
-            mempool,
-            RpcConfig(),
-            replication=cluster.view("primary-0"),
-        )
-        for block in _blocks(fuzzer, 1):
-            cluster.ingest_block(block, tx_hashes=_hashes(block))
-        now = cluster.service.sim_time_us
-        cluster.fail_primary(now)
-        cluster.failover(now + 150_001.0)
-
-        from repro.evm.message import Transaction
-
-        wire = wire_transaction(
-            Transaction(
-                sender=fuzzer.chain.accounts[0],
-                to=fuzzer.chain.accounts[1],
-                value=10,
-                data=b"",
-                gas_limit=21_000,
-                gas_price=5,
-                nonce=0,
-            )
-        )
-        with pytest.raises(NotPrimary) as excinfo:
-            facade.send_transaction(wire)
-        assert excinfo.value.role == "demoted"
-        assert excinfo.value.epoch == 2
-        assert facade.health()["role"] == "demoted"

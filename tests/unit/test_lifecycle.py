@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.obs.attribution import collect_serving_attribution, hot_sender_table
 from repro.obs.lifecycle import (
     SERVER_FAULT_REASONS,
     TILING_EPS_US,
@@ -277,23 +276,6 @@ class TestLifecycleTracker:
         assert registry.value(
             "lifecycle_incidents_total", kind="circuit-open"
         ) == 1
-
-
-class TestServingAttribution:
-    def test_collect_and_render(self):
-        tracker = LifecycleTracker(slow_threshold_us=10.0)
-        tracker.on_admitted("0x11", "0xs1", 0.0)
-        tracker.on_block(
-            [_FakeEntry(b"\x11")],
-            900.0,
-            _FakeOutcome(1, makespan_us=10.0, latency_us=12.0,
-                         tx_latencies_us=[5.0]),
-        )
-        section = collect_serving_attribution(tracker)
-        assert section["slow_txs"] == 1
-        table = hot_sender_table(section["hot_senders"])
-        # Renders with the 0x prefix stripped.
-        assert "s1" in table and "Hot-sender" in table
 
 
 class TestLabelCardinalityGuard:

@@ -4,20 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
-    FeeTooLow,
-    InsufficientBalance,
-    IntrinsicGasTooLow,
-    InvalidSignature,
-    MalformedTransaction,
-    MempoolFull,
-    NonceGapTooWide,
-    NonceTooLow,
-    ReplacementUnderpriced,
-    SenderQuotaExceeded,
-    TransactionTooLarge,
-    WrongChainId,
-)
 from repro.evm.message import Transaction
 from repro.mempool import (
     Mempool,
@@ -28,6 +14,8 @@ from repro.mempool import (
     wire_transaction,
 )
 from repro.workloads import ChainSpec, build_chain
+
+from ..conftest import rejected
 
 
 @pytest.fixture(scope="module")
@@ -74,49 +62,48 @@ class TestWireCodec:
     def test_missing_required_field_is_malformed(self, chain):
         wire = wire_transaction(transfer(chain))
         del wire["sender"]
-        with pytest.raises(MalformedTransaction):
+        with rejected("malformed"):
             decode_wire_transaction(wire)
 
     def test_bad_hex_is_malformed(self, chain):
         wire = wire_transaction(transfer(chain))
         wire["sender"] = "0xzz"
-        with pytest.raises(MalformedTransaction):
+        with rejected("malformed"):
             decode_wire_transaction(wire)
 
     def test_negative_value_is_malformed(self, chain):
         wire = wire_transaction(transfer(chain))
         wire["value"] = -1
-        with pytest.raises(MalformedTransaction):
+        with rejected("malformed"):
             decode_wire_transaction(wire)
 
     def test_wrong_chain_id_is_typed(self, chain):
         wire = wire_transaction(transfer(chain))
         wire["chain_id"] = 1338
-        with pytest.raises(WrongChainId) as err:
+        with rejected("wrong-chain-id"):
             decode_wire_transaction(wire)
-        assert err.value.code == "wrong-chain-id"
 
     def test_oversize_calldata_is_typed(self, chain):
         wire = wire_transaction(transfer(chain))
         wire["data"] = "0x" + "ff" * 8192
-        with pytest.raises(TransactionTooLarge):
+        with rejected("too-large"):
             decode_wire_transaction(wire)
 
     def test_starved_gas_limit_is_typed(self, chain):
         wire = wire_transaction(transfer(chain))
         wire["gas_limit"] = 100
-        with pytest.raises(IntrinsicGasTooLow):
+        with rejected("intrinsic-gas"):
             decode_wire_transaction(wire)
 
     def test_signature_shape_is_enforced(self, chain):
         tx = transfer(chain)
         wire = wire_transaction(tx)
         del wire["sig"]
-        with pytest.raises(InvalidSignature):
+        with rejected("invalid-signature"):
             decode_wire_transaction(wire)
         wire = wire_transaction(tx)
         wire["sig"] = "0x" + "ab" * 12
-        with pytest.raises(InvalidSignature):
+        with rejected("invalid-signature"):
             decode_wire_transaction(wire)
         # The deterministic pseudo-signature passes the shape checks.
         assert len(pseudo_signature(tx)) == 65
@@ -141,7 +128,7 @@ class TestPoolAdmission:
 
     def test_fee_floor(self, chain):
         pool = self.pool(chain, min_gas_price=5)
-        with pytest.raises(FeeTooLow) as err:
+        with rejected("fee-too-low") as err:
             pool.add(transfer(chain, gas_price=4))
         assert err.value.retryable
 
@@ -152,9 +139,9 @@ class TestPoolAdmission:
         bumped = build_chain(ChainSpec(accounts=8, tokens=1, amm_pairs=0, seed=3))
         bumped.world.apply({nonce_key(bumped.accounts[3]): 5})
         bumped_pool = Mempool(MempoolConfig(), bumped.world)
-        with pytest.raises(NonceTooLow):
+        with rejected("nonce-too-low"):
             bumped_pool.add(transfer(bumped, sender_index=3, nonce=4))
-        with pytest.raises(NonceGapTooWide):
+        with rejected("nonce-gap"):
             pool.add(transfer(chain, sender_index=4, nonce=3))
         # Contiguous fills keep extending the window.
         pool.add(transfer(chain, sender_index=4, nonce=0))
@@ -164,7 +151,7 @@ class TestPoolAdmission:
     def test_replacement_needs_a_fee_bump(self, chain):
         pool = self.pool(chain, replacement_bump_pct=10.0)
         pool.add(transfer(chain, sender_index=5, gas_price=100))
-        with pytest.raises(ReplacementUnderpriced):
+        with rejected("replacement-underpriced"):
             pool.add(transfer(chain, sender_index=5, gas_price=105))
         pool.add(transfer(chain, sender_index=5, gas_price=110))
         assert len(pool) == 1
@@ -174,7 +161,7 @@ class TestPoolAdmission:
         pool = self.pool(chain, per_sender_quota=2)
         pool.add(transfer(chain, sender_index=6, nonce=0))
         pool.add(transfer(chain, sender_index=6, nonce=1))
-        with pytest.raises(SenderQuotaExceeded):
+        with rejected("sender-quota"):
             pool.add(transfer(chain, sender_index=6, nonce=2))
 
     def test_cumulative_balance_cover(self, chain):
@@ -182,14 +169,14 @@ class TestPoolAdmission:
         # 1000 ETH funded; two txs of 600 ETH each cannot both be covered.
         huge = 600 * 10**18
         pool.add(transfer(chain, sender_index=7, nonce=0, value=huge))
-        with pytest.raises(InsufficientBalance):
+        with rejected("insufficient-balance"):
             pool.add(transfer(chain, sender_index=7, nonce=1, value=huge))
 
     def test_capacity_displaces_cheapest_else_rejects(self, chain):
         pool = self.pool(chain, capacity=2)
         pool.add(transfer(chain, sender_index=0, gas_price=10))
         pool.add(transfer(chain, sender_index=2, gas_price=20))
-        with pytest.raises(MempoolFull):
+        with rejected("mempool-full"):
             pool.add(transfer(chain, sender_index=3, gas_price=10))
         # A strictly higher fee displaces the cheapest pooled tx.
         kept = pool.add(transfer(chain, sender_index=3, gas_price=30))

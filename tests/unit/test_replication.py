@@ -1,8 +1,7 @@
 """Replication building blocks: shipping, replicas, fencing, failover.
 
 Unit coverage for :mod:`repro.replication` plus the satellites that ride
-on it: per-sender rate shaping in the mempool, the facade's NotPrimary
-write shedding and replication-aware health, and the obs report table.
+on it: per-sender rate shaping in the mempool and the obs report table.
 The cluster-level end-to-end paths (failover sweep, chaos scenarios)
 live in ``tests/integration/test_replication.py``.
 """
@@ -12,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro import rlp
-from repro.concurrency.registry import make_executor
 from repro.durability import (
     BeginRecord,
     DurableCommitPipeline,
@@ -25,8 +23,6 @@ from repro.durability.checkpoint import SNAPSHOT_MAGIC, encode_snapshot
 from repro.durability.journal import frame
 from repro.errors import (
     JournalCorruptionError,
-    NotPrimary,
-    RateLimited,
     ReplicaDivergence,
     StaleEpoch,
 )
@@ -43,11 +39,11 @@ from repro.replication import (
     ShippingMedium,
 )
 from repro.resilience.policy import RecoveryPolicy
-from repro.rpc import RpcConfig, RpcFacade
-from repro.service import ChainService
 from repro.state.keys import balance_key
 from repro.state.world import WorldState
 from repro.workloads import ChainSpec, build_chain
+
+from ..conftest import rejected
 
 # A snapshot whose frame and CRC are sound but whose body does not decode.
 MALFORMED_SNAPSHOT = SNAPSHOT_MAGIC + frame(
@@ -126,16 +122,6 @@ class TestReplica:
         assert replica.world.fingerprint() == world.fingerprint()
         assert replica.lag_blocks(2) == 0
         assert replica.lag_blocks(5) == 3
-
-    def test_health_reports_the_essentials(self):
-        feed, _medium, pipeline, world = _shipped_pipeline()
-        replica = ReplicaService("r0", feed)
-        _commit(pipeline, world, 1)
-        replica.poll()
-        health = replica.health()
-        assert health["state"] == "streaming"
-        assert health["last_committed_block"] == 1
-        assert health["fence_epoch"] == 1
 
     def test_stale_epoch_frames_are_rejected_not_fatal(self):
         feed, _medium, pipeline, world = _shipped_pipeline()
@@ -318,7 +304,7 @@ class TestRateShaping:
         pool = Mempool(config, chain.world, metrics=metrics)
         for nonce in range(3):
             pool.add(_transfer(chain, nonce=nonce), now_us=0.0)
-        with pytest.raises(RateLimited) as excinfo:
+        with rejected("rate-limited") as excinfo:
             pool.add(_transfer(chain, nonce=3), now_us=0.0)
         # 10 tokens/s -> one token every 100 ms of simulated time.
         assert excinfo.value.retry_after_us == pytest.approx(100_000.0)
@@ -331,7 +317,7 @@ class TestRateShaping:
         config = MempoolConfig(sender_rate_per_s=10.0, sender_burst=1)
         pool = Mempool(config, chain.world)
         pool.add(_transfer(chain, nonce=0), now_us=0.0)
-        with pytest.raises(RateLimited):
+        with rejected("rate-limited"):
             pool.add(_transfer(chain, nonce=1), now_us=50_000.0)
         pool.add(_transfer(chain, nonce=1), now_us=200_000.0)
         assert len(pool) == 2
@@ -341,77 +327,17 @@ class TestRateShaping:
         pool = Mempool(config, chain.world)
         pool.add(_transfer(chain, sender_index=0), now_us=0.0)
         pool.add(_transfer(chain, sender_index=1), now_us=0.0)
-        with pytest.raises(RateLimited):
+        with rejected("rate-limited"):
             pool.add(_transfer(chain, sender_index=0, nonce=1), now_us=0.0)
 
     def test_failed_attempts_still_burn_tokens(self, chain):
         config = MempoolConfig(sender_rate_per_s=10.0, sender_burst=2, min_gas_price=5)
         pool = Mempool(config, chain.world)
-        from repro.errors import FeeTooLow
-
         for _ in range(2):
-            with pytest.raises(FeeTooLow):
+            with rejected("fee-too-low"):
                 pool.add(_transfer(chain, gas_price=1), now_us=0.0)
-        with pytest.raises(RateLimited):
+        with rejected("rate-limited"):
             pool.add(_transfer(chain, gas_price=10), now_us=0.0)
-
-
-# -- satellite: facade role awareness ------------------------------------
-
-
-class _View:
-    def __init__(self, role="replica", epoch=3):
-        self.role = role
-        self.epoch = epoch
-
-    def health(self):
-        return {
-            "role": self.role,
-            "epoch": self.epoch,
-            "replication_lag_blocks": 1,
-            "last_sealed_block": 41,
-            "replicas": [],
-        }
-
-
-@pytest.fixture()
-def facade(chain):
-    executor = make_executor("serial", 1)
-    service = ChainService(None, executor, chain=chain)
-    mempool = Mempool(MempoolConfig(), chain.world)
-    return RpcFacade(service, mempool, RpcConfig(block_txs=4))
-
-
-class TestFacadeReplication:
-    def test_writes_to_non_primary_shed_typed(self, facade, chain):
-        from repro.mempool import wire_transaction
-
-        facade.replication = _View(role="replica")
-        with pytest.raises(NotPrimary) as excinfo:
-            facade.send_transaction(wire_transaction(_transfer(chain)))
-        assert excinfo.value.role == "replica"
-        assert excinfo.value.epoch == 3
-        assert excinfo.value.retryable
-        assert len(facade.mempool) == 0
-
-    def test_primary_role_admits_normally(self, facade, chain):
-        from repro.mempool import wire_transaction
-
-        facade.replication = _View(role="primary")
-        result = facade.send_transaction(wire_transaction(_transfer(chain)))
-        assert result["tx_hash"].startswith("0x")
-
-    def test_health_merges_the_replication_view(self, facade):
-        facade.replication = _View(role="demoted", epoch=5)
-        health = facade.health()
-        assert health["role"] == "demoted"
-        assert health["epoch"] == 5
-        assert health["replication_lag_blocks"] == 1
-        assert "mempool_depth" in health  # base report still present
-
-    def test_health_without_a_view_is_unchanged(self, facade):
-        health = facade.health()
-        assert "role" not in health
 
 
 # -- satellite: the obs table --------------------------------------------

@@ -1,4 +1,4 @@
-"""The simulated machine: clock, meters, list scheduling, event-driven runs."""
+"""The simulated machine: meters, list scheduling, event-driven runs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import TraceRecorder
-from repro.sim.clock import SimClock
 from repro.sim.cost import CostModel
 from repro.sim.machine import (
     SimMachine,
@@ -17,32 +16,6 @@ from repro.sim.machine import (
     list_schedule_makespan,
 )
 from repro.sim.meter import NULL_METER, CostMeter, NullMeter
-
-
-class TestClock:
-    def test_advance(self):
-        clock = SimClock()
-        clock.advance_to(5.0)
-        clock.advance_by(2.0)
-        assert clock.now_us == 7.0
-
-    def test_backwards_rejected(self):
-        clock = SimClock(10.0)
-        with pytest.raises(SimulationError, match="moved backwards"):
-            clock.advance_to(5.0)
-        with pytest.raises(SimulationError, match="non-negative"):
-            clock.advance_by(-1.0)
-
-    def test_nan_rejected(self):
-        nan = float("nan")
-        with pytest.raises(SimulationError, match="NaN"):
-            SimClock(nan)
-        clock = SimClock()
-        with pytest.raises(SimulationError, match="NaN"):
-            clock.advance_to(nan)
-        with pytest.raises(SimulationError, match="non-negative"):
-            clock.advance_by(nan)
-        assert clock.now_us == 0.0  # failed advances leave time untouched
 
 
 class TestMeter:
