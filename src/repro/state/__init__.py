@@ -19,7 +19,7 @@ from .keys import (
 )
 from .world import WorldState
 from .view import StateView, BlockOverlay
-from .receipts import Receipt, receipts_root, logs_bloom, block_bloom
+from .receipts import Receipt, receipts_root, logs_bloom
 
 __all__ = [
     "StateKey",
@@ -35,5 +35,4 @@ __all__ = [
     "Receipt",
     "receipts_root",
     "logs_bloom",
-    "block_bloom",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .. import rlp
-from ..crypto import keccak256
+from ..crypto import keccak256_cached
 from ..trie import MerklePatriciaTrie
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-init cycle
@@ -31,48 +31,26 @@ BLOOM_BYTES = BLOOM_BITS // 8
 
 
 def _bloom_mask(element: bytes) -> int:
-    """The three yellow-paper bloom bits of ``element``, as one mask."""
-    digest = keccak256(element)
+    """The three yellow-paper bloom bits of ``element``, as one mask.
+
+    Log addresses and topics recur block after block (a hot token, its
+    ``Transfer`` topic), so they are hashed through the process memo.
+    """
+    digest = keccak256_cached(element)
     mask = 0
     for i in (0, 2, 4):
         mask |= 1 << (int.from_bytes(digest[i : i + 2], "big") % BLOOM_BITS)
     return mask
 
 
-def bloom_add(bloom: int, element: bytes) -> int:
-    """Set the three yellow-paper bloom bits for ``element``."""
-    return bloom | _bloom_mask(element)
-
-
-def bloom_contains(bloom: int, element: bytes) -> bool:
-    """Probabilistic membership: False is definite, True may be a false
-    positive (the usual bloom contract)."""
-    mask = _bloom_mask(element)
-    return bloom & mask == mask
-
-
-def _logs_bloom(logs: "list[LogRecord]", masks: dict[bytes, int]) -> int:
-    """:func:`logs_bloom`, hashing only elements ``masks`` has not seen.
-
-    A block's logs repeat a handful of elements (the token address, the
-    ``Transfer`` topic), so one dict per block — created by the caller and
-    dropped with it, never kept between blocks — hashes each once.
-    """
-    bloom = 0
-    for log in logs:
-        elements = [log.address]
-        elements += [topic.to_bytes(32, "big") for topic in log.topics]
-        for element in elements:
-            mask = masks.get(element)
-            if mask is None:
-                mask = masks[element] = _bloom_mask(element)
-            bloom |= mask
-    return bloom
-
-
 def logs_bloom(logs: "list[LogRecord]") -> int:
     """The bloom over the addresses and topics of ``logs``."""
-    return _logs_bloom(logs, {})
+    bloom = 0
+    for log in logs:
+        bloom |= _bloom_mask(log.address)
+        for topic in log.topics:
+            bloom |= _bloom_mask(topic.to_bytes(32, "big"))
+    return bloom
 
 
 @dataclass(slots=True)
@@ -107,14 +85,13 @@ def build_receipts(results: "list[TxResult]") -> list[Receipt]:
     ordered = sorted(results, key=lambda r: r.tx.tx_index)
     receipts = []
     cumulative = 0
-    masks: dict[bytes, int] = {}  # this block's bloom elements, hashed once
     for result in ordered:
         cumulative += result.gas_used
         receipts.append(
             Receipt(
                 status=1 if result.success else 0,
                 cumulative_gas=cumulative,
-                bloom=_logs_bloom(result.logs, masks),
+                bloom=logs_bloom(result.logs),
                 logs=list(result.logs),
             )
         )
@@ -127,12 +104,3 @@ def receipts_root(results: "list[TxResult]") -> bytes:
     for index, receipt in enumerate(build_receipts(results)):
         trie.put(rlp.encode_uint(index), receipt.encode())
     return trie.root_hash()
-
-
-def block_bloom(results: "list[TxResult]") -> int:
-    """The header-level bloom: the OR of every receipt's bloom."""
-    bloom = 0
-    masks: dict[bytes, int] = {}
-    for result in results:
-        bloom |= _logs_bloom(result.logs, masks)
-    return bloom

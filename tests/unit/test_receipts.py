@@ -4,15 +4,9 @@ from __future__ import annotations
 
 from repro.evm.message import LogRecord, Transaction, TxResult
 from repro.primitives import make_address
-from repro.state.receipts import (
-    Receipt,
-    block_bloom,
-    bloom_add,
-    bloom_contains,
-    build_receipts,
-    logs_bloom,
-    receipts_root,
-)
+from repro.state.receipts import Receipt, build_receipts, receipts_root
+
+from .bloom_reference import contains, reference_bloom
 
 ADDR = make_address(1)
 
@@ -24,35 +18,46 @@ def result(index: int, success: bool = True, gas: int = 21_000, logs=None):
     )
 
 
+def bloom_of(*logs: LogRecord) -> int:
+    """The bloom of a one-transaction block's receipt with ``logs``."""
+    (receipt,) = build_receipts([result(0, logs=logs)])
+    assert receipt.bloom == reference_bloom(logs)
+    return receipt.bloom
+
+
 class TestBloom:
     def test_added_element_is_contained(self):
-        bloom = bloom_add(0, b"hello")
-        assert bloom_contains(bloom, b"hello")
+        bloom = bloom_of(LogRecord(ADDR, (), b""))
+        assert contains(bloom, ADDR)
 
     def test_absent_element_usually_not_contained(self):
-        bloom = bloom_add(0, b"hello")
-        assert not bloom_contains(bloom, b"goodbye")
+        bloom = bloom_of(LogRecord(ADDR, (), b""))
+        assert not contains(bloom, make_address(2))
 
     def test_empty_bloom_contains_nothing(self):
-        assert not bloom_contains(0, b"anything")
+        bloom = bloom_of()
+        assert bloom == 0
+        assert not contains(bloom, b"anything")
 
     def test_exactly_three_bits_or_fewer(self):
-        bloom = bloom_add(0, b"abc")
+        bloom = bloom_of(LogRecord(ADDR, (), b"abc"))
         assert 1 <= bin(bloom).count("1") <= 3
 
     def test_logs_bloom_covers_address_and_topics(self):
-        log = LogRecord(ADDR, (7, 9), b"payload")
-        bloom = logs_bloom([log])
-        assert bloom_contains(bloom, ADDR)
-        assert bloom_contains(bloom, (7).to_bytes(32, "big"))
-        assert bloom_contains(bloom, (9).to_bytes(32, "big"))
+        bloom = bloom_of(LogRecord(ADDR, (7, 9), b"payload"))
+        assert contains(bloom, ADDR)
+        assert contains(bloom, (7).to_bytes(32, "big"))
+        assert contains(bloom, (9).to_bytes(32, "big"))
 
     def test_block_bloom_is_union(self):
         r1 = result(0, logs=[LogRecord(ADDR, (1,), b"")])
         r2 = result(1, logs=[LogRecord(ADDR, (2,), b"")])
-        union = block_bloom([r1, r2])
-        assert bloom_contains(union, (1).to_bytes(32, "big"))
-        assert bloom_contains(union, (2).to_bytes(32, "big"))
+        union = 0
+        for receipt, r in zip(build_receipts([r1, r2]), [r1, r2]):
+            assert receipt.bloom == reference_bloom(r.logs)
+            union |= receipt.bloom
+        assert contains(union, (1).to_bytes(32, "big"))
+        assert contains(union, (2).to_bytes(32, "big"))
 
 
 class TestReceipts:
