@@ -48,12 +48,7 @@ from ..errors import (
     ReplicationError,
     StaleEpoch,
 )
-from ..replication import (
-    ClusterConfig,
-    FailoverPolicy,
-    ReplicaConfig,
-    ReplicatedChainService,
-)
+from ..replication import ClusterConfig, FailoverPolicy, ReplicatedChainService
 from ..workloads import Block, ChainView, copy_block
 from .certify import CertificationReport, Divergence
 from .fuzzer import BlockFuzzer, FuzzConfig
@@ -322,7 +317,6 @@ def _scenario_cluster(
     metrics,
     *,
     policy: FailoverPolicy | None = None,
-    replica_configs: dict[str, ReplicaConfig] | None = None,
 ) -> ReplicatedChainService:
     return ReplicatedChainService(
         fixture.chainlike(),
@@ -331,7 +325,6 @@ def _scenario_cluster(
             replicas=2, threads=threads, policy=policy or FailoverPolicy()
         ),
         metrics=metrics,
-        replica_configs=replica_configs,
     )
 
 
@@ -373,13 +366,9 @@ def _laggy_replica_scenario(*, seed, threads, metrics, **_):
     and still converge once drained."""
     fixture = _fixture(seed, blocks=5, txs_per_block=6)
     policy = FailoverPolicy(lag_budget_blocks=2)
-    cluster = _scenario_cluster(
-        fixture,
-        threads,
-        metrics,
-        policy=policy,
-        replica_configs={"replica-1": ReplicaConfig(max_frames_per_poll=1)},
-    )
+    cluster = _scenario_cluster(fixture, threads, metrics, policy=policy)
+    laggard = next(r for r in cluster.replicas if r.name == "replica-1")
+    laggard.max_frames_per_poll = 1
     problems: list[str] = []
     flagged = 0
     for block in fixture.blocks:
@@ -390,7 +379,6 @@ def _laggy_replica_scenario(*, seed, threads, metrics, **_):
             problems.append("the healthy replica tripped the lag budget")
     if flagged == 0:
         problems.append("the laggy replica never tripped the lag budget")
-    laggard = next(r for r in cluster.replicas if r.name == "replica-1")
     max_lag = laggard.lag_blocks(cluster.service.height - 1)
     laggard.poll(cluster.service.sim_time_us, max_frames=0)
     tip_fp = cluster.service.world.fingerprint()

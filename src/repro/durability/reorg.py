@@ -19,10 +19,10 @@ always canonical (and is itself crash-recoverable).
 
 from __future__ import annotations
 
-from ..errors import RecoveryError, ReorgDepthExceeded
+from ..errors import JournalCorruptionError, RecoveryError, ReorgDepthExceeded
 from ..resilience.policy import RecoveryPolicy
 from ..state.world import WorldState
-from .recovery import ReplayedBlock, group_blocks
+from .recovery import BlockFold, ReplayedBlock
 
 
 class ReorgManager:
@@ -54,14 +54,21 @@ class ReorgManager:
     # ------------------------------------------------------------- rollback
 
     def _committed_blocks(self) -> list[ReplayedBlock]:
-        scan = self.pipeline.journal.scan()
-        blocks, corrupt_offset = group_blocks(scan.frames)
-        if corrupt_offset is not None:
-            raise RecoveryError(
-                f"cannot reorg over a corrupt journal (violation at byte "
-                f"{corrupt_offset}); run recovery first"
-            )
-        return [block for block in blocks if block.committed]
+        fold = BlockFold()
+        committed = []
+        for offset, record in self.pipeline.journal.scan().frames:
+            try:
+                closed = fold.push(offset, record)
+            except JournalCorruptionError:
+                raise RecoveryError(
+                    f"cannot reorg over a corrupt journal (violation at byte "
+                    f"{offset}); run recovery first"
+                ) from None
+            if closed is not None:
+                committed.append(closed)
+        if fold.open is not None and fold.open.committed:
+            committed.append(fold.open)
+        return committed
 
     def rollback(self, world: WorldState, to_block: int) -> list[int]:
         """Rewind ``world`` so ``to_block`` is the tip again.

@@ -30,7 +30,7 @@ byte-identical with it detached.
 
 from .cluster import ClusterConfig, ReplicatedChainService
 from .failover import FailoverController, FailoverPolicy, FailoverReport
-from .replica import ReplicaConfig, ReplicaService
+from .replica import ReplicaService
 from .ship import ShipFeed, ShippingMedium
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "FailoverController",
     "FailoverPolicy",
     "FailoverReport",
-    "ReplicaConfig",
     "ReplicaService",
     "ReplicatedChainService",
     "ShipFeed",

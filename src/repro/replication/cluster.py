@@ -44,7 +44,7 @@ from ..service.chain_service import ChainService
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..workloads.block import ChainView
 from .failover import FailoverController, FailoverPolicy, FailoverReport
-from .replica import ReplicaConfig, ReplicaService
+from .replica import ReplicaService
 from .ship import ShipFeed, ShippingMedium
 
 
@@ -55,7 +55,6 @@ class ClusterConfig:
     replicas: int = 2
     threads: int = 8
     checkpoint_interval: int = 0
-    replica: ReplicaConfig = field(default_factory=ReplicaConfig)
     policy: FailoverPolicy = field(default_factory=FailoverPolicy)
 
 
@@ -79,7 +78,6 @@ class ReplicatedChainService:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         metrics=None,
         observer=None,
-        replica_configs: dict[str, ReplicaConfig] | None = None,
     ) -> None:
         self.chain = chain
         self.executor_name = executor
@@ -105,17 +103,15 @@ class ReplicatedChainService:
         self.service = self._primary_service(chain, self.controller.epoch)
         self.previous_service = None
 
-        overrides = replica_configs or {}
         self.replicas = [
             ReplicaService(
-                name,
+                f"replica-{i}",
                 self.feed,
-                config=overrides.get(name, self.config.replica),
                 cost_model=cost_model,
                 metrics=metrics,
                 flight=FlightRecorder(),
             )
-            for name in (f"replica-{i}" for i in range(self.config.replicas))
+            for i in range(self.config.replicas)
         ]
 
     def _primary_service(self, chain, epoch: int) -> ChainService:

@@ -4,11 +4,15 @@ A replica is a recovery loop that never finishes: it consumes the shipped
 feed frame by frame, keeps its *own* durable journal (byte-identical
 frames, pruned at checkpoints) and applies each block to its own world
 with recovery's code — ``read_frame``, ``latest_valid_snapshot``,
-``ReplayedBlock.apply_verified`` (COMMIT digest, then apply) and
-``seal_matches`` (SEAL fingerprint), ``prune_behind_snapshot``; it knows
-no durable format of its own.  Because every executor is deterministic
-(the Block-STM argument), a verified replica *certifies* the primary's
-output rather than trusting it; any contradiction is a typed
+``BlockFold`` (the one block grammar: a record sequence recovery rejects,
+the replica rejects at the same frame), ``ReplayedBlock.apply_verified``
+(COMMIT digest, then apply) and ``seal_matches`` (SEAL fingerprint),
+``prune_behind_snapshot``; it knows no durable format of its own.  What
+is its own is epoch fencing, skipping what its bootstrap snapshot already
+holds, quarantine, copying raw frames to its journal and applying each
+block at its COMMIT.  Because every executor is deterministic (the
+Block-STM argument), a verified replica *certifies* the primary's output
+rather than trusting it; any contradiction is a typed
 :class:`~repro.errors.ReplicaDivergence`, the replica quarantines itself,
 and its flight recorder dumps the evidence.
 
@@ -20,7 +24,8 @@ Three consumption outcomes at the feed tail are distinguished:
 - a **complete frame failing CRC/decode** is transport corruption (the
   medium mirror is append-atomic, so a torn write can never produce a
   complete-but-wrong frame) — typed
-  :class:`~repro.errors.JournalCorruptionError`, quarantine;
+  :class:`~repro.errors.JournalCorruptionError`, quarantine; a sound
+  frame the block grammar rejects quarantines the same way, at its start;
 - a **BEGIN frame with a stale epoch** is a deposed primary writing past
   the fence — counted, evidence kept, frames dropped, replica healthy
   (:class:`~repro.errors.StaleEpoch` instances in ``stale_rejections``).
@@ -31,8 +36,6 @@ Simulated time: a block charges recovery's replay cost, accrued in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..durability.checkpoint import latest_valid_snapshot, prune_behind_snapshot
 from ..durability.journal import (
     JOURNAL_MAGIC,
@@ -42,33 +45,18 @@ from ..durability.journal import (
     CheckpointRecord,
     CommitRecord,
     SealRecord,
-    SettleRecord,
-    TxWriteRecord,
-    UndoRecord,
     WriteAheadJournal,
     decode_record,
     read_frame,
 )
 from ..durability.medium import MemoryMedium
-from ..durability.recovery import ReplayedBlock, recover
+from ..durability.recovery import BlockFold, ReplayedBlock, recover
 from ..errors import JournalCorruptionError, ReplicaDivergence, StaleEpoch
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
 
 # How many StaleEpoch instances a replica retains as rejection evidence.
 _STALE_EVIDENCE_CAP = 8
-
-
-@dataclass(slots=True, frozen=True)
-class ReplicaConfig:
-    """Replay-loop knobs.
-
-    ``max_frames_per_poll`` models a slow apply loop (0 = unbounded): a
-    laggy replica consumes at most that many frames per poll tick, falling
-    behind under load — the hazard the lag budget exists for.
-    """
-
-    max_frames_per_poll: int = 0
 
 
 class ReplicaService:
@@ -78,14 +66,12 @@ class ReplicaService:
         self,
         name: str,
         feed,
-        config: ReplicaConfig | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         metrics=None,
         flight=None,
     ) -> None:
         self.name = name
         self.feed = feed
-        self.config = config or ReplicaConfig()
         self.cost_model = cost_model
         self.metrics = metrics
         self.flight = flight
@@ -101,17 +87,21 @@ class ReplicaService:
         self.apply_us = 0.0
         self.stale_frames_rejected = 0
         self.stale_rejections: list[StaleEpoch] = []
-        # Test/chaos hooks.  ``corrupt_block`` corrupts one of that block's
-        # keys in the world right after its verified apply, forcing the
-        # SEAL verification to catch a divergent replica.  ``flip_feed_byte``
-        # flips one byte of *this replica's view* of the feed at the given
-        # absolute offset — a per-link transport corruption (the shared
-        # feed stays intact for other replicas).
+        # Test/chaos hooks.  ``max_frames_per_poll`` models a slow apply
+        # loop (0 = unbounded): a laggy replica consumes at most that many
+        # frames per poll tick, falling behind under load — the hazard the
+        # lag budget exists for.  ``corrupt_block`` corrupts one of that
+        # block's keys in the world right after its verified apply, forcing
+        # the SEAL verification to catch a divergent replica.
+        # ``flip_feed_byte`` flips one byte of *this replica's view* of the
+        # feed at the given absolute offset — a per-link transport
+        # corruption (the shared feed stays intact for other replicas).
+        self.max_frames_per_poll = 0
         self.corrupt_block: int | None = None
         self.flip_feed_byte: int | None = None
         self._cursor = 0
         self._magic_done = False
-        self._open: ReplayedBlock | None = None  # the block streaming in
+        self._fold = BlockFold()  # its open block is the one streaming in
         self._stale_block: int | None = None
         self._stale_epoch = 0
         self._skip_block: int | None = None
@@ -213,11 +203,7 @@ class ReplicaService:
             return 0
         if self.world is None and not self._bootstrap():
             return 0
-        budget = (
-            max_frames
-            if max_frames is not None
-            else self.config.max_frames_per_poll
-        )
+        budget = self.max_frames_per_poll if max_frames is None else max_frames
         base = self._cursor
         data = self.feed.read_from(base)
         flip = self.flip_feed_byte
@@ -257,76 +243,47 @@ class ReplicaService:
         return consumed
 
     def _handle(self, record, raw: bytes, offset: int, now_us: float) -> None:
-        if isinstance(record, BeginRecord):
-            self._handle_begin(record, raw, offset, now_us)
-            return
         number = record.block_number
-        if self._stale_block is not None and number == self._stale_block:
+        if isinstance(record, BeginRecord):
+            if record.epoch < self.fence_epoch:
+                self._stale_block = number
+                self._stale_epoch = record.epoch
+                self._skip_block = None
+                self._reject_stale(number, record.epoch, now_us)
+                return
+            self._stale_block = None
+        elif number == self._stale_block:
             # The rest of a fenced-off block's frames.
             self._reject_stale(number, self._stale_epoch, now_us)
             return
-        if self._skip_block is not None and number == self._skip_block:
+        elif number == self._skip_block:
             if isinstance(record, CheckpointRecord):
                 self._skip_block = None
             return
-        if isinstance(record, CheckpointRecord):
-            self._handle_checkpoint(record, raw)
-            return
-        open_block = self._open
-        if open_block is None or number != open_block.number:
-            self._corrupt_feed(
-                offset,
-                "record sequence violates the BEGIN/COMMIT protocol",
-                now_us,
-            )
-        self.medium.append_journal(raw)
-        if isinstance(record, (TxWriteRecord, SettleRecord)):
-            open_block.writes.update(record.writes)
-        elif isinstance(record, UndoRecord):
-            pass  # preserved on our journal for reorg-capable promotion
-        elif isinstance(record, CommitRecord):
-            self._handle_commit(record, open_block, now_us)
-        elif isinstance(record, SealRecord):
-            self._handle_seal(record, open_block, offset, now_us)
-
-    def _handle_begin(
-        self, record: BeginRecord, raw: bytes, offset: int, now_us: float
-    ) -> None:
-        if record.epoch < self.fence_epoch:
-            self._stale_block = record.block_number
-            self._stale_epoch = record.epoch
+        fold = self._fold
+        try:
+            # Our journal's offset: a block's begin_offset is where our
+            # own copy of it starts.
+            closed = fold.push(self.medium.journal_size(), record)
+        except JournalCorruptionError as exc:
+            self._corrupt_feed(offset, exc.detail, now_us)
+        if isinstance(record, BeginRecord):
+            last = self.last_committed_block
+            if last is not None and number <= last:
+                # Frames already folded into our bootstrap snapshot.
+                fold.open = None
+                self._skip_block = number
+                return
             self._skip_block = None
-            self._reject_stale(record.block_number, record.epoch, now_us)
-            return
-        self._stale_block = None
-        if self._open is not None:
-            if self._open.committed:
-                # A committed, seal-less predecessor is legitimate history
-                # (its writes applied at COMMIT); close it and move on.
-                self._open = None
-            else:
-                self._corrupt_feed(
-                    offset, "BEGIN inside an uncommitted block", now_us
-                )
-        if (
-            self.last_committed_block is not None
-            and record.block_number <= self.last_committed_block
-        ):
-            # Frames already folded into our bootstrap snapshot.
-            self._skip_block = record.block_number
-            return
-        self._skip_block = None
-        self._open = ReplayedBlock(
-            number=record.block_number,
-            begin_offset=self.medium.journal_size(),
-            pre_root=record.pre_root,
-        )
         self.medium.append_journal(raw)
+        if isinstance(record, CommitRecord):
+            self._apply(fold.open, now_us)
+        elif isinstance(record, SealRecord):
+            self._verify_seal(closed, now_us)
+        elif isinstance(record, CheckpointRecord):
+            self._checkpoint(number)
 
-    def _handle_commit(
-        self, record: CommitRecord, block: ReplayedBlock, now_us: float
-    ) -> None:
-        block.delta_digest = record.delta_digest
+    def _apply(self, block: ReplayedBlock, now_us: float) -> None:
         cost = block.apply_verified(self.world, self.cost_model)
         if cost is None:
             self._diverge(
@@ -341,17 +298,11 @@ class ReplicaService:
                 {key: value + 1 if isinstance(value, int) else value + b"\x00"}
             )
         self.apply_us += cost
-        block.committed = True
         self.last_committed_block = block.number
         self.blocks_applied += 1
         self._count("replication_blocks_applied_total")
 
-    def _handle_seal(
-        self, record: SealRecord, block: ReplayedBlock, offset: int, now_us: float
-    ) -> None:
-        if not block.committed:
-            self._corrupt_feed(offset, "SEAL before the COMMIT marker", now_us)
-        block.post_root = record.post_root
+    def _verify_seal(self, block: ReplayedBlock, now_us: float) -> None:
         if not block.seal_matches(self.world):
             self._diverge(
                 block.number,
@@ -359,17 +310,12 @@ class ReplicaService:
                 now_us,
             )
         self.last_sealed_block = block.number
-        self._open = None
         if self.metrics is not None:
             self.metrics.gauge(
                 "replication_last_sealed_block", replica=self.name
             ).set(float(block.number))
 
-    def _handle_checkpoint(self, record: CheckpointRecord, raw: bytes) -> None:
-        if self._open is not None and self._open.committed:
-            self._open = None
-        self.medium.append_journal(raw)
-        number = record.block_number
+    def _checkpoint(self, number: int) -> None:
         blob = dict(self.feed.snapshots).get(number)
         if blob is not None:
             self.medium.write_snapshot(number, blob)
@@ -380,9 +326,10 @@ class ReplicaService:
 
     def finalize_source(self) -> None:
         """The feed is dead: drop its torn tail and any unterminated block."""
-        if self._open is not None and not self._open.committed:
-            self.medium.truncate_journal(self._open.begin_offset)
-        self._open = None
+        block = self._fold.open
+        if block is not None and not block.committed:
+            self.medium.truncate_journal(block.begin_offset)
+        self._fold = BlockFold()
         self._stale_block = None
         self._cursor = len(self.feed)
 

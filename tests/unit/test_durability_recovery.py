@@ -384,6 +384,36 @@ class TestRecover:
         assert result.world.fingerprint() == fps[1]
 
 
+    def test_a_violation_rejects_each_bad_snapshot_once(self):
+        # Recovery used to retry itself on the journal cut at a violation,
+        # choosing the snapshot (and rejecting the bad one) a second time.
+        medium = MemoryMedium()
+        medium.write_snapshot(0, encode_snapshot(WorldState(), 0))
+        pipeline = DurableCommitPipeline(medium)
+        world = WorldState()
+        fps = commit_chain(pipeline, world, [(1, make_result({k(1): 10}))])
+        pipeline.journal.append(BeginRecord(2, 1, world.fingerprint()))
+        pipeline.journal.append(BeginRecord(3, 1, world.fingerprint()))
+        pipeline.journal.append(TxWriteRecord(3, 0, {k(3): 1}))
+        medium.write_snapshot(
+            5, SNAPSHOT_MAGIC + frame(rlp.encode([b"\x05", b"fp", [b"notapair"]]))
+        )
+
+        metrics = MetricsRegistry()
+        result = recover(medium, WorldState, metrics=metrics)
+        assert metrics.value("durability_snapshots_rejected") == 1
+        # What the retry reported: BEGIN(3) onwards cut, BEGIN(2) discarded.
+        assert result.truncated_bytes == 106
+        assert result.discarded_blocks == 1
+        assert result.records_scanned == 7
+        assert metrics.value("durability_corrupt_truncations") == 1
+        assert metrics.value("durability_truncated_bytes") == 106
+        assert result.snapshot_block == 0
+        assert result.last_committed_block == 1
+        assert result.world.fingerprint() == fps[1]
+        assert medium.journal_size() == 195
+
+
 class TestReorgRollback:
     def build(self, checkpoint_interval: int = 0):
         medium = MemoryMedium()

@@ -12,15 +12,20 @@ import pytest
 
 from repro import rlp
 from repro.durability import (
+    JOURNAL_MAGIC,
     BeginRecord,
+    CheckpointRecord,
+    CommitRecord,
     DurableCommitPipeline,
     MemoryMedium,
     SealRecord,
+    TxWriteRecord,
     WriteAheadJournal,
     recover,
+    scan_journal,
 )
 from repro.durability.checkpoint import SNAPSHOT_MAGIC, encode_snapshot
-from repro.durability.journal import frame
+from repro.durability.journal import encode_record, frame
 from repro.errors import (
     JournalCorruptionError,
     ReplicaDivergence,
@@ -198,6 +203,25 @@ class TestReplica:
             "replication_snapshots_rejected_total", replica="r0"
         ) == 1
 
+    def test_finalize_cuts_its_own_journal_at_the_open_block(self):
+        # The replica skipped blocks 1-2 (its snapshot holds them), so its
+        # journal offsets are not the feed's.
+        feed, _medium, pipeline, world = _shipped_pipeline(checkpoint_interval=2)
+        for number in (1, 2, 3):
+            _commit(pipeline, world, number)
+        pipeline.journal.append(BeginRecord(4, 1, world.fingerprint(), epoch=1))
+        pipeline.journal.append(TxWriteRecord(4, 0, {balance_key(b"\x04" * 20): 1}))
+        replica = ReplicaService("r0", feed)
+        replica.poll()
+        assert replica.snapshot_block == 2
+        replica.finalize_source()
+        kept = scan_journal(replica.medium.read_journal())
+        assert {record.block_number for record in kept.records} == {3}
+        assert kept.tail_status == "clean"
+        recovery = replica.promote()
+        assert recovery.discarded_blocks == 0
+        assert recovery.last_committed_block == 3
+
     def test_promote_recovers_from_the_replicas_own_journal(self):
         feed, _medium, pipeline, world = _shipped_pipeline()
         replica = ReplicaService("r0", feed)
@@ -208,6 +232,106 @@ class TestReplica:
         recovery = replica.promote()
         assert recovery.last_committed_block == 2
         assert recovery.world.fingerprint() == world.fingerprint()
+
+
+# -- one block grammar: recovery and the replica agree -------------------
+
+
+def _two_blocks():
+    """Blocks 1 and 2 as the commit pipeline journals them, and the
+    fingerprint after each."""
+    medium = MemoryMedium()
+    pipeline = DurableCommitPipeline(medium, epoch=1)
+    world = WorldState()
+    fingerprints = []
+    for number in (1, 2):
+        _commit(pipeline, world, number)
+        fingerprints.append(world.fingerprint())
+    return scan_journal(medium.read_journal()).records, fingerprints
+
+
+def _violation_at(records, index: int, detail: str, after_block_1: bytes):
+    """Both consumers of ``records`` stop at frame ``index``, on block 1.
+
+    The replica quarantines there with ``detail``; ``recover`` truncates
+    there by default and raises there under the strict policy.  Returns
+    the quarantined replica.
+    """
+    data = JOURNAL_MAGIC + b"".join(frame(encode_record(r)) for r in records)
+    offset = scan_journal(data).frames[index][0]
+    feed = ShipFeed(epoch=1)
+    feed.ship_snapshot(0, encode_snapshot(WorldState(), 0))
+    feed.append(data)
+    replica = ReplicaService("r0", feed)
+    with pytest.raises(JournalCorruptionError) as excinfo:
+        replica.poll()
+    assert (excinfo.value.offset, excinfo.value.detail) == (offset, detail)
+    assert replica.state == "quarantined"
+    assert replica.last_committed_block == replica.blocks_applied == 1
+    assert replica.world.fingerprint() == after_block_1
+
+    strict = RecoveryPolicy(corrupt_tail_policy="raise")
+    medium = MemoryMedium()
+    medium.reset_journal(data)
+    with pytest.raises(JournalCorruptionError) as raised:
+        recover(medium, WorldState, policy=strict)
+    assert raised.value.offset == offset
+    assert raised.value.detail == (
+        "record sequence violates the BEGIN/COMMIT protocol"
+    )
+    result = recover(medium, WorldState)
+    assert result.corrupt_truncated
+    assert result.last_committed_block == 1
+    assert result.world.fingerprint() == after_block_1
+    assert medium.journal_size() <= offset
+    return replica
+
+
+class TestOneBlockGrammar:
+    def test_checkpoint_inside_an_uncommitted_block(self):
+        records, (after_1, _after_2) = _two_blocks()
+        begin_2 = next(
+            i
+            for i, r in enumerate(records)
+            if isinstance(r, BeginRecord) and r.block_number == 2
+        )
+        records.insert(begin_2 + 1, CheckpointRecord(0))
+        replica = _violation_at(
+            records, begin_2 + 1, "CHECKPT inside an uncommitted block", after_1
+        )
+        # The world it streamed is the world it would promote.
+        replica.finalize_source()
+        assert replica.promote().world.fingerprint() == after_1
+
+    def test_a_second_commit(self):
+        records, (after_1, _after_2) = _two_blocks()
+        commit_1 = next(
+            i for i, r in enumerate(records) if isinstance(r, CommitRecord)
+        )
+        records.insert(commit_1 + 1, records[commit_1])
+        replica = _violation_at(
+            records,
+            commit_1 + 1,
+            "record sequence violates the BEGIN/COMMIT protocol",
+            after_1,
+        )
+        # Block 1 (one write) is applied, and charged, once.
+        cost = replica.cost_model
+        assert replica.apply_us == cost.commit_key_us + cost.fsync_us
+
+    def test_a_txwrite_after_commit(self):
+        records, (after_1, _after_2) = _two_blocks()
+        commit_1 = next(
+            i for i, r in enumerate(records) if isinstance(r, CommitRecord)
+        )
+        late = {balance_key((99).to_bytes(20, "big")): 5}
+        records.insert(commit_1 + 1, TxWriteRecord(1, 1, late))
+        _violation_at(
+            records,
+            commit_1 + 1,
+            "record sequence violates the BEGIN/COMMIT protocol",
+            after_1,
+        )
 
 
 # -- failover controller -------------------------------------------------
