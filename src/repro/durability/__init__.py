@@ -11,7 +11,8 @@ crashes, without touching the simulation's performance story:
 - :mod:`repro.durability.checkpoint` — periodic snapshots bounding
   recovery replay (and journal size);
 - :mod:`repro.durability.recovery` — snapshot + committed-tail replay
-  with torn-tail truncation and typed corruption errors;
+  with torn-tail truncation and typed corruption errors; ``BlockFold`` is
+  the one block grammar, the reorg manager's and replicas' too;
 - :mod:`repro.durability.reorg` — undo-preimage rollback for chain
   reorganisations;
 - :mod:`repro.durability.crash` — the deterministic crash-site injector
