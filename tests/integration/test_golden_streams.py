@@ -108,6 +108,24 @@ GOLDEN = {
     "loadgen-traffic-spike/report.json": (
         "a93a5fdc227f6c94e13139047f6f167fd9a62946fca50cae0a807be8cbfc848d"
     ),
+    # Recorded before metrics became never-None: the --metrics-json of the
+    # four executors that write per-key series (conflict_keys,
+    # redo_induced_*, stm_abort_keys) and the certifier's report.
+    "run-parallelevm/metrics.json": (
+        "00bfa49418f4b1b0fb3d67be8b4f21a85eedd70e45929c4908b923ef511f00b7"
+    ),
+    "run-block-stm/metrics.json": (
+        "f38f02da30a94121479370bd77f48c1b719accba8b8c242ecf847c55bbf5aaac"
+    ),
+    "run-occ/metrics.json": (
+        "87d6be7c1090ad51771455a971c9067ead1ab99b01e5fa13b5eeaea15ad649f2"
+    ),
+    "run-two-phase/metrics.json": (
+        "7c37eade98856db8ed79b5bcececa095f476a7e4311ddecd4a83425d60fd8853"
+    ),
+    "certify/stdout": (
+        "c12d1c9ad06dcf31cbe4a7c42a0b5d17f9de4d117697557dbe9216f2ef0e5ce4"
+    ),
 }
 
 
@@ -297,4 +315,27 @@ def test_tiny_bench_document(tmp_path, capsys):
         tmp_path,
         capsys,
         files=[("--out", "tiny.json")],
+    )
+
+
+@pytest.mark.parametrize(
+    "executor", ["parallelevm", "block-stm", "occ", "two-phase"]
+)
+def test_run_metrics(executor, tmp_path, capsys):
+    _check(
+        f"run-{executor}",
+        ["run", "--executor", executor, "--txs", "20", "--accounts", "60",
+         "--threads", "4"],
+        tmp_path,
+        capsys,
+        files=[("--metrics-json", "metrics.json")],
+    )
+
+
+def test_certify_report(tmp_path, capsys):
+    _check(
+        "certify",
+        ["certify", "--blocks", "3", "--txs", "14", "--threads", "4"],
+        tmp_path,
+        capsys,
     )
