@@ -9,43 +9,6 @@ runner.  ``scripts/generate_experiments_md.py`` runs the registry into the
 committed record (``benchmarks/results/<name>.json``) and assembles
 EXPERIMENTS.md from it; ``tests/integration/test_experiments_record.py``
 asserts the paper's shapes on that record.  :mod:`.suite` is the separate
-regression suite behind ``BENCH_small.json``.
+regression suite behind ``BENCH_small.json``.  The package itself exports
+nothing, so importing one submodule does not load the others.
 """
-
-from .harness import (
-    TABLE1_EXECUTORS,
-    SpeedupSummary,
-    measure_speedups,
-    prefetched_world,
-    standard_chain,
-    standard_workload,
-)
-from .report import render_table, render_series, render_histogram
-from .suite import (
-    BENCH_SCHEMA_VERSION,
-    BenchSuiteConfig,
-    SUITES,
-    compare_bench,
-    load_bench,
-    run_suite,
-    to_json,
-)
-
-__all__ = [
-    "SpeedupSummary",
-    "TABLE1_EXECUTORS",
-    "measure_speedups",
-    "prefetched_world",
-    "standard_chain",
-    "standard_workload",
-    "render_table",
-    "render_series",
-    "render_histogram",
-    "BENCH_SCHEMA_VERSION",
-    "BenchSuiteConfig",
-    "SUITES",
-    "compare_bench",
-    "load_bench",
-    "run_suite",
-    "to_json",
-]
