@@ -115,7 +115,7 @@ def measure_speedups(
                 serial.makespan_us / result.makespan_us
             )
             stats = dict(result.stats)
-            if observer is not None and getattr(observer, "metrics", None) is not None:
+            if observer is not None:
                 stats["metrics"] = observer.metrics.as_dict()
             summaries[executor.name].stats.append(stats)
     return summaries

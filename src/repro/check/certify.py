@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from ..concurrency import SerialExecutor
 from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..core.schedule import ScheduledValidatorExecutor, propose_schedule
+from ..obs.metrics import NULL_METRICS
 from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.receipts import receipts_root
 from ..workloads import Block, Chain
@@ -103,7 +104,7 @@ def certify_block(
     factory: Callable = make_executor,
     include_scheduled: bool = True,
     check_roots: bool = True,
-    metrics=None,
+    metrics=NULL_METRICS,
 ) -> CertificationReport:
     """Certify that every executor reproduces serial execution of ``block``.
 
@@ -189,13 +190,12 @@ def certify_block(
             for message in checker.divergences:
                 found.append(Divergence(name, "redo_replay", message))
         report.divergences.extend(found)
-        if metrics is not None:
-            for divergence in found:
-                metrics.counter(
-                    "certify_divergences_total",
-                    executor=name,
-                    field=divergence.field,
-                ).inc()
+        for divergence in found:
+            metrics.counter(
+                "certify_divergences_total",
+                executor=name,
+                field=divergence.field,
+            ).inc()
 
     for name in executors:
         checker = RedoReplayChecker(
@@ -223,11 +223,10 @@ def certify_block(
             )
             compare(name, result, None)
 
-    if metrics is not None:
-        metrics.counter("certify_blocks_total").inc()
-        if not report.ok:
-            metrics.counter("certify_failed_blocks_total").inc()
-        metrics.counter("certify_redo_replays_total").inc(report.redo_replays)
+    metrics.counter("certify_blocks_total").inc()
+    if not report.ok:
+        metrics.counter("certify_failed_blocks_total").inc()
+    metrics.counter("certify_redo_replays_total").inc(report.redo_replays)
     return report
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from ..concurrency import SerialExecutor
 from ..concurrency.registry import EXECUTOR_NAMES, make_executor
+from ..obs.metrics import NULL_METRICS
 from ..resilience import SCENARIOS, ChaosScenario, FaultPlan, RecoveryPolicy
 from ..workloads import Block, Chain
 from .certify import CertificationReport, certify_block
@@ -87,7 +88,7 @@ def chaos_report(
     certification: CertificationReport,
     counters: dict[str, float],
     faults_injected: float,
-    metrics=None,
+    metrics=NULL_METRICS,
     deadline_us: float = 0.0,
 ) -> ChaosBlockReport:
     """Count one finished scenario run into ``chaos_*`` and wrap it up.
@@ -95,12 +96,11 @@ def chaos_report(
     Every scenario kind ends here, so the chaos CLI, CI jobs and dump
     plumbing see one report shape and one pair of counters.
     """
-    if metrics is not None:
-        metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
-        if not certification.ok:
-            metrics.counter(
-                "chaos_failed_blocks_total", scenario=scenario.name
-            ).inc()
+    metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
+    if not certification.ok:
+        metrics.counter(
+            "chaos_failed_blocks_total", scenario=scenario.name
+        ).inc()
     return ChaosBlockReport(
         scenario=scenario.name,
         seed=seed,
@@ -120,7 +120,7 @@ def run_chaos_block(
     recovery: RecoveryPolicy | None = None,
     redo_budget: int | None = None,
     check_roots: bool = True,
-    metrics=None,
+    metrics=NULL_METRICS,
 ) -> ChaosBlockReport:
     """Certify ``block`` with every executor running under ``scenario``.
 

@@ -54,6 +54,7 @@ from ..durability import (
     recover,
 )
 from ..errors import ReorgDepthExceeded
+from ..obs.metrics import NULL_METRICS
 from ..workloads import Block, Chain, copy_block
 from .sweep import (
     CommitBoundary,
@@ -118,7 +119,7 @@ def crash_sweep_block(
     executors: Sequence[str] = EXECUTOR_NAMES,
     checkpoint_interval: int = 0,
     check_roots: bool = True,
-    metrics=None,
+    metrics=NULL_METRICS,
 ) -> CrashSweepReport:
     """Certify commit atomicity of ``block`` at every crash site.
 
@@ -176,8 +177,7 @@ def crash_sweep_block(
         metrics,
         ("crashfuzz_blocks_total", "crashfuzz_failed_blocks_total"),
     )
-    if metrics is not None:
-        metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
+    metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
     return report
 
 
@@ -210,7 +210,7 @@ def pipelined_crash_sweep_block(
     threads: int = 8,
     executors: Sequence[str] = EXECUTOR_NAMES,
     check_roots: bool = True,
-    metrics=None,
+    metrics=NULL_METRICS,
 ) -> PipelinedCrashSweepReport:
     """Certify that pipelined speculation never contaminates recovery.
 
@@ -330,8 +330,7 @@ def pipelined_crash_sweep_block(
             "crashfuzz_failed_pipeline_blocks_total",
         ),
     )
-    if metrics is not None:
-        metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
+    metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
     return report
 
 
@@ -368,7 +367,7 @@ def reorg_roundtrip_block(
     threads: int = 8,
     executors: Sequence[str] = EXECUTOR_NAMES,
     check_roots: bool = True,
-    metrics=None,
+    metrics=NULL_METRICS,
 ) -> ReorgRoundTripReport:
     """Certify undo-preimage rollback + fork re-execution per executor.
 

@@ -48,6 +48,7 @@ from ..errors import (
     ReplicationError,
     StaleEpoch,
 )
+from ..obs.metrics import NULL_METRICS
 from ..replication import ClusterConfig, FailoverPolicy, ReplicatedChainService
 from ..workloads import Block, ChainView, copy_block
 from .certify import CertificationReport, Divergence
@@ -171,7 +172,7 @@ def failover_sweep(
     replicas: int = 2,
     policy: FailoverPolicy | None = None,
     check_roots: bool = True,
-    metrics=None,
+    metrics=NULL_METRICS,
 ) -> FailoverSweepReport:
     """Certify zero-loss failover at every commit crash site, per executor."""
     policy = policy or FailoverPolicy()

@@ -20,6 +20,7 @@ from dataclasses import fields as dataclass_fields
 
 from ..crypto import keccak256
 from ..mempool.pool import MempoolConfig
+from ..obs.metrics import NULL_METRICS
 from ..resilience.scenarios import ChaosScenario
 from .certify import CertificationReport, Divergence
 
@@ -65,7 +66,9 @@ def ingress_config_for(scenario: ChaosScenario, seed=None, **fields):
     return IngressConfig(**{**scale, "mempool": mempool, **overrides, **fields})
 
 
-def run_ingress_scenario(scenario: ChaosScenario, seed=0, metrics=None, **fields):
+def run_ingress_scenario(
+    scenario: ChaosScenario, seed=0, metrics=NULL_METRICS, **fields
+):
     """Run one ingress chaos scenario; returns a :class:`ChaosBlockReport`.
 
     ``fields`` override the :class:`IngressConfig` as in
@@ -104,10 +107,9 @@ def run_ingress_scenario(scenario: ChaosScenario, seed=0, metrics=None, **fields
             len(report.flight["dumps"]) if report.flight else 0
         ),
     }
-    if metrics is not None:
-        for name, value in report.counters.items():
-            if name.startswith(("rpc_", "mempool_")):
-                metrics.counter(name, scenario=scenario.name).inc(value)
+    for name, value in report.counters.items():
+        if name.startswith(("rpc_", "mempool_")):
+            metrics.counter(name, scenario=scenario.name).inc(value)
     return chaos_report(
         scenario,
         seed,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from ..concurrency.base import run_speculative
 from ..errors import ConcurrencyError
 from ..evm.message import BlockEnv, Transaction, TxResult
+from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
@@ -41,13 +42,14 @@ class RedoReplayChecker:
 
     ``strict=True`` raises :class:`ReplayDivergence` on the first mismatch
     (unit/integration tests); ``strict=False`` records divergences for the
-    certifier to report.  ``metrics`` (optional registry) receives
+    certifier to report.  ``metrics`` (by default the discarding
+    :data:`~repro.obs.metrics.NULL_METRICS`) receives
     ``redo_replay_checks_total`` / ``redo_replay_divergences_total``.
     """
 
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     strict: bool = True
-    metrics: object = None
+    metrics: MetricsRegistry = NULL_METRICS
     checks: int = 0
     divergences: list[str] = field(default_factory=list)
 
@@ -61,8 +63,7 @@ class RedoReplayChecker:
     ) -> None:
         """Compare ``redone`` (the post-redo result) with a fresh run."""
         self.checks += 1
-        if self.metrics is not None:
-            self.metrics.counter("redo_replay_checks_total").inc()
+        self.metrics.counter("redo_replay_checks_total").inc()
         fresh, _meter = run_speculative(world, overlay, tx, env, self.cost_model)
 
         mismatches: list[str] = []
@@ -95,7 +96,6 @@ class RedoReplayChecker:
             return
         message = f"redo of {tx.describe()} diverged: " + "; ".join(mismatches)
         self.divergences.append(message)
-        if self.metrics is not None:
-            self.metrics.counter("redo_replay_divergences_total").inc()
+        self.metrics.counter("redo_replay_divergences_total").inc()
         if self.strict:
             raise ReplayDivergence(message)

@@ -125,11 +125,10 @@ def run_sweep(
                 kind = report.kind
                 where = kind if site is None else f"{kind}:{site}"
                 report.divergences.append(Divergence(name, where, problem))
-    if metrics is not None:
-        total, failed = counted_as
-        metrics.counter(total).inc()
-        if not report.ok:
-            metrics.counter(failed).inc()
+    total, failed = counted_as
+    metrics.counter(total).inc()
+    if not report.ok:
+        metrics.counter(failed).inc()
     return report
 
 

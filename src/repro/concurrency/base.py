@@ -33,6 +33,7 @@ from ..errors import (
 )
 from ..evm.interpreter import execute_transaction
 from ..evm.message import BlockEnv, Transaction, TxResult
+from ..obs.metrics import NULL_METRICS
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.machine import Task
 from ..sim.meter import CostMeter
@@ -86,8 +87,10 @@ class BlockExecutor(ABC):
     :class:`repro.obs.BlockObserver` (or anything with an ``on_span`` method
     and, optionally, a ``metrics`` registry) that receives every scheduled
     task as a simulated-time span.  It is pure metadata — attaching one must
-    never change makespans, and the default ``None`` keeps every
-    instrumentation site on the uninstrumented fast path.
+    never change makespans.  :attr:`metrics` is the observer's registry, or
+    :data:`~repro.obs.metrics.NULL_METRICS` without one, so executors
+    publish into it unconditionally; the edge and counter hooks stay
+    ``None`` when absent, and schedulers skip their bookkeeping then.
 
     ``fault_plan`` (a :class:`repro.resilience.FaultPlan`) switches the
     executor into chaos mode, and ``recovery`` (a
@@ -135,8 +138,9 @@ class BlockExecutor(ABC):
 
     @property
     def metrics(self):
-        """The observer's metrics registry, or None when unobserved."""
-        return getattr(self.observer, "metrics", None)
+        """The observer's metrics registry, or the discarding
+        :data:`~repro.obs.metrics.NULL_METRICS` when unobserved."""
+        return getattr(self.observer, "metrics", NULL_METRICS)
 
     @contextmanager
     def storage_faults(self, world: WorldState):
@@ -406,29 +410,27 @@ def settle_fees(
 
 
 def publish_stats(metrics, stats: dict, prefix: str = "stats_") -> None:
-    """Mirror an executor's ``stats`` dict into a metrics registry as gauges.
-
-    No-op when ``metrics`` is None, so executors can call it unconditionally
-    at the end of ``execute_block``.
-    """
-    if metrics is None:
-        return
+    """Mirror an executor's ``stats`` dict into a metrics registry as gauges
+    (executors call it at the end of every ``execute_block``)."""
     for key, value in stats.items():
         metrics.gauge(prefix + key).set(value)
 
 
-def record_conflict_keys(metrics, conflicts) -> None:
-    """Count per-key validation conflicts (the report's conflict heatmap).
+def count_keys(metrics, name: str, keys, amount: int | float = 1) -> None:
+    """Add ``amount`` to the per-key counter ``name`` of every state key.
 
-    The ``contract`` label carries the owning account so the attribution
-    report (:mod:`repro.obs.attribution`) can roll keys up per contract.
+    This is the one per-key label format (conflict heatmap, hot-slot
+    attribution): ``key`` is the key itself and ``contract`` its owning
+    account, which :mod:`repro.obs.attribution` rolls keys up by.  The one
+    place that checks for :data:`~repro.obs.metrics.NULL_METRICS`: a
+    detached run skips building labels nobody keeps.
     """
-    if metrics is None or not conflicts:
+    if metrics is NULL_METRICS:
         return
-    for key in conflicts:
+    for key in keys:
         metrics.counter(
-            "conflict_keys", key=str(key), contract=key_address(key).hex()
-        ).inc()
+            name, key=str(key), contract=key_address(key).hex()
+        ).inc(amount)
 
 
 def observer_edge_hook(observer):

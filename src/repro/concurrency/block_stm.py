@@ -26,13 +26,13 @@ from ..evm.interpreter import execute_transaction
 from ..evm.message import BlockEnv, Transaction, TxResult
 from ..sim.machine import SimMachine, Task
 from ..sim.meter import CostMeter
-from ..state.keys import key_address
 from ..state.view import BlockOverlay, StateView
 from ..state.world import WorldState
 from .base import (
     BlockExecutor,
     BlockResult,
     commit_cost_us,
+    count_keys,
     observer_counter_hook,
     observer_edge_hook,
     publish_stats,
@@ -246,30 +246,22 @@ class _BlockSTMScheduler:
     def _check_reads(self, index: int) -> list:
         """Read-set keys whose recorded version no longer matches MV-memory.
 
-        Empty means the incarnation validates.  Uninstrumented runs return
-        after the first mismatch (the classic early-out); with metrics or an
-        edge-reporting observer attached *every* mismatched key is collected
-        so the abort can be attributed per slot.  The verdict and the
-        validation task's simulated duration are identical either way.
+        Empty means the incarnation validates.  *Every* mismatched key is
+        collected so the abort can be attributed per slot; the verdict and
+        the validation task's simulated duration do not depend on how many.
         """
-        collect = self._metrics is not None or self._on_edge is not None
-        bad: list = []
-        for key, version in self.read_versions[index].items():
-            if self.mv.current_version(key, index) != version:
-                bad.append(key)
-                if not collect:
-                    break
-        return bad
+        current_version = self.mv.current_version
+        return [
+            key
+            for key, version in self.read_versions[index].items()
+            if current_version(key, index) != version
+        ]
 
     def _record_abort_keys(self, index: int, bad_keys: list) -> None:
         """Attribute a real (non-stale) abort to the keys that triggered it."""
         if not bad_keys:
             return  # forced abort (chaos) or version-only mismatch
-        if self._metrics is not None:
-            for key in bad_keys:
-                self._metrics.counter(
-                    "stm_abort_keys", key=str(key), contract=key_address(key).hex()
-                ).inc()
+        count_keys(self._metrics, "stm_abort_keys", bad_keys)
         if self._on_edge is not None:
             for key in bad_keys:
                 version = self.mv.current_version(key, index)

@@ -21,11 +21,11 @@ from .base import (
     BlockExecutor,
     BlockResult,
     commit_cost_us,
+    count_keys,
     find_conflicts,
     observer_counter_hook,
     observer_edge_hook,
     publish_stats,
-    record_conflict_keys,
     run_speculative,
     settle_fees,
     validation_cost_us,
@@ -105,7 +105,7 @@ class _OCCScheduler:
         result = self.exec_done.pop(index)
         if conflicts:
             self.aborts += 1
-            record_conflict_keys(self.executor.metrics, conflicts)
+            count_keys(self.executor.metrics, "conflict_keys", conflicts)
             if self._on_edge is not None:
                 for key in conflicts:
                     self._on_edge(

@@ -27,10 +27,10 @@ from .base import (
     BlockExecutor,
     BlockResult,
     commit_cost_us,
+    count_keys,
     find_conflicts,
     observer_edge_hook,
     publish_stats,
-    record_conflict_keys,
     run_speculative,
     settle_fees,
     validation_cost_us,
@@ -98,7 +98,7 @@ class TwoPhaseExecutor(BlockExecutor):
             else:
                 # A phase-1 discard is a conflict like any other: feed the
                 # per-key heatmap/attribution series.
-                record_conflict_keys(self.metrics, overlap)
+                count_keys(self.metrics, "conflict_keys", overlap)
                 if on_edge is not None:
                     # Sorted for deterministic trace output (sets of keys
                     # with bytes components iterate in hash order otherwise).
@@ -140,7 +140,7 @@ class TwoPhaseExecutor(BlockExecutor):
                     # A phase-2 re-execution touched this survivor's reads
                     # after all: fall back to a serial re-run.
                     survivor[i] = False
-                    record_conflict_keys(self.metrics, conflicts)
+                    count_keys(self.metrics, "conflict_keys", conflicts)
                     if on_edge is not None:
                         for key in conflicts:
                             on_edge(

@@ -24,12 +24,12 @@ from ..concurrency.base import (
     BlockExecutor,
     BlockResult,
     commit_cost_us,
+    count_keys,
     find_conflicts,
     observer_counter_hook,
     observer_edge_hook,
     overlay_get,
     publish_stats,
-    record_conflict_keys,
     run_speculative,
     settle_fees,
     validation_cost_us,
@@ -106,9 +106,8 @@ class _ParallelEVMScheduler:
         )
         self.executions += 1
         self.log_entries_total += len(tracer.log)
-        if self.metrics is not None:
-            self.metrics.counter("ssa_events_total").inc(tracer.events)
-            self.metrics.counter("ssa_log_entries_total").inc(len(tracer.log))
+        self.metrics.counter("ssa_events_total").inc(tracer.events)
+        self.metrics.counter("ssa_log_entries_total").inc(len(tracer.log))
         self.instructions_total += result.ops_executed
         return Task(
             kind="execute",
@@ -143,22 +142,12 @@ class _ParallelEVMScheduler:
                 duration += commit_cost_us(result, cm)
             self.redo_entries_total += outcome.reexecuted
             self.redo_time_us += redo_meter.total_us
-            if self.metrics is not None:
-                # Hot-slot attribution: charge the slice (and its
-                # re-executed op count) to every key that induced it.
-                from ..state.keys import key_address
-
-                for key in conflicts:
-                    labels = {
-                        "key": str(key),
-                        "contract": key_address(key).hex(),
-                    }
-                    self.metrics.counter(
-                        "redo_induced_slices", **labels
-                    ).inc()
-                    self.metrics.counter("redo_induced_ops", **labels).inc(
-                        outcome.reexecuted
-                    )
+            # Hot-slot attribution: charge the slice (and its re-executed
+            # op count) to every key that induced it.
+            count_keys(self.metrics, "redo_induced_slices", conflicts)
+            count_keys(
+                self.metrics, "redo_induced_ops", conflicts, outcome.reexecuted
+            )
             self.busy_at_commit_point = True
             return Task(
                 kind="redo",
@@ -247,7 +236,7 @@ class _ParallelEVMScheduler:
             index, conflicts = task.payload
             if conflicts:
                 self.conflicting_txs += 1
-                record_conflict_keys(self.metrics, conflicts)
+                count_keys(self.metrics, "conflict_keys", conflicts)
                 if self._on_edge is not None:
                     for key in conflicts:
                         self._on_edge(

@@ -31,6 +31,7 @@ from ..crypto import keccak256
 from ..evm import gas as G
 from ..evm.interpreter import ALU_FUNCS
 from ..evm.opcodes import Op
+from ..obs.metrics import NULL_METRICS
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.keys import StateKey
 from .ssa_log import LogEntry, PseudoOp, SSAOperationLog
@@ -60,7 +61,7 @@ def redo(
     conflicts: dict[StateKey, object],
     meter=None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    metrics=None,
+    metrics=NULL_METRICS,
     inject_guard_fault: bool = False,
 ) -> RedoOutcome:
     """Attempt to resolve ``conflicts`` by operation-level re-execution.
@@ -73,7 +74,8 @@ def redo(
     attempt on it fails immediately (the transaction must be re-executed
     from scratch, which produces a fresh log).
 
-    ``metrics`` (an optional :class:`repro.obs.MetricsRegistry`) receives
+    ``metrics`` (a :class:`repro.obs.MetricsRegistry`, by default the
+    discarding :data:`~repro.obs.metrics.NULL_METRICS`) receives
     attempt/guard counters and the redo-slice size histogram.
 
     ``inject_guard_fault`` is the chaos hook (see
@@ -91,15 +93,14 @@ def redo(
         outcome = _redo(log, conflicts, meter, cost_model)
     if not outcome.success:
         log.poisoned = True
-    if metrics is not None:
-        metrics.counter(
-            "redo_success_total" if outcome.success else "redo_failure_total"
-        ).inc()
-        metrics.counter("redo_guards_checked_total").inc(outcome.guards_checked)
-        metrics.counter("redo_entries_reexecuted_total").inc(outcome.reexecuted)
-        metrics.histogram("redo_slice_entries", REDO_SLICE_BUCKETS).observe(
-            outcome.reexecuted
-        )
+    metrics.counter(
+        "redo_success_total" if outcome.success else "redo_failure_total"
+    ).inc()
+    metrics.counter("redo_guards_checked_total").inc(outcome.guards_checked)
+    metrics.counter("redo_entries_reexecuted_total").inc(outcome.reexecuted)
+    metrics.histogram("redo_slice_entries", REDO_SLICE_BUCKETS).observe(
+        outcome.reexecuted
+    )
     return outcome
 
 

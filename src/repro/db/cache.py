@@ -101,10 +101,7 @@ class LRUCache:
         """Snapshot the counters into a :class:`repro.obs.MetricsRegistry`.
 
         The cache is a hot path shared by every executor, so it is sampled
-        (after a run) rather than instrumented per access; ``metrics=None``
-        is a no-op so callers can publish unconditionally.
+        (after a run) rather than instrumented per access.
         """
-        if metrics is None:
-            return
         for field, value in self.as_dict().items():
             metrics.gauge(f"{name}_{field}").set(value)

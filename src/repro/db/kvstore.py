@@ -259,8 +259,6 @@ class SimulatedDiskKV:
 
     def publish(self, metrics, name: str = "db") -> None:
         """Snapshot read counters (and the block cache's) into a registry."""
-        if metrics is None:
-            return
         metrics.gauge(f"{name}_disk_reads").set(self.disk_reads)
         metrics.gauge(f"{name}_cache_reads").set(self.cache_reads)
         self.cache.publish(metrics)

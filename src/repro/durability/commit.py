@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 
+from ..obs.metrics import NULL_METRICS
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
 from .checkpoint import SnapshotEncoder, prune_behind_snapshot, snapshot_cost_us
@@ -93,8 +94,8 @@ class DurableCommitPipeline:
         Optional :class:`~repro.durability.crash.CrashInjector` for the
         crash fuzzer.
     metrics:
-        Optional metrics registry; ``None`` keeps every counter update off
-        the commit path.
+        The registry the ``durability_*`` counters go to; by default
+        :data:`~repro.obs.metrics.NULL_METRICS`, which keeps nothing.
     epoch:
         The fencing epoch stamped into every BEGIN frame (see
         :class:`~repro.durability.journal.BeginRecord`).  0 — the default —
@@ -109,7 +110,7 @@ class DurableCommitPipeline:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         checkpoint_interval: int = 0,
         crash=None,
-        metrics=None,
+        metrics=NULL_METRICS,
         epoch: int = 0,
     ) -> None:
         self.medium = medium if medium is not None else MemoryMedium()
@@ -142,10 +143,6 @@ class DurableCommitPipeline:
     def _fsync(self) -> float:
         self.fsyncs += 1
         return self.cost_model.fsync_us
-
-    def _count(self, name: str, amount: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     # -------------------------------------------------------------- commit
 
@@ -248,21 +245,21 @@ class DurableCommitPipeline:
             elapsed += self._checkpoint(world, block_number)
 
         self.commit_us_total += elapsed
-        if self.metrics is not None:
-            self._count("durability_blocks_committed")
-            self._count(
-                "durability_journal_records",
-                self.journal.records_written - self._published_records,
-            )
-            self._count(
-                "durability_journal_bytes",
-                self.journal.bytes_written - self._published_bytes,
-            )
-            self._count("durability_fsyncs", self.fsyncs - self._published_fsyncs)
-            self._count("durability_commit_us", elapsed)
-            self._published_records = self.journal.records_written
-            self._published_bytes = self.journal.bytes_written
-            self._published_fsyncs = self.fsyncs
+        metrics = self.metrics
+        metrics.counter("durability_blocks_committed").inc()
+        metrics.counter("durability_journal_records").inc(
+            self.journal.records_written - self._published_records
+        )
+        metrics.counter("durability_journal_bytes").inc(
+            self.journal.bytes_written - self._published_bytes
+        )
+        metrics.counter("durability_fsyncs").inc(
+            self.fsyncs - self._published_fsyncs
+        )
+        metrics.counter("durability_commit_us").inc(elapsed)
+        self._published_records = self.journal.records_written
+        self._published_bytes = self.journal.bytes_written
+        self._published_fsyncs = self.fsyncs
         return elapsed
 
     def _checkpoint(self, world: WorldState, block_number: int) -> float:
@@ -279,8 +276,8 @@ class DurableCommitPipeline:
         elapsed = snapshot_cost_us(world, blob, self.cost_model)
         self.journal.append(CheckpointRecord(block_number), site=None)
         pruned = prune_behind_snapshot(self.journal, block_number)
-        self._count("durability_checkpoints")
-        self._count("durability_pruned_bytes", pruned)
+        self.metrics.counter("durability_checkpoints").inc()
+        self.metrics.counter("durability_pruned_bytes").inc(pruned)
         if crash is not None:
             crash.maybe_crash("post-snapshot")
         return elapsed

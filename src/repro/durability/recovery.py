@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import JournalCorruptionError, RecoveryError
+from ..obs.metrics import NULL_METRICS
 from ..resilience.policy import RecoveryPolicy
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
@@ -178,7 +179,7 @@ def recover(
     genesis_factory,
     policy: RecoveryPolicy | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    metrics=None,
+    metrics=NULL_METRICS,
 ) -> RecoveryResult:
     """Rebuild the world state from the durable medium.
 
@@ -195,8 +196,7 @@ def recover(
     policy = policy if policy is not None else RecoveryPolicy()
 
     def reject() -> None:
-        if metrics is not None:
-            metrics.counter("durability_snapshots_rejected").inc()
+        metrics.counter("durability_snapshots_rejected").inc()
 
     snapshot = latest_valid_snapshot(medium.read_snapshots(), reject)
     if snapshot is not None:
@@ -212,8 +212,7 @@ def recover(
         if policy.corrupt_tail_policy == "raise":
             raise JournalCorruptionError(scan.valid_length, scan.detail)
         corrupt_truncated = True
-        if metrics is not None:
-            metrics.counter("durability_corrupt_truncations").inc()
+        metrics.counter("durability_corrupt_truncations").inc()
     if scan.valid_length < len(data):
         truncated = len(data) - scan.valid_length
         medium.truncate_journal(scan.valid_length)
@@ -234,8 +233,7 @@ def recover(
             corrupt_truncated = True
             truncated += medium.journal_size() - offset
             medium.truncate_journal(offset)
-            if metrics is not None:
-                metrics.counter("durability_corrupt_truncations").inc()
+            metrics.counter("durability_corrupt_truncations").inc()
             break
         if closed is not None:
             blocks.append(closed)
@@ -286,12 +284,11 @@ def recover(
         corrupt_truncated=corrupt_truncated,
         replay_us=replay_us,
     )
-    if metrics is not None:
-        metrics.counter("durability_recoveries").inc()
-        metrics.counter("durability_recovered_blocks").inc(blocks_replayed)
-        metrics.counter("durability_recovery_us").inc(replay_us)
-        if truncated:
-            metrics.counter("durability_truncated_bytes").inc(truncated)
-        if discarded:
-            metrics.counter("durability_discarded_blocks").inc(discarded)
+    metrics.counter("durability_recoveries").inc()
+    metrics.counter("durability_recovered_blocks").inc(blocks_replayed)
+    metrics.counter("durability_recovery_us").inc(replay_us)
+    if truncated:
+        metrics.counter("durability_truncated_bytes").inc(truncated)
+    if discarded:
+        metrics.counter("durability_discarded_blocks").inc(discarded)
     return result

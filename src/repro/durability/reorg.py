@@ -20,6 +20,7 @@ always canonical (and is itself crash-recoverable).
 from __future__ import annotations
 
 from ..errors import JournalCorruptionError, RecoveryError, ReorgDepthExceeded
+from ..obs.metrics import NULL_METRICS
 from ..resilience.policy import RecoveryPolicy
 from ..state.world import WorldState
 from .recovery import BlockFold, ReplayedBlock
@@ -45,7 +46,7 @@ class ReorgManager:
         self,
         pipeline,
         policy: RecoveryPolicy | None = None,
-        metrics=None,
+        metrics=NULL_METRICS,
     ) -> None:
         self.pipeline = pipeline
         self.policy = policy if policy is not None else RecoveryPolicy()
@@ -113,7 +114,6 @@ class ReorgManager:
         # Drop the undone blocks' frames: journal history and world state
         # move together, so a crash right here recovers to exactly to_block.
         self.pipeline.journal.truncate(to_undo[0].begin_offset)
-        if self.metrics is not None:
-            self.metrics.counter("durability_reorg_blocks").inc(len(undone))
-            self.metrics.counter("durability_reorgs").inc()
+        self.metrics.counter("durability_reorg_blocks").inc(len(undone))
+        self.metrics.counter("durability_reorgs").inc()
         return undone

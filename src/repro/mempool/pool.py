@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from ..errors import AdmissionError
 from ..evm.message import Transaction
+from ..obs.metrics import NULL_METRICS
 from ..state.keys import balance_key, nonce_key
 from .admission import transaction_hash
 
@@ -102,7 +103,9 @@ class PoolEntry:
 class Mempool:
     """Bounded fee-prioritized transaction pool over a live world view."""
 
-    def __init__(self, config: MempoolConfig, world, metrics=None) -> None:
+    def __init__(
+        self, config: MempoolConfig, world, metrics=NULL_METRICS
+    ) -> None:
         self.config = config
         self.world = world
         self.metrics = metrics
@@ -134,20 +137,15 @@ class Mempool:
     def under_low_watermark(self) -> bool:
         return len(self._by_hash) <= self.config.low_depth
 
-    def _count(self, name: str, value: float = 1, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc(value)
-
     def _reject(
         self, code: str, message: str, retry_after_us: float | None = None
     ) -> AdmissionError:
         """Count one rejection under its code; the caller raises it."""
-        self._count("mempool_rejected_total", reason=code)
+        self.metrics.counter("mempool_rejected_total", reason=code).inc()
         return AdmissionError(code, message, retry_after_us)
 
     def _gauge_depth(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("mempool_depth").set(len(self._by_hash))
+        self.metrics.gauge("mempool_depth").set(len(self._by_hash))
 
     # -- admission -----------------------------------------------------
 
@@ -269,7 +267,9 @@ class Mempool:
                     f"mempool is at capacity ({config.capacity} txs)",
                 )
             self._remove(victim)
-            self._count("mempool_shed_total", reason="displaced")
+            self.metrics.counter(
+                "mempool_shed_total", reason="displaced"
+            ).inc()
 
         entry = PoolEntry(
             tx=tx,
@@ -281,10 +281,10 @@ class Mempool:
         self._seq += 1
         if replaced is not None:
             self._remove(replaced)
-            self._count("mempool_replaced_total")
+            self.metrics.counter("mempool_replaced_total").inc()
         self._by_sender.setdefault(sender, {})[nonce] = entry
         self._by_hash[tx_hash] = entry
-        self._count("mempool_admitted_total")
+        self.metrics.counter("mempool_admitted_total").inc()
         self._gauge_depth()
         return tx_hash
 
@@ -321,7 +321,7 @@ class Mempool:
                     heapq.heappush(
                         heap, (-successor.gas_price, successor.seq, successor)
                     )
-        self._count("mempool_selected_total", len(picked))
+        self.metrics.counter("mempool_selected_total").inc(len(picked))
         return picked
 
     def mark_committed(self, entries) -> None:
@@ -343,7 +343,9 @@ class Mempool:
             stale.extend(e for n, e in pooled.items() if n < on_chain)
         for entry in stale:
             self._remove(entry)
-            self._count("mempool_shed_total", reason="stale-nonce")
+            self.metrics.counter(
+                "mempool_shed_total", reason="stale-nonce"
+            ).inc()
         if stale:
             self._gauge_depth()
         return stale
@@ -373,7 +375,7 @@ class Mempool:
                 break
             self._remove(entry)
             shed.append(entry)
-            self._count("mempool_shed_total", reason="expired")
+            self.metrics.counter("mempool_shed_total", reason="expired").inc()
         if shed:
             self._gauge_depth()
         return shed

@@ -50,6 +50,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
+from .metrics import NULL_METRICS
 from .streaming import LogHistogram, format_stat
 from .trace import TraceRecorder
 
@@ -236,7 +237,12 @@ class SloMonitor:
     each alert dict — the flight recorder hangs its trigger there.
     """
 
-    def __init__(self, config: SloConfig | None = None, metrics=None, on_alert=None):
+    def __init__(
+        self,
+        config: SloConfig | None = None,
+        metrics=NULL_METRICS,
+        on_alert=None,
+    ):
         self.config = config or SloConfig()
         self.metrics = metrics
         self.on_alert = on_alert
@@ -283,8 +289,7 @@ class SloMonitor:
             burn = objective.close_window()
             if total == 0 or burn < self.config.burn_alert:
                 continue
-            if self.metrics is not None:
-                self.metrics.counter("slo_alerts_total", objective=name).inc()
+            self.metrics.counter("slo_alerts_total", objective=name).inc()
             if len(self.alerts) >= self.config.max_alerts:
                 continue
             alert = {"objective": name, "window": window, "burn": burn}
@@ -431,7 +436,7 @@ class LifecycleTracker:
 
     def __init__(
         self,
-        metrics=None,
+        metrics=NULL_METRICS,
         slo: SloMonitor | None = None,
         recorder: FlightRecorder | None = None,
         slow_threshold_us: float | None = None,
@@ -496,8 +501,7 @@ class LifecycleTracker:
         """Admission refused a submission (no record: nothing was pooled)."""
         self.rejected += 1
         self._window_rejected += 1
-        if self.metrics is not None:
-            self.metrics.counter("lifecycle_rejected_total", reason=reason).inc()
+        self.metrics.counter("lifecycle_rejected_total", reason=reason).inc()
         if self.slo is not None:
             self.slo.observe_error(now_us, reason in SERVER_FAULT_REASONS)
 
@@ -580,15 +584,13 @@ class LifecycleTracker:
             segments = record.waterfall()
             dominant = max(segments, key=lambda s: s[2] - s[1])[0]
             self.dominant_slow[dominant] = self.dominant_slow.get(dominant, 0) + 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "lifecycle_slow_txs_total", sender=record.sender
-                ).inc()
-        if self.metrics is not None:
             self.metrics.counter(
-                "lifecycle_txs_total",
-                outcome="shed" if shed else "committed",
+                "lifecycle_slow_txs_total", sender=record.sender
             ).inc()
+        self.metrics.counter(
+            "lifecycle_txs_total",
+            outcome="shed" if shed else "committed",
+        ).inc()
         entry = record.as_dict()
         if self.recorder is not None:
             self.recorder.record(entry)
@@ -610,8 +612,7 @@ class LifecycleTracker:
 
     def on_incident(self, kind: str, now_us: float) -> None:
         """A serving incident (circuit open, degradation, SLO burn)."""
-        if self.metrics is not None:
-            self.metrics.counter("lifecycle_incidents_total", kind=kind).inc()
+        self.metrics.counter("lifecycle_incidents_total", kind=kind).inc()
         if self.recorder is not None:
             self.recorder.trigger(kind, now_us)
 

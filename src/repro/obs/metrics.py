@@ -8,10 +8,13 @@ alongside the simulated makespans.
 
 Design constraints:
 
-- **Zero cost when absent.**  Nothing in the execution stack creates a
-  registry on its own; every instrumentation site is guarded by an
-  ``if metrics is not None`` (or holds a pre-resolved metric object), so
-  uninstrumented runs execute exactly the pre-observability code path.
+- **One seam, never None.**  Nothing in the execution stack creates a
+  registry on its own: a component that is handed none publishes into
+  :data:`NULL_METRICS`, whose every metric is one shared discard object.
+  Instrumentation sites therefore call the registry unconditionally; an
+  unobserved run pays a no-op call per site and holds no series.  Only
+  :func:`repro.concurrency.base.count_keys` checks for it, to skip
+  building per-key labels nobody keeps.
 - **Deterministic export.**  ``as_dict()`` orders series by (name, labels);
   two identical runs serialise to byte-identical JSON.
 - **Simulated time.**  All ``*_us`` series hold simulated microseconds, not
@@ -315,3 +318,40 @@ class MetricsRegistry:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+
+class _Discard:
+    """The one metric :data:`NULL_METRICS` hands out: every update is
+    dropped, but a negative increment still raises like a real counter."""
+
+    __slots__ = ()
+
+    def inc(self, amount: int | float = 1) -> None:
+        if amount < 0:
+            raise ValueError("counters only increase")
+
+    def set(self, value: float) -> None:
+        pass
+
+    def add(self, amount: float) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+_DISCARD = _Discard()
+
+
+class _NullRegistry(MetricsRegistry):
+    """A registry that never holds a series (see :data:`NULL_METRICS`)."""
+
+    def _get(self, name, labels, kind, factory):
+        return _DISCARD
+
+
+#: The registry of every component that was handed none: counters, gauges
+#: and histograms all resolve to one shared discard metric, so publishing
+#: sites need no ``is None`` guard and an unobserved run keeps nothing.
+NULL_METRICS = _NullRegistry()
+

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from ..concurrency.base import block_read_keys
 from ..durability.commit import publish_order
+from ..obs.metrics import NULL_METRICS
 from ..sim.machine import Task
 from .prefetch import predicted_read_keys
 
@@ -104,7 +105,7 @@ class PipelineCoordinator:
     def __init__(
         self,
         config: PipelineConfig | None = None,
-        metrics=None,
+        metrics=NULL_METRICS,
         trace=None,
     ) -> None:
         self.config = config if config is not None else PipelineConfig()
@@ -273,27 +274,26 @@ class PipelineCoordinator:
                     timing.commit_end_us,
                 )
         metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("pipeline_blocks").inc()
-            metrics.counter("pipeline_advance_us").inc(timing.advance_us)
-            metrics.counter("pipeline_serial_us").inc(
-                result.makespan_us + commit_us
+        metrics.counter("pipeline_blocks").inc()
+        metrics.counter("pipeline_advance_us").inc(timing.advance_us)
+        metrics.counter("pipeline_serial_us").inc(
+            result.makespan_us + commit_us
+        )
+        if timing.warmed_keys:
+            metrics.counter("pipeline_prefetch_keys").inc(timing.warmed_keys)
+        if timing.prefetch_us:
+            metrics.counter("pipeline_prefetch_us").inc(timing.prefetch_us)
+        if timing.prefetch_stall_us:
+            metrics.counter("pipeline_prefetch_stall_us").inc(
+                timing.prefetch_stall_us
             )
-            if timing.warmed_keys:
-                metrics.counter("pipeline_prefetch_keys").inc(timing.warmed_keys)
-            if timing.prefetch_us:
-                metrics.counter("pipeline_prefetch_us").inc(timing.prefetch_us)
-            if timing.prefetch_stall_us:
-                metrics.counter("pipeline_prefetch_stall_us").inc(
-                    timing.prefetch_stall_us
-                )
-            if timing.barrier_stall_us:
-                metrics.counter("pipeline_barrier_stall_us").inc(
-                    timing.barrier_stall_us
-                )
-            if timing.barrier_keys:
-                metrics.counter("pipeline_barrier_blocks").inc()
-                metrics.counter("pipeline_barrier_keys").inc(timing.barrier_keys)
+        if timing.barrier_stall_us:
+            metrics.counter("pipeline_barrier_stall_us").inc(
+                timing.barrier_stall_us
+            )
+        if timing.barrier_keys:
+            metrics.counter("pipeline_barrier_blocks").inc()
+            metrics.counter("pipeline_barrier_keys").inc(timing.barrier_keys)
 
     # ------------------------------------------------------------- queries
 

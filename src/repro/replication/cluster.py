@@ -40,6 +40,7 @@ from ..durability.commit import DurableCommitPipeline
 from ..durability.medium import MemoryMedium
 from ..errors import JournalCorruptionError, ReplicationError
 from ..obs.lifecycle import FlightRecorder
+from ..obs.metrics import NULL_METRICS
 from ..service.chain_service import ChainService
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..workloads.block import ChainView
@@ -76,7 +77,7 @@ class ReplicatedChainService:
         executor: str,
         config: ClusterConfig | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        metrics=None,
+        metrics=NULL_METRICS,
         observer=None,
     ) -> None:
         self.chain = chain
@@ -165,10 +166,9 @@ class ReplicatedChainService:
                 consumed += replica.poll(now_us)
             except (ReplicationError, JournalCorruptionError) as exc:
                 self.quarantine_events.append(exc)
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    "replication_lag_blocks", replica=replica.name
-                ).set(float(replica.lag_blocks(tip)))
+            self.metrics.gauge(
+                "replication_lag_blocks", replica=replica.name
+            ).set(float(replica.lag_blocks(tip)))
         return consumed
 
     # -- failover -------------------------------------------------------

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..obs.metrics import NULL_METRICS
+
 
 @dataclass(slots=True, frozen=True)
 class FailoverPolicy:
@@ -79,7 +81,9 @@ class FailoverReport:
 class FailoverController:
     """Liveness tracking + deterministic successor election."""
 
-    def __init__(self, policy: FailoverPolicy | None = None, metrics=None) -> None:
+    def __init__(
+        self, policy: FailoverPolicy | None = None, metrics=NULL_METRICS
+    ) -> None:
         self.policy = policy or FailoverPolicy()
         self.metrics = metrics
         self.epoch = 1
@@ -122,9 +126,8 @@ class FailoverController:
     def next_epoch(self) -> int:
         self.epoch += 1
         self.failovers += 1
-        if self.metrics is not None:
-            self.metrics.counter("replication_failovers_total").inc()
-            self.metrics.gauge("replication_epoch").set(float(self.epoch))
+        self.metrics.counter("replication_failovers_total").inc()
+        self.metrics.gauge("replication_epoch").set(float(self.epoch))
         return self.epoch
 
     def record(self, report: FailoverReport) -> None:

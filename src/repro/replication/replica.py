@@ -52,6 +52,7 @@ from ..durability.journal import (
 from ..durability.medium import MemoryMedium
 from ..durability.recovery import BlockFold, ReplayedBlock, recover
 from ..errors import JournalCorruptionError, ReplicaDivergence, StaleEpoch
+from ..obs.metrics import NULL_METRICS
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
 
@@ -67,7 +68,7 @@ class ReplicaService:
         name: str,
         feed,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        metrics=None,
+        metrics=NULL_METRICS,
         flight=None,
     ) -> None:
         self.name = name
@@ -116,8 +117,7 @@ class ReplicaService:
         return max(0, primary_tip - have) if have is not None else primary_tip
 
     def _count(self, counter: str, value: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(counter, replica=self.name).inc(value)
+        self.metrics.counter(counter, replica=self.name).inc(value)
 
     # -- failure modes -------------------------------------------------
 
@@ -310,10 +310,9 @@ class ReplicaService:
                 now_us,
             )
         self.last_sealed_block = block.number
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "replication_last_sealed_block", replica=self.name
-            ).set(float(block.number))
+        self.metrics.gauge(
+            "replication_last_sealed_block", replica=self.name
+        ).set(float(block.number))
 
     def _checkpoint(self, number: int) -> None:
         blob = dict(self.feed.snapshots).get(number)

@@ -17,6 +17,8 @@ history; consumers track their own cursors.
 
 from __future__ import annotations
 
+from ..obs.metrics import NULL_METRICS
+
 
 class ShipFeed:
     """An append-only byte feed plus the shipped checkpoint snapshots.
@@ -27,7 +29,7 @@ class ShipFeed:
     survivors drain it to its last complete frame, never read it again.
     """
 
-    def __init__(self, epoch: int = 1, metrics=None) -> None:
+    def __init__(self, epoch: int = 1, metrics=NULL_METRICS) -> None:
         self.epoch = epoch
         self.metrics = metrics
         self.final = False
@@ -45,23 +47,20 @@ class ShipFeed:
             # (a partitioned process cannot be stopped from writing) but
             # every consumer has already finalized its cursor, and the
             # epoch check rejects the frames should anyone still look.
-            if self.metrics is not None:
-                self.metrics.counter("replication_fenced_bytes_total").inc(
-                    len(data)
-                )
-        self._journal.extend(data)
-        if self.metrics is not None:
-            self.metrics.counter("replication_shipped_bytes_total").inc(
+            self.metrics.counter("replication_fenced_bytes_total").inc(
                 len(data)
             )
+        self._journal.extend(data)
+        self.metrics.counter("replication_shipped_bytes_total").inc(
+            len(data)
+        )
 
     def read_from(self, offset: int) -> bytes:
         return bytes(self._journal[offset:])
 
     def ship_snapshot(self, block_number: int, blob: bytes) -> None:
         self.snapshots.append((block_number, blob))
-        if self.metrics is not None:
-            self.metrics.counter("replication_shipped_snapshots_total").inc()
+        self.metrics.counter("replication_shipped_snapshots_total").inc()
 
     def finalize(self) -> None:
         """Close the feed (its primary is dead or deposed)."""

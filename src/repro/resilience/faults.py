@@ -130,13 +130,11 @@ class FaultPlan:
         )
 
     def publish(self, metrics, executor: str | None = None) -> None:
-        """Mirror the counters into a metrics registry (None is a no-op).
+        """Mirror the counters into a metrics registry.
 
         Counters (not gauges): a chaos harness aggregates several plans —
         one per executor — into one registry, labelling each by executor.
         """
-        if metrics is None:
-            return
         labels = {} if executor is None else {"executor": executor}
         for name in sorted(self.counters):
             metrics.counter(f"resilience_{name}", **labels).inc(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 
 from ..errors import AdmissionError, BlockValidationError
+from ..obs.metrics import NULL_METRICS
 
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
@@ -45,28 +46,24 @@ def _result(request_id, result) -> dict:
 class RpcDispatcher:
     """Route JSON-RPC requests into an :class:`RpcFacade`."""
 
-    def __init__(self, facade, metrics=None) -> None:
+    def __init__(self, facade, metrics=NULL_METRICS) -> None:
         self.facade = facade
         self.metrics = metrics
-
-    def _count(self, name: str, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc()
 
     def dispatch(self, request, now_us: float = 0.0) -> dict:
         """Serve one decoded request object; always returns a response."""
         if not isinstance(request, dict) or "method" not in request:
-            self._count("rpc_requests_total", method="invalid")
+            self.metrics.counter("rpc_requests_total", method="invalid").inc()
             return _error(None, INVALID_REQUEST, "not a JSON-RPC request")
         request_id = request.get("id")
         method = request["method"]
         params = request.get("params", {})
         if not isinstance(method, str) or method not in METHODS:
-            self._count("rpc_requests_total", method="unknown")
+            self.metrics.counter("rpc_requests_total", method="unknown").inc()
             return _error(
                 request_id, METHOD_NOT_FOUND, f"unknown method {method!r}"
             )
-        self._count("rpc_requests_total", method=method)
+        self.metrics.counter("rpc_requests_total", method=method).inc()
         facade = self.facade
         try:
             if method == "send_transaction":
@@ -83,13 +80,17 @@ class RpcDispatcher:
             data = {"reason": exc.code, "retryable": exc.retryable}
             if exc.retry_after_us is not None:
                 data["retry_after_us"] = exc.retry_after_us
-            self._count("rpc_errors_total", reason=exc.code)
+            self.metrics.counter("rpc_errors_total", reason=exc.code).inc()
             return _error(request_id, APP_ERROR, str(exc), data)
         except BlockValidationError as exc:
-            self._count("rpc_errors_total", reason="block-validation")
+            self.metrics.counter(
+                "rpc_errors_total", reason="block-validation"
+            ).inc()
             return _error(request_id, APP_ERROR, str(exc))
         except (KeyError, ValueError, TypeError) as exc:
-            self._count("rpc_errors_total", reason="invalid-params")
+            self.metrics.counter(
+                "rpc_errors_total", reason="invalid-params"
+            ).inc()
             return _error(request_id, INVALID_PARAMS, f"invalid params: {exc}")
         return _result(request_id, result)
 
@@ -98,7 +99,9 @@ class RpcDispatcher:
         try:
             request = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):
-            self._count("rpc_requests_total", method="parse-error")
+            self.metrics.counter(
+                "rpc_requests_total", method="parse-error"
+            ).inc()
             return json.dumps(
                 _error(None, PARSE_ERROR, "parse error"), sort_keys=True
             )

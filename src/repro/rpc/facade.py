@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from ..errors import AdmissionError
 from ..mempool.admission import decode_wire_transaction, transaction_hash
 from ..mempool.pool import Mempool, PoolEntry
+from ..obs.metrics import NULL_METRICS
 from ..resilience.policy import RecoveryPolicy
 from ..state.keys import balance_key, nonce_key
 from ..state.receipts import build_receipts
@@ -89,7 +90,7 @@ class RpcFacade:
         mempool: Mempool,
         config: RpcConfig | None = None,
         policy: RecoveryPolicy | None = None,
-        metrics=None,
+        metrics=NULL_METRICS,
         lifecycle=None,
     ) -> None:
         self.service = service
@@ -114,12 +115,6 @@ class RpcFacade:
         # (harness use; off by default to keep memory bounded).
         self.committed_blocks: list[Block] = []
 
-    # -- metrics helpers ----------------------------------------------
-
-    def _count(self, name: str, value: float = 1, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc(value)
-
     # -- overload state ------------------------------------------------
 
     def retry_after_us(self) -> float:
@@ -133,10 +128,10 @@ class RpcFacade:
             if pool.under_low_watermark:
                 self.backpressure_active = False
                 return
-            self._count("rpc_backpressure_total")
+            self.metrics.counter("rpc_backpressure_total").inc()
         elif pool.over_high_watermark:
             self.backpressure_active = True
-            self._count("rpc_backpressure_total")
+            self.metrics.counter("rpc_backpressure_total").inc()
             if self.lifecycle is not None:
                 # The activation edge only — each rejection under sustained
                 # pressure is already counted per-reason.
@@ -153,7 +148,7 @@ class RpcFacade:
 
     def _check_circuit(self) -> None:
         if self.circuit_open:
-            self._count("rpc_reads_shed_total")
+            self.metrics.counter("rpc_reads_shed_total").inc()
             raise AdmissionError(
                 "circuit-open",
                 f"read circuit open: commit lag {self.commit_lag_us:.0f} us "
@@ -187,14 +182,13 @@ class RpcFacade:
         if self.circuit_open:
             if self.commit_lag_us <= CIRCUIT_CLOSE_LAG_US:
                 self.circuit_open = False
-                self._count("rpc_circuit_closed_total")
+                self.metrics.counter("rpc_circuit_closed_total").inc()
         elif self.commit_lag_us >= CIRCUIT_OPEN_LAG_US:
             self.circuit_open = True
-            self._count("rpc_circuit_opened_total")
+            self.metrics.counter("rpc_circuit_opened_total").inc()
             if self.lifecycle is not None:
                 self.lifecycle.on_incident("circuit-open", now_us)
-        if self.metrics is not None:
-            self.metrics.gauge("rpc_commit_lag_us").set(self.commit_lag_us)
+        self.metrics.gauge("rpc_commit_lag_us").set(self.commit_lag_us)
 
     # -- write path ----------------------------------------------------
 
@@ -218,11 +212,13 @@ class RpcFacade:
         except AdmissionError as exc:
             # Backpressure has its own counter, rpc_backpressure_total.
             if exc.code != "backpressure":
-                self._count("rpc_rejected_total", reason=exc.code)
+                self.metrics.counter(
+                    "rpc_rejected_total", reason=exc.code
+                ).inc()
             if lifecycle is not None:
                 lifecycle.on_rejected(exc.code, now_us, retryable=exc.retryable)
             raise
-        self._count("rpc_admitted_total")
+        self.metrics.counter("rpc_admitted_total").inc()
         if lifecycle is not None:
             lifecycle.on_admitted(
                 "0x" + tx_hash.hex(),
@@ -239,7 +235,7 @@ class RpcFacade:
         if not isinstance(params, dict) or "address" not in params:
             raise ValueError("get_balance needs an 'address' field")
         address = bytes.fromhex(params["address"].removeprefix("0x"))
-        self._count("rpc_reads_total", method="get_balance")
+        self.metrics.counter("rpc_reads_total", method="get_balance").inc()
         return {
             "balance": self.service.world.peek(balance_key(address)) or 0,
             "nonce": self.service.world.peek(nonce_key(address)) or 0,
@@ -249,7 +245,7 @@ class RpcFacade:
         self._check_circuit()
         if not isinstance(params, dict) or "tx_hash" not in params:
             raise ValueError("get_receipt needs a 'tx_hash' field")
-        self._count("rpc_reads_total", method="get_receipt")
+        self.metrics.counter("rpc_reads_total", method="get_receipt").inc()
         tx_hash = params["tx_hash"]
         receipt = self._receipts.get(tx_hash)
         if receipt is not None:
@@ -261,7 +257,7 @@ class RpcFacade:
 
     def get_block(self, params) -> dict | None:
         self._check_circuit()
-        self._count("rpc_reads_total", method="get_block")
+        self.metrics.counter("rpc_reads_total", method="get_block").inc()
         number = params.get("number") if isinstance(params, dict) else None
         if number is None:
             return self._blocks[-1] if self._blocks else None
@@ -294,7 +290,7 @@ class RpcFacade:
         lifecycle = self.lifecycle
         shed = self.mempool.shed_expired(now_us)
         for entry in shed:
-            self._count("rpc_shed_total", reason="expired")
+            self.metrics.counter("rpc_shed_total", reason="expired").inc()
             if lifecycle is not None:
                 lifecycle.on_shed("0x" + entry.tx_hash.hex(), "expired", now_us)
         service = self.service
@@ -322,7 +318,7 @@ class RpcFacade:
         self.mempool.mark_committed(entries)
         stale = self.mempool.drop_stale()
         for entry in stale:
-            self._count("rpc_shed_total", reason="stale-nonce")
+            self.metrics.counter("rpc_shed_total", reason="stale-nonce").inc()
             if lifecycle is not None:
                 lifecycle.on_shed(
                     "0x" + entry.tx_hash.hex(), "stale-nonce", now_us
@@ -334,8 +330,8 @@ class RpcFacade:
             self._pressure_streak += 1
         else:
             self._pressure_streak = 0
-        self._count("rpc_blocks_total")
-        self._count("rpc_txs_committed_total", len(entries))
+        self.metrics.counter("rpc_blocks_total").inc()
+        self.metrics.counter("rpc_txs_committed_total").inc(len(entries))
         if lifecycle is not None:
             lifecycle.sample_gauges(now_us, len(self.mempool), self.circuit_open)
         return ProducedBlock(outcome, entries, shed, stale)

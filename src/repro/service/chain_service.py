@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from ..concurrency.base import BlockExecutor
 from ..errors import DuplicateTransaction, NonMonotonicBlock
+from ..obs.metrics import NULL_METRICS
 from ..workloads.stream import BlockStream
 
 
@@ -32,7 +33,7 @@ class SoakObserver:
     bookkeeping entirely, exactly as on the unobserved path.
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self, metrics=NULL_METRICS) -> None:
         self.metrics = metrics
         self._tx_end: dict[int, float] = {}
 

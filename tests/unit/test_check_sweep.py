@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from repro.check.sweep import SweepReport, _SiteFailed, run_sweep
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS
 
 COUNTED_AS = ("stub_sweeps_total", "stub_failed_sweeps_total")
 
@@ -15,7 +16,7 @@ class _StubReport(SweepReport):
     kind = "stub"
 
 
-def _sweep(sites, check, metrics=None):
+def _sweep(sites, check, metrics=NULL_METRICS):
     report = _StubReport(block_number=7, tx_count=3, sites=sites)
     calls = []
 

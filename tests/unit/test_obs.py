@@ -17,7 +17,7 @@ from repro.obs import (
     render_block_report,
     utilization_table,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import NULL_METRICS, Counter, Gauge, Histogram
 from repro.obs.trace import Span
 from repro.sim.machine import Task
 
@@ -134,6 +134,84 @@ class TestMetricsRegistry:
         path = tmp_path / "metrics.json"
         m.write_json(str(path))
         assert json.loads(path.read_text()) == {"c": 1}
+
+
+class TestNullMetrics:
+    def test_every_accessor_returns_the_shared_discard_metric(self):
+        discard = NULL_METRICS.counter("a")
+        assert NULL_METRICS.counter("b", key="k") is discard
+        assert NULL_METRICS.gauge("a") is discard
+        assert NULL_METRICS.histogram("h", [1, 2], phase="p") is discard
+        # No bucket validation either: the factory is never called.
+        assert NULL_METRICS.histogram("h", [2, 1]) is discard
+
+    def test_holds_no_series_after_use(self):
+        NULL_METRICS.counter("c", key="k").inc(3)
+        NULL_METRICS.gauge("g").set(1.5)
+        NULL_METRICS.gauge("g").add(2.0)
+        NULL_METRICS.histogram("h", [1, 2]).observe(1.5)
+        assert len(NULL_METRICS) == 0
+        assert NULL_METRICS.counter_totals() == {}
+        assert NULL_METRICS.as_dict() == {}
+        assert NULL_METRICS.value("c", key="k") is None
+
+    def test_negative_increment_raises_like_a_real_counter(self):
+        with pytest.raises(ValueError):
+            NULL_METRICS.counter("c").inc(-1)
+
+
+# The hot balance slot of ``conflict_ratio_block(chain, 1, 16, 0.9)`` and its
+# token, and the per-key series an attached ParallelEVM run writes for it
+# (recorded before executors published into NULL_METRICS when detached).
+HOT_TOKEN = "a0000000000000000000000000000000000003e8"
+HOT_SLOT = (
+    "('s', b'\\xa0\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00"
+    "\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x03\\xe8', "
+    "6011792382385906118578147843299627852320979589924514018323010956445143"
+    "4685098)"
+)
+HOT_SLOT_SERIES = {
+    f"conflict_keys{{contract={HOT_TOKEN},key={HOT_SLOT}}}": 13,
+    f"redo_induced_ops{{contract={HOT_TOKEN},key={HOT_SLOT}}}": 52,
+    f"redo_induced_slices{{contract={HOT_TOKEN},key={HOT_SLOT}}}": 13,
+}
+
+
+def test_per_key_labels_are_built_only_when_attached(monkeypatch):
+    import repro.concurrency.base as base
+    from repro.bench.harness import standard_chain
+    from repro.core.executor import ParallelEVMExecutor
+    from repro.workloads.erc20_workload import conflict_ratio_block
+
+    calls = []
+    real_key_address = base.key_address
+
+    def spy(key):
+        calls.append(key)
+        return real_key_address(key)
+
+    monkeypatch.setattr(base, "key_address", spy)
+    chain = standard_chain(accounts=40, tokens=1, amm_pairs=0)
+    block = conflict_ratio_block(chain, 1, 16, ratio=0.9)
+
+    detached = ParallelEVMExecutor(threads=4).execute_block(
+        chain.fresh_world(), block.txs, block.env
+    )
+    assert detached.stats["redo_successes"] > 0
+    assert calls == []
+
+    observer = BlockObserver()
+    attached = ParallelEVMExecutor(threads=4, observer=observer).execute_block(
+        chain.fresh_world(), block.txs, block.env
+    )
+    assert calls
+    assert attached.makespan_us == detached.makespan_us
+    series = {
+        name: value
+        for name, value in observer.metrics.as_dict().items()
+        if name.startswith(("conflict_keys", "redo_induced_"))
+    }
+    assert series == HOT_SLOT_SERIES
 
 
 def _record(trace, worker, kind, start, end, tx=None):
