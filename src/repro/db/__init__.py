@@ -8,7 +8,7 @@ discrete-event machine can charge realistic costs to cold and warm reads, and
 so prefetching (Table 2) has the same effect it has in the paper.
 """
 
-from .kvstore import MemoryKV, SimulatedDiskKV, ReadSample
+from .kvstore import SimulatedDiskKV, ReadSample
 from .cache import LRUCache
 
-__all__ = ["MemoryKV", "SimulatedDiskKV", "LRUCache", "ReadSample"]
+__all__ = ["SimulatedDiskKV", "LRUCache", "ReadSample"]

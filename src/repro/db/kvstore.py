@@ -40,36 +40,6 @@ class ReadSample:
     cache_hit: bool
 
 
-class MemoryKV:
-    """A plain dict-backed store: every read is free.
-
-    Used wherever latency is irrelevant (tests, genesis construction, and the
-    write-buffer side of the world state).
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[Hashable, object] = {}
-
-    def read(self, key: Hashable, default=None) -> ReadSample:
-        return ReadSample(self._data.get(key, default), 0.0, True)
-
-    def write(self, key: Hashable, value) -> None:
-        self._data[key] = value
-
-    def peek(self, key: Hashable, default=None):
-        """Read without latency, cache, or stat effects (already free here)."""
-        return self._data.get(key, default)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def items(self):
-        return self._data.items()
-
-
 class SimulatedDiskKV:
     """Dict-backed store that models LevelDB read latency and a block cache.
 

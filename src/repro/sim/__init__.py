@@ -13,14 +13,12 @@ and thread scaling.
 """
 
 from .cost import CostModel
-from .meter import NULL_METER, CostMeter, NullMeter
+from .meter import CostMeter
 from .machine import SimMachine, Task, list_schedule, list_schedule_makespan
 
 __all__ = [
     "CostModel",
     "CostMeter",
-    "NULL_METER",
-    "NullMeter",
     "SimMachine",
     "Task",
     "list_schedule",

@@ -8,7 +8,7 @@ The resulting totals become task durations on the simulated machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -47,41 +47,3 @@ class CostMeter:
     @property
     def total_us(self) -> float:
         return self.compute_us + self.storage_us + self.tracking_us
-
-    def as_dict(self) -> dict:
-        """Every charge field plus the derived total, for metrics export."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["total_us"] = self.total_us
-        return out
-
-    def merged_with(self, other: "CostMeter") -> "CostMeter":
-        """A new meter holding the sum of both meters' charges."""
-        return CostMeter(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
-
-@dataclass(slots=True)
-class NullMeter(CostMeter):
-    """A meter that discards all charges (for cost-irrelevant executions).
-
-    Shares :class:`CostMeter`'s field definitions (all permanently zero)
-    rather than redeclaring them; only the charge methods are overridden to
-    no-ops.  Use the :data:`NULL_METER` singleton — a null meter carries no
-    state, so one instance serves every caller.
-    """
-
-    def charge_compute(self, us: float, ops: int = 1) -> None:
-        pass
-
-    def charge_storage(self, us: float, cold: bool) -> None:
-        pass
-
-    def charge_tracking(self, us: float, entries: int = 0) -> None:
-        pass
-
-
-NULL_METER = NullMeter()

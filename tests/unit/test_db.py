@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import LRUCache, MemoryKV, SimulatedDiskKV
+from repro.db import LRUCache, SimulatedDiskKV
 
 
 class TestLRUCache:
@@ -87,18 +87,6 @@ class TestLRUCache:
         cache.reset_stats()
         assert cache.evictions == 0
         assert cache.peak_entries == 2
-
-
-class TestMemoryKV:
-    def test_reads_are_free(self):
-        kv = MemoryKV()
-        kv.write("k", 42)
-        sample = kv.read("k")
-        assert sample.value == 42
-        assert sample.latency_us == 0.0
-
-    def test_default(self):
-        assert MemoryKV().read("missing", default=7).value == 7
 
 
 class TestSimulatedDiskKV:

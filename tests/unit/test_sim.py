@@ -15,7 +15,7 @@ from repro.sim.machine import (
     list_schedule,
     list_schedule_makespan,
 )
-from repro.sim.meter import NULL_METER, CostMeter, NullMeter
+from repro.sim.meter import CostMeter
 
 
 class TestMeter:
@@ -30,38 +30,6 @@ class TestMeter:
         assert meter.storage_reads == 2
         assert meter.storage_cold_reads == 1
         assert meter.log_entries == 2
-
-    def test_merge(self):
-        a, b = CostMeter(), CostMeter()
-        a.charge_compute(1.0)
-        b.charge_storage(2.0, cold=True)
-        merged = a.merged_with(b)
-        assert merged.total_us == pytest.approx(3.0)
-
-    def test_as_dict(self):
-        meter = CostMeter()
-        meter.charge_compute(1.5)
-        meter.charge_storage(20.0, cold=True)
-        d = meter.as_dict()
-        assert d["compute_us"] == pytest.approx(1.5)
-        assert d["storage_us"] == pytest.approx(20.0)
-        assert d["total_us"] == pytest.approx(21.5)
-        assert d["storage_cold_reads"] == 1
-
-
-class TestNullMeter:
-    def test_is_a_cost_meter(self):
-        assert isinstance(NULL_METER, CostMeter)
-
-    def test_charges_are_no_ops(self):
-        meter = NullMeter()
-        meter.charge_compute(5.0)
-        meter.charge_storage(38.0, cold=True)
-        meter.charge_tracking(1.0, entries=3)
-        assert meter.total_us == 0.0
-        assert meter.ops == 0
-        assert meter.log_entries == 0
-        assert all(v == 0 for v in meter.as_dict().values())
 
 
 class TestListSchedule:
