@@ -109,8 +109,8 @@ def run_sweep(
     None when it can.  Either way the sweep moves on to the next site.
     Problems land on ``report`` as ``Divergence(name, "<kind>:<site>", …)``
     with the report's ``kind`` (bare ``"<kind>"`` at the pseudo-site).
-    ``counted_as`` names the ``(total, failed)`` counters bumped once per
-    sweep when ``metrics`` is a registry rather than None.
+    ``counted_as`` names the ``(total, failed)`` counters bumped in
+    ``metrics`` once per sweep.
     """
     sites = report.sites or [None]
     for name in executors:

@@ -39,7 +39,8 @@ class ReorgManager:
         A :class:`~repro.resilience.policy.RecoveryPolicy`;
         ``max_reorg_depth`` bounds how far a rollback may reach.
     metrics:
-        Optional metrics registry for ``durability_reorg_blocks``.
+        The registry ``durability_reorg_blocks`` / ``durability_reorgs``
+        go to (by default the discarding ``NULL_METRICS``).
     """
 
     def __init__(

@@ -354,4 +354,3 @@ class _NullRegistry(MetricsRegistry):
 #: and histograms all resolve to one shared discard metric, so publishing
 #: sites need no ``is None`` guard and an unobserved run keeps nothing.
 NULL_METRICS = _NullRegistry()
-

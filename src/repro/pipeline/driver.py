@@ -95,7 +95,7 @@ class PipelineCoordinator:
 
     One coordinator serves one :class:`~repro.service.ChainService` for the
     lifetime of a run; it carries the lane clocks and the previous block's
-    in-flight write set across blocks.  ``metrics`` (an optional
+    in-flight write set across blocks.  ``metrics`` (a
     :class:`~repro.obs.MetricsRegistry`) receives ``pipeline_*`` counters;
     ``trace`` (an optional :class:`~repro.obs.TraceRecorder`) receives one
     span per lane occupation on the *global* pipeline clock, which is what

@@ -47,13 +47,9 @@ class ShipFeed:
             # (a partitioned process cannot be stopped from writing) but
             # every consumer has already finalized its cursor, and the
             # epoch check rejects the frames should anyone still look.
-            self.metrics.counter("replication_fenced_bytes_total").inc(
-                len(data)
-            )
+            self.metrics.counter("replication_fenced_bytes_total").inc(len(data))
         self._journal.extend(data)
-        self.metrics.counter("replication_shipped_bytes_total").inc(
-            len(data)
-        )
+        self.metrics.counter("replication_shipped_bytes_total").inc(len(data))
 
     def read_from(self, offset: int) -> bytes:
         return bytes(self._journal[offset:])
