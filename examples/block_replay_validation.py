@@ -21,7 +21,7 @@ from repro import (
     SerialExecutor,
     build_chain,
 )
-from repro.bench.harness import block_touched_keys
+from repro.bench.harness import prefetched_world
 
 BLOCKS = 4
 TXS = 60  # root hashing is O(state); keep the demo snappy
@@ -68,9 +68,9 @@ def main() -> None:
     block = workload.block(14_000_000 + BLOCKS)
     serial = SerialExecutor().execute_block(chain.fresh_world(), block.txs, block.env)
 
-    warm_world = chain.fresh_world()
-    warm_world.warm(block_touched_keys(chain, block))
-    warm = executor.execute_block(warm_world, block.txs, block.env)
+    warm = executor.execute_block(
+        prefetched_world(chain, serial), block.txs, block.env
+    )
     assert warm.writes == serial.writes
 
     pre = ParallelEVMExecutor(threads=16, preexecute=True).execute_block(

@@ -24,7 +24,7 @@ from repro import (
     TwoPLExecutor,
     build_chain,
 )
-from repro.bench.harness import block_touched_keys
+from repro.bench.harness import prefetched_world
 
 
 def main() -> None:
@@ -50,10 +50,8 @@ def main() -> None:
         configs.append((executor.name, result))
 
     # ParallelEVM + prefetching (Table 2's best deployable configuration).
-    warm = chain.fresh_world()
-    warm.warm(block_touched_keys(chain, block))
     prefetched = ParallelEVMExecutor(threads=16).execute_block(
-        warm, block.txs, block.env
+        prefetched_world(chain, serial), block.txs, block.env
     )
     assert prefetched.writes == serial.writes
     configs.append(("parallelevm + prefetch", prefetched))

@@ -1,25 +1,29 @@
-"""Conflict-graph construction and critical-path speedup bounds."""
+"""Conflict-graph construction and the transaction-level speedup bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..concurrency import SerialExecutor
-from ..evm.message import BlockEnv, Transaction
+from ..concurrency import BlockResult, SerialExecutor
+from ..evm.message import TxResult
 from ..state.keys import StateKey
-from ..state.world import WorldState
+from ..workloads import Block, Chain
 
 
 @dataclass(slots=True)
 class BlockConflictAnalysis:
     """Structural contention profile of one block.
 
-    All durations are simulated microseconds from the serial reference
-    execution; the *transaction-level bound* is the classic critical-path
-    argument (a transaction cannot start before the transactions whose
-    writes it reads have finished), which caps OCC/Block-STM-style schemes
-    but **not** ParallelEVM — its redo phase only re-executes the
-    conflicting slice, so it can and does exceed this bound.
+    Dependencies and hot keys come from the read/write sets of the cold
+    serial reference run.  Durations are simulated microseconds of a serial
+    run over a world prefetched with the block's keys: the chain links of a
+    transaction-level executor re-execute against warm caches, so the *warm*
+    critical path is the floor.  The *transaction-level bound* is the cold
+    serial makespan (``total_us``, the baseline every speedup uses) over that
+    floor — the classic critical-path argument (a transaction cannot finish
+    before the transactions whose writes it reads), which caps serial, 2PL,
+    OCC, Block-STM and two-phase but **not** ParallelEVM: its redo phase only
+    re-executes the conflicting slice, so it can and does exceed this bound.
     """
 
     tx_count: int
@@ -27,16 +31,13 @@ class BlockConflictAnalysis:
     dependencies: list[list[int]]
     conflicting_txs: int
     hot_keys: list[tuple[StateKey, int]]  # (key, number of touching txs)
+    total_us: float  # the cold serial makespan
     critical_path_us: float = 0.0
     critical_path_txs: int = 0
 
     @property
-    def total_us(self) -> float:
-        return sum(self.durations_us)
-
-    @property
     def tx_level_speedup_bound(self) -> float:
-        """total work / critical path: the transaction-level ceiling."""
+        """cold serial / warm critical path: the transaction-level ceiling."""
         if self.critical_path_us <= 0:
             return float(self.tx_count or 1)
         return self.total_us / self.critical_path_us
@@ -61,29 +62,32 @@ class BlockConflictAnalysis:
             ],
         }
 
-    def describe(self) -> str:
-        hot = ", ".join(f"{count} txs" for _, count in self.hot_keys[:3])
-        return (
-            f"{self.tx_count} txs, {self.conflict_share:.0%} in conflicts; "
-            f"critical path {self.critical_path_txs} txs "
-            f"({self.critical_path_us / 1000:.2f} ms of "
-            f"{self.total_us / 1000:.2f} ms); tx-level speedup bound "
-            f"{self.tx_level_speedup_bound:.2f}x; hottest keys touch [{hot}]"
-        )
+
+def _in_block_order(result: BlockResult, tx_count: int) -> list[TxResult]:
+    by_index = {r.tx.tx_index: r for r in result.tx_results}
+    return [by_index[i] for i in range(tx_count)]
 
 
 def analyze_block(
-    world: WorldState, txs: list[Transaction], env: BlockEnv
+    chain: Chain, block: Block, serial: BlockResult
 ) -> BlockConflictAnalysis:
-    """Profile a block's conflict structure from a serial reference run.
+    """Profile a block's conflict structure and its transaction-level bound.
 
-    The world is used read-mostly (its cache warms); pass a fresh clone if
-    that matters to the caller.
+    ``serial`` is the caller's cold serial reference result for ``block``
+    on ``chain``'s genesis world; the block runs once more, serially, over
+    a world prefetched with the keys that result touched.
     """
-    serial = SerialExecutor().execute_block(world, txs, env)
-    by_index = {r.tx.tx_index: r for r in serial.tx_results}
-    ordered = [by_index[i] for i in range(len(txs))]
-    durations = [r.duration_us for r in ordered]
+    # Imported here: ``import repro`` loads this module, and bench.harness
+    # brings in ``statistics`` (with ``decimal`` and ``fractions``), which
+    # cost the wall benchmark's validate_roots ~8 % when loaded eagerly.
+    from ..bench.harness import prefetched_world
+
+    tx_count = len(block.txs)
+    ordered = _in_block_order(serial, tx_count)
+    warm = SerialExecutor().execute_block(
+        prefetched_world(chain, serial), block.txs, block.env
+    )
+    durations = [r.duration_us for r in _in_block_order(warm, tx_count)]
 
     last_writer: dict[StateKey, int] = {}
     touching: dict[StateKey, set[int]] = {}
@@ -99,20 +103,15 @@ def analyze_block(
             touching.setdefault(key, set()).add(j)
 
     # Longest weighted path through the dependency DAG.
-    finish = [0.0] * len(txs)
-    depth = [0] * len(txs)
+    finish = [0.0] * tx_count
+    depth = [0] * tx_count
     for j, deps in enumerate(dependencies):
         start = max((finish[i] for i in deps), default=0.0)
         finish[j] = start + durations[j]
         depth[j] = 1 + max((depth[i] for i in deps), default=0)
 
-    in_conflict = {
-        j
-        for j, deps in enumerate(dependencies)
-        for _ in [0]
-        if deps
-    }
-    for j, deps in enumerate(dependencies):
+    in_conflict = {j for j, deps in enumerate(dependencies) if deps}
+    for deps in dependencies:
         in_conflict.update(deps)
 
     # Secondary sort on repr: ties otherwise surface in hash-dependent
@@ -124,11 +123,12 @@ def analyze_block(
     )
 
     return BlockConflictAnalysis(
-        tx_count=len(txs),
+        tx_count=tx_count,
         durations_us=durations,
         dependencies=dependencies,
         conflicting_txs=len(in_conflict),
         hot_keys=hot_keys,
+        total_us=serial.makespan_us,
         critical_path_us=max(finish, default=0.0),
         critical_path_txs=max(depth, default=0),
     )

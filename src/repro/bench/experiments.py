@@ -49,7 +49,6 @@ from .harness import (
     TABLE1_EXECUTORS,
     block_touched_keys,
     measure_speedups,
-    prefetched_world,
     standard_chain,
     standard_workload,
 )
@@ -188,7 +187,7 @@ def run_table2():
         serial_cold = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
         )
-        keys = block_touched_keys(chain, block)
+        keys = block_touched_keys(serial_cold)
 
         warm_world = chain.fresh_world()
         warm_world.warm(keys)
@@ -902,10 +901,12 @@ def run_bounds():
 
     The literature the paper builds on (Garamvölgyi et al.; Reijsbergen &
     Dinh; Saraph & Herlihy) caps *transaction-level* schemes at total work /
-    critical path.  This measures that bound on a calibrated mainnet-like
-    block and on a fully conflicting ERC20 block: transaction-level
-    executors respect it, while ParallelEVM — which serialises only
-    conflicting *operations* — passes it on the contended block.
+    critical path.  This reports :func:`repro.analysis.analyze_block`'s
+    bound — the cold serial makespan over the warm critical path — on a
+    calibrated mainnet-like block and on a fully conflicting ERC20 block:
+    transaction-level executors respect it, while ParallelEVM — which
+    serialises only conflicting *operations* — passes it on the contended
+    block.
     """
     chain = standard_chain()
     rows = []
@@ -917,14 +918,8 @@ def run_bounds():
         serial = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
         )
-        # The chain links of a transaction-level executor re-execute against
-        # warm caches, so the binding floor is the *warm* critical path; the
-        # resulting bound is expressed against the cold serial baseline all
-        # speedups use.
-        analysis = analyze_block(
-            prefetched_world(chain, block), block.txs, block.env
-        )
-        bound = serial.makespan_us / max(1e-9, analysis.critical_path_us)
+        analysis = analyze_block(chain, block, serial)
+        bound = analysis.tx_level_speedup_bound
         speedups = {}
         for executor in (
             OCCExecutor(threads=DEFAULT_THREADS),

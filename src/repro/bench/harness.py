@@ -5,9 +5,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from ..concurrency import BlockExecutor, SerialExecutor
+from ..concurrency import BlockExecutor, BlockResult, SerialExecutor
 from ..errors import ConcurrencyError
-from ..evm.message import BlockEnv
 from ..state.world import WorldState
 from ..workloads import Block, Chain, ChainSpec, MainnetConfig, MainnetWorkload, build_chain
 
@@ -68,22 +67,12 @@ def measure_speedups(
     chain: Chain,
     blocks: list[Block],
     executors: list[BlockExecutor],
-    check_state: bool = True,
-    warm_keys: set | None = None,
-    observer_factory=None,
 ) -> dict[str, SpeedupSummary]:
     """Run every executor over every block; speedups vs cold serial.
 
     Every executor gets a fresh clone of the genesis world (cold caches),
-    mirroring how the paper replays each block under each system.  With
-    ``warm_keys`` the *executor* worlds are prefetched (Table 2's two-phase
-    protocol) while the serial baseline stays cold.
-
-    ``observer_factory`` (e.g. :class:`repro.obs.BlockObserver`) attaches a
-    fresh observer per executor-block run; its metrics snapshot lands under
-    the ``"metrics"`` key of that run's stats entry.  Observation never
-    changes makespans — the discrete-event machine emits spans with the same
-    event ordering either way.
+    mirroring how the paper replays each block under each system; a run
+    whose writes differ from the serial reference's raises ConcurrencyError.
     """
     summaries = {ex.name: SpeedupSummary(ex.name) for ex in executors}
     summaries["serial"] = SpeedupSummary("serial")
@@ -94,19 +83,10 @@ def measure_speedups(
         summaries["serial"].speedups.append(1.0)
         summaries["serial"].stats.append({"makespan_us": serial.makespan_us})
         for executor in executors:
-            world = chain.fresh_world()
-            if warm_keys is not None:
-                world.warm(warm_keys)
-            observer = None
-            if observer_factory is not None:
-                observer = observer_factory()
-                executor.observer = observer
-            try:
-                result = executor.execute_block(world, block.txs, block.env)
-            finally:
-                if observer is not None:
-                    executor.observer = None
-            if check_state and result.writes != serial.writes:
+            result = executor.execute_block(
+                chain.fresh_world(), block.txs, block.env
+            )
+            if result.writes != serial.writes:
                 raise ConcurrencyError(
                     f"{executor.name} diverged from serial on block "
                     f"{block.number}"
@@ -114,23 +94,17 @@ def measure_speedups(
             summaries[executor.name].speedups.append(
                 serial.makespan_us / result.makespan_us
             )
-            stats = dict(result.stats)
-            if observer is not None:
-                stats["metrics"] = observer.metrics.as_dict()
-            summaries[executor.name].stats.append(stats)
+            summaries[executor.name].stats.append(dict(result.stats))
     return summaries
 
 
-def block_touched_keys(chain: Chain, block: Block) -> set:
+def block_touched_keys(serial: BlockResult) -> set:
     """All state keys a block touches (the prefetch oracle's first phase).
 
     The paper's prefetching experiment runs the block once just to discover
-    and warm its storage slots, then measures the second run; this helper is
-    that first phase.
+    and warm its storage slots, then measures the second run; ``serial``,
+    the caller's cold serial reference result, is that first phase.
     """
-    serial = SerialExecutor().execute_block(
-        chain.fresh_world(), block.txs, block.env
-    )
     keys: set = set()
     for result in serial.tx_results:
         keys.update(result.read_set)
@@ -138,8 +112,8 @@ def block_touched_keys(chain: Chain, block: Block) -> set:
     return keys
 
 
-def prefetched_world(chain: Chain, block: Block) -> WorldState:
-    """A fresh world with the block's keys already cached."""
+def prefetched_world(chain: Chain, serial: BlockResult) -> WorldState:
+    """A fresh world with the keys of ``serial``'s block already cached."""
     world = chain.fresh_world()
-    world.warm(block_touched_keys(chain, block))
+    world.warm(block_touched_keys(serial))
     return world

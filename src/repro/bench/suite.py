@@ -97,7 +97,7 @@ def _run_point(chain, block, threads: int) -> dict:
     )
     serial_us = serial.makespan_us
     tx_count = len(block.txs) or 1
-    analysis = analyze_block(chain.fresh_world(), block.txs, block.env)
+    analysis = analyze_block(chain, block, serial)
     executors: dict[str, dict] = {}
     for name in EXECUTOR_NAMES:
         observer = BlockObserver()

@@ -57,7 +57,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     import json
 
     chain, block, serial = _standard_block(args)
-    analysis = analyze_block(chain.fresh_world(), block.txs, block.env)
+    analysis = analyze_block(chain, block, serial)
     executors: dict[str, dict] = {}
     for name in TABLE1_EXECUTORS:
         executor = make_executor(name, args.threads)
@@ -128,7 +128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.writes != serial.writes:
         print(f"{executor.name}: STATE DIVERGED from serial", file=sys.stderr)
         return 1
-    analysis = analyze_block(chain.fresh_world(), block.txs, block.env)
+    analysis = analyze_block(chain, block, serial)
 
     metrics = observer.metrics
     metrics.gauge("makespan_us").set(result.makespan_us)

@@ -332,15 +332,16 @@ def structural_bound_lines(analysis, makespan_us: float, serial_us: float | None
     """Work-span bound vs achieved speedup, as report lines.
 
     ``analysis`` is a :class:`repro.analysis.conflict_graph.BlockConflictAnalysis`
-    (duck-typed to avoid an import cycle).  With ``serial_us`` the achieved
-    speedup is set against the transaction-level ceiling, making the gap
-    between "structural bound" and "what the scheduler got" explicit.
+    (duck-typed to avoid an import cycle): its ceiling is the cold serial
+    makespan over the warm critical path.  With ``serial_us`` the achieved
+    speedup is set against that ceiling, making the gap between "structural
+    bound" and "what the scheduler got" explicit.
     """
     bound = analysis.tx_level_speedup_bound
     lines = [
         f"structural bound: {bound:.2f}x tx-level speedup ceiling "
-        f"(critical path {analysis.critical_path_txs} txs / "
-        f"{analysis.critical_path_us:.1f} us of {analysis.total_us:.1f} us total work)",
+        f"(warm critical path {analysis.critical_path_txs} txs / "
+        f"{analysis.critical_path_us:.1f} us of {analysis.total_us:.1f} us cold serial)",
         f"conflict share: {analysis.conflict_share:.1%} of txs are in conflicts",
     ]
     if serial_us is not None and makespan_us > 0:

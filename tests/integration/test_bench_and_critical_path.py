@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,24 @@ from repro.obs import BlockObserver, collect_attribution, critical_path
 
 THREADS = 4
 REL_TOL = 1e-6
+BASELINE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "baselines" / "BENCH_small.json"
+)
+# Executors that run whole transactions: none of them can finish a block
+# before its warm critical path, so none may beat the tx-level bound.
+TX_LEVEL_EXECUTORS = ("serial", "2pl", "occ", "block-stm", "two-phase")
+
+
+def assert_within_tx_level_bound(document: dict) -> None:
+    for sweep_name, sweep in document["sweeps"].items():
+        for point in sweep["points"]:
+            for name in TX_LEVEL_EXECUTORS:
+                fraction = point["executors"][name]["bound_fraction"]
+                assert fraction <= 1.0, (
+                    f"{name} at {sweep_name}={point['point']} reaches "
+                    f"{fraction:.2f} of the tx-level bound"
+                )
 
 
 def blame_invariants(observer: BlockObserver, makespan_us: float, label: str):
@@ -116,6 +135,12 @@ class TestBenchSuite:
                     assert cp["path_work_us"] + cp["stall_us"] == pytest.approx(
                         cp["makespan_us"], rel=REL_TOL
                     )
+
+    def test_tx_level_executors_stay_within_the_bound(self, tiny_doc):
+        assert_within_tx_level_bound(tiny_doc)
+
+    def test_committed_baseline_stays_within_the_bound(self):
+        assert_within_tx_level_bound(json.loads(BASELINE.read_text()))
 
     def test_json_roundtrips(self, tiny_doc):
         assert json.loads(to_json(tiny_doc)) == tiny_doc

@@ -191,9 +191,8 @@ def test_schedule():
 
 def test_bounds():
     contended = data("bounds")["100% conflicting ERC20"]
-    # Transaction-level schemes cannot beat the warm critical-path bound
-    # (small tolerance for scheduling granularity).
-    assert contended["occ"] <= contended["bound"] * 1.15
-    assert contended["block-stm"] <= contended["bound"] * 1.15
+    # Transaction-level schemes cannot beat the warm critical-path bound.
+    assert contended["occ"] <= contended["bound"]
+    assert contended["block-stm"] <= contended["bound"]
     # ParallelEVM's operation-level redo breaks through it decisively.
     assert contended["parallelevm"] > contended["bound"] * 1.5

@@ -22,7 +22,7 @@ def setting():
 class TestPrefetching:
     def test_prefetched_serial_is_faster_and_identical(self, setting):
         chain, block, serial = setting
-        world = prefetched_world(chain, block)
+        world = prefetched_world(chain, serial)
         warm = SerialExecutor().execute_block(world, block.txs, block.env)
         assert warm.writes == serial.writes
         assert warm.makespan_us < serial.makespan_us / 1.5
@@ -33,14 +33,14 @@ class TestPrefetching:
             chain.fresh_world(), block.txs, block.env
         )
         warm = ParallelEVMExecutor(threads=8).execute_block(
-            prefetched_world(chain, block), block.txs, block.env
+            prefetched_world(chain, serial), block.txs, block.env
         )
         assert warm.writes == serial.writes
         assert warm.makespan_us < cold.makespan_us
 
     def test_touched_keys_cover_all_writes(self, setting):
         chain, block, serial = setting
-        keys = block_touched_keys(chain, block)
+        keys = block_touched_keys(serial)
         coinbase_keys = {k for k in serial.writes if k[1] == block.env.coinbase}
         assert set(serial.writes) - coinbase_keys <= keys
 

@@ -80,7 +80,5 @@ class TestHarness:
 
         chain = standard_chain(accounts=60, tokens=2, amm_pairs=1)
         block = MainnetWorkload(chain, MainnetConfig(txs_per_block=10)).block(1)
-        summaries = measure_speedups(
-            chain, [block], [SerialExecutor()], check_state=True
-        )
+        summaries = measure_speedups(chain, [block], [SerialExecutor()])
         assert summaries["serial"].speedups == [1.0, 1.0]
