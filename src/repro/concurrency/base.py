@@ -35,7 +35,7 @@ from ..evm.interpreter import execute_transaction
 from ..evm.message import BlockEnv, Transaction, TxResult
 from ..obs.metrics import NULL_METRICS
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
-from ..sim.machine import Task
+from ..sim.machine import SimMachine, Task
 from ..sim.meter import CostMeter
 from ..state.keys import StateKey, balance_key, key_address
 from ..state.view import BlockOverlay, StateView
@@ -93,11 +93,16 @@ class BlockExecutor(ABC):
     ``None`` when absent, and schedulers skip their bookkeeping then.
 
     ``fault_plan`` (a :class:`repro.resilience.FaultPlan`) switches the
-    executor into chaos mode, and ``recovery`` (a
-    :class:`repro.resilience.RecoveryPolicy`, defaulting to the plan's) sets
-    the escalation-ladder knobs.  Both default to ``None``, and every hook
-    they feed is ``None``-guarded, so an unfaulted run's makespans stay
-    bit-identical to a build without the resilience layer.
+    executor into chaos mode; its :class:`~repro.resilience.RecoveryPolicy`
+    (:attr:`recovery`) sets the escalation-ladder knobs and the block
+    deadline.  It defaults to ``None``, and every hook it feeds is
+    ``None``-guarded, so an unfaulted run's makespans stay bit-identical to
+    a build without the resilience layer.
+
+    Executors meet the simulated clock through :meth:`simulate` (the one
+    :class:`~repro.sim.machine.SimMachine`), :attr:`deadline_us` and
+    :meth:`block_result` (the stats-publishing epilogue); spans outside the
+    machine go through :func:`emit_span`.
 
     ``durability`` is an optional
     :class:`repro.durability.DurableCommitPipeline`.  When attached,
@@ -123,16 +128,12 @@ class BlockExecutor(ABC):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         observer=None,
         fault_plan=None,
-        recovery=None,
         durability=None,
     ) -> None:
         self.threads = threads
         self.cost_model = cost_model
         self.observer = observer
         self.fault_plan = fault_plan
-        if recovery is None and fault_plan is not None:
-            recovery = fault_plan.recovery
-        self.recovery = recovery
         self.durability = durability
         self.digests = DigestMemo(DIGEST_MEMO_ENTRIES)
 
@@ -141,6 +142,42 @@ class BlockExecutor(ABC):
         """The observer's metrics registry, or the discarding
         :data:`~repro.obs.metrics.NULL_METRICS` when unobserved."""
         return getattr(self.observer, "metrics", NULL_METRICS)
+
+    @property
+    def recovery(self):
+        """The fault plan's recovery policy, or None without a plan."""
+        plan = self.fault_plan
+        return plan.recovery if plan is not None else None
+
+    @property
+    def deadline_us(self) -> float | None:
+        """The block deadline the watchdog enforces, or None (no watchdog)."""
+        recovery = self.recovery
+        return recovery.block_deadline_us if recovery is not None else None
+
+    def simulate(self, scheduler) -> float:
+        """Drive ``scheduler`` to completion on ``threads`` simulated
+        workers, under the observer, the fault plan and the deadline;
+        returns the makespan."""
+        return SimMachine(
+            self.threads,
+            observer=self.observer,
+            fault_plan=self.fault_plan,
+            deadline_us=self.deadline_us,
+        ).run(scheduler)
+
+    def block_result(
+        self, overlay: BlockOverlay, results: list[TxResult], makespan_us, stats
+    ) -> BlockResult:
+        """Publish ``stats`` and package the block's outcome."""
+        publish_stats(self.metrics, stats)
+        return BlockResult(
+            writes=dict(overlay.items()),
+            makespan_us=makespan_us,
+            tx_results=results,
+            threads=self.threads,
+            stats=stats,
+        )
 
     @contextmanager
     def storage_faults(self, world: WorldState):
@@ -231,14 +268,7 @@ class BlockExecutor(ABC):
             "serial_fallback": 1.0,
             "fallback_at_us": start_us,
         }
-        publish_stats(self.metrics, stats)
-        return BlockResult(
-            writes=dict(overlay.items()),
-            makespan_us=start_us + serial_us,
-            tx_results=results,
-            threads=self.threads,
-            stats=stats,
-        )
+        return self.block_result(overlay, results, start_us + serial_us, stats)
 
     def commit_block(
         self, world: WorldState, block_number: int, result: BlockResult
@@ -323,21 +353,11 @@ def run_serial_pass(
         )
         overlay.apply(result.write_set)
         commit_us = commit_cost_us(result, cost_model)
-        if observer is not None:
-            # One execute span and one commit span per transaction, all
-            # on worker 0 — serial execution is its own schedule.
-            observer.on_span(
-                0,
-                Task(kind=span_kind, duration_us=meter.total_us, tx_index=index),
-                now,
-                now + meter.total_us,
-            )
-            observer.on_span(
-                0,
-                Task(kind="commit", duration_us=commit_us, tx_index=index),
-                now + meter.total_us,
-                now + meter.total_us + commit_us,
-            )
+        # One execute span and one commit span per transaction, all on
+        # worker 0 — serial execution is its own schedule.
+        executed = now + meter.total_us
+        emit_span(observer, 0, span_kind, now, executed, index)
+        emit_span(observer, 0, "commit", executed, executed + commit_us, index)
         now += meter.total_us + commit_us
         results.append(result)
     settle_fees(overlay, world, results, env)
@@ -431,6 +451,22 @@ def count_keys(metrics, name: str, keys, amount: int | float = 1) -> None:
         metrics.counter(
             name, key=str(key), contract=key_address(key).hex()
         ).inc(amount)
+
+
+def emit_span(
+    observer, worker: int, kind: str, start_us, end_us, tx_index=None
+) -> None:
+    """Report one observer-only span: work scheduled outside the
+    :class:`~repro.sim.machine.SimMachine` (a serial pass, a commit tail, a
+    lock simulation).  A no-op without an observer, so callers never guard
+    it; it never feeds back into any makespan."""
+    if observer is not None:
+        observer.on_span(
+            worker,
+            Task(kind=kind, duration_us=end_us - start_us, tx_index=tx_index),
+            start_us,
+            end_us,
+        )
 
 
 def observer_edge_hook(observer):

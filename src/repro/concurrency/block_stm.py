@@ -24,7 +24,7 @@ import heapq
 from ..errors import AbortStormDetected
 from ..evm.interpreter import execute_transaction
 from ..evm.message import BlockEnv, Transaction, TxResult
-from ..sim.machine import SimMachine, Task
+from ..sim.machine import Task
 from ..sim.meter import CostMeter
 from ..state.view import BlockOverlay, StateView
 from ..state.world import WorldState
@@ -33,9 +33,9 @@ from .base import (
     BlockResult,
     commit_cost_us,
     count_keys,
+    emit_span,
     observer_counter_hook,
     observer_edge_hook,
-    publish_stats,
     settle_fees,
     validation_cost_us,
 )
@@ -288,14 +288,7 @@ class BlockSTMExecutor(BlockExecutor):
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         scheduler = _BlockSTMScheduler(self, world, txs, env)
-        recovery = self.recovery
-        machine = SimMachine(
-            self.threads,
-            observer=self.observer,
-            fault_plan=self.fault_plan,
-            deadline_us=recovery.block_deadline_us if recovery else None,
-        )
-        makespan = machine.run(scheduler)
+        makespan = self.simulate(scheduler)
 
         results = [r for r in scheduler.results if r is not None]
         # Like every block executor, Block-STM must publish write sets to
@@ -305,19 +298,15 @@ class BlockSTMExecutor(BlockExecutor):
         # sum() so makespans stay bit-identical whether or not the
         # observer-only commit spans (virtual worker lane ``threads``) are
         # emitted.
-        observer = self.observer
         tail = 0.0
         for index, result in enumerate(scheduler.results):
             if result is None:
                 continue
             cost = commit_cost_us(result, self.cost_model)
-            if observer is not None:
-                observer.on_span(
-                    self.threads,
-                    Task(kind="commit", duration_us=cost, tx_index=index),
-                    makespan + tail,
-                    makespan + tail + cost,
-                )
+            emit_span(
+                self.observer, self.threads, "commit",
+                makespan + tail, makespan + tail + cost, index,
+            )
             tail += cost
         makespan += tail
         overlay = BlockOverlay()
@@ -328,11 +317,4 @@ class BlockSTMExecutor(BlockExecutor):
             "aborts": scheduler.aborts,
             "estimate_suspensions": scheduler.estimate_suspensions,
         }
-        publish_stats(self.metrics, stats)
-        return BlockResult(
-            writes=dict(overlay.items()),
-            makespan_us=makespan,
-            tx_results=results,
-            threads=self.threads,
-            stats=stats,
-        )
+        return self.block_result(overlay, results, makespan, stats)

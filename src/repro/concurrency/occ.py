@@ -7,6 +7,10 @@ whole transaction.  Execution, validation and re-execution are driven by
 the event-driven simulated machine, so pipelining (later transactions
 executing while earlier ones validate) is captured rather than modelled as
 synchronous rounds.
+
+:class:`OCCScheduler` is the one in-order commit protocol of the OCC
+family: ParallelEVM (:mod:`repro.core.executor`) subclasses it and changes
+only the read phase, the commit-point task and the conflict handler.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..evm.message import BlockEnv, Transaction, TxResult
-from ..sim.machine import SimMachine, Task
+from ..sim.machine import Task
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
 from .base import (
@@ -25,29 +29,40 @@ from .base import (
     find_conflicts,
     observer_counter_hook,
     observer_edge_hook,
-    publish_stats,
     run_speculative,
     settle_fees,
     validation_cost_us,
 )
 
 
-class _OCCScheduler:
-    """The policy driving OCC on the simulated machine."""
+class OCCScheduler:
+    """The in-order commit protocol driving OCC on the simulated machine.
 
-    def __init__(self, executor: "OCCExecutor", world, txs, env) -> None:
+    Executions run on any idle worker; the next transaction in block order
+    whose execution is done enters the exclusive commit point, where one
+    task at a time validates it (and commits it when valid).  ``exec_done``
+    maps an index to ``(result, trace)``, the read phase's record (None
+    here).  Subclasses override :meth:`execute`, :meth:`commit_point_task`,
+    :meth:`commit_point_done` and :meth:`on_conflict`.
+    """
+
+    def __init__(self, executor: BlockExecutor, world, txs, env) -> None:
         self.executor = executor
+        self.metrics = executor.metrics
         self.world = world
         self.txs = txs
         self.env = env
         self.overlay = BlockOverlay()
         self.pending: deque[int] = deque(range(len(txs)))
-        self.exec_done: dict[int, TxResult] = {}
+        self.exec_done: dict[int, tuple[TxResult, object]] = {}
         self.next_commit = 0
-        self.validating = False
+        self.busy_at_commit_point = False
         self.results: list[TxResult | None] = [None] * len(txs)
-        self.aborts = 0
         self.executions = 0
+        self.failed_validations = 0
+        # Telemetry-only hooks (None on the unobserved fast path): reported
+        # dependency edges need the last committed writer of each key, so
+        # that map is maintained only when an edge sink is attached.
         self._on_edge = observer_edge_hook(executor.observer)
         self._on_counter = observer_counter_hook(executor.observer)
         self._last_writer: dict | None = {} if self._on_edge is not None else None
@@ -55,68 +70,105 @@ class _OCCScheduler:
     # ------------------------------------------------------------ machine
 
     def next_task(self, worker_id: int, now_us: float) -> Task | None:
-        cm = self.executor.cost_model
         if (
-            not self.validating
+            not self.busy_at_commit_point
             and self.next_commit < len(self.txs)
             and self.next_commit in self.exec_done
         ):
-            index = self.next_commit
-            result = self.exec_done[index]
-            # Committed state cannot change while this task is in flight
-            # (commits only happen when a VALIDATE completes and only one
-            # runs at a time), so validating now is exact.
-            conflicts = find_conflicts(result.read_set, self.world, self.overlay)
-            duration = validation_cost_us(result, cm)
-            if not conflicts:
-                duration += commit_cost_us(result, cm)
-            self.validating = True
-            return Task(
-                kind="validate",
-                duration_us=duration + cm.scheduler_slot_us,
-                payload=(index, conflicts),
-                tx_index=index,
-            )
+            self.busy_at_commit_point = True
+            return self.commit_point_task(self.next_commit)
         if self.pending:
-            index = self.pending.popleft()
-            result, meter = run_speculative(
-                self.world, self.overlay, self.txs[index], self.env,
-                self.executor.cost_model, hasher=self.executor.digests,
-            )
-            self.executions += 1
-            return Task(
-                kind="execute",
-                duration_us=meter.total_us + cm.scheduler_slot_us,
-                payload=(index, result),
-                tx_index=index,
-            )
+            return self.execute(self.pending.popleft())
         return None
 
     def on_complete(self, task: Task, now_us: float) -> None:
         if self._on_counter is not None:
             self._on_counter("ready txs", now_us, len(self.pending))
-        if task.kind == "execute":
-            index, result = task.payload
-            self.exec_done[index] = result
+        kind = task.kind
+        if kind == "execute":
+            index, done = task.payload
+            self.exec_done[index] = done
             return
-        # validate
+        self.busy_at_commit_point = False
+        if kind != "validate":
+            self.commit_point_done(task)
+            return
         index, conflicts = task.payload
-        self.validating = False
-        result = self.exec_done.pop(index)
-        if conflicts:
-            self.aborts += 1
-            count_keys(self.executor.metrics, "conflict_keys", conflicts)
-            if self._on_edge is not None:
-                for key in conflicts:
-                    self._on_edge(
-                        "conflict",
-                        self._last_writer.get(key),
-                        index,
-                        key=str(key),
-                    )
-                self._on_edge("reexecute", None, index)
-            self.pending.appendleft(index)  # re-execute as soon as possible
+        if not conflicts:
+            self.commit(index)
             return
+        self.failed_validations += 1
+        count_keys(self.metrics, "conflict_keys", conflicts)
+        if self._on_edge is not None:
+            for key in conflicts:
+                self._on_edge(
+                    "conflict", self._last_writer.get(key), index, key=str(key)
+                )
+        self.on_conflict(index, conflicts)
+
+    def done(self) -> bool:
+        return self.next_commit == len(self.txs)
+
+    # ------------------------------------------------------------- phases
+
+    def execute(self, index: int) -> Task:
+        """The read phase: one speculative execution over committed state."""
+        cm = self.executor.cost_model
+        result, meter = run_speculative(
+            self.world, self.overlay, self.txs[index], self.env, cm,
+            hasher=self.executor.digests,
+        )
+        self.executions += 1
+        return Task(
+            kind="execute",
+            duration_us=meter.total_us + cm.scheduler_slot_us,
+            payload=(index, (result, None)),
+            tx_index=index,
+        )
+
+    def commit_point_task(self, index: int) -> Task:
+        """The commit point's task for ``index``, the next tx in block order.
+
+        Committed state cannot change while this task is in flight (commits
+        only happen when a commit-point task completes and only one runs at
+        a time), so validating now is exact.
+        """
+        result, _trace = self.exec_done[index]
+        conflicts = find_conflicts(result.read_set, self.world, self.overlay)
+        return self.validate_task(index, result, conflicts)
+
+    def validate_task(self, index: int, result: TxResult, conflicts) -> Task:
+        """Validate ``result``'s read set; a valid one commits in the same
+        task (its completion is the tx's commit)."""
+        cm = self.executor.cost_model
+        duration = validation_cost_us(result, cm)
+        if not conflicts:
+            duration += commit_cost_us(result, cm)
+        return Task(
+            kind="validate",
+            duration_us=duration + cm.scheduler_slot_us,
+            payload=(index, conflicts),
+            tx_index=index,
+        )
+
+    def commit_point_done(self, task: Task) -> None:
+        """Completion of a commit-point task other than a validation (OCC
+        runs none; a subclass that dispatches one handles it here)."""
+        raise NotImplementedError(task.kind)
+
+    def on_conflict(self, index: int, conflicts: dict) -> None:
+        """A failed validation, already counted: abort and re-execute."""
+        self.reexecute(index)
+
+    def reexecute(self, index: int) -> None:
+        """Discard ``index``'s execution and run it again as soon as possible."""
+        if self._on_edge is not None:
+            self._on_edge("reexecute", None, index)
+        del self.exec_done[index]
+        self.pending.appendleft(index)
+
+    def commit(self, index: int) -> None:
+        result, _trace = self.exec_done.pop(index)
         self.overlay.apply(result.write_set)
         if self._last_writer is not None:
             for key in result.write_set:
@@ -124,8 +176,12 @@ class _OCCScheduler:
         self.results[index] = result
         self.next_commit += 1
 
-    def done(self) -> bool:
-        return self.next_commit == len(self.txs)
+    def settle(self) -> list[TxResult]:
+        """The committed results in block order, with the block's fees
+        credited to the coinbase in the overlay."""
+        results = [r for r in self.results if r is not None]
+        settle_fees(self.overlay, self.world, results, self.env)
+        return results
 
 
 class OCCExecutor(BlockExecutor):
@@ -143,26 +199,12 @@ class OCCExecutor(BlockExecutor):
     def _run(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
-        scheduler = _OCCScheduler(self, world, txs, env)
-        recovery = self.recovery
-        machine = SimMachine(
-            self.threads,
-            observer=self.observer,
-            fault_plan=self.fault_plan,
-            deadline_us=recovery.block_deadline_us if recovery else None,
-        )
-        makespan = machine.run(scheduler)
-        results = [r for r in scheduler.results if r is not None]
-        settle_fees(scheduler.overlay, world, results, env)
+        scheduler = OCCScheduler(self, world, txs, env)
+        makespan = self.simulate(scheduler)
         stats = {
-            "aborts": scheduler.aborts,
+            "aborts": scheduler.failed_validations,
             "executions": scheduler.executions,
         }
-        publish_stats(self.metrics, stats)
-        return BlockResult(
-            writes=dict(scheduler.overlay.items()),
-            makespan_us=makespan,
-            tx_results=results,
-            threads=self.threads,
-            stats=stats,
+        return self.block_result(
+            scheduler.overlay, scheduler.settle(), makespan, stats
         )

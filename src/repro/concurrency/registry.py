@@ -50,7 +50,6 @@ def make_executor(
     *,
     observer=None,
     fault_plan=None,
-    recovery=None,
     durability=None,
     redo_checker=None,
 ) -> BlockExecutor:
@@ -63,7 +62,6 @@ def make_executor(
         threads=threads,
         observer=observer,
         fault_plan=fault_plan,
-        recovery=recovery,
         durability=durability,
     )
     if name in _BASELINES:

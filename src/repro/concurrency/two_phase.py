@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..errors import BlockDeadlineExceeded
 from ..evm.message import BlockEnv, Transaction, TxResult
-from ..sim.machine import Task, list_schedule
+from ..sim.machine import list_schedule
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
 from .base import (
@@ -28,9 +28,9 @@ from .base import (
     BlockResult,
     commit_cost_us,
     count_keys,
+    emit_span,
     find_conflicts,
     observer_edge_hook,
-    publish_stats,
     run_speculative,
     settle_fees,
     validation_cost_us,
@@ -55,8 +55,7 @@ class TwoPhaseExecutor(BlockExecutor):
         cm = self.cost_model
         observer = self.observer
         plan = self.fault_plan
-        recovery = self.recovery
-        deadline = recovery.block_deadline_us if recovery else None
+        deadline = self.deadline_us
 
         # ---- Phase 1: everyone runs against the pre-block state ----------
         speculative: list[TxResult] = []
@@ -76,14 +75,8 @@ class TwoPhaseExecutor(BlockExecutor):
         phase1_us, placements = list_schedule(durations, self.threads)
         if deadline is not None and phase1_us > deadline:
             raise BlockDeadlineExceeded(phase1_us, deadline)
-        if observer is not None:
-            for i, (worker, start, end) in enumerate(placements):
-                observer.on_span(
-                    worker,
-                    Task(kind="speculate", duration_us=end - start, tx_index=i),
-                    start,
-                    end,
-                )
+        for i, (worker, start, end) in enumerate(placements):
+            emit_span(observer, worker, "speculate", start, end, i)
 
         # Survivors: footprint disjoint from every earlier tx's writes.
         on_edge = observer_edge_hook(observer)
@@ -119,14 +112,9 @@ class TwoPhaseExecutor(BlockExecutor):
             # Phase 2 is the serial tail: every validate/re-run/commit runs
             # back to back on worker 0, offset past the phase-1 makespan.
             nonlocal phase2_us
-            if observer is not None and duration > 0:
+            if duration > 0:
                 start = phase1_us + phase2_us
-                observer.on_span(
-                    0,
-                    Task(kind=kind, duration_us=duration, tx_index=index),
-                    start,
-                    start + duration,
-                )
+                emit_span(observer, 0, kind, start, start + duration, index)
             phase2_us += duration
             if deadline is not None and phase1_us + phase2_us > deadline:
                 raise BlockDeadlineExceeded(phase1_us + phase2_us, deadline)
@@ -168,11 +156,4 @@ class TwoPhaseExecutor(BlockExecutor):
             "discarded": discarded,
             "survivors": len(txs) - discarded,
         }
-        publish_stats(self.metrics, stats)
-        return BlockResult(
-            writes=dict(overlay.items()),
-            makespan_us=phase1_us + phase2_us,
-            tx_results=results,
-            threads=self.threads,
-            stats=stats,
-        )
+        return self.block_result(overlay, results, phase1_us + phase2_us, stats)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from ..errors import BlockDeadlineExceeded
 from ..evm.message import BlockEnv, Transaction
-from ..sim.machine import Task
 from ..state.keys import StateKey, balance_key
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
@@ -33,6 +32,7 @@ from .base import (
     BlockExecutor,
     BlockResult,
     commit_cost_us,
+    emit_span,
     observer_edge_hook,
     publish_stats,
     run_speculative,
@@ -150,15 +150,13 @@ class TwoPLExecutor(BlockExecutor):
         # The centralized lock manager's critical sections serialise across
         # threads: each successful acquisition passes through it.
         lock_table_us = acquisitions * self.cost_model.lock_table_serial_us
-        if self.observer is not None and lock_table_us > 0:
+        if lock_table_us > 0:
             # Observer-only span on the virtual lane ``threads`` so the
             # lock-manager tail shows up in traces and the critical path
             # (total traced work must cover the whole makespan).
-            self.observer.on_span(
-                self.threads,
-                Task(kind="lock-manager", duration_us=lock_table_us),
-                makespan,
-                makespan + lock_table_us,
+            emit_span(
+                self.observer, self.threads, "lock-manager",
+                makespan, makespan + lock_table_us,
             )
         makespan += lock_table_us
         publish_stats(
@@ -188,8 +186,7 @@ class TwoPLExecutor(BlockExecutor):
         n = len(sims)
         observer = self.observer
         on_edge = observer_edge_hook(observer)
-        recovery = self.recovery
-        deadline = recovery.block_deadline_us if recovery else None
+        deadline = self.deadline_us
         locks: dict[StateKey, int] = {}  # key -> holder index
         waiters: dict[StateKey, list[int]] = {}
         run_queue: list[int] = list(range(n))  # fresh (re)starts
@@ -214,17 +211,8 @@ class TwoPLExecutor(BlockExecutor):
 
         def release_worker(sim: _TxSim) -> None:
             """Return a running tx's worker; emit the finished run segment."""
-            if observer is not None and now > sim.seg_start:
-                observer.on_span(
-                    sim.worker,
-                    Task(
-                        kind="run",
-                        duration_us=now - sim.seg_start,
-                        tx_index=sim.index,
-                    ),
-                    sim.seg_start,
-                    now,
-                )
+            if now > sim.seg_start:
+                emit_span(observer, sim.worker, "run", sim.seg_start, now, sim.index)
             heapq.heappush(free_workers, sim.worker)
             sim.worker = None
 
@@ -411,18 +399,12 @@ class TwoPLExecutor(BlockExecutor):
                 schedule("commit", now + sim.commit_cost, index)
 
             elif kind == "commit":
-                if observer is not None and sim.commit_cost > 0:
+                if sim.commit_cost > 0:
                     # The in-order commit point is a serial spine shared by
                     # every worker: trace it on the virtual lane ``threads``.
-                    observer.on_span(
-                        self.threads,
-                        Task(
-                            kind="commit",
-                            duration_us=sim.commit_cost,
-                            tx_index=index,
-                        ),
-                        now - sim.commit_cost,
-                        now,
+                    emit_span(
+                        observer, self.threads, "commit",
+                        now - sim.commit_cost, now, index,
                     )
                 next_commit += 1
                 state[index] = "committed"

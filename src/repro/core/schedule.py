@@ -35,7 +35,7 @@ from ..concurrency.base import (
     validation_cost_us,
 )
 from ..evm.message import BlockEnv, Transaction, TxResult
-from ..sim.machine import SimMachine, Task
+from ..sim.machine import Task
 from ..state.keys import StateKey
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
@@ -251,17 +251,12 @@ class ScheduledValidatorExecutor(BlockExecutor):
         if len(self.schedule.dependencies) != len(txs):
             raise ValueError("schedule does not match the block")
         scheduler = _ScheduledScheduler(self, world, txs, env, self.schedule)
-        makespan = SimMachine(self.threads).run(scheduler)
+        makespan = self.simulate(scheduler)
         results = [r for r in scheduler.results if r is not None]
         settle_fees(scheduler.overlay, world, results, env)
-        return BlockResult(
-            writes=dict(scheduler.overlay.items()),
-            makespan_us=makespan,
-            tx_results=results,
-            threads=self.threads,
-            stats={
-                "fallbacks": scheduler.fallbacks,
-                "critical_path": self.schedule.critical_path_length,
-                "dependency_edges": self.schedule.edge_count(),
-            },
-        )
+        stats = {
+            "fallbacks": scheduler.fallbacks,
+            "critical_path": self.schedule.critical_path_length,
+            "dependency_edges": self.schedule.edge_count(),
+        }
+        return self.block_result(scheduler.overlay, results, makespan, stats)

@@ -30,8 +30,9 @@ class Observer(Protocol):
     """What the execution stack calls when a task finishes on a worker.
 
     ``task`` is duck-typed: anything with ``kind`` and ``tx_index``
-    attributes works (the simulated machine passes its ``Task``; the 2PL
-    lock simulation passes a lightweight stand-in).
+    attributes works (the simulated machine and
+    :func:`repro.concurrency.base.emit_span` pass a ``Task``; the lifecycle
+    lanes pass a lightweight stand-in).
     """
 
     def on_span(self, worker_id: int, task, start_us: float, end_us: float) -> None:

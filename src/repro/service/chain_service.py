@@ -99,9 +99,7 @@ class ChainService:
     :class:`~repro.resilience.FaultPlan` installed on the executor — a
     fresh plan per block, so injection streams are deterministic per
     (seed, height) and the per-block counters published into the shared
-    registry are deltas, exactly like the chaos harness does it.  Blocks
-    with no plan restore the recovery policy the executor was constructed
-    with rather than clobbering it.
+    registry are deltas, exactly like the chaos harness does it.
 
     ``pipeline`` (optional, a
     :class:`~repro.pipeline.PipelineCoordinator`) overlaps prefetch,
@@ -136,8 +134,6 @@ class ChainService:
         # facade drives per-tx lifecycle tracking instead, attach the
         # monitor there, not here — don't double-count.
         self.slo = slo
-        # The executor's own recovery policy, restored on plan-less blocks.
-        self._default_recovery = executor.recovery
         self.height = (
             self.stream.spec.start_block
             if self.stream is not None
@@ -212,11 +208,7 @@ class ChainService:
             observer.begin_block()
         executor = self.executor
         if self.fault_plan_factory is not None:
-            plan = self.fault_plan_factory(number)
-            executor.fault_plan = plan
-            executor.recovery = (
-                plan.recovery if plan is not None else self._default_recovery
-            )
+            executor.fault_plan = self.fault_plan_factory(number)
         result = executor.execute_block(self.world, block.txs, block.env)
         commit_us = executor.commit_block(self.world, number, result)
         # The facade reads per-tx results (receipts) off the last commit;

@@ -206,31 +206,36 @@ class TestPipelineGain:
 
 
 class TestFaultPlanRecoveryRestore:
-    def test_plan_less_blocks_restore_constructor_recovery(self):
-        """Regression: a factory returning None for a block used to clobber
-        the executor's constructor-supplied recovery policy with None."""
-        from repro.resilience import RecoveryPolicy
+    def test_plan_less_blocks_run_without_a_recovery_policy(self):
+        """The recovery policy arrives only on a block's fault plan: a
+        plan-less block runs with none, and a planned block runs with its
+        plan's — no block inherits the previous block's policy."""
+        from repro.resilience import FaultPlan, RecoveryPolicy
 
-        policy = RecoveryPolicy(redo_budget=7)
         spec = StreamSpec(accounts=64, txs_per_block=4, seed=3)
         chain = build_stream_chain(spec, cache_capacity=10_000)
         executor = make_executor("parallelevm", 2)
-        executor.recovery = policy
+        assert executor.recovery is None
 
         plans = {}
 
         def factory(number):
-            plans[number] = number % 2 == 0
+            plans[number] = None
             if number % 2 == 0:
-                from repro.resilience import FaultPlan
-
-                return FaultPlan(f"r:{number}", recovery=RecoveryPolicy())
-            return None
+                plans[number] = FaultPlan(
+                    f"r:{number}", recovery=RecoveryPolicy(redo_budget=7)
+                )
+            return plans[number]
 
         service = ChainService(
             BlockStream(chain), executor, fault_plan_factory=factory
         )
         for outcome in service.run(4):
-            if not plans[outcome.number]:
-                assert executor.recovery is policy, outcome.number
-        assert executor.recovery is policy
+            plan = plans[outcome.number]
+            if plan is None:
+                assert executor.recovery is None, outcome.number
+            else:
+                assert executor.recovery is plan.recovery, outcome.number
+        assert [plan is None for plan in plans.values()] == [
+            False, True, False, True
+        ]

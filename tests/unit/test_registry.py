@@ -29,8 +29,7 @@ def test_exactly_seven_names_in_report_order():
 @pytest.mark.parametrize("name", EXECUTOR_NAMES)
 def test_every_name_constructs_with_every_keyword(name):
     observer = BlockObserver()
-    plan = FaultPlan("seed", FaultConfig())
-    recovery = RecoveryPolicy(redo_budget=3)
+    plan = FaultPlan("seed", FaultConfig(), RecoveryPolicy(redo_budget=3))
     durability = DurableCommitPipeline()
     checker = RedoReplayChecker()
     executor = make_executor(
@@ -38,7 +37,6 @@ def test_every_name_constructs_with_every_keyword(name):
         3,
         observer=observer,
         fault_plan=plan,
-        recovery=recovery,
         durability=durability,
         redo_checker=checker,
     )
@@ -46,7 +44,8 @@ def test_every_name_constructs_with_every_keyword(name):
     assert executor.threads == 3
     assert executor.observer is observer
     assert executor.fault_plan is plan
-    assert executor.recovery is recovery
+    # The recovery policy arrives on the plan; no executor takes its own.
+    assert executor.recovery is plan.recovery
     assert executor.durability is durability
     # The replay oracle reaches only the configs that have a redo path.
     if name in PARALLELEVM:
