@@ -1,19 +1,37 @@
-"""Pure-Python Keccak-256, the hash used throughout Ethereum.
+"""Keccak-256, the hash used throughout Ethereum, on the host's native kernel.
 
 ``hashlib`` ships NIST SHA3-256, which differs from Ethereum's Keccak-256 only
 in the padding byte (0x06 vs 0x01) — but that difference changes every digest,
-so the original Keccak sponge is implemented here.  It is the only
-implementation: the package has no runtime dependencies and the hosts this runs
-on have no importable Keccak-256 backend.
+so ``hashlib`` cannot serve.  The sponge is the same Keccak-f[1600] either way,
+and the padding is the caller's choice, so this module pads in Python and
+hands the permutation to whichever kernel the host has.  There are two
+backends, named by ``KECCAK_BACKEND``:
 
-The kernel is ``_keccak_f``: 24 rounds of straight-line arithmetic on 25 lanes
-held in local variables, about 5 900 integer operations per permutation.  On
-the wall-clock benchmark (``benchmarks/wall``, at its reference host speed) a
-single-block ``keccak256`` call costs ≈160 µs; the textbook loop form it
-replaced, kept as the test oracle in ``tests/unit/keccak_reference.py``, costs
-≈430 µs.  Little is left inside the permutation, so what remains is the number
-of calls, and :class:`DigestMemo` — the module's one memo, a bounded
-content-keyed table for inputs of at most 128 bytes — is how callers avoid them.
+* ``"nettle"`` — the SHA3-256 sponge of libnettle (``libnettle.so.8``, which
+  GnuTLS depends on), called through ``ctypes``.  The message is padded with
+  Keccak's 0x01 .. 0x80 rule to a whole number of 136-byte rate blocks and
+  absorbed with one ``nettle_sha3_256_update``, which permutes every block and
+  never applies its own SHA-3 pad; the digest is the first four lanes of the
+  context.  On the five wall-clock benchmark workloads (``benchmarks/wall``,
+  at its reference host speed) a call costs 2.7–4.8 µs, the tracer's own
+  overhead included: 30–95× less than the Python sponge.
+* ``"python"`` — the pure-Python sponge ``_python_keccak256`` over
+  ``_keccak_f``: 24 rounds of straight-line arithmetic on 25 lanes held in
+  local variables (the textbook loop form it replaced is kept as the test
+  oracle in ``tests/unit/keccak_reference.py``).
+
+The rule is fixed at import and takes no configuration: ``"nettle"`` if the
+library loads by its soname, exports both symbols, and its digests equal
+published vectors and the pure-Python sponge on a two-block input; otherwise
+``"python"``.  A big-endian host fails that self-check (its lanes read back
+byte-reversed) and gets the Python sponge.  Both backends return the same
+bytes, and the simulated clock charges a hash by its length
+(``CostModel.hash_cost``), never by the host's kernel.
+
+Even at native speed a call pays the padding and two foreign calls, ≈3.4 µs
+against ≈0.5 µs for a hit in :class:`DigestMemo` — the module's one memo, a
+bounded content-keyed table for inputs of at most 128 bytes — so the memo
+still saves where inputs recur, if far less than it did.
 
 Who memoises what, and for how long:
 
@@ -32,7 +50,12 @@ Who memoises what, and for how long:
   bytes, so a new world, a clone, a reorg or a recovery invalidates nothing.
   It is not process-wide: ``storage_slot_for_mapping`` leaves every generated
   slot preimage in ``keccak256_cached``, so a shared table would let the
-  workload generator hash on the executor's behalf.
+  workload generator hash on the executor's behalf.  Under the native kernel
+  its gain is within noise: removed, ``replay_mainnet`` moved −0.5 % in the
+  median of 8 alternating wall-benchmark pairs (the memo won 3) and
+  ``replay_contended`` −1 % in 5 (won 3), since hashing is now ≈1 % of
+  either pass.  It stays because on the Python sponge it is worth ×1.62 on
+  ``replay_mainnet``.
 
 Who calls ``keccak256`` directly, each for a measured reason:
 
@@ -47,8 +70,11 @@ call time: ``benchmarks/wall/trace.py`` times the kernel by rebinding that name.
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from operator import xor
 from struct import Struct
+from typing import Callable
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
@@ -184,23 +210,109 @@ _RATE_LANES = Struct("<17Q")
 _DIGEST_LANES = Struct("<4Q")
 
 
-def keccak256(data: bytes) -> bytes:
-    """Compute the Ethereum Keccak-256 digest of ``data`` (any bytes-like)."""
+def _pad(data) -> bytes:
+    """``data`` (any bytes-like) with Keccak's pad, to whole rate blocks.
+
+    The pad is 0x01, zeros, then 0x80 in the block's last byte; when only one
+    byte is left in the block, the two ends share it as 0x81.
+    """
     message = bytes(data)
     pad_len = _RATE_BYTES - len(message) % _RATE_BYTES
     if pad_len == 1:
-        padded = message + b"\x81"
-    else:
-        padded = message + b"\x01" + bytes(pad_len - 2) + b"\x80"
+        return message + b"\x81"
+    return message + b"\x01" + bytes(pad_len - 2) + b"\x80"
 
+
+def _python_keccak256(data: bytes) -> bytes:
+    """Compute the Ethereum Keccak-256 digest of ``data`` (any bytes-like)."""
     state = (0,) * 25
-    for block in _RATE_LANES.iter_unpack(padded):
+    for block in _RATE_LANES.iter_unpack(_pad(data)):
         # XOR the block into the 17 rate lanes (map stops with the shorter
         # argument); the capacity lanes pass through.
         state = _keccak_f((*map(xor, state, block), *state[17:]))
 
     # The 32-byte digest fits within one rate block: no second squeeze.
     return _DIGEST_LANES.pack(*state[:4])
+
+
+_NETTLE_SONAME = "libnettle.so.8"
+
+
+class _Sha3Context(ctypes.Structure):
+    """nettle's ``struct sha3_256_ctx`` (``nettle/sha3.h``): the lanes lead."""
+
+    _fields_ = (
+        ("lanes", ctypes.c_uint64 * 25),
+        ("index", ctypes.c_uint),
+        ("block", ctypes.c_uint8 * _RATE_BYTES),
+    )
+
+
+def _nettle_keccak256(soname: str) -> Callable[[bytes], bytes]:
+    """A Keccak-256 on the Keccak-f[1600] of the nettle library ``soname``.
+
+    Raises ``OSError`` if the library does not load and ``AttributeError`` if
+    it lacks a symbol.  The library is named by soname: ``ctypes.util``'s
+    search would spawn ``ldconfig`` at import.
+    """
+    library = ctypes.CDLL(soname)
+    init = library.nettle_sha3_256_init
+    init.argtypes = (ctypes.c_void_p,)
+    init.restype = None
+    update = library.nettle_sha3_256_update
+    update.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p)
+    update.restype = None
+
+    class Context(threading.local):
+        # ctypes releases the GIL during each foreign call, so every thread
+        # absorbs into its own context.
+        def __init__(self) -> None:
+            self.struct = _Sha3Context()
+            self.address = ctypes.addressof(self.struct)
+            # The first four lanes, little-endian: the digest.
+            self.digest = memoryview(self.struct).cast("B")[:32]
+
+    context = Context()
+
+    def keccak256(data: bytes) -> bytes:
+        """Compute the Ethereum Keccak-256 digest of ``data`` (any bytes-like)."""
+        padded = _pad(data)
+        address = context.address
+        init(address)
+        update(address, len(padded), padded)
+        return context.digest.tobytes()
+
+    return keccak256
+
+
+# Published Keccak-256 digests (the empty string; keccak(rlp(b"")), the
+# empty-trie root) and one input the native kernel must hash exactly as the
+# Python sponge does: two rate blocks, ending in the one-byte 0x81 pad.
+_SELF_CHECK_VECTORS = (
+    (b"", "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"),
+    (b"\x80", "56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421"),
+)
+_SELF_CHECK_TWO_BLOCKS = bytes(range(256)) + bytes(15)
+
+
+def _select_kernel(soname: str) -> tuple[str, Callable[[bytes], bytes]]:
+    """``("nettle", kernel)`` if ``soname`` loads and passes the self-check,
+    else ``("python", _python_keccak256)``."""
+    try:
+        kernel = _nettle_keccak256(soname)
+    except (OSError, AttributeError):
+        return "python", _python_keccak256
+    published = all(
+        kernel(message).hex() == digest for message, digest in _SELF_CHECK_VECTORS
+    )
+    two_blocks = _SELF_CHECK_TWO_BLOCKS
+    if published and kernel(two_blocks) == _python_keccak256(two_blocks):
+        return "nettle", kernel
+    return "python", _python_keccak256
+
+
+# Chosen once, here; ``KECCAK_BACKEND`` only reports the choice.
+KECCAK_BACKEND, keccak256 = _select_kernel(_NETTLE_SONAME)
 
 
 class DigestMemo:

@@ -19,8 +19,7 @@ same log without taking keys from one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .cache import LRUCache
 
@@ -31,9 +30,12 @@ from .cache import LRUCache
 _CACHE_MISS = object()
 
 
-@dataclass(slots=True, frozen=True)
-class ReadSample:
-    """The outcome of one read: the value plus its simulated cost."""
+class ReadSample(NamedTuple):
+    """The outcome of one read: the value plus its simulated cost.
+
+    A ``NamedTuple`` because ``read`` builds one per call: of the immutable
+    records, a tuple is the cheapest to construct.
+    """
 
     value: object
     latency_us: float

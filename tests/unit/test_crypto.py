@@ -1,11 +1,17 @@
-"""Keccak-256 vectors and the Solidity storage-slot derivation."""
+"""Keccak-256 vectors, the kernel selection and the Solidity storage-slot derivation."""
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import crypto, rlp
@@ -128,15 +134,107 @@ class TestAgainstReference:
     def test_every_length_across_three_rate_blocks(self):
         # 0..411 covers three rate blocks and both pad shapes (the one-byte
         # 0x81 pad at 135, 271, 407 and the 0x01 .. 0x80 pad everywhere else).
-        # The input contract rides along: any bytes-like in, exactly bytes out.
+        # The input contract rides along: any bytes-like in, exactly bytes
+        # out, from the selected kernel and the pure-Python sponge alike.
         source = random.Random(136).randbytes(411)
         for length in range(412):
             message = source[:length]
             digest = keccak256(message)
             assert type(digest) is bytes, length
             assert digest == keccak_reference.keccak256(message), length
-            assert keccak256(bytearray(message)) == digest, length
-            assert keccak256(memoryview(message)) == digest, length
+            for kernel in (keccak256, crypto._python_keccak256):
+                assert kernel(message) == digest, length
+                assert kernel(bytearray(message)) == digest, length
+                assert kernel(memoryview(message)) == digest, length
+
+
+class TestKernelSelection:
+    """``_select_kernel`` takes nettle only when it loads and hashes right."""
+
+    def test_backend_names_the_selected_kernel(self):
+        assert crypto.KECCAK_BACKEND in ("nettle", "python")
+        if crypto.KECCAK_BACKEND == "python":
+            assert keccak256 is crypto._python_keccak256
+        else:
+            assert keccak256 is not crypto._python_keccak256
+
+    def test_missing_library_selects_the_python_sponge(self):
+        selected = crypto._select_kernel("libnettle-absent.so.0")
+        assert selected == ("python", crypto._python_keccak256)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda data: bytes(32),
+            # The right permutation with NIST's 0x06 pad: the digest a
+            # library gives when it applies its own SHA-3 padding.
+            lambda data: hashlib.sha3_256(data).digest(),
+            # Right on the published one-block vectors, wrong past one block.
+            lambda data: crypto._python_keccak256(bytes(data)[:136]),
+        ],
+        ids=["zeros", "sha3-pad", "one-block"],
+    )
+    def test_failing_self_check_selects_the_python_sponge(self, monkeypatch, wrong):
+        monkeypatch.setattr(crypto, "_nettle_keccak256", lambda soname: wrong)
+        selected = crypto._select_kernel(crypto._NETTLE_SONAME)
+        assert selected == ("python", crypto._python_keccak256)
+
+    def test_import_without_the_library_falls_back(self):
+        # The module-level choice itself, in a fresh interpreter whose
+        # ``ctypes.CDLL`` cannot load anything.
+        script = (
+            "import ctypes\n"
+            "def absent(name, *args, **kwargs):\n"
+            "    raise OSError(name)\n"
+            "ctypes.CDLL = absent\n"
+            "from repro import crypto\n"
+            "assert crypto.KECCAK_BACKEND == 'python'\n"
+            "assert crypto.keccak256 is crypto._python_keccak256\n"
+            "print(crypto.keccak256(b'abc').hex())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])},
+        )
+        assert result.stdout.strip() == VECTORS[b"abc"]
+
+    def test_threads_hash_at_once(self):
+        # ctypes releases the GIL inside the native kernel: four threads
+        # hashing together must each read back their own digest.
+        threads, per_thread, rounds = 4, 200, 10
+        barrier = threading.Barrier(threads)
+        # Lengths up to three rate blocks, distinct across threads.
+        inputs = [
+            [bytes([worker]) * (index * 7 % 300) + bytes([index])
+             for index in range(per_thread)]
+            for worker in range(threads)
+        ]
+        outputs: list[list[bytes]] = [[] for _ in range(threads)]
+
+        def work(worker: int) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(rounds):
+                outputs[worker] += map(keccak256, inputs[worker])
+
+        pool = [
+            threading.Thread(target=work, args=(worker,)) for worker in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        for worker in range(threads):
+            expected = [crypto._python_keccak256(message) for message in inputs[worker]]
+            assert outputs[worker] == expected * rounds
 
 
 class TestCachedKeccak:
@@ -185,10 +283,18 @@ class TestStorageSlots:
 
 
 @given(st.binary(max_size=700))
+@example(b"x" * 135)
+@example(b"x" * 136)
+@example(b"x" * 137)
+@example(b"x" * 271)
+@example(b"x" * 272)
 def test_digest_matches_reference(data):
     digest = keccak256(data)
     assert digest == keccak_reference.keccak256(data)
     assert len(digest) == 32
+    assert crypto._python_keccak256(data) == digest
+    assert crypto._python_keccak256(bytearray(data)) == digest
+    assert keccak256(memoryview(data)) == digest
 
 
 @given(st.binary(max_size=200))
