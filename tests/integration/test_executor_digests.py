@@ -12,7 +12,9 @@ The cases:
 
 - the seven configs x {a 60-tx mainnet block, a 40-tx contention-0.9
   block} x {observed, detached};
-- both scheduled-validator granularities on both blocks;
+- both scheduled-validator granularities on both blocks, and the value
+  schedule over a world where the first sender's balance was raised after
+  the schedule was proposed (one commit-point fallback per block);
 - the seven configs x the ten ``kind="faults"`` chaos scenarios on one
   fuzzer block, under the chaos harness's deadline (``DEADLINE_FACTOR`` x
   the serial makespan, with the scenario's recovery overrides);
@@ -73,6 +75,7 @@ RECORDED_AT_PARENT = {
     "mainnet/parallelevm-preexec/detached": "e4b968544b82a27b",
     "mainnet/scheduled/graph": "434cfc66bf73a045",
     "mainnet/scheduled/values": "14e4e87a708dd903",
+    "mainnet/scheduled/stale": "e1462100ac0cdd58",
     "contended/serial/observed": "9474c9f6cc75887c",
     "contended/serial/detached": "f16de34081c42dc6",
     "contended/2pl/observed": "5ee9f6e5fd09cbd1",
@@ -89,6 +92,7 @@ RECORDED_AT_PARENT = {
     "contended/parallelevm-preexec/detached": "2522d07639808450",
     "contended/scheduled/graph": "54d6d813033b99e2",
     "contended/scheduled/values": "5d2ef4ad31952c85",
+    "contended/scheduled/stale": "9ec2b6a3fe92a3e2",
     "storage-spike/serial": "ba9804c5edfe0241",
     "storage-spike/2pl": "0f6eca24cfd76678",
     "storage-spike/occ": "26eca0a4a39e8db8",
@@ -240,8 +244,10 @@ def _fold_observer(digest, observer: BlockObserver) -> None:
     digest.update(observer.metrics.to_json().encode())
 
 
-def _run(executor, chain, block, observer=None, plan=None) -> str:
-    result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
+def _run(executor, chain, block, observer=None, plan=None, world=None) -> str:
+    if world is None:
+        world = chain.fresh_world()
+    result = executor.execute_block(world, block.txs, block.env)
     digest = hashlib.sha256()
     _fold_result(digest, result)
     if observer is not None:
@@ -270,9 +276,14 @@ def case_digest(blocks, case: str) -> str:
                 chain.fresh_world(), block.txs, block.env, threads=THREADS
             )
             executor = ScheduledValidatorExecutor(
-                schedule, threads=THREADS, use_read_values=rest[1] == "values"
+                schedule, threads=THREADS, use_read_values=rest[1] != "graph"
             )
-            return _run(executor, chain, block)
+            world = chain.fresh_world()
+            if rest[1] == "stale":
+                # The shipped read values of the first sender go stale.
+                victim = block.txs[0].sender
+                world.set_balance(victim, world.get_balance(victim) + 12345)
+            return _run(executor, chain, block, world=world)
         name, mode = rest
         observer = BlockObserver() if mode == "observed" else None
         executor = make_executor(name, THREADS, observer=observer)
@@ -300,7 +311,10 @@ def all_cases() -> list[str]:
         for name in EXECUTOR_NAMES:
             for mode in ("observed", "detached"):
                 cases.append(f"{family}/{name}/{mode}")
-        cases += [f"{family}/scheduled/graph", f"{family}/scheduled/values"]
+        cases += [
+            f"{family}/scheduled/{granularity}"
+            for granularity in ("graph", "values", "stale")
+        ]
     for scenario in FAULT_SCENARIOS:
         cases += [f"{scenario}/{name}" for name in EXECUTOR_NAMES]
     cases += [f"deadline/{name}" for name in EXECUTOR_NAMES]
