@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..concurrency import BlockResult, SerialExecutor
-from ..evm.message import TxResult
+from ..concurrency.base import chain_depth, dependency_graph
 from ..state.keys import StateKey
 from ..workloads import Block, Chain
 
@@ -63,11 +63,6 @@ class BlockConflictAnalysis:
         }
 
 
-def _in_block_order(result: BlockResult, tx_count: int) -> list[TxResult]:
-    by_index = {r.tx.tx_index: r for r in result.tx_results}
-    return [by_index[i] for i in range(tx_count)]
-
-
 def analyze_block(
     chain: Chain, block: Block, serial: BlockResult
 ) -> BlockConflictAnalysis:
@@ -82,33 +77,15 @@ def analyze_block(
     # cost the wall benchmark's validate_roots ~8 % when loaded eagerly.
     from ..bench.harness import prefetched_world
 
-    tx_count = len(block.txs)
-    ordered = _in_block_order(serial, tx_count)
     warm = SerialExecutor().execute_block(
         prefetched_world(chain, serial), block.txs, block.env
     )
-    durations = [r.duration_us for r in _in_block_order(warm, tx_count)]
-
-    last_writer: dict[StateKey, int] = {}
+    durations = [r.duration_us for r in warm.tx_results]
+    dependencies = dependency_graph(serial.tx_results)
     touching: dict[StateKey, set[int]] = {}
-    dependencies: list[list[int]] = []
-    for j, result in enumerate(ordered):
-        deps = sorted(
-            {last_writer[k] for k in result.read_set if k in last_writer}
-        )
-        dependencies.append(deps)
-        for key in result.write_set:
-            last_writer[key] = j
+    for j, result in enumerate(serial.tx_results):
         for key in set(result.read_set) | set(result.write_set):
             touching.setdefault(key, set()).add(j)
-
-    # Longest weighted path through the dependency DAG.
-    finish = [0.0] * tx_count
-    depth = [0] * tx_count
-    for j, deps in enumerate(dependencies):
-        start = max((finish[i] for i in deps), default=0.0)
-        finish[j] = start + durations[j]
-        depth[j] = 1 + max((depth[i] for i in deps), default=0)
 
     in_conflict = {j for j, deps in enumerate(dependencies) if deps}
     for deps in dependencies:
@@ -123,12 +100,12 @@ def analyze_block(
     )
 
     return BlockConflictAnalysis(
-        tx_count=tx_count,
+        tx_count=len(block.txs),
         durations_us=durations,
         dependencies=dependencies,
         conflicting_txs=len(in_conflict),
         hot_keys=hot_keys,
         total_us=serial.makespan_us,
-        critical_path_us=max(finish, default=0.0),
-        critical_path_txs=max(depth, default=0),
+        critical_path_us=float(chain_depth(dependencies, durations)),
+        critical_path_txs=chain_depth(dependencies),
     )

@@ -30,7 +30,6 @@ CI seed matrix rely on.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from ..contracts import allowance_slot, encode_call
@@ -117,26 +116,15 @@ class BlockFuzzer:
 
     def block(self, seed: int) -> Block:
         """Generate the fuzz block for ``seed`` (independent of history)."""
-        return self._generate(seed)[0]
-
-    def family_counts(self, seed: int) -> Counter:
-        """How many transactions of each family ``block(seed)`` contains."""
-        return self._generate(seed)[1]
-
-    def _generate(self, seed: int) -> tuple[Block, Counter]:
         cfg = self.config
         rng = random.Random((SEED_SALT << 32) ^ seed)
         generators = [g for _, _, g in self._families]
-        names = [n for n, _, _ in self._families]
         txs: list[Transaction] = []
-        counts: Counter = Counter()
         nonces: dict[bytes, int] = {}
         while len(txs) < cfg.txs_per_block:
             pick = rng.choices(range(len(generators)), weights=self._weights)[0]
-            emitted = generators[pick](rng, nonces)
-            txs.extend(emitted)
-            counts[names[pick]] += len(emitted)
-        return Block(number=FUZZ_BLOCK_BASE + seed, txs=txs, env=self.chain.env), counts
+            txs.extend(generators[pick](rng, nonces))
+        return Block(number=FUZZ_BLOCK_BASE + seed, txs=txs, env=self.chain.env)
 
     # -------------------------------------------------------------- helpers
 

@@ -80,6 +80,33 @@ def block_read_keys(result: BlockResult) -> set[StateKey]:
     return keys
 
 
+def dependency_graph(results: list[TxResult]) -> list[list[int]]:
+    """The block's true dependency graph, from results in block order.
+
+    Transaction *j* depends on the latest earlier transaction writing any
+    key *j* reads; ``graph[j]`` lists those indices in ascending order.
+    """
+    last_writer: dict[StateKey, int] = {}
+    graph: list[list[int]] = []
+    for j, result in enumerate(results):
+        graph.append(
+            sorted({last_writer[k] for k in result.read_set if k in last_writer})
+        )
+        for key in result.write_set:
+            last_writer[key] = j
+    return graph
+
+
+def chain_depth(dependencies: list[list[int]], weights=None):
+    """The longest path through a :func:`dependency_graph`, transaction
+    *j* weighing ``weights[j]`` (1 each by default: the chain's length)."""
+    finish = []
+    for j, deps in enumerate(dependencies):
+        start = max((finish[i] for i in deps), default=0)
+        finish.append(start + (1 if weights is None else weights[j]))
+    return max(finish, default=0)
+
+
 class BlockExecutor(ABC):
     """Interface every concurrency-control algorithm implements.
 

@@ -9,8 +9,11 @@ executing while earlier ones validate) is captured rather than modelled as
 synchronous rounds.
 
 :class:`OCCScheduler` is the one in-order commit protocol of the OCC
-family: ParallelEVM (:mod:`repro.core.executor`) subclasses it and changes
-only the read phase, the commit-point task and the conflict handler.
+family.  Two schedulers subclass it: ParallelEVM's
+(:mod:`repro.core.executor`) changes the read phase, the commit-point task
+and the conflict handler; the §7 scheduled validator's
+(:mod:`repro.core.schedule`) changes the read phase, the release order and
+the commit-point task.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ class OCCScheduler:
     whose execution is done enters the exclusive commit point, where one
     task at a time validates it (and commits it when valid).  ``exec_done``
     maps an index to ``(result, trace)``, the read phase's record (None
-    here).  Subclasses override :meth:`execute`, :meth:`commit_point_task`,
-    :meth:`commit_point_done` and :meth:`on_conflict`.
+    here).  Subclasses — ParallelEVM's and the scheduled validator's —
+    override :meth:`execute`, :meth:`commit_point_task`,
+    :meth:`commit_point_done`, and :meth:`on_conflict` or
+    :meth:`on_complete`; none keeps a commit protocol of its own.
     """
 
     def __init__(self, executor: BlockExecutor, world, txs, env) -> None:

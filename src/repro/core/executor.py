@@ -37,6 +37,7 @@ from ..concurrency.occ import OCCScheduler
 from ..errors import RedoBudgetExceeded
 from ..evm.message import BlockEnv, Transaction
 from ..resilience import EscalationLadder
+from ..sim.cost import DEFAULT_COST_MODEL
 from ..sim.machine import Task
 from ..sim.meter import CostMeter
 from ..state.world import WorldState
@@ -219,18 +220,16 @@ class ParallelEVMExecutor(BlockExecutor):
     def __init__(
         self,
         threads: int = 16,
-        cost_model=None,
+        cost_model=DEFAULT_COST_MODEL,
         preexecute: bool = False,
         observer=None,
         redo_checker=None,
         fault_plan=None,
         durability=None,
     ):
-        from ..sim.cost import DEFAULT_COST_MODEL
-
         super().__init__(
             threads,
-            cost_model or DEFAULT_COST_MODEL,
+            cost_model,
             observer=observer,
             fault_plan=fault_plan,
             durability=durability,

@@ -113,9 +113,6 @@ class CriticalPathReport:
         )
         return ranked[:n]
 
-    def speedup_achieved(self, serial_us: float) -> float:
-        return serial_us / self.makespan_us if self.makespan_us else 0.0
-
     # ------------------------------------------------------------ export
 
     def as_dict(self) -> dict:

@@ -134,11 +134,6 @@ class TxLifecycle:
         )
         return segments
 
-    def tiling_error_us(self) -> float:
-        """|sum of segment durations - client latency| (0 up to float eps)."""
-        total = sum(end - start for _, start, end in self.waterfall())
-        return abs(total - self.client_latency_us())
-
     def as_dict(self) -> dict:
         """The JSONL-ready record: timestamps plus the phase durations."""
         out = {

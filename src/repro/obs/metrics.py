@@ -199,10 +199,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------- reading
 
-    def overflow_counts(self) -> dict[str, int]:
-        """``series-name -> creations folded into its overflow bucket``."""
-        return dict(sorted(self._overflow.items()))
-
     def __len__(self) -> int:
         return len(self._series)
 

@@ -169,10 +169,6 @@ class LogHistogram:
             out[f"p{int(q * 100)}"] = self.quantile(q)
         return out
 
-    def nonzero_buckets(self) -> dict[int, int]:
-        """Sparse ``bucket index -> count`` view (tests and debugging)."""
-        return {i: c for i, c in enumerate(self.counts) if c}
-
 
 def _per_second(amount: float, sim_time_us: float) -> float:
     """A rate over simulated time (0.0 when no time has passed)."""

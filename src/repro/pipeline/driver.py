@@ -294,10 +294,3 @@ class PipelineCoordinator:
         if timing.barrier_keys:
             metrics.counter("pipeline_barrier_blocks").inc()
             metrics.counter("pipeline_barrier_keys").inc(timing.barrier_keys)
-
-    # ------------------------------------------------------------- queries
-
-    @property
-    def saved_us(self) -> float:
-        """Simulated time the overlap saved versus a synchronous service."""
-        return self.timings_total_us["serial"] - self.timings_total_us["advance"]

@@ -36,7 +36,7 @@ observable in reports and ``--metrics-json`` exports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..errors import TransientStorageError
 from .policy import RecoveryPolicy
@@ -68,14 +68,6 @@ class FaultConfig:
     # --- Block-STM scheduler ---------------------------------------------
     forced_abort_rate: float = 0.0  # validation forced to fail
     forced_abort_cap: int = 2  # forced aborts per transaction
-
-    def any_enabled(self) -> bool:
-        """True if any injection site can ever fire under this config."""
-        return any(
-            getattr(self, f.name) > 0
-            for f in fields(self)
-            if f.name.endswith("_rate")
-        )
 
 
 class FaultPlan:

@@ -33,9 +33,6 @@ class ZipfSampler:
         """One rank draw (0 is the hottest)."""
         return bisect.bisect_left(self._cdf, rng.random())
 
-    def sample_many(self, rng: random.Random, count: int) -> list[int]:
-        return [self.sample(rng) for _ in range(count)]
-
     def head_share(self, head_fraction: float) -> float:
         """The probability mass carried by the hottest ``head_fraction``.
 

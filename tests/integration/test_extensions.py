@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -143,3 +145,30 @@ class TestSchedules:
             ScheduledValidatorExecutor(sched, threads=8).execute_block(
                 chain.fresh_world(), block.txs[:-1], block.env
             )
+        short_values = replace(sched, read_sets=sched.read_sets[:-1])
+        with pytest.raises(ValueError):
+            ScheduledValidatorExecutor(
+                short_values, threads=8, use_read_values=True
+            ).execute_block(chain.fresh_world(), block.txs, block.env)
+
+    @pytest.mark.parametrize(
+        "head",
+        [[[0]], [[1], [0]], [[99]]],
+        ids=["self-loop", "cycle", "out-of-range"],
+    )
+    @pytest.mark.parametrize("use_read_values", [False, True])
+    def test_malformed_schedule_rejected(
+        self, setting, schedule, head, use_read_values
+    ):
+        """A dependency that is not an earlier transaction is rejected
+        before anything runs, like a wrong-sized schedule."""
+        chain, block, _ = setting
+        sched, _ = schedule
+        bad = replace(
+            sched, dependencies=head + sched.dependencies[len(head):]
+        )
+        world = chain.fresh_world()
+        with pytest.raises(ValueError, match="schedule does not match"):
+            ScheduledValidatorExecutor(
+                bad, threads=8, use_read_values=use_read_values
+            ).execute_block(world, block.txs, block.env)

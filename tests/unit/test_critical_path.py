@@ -158,7 +158,7 @@ class TestAttributions:
 
     def test_speedup_achieved(self):
         report = self._report()
-        assert report.speedup_achieved(44.0) == pytest.approx(2.0)
+        assert 44.0 / report.makespan_us == pytest.approx(2.0)
 
     def test_as_dict_shape(self):
         d = self._report().as_dict()

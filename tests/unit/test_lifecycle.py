@@ -56,6 +56,12 @@ class _FakeOutcome:
         self.tx_latencies_us = tx_latencies_us
 
 
+def _tiling_error_us(record) -> float:
+    """|sum of segment durations - client latency| (0 up to float eps)."""
+    total = sum(end - start for _, start, end in record.waterfall())
+    return abs(total - record.client_latency_us())
+
+
 class TestTxLifecycle:
     def test_committed_waterfall_tiles_exactly(self):
         record = _committed_record()
@@ -64,7 +70,7 @@ class TestTxLifecycle:
         # Adjacent segments share endpoints.
         for (_, _, end), (_, start, _) in zip(segments, segments[1:]):
             assert end == start
-        assert record.tiling_error_us() <= TILING_EPS_US
+        assert _tiling_error_us(record) <= TILING_EPS_US
         assert record.client_latency_us() == 1_800.0
 
     def test_shed_waterfall_ends_with_queue_segment(self):
@@ -78,7 +84,7 @@ class TestTxLifecycle:
         segments = record.waterfall()
         assert [name for name, _, _ in segments] == ["retry", "admission", "queue"]
         assert segments[-1][2] == 5_000.0
-        assert record.tiling_error_us() <= TILING_EPS_US
+        assert _tiling_error_us(record) <= TILING_EPS_US
 
     def test_pending_record_refuses_waterfall(self):
         record = _committed_record(done_us=None)
@@ -287,7 +293,7 @@ class TestLabelCardinalityGuard:
         registry.counter("hits", key="d").inc(2)
         exported = registry.as_dict()
         assert exported[f"hits{{key={OVERFLOW_LABEL}}}"] == 7
-        assert registry.overflow_counts() == {"hits": 2}
+        assert registry._overflow == {"hits": 2}
         # Folded totals stay correct.
         assert registry.sum_by_name("hits") == 9
 
@@ -301,13 +307,13 @@ class TestLabelCardinalityGuard:
         registry.counter("one", key="x").inc()
         for name in ("a", "b", "c"):
             registry.counter(name).inc()
-        assert registry.overflow_counts() == {}
+        assert registry._overflow == {}
 
     def test_limit_is_per_series_name(self):
         registry = MetricsRegistry(label_limit=1)
         registry.counter("first", key="a").inc()
         registry.counter("second", key="a").inc()
-        assert registry.overflow_counts() == {}
+        assert registry._overflow == {}
 
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):

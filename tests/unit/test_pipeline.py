@@ -106,7 +106,8 @@ class TestCoordinatorTimeline:
             assert timing.advance_us == 120.0
             assert timing.latency_us == 120.0
         assert coord.clock_us == 360.0
-        assert coord.saved_us == 0.0
+        totals = coord.timings_total_us
+        assert totals["serial"] - totals["advance"] == 0.0
 
     def test_async_commit_overlaps_disjoint_blocks(self):
         coord = PipelineCoordinator(PipelineConfig(prefetch=False))
@@ -124,7 +125,8 @@ class TestCoordinatorTimeline:
         # The commit lane serialises: block 1 commits after block 0.
         assert second.commit_start_us == 200.0
         assert second.advance_us == 100.0  # the commit cost is hidden
-        assert coord.saved_us == 50.0
+        totals = coord.timings_total_us
+        assert totals["serial"] - totals["advance"] == 50.0
 
     def test_read_barrier_waits_for_publish_fraction_only(self):
         coord = PipelineCoordinator(PipelineConfig(prefetch=False))

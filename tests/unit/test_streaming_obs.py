@@ -59,7 +59,7 @@ class TestLogHistogram:
         h = LogHistogram(min_edge=10.0, max_edge=1000.0)
         h.observe(0.5)  # underflow
         h.observe(1e9)  # overflow
-        sparse = h.nonzero_buckets()
+        sparse = {i: c for i, c in enumerate(h.counts) if c}
         assert sparse[0] == 1
         assert sparse[max(sparse)] == 1
 
