@@ -996,6 +996,61 @@ GOLDEN = {
         writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
         halts=[(0, 'StackOverflow', 'stack limit of 1024 exceeded')],
     ),
+    'stack_underflow_log2_topics': dict(
+        ok=False, ret='', gas=500000, ops=4, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 2 stack items, have 1')],
+    ),
+    'stack_underflow_call_6_items': dict(
+        ok=False, ret='', gas=500000, ops=7, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 7 stack items, have 6')],
+    ),
+    'stack_underflow_sstore': dict(
+        ok=False, ret='', gas=500000, ops=2, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 2 stack items, have 1')],
+    ),
+    'stack_underflow_mstore': dict(
+        ok=False, ret='', gas=500000, ops=2, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 2 stack items, have 1')],
+    ),
+    'stack_underflow_jumpi': dict(
+        ok=False, ret='', gas=500000, ops=2, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 2 stack items, have 1')],
+    ),
+    'stack_underflow_sha3': dict(
+        ok=False, ret='', gas=500000, ops=2, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 2 stack items, have 1')],
+    ),
+    'stack_underflow_return': dict(
+        ok=False, ret='', gas=500000, ops=2, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 2 stack items, have 1')],
+    ),
+    'stack_underflow_dup16': dict(
+        ok=False, ret='', gas=500000, ops=16, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'DUP16 on stack of 15')],
+    ),
+    'stack_underflow_swap16': dict(
+        ok=False, ret='', gas=500000, ops=17, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'SWAP16 on stack of 16')],
+    ),
+    'stack_overflow_caller': dict(
+        ok=False, ret='', gas=500000, ops=1025, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackOverflow', 'stack limit of 1024 exceeded')],
+    ),
+    'stack_overflow_push32': dict(
+        ok=False, ret='', gas=500000, ops=1025, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackOverflow', 'stack limit of 1024 exceeded')],
+    ),
     'stack_at_limit_is_fine': dict(
         ok=True, ret=1021, gas=55729, ops=10216, ssa=9,
         writes={'b:SENDER': 999999999999832813, 'n:SENDER': 1},

@@ -443,6 +443,21 @@ case("stack_underflow_alu", "PUSH 1 ADD")
 case("stack_underflow_dup", "PUSH 1 DUP2")
 case("stack_underflow_swap", "PUSH 1 SWAP1")
 case("stack_overflow", "loop: JUMPDEST PUSH0 PUSH @loop JUMP")
+# One underflow and overflow row per handler family, with the class and
+# message each family raises: a single pop, `need k stack items`, DUPn /
+# SWAPn, LOG's two-stage pop (operands, then topics), and a push at 1024.
+case("stack_underflow_log2_topics", "PUSH 0x11 PUSH0 PUSH0 LOG2")
+case("stack_underflow_call_6_items", "PUSH0 PUSH0 PUSH0 PUSH0 PUSH0 GAS CALL")
+case("stack_underflow_sstore", "PUSH 1 SSTORE")
+case("stack_underflow_mstore", "PUSH 1 MSTORE")
+case("stack_underflow_jumpi", "PUSH 1 JUMPI")
+case("stack_underflow_sha3", "PUSH 1 SHA3")
+case("stack_underflow_return", "PUSH 1 RETURN")
+case("stack_underflow_dup16", "PUSH0 " * 15 + "DUP16")
+case("stack_underflow_swap16", "PUSH0 " * 16 + "SWAP16")
+_FULL_STACK = "PUSH0 " * 1024
+case("stack_overflow_caller", _FULL_STACK + "CALLER")
+case("stack_overflow_push32", _FULL_STACK + f"PUSH32 {UINT_MAX}")
 case(
     "stack_at_limit_is_fine",
     "PUSH0 loop: JUMPDEST PUSH0 SWAP1 PUSH 1 ADD DUP1 PUSH 1021 GT PUSH @loop JUMPI "
