@@ -15,7 +15,6 @@ for the Go Ethereum prototype.
 """
 
 from .opcodes import Op, opcode_name
-from .stack import Stack
 from .memory import Memory
 from .message import Transaction, TxResult, BlockEnv, CallMessage, LogRecord
 from .interpreter import execute_transaction, EVM
@@ -24,7 +23,6 @@ from .assembler import assemble
 __all__ = [
     "Op",
     "opcode_name",
-    "Stack",
     "Memory",
     "Transaction",
     "TxResult",

@@ -4,10 +4,10 @@ A block executes a handful of contracts many times (the paper's Fig. 3:
 0.1 % of contracts draw ~76 % of invocations), so everything about a
 contract that is a function of its bytes alone is computed once and shared
 by every frame that runs it: the valid JUMPDEST set and a pre-decoded
-dispatch table with one ``(handler, argument)`` entry per instruction start.
-The interpreter's step loop is then ``handler, arg = table[pc]`` with no
-opcode classification and no immediate decoding (geth does the same per code
-hash with its JUMPDEST bitmap).
+dispatch table with one ``(handler, argument, static_gas, min_stack,
+max_stack)`` row per instruction start.  The interpreter's step loop reads
+``table[pc]`` with no opcode classification and no immediate decoding (geth
+does the same per code hash with its JUMPDEST bitmap).
 
 :func:`analyse` is memoised **by the code bytes themselves**.  The analysis
 is a pure function of the bytes, so there is nothing to invalidate: a
@@ -61,9 +61,9 @@ def decode(code: bytes) -> Iterator[tuple[int, int, int | None, int]]:
 class CodeAnalysis:
     """What the interpreter needs to know about one bytecode.
 
-    ``table[pc]`` is the ``(handler, argument)`` pair of the instruction that
-    starts at ``pc`` (None inside PUSH data, which a validated pc never
-    reaches).  ``table[len(code)]`` is a STOP entry: running off the end of
+    ``table[pc]`` is the ``OPCODE_ENTRIES`` row of the instruction that
+    starts at ``pc``, a PUSH's ``(immediate, next_pc)`` argument filled in
+    (None inside PUSH data, which a validated pc never reaches).  ``table[len(code)]`` is a STOP entry: running off the end of
     the code halts, and a truncated trailing PUSH continues there.
     """
 
@@ -85,7 +85,7 @@ def analyse(code: bytes) -> CodeAnalysis:
     for pc, opcode, immediate, next_pc in decode(code):
         entry = OPCODE_ENTRIES[opcode]
         if immediate is not None:
-            entry = (entry[0], (immediate, min(next_pc, length)))
+            entry = (entry[0], (immediate, min(next_pc, length))) + entry[2:]
         elif opcode == Op.JUMPDEST:
             jumpdests.append(pc)
         table[pc] = entry

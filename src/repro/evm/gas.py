@@ -48,8 +48,10 @@ GAS_CALL_STIPEND = 2_300
 GAS_JUMPDEST = 1
 GAS_QUICK = 2
 GAS_FASTEST = 3
+GAS_FAST = 5
 GAS_MID = 8
 GAS_HIGH = 10
+GAS_EXT = 20
 
 
 def intrinsic_gas(data: bytes) -> int:

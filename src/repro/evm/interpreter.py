@@ -6,12 +6,16 @@ Execution model
 (transaction-local overlay).  It reads the frame's code through the view —
 the read is charged simulated storage latency and enters the read set — and
 takes the code's :func:`~repro.evm.analysis.analyse` result: the valid
-JUMPDEST set and a pre-decoded ``(handler, argument)`` table, built once per
-distinct bytecode and memoised by the bytes themselves.  The step loop
-(``EVM._run``) is then ``handler, arg = table[pc]``, count the step, charge
-its dispatch cost, ``handler(evm, frame, arg)``: no opcode is classified and
-no immediate decoded at run time.  ``OPCODE_ENTRIES``, below the ``EVM``
-class, is the one opcode -> handler table the analysis lays out.
+JUMPDEST set and a pre-decoded table with one ``(handler, arg, static_gas,
+min_stack, max_stack)`` row per instruction, built once per distinct
+bytecode and memoised by the bytes themselves.  ``OPCODE_ENTRIES``, below
+the ``EVM`` class, is the one opcode -> row table the analysis lays out.
+The step loop (``EVM._run``) does each step's common work inline, in geth's
+order: add the dispatch cost to the meter, check the stack depth against
+the row's bounds, charge its static gas, ``handler(evm, frame, arg)``.  No
+opcode is classified and no immediate decoded at run time; handlers work on
+``frame.stack`` as a bare list and charge only dynamic gas (EXP, SHA3 and
+copy words, memory expansion, warmth, SSTORE, LOG, CALL).
 
 ``execute_transaction`` wraps a frame in the transaction envelope: intrinsic
 gas, nonce bump, value transfer, fee charge — each of which is reported to
@@ -41,6 +45,8 @@ from ..errors import (
     InvalidOpcode,
     OutOfGas,
     Revert,
+    StackOverflow,
+    StackUnderflow,
     WriteProtection,
 )
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
@@ -52,9 +58,9 @@ from .analysis import CodeAnalysis, analyse
 from .memory import Memory
 from .message import BlockEnv, CallMessage, LogRecord, Transaction, TxResult
 from .opcodes import ALU_OPS, TX_CONST_OPS, Op, opcode_name
-from .stack import Stack
 
 CALL_DEPTH_LIMIT = 1024
+STACK_LIMIT = 1024
 
 
 @dataclass(slots=True)
@@ -64,7 +70,7 @@ class Frame:
     msg: CallMessage
     code: bytes
     analysis: CodeAnalysis
-    stack: Stack = field(default_factory=Stack)
+    stack: list = field(default_factory=list)  # top last; _run checks bounds
     memory: Memory = field(default_factory=Memory)
     pc: int = 0
     gas: int = 0
@@ -105,7 +111,6 @@ ALU_FUNCS = {
     Op.SAR: lambda s, v: prim.sar(s, v),
     Op.EXP: lambda b, e: prim.exp(b, e),
 }
-_EXP = int(Op.EXP)  # the one ALU opcode with a dynamic gas cost
 
 
 class _Halt(Exception):
@@ -191,18 +196,33 @@ class EVM:
     # ------------------------------------------------------------ run loop
 
     def _run(self, frame: Frame) -> bytes:
+        """Step until a halt; step counts are summed when the frame ends."""
         table = frame.analysis.table
+        stack = frame.stack
         meter = self.meter
         dispatch_us = self.cm.op_dispatch_us
+        steps = 0
         try:
             while True:
-                handler, arg = table[frame.pc]
-                self.ops_executed += 1
+                handler, arg, static_gas, min_stack, max_stack = table[frame.pc]
+                steps += 1
                 if meter is not None:
-                    meter.charge_compute(dispatch_us)
+                    meter.compute_us += dispatch_us
+                depth = len(stack)
+                if depth < min_stack or depth > max_stack:
+                    _stack_fault(handler, arg, min_stack, depth)
+                gas = frame.gas - static_gas
+                if gas < 0:
+                    frame.gas = 0
+                    raise OutOfGas(f"need {static_gas} gas at pc={frame.pc}")
+                frame.gas = gas
                 handler(self, frame, arg)
         except _Halt as halt:
             return halt.data
+        finally:
+            self.ops_executed += steps
+            if meter is not None:
+                meter.ops += steps
 
     # ----------------------------------------------------- memory helpers
 
@@ -221,35 +241,54 @@ class EVM:
     # Every handler is called as ``handler(evm, frame, arg)`` with the
     # argument its OPCODE_ENTRIES row (or, for PUSHn, the code analysis)
     # pre-computed; ``op`` arguments are the opcode byte, for the tracer.
+    # The loop has checked the stack bounds and charged the static gas.
 
     def _op_stop(self, frame: Frame, op: int) -> None:
         if self.tracer is not None:
             self.tracer.trace_halt(frame, op, 0, 0)
         raise _Halt(b"")
 
-    def _op_alu(self, frame: Frame, arg: tuple) -> None:
-        op, pops, gas_cost, fn = arg
-        operands = frame.stack.pop_n(pops)
-        dynamic = op == _EXP
-        if dynamic:
-            gas_cost = G.exp_gas(operands[1])
-            if self.meter is not None:
-                exponent_bytes = (operands[1].bit_length() + 7) // 8
-                self.meter.charge_compute(self.cm.exp_byte_us * exponent_bytes, 0)
-        frame.charge(gas_cost)
-        result = fn(*operands)
-        frame.stack.push(result)
+    def _op_binary(self, frame: Frame, arg: tuple) -> None:
+        op, gas_cost, fn = arg
+        stack = frame.stack
+        a = stack.pop()
+        b = stack[-1]
+        stack[-1] = result = fn(a, b)
         frame.pc += 1
         if self.tracer is not None:
-            self.tracer.trace_alu(frame, op, operands, result, gas_cost, dynamic)
+            self.tracer.trace_alu(frame, op, (a, b), result, gas_cost, False)
+
+    def _op_alu(self, frame: Frame, arg: tuple) -> None:
+        op, pops, gas_cost, fn = arg
+        operands = _pop_n(frame.stack, pops)
+        result = fn(*operands)
+        frame.stack.append(result)
+        frame.pc += 1
+        if self.tracer is not None:
+            self.tracer.trace_alu(frame, op, operands, result, gas_cost, False)
+
+    def _op_exp(self, frame: Frame, op: int) -> None:
+        stack = frame.stack
+        base = stack.pop()
+        exponent = stack[-1]
+        if self.meter is not None:
+            exponent_bytes = (exponent.bit_length() + 7) // 8
+            self.meter.charge_compute(self.cm.exp_byte_us * exponent_bytes, 0)
+        gas_cost = G.exp_gas(exponent)
+        frame.charge(gas_cost)
+        stack[-1] = result = prim.exp(base, exponent)
+        frame.pc += 1
+        if self.tracer is not None:
+            self.tracer.trace_alu(frame, op, (base, exponent), result, gas_cost, True)
 
     def _op_sha3(self, frame: Frame, op: int) -> None:
-        offset, size = frame.stack.pop_n(2)
-        frame.charge(G.sha3_gas(size))
+        stack = frame.stack
+        offset, size = stack.pop(), stack.pop()
+        frame.charge(G.GAS_SHA3_PER_WORD * ((size + 31) // 32))
         self._expand(frame, offset, size)
         data = frame.memory.read(offset, size)
         result = int.from_bytes(self.hasher(data), "big")
-        frame.stack.push(result)
+        stack.append(result)
         frame.pc += 1
         if self.meter is not None:
             self.meter.charge_compute(self.cm.hash_cost(size), 0)
@@ -259,10 +298,9 @@ class EVM:
     # -- transaction-constant environment values ----------------------------
 
     def _op_tx_const(self, frame: Frame, arg: tuple) -> None:
-        op, gas_cost, getter = arg
-        frame.charge(gas_cost)
+        op, getter = arg
         value = getter(self, frame)
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_tx_const(frame, op, value)
@@ -278,19 +316,18 @@ class EVM:
         frame.charge(gas_cost)
         key = balance_key(address)
         value = self.view.read(key)
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_sload(frame, key, value, gas_cost, operand_count=1)
 
     def _op_selfbalance(self, frame: Frame, op: int) -> None:
-        frame.charge(5)
         key = balance_key(frame.msg.to)
         value = self.view.read(key)
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc += 1
         if self.tracer is not None:
-            self.tracer.trace_sload(frame, key, value, 5, operand_count=0)
+            self.tracer.trace_sload(frame, key, value, G.GAS_FAST, operand_count=0)
 
     def _op_extcodesize(self, frame: Frame, op: int) -> None:
         address = prim.word_to_address(frame.stack.pop())
@@ -302,7 +339,7 @@ class EVM:
         # the tracer treats it like an environment value.
         code = self.view.peek_committed(code_key(address))
         value = len(code)
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_alu(
@@ -318,7 +355,7 @@ class EVM:
         frame.charge(G.GAS_ACCOUNT_COLD if cold else G.GAS_ACCOUNT_WARM)
         code = self.view.peek_committed(code_key(address))
         value = int.from_bytes(self.hasher(code), "big") if code else 0
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc += 1
         if self.meter is not None:
             self.meter.charge_compute(self.cm.hash_cost(len(code)), 0)
@@ -329,7 +366,6 @@ class EVM:
             )
 
     def _op_blockhash(self, frame: Frame, op: int) -> None:
-        frame.charge(20)
         number = frame.stack.pop()
         # Deterministic stand-in for ancestor hashes (only the most recent
         # 256 blocks resolve, as on mainnet).
@@ -339,27 +375,26 @@ class EVM:
             )
         else:
             value = 0
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc += 1
         if self.tracer is not None:
-            self.tracer.trace_alu(frame, op, (number,), value, 20, False)
+            self.tracer.trace_alu(frame, op, (number,), value, G.GAS_EXT, False)
 
     # -- calldata and code ----------------------------------------------------
 
     def _op_calldataload(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_FASTEST)
-        offset = frame.stack.pop()
+        stack = frame.stack
+        offset = stack[-1]
         data = frame.msg.data
         chunk = data[offset : offset + 32] if offset < len(data) else b""
-        value = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
-        frame.stack.push(value)
+        stack[-1] = value = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_calldataload(frame, offset, value)
 
     def _op_calldatacopy(self, frame: Frame, op: int) -> None:
-        dest, src, size = frame.stack.pop_n(3)
-        frame.charge(G.GAS_FASTEST + G.copy_gas(size))
+        dest, src, size = _pop_n(frame.stack, 3)
+        frame.charge(G.copy_gas(size))
         self._expand(frame, dest, size)
         data = frame.msg.data[src : src + size].ljust(size, b"\x00")
         frame.memory.write(dest, data)
@@ -370,8 +405,8 @@ class EVM:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
     def _op_codecopy(self, frame: Frame, op: int) -> None:
-        dest, src, size = frame.stack.pop_n(3)
-        frame.charge(G.GAS_FASTEST + G.copy_gas(size))
+        dest, src, size = _pop_n(frame.stack, 3)
+        frame.charge(G.copy_gas(size))
         self._expand(frame, dest, size)
         data = frame.code[src : src + size].ljust(size, b"\x00")
         frame.memory.write(dest, data)
@@ -382,8 +417,8 @@ class EVM:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
     def _op_returndatacopy(self, frame: Frame, op: int) -> None:
-        dest, src, size = frame.stack.pop_n(3)
-        frame.charge(G.GAS_FASTEST + G.copy_gas(size))
+        dest, src, size = _pop_n(frame.stack, 3)
+        frame.charge(G.copy_gas(size))
         if src + size > len(frame.return_data):
             raise EVMError("RETURNDATACOPY out of bounds")
         self._expand(frame, dest, size)
@@ -397,7 +432,6 @@ class EVM:
     # -- stack housekeeping ---------------------------------------------------
 
     def _op_pop(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_QUICK)
         frame.stack.pop()
         frame.pc += 1
         if self.tracer is not None:
@@ -405,29 +439,27 @@ class EVM:
 
     def _op_push(self, frame: Frame, arg: tuple[int, int]) -> None:
         value, next_pc = arg
-        frame.charge(G.GAS_FASTEST)
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc = next_pc
         if self.tracer is not None:
             self.tracer.trace_push(frame, value)
 
     def _op_push0(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_QUICK)
-        frame.stack.push(0)
+        frame.stack.append(0)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_push(frame, 0)
 
     def _op_dup(self, frame: Frame, n: int) -> None:
-        frame.charge(G.GAS_FASTEST)
-        frame.stack.dup(n)
+        stack = frame.stack
+        stack.append(stack[-n])
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_dup(frame, n)
 
     def _op_swap(self, frame: Frame, n: int) -> None:
-        frame.charge(G.GAS_FASTEST)
-        frame.stack.swap(n)
+        stack = frame.stack
+        stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_swap(frame, n)
@@ -435,18 +467,17 @@ class EVM:
     # -- memory ----------------------------------------------------------------
 
     def _op_mload(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_FASTEST)
-        offset = frame.stack.pop()
+        stack = frame.stack
+        offset = stack[-1]
         self._expand(frame, offset, 32)
-        value = frame.memory.read_word(offset)
-        frame.stack.push(value)
+        stack[-1] = value = frame.memory.read_word(offset)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_mload(frame, offset, value)
 
     def _op_mstore(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_FASTEST)
-        offset, value = frame.stack.pop_n(2)
+        stack = frame.stack
+        offset, value = stack.pop(), stack.pop()
         self._expand(frame, offset, 32)
         frame.memory.write_word(offset, value)
         frame.pc += 1
@@ -454,8 +485,8 @@ class EVM:
             self.tracer.trace_mstore(frame, offset, value)
 
     def _op_mstore8(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_FASTEST)
-        offset, value = frame.stack.pop_n(2)
+        stack = frame.stack
+        offset, value = stack.pop(), stack.pop()
         self._expand(frame, offset, 1)
         frame.memory.write_byte(offset, value)
         frame.pc += 1
@@ -472,7 +503,7 @@ class EVM:
         gas_cost = G.sload_gas(cold)
         frame.charge(gas_cost)
         value = self.view.read(key)
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_sload(frame, key, value, gas_cost, operand_count=1)
@@ -480,7 +511,8 @@ class EVM:
     def _op_sstore(self, frame: Frame, op: int) -> None:
         if frame.msg.static:
             raise WriteProtection("SSTORE in a static call")
-        slot, value = frame.stack.pop_n(2)
+        stack = frame.stack
+        slot, value = stack.pop(), stack.pop()
         key = storage_key(frame.msg.to, slot)
         cold = not self.view.is_warm(key)
         self.view.mark_warm(key)
@@ -495,7 +527,6 @@ class EVM:
     # -- control flow -------------------------------------------------------------
 
     def _op_jump(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_MID)
         dest = frame.stack.pop()
         if dest not in frame.analysis.jumpdests:
             raise InvalidJump(f"JUMP to non-JUMPDEST {dest}")
@@ -504,8 +535,8 @@ class EVM:
         frame.pc = dest
 
     def _op_jumpi(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_HIGH)
-        dest, cond = frame.stack.pop_n(2)
+        stack = frame.stack
+        dest, cond = stack.pop(), stack.pop()
         taken = cond != 0
         if taken and dest not in frame.analysis.jumpdests:
             raise InvalidJump(f"JUMPI to non-JUMPDEST {dest}")
@@ -514,7 +545,6 @@ class EVM:
         frame.pc = dest if taken else frame.pc + 1
 
     def _op_jumpdest(self, frame: Frame, op: int) -> None:
-        frame.charge(G.GAS_JUMPDEST)
         frame.pc += 1
 
     # -- logging ---------------------------------------------------------------
@@ -522,8 +552,9 @@ class EVM:
     def _op_log(self, frame: Frame, topic_count: int) -> None:
         if frame.msg.static:
             raise WriteProtection("LOG in a static call")
-        offset, size = frame.stack.pop_n(2)
-        topics = frame.stack.pop_n(topic_count)
+        stack = frame.stack
+        offset, size = stack.pop(), stack.pop()
+        topics = tuple([stack.pop() for _ in range(topic_count)])
         frame.charge(G.log_gas(topic_count, size))
         self._expand(frame, offset, size)
         data = frame.memory.read(offset, size)
@@ -536,26 +567,16 @@ class EVM:
     # -- calls -------------------------------------------------------------------
 
     def _op_call(self, frame: Frame, op: int) -> None:
-        delegate = False
+        operands = _pop_n(frame.stack, 7 if op == Op.CALL else 6)
+        delegate = op == Op.DELEGATECALL
+        static = frame.msg.static or op == Op.STATICCALL
         if op == Op.CALL:
-            operands = frame.stack.pop_n(7)
-            (gas_req, to_word, value, args_off, args_size, ret_off, ret_size) = (
-                operands
-            )
-            static = frame.msg.static
+            gas_req, to_word, value, args_off, args_size, ret_off, ret_size = operands
             if static and value != 0:
                 raise WriteProtection("value-bearing CALL in a static context")
-        elif op == Op.DELEGATECALL:
-            operands = frame.stack.pop_n(6)
+        else:  # DELEGATECALL and STATICCALL carry no value
             gas_req, to_word, args_off, args_size, ret_off, ret_size = operands
             value = 0
-            static = frame.msg.static
-            delegate = True
-        else:  # STATICCALL
-            operands = frame.stack.pop_n(6)
-            gas_req, to_word, args_off, args_size, ret_off, ret_size = operands
-            value = 0
-            static = True
 
         if frame.msg.depth + 1 > CALL_DEPTH_LIMIT:
             raise EVMError("call depth limit exceeded")
@@ -619,7 +640,7 @@ class EVM:
         copy_size = min(ret_size, len(return_data))
         if copy_size:
             frame.memory.write(ret_off, return_data[:copy_size])
-        frame.stack.push(1 if success else 0)
+        frame.stack.append(1 if success else 0)
         frame.pc += 1
         if self.tracer is not None:
             self.tracer.trace_call_end(frame, success, ret_off, copy_size)
@@ -652,7 +673,7 @@ class EVM:
     # -- halts ---------------------------------------------------------------
 
     def _op_return(self, frame: Frame, op: int) -> None:
-        offset, size = frame.stack.pop_n(2)
+        offset, size = _pop_n(frame.stack, 2)
         self._expand(frame, offset, size)
         data = frame.memory.read(offset, size)
         if self.tracer is not None:
@@ -660,7 +681,7 @@ class EVM:
         raise _Halt(data)
 
     def _op_revert(self, frame: Frame, op: int) -> None:
-        offset, size = frame.stack.pop_n(2)
+        offset, size = _pop_n(frame.stack, 2)
         self._expand(frame, offset, size)
         data = frame.memory.read(offset, size)
         if self.tracer is not None:
@@ -695,62 +716,100 @@ _TX_CONST_GETTERS = {
 }
 
 
-def _opcode_entries() -> tuple:
-    """The ``(handler, argument)`` dispatch entry of each of the 256 opcodes.
+def _pop_n(stack: list, n: int) -> tuple:
+    """Pop ``n`` (>= 1) items the loop has checked are there; top first."""
+    popped = tuple(stack[: -n - 1 : -1])
+    del stack[-n:]
+    return popped
 
-    ``analysis.analyse`` lays these out per pc, so the step loop never
-    classifies an opcode.  Opcode arguments are plain ints (what the tracer
-    has always been handed: ``code[pc]``).  PUSH1-32 carry no argument
+
+def _stack_fault(handler, arg, min_stack: int, depth: int) -> None:
+    """Raise the error of a step whose stack ``depth`` is out of its row's
+    bounds: each handler family's class and message from before the table
+    checked them (a push, one pop, n pops, DUPn, SWAPn, LOG's two pops)."""
+    if depth >= min_stack:
+        raise StackOverflow(f"stack limit of {STACK_LIMIT} exceeded")
+    if handler is EVM._op_dup or handler is EVM._op_swap:
+        name = "DUP" if handler is EVM._op_dup else "SWAP"
+        raise StackUnderflow(f"{name}{arg} on stack of {depth}")
+    if handler is EVM._op_log:  # its offset and size first, then its topics
+        min_stack, depth = (2, depth) if depth < 2 else (arg, depth - 2)
+    elif min_stack == 1 and handler is not EVM._op_alu:
+        raise StackUnderflow("pop from empty stack")
+    raise StackUnderflow(f"need {min_stack} stack items, have {depth}")
+
+
+def _opcode_entries() -> tuple:
+    """The ``(handler, arg, static_gas, min_stack, max_stack)`` row of each
+    of the 256 opcodes, which ``analysis.analyse`` lays out per pc.
+
+    Opcode arguments are plain ints (what the tracer has always been handed:
+    ``code[pc]``).  PUSH1-32 carry no argument
     here: theirs is ``(immediate, next_pc)``, which only the analysis of a
     particular bytecode knows.  A byte with no row of its own gets
     ``_op_undefined``, which raises only if it is ever executed.  GAS, PC
     and the like go through ``_op_tx_const``: their values are constant for
     the transaction under the paper's gas-flow and control-flow guards.
+
+    The last three columns are geth's ``constantGas`` / ``minStack`` /
+    ``maxStack``: popping ``p`` and pushing ``q`` items needs ``p`` and
+    overflows above ``STACK_LIMIT + p - q``.  EXP and LOG are priced whole
+    by their handlers, as in geth, and so are the warmth-priced opcodes,
+    whose warm mark must precede their charge (the warm set is not undone).
     """
-    entries: list = [(EVM._op_undefined, opcode) for opcode in range(256)]
-    handlers = {
-        Op.STOP: EVM._op_stop,
-        Op.SHA3: EVM._op_sha3,
-        Op.BALANCE: EVM._op_balance,
-        Op.SELFBALANCE: EVM._op_selfbalance,
-        Op.CALLDATALOAD: EVM._op_calldataload,
-        Op.CALLDATACOPY: EVM._op_calldatacopy,
-        Op.CODECOPY: EVM._op_codecopy,
-        Op.RETURNDATACOPY: EVM._op_returndatacopy,
-        Op.POP: EVM._op_pop,
-        Op.PUSH0: EVM._op_push0,
-        Op.MLOAD: EVM._op_mload,
-        Op.MSTORE: EVM._op_mstore,
-        Op.MSTORE8: EVM._op_mstore8,
-        Op.SLOAD: EVM._op_sload,
-        Op.SSTORE: EVM._op_sstore,
-        Op.JUMP: EVM._op_jump,
-        Op.JUMPI: EVM._op_jumpi,
-        Op.JUMPDEST: EVM._op_jumpdest,
-        Op.CALL: EVM._op_call,
-        Op.DELEGATECALL: EVM._op_call,
-        Op.STATICCALL: EVM._op_call,
-        Op.EXTCODESIZE: EVM._op_extcodesize,
-        Op.EXTCODEHASH: EVM._op_extcodehash,
-        Op.BLOCKHASH: EVM._op_blockhash,
-        Op.RETURN: EVM._op_return,
-        Op.REVERT: EVM._op_revert,
-        Op.INVALID: EVM._op_invalid,
+    rows = {  # (handler, static_gas, pops, pushes)
+        Op.STOP: (EVM._op_stop, 0, 0, 0),
+        Op.EXP: (EVM._op_exp, 0, 2, 1),
+        Op.SHA3: (EVM._op_sha3, G.GAS_SHA3_BASE, 2, 1),
+        Op.BALANCE: (EVM._op_balance, 0, 1, 1),
+        Op.SELFBALANCE: (EVM._op_selfbalance, G.GAS_FAST, 0, 1),
+        Op.CALLDATALOAD: (EVM._op_calldataload, G.GAS_FASTEST, 1, 1),
+        Op.CALLDATACOPY: (EVM._op_calldatacopy, G.GAS_FASTEST, 3, 0),
+        Op.CODECOPY: (EVM._op_codecopy, G.GAS_FASTEST, 3, 0),
+        Op.RETURNDATACOPY: (EVM._op_returndatacopy, G.GAS_FASTEST, 3, 0),
+        Op.POP: (EVM._op_pop, G.GAS_QUICK, 1, 0),
+        Op.PUSH0: (EVM._op_push0, G.GAS_QUICK, 0, 1),
+        Op.MLOAD: (EVM._op_mload, G.GAS_FASTEST, 1, 1),
+        Op.MSTORE: (EVM._op_mstore, G.GAS_FASTEST, 2, 0),
+        Op.MSTORE8: (EVM._op_mstore8, G.GAS_FASTEST, 2, 0),
+        Op.SLOAD: (EVM._op_sload, 0, 1, 1),
+        Op.SSTORE: (EVM._op_sstore, 0, 2, 0),
+        Op.JUMP: (EVM._op_jump, G.GAS_MID, 1, 0),
+        Op.JUMPI: (EVM._op_jumpi, G.GAS_HIGH, 2, 0),
+        Op.JUMPDEST: (EVM._op_jumpdest, G.GAS_JUMPDEST, 0, 0),
+        Op.CALL: (EVM._op_call, 0, 7, 1),
+        Op.DELEGATECALL: (EVM._op_call, 0, 6, 1),
+        Op.STATICCALL: (EVM._op_call, 0, 6, 1),
+        Op.EXTCODESIZE: (EVM._op_extcodesize, 0, 1, 1),
+        Op.EXTCODEHASH: (EVM._op_extcodehash, 0, 1, 1),
+        Op.BLOCKHASH: (EVM._op_blockhash, G.GAS_EXT, 1, 1),
+        Op.RETURN: (EVM._op_return, 0, 2, 0),
+        Op.REVERT: (EVM._op_revert, 0, 2, 0),
+        Op.INVALID: (EVM._op_invalid, 0, 0, 0),
     }
-    for op, handler in handlers.items():
-        entries[op] = (handler, int(op))
-    for op, (pops, static_gas) in ALU_OPS.items():
-        entries[op] = (EVM._op_alu, (int(op), pops, static_gas, ALU_FUNCS[op]))
-    for op, gas_cost in TX_CONST_OPS.items():
-        entries[op] = (EVM._op_tx_const, (int(op), gas_cost, _TX_CONST_GETTERS[op]))
+    # (handler, arg, static_gas, pops, pushes) until the last line.
+    entries = [(EVM._op_undefined, opcode, 0, 0, 0) for opcode in range(256)]
+    for op, (pops, gas) in ALU_OPS.items():  # EXP's row is replaced below
+        if pops == 2:
+            entries[op] = (EVM._op_binary, (int(op), gas, ALU_FUNCS[op]), gas, 2, 1)
+        else:
+            arg = (int(op), pops, gas, ALU_FUNCS[op])
+            entries[op] = (EVM._op_alu, arg, gas, pops, 1)
+    for op, gas in TX_CONST_OPS.items():
+        entries[op] = (EVM._op_tx_const, (int(op), _TX_CONST_GETTERS[op]), gas, 0, 1)
     for n in range(1, 33):
-        entries[Op.PUSH0 + n] = (EVM._op_push, None)
+        entries[Op.PUSH0 + n] = (EVM._op_push, None, G.GAS_FASTEST, 0, 1)
     for n in range(1, 17):
-        entries[Op.DUP1 + n - 1] = (EVM._op_dup, n)
-        entries[Op.SWAP1 + n - 1] = (EVM._op_swap, n)
-    for topic_count in range(5):
-        entries[Op.LOG0 + topic_count] = (EVM._op_log, topic_count)
-    return tuple(entries)
+        entries[Op.DUP1 + n - 1] = (EVM._op_dup, n, G.GAS_FASTEST, n, n + 1)
+        entries[Op.SWAP1 + n - 1] = (EVM._op_swap, n, G.GAS_FASTEST, n + 1, n + 1)
+    for n in range(5):
+        entries[Op.LOG0 + n] = (EVM._op_log, n, 0, 2 + n, 0)
+    for op, (handler, gas, pops, pushes) in rows.items():
+        entries[op] = (handler, int(op), gas, pops, pushes)
+    return tuple(
+        (handler, arg, gas, pops, STACK_LIMIT + pops - pushes)
+        for handler, arg, gas, pops, pushes in entries
+    )
 
 
 OPCODE_ENTRIES = _opcode_entries()

@@ -16,14 +16,14 @@ RLPItem = bytes | list
 
 def encode(item: RLPItem) -> bytes:
     """RLP-encode a byte string or nested list of byte strings."""
-    if isinstance(item, bytes):
+    kind = type(item)  # exact types first: they are all the hot callers pass
+    if kind is bytes:
         return encode_bytes(item)
-    if isinstance(item, bytearray):
+    if kind is list or kind is tuple or isinstance(item, (list, tuple)):
+        return join_list([encode(child) for child in item])
+    if isinstance(item, (bytes, bytearray)):
         return encode_bytes(bytes(item))
-    if isinstance(item, (list, tuple)):
-        payload = b"".join(encode(child) for child in item)
-        return _encode_length(len(payload), 0xC0) + payload
-    raise RLPError(f"cannot RLP-encode {type(item).__name__}")
+    raise RLPError(f"cannot RLP-encode {kind.__name__}")
 
 
 def list_header(payload_length: int) -> bytes:
@@ -34,6 +34,12 @@ def list_header(payload_length: int) -> bytes:
     items encoded can frame them without going through the nested form.
     """
     return _encode_length(payload_length, 0xC0)
+
+
+def join_list(encoded_items) -> bytes:
+    """``encode`` of a list, given its items already encoded."""
+    payload = b"".join(encoded_items)
+    return _encode_length(len(payload), 0xC0) + payload
 
 
 def encode_uint(value: int) -> bytes:

@@ -63,21 +63,22 @@ class Receipt:
     logs: "list[LogRecord]"
 
     def encode(self) -> bytes:
-        return rlp.encode(
-            [
-                rlp.uint_to_bytes(self.status),
-                rlp.uint_to_bytes(self.cumulative_gas),
-                self.bloom.to_bytes(BLOOM_BYTES, "big"),
-                [
-                    [
-                        log.address,
-                        [t.to_bytes(32, "big") for t in log.topics],
-                        log.data,
-                    ]
-                    for log in self.logs
-                ],
-            ]
-        )
+        """rlp([status, cumulative_gas, bloom, [[address, topics, data]...]]),
+        framed directly; 0xa0 is the header of a 32-byte topic."""
+        logs = [
+            rlp.join_list((
+                rlp.encode_bytes(log.address),
+                rlp.join_list([b"\xa0" + t.to_bytes(32, "big") for t in log.topics]),
+                rlp.encode_bytes(log.data),
+            ))
+            for log in self.logs
+        ]
+        return rlp.join_list((
+            rlp.encode_bytes(rlp.uint_to_bytes(self.status)),
+            rlp.encode_bytes(rlp.uint_to_bytes(self.cumulative_gas)),
+            rlp.encode_bytes(self.bloom.to_bytes(BLOOM_BYTES, "big")),
+            rlp.join_list(logs),
+        ))
 
 
 def build_receipts(results: "list[TxResult]") -> list[Receipt]:

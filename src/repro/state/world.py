@@ -208,14 +208,13 @@ class WorldState:
                 or storage_root != EMPTY_ROOT
                 or code_hash != EMPTY_CODE_HASH
             ):
-                account = rlp.encode(
-                    [
-                        rlp.uint_to_bytes(nonce),
-                        rlp.uint_to_bytes(balance),
-                        storage_root,
-                        code_hash,
-                    ]
-                )
+                # rlp([nonce, balance, storage_root, code_hash]); 0xa0 is
+                # the header of a 32-byte string.
+                account = rlp.join_list((
+                    rlp.encode_bytes(rlp.uint_to_bytes(nonce)),
+                    rlp.encode_bytes(rlp.uint_to_bytes(balance)),
+                    b"\xa0", storage_root, b"\xa0", code_hash,
+                ))
             else:
                 account = b""  # all-default: the account leaves the trie
             accounts.put(keccak256_cached(address), account)

@@ -9,7 +9,12 @@ Node model (appendix D of the yellow paper):
 A node's *reference* inside its parent is its RLP encoding when that encoding
 is shorter than 32 bytes, otherwise the Keccak-256 digest of the encoding.
 The root is always the digest of the root node's encoding (or
-:data:`EMPTY_ROOT` for an empty trie).
+:data:`EMPTY_ROOT` for an empty trie).  A node's ``ref`` memo holds that
+reference already RLP-encoded — ``b"\xa0" + digest``, or the short encoding
+itself, which is what an inline node contributes to its parent — so a
+parent's encoding is its list header over the concatenated pieces: nothing
+on the hashing path builds a nested list or calls the generic ``rlp.encode``
+or ``rlp.decode``.
 
 The trie is *persistent*: a node reachable from a root is never mutated
 again.  ``put`` and ``delete`` path-copy — one new node per level on the way
@@ -28,27 +33,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import rlp
 from ..crypto import keccak256_cached
 from ..errors import TrieError
+from ..rlp import encode_bytes, join_list
 from .nibbles import (
     Nibbles,
     bytes_to_nibbles,
     common_prefix_length,
     hp_encode,
+    nibbles_to_bytes,
 )
 
 # keccak256(rlp(b'')) — the canonical empty-trie root.
 EMPTY_ROOT = bytes.fromhex(
     "56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421"
 )
+_EMPTY = b"\x80"  # rlp(b""): an empty branch slot or value
+_DIGEST_HEADER = b"\xa0"  # the RLP header of a 32-byte string
 
 @dataclass(slots=True)
 class _Leaf:
     path: Nibbles
     value: bytes
     encoded: bytes | None = None  # memo, filled by _encode
-    ref: rlp.RLPItem | None = None  # memo, filled by _ref
+    ref: bytes | None = None  # memo, filled by _ref: the RLP-encoded reference
 
 
 @dataclass(slots=True)
@@ -56,7 +64,7 @@ class _Extension:
     path: Nibbles
     child: "_Node"
     encoded: bytes | None = None
-    ref: rlp.RLPItem | None = None
+    ref: bytes | None = None
 
 
 @dataclass(slots=True)
@@ -64,7 +72,7 @@ class _Branch:
     children: tuple  # 16 entries, a node or None each
     value: bytes | None
     encoded: bytes | None = None
-    ref: rlp.RLPItem | None = None
+    ref: bytes | None = None
 
 
 _Node = _Leaf | _Extension | _Branch | None
@@ -109,7 +117,7 @@ class MerklePatriciaTrie:
         encoded = self._encode(root)
         if len(encoded) < 32:  # its in-parent reference would be inline
             return keccak256_cached(encoded)
-        return self._ref(root)
+        return self._ref(root)[1:]
 
     def copy(self) -> "MerklePatriciaTrie":
         """An independent handle on the same contents, in O(1).
@@ -296,30 +304,30 @@ class MerklePatriciaTrie:
         encoded = node.encoded
         if encoded is None:
             if isinstance(node, _Leaf):
-                item = [hp_encode(node.path, is_leaf=True), node.value]
+                path = encode_bytes(hp_encode(node.path, True))
+                pieces = (path, encode_bytes(node.value))
             elif isinstance(node, _Extension):
-                item = [hp_encode(node.path, is_leaf=False), self._ref(node.child)]
+                path = encode_bytes(hp_encode(node.path, False))
+                pieces = (path, self._ref(node.child))
             else:
-                item = [
-                    self._ref(child) if child is not None else b""
-                    for child in node.children
-                ]
-                item.append(node.value if node.value is not None else b"")
-            encoded = node.encoded = rlp.encode(item)
+                ref = self._ref
+                pieces = [_EMPTY if c is None else ref(c) for c in node.children]
+                value = node.value
+                pieces.append(_EMPTY if value is None else encode_bytes(value))
+            encoded = node.encoded = join_list(pieces)
         return encoded
 
-    def _ref(self, node: _Node) -> rlp.RLPItem:
-        """A child's in-parent reference: inline if short, else its digest."""
+    def _ref(self, node: _Node) -> bytes:
+        """A child's in-parent reference, RLP-encoded: its own encoding if
+        short, else its digest as a 32-byte string."""
         ref = node.ref
         if ref is None:
             encoded = self._encode(node)
             if len(encoded) < 32:
-                # Inline nodes embed as the decoded RLP structure, not
-                # re-wrapped bytes — decoding keeps the parent's encoding
-                # canonical.
-                ref = rlp.decode(encoded)
+                # An inline node embeds as its own encoding.
+                ref = encoded
             else:
-                ref = keccak256_cached(encoded)
+                ref = _DIGEST_HEADER + keccak256_cached(encoded)
             node.ref = ref
         return ref
 
@@ -331,24 +339,15 @@ class MerklePatriciaTrie:
         if node is None:
             return
         if isinstance(node, _Leaf):
-            full = prefix + node.path
-            out.append((self._nibbles_to_key(full), node.value))
+            out.append((nibbles_to_bytes(prefix + node.path), node.value))
             return
         if isinstance(node, _Extension):
             self._collect(node.child, prefix + node.path, out)
             return
         if node.value is not None:
-            out.append((self._nibbles_to_key(prefix), node.value))
+            out.append((nibbles_to_bytes(prefix), node.value))
         for i, child in enumerate(node.children):
             self._collect(child, prefix + (i,), out)
-
-    @staticmethod
-    def _nibbles_to_key(nibbles: Nibbles) -> bytes:
-        if len(nibbles) % 2 != 0:
-            raise TrieError("stored key has odd nibble length")
-        return bytes(
-            (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-        )
 
 
 def trie_root(pairs: dict[bytes, bytes]) -> bytes:

@@ -30,9 +30,9 @@ def nibbles_to_bytes(nibbles: Nibbles) -> bytes:
     """Pack an even-length nibble sequence back into bytes."""
     if len(nibbles) % 2 != 0:
         raise TrieError("cannot pack an odd number of nibbles into bytes")
-    return bytes(
-        (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-    )
+    # Each nibble is one byte whose hex form is "0x"; the odd characters of
+    # the hex string are the nibbles' digits, which fromhex packs in C.
+    return bytes.fromhex(bytes(nibbles).hex()[1::2])
 
 
 def common_prefix_length(a: Nibbles, b: Nibbles) -> int:
@@ -48,8 +48,5 @@ def hp_encode(path: Nibbles, is_leaf: bool) -> bytes:
     """Hex-prefix encode a nibble path with the leaf/extension flag."""
     flag = 2 if is_leaf else 0
     if len(path) % 2 == 1:
-        prefixed: Nibbles = (flag + 1,) + path
-    else:
-        prefixed = (flag, 0) + path
-    return nibbles_to_bytes(prefixed)
-
+        return nibbles_to_bytes((flag + 1,) + path)
+    return nibbles_to_bytes((flag, 0) + path)

@@ -56,13 +56,14 @@ def test_instructions_equal_a_naive_decoder(code):
     starts = set()
     for pc, opcode, immediate, next_pc in rows:
         starts.add(pc)
-        handler, argument = table[pc]
+        handler, argument, static_gas, min_stack, max_stack = table[pc]
         assert handler is OPCODE_ENTRIES[opcode][0]
         if immediate is None:
             assert table[pc] is OPCODE_ENTRIES[opcode]
         else:
             # A truncated trailing PUSH continues at the implicit STOP.
             assert argument == (immediate, min(next_pc, len(code)))
+            assert (static_gas, min_stack, max_stack) == OPCODE_ENTRIES[opcode][2:]
     assert all(
         entry is None for pc, entry in enumerate(table[:-1]) if pc not in starts
     )

@@ -1051,6 +1051,22 @@ GOLDEN = {
         writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
         halts=[(0, 'StackOverflow', 'stack limit of 1024 exceeded')],
     ),
+    'stack_underflow_iszero': dict(
+        ok=False, ret='', gas=500000, ops=1, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackUnderflow', 'need 1 stack items, have 0')],
+    ),
+    # differs from the parent tree on purpose (FIXED_SINCE_PARENT)
+    'stack_overflow_push1_before_out_of_gas': dict(
+        ok=False, ret='', gas=23050, ops=1025, ssa=9,
+        writes={'b:SENDER': 999999999999930850, 'n:SENDER': 1},
+        halts=[(0, 'StackOverflow', 'stack limit of 1024 exceeded')],
+    ),
+    'stack_overflow_selfbalance': dict(
+        ok=False, ret='', gas=500000, ops=1025, ssa=9,
+        writes={'b:SENDER': 999999999998500000, 'n:SENDER': 1},
+        halts=[(0, 'StackOverflow', 'stack limit of 1024 exceeded')],
+    ),
     'stack_at_limit_is_fine': dict(
         ok=True, ret=1021, gas=55729, ops=10216, ssa=9,
         writes={'b:SENDER': 999999999999832813, 'n:SENDER': 1},

@@ -78,6 +78,12 @@ GAS_PRICE = 3
 # Rows whose golden value is *not* what the parent tree produced, with what
 # the parent did instead.
 FIXED_SINCE_PARENT = {
+    "stack_overflow_push1_before_out_of_gas": (
+        "PUSH charged its 3 gas before it pushed, so with 2 gas left at "
+        "depth 1024 the parent ran out of gas first: halts=[(0, 'OutOfGas', "
+        "'need 3 gas at pc=1024')].  The dispatch table checks the stack "
+        "bounds before the static gas, in geth's order"
+    ),
     "log0_keeps_rest_of_stack": (
         "Stack.pop_n(0) ran `del items[-0:]` and wiped the stack, so the "
         "MSTORE after LOG0 underflowed: the parent failed this row with all "
@@ -458,6 +464,16 @@ case("stack_underflow_swap16", "PUSH0 " * 16 + "SWAP16")
 _FULL_STACK = "PUSH0 " * 1024
 case("stack_overflow_caller", _FULL_STACK + "CALLER")
 case("stack_overflow_push32", _FULL_STACK + f"PUSH32 {UINT_MAX}")
+case("stack_underflow_iszero", "ISZERO")  # pop_n(1): "need 1", not "pop from"
+# Where geth's order (stack bounds, then static gas, then the handler)
+# differs from the handlers' own: PUSH1 with too little gas overflows
+# instead of running out of gas, and SELFBALANCE overflows before it reads
+# the balance (the read set, which no row records: see
+# test_selfbalance_overflows_before_reading_the_balance).
+case("stack_overflow_push1_before_out_of_gas", _FULL_STACK + "PUSH1 1",
+     gas_limit=21_000 + 2 * 1024 + 2)
+case("stack_overflow_selfbalance", _FULL_STACK + "SELFBALANCE",
+     balances={CONTRACT: 5})
 case(
     "stack_at_limit_is_fine",
     "PUSH0 loop: JUMPDEST PUSH0 SWAP1 PUSH 1 ADD DUP1 PUSH 1021 GT PUSH @loop JUMPI "
@@ -726,6 +742,14 @@ def test_undefined_byte_fails_only_when_executed(opcode):
     ]
     skipped = Case(name, bytes([0x60, 0x04, 0x56, opcode, 0x5B, 0x00]))
     assert observe(skipped, traced=False)["ok"]
+
+
+def test_selfbalance_overflows_before_reading_the_balance():
+    c = CASES["stack_overflow_selfbalance"]
+    tx = Transaction(sender=SENDER, to=c.to, gas_limit=c.gas_limit)
+    result = interpreter.execute_transaction(StateView(build_world(c)), tx, ENV)
+    assert not result.success
+    assert ("b", CONTRACT) not in result.read_set
 
 
 def test_library_jumpdest_is_push_data_in_the_caller():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.evm.message import LogRecord, Transaction, TxResult
 from repro.primitives import make_address
 from repro.state.receipts import Receipt, build_receipts, receipts_root
@@ -82,6 +84,26 @@ class TestReceipts:
         assert rlp.bytes_to_uint(decoded[1]) == 100
         assert decoded[3][0][0] == ADDR
         assert decoded[3][0][2] == b"xy"
+
+    @pytest.mark.parametrize("log_count", [0, 1, 3])
+    def test_direct_framing_equals_the_nested_list_encoder(self, log_count):
+        from repro import rlp
+
+        logs = [
+            LogRecord(make_address(7 + i), tuple(range(i)), bytes(range(i * 40)))
+            for i in range(log_count)
+        ]
+        receipt = Receipt(1, 2**40 + 3, (1 << 2047) | 5, logs)
+        nested = [
+            rlp.uint_to_bytes(receipt.status),
+            rlp.uint_to_bytes(receipt.cumulative_gas),
+            receipt.bloom.to_bytes(256, "big"),
+            [
+                [log.address, [t.to_bytes(32, "big") for t in log.topics], log.data]
+                for log in logs
+            ],
+        ]
+        assert receipt.encode() == rlp.encode(nested)
 
 
 class TestReceiptsRoot:

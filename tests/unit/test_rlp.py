@@ -65,6 +65,18 @@ class TestEncodeVectors:
     def test_tuple_accepted(self):
         assert rlp.encode((b"cat", b"dog")) == rlp.encode([b"cat", b"dog"])
 
+    def test_subclasses_take_the_general_path(self):
+        class Items(list):
+            pass
+
+        class Data(bytes):
+            pass
+
+        nested = [b"cat", (b"", [b"x" * 60]), b"\x7f"]
+        expected = rlp.encode(nested)
+        assert rlp.encode(Items(nested)) == expected
+        assert rlp.encode([Data(b"cat"), (b"", Items([b"x" * 60])), b"\x7f"]) == expected
+
     def test_unencodable_type_raises(self):
         with pytest.raises(RLPError):
             rlp.encode("strings are not bytes")  # type: ignore[arg-type]
