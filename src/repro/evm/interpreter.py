@@ -744,12 +744,12 @@ def _opcode_entries() -> tuple:
     of the 256 opcodes, which ``analysis.analyse`` lays out per pc.
 
     Opcode arguments are plain ints (what the tracer has always been handed:
-    ``code[pc]``).  PUSH1-32 carry no argument
-    here: theirs is ``(immediate, next_pc)``, which only the analysis of a
-    particular bytecode knows.  A byte with no row of its own gets
-    ``_op_undefined``, which raises only if it is ever executed.  GAS, PC
-    and the like go through ``_op_tx_const``: their values are constant for
-    the transaction under the paper's gas-flow and control-flow guards.
+    ``code[pc]``).  PUSH1-32 carry no argument here: theirs is
+    ``(immediate, next_pc)``, which only the analysis of a particular
+    bytecode knows.  A byte with no row of its own gets ``_op_undefined``,
+    which raises only if it is ever executed.  GAS, PC and the like go
+    through ``_op_tx_const``: their values are constant for the transaction
+    under the paper's gas-flow and control-flow guards.
 
     The last three columns are geth's ``constantGas`` / ``minStack`` /
     ``maxStack``: popping ``p`` and pushing ``q`` items needs ``p`` and
