@@ -17,8 +17,8 @@ Entry ``def`` fields mirror the paper:
   come from bytes ``[offset:offset+length)`` of entry ``lsn``'s result
   (Figure 8c).
 
-The definition-use graph (DUG, §5.2.5) is maintained incrementally as
-entries are appended.
+The definition-use graph (DUG, §5.2.5) is built on first read (the first
+redo), then maintained incrementally as entries are appended.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class SSAOperationLog:
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
-        # DUG: defining LSN -> LSNs of entries using its result (§5.2.5).
-        self.uses: dict[int, list[int]] = {}
+        # DUG (see ``uses``); None until first read.
+        self._uses: dict[int, list[int]] | None = None
         # latest_writes: key -> LSN of the most recent store (§5.2.2).
         self.latest_writes: dict[StateKey, int] = {}
         # direct_reads: key -> LSNs of type-I loads of that key (§5.2.2).
@@ -103,9 +103,18 @@ class SSAOperationLog:
         """Add ``entry`` (its lsn must equal the next index); wire DUG edges."""
         assert entry.lsn == len(self.entries), "non-sequential LSN"
         self.entries.append(entry)
-        if entry.def_stack or entry.def_memory or entry.def_storage is not None:
+        if self._uses is not None:
             self._add_edges(entry)
         return entry.lsn
+
+    @property
+    def uses(self) -> dict[int, list[int]]:
+        """The DUG: defining LSN -> LSNs of entries using its result."""
+        if self._uses is None:
+            self._uses = {}
+            for entry in self.entries:
+                self._add_edges(entry)
+        return self._uses
 
     def next_lsn(self) -> int:
         return len(self.entries)
@@ -115,14 +124,14 @@ class SSAOperationLog:
         for dep in entry.def_stack:
             if dep is not None and dep not in seen:
                 seen.add(dep)
-                self.uses.setdefault(dep, []).append(entry.lsn)
+                self._uses.setdefault(dep, []).append(entry.lsn)
         if entry.def_storage is not None and entry.def_storage not in seen:
             seen.add(entry.def_storage)
-            self.uses.setdefault(entry.def_storage, []).append(entry.lsn)
+            self._uses.setdefault(entry.def_storage, []).append(entry.lsn)
         for _, _, lsn, _ in entry.def_memory:
             if lsn not in seen:
                 seen.add(lsn)
-                self.uses.setdefault(lsn, []).append(entry.lsn)
+                self._uses.setdefault(lsn, []).append(entry.lsn)
 
     def record_load(self, entry: LogEntry) -> None:
         """Track a load entry in ``direct_reads`` when it is type I."""
@@ -139,11 +148,12 @@ class SSAOperationLog:
         Returns LSNs in ascending order — original execution order, which is
         the order the redo phase replays them in (Algorithm 1 line 6).
         """
+        uses = self.uses
         visited: set[int] = set(sources)
         stack = list(sources)
         while stack:
             lsn = stack.pop()
-            for user in self.uses.get(lsn, ()):
+            for user in uses.get(lsn, ()):
                 if user not in visited:
                     visited.add(user)
                     stack.append(user)

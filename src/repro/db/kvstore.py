@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, NamedTuple
 
+from ..sim.meter import CostMeter
 from .cache import LRUCache
 
-# Private miss marker for the single cache probe in `read`.  It is never
+# Private miss marker for the single cache probe in `read_into`.  It is never
 # *stored* anywhere: the block cache only ever holds real values (including
 # resolved per-key defaults for keys absent from the backing dict), so code
 # reading through `LRUCache.get` directly can never observe a sentinel.
@@ -31,11 +32,7 @@ _CACHE_MISS = object()
 
 
 class ReadSample(NamedTuple):
-    """The outcome of one read: the value plus its simulated cost.
-
-    A ``NamedTuple`` because ``read`` builds one per call: of the immutable
-    records, a tuple is the cheapest to construct.
-    """
+    """The outcome of one read: the value plus its simulated cost."""
 
     value: object
     latency_us: float
@@ -81,32 +78,45 @@ class SimulatedDiskKV:
         self.sequence = 0
 
     def read(self, key: Hashable, default=None) -> ReadSample:
-        """Read ``key``, reporting the simulated latency of this access.
+        """:meth:`read_into` on a meter of its own, as a :class:`ReadSample`."""
+        meter = CostMeter()
+        value = self.read_into(key, default, meter)
+        return ReadSample(value, meter.storage_us, not meter.storage_cold_reads)
 
-        With a fault injector installed, the key may first be evicted from
-        the block cache (cache thrash), and the resulting sample's latency
-        may be perturbed — spiked, or inflated by a simulated-time
-        retry/backoff loop absorbing transient read failures.  The value
-        itself is never corrupted; faults only cost time (or, past the
-        retry budget, raise :class:`repro.errors.TransientStorageError`).
+    def read_into(self, key: Hashable, default, meter=None):
+        """The one read path: ``key``'s value, its latency charged to
+        ``meter`` as :meth:`CostMeter.charge_storage` would.  A fault
+        injector may first evict the key from the block cache, and may spike
+        the latency or add simulated retry/backoff time; values are never
+        corrupted, and past the retry budget the read raises
+        :class:`repro.errors.TransientStorageError`.
         """
         faults = self.faults
+        cache = self.cache
         if faults is not None and faults.drop_cache(key):
-            self.cache.drop(key)
-        # One probe serves both the value and the hit/miss stat, so the
-        # LRU's hits + misses always equal the reads served through here.
-        value = self.cache.get(key, _CACHE_MISS)
+            cache.drop(key)
+        # LRUCache.get, inlined: one probe serves the value and the stat.
+        entries = cache._entries
+        value = _CACHE_MISS if cache.capacity <= 0 else entries.get(key, _CACHE_MISS)
         if value is not _CACHE_MISS:
+            entries.move_to_end(key)
+            cache.hits += 1
             self.cache_reads += 1
-            sample = ReadSample(value, self.cache_latency_us, True)
+            latency, hit = self.cache_latency_us, True
         else:
+            cache.misses += 1
             self.disk_reads += 1
             value = self._data.get(key, default)
-            self.cache.put(key, value)
-            sample = ReadSample(value, self.disk_latency_us, False)
+            cache.put(key, value)
+            latency, hit = self.disk_latency_us, False
         if faults is not None:
-            sample = faults.on_read(key, sample)
-        return sample
+            latency = faults.on_read(key, ReadSample(value, latency, hit)).latency_us
+        if meter is not None:
+            meter.storage_us += latency
+            meter.storage_reads += 1
+            if not hit:
+                meter.storage_cold_reads += 1
+        return value
 
     def write(self, key: Hashable, value) -> None:
         """Write ``key``; writes are buffered in memory (free on this model).

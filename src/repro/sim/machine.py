@@ -87,8 +87,9 @@ class Scheduler(Protocol):
     def next_task(self, worker_id: int, now_us: float) -> Task | None:
         """Return the next task for an idle worker, or None if none is ready.
 
-        Returning None parks the worker; it will be offered work again after
-        the next task completion event.
+        The offer must not depend on ``worker_id`` (OCC, ParallelEVM, the
+        scheduled validator and Block-STM ignore it): after a None, no idle
+        worker is offered work again before the next completion event.
         """
         ...
 
@@ -104,11 +105,12 @@ class Scheduler(Protocol):
 class SimMachine:
     """Event-driven simulation of ``threads`` workers driven by a scheduler.
 
-    The machine repeatedly: offers work to every idle worker, then advances
-    the clock to the earliest completion.  It terminates when the scheduler
-    reports done and all workers are idle.  Determinism: workers are offered
-    work in worker-id order and ties in completion time break by event
-    sequence number.
+    The machine repeatedly: offers work to the idle workers in worker-id
+    order until the scheduler declines one (see :class:`Scheduler`), then
+    advances the clock to the earliest completion.  It terminates when the
+    scheduler reports done and all workers are idle.  Determinism: workers
+    are offered work in worker-id order and ties in completion time break by
+    event sequence number.
 
     An optional :class:`repro.obs.trace.Observer` receives one ``on_span``
     call per completed task (worker id, task, simulated start/end).  The
@@ -163,29 +165,29 @@ class SimMachine:
         busy_count = 0
 
         while True:
-            # Offer work to idle workers (in order, repeatedly, until the
-            # scheduler declines — one worker may take several zero-length
-            # tasks, and a completion may unblock several workers).
-            still_idle: list[int] = []
+            # Offer work to each idle worker once, in id order, until the
+            # scheduler declines one: by the Scheduler contract every later
+            # offer before the next completion would be declined too.
+            taken = 0
             for worker in idle:
                 task = scheduler.next_task(worker, now)
                 if task is None:
-                    still_idle.append(worker)
-                else:
-                    duration = task.duration_us
-                    if not (duration >= 0):  # rejects negatives and NaN
-                        raise SimulationError(
-                            f"task {task.kind!r} has invalid duration "
-                            f"{duration!r} us (must be a non-negative number)"
-                        )
-                    if faults is not None:
-                        duration += faults.machine.perturb_us(duration)
-                    heapq.heappush(
-                        events,
-                        (now + duration, next(seq), worker, now, task),
+                    break
+                duration = task.duration_us
+                if not (duration >= 0):  # rejects negatives and NaN
+                    raise SimulationError(
+                        f"task {task.kind!r} has invalid duration "
+                        f"{duration!r} us (must be a non-negative number)"
                     )
-                    busy_count += 1
-            idle = still_idle
+                if faults is not None:
+                    duration += faults.machine.perturb_us(duration)
+                heapq.heappush(
+                    events,
+                    (now + duration, next(seq), worker, now, task),
+                )
+                taken += 1
+            del idle[:taken]
+            busy_count += taken
 
             if busy_count == 0:
                 if scheduler.done():

@@ -98,32 +98,30 @@ class StateView:
         the transaction's own writes do not, mirroring the type-I/type-II
         SLOAD distinction of §5.2.2.
         """
-        local = self._local.get(key, _MISSING)
-        if local is not _MISSING:
+        value = self._local.get(key, _MISSING)
+        if value is not _MISSING:
             if self.meter is not None:
                 self.meter.charge_compute(self.cost_model.overlay_read_us)
-            return local
-
-        value = self._read_committed(key)
+            return value
+        # peek_committed, inlined (the hottest call of a replay).
+        if self.base is not None:
+            value = self.base.get(key, _MISSING)
+        if value is _MISSING:
+            value = self.world.read(key, self.meter)
+        elif self.meter is not None:
+            self.meter.charge_compute(self.cost_model.overlay_read_us)
         if key not in self.read_set:
             self.read_set[key] = value
         return value
 
-    def _read_committed(self, key: StateKey):
-        if self.base is not None:
-            if isinstance(self.base, BlockOverlay):
-                value = self.base.get(key)
-            else:
-                value = self.base.get(key, _MISSING)
-            if value is not _MISSING:
-                if self.meter is not None:
-                    self.meter.charge_compute(self.cost_model.overlay_read_us)
-                return value
-        return self.world.read(key, self.meter)
-
     def peek_committed(self, key: StateKey):
         """Read committed state without touching the read set (validation)."""
-        return self._read_committed(key)
+        value = _MISSING if self.base is None else self.base.get(key, _MISSING)
+        if value is _MISSING:
+            return self.world.read(key, self.meter)
+        if self.meter is not None:
+            self.meter.charge_compute(self.cost_model.overlay_read_us)
+        return value
 
     def write(self, key: StateKey, value) -> None:
         """Buffer a write locally, journalling the previous local value."""

@@ -81,10 +81,7 @@ class WorldState:
 
     def read(self, key: StateKey, meter=None):
         """Read a key, charging its simulated latency to ``meter``."""
-        sample = self.db.read(key, default_value(key))
-        if meter is not None:
-            meter.charge_storage(sample.latency_us, cold=not sample.cache_hit)
-        return sample.value
+        return self.db.read_into(key, default_value(key), meter)
 
     def peek(self, key: StateKey):
         """Read committed state with zero simulation side effects.

@@ -1,0 +1,209 @@
+"""Property: the one committed-read path equals the composition it replaced.
+
+A committed read is ``StateView.read`` → ``base.get`` → ``WorldState.read``
+→ ``SimulatedDiskKV.read_into``, which probes the block cache inline and
+charges the meter itself.  The oracle is ``tests/unit/read_path_reference.py``:
+``_read_committed``'s ``isinstance`` dispatch, a ``ReadSample`` per read
+from ``LRUCache.get`` and the injector's ``drop_cache`` / ``on_read``, and
+``CostMeter.charge_storage``.
+
+Two identical sides — a world over a store of one capacity in {0, 1, 3,
+100}, a base (none, a ``BlockOverlay`` or a plain mapping), one view and
+one meter — run the same random operations, one side through the program
+and the other through the oracle: view reads and committed peeks, world
+reads with and without a meter, store samples, local writes, base writes,
+store writes, prefetches and cache resizes, over keys whose defaults differ (code is
+``b""``, the rest 0).  Each side has its own fault plan from the same seed:
+none, ``storage-spike``, ``storage-flaky`` (also with a retry budget small
+enough to raise ``TransientStorageError``) or ``cache-thrash``.  After every
+operation the two agree bit for bit on the returned value or raised error,
+the read set, every ``CostMeter`` field (floats as ``float.hex``),
+``cache_reads`` / ``disk_reads``, the LRU's hits, misses, evictions and
+entries in recency order, and the plan's counters.  The example budget comes
+from the active Hypothesis profile (CI re-runs this file under
+``--hypothesis-profile=ci``).
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import astuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.db import SimulatedDiskKV
+from repro.errors import TransientStorageError
+from repro.primitives import make_address
+from repro.resilience import SCENARIOS, FaultPlan, RecoveryPolicy
+from repro.sim.meter import CostMeter
+from repro.state.keys import CODE_TAG, balance_key, code_key, nonce_key, storage_key
+from repro.state.view import BlockOverlay, StateView
+from repro.state.world import WorldState
+
+from tests.unit.read_path_reference import (
+    reference_db_read,
+    reference_peek_committed,
+    reference_read,
+    reference_world_read,
+)
+
+ADDRESSES = [make_address(1), make_address(2)]
+KEYS = [
+    make_key(address)
+    for address in ADDRESSES
+    for make_key in (balance_key, nonce_key, code_key)
+] + [storage_key(address, slot) for address in ADDRESSES for slot in (0, 1)]
+OPS = (
+    "read", "peek", "world_read", "world_read_unmetered", "db_read",
+    "write", "base_write", "db_write", "warm", "resize",
+)
+PLANS = (None, "storage-spike", "storage-flaky", "cache-thrash")
+
+keys = st.sampled_from(KEYS)
+operations = st.lists(
+    st.tuples(st.sampled_from(OPS), keys, st.integers(0, 3)), max_size=60
+)
+
+
+def _value(key, n: int):
+    return b"\x60" * n if key[0] == CODE_TAG else n
+
+
+class Side:
+    """One world, base, view and meter, driven through one read path."""
+
+    def __init__(self, stored, capacity, base_kind, plan_name, seed, attempts):
+        self.world = WorldState(SimulatedDiskKV(cache_capacity=capacity))
+        for key, n in stored:
+            self.world.db.write(key, _value(key, n))
+        self.plan = None
+        if plan_name is not None:
+            policy = RecoveryPolicy(max_read_attempts=attempts)
+            self.plan = FaultPlan(seed, SCENARIOS[plan_name].config, policy)
+            self.world.db.faults = self.plan.storage
+        self.base = {"none": None, "overlay": BlockOverlay(), "mapping": {}}[
+            base_kind
+        ]
+        self.meter = CostMeter()
+        self.view = StateView(self.world, base=self.base, meter=self.meter)
+
+    def step(self, op: str, key, n: int, reference: bool):
+        world, view = self.world, self.view
+        try:
+            if op == "read":
+                value = reference_read(view, key) if reference else view.read(key)
+            elif op == "peek":
+                value = (
+                    reference_peek_committed(view, key)
+                    if reference
+                    else view.peek_committed(key)
+                )
+            elif op in ("world_read", "world_read_unmetered"):
+                meter = self.meter if op == "world_read" else None
+                value = (
+                    reference_world_read(world, key, meter)
+                    if reference
+                    else world.read(key, meter)
+                )
+            elif op == "db_read":
+                default = _value(key, n)
+                value = tuple(
+                    reference_db_read(world.db, key, default)
+                    if reference
+                    else world.db.read(key, default)
+                )
+            elif op == "write":
+                value = view.write(key, _value(key, n))
+            elif op == "base_write":
+                if isinstance(self.base, BlockOverlay):
+                    self.base.apply({key: _value(key, n)})
+                elif self.base is not None:
+                    self.base[key] = _value(key, n)
+                value = None
+            elif op == "db_write":
+                value = world.db.write(key, _value(key, n))
+            elif op == "resize":  # as BlockStream does, without the clear
+                value = world.db.cache.capacity = n
+            else:
+                value = world.warm([key])
+        except TransientStorageError as err:
+            return ("raised", str(err))
+        return ("returned", repr(value))
+
+    def observed(self) -> tuple:
+        db, cache = self.world.db, self.world.db.cache
+        return (
+            list(self.view.read_set.items()),
+            tuple(
+                field.hex() if isinstance(field, float) else field
+                for field in astuple(self.meter)
+            ),
+            db.cache_reads,
+            db.disk_reads,
+            cache.hits,
+            cache.misses,
+            cache.evictions,
+            list(cache._entries.items()),
+            None if self.plan is None else sorted(self.plan.counters.items()),
+        )
+
+
+@settings(deadline=None)
+@given(
+    stored=st.lists(st.tuples(keys, st.integers(0, 3)), max_size=8),
+    ops=operations,
+    capacity=st.sampled_from([0, 1, 3, 100]),
+    base_kind=st.sampled_from(["none", "overlay", "mapping"]),
+    plan_name=st.sampled_from(PLANS),
+    seed=st.integers(0, 2**16),
+    attempts=st.sampled_from([6, 2]),
+)
+def test_one_read_path_equals_the_composed_one(
+    stored, ops, capacity, base_kind, plan_name, seed, attempts
+):
+    program, oracle = (
+        Side(stored, capacity, base_kind, plan_name, seed, attempts)
+        for _ in range(2)
+    )
+    for op, key, n in ops:
+        assert program.step(op, key, n, False) == oracle.step(op, key, n, True)
+        assert program.observed() == oracle.observed()
+
+
+def test_the_faulted_plans_raise_and_perturb():
+    """The plans reach every branch the property compares: a raised read,
+    a spiked latency and a dropped cache entry."""
+    side = Side([], 100, "none", "storage-flaky", 0, 2)
+    raised = [side.step("read", KEYS[0], 0, False)[0] for _ in range(64)]
+    assert "raised" in raised
+    for plan_name, counter in (
+        ("storage-spike", "storage_latency_spikes"),
+        ("cache-thrash", "cache_drops"),
+    ):
+        side = Side([], 100, "none", plan_name, 0, 6)
+        for _ in range(64):
+            side.step("world_read", KEYS[0], 0, False)
+        assert side.plan.counters[counter] > 0
+
+
+def test_a_fault_free_committed_read_costs_five_python_frames():
+    """``StateView.read`` → ``BlockOverlay.get`` → ``WorldState.read`` →
+    ``default_value`` → ``SimulatedDiskKV.read_into``, on a cache hit."""
+    world = WorldState()
+    world.set_balance(ADDRESSES[0], 7)
+    view = StateView(world, base=BlockOverlay(), meter=CostMeter())
+    key = balance_key(ADDRESSES[0])
+    world.read(key)  # cache it
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        assert view.read(key) == 7
+    finally:
+        sys.setprofile(None)
+    assert calls == ["read", "get", "read", "default_value", "read_into"]

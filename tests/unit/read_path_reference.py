@@ -1,0 +1,71 @@
+"""The committed-read path as it was composed before it became one call.
+
+``StateView.read`` probed its own writes, then ``_read_committed`` asked the
+base (``BlockOverlay.get(key)`` or ``mapping.get(key, missing)``), then
+``WorldState.read`` took a :class:`ReadSample` from ``SimulatedDiskKV.read``
+— one ``LRUCache.get`` probe, the fault injector's ``drop_cache`` /
+``on_read`` around it — and handed its latency to ``CostMeter.charge_storage``.
+Kept as the oracle of ``tests/property/test_read_path.py``: it drives the
+same objects through ``LRUCache.get`` / ``put``, the store's counters and
+backing dict, so it shares no code with ``SimulatedDiskKV.read_into``.
+"""
+
+from __future__ import annotations
+
+from repro.db.kvstore import ReadSample
+from repro.state.keys import default_value
+from repro.state.view import _MISSING, BlockOverlay
+
+
+def reference_db_read(db, key, default=None) -> ReadSample:
+    """``SimulatedDiskKV.read`` before ``read_into``."""
+    faults = db.faults
+    if faults is not None and faults.drop_cache(key):
+        db.cache.drop(key)
+    value = db.cache.get(key, _MISSING)
+    if value is not _MISSING:
+        db.cache_reads += 1
+        sample = ReadSample(value, db.cache_latency_us, True)
+    else:
+        db.disk_reads += 1
+        value = db._data.get(key, default)
+        db.cache.put(key, value)
+        sample = ReadSample(value, db.disk_latency_us, False)
+    if faults is not None:
+        sample = faults.on_read(key, sample)
+    return sample
+
+
+def reference_world_read(world, key, meter=None):
+    """``WorldState.read``: a sample, then ``charge_storage``."""
+    sample = reference_db_read(world.db, key, default_value(key))
+    if meter is not None:
+        meter.charge_storage(sample.latency_us, cold=not sample.cache_hit)
+    return sample.value
+
+
+def reference_peek_committed(view, key):
+    """``StateView._read_committed``, with its ``isinstance`` dispatch."""
+    if view.base is not None:
+        if isinstance(view.base, BlockOverlay):
+            value = view.base.get(key)
+        else:
+            value = view.base.get(key, _MISSING)
+        if value is not _MISSING:
+            if view.meter is not None:
+                view.meter.charge_compute(view.cost_model.overlay_read_us)
+            return value
+    return reference_world_read(view.world, key, view.meter)
+
+
+def reference_read(view, key):
+    """``StateView.read``: own writes, then committed state into the read set."""
+    local = view._local.get(key, _MISSING)
+    if local is not _MISSING:
+        if view.meter is not None:
+            view.meter.charge_compute(view.cost_model.overlay_read_us)
+        return local
+    value = reference_peek_committed(view, key)
+    if key not in view.read_set:
+        view.read_set[key] = value
+    return value

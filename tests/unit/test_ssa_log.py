@@ -1,13 +1,25 @@
-"""SSA operation log container: DUG edges, tracking maps, slice extraction."""
+"""SSA operation log container: DUG edges, tracking maps, slice extraction.
+
+The DUG is built on first read; ``eager_uses`` below is the graph every
+append used to wire, kept as the oracle of ``TestLazyDUG``."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.check import BlockFuzzer
+from repro.concurrency.base import run_speculative
+from repro.concurrency.registry import make_executor
 from repro.core.ssa_log import LogEntry, PseudoOp, SSAOperationLog
+from repro.core.tracer import SSATracer
 from repro.evm.opcodes import Op
 from repro.primitives import make_address
+from repro.sim.cost import DEFAULT_COST_MODEL
 from repro.state.keys import storage_key
+from repro.state.view import BlockOverlay
+from repro.workloads import ChainSpec, build_chain, conflict_ratio_block
 
 KEY_A = storage_key(make_address(1), 1)
 KEY_B = storage_key(make_address(1), 2)
@@ -177,3 +189,116 @@ class TestRendering:
         sload(log, KEY_A, 1)
         sstore(log, KEY_A, 2)
         assert len(log.dump().splitlines()) == 2
+
+
+def eager_uses(entries) -> dict[int, list[int]]:
+    """The DUG wired entry by entry, as every append once did: each entry
+    uses its stack, storage and memory definitions, each LSN once, in that
+    order of first mention."""
+    uses: dict[int, list[int]] = {}
+    for entry in entries:
+        deps = [dep for dep in entry.def_stack if dep is not None]
+        if entry.def_storage is not None:
+            deps.append(entry.def_storage)
+        deps += [lsn for _, _, lsn, _ in entry.def_memory]
+        for dep in dict.fromkeys(deps):
+            uses.setdefault(dep, []).append(entry.lsn)
+    return uses
+
+
+@st.composite
+def random_entries(draw) -> list[LogEntry]:
+    """Entries whose definitions are earlier LSNs, repeats included."""
+    entries = []
+    for lsn in range(draw(st.integers(0, 20))):
+        earlier = st.integers(0, lsn - 1) if lsn else st.nothing()
+        defs = st.one_of(st.none(), earlier)
+        entries.append(
+            LogEntry(
+                lsn=lsn,
+                opcode=Op.ADD,
+                def_stack=tuple(draw(st.lists(defs, max_size=3))),
+                def_storage=draw(defs),
+                def_memory=tuple(
+                    (0, 32, dep, 0)
+                    for dep in draw(st.lists(earlier, max_size=2 if lsn else 0))
+                ),
+            )
+        )
+    return entries
+
+
+class TestLazyDUG:
+    """``uses`` is built on first read and wired on every append after."""
+
+    @given(entries=random_entries(), data=st.data())
+    def test_uses_equals_the_eager_graph_wherever_it_is_first_read(
+        self, entries, data
+    ):
+        first_read = data.draw(st.integers(0, len(entries)))
+        log = SSAOperationLog()
+        for entry in entries[:first_read]:
+            log.append(entry)
+        assert log.dependents_of([]) == []  # the first read, as redo does it
+        for entry in entries[first_read:]:
+            log.append(entry)
+        assert list(log.uses.items()) == list(eager_uses(entries).items())
+
+    def test_entries_appended_after_the_first_redo_get_their_edges(self):
+        log = SSAOperationLog()
+        e0 = sload(log, KEY_A, 10)
+        assert log.dependents_of([e0.lsn]) == [e0.lsn]
+        e1 = alu(log, Op.ADD, (10, 1), (e0.lsn, None), 11)
+        e2 = sstore(log, KEY_A, 11, value_def=e1.lsn)
+        assert log.uses == {e0.lsn: [e1.lsn], e1.lsn: [e2.lsn]}
+        assert log.dependents_of([e0.lsn]) == [e0.lsn, e1.lsn, e2.lsn]
+
+    def test_traced_logs_equal_the_eager_graph(self):
+        fuzzer = BlockFuzzer()
+        block = fuzzer.block(0)
+        overlay = BlockOverlay()
+        world = fuzzer.chain.fresh_world()
+        edges = 0
+        for tx in block.txs:
+            tracer = SSATracer(cost_model=DEFAULT_COST_MODEL)
+            result, _ = run_speculative(
+                world, overlay, tx, block.env, DEFAULT_COST_MODEL, tracer=tracer
+            )
+            overlay.apply(result.write_set)
+            log = tracer.log
+            assert log._uses is None  # nothing has read it yet
+            assert list(log.uses.items()) == list(eager_uses(log.entries).items())
+            edges += sum(map(len, log.uses.values()))
+        assert edges > 0
+
+    def test_an_execution_never_redone_never_wires_an_edge(self, monkeypatch):
+        logs: list[SSAOperationLog] = []
+        wired: set[int] = set()
+        redone: set[int] = set()
+        init = SSAOperationLog.__init__
+        add_edges = SSAOperationLog._add_edges
+        dependents_of = SSAOperationLog.dependents_of
+
+        def tracked_init(self):
+            init(self)
+            logs.append(self)
+
+        def tracked_add_edges(self, entry):
+            wired.add(id(self))
+            add_edges(self, entry)
+
+        def tracked_dependents_of(self, sources):
+            redone.add(id(self))
+            return dependents_of(self, sources)
+
+        monkeypatch.setattr(SSAOperationLog, "__init__", tracked_init)
+        monkeypatch.setattr(SSAOperationLog, "_add_edges", tracked_add_edges)
+        monkeypatch.setattr(SSAOperationLog, "dependents_of", tracked_dependents_of)
+        chain = build_chain(ChainSpec(tokens=1, amm_pairs=0, accounts=96))
+        block = conflict_ratio_block(chain, 77, 40, ratio=0.9)
+        make_executor("parallelevm", 8).execute_block(
+            chain.fresh_world(), block.txs, block.env
+        )
+        assert wired and wired <= redone
+        assert len(logs) > len(redone)  # most executions are never redone
+        assert all(log._uses is None for log in logs if id(log) not in redone)
