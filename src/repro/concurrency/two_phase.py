@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..errors import BlockDeadlineExceeded
 from ..evm.message import BlockEnv, Transaction, TxResult
-from ..sim.machine import list_schedule
+from ..sim.machine import Task
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
 from .base import (
@@ -35,6 +35,41 @@ from .base import (
     settle_fees,
     validation_cost_us,
 )
+
+
+class _SpeculateScheduler:
+    """Phase 1 on the simulated machine: every transaction speculates
+    against the pre-block state, dispatched in block order to whichever
+    worker is idle (a FIFO work queue drained by the pool)."""
+
+    def __init__(self, executor: BlockExecutor, world, txs, env) -> None:
+        self.executor = executor
+        self.world = world
+        self.txs = txs
+        self.env = env
+        self.results: list[TxResult] = []
+
+    def next_task(self, worker_id: int, now_us: float) -> Task | None:
+        index = len(self.results)
+        if index == len(self.txs):
+            return None
+        cm = self.executor.cost_model
+        result, meter = run_speculative(
+            self.world, None, self.txs[index], self.env, cm,
+            hasher=self.executor.digests,
+        )
+        self.results.append(result)
+        return Task(
+            kind="speculate",
+            duration_us=meter.total_us + cm.scheduler_slot_us,
+            tx_index=index,
+        )
+
+    def on_complete(self, task: Task, now_us: float) -> None:
+        pass
+
+    def done(self) -> bool:
+        return len(self.results) == len(self.txs)
 
 
 class TwoPhaseExecutor(BlockExecutor):
@@ -54,29 +89,12 @@ class TwoPhaseExecutor(BlockExecutor):
     ) -> BlockResult:
         cm = self.cost_model
         observer = self.observer
-        plan = self.fault_plan
         deadline = self.deadline_us
 
         # ---- Phase 1: everyone runs against the pre-block state ----------
-        speculative: list[TxResult] = []
-        durations: list[float] = []
-        for tx in txs:
-            result, meter = run_speculative(
-                world, None, tx, env, cm, hasher=self.digests
-            )
-            speculative.append(result)
-            duration = meter.total_us + cm.scheduler_slot_us
-            if plan is not None:
-                # This executor schedules with list_schedule instead of a
-                # SimMachine, so worker faults perturb durations here, at
-                # the same task-boundary granularity the machine uses.
-                duration += plan.machine.perturb_us(duration)
-            durations.append(duration)
-        phase1_us, placements = list_schedule(durations, self.threads)
-        if deadline is not None and phase1_us > deadline:
-            raise BlockDeadlineExceeded(phase1_us, deadline)
-        for i, (worker, start, end) in enumerate(placements):
-            emit_span(observer, worker, "speculate", start, end, i)
+        phase1 = _SpeculateScheduler(self, world, txs, env)
+        phase1_us = self.simulate(phase1)
+        speculative = phase1.results
 
         # Survivors: footprint disjoint from every earlier tx's writes.
         on_edge = observer_edge_hook(observer)

@@ -14,13 +14,12 @@ and thread scaling.
 
 from .cost import CostModel
 from .meter import CostMeter
-from .machine import SimMachine, Task, list_schedule, list_schedule_makespan
+from .machine import SimMachine, Task, list_schedule_makespan
 
 __all__ = [
     "CostModel",
     "CostMeter",
     "SimMachine",
     "Task",
-    "list_schedule",
     "list_schedule_makespan",
 ]

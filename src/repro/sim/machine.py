@@ -1,14 +1,11 @@
 """The simulated multicore machine.
 
-Two levels of fidelity are provided:
-
-- :func:`list_schedule_makespan` — classic greedy list scheduling for a fixed
-  batch of independent tasks (the read phase of OCC/ParallelEVM, prefetch
-  scans, re-execution waves).
-- :class:`SimMachine` — an event-driven machine for algorithms whose task set
-  evolves with time (Block-STM's collaborative scheduler).  Workers ask a
-  scheduler object for tasks; the machine advances simulated time between
-  completions.
+:class:`SimMachine` is the one clock every parallel executor meets (through
+``BlockExecutor.simulate``): workers ask a scheduler object for tasks, and
+the machine advances simulated time between completions, under the
+observer, the fault plan and the block deadline.
+:func:`list_schedule_makespan` — greedy list scheduling of a fixed batch of
+independent tasks — is the test oracle for the simplest such scheduler.
 """
 
 from __future__ import annotations
@@ -22,25 +19,22 @@ from typing import Callable, Protocol, Sequence
 from ..errors import BlockDeadlineExceeded, SimulationError
 
 
-def list_schedule(
+def list_schedule_makespan(
     durations: Sequence[float],
     threads: int,
     per_task_overhead_us: float = 0.0,
-) -> tuple[float, list[tuple[int, float, float]]]:
-    """Greedy in-order list scheduling onto ``threads`` cores, with placement.
+) -> float:
+    """Makespan of greedy in-order list scheduling onto ``threads`` cores.
 
     Tasks are dispatched in the given order, each to the earliest-free
-    thread — the behaviour of a work queue drained by a thread pool, which is
-    how the paper's read phase distributes transactions.  Returns the
-    makespan and one ``(worker, start_us, end_us)`` placement per task, so
-    observers can reconstruct the schedule as spans.
+    thread — a FIFO work queue drained by a thread pool.  Kept as the
+    oracle the machine's tests check a batch of independent tasks against.
     """
     if threads <= 0:
         raise SimulationError(
             f"worker count must be a positive integer, got {threads!r}"
         )
     free_at = [0.0] * threads
-    placements: list[tuple[int, float, float]] = []
     for duration in durations:
         if not (duration >= 0):  # rejects negatives and NaN in one test
             raise SimulationError(
@@ -48,20 +42,8 @@ def list_schedule(
                 f"got {duration!r}"
             )
         earliest = min(range(threads), key=free_at.__getitem__)
-        start = free_at[earliest]
-        free_at[earliest] = start + duration + per_task_overhead_us
-        placements.append((earliest, start, free_at[earliest]))
-    return max(free_at), placements
-
-
-def list_schedule_makespan(
-    durations: Sequence[float],
-    threads: int,
-    per_task_overhead_us: float = 0.0,
-) -> float:
-    """Makespan of greedy in-order list scheduling (see :func:`list_schedule`)."""
-    makespan, _ = list_schedule(durations, threads, per_task_overhead_us)
-    return makespan
+        free_at[earliest] = free_at[earliest] + duration + per_task_overhead_us
+    return max(free_at)
 
 
 @dataclass(slots=True)

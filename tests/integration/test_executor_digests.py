@@ -67,7 +67,7 @@ RECORDED_AT_PARENT = {
     "mainnet/occ/detached": "aaabdcab795ef3e3",
     "mainnet/block-stm/observed": "7000c3250dea5877",
     "mainnet/block-stm/detached": "2b4b898d51f400f2",
-    "mainnet/two-phase/observed": "e73865e0932fa31f",
+    "mainnet/two-phase/observed": "d0e1db12b42cbb16",
     "mainnet/two-phase/detached": "8319b5cd7b683744",
     "mainnet/parallelevm/observed": "37a4bd3cd6778e01",
     "mainnet/parallelevm/detached": "ccaa024b94ec60b2",
@@ -84,7 +84,7 @@ RECORDED_AT_PARENT = {
     "contended/occ/detached": "9a1733c5f5ac425f",
     "contended/block-stm/observed": "6398ef1c9a0e1b21",
     "contended/block-stm/detached": "57baa7d5a5153cc9",
-    "contended/two-phase/observed": "29567dc6ad256304",
+    "contended/two-phase/observed": "2e23051a47c4d6d6",
     "contended/two-phase/detached": "b6144513094f3231",
     "contended/parallelevm/observed": "4663c35dc46fdba9",
     "contended/parallelevm/detached": "51ea6255868d8b79",
@@ -97,77 +97,77 @@ RECORDED_AT_PARENT = {
     "storage-spike/2pl": "0f6eca24cfd76678",
     "storage-spike/occ": "26eca0a4a39e8db8",
     "storage-spike/block-stm": "7e72768eae638b8e",
-    "storage-spike/two-phase": "dbf60510d240fda9",
+    "storage-spike/two-phase": "81620dad780670a6",
     "storage-spike/parallelevm": "076d6eeb048d14a2",
     "storage-spike/parallelevm-preexec": "1c088da8ca37c3f6",
     "storage-flaky/serial": "2c30ec97b450393d",
     "storage-flaky/2pl": "71979f9e1ebfc5f4",
     "storage-flaky/occ": "f2be16535ec2e264",
     "storage-flaky/block-stm": "836a0eb5b5469454",
-    "storage-flaky/two-phase": "fe2e4db152aeb353",
+    "storage-flaky/two-phase": "f9962943f9fc21d9",
     "storage-flaky/parallelevm": "82b682dc362ce18c",
     "storage-flaky/parallelevm-preexec": "3c9a81c29b24645c",
     "cache-thrash/serial": "99ac4fbce2ee4de5",
     "cache-thrash/2pl": "837c3c94c486723e",
     "cache-thrash/occ": "b9d99ed9378d4118",
     "cache-thrash/block-stm": "c350a4707f0c923e",
-    "cache-thrash/two-phase": "7d2eb4899bdb2e4f",
+    "cache-thrash/two-phase": "88adb8ebe292c157",
     "cache-thrash/parallelevm": "c7443f127cf9200f",
     "cache-thrash/parallelevm-preexec": "cf933a31d329aaaa",
     "worker-stall/serial": "f04e96ce239cc97c",
     "worker-stall/2pl": "0dce1e999af18f8f",
     "worker-stall/occ": "50a2bb16103a750c",
     "worker-stall/block-stm": "51478c904c848f75",
-    "worker-stall/two-phase": "a8ff15526f3fe6a6",
+    "worker-stall/two-phase": "d22f985f29ddc89f",
     "worker-stall/parallelevm": "fa4e5502f66e5b0b",
     "worker-stall/parallelevm-preexec": "6642f34cf86c9aaf",
     "worker-crash/serial": "f04e96ce239cc97c",
     "worker-crash/2pl": "0dce1e999af18f8f",
     "worker-crash/occ": "690375d3d64ef7c6",
     "worker-crash/block-stm": "35fc582652aef98d",
-    "worker-crash/two-phase": "89370834c27a35be",
+    "worker-crash/two-phase": "f82ba9aa8dc9b2af",
     "worker-crash/parallelevm": "9bc9d3b722a9e36e",
     "worker-crash/parallelevm-preexec": "7520fe0257a38cdf",
     "worker-slow/serial": "f04e96ce239cc97c",
     "worker-slow/2pl": "0dce1e999af18f8f",
     "worker-slow/occ": "88a5a85da3bff05c",
     "worker-slow/block-stm": "cde74beb0d0406a1",
-    "worker-slow/two-phase": "ba01b2d74e4a62a4",
+    "worker-slow/two-phase": "2677b63010df54b9",
     "worker-slow/parallelevm": "df80bc0e78c0a2b6",
     "worker-slow/parallelevm-preexec": "5da9c4cb9e049cf5",
     "redo-storm/serial": "f04e96ce239cc97c",
     "redo-storm/2pl": "0dce1e999af18f8f",
     "redo-storm/occ": "57d82b5a2782eb19",
     "redo-storm/block-stm": "f86488b43a5c4069",
-    "redo-storm/two-phase": "31a65c041d55cc7d",
+    "redo-storm/two-phase": "cf72a6b14cb9342b",
     "redo-storm/parallelevm": "74c0e61999f17476",
     "redo-storm/parallelevm-preexec": "7da052904477d7df",
     "corrupt-guard/serial": "f04e96ce239cc97c",
     "corrupt-guard/2pl": "0dce1e999af18f8f",
     "corrupt-guard/occ": "57d82b5a2782eb19",
     "corrupt-guard/block-stm": "f86488b43a5c4069",
-    "corrupt-guard/two-phase": "31a65c041d55cc7d",
+    "corrupt-guard/two-phase": "cf72a6b14cb9342b",
     "corrupt-guard/parallelevm": "2d2af11d1165c35c",
     "corrupt-guard/parallelevm-preexec": "10d6adef698d6691",
     "abort-storm/serial": "f04e96ce239cc97c",
     "abort-storm/2pl": "0dce1e999af18f8f",
     "abort-storm/occ": "57d82b5a2782eb19",
     "abort-storm/block-stm": "1e051f2afa038b4f",
-    "abort-storm/two-phase": "31a65c041d55cc7d",
+    "abort-storm/two-phase": "cf72a6b14cb9342b",
     "abort-storm/parallelevm": "ae627056c2ef8645",
     "abort-storm/parallelevm-preexec": "87188677898ea0e8",
     "havoc/serial": "6b5fd9a361ca6287",
     "havoc/2pl": "431a619a912c005c",
     "havoc/occ": "c0b8d3aacc5ac720",
     "havoc/block-stm": "d109f2e58b4e7f4e",
-    "havoc/two-phase": "73732ca7ba90f9b9",
+    "havoc/two-phase": "0a109f6b7091283b",
     "havoc/parallelevm": "b0a6cc05f81bfd1d",
     "havoc/parallelevm-preexec": "5befe24969f9a32a",
     "deadline/serial": "f04e96ce239cc97c",
     "deadline/2pl": "a472f539fbe7fcfe",
     "deadline/occ": "920df6ee920ce02d",
     "deadline/block-stm": "dc47e2662f876a0b",
-    "deadline/two-phase": "cd180ea06c44a9f1",
+    "deadline/two-phase": "1355ef3f95c1271f",
     "deadline/parallelevm": "48a3971c7adfcdec",
     "deadline/parallelevm-preexec": "048478b1d0cdd1d7",
 }

@@ -12,7 +12,6 @@ from repro.sim.cost import CostModel
 from repro.sim.machine import (
     SimMachine,
     Task,
-    list_schedule,
     list_schedule_makespan,
 )
 from repro.sim.meter import CostMeter
@@ -197,23 +196,14 @@ class TestSimMachine:
 
 class TestListSchedulePlacements:
     def test_placements_cover_all_tasks(self):
-        makespan, placements = list_schedule([4.0, 3.0, 3.0], 2)
-        assert makespan == 6.0
-        assert [(w, s, e) for w, s, e in placements] == [
-            (0, 0.0, 4.0),
-            (1, 0.0, 3.0),
-            (1, 3.0, 6.0),
-        ]
+        assert list_schedule_makespan([4.0, 3.0, 3.0], 2) == 6.0
 
     def test_placements_agree_with_makespan(self):
         durations = [5.0, 1.0, 2.0, 8.0, 1.0]
-        makespan, placements = list_schedule(durations, 3, per_task_overhead_us=0.5)
-        assert makespan == list_schedule_makespan(
-            durations, 3, per_task_overhead_us=0.5
-        )
-        assert max(end for _, _, end in placements) == makespan
-        for (_, start, end), duration in zip(placements, durations):
-            assert end - start == pytest.approx(duration + 0.5)
+        makespan = list_schedule_makespan(durations, 3, per_task_overhead_us=0.5)
+        assert makespan == 10.0
+        padded = _BatchScheduler([d + 0.5 for d in durations])
+        assert SimMachine(3).run(padded) == makespan
 
 
 class TestCostModel:
