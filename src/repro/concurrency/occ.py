@@ -9,11 +9,12 @@ executing while earlier ones validate) is captured rather than modelled as
 synchronous rounds.
 
 :class:`OCCScheduler` is the one in-order commit protocol of the OCC
-family.  Two schedulers subclass it: ParallelEVM's
+family.  Three schedulers subclass it: ParallelEVM's
 (:mod:`repro.core.executor`) changes the read phase, the commit-point task
 and the conflict handler; the §7 scheduled validator's
 (:mod:`repro.core.schedule`) changes the read phase, the release order and
-the commit-point task.
+the commit-point task; 2PL's (:mod:`repro.concurrency.two_pl`) runs its
+read phase under a lock table and releases locks at the commit point.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class OCCScheduler:
     whose execution is done enters the exclusive commit point, where one
     task at a time validates it (and commits it when valid).  ``exec_done``
     maps an index to ``(result, trace)``, the read phase's record (None
-    here).  Subclasses — ParallelEVM's and the scheduled validator's —
-    override :meth:`execute`, :meth:`commit_point_task`,
+    here).  Subclasses — ParallelEVM's, the scheduled validator's and
+    2PL's — override :meth:`execute` (2PL, whose read phase runs between
+    lock points, overrides :meth:`next_task`), :meth:`commit_point_task`,
     :meth:`commit_point_done`, and :meth:`on_conflict` or
     :meth:`on_complete`; none keeps a commit protocol of its own.
     """

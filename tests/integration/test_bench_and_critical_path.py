@@ -103,7 +103,7 @@ class TestAcceptanceBlock:
         assert top[0][1] >= top[1][1] >= top[2][1], name
         # The contended executors name the hot slots they fought over.
         attribution = collect_attribution(observer.metrics)
-        if name not in ("serial", "2pl"):
+        if name != "serial":
             assert attribution is not None, name
             hot = attribution.hot_slots(3)
             assert hot and all(slot.key for slot in hot), name

@@ -61,8 +61,8 @@ FAULT_SCENARIOS = tuple(
 RECORDED_AT_PARENT = {
     "mainnet/serial/observed": "323616a038646120",
     "mainnet/serial/detached": "068082eb540eb4cc",
-    "mainnet/2pl/observed": "3d40163ea7c920c5",
-    "mainnet/2pl/detached": "19cbf6228af16174",
+    "mainnet/2pl/observed": "933170cbf20b6fe3",
+    "mainnet/2pl/detached": "75de74bc5c421fce",
     "mainnet/occ/observed": "99e497e9823b298c",
     "mainnet/occ/detached": "aaabdcab795ef3e3",
     "mainnet/block-stm/observed": "7000c3250dea5877",
@@ -78,8 +78,8 @@ RECORDED_AT_PARENT = {
     "mainnet/scheduled/stale": "e1462100ac0cdd58",
     "contended/serial/observed": "9474c9f6cc75887c",
     "contended/serial/detached": "f16de34081c42dc6",
-    "contended/2pl/observed": "5ee9f6e5fd09cbd1",
-    "contended/2pl/detached": "0852d1ce6806f711",
+    "contended/2pl/observed": "9cadee2c83fc7357",
+    "contended/2pl/detached": "8f584276231970bb",
     "contended/occ/observed": "e03852449fccdf08",
     "contended/occ/detached": "9a1733c5f5ac425f",
     "contended/block-stm/observed": "6398ef1c9a0e1b21",
@@ -94,70 +94,70 @@ RECORDED_AT_PARENT = {
     "contended/scheduled/values": "5d2ef4ad31952c85",
     "contended/scheduled/stale": "9ec2b6a3fe92a3e2",
     "storage-spike/serial": "ba9804c5edfe0241",
-    "storage-spike/2pl": "0f6eca24cfd76678",
+    "storage-spike/2pl": "1ec9d24ab085af8e",
     "storage-spike/occ": "26eca0a4a39e8db8",
     "storage-spike/block-stm": "7e72768eae638b8e",
     "storage-spike/two-phase": "81620dad780670a6",
     "storage-spike/parallelevm": "076d6eeb048d14a2",
     "storage-spike/parallelevm-preexec": "1c088da8ca37c3f6",
     "storage-flaky/serial": "2c30ec97b450393d",
-    "storage-flaky/2pl": "71979f9e1ebfc5f4",
+    "storage-flaky/2pl": "ca49f7ea8bd3a38e",
     "storage-flaky/occ": "f2be16535ec2e264",
     "storage-flaky/block-stm": "836a0eb5b5469454",
     "storage-flaky/two-phase": "f9962943f9fc21d9",
     "storage-flaky/parallelevm": "82b682dc362ce18c",
     "storage-flaky/parallelevm-preexec": "3c9a81c29b24645c",
     "cache-thrash/serial": "99ac4fbce2ee4de5",
-    "cache-thrash/2pl": "837c3c94c486723e",
+    "cache-thrash/2pl": "315ec1d308ceea73",
     "cache-thrash/occ": "b9d99ed9378d4118",
     "cache-thrash/block-stm": "c350a4707f0c923e",
     "cache-thrash/two-phase": "88adb8ebe292c157",
     "cache-thrash/parallelevm": "c7443f127cf9200f",
     "cache-thrash/parallelevm-preexec": "cf933a31d329aaaa",
     "worker-stall/serial": "f04e96ce239cc97c",
-    "worker-stall/2pl": "0dce1e999af18f8f",
+    "worker-stall/2pl": "96df98ac61e8b1a3",
     "worker-stall/occ": "50a2bb16103a750c",
     "worker-stall/block-stm": "51478c904c848f75",
     "worker-stall/two-phase": "d22f985f29ddc89f",
     "worker-stall/parallelevm": "fa4e5502f66e5b0b",
     "worker-stall/parallelevm-preexec": "6642f34cf86c9aaf",
     "worker-crash/serial": "f04e96ce239cc97c",
-    "worker-crash/2pl": "0dce1e999af18f8f",
+    "worker-crash/2pl": "75e6b27f5a2efad5",
     "worker-crash/occ": "690375d3d64ef7c6",
     "worker-crash/block-stm": "35fc582652aef98d",
     "worker-crash/two-phase": "f82ba9aa8dc9b2af",
     "worker-crash/parallelevm": "9bc9d3b722a9e36e",
     "worker-crash/parallelevm-preexec": "7520fe0257a38cdf",
     "worker-slow/serial": "f04e96ce239cc97c",
-    "worker-slow/2pl": "0dce1e999af18f8f",
+    "worker-slow/2pl": "6dd2629ab3615ecc",
     "worker-slow/occ": "88a5a85da3bff05c",
     "worker-slow/block-stm": "cde74beb0d0406a1",
     "worker-slow/two-phase": "2677b63010df54b9",
     "worker-slow/parallelevm": "df80bc0e78c0a2b6",
     "worker-slow/parallelevm-preexec": "5da9c4cb9e049cf5",
     "redo-storm/serial": "f04e96ce239cc97c",
-    "redo-storm/2pl": "0dce1e999af18f8f",
+    "redo-storm/2pl": "1b57cdebb8572d43",
     "redo-storm/occ": "57d82b5a2782eb19",
     "redo-storm/block-stm": "f86488b43a5c4069",
     "redo-storm/two-phase": "cf72a6b14cb9342b",
     "redo-storm/parallelevm": "74c0e61999f17476",
     "redo-storm/parallelevm-preexec": "7da052904477d7df",
     "corrupt-guard/serial": "f04e96ce239cc97c",
-    "corrupt-guard/2pl": "0dce1e999af18f8f",
+    "corrupt-guard/2pl": "1b57cdebb8572d43",
     "corrupt-guard/occ": "57d82b5a2782eb19",
     "corrupt-guard/block-stm": "f86488b43a5c4069",
     "corrupt-guard/two-phase": "cf72a6b14cb9342b",
     "corrupt-guard/parallelevm": "2d2af11d1165c35c",
     "corrupt-guard/parallelevm-preexec": "10d6adef698d6691",
     "abort-storm/serial": "f04e96ce239cc97c",
-    "abort-storm/2pl": "0dce1e999af18f8f",
+    "abort-storm/2pl": "1b57cdebb8572d43",
     "abort-storm/occ": "57d82b5a2782eb19",
     "abort-storm/block-stm": "1e051f2afa038b4f",
     "abort-storm/two-phase": "cf72a6b14cb9342b",
     "abort-storm/parallelevm": "ae627056c2ef8645",
     "abort-storm/parallelevm-preexec": "87188677898ea0e8",
     "havoc/serial": "6b5fd9a361ca6287",
-    "havoc/2pl": "431a619a912c005c",
+    "havoc/2pl": "93b2b6143b13f542",
     "havoc/occ": "c0b8d3aacc5ac720",
     "havoc/block-stm": "d109f2e58b4e7f4e",
     "havoc/two-phase": "0a109f6b7091283b",

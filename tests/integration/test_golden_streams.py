@@ -44,17 +44,22 @@ GOLDEN = {
     "replicate/replicate.jsonl": (
         "821312c6e387fa68fdfccc4eda2800aa96dc6f823776c0229aae7df452aacb74"
     ),
+    # Re-recorded when 2PL moved onto the simulated machine: only the
+    # worker fault counts moved (stalls 6 -> 10, crashes 5 -> 8, slowdowns
+    # 4 -> 10), because worker faults now reach 2PL's tasks too.
     "chaos/stdout": (
-        "d3dbeb5eed48a1cf3a39f9a3fbc279db2eb5f8504a27f7f7a5eb38b00dbcfcbe"
+        "5c3d5ae2aaad34068ff8cf320fdbddddc5269422695ac5649378c593c4bb1c12"
     ),
     "crashfuzz/stdout": (
         "9bae429b253d14c49523ed40fe16817385462ba6b079a2e16b500ae7075a0430"
     ),
     # Re-recorded when the tx-level bound became the warm one: with the
     # analysis' critical_path_us / total_us / tx_level_speedup_bound and
-    # every bound_fraction masked, the document is the old one.
+    # every bound_fraction masked, the document is the old one.  Re-recorded
+    # again when 2PL moved onto the simulated machine: with every "2pl"
+    # executor entry masked, the document is the old one.
     "bench/tiny.json": (
-        "92547f4678896c87a4892faaa5921d3fdc03b25f7cc96ba7ec3bbdc1658a08b2"
+        "091666f0a060d028734e72729abb6b928332cd8a3a3df9eb21da08b01c3a7105"
     ),
     # Recorded before the sweep-engine / seed-matrix-command refactor: the
     # pipelined sweep and one chaos scenario per non-fault kind.  (The

@@ -34,7 +34,7 @@ THREADS = 4
 # behaviour change, not noise.
 SEED_MAKESPANS_US = {
     "serial": 4505.839999999999,
-    "2pl": 3787.8838507530872,
+    "2pl": 3879.013505159004,
     "occ": 1576.7800000000002,
     "block-stm": 1610.5,
     "parallelevm": 1397.2199999999996,

@@ -6,8 +6,8 @@ scheduler that needs a different read phase or commit-point task
 subclasses it.  This scan parses every module of ``src/repro`` and fails
 on a machine policy (a class defining ``next_task``) that tracks
 ``self.next_commit`` without subclassing ``OCCScheduler`` — a private copy
-of the protocol.  2PL's ``next_commit`` is a local of its lock simulator,
-not a scheduler attribute, so it is outside the scan.
+of the protocol.  2PL's scheduler is one of the subclasses: its commit
+point commits in block order and releases the transaction's locks.
 """
 
 from __future__ import annotations
