@@ -338,9 +338,9 @@ class WriteAheadJournal:
     ``_begins`` indexes ``(block_number, offset)`` of every BEGIN frame; it
     is exact while the medium is ``_size`` bytes of whole frames this
     journal wrote (None when it was opened on a non-empty medium).  Other
-    bytes — a torn frame, another writer — leave another length, and
-    pruning then rebuilds the index with one scan.  ``_keys`` is the
-    current block's key-encoding memo.
+    bytes — a torn frame, another writer — leave another length, which the
+    next BEGIN append or prune sees, and pruning then rebuilds the index
+    with one scan.  ``_keys`` is the current block's key-encoding memo.
     """
 
     def __init__(self, medium, crash=None) -> None:
@@ -363,8 +363,13 @@ class WriteAheadJournal:
         the frame reaches the medium before :class:`SimulatedCrash` is
         raised; armed on ``<site>``, the full frame lands first.
         """
+        offset = self._size
         if isinstance(record, BeginRecord):
             self._keys.clear()  # bounded by one block's write set
+            if offset is not None and self.medium.journal_size() != offset:
+                # Another writer moved the medium since this journal's
+                # last write: forget the index until a prune rescans.
+                offset = self._size = None
         data = frame(encode_record(record, self._keys))
         crash = self.crash
         if crash is not None and site is not None:
@@ -377,7 +382,6 @@ class WriteAheadJournal:
         self.medium.append_journal(data)
         self.bytes_written += len(data)
         self.records_written += 1
-        offset = self._size
         if offset is not None:
             self._size = offset + len(data)
             if isinstance(record, BeginRecord):
