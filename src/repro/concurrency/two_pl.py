@@ -105,7 +105,7 @@ class _TwoPLScheduler(OCCScheduler):
             self.tx_results.append(result)
             self._plan_locks(index, meter.total_us, tracer.accesses)
         n = len(txs)
-        # (rank, index), sorted.
+        # The ready queue: (rank, index), kept sorted.
         self.pending: list[tuple[int, int]] = [(_START, i) for i in range(n)]
         self.state = ["queued"] * n
         self.step = [0] * n
@@ -117,13 +117,13 @@ class _TwoPLScheduler(OCCScheduler):
         self.acquisitions = 0
 
     def _plan_locks(self, index: int, duration: float, accesses) -> None:
-        """Lock every accessed key at first access, spread evenly over the
-        execution with deterministic jitter (real acquisition timing is
-        noisy; perfectly synchronized traces would pipeline hot locks in
-        block order with implausibly few wounds)."""
+        """Lock the accessed keys in first-access order, one access-spacing
+        apart, with deterministic jitter (real acquisition timing is noisy;
+        perfectly synchronized traces would pipeline hot locks in block
+        order with implausibly few wounds)."""
         cm = self.executor.cost_model
         keys = list(dict.fromkeys(accesses))
-        spacing = duration / (len(accesses) + 1) if accesses else duration
+        spacing = duration / (len(accesses) + 1)
         jitter = random.Random(index * 2654435761 % 2**32)
         points = [
             (k + 1) * spacing * (0.85 + 0.3 * jitter.random())

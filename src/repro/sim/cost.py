@@ -4,8 +4,10 @@ Calibration targets (all from the paper):
 
 - Storage reads dominate serial block time: prefetching alone yields a 2.89×
   serial speedup (Table 2), implying roughly 65% of serial time is cold-read
-  latency.  We model a LevelDB point read at ~18 µs and a cache hit at
-  ~0.25 µs (SSD point-read and in-memory map scales).
+  latency.  We model a LevelDB point read at 38.0 µs and a cache hit at
+  0.25 µs (``SimulatedDiskKV``'s defaults: SSD point-read and in-memory map
+  scales).  Table 2's measured 2.71× prefetch-only speedup is what pins
+  the 38.0 µs (see the cost-constant provenance item in ROADMAP.md).
 - The interpreter executes simple opcodes at tens of millions per second in
   Go; we charge a small per-opcode dispatch cost plus surcharges for hashing
   and memory copies.
