@@ -69,9 +69,9 @@ class Scheduler(Protocol):
     def next_task(self, worker_id: int, now_us: float) -> Task | None:
         """Return the next task for an idle worker, or None if none is ready.
 
-        The offer must not depend on ``worker_id`` (OCC, ParallelEVM, the
-        scheduled validator and Block-STM ignore it): after a None, no idle
-        worker is offered work again before the next completion event.
+        The offer must not depend on ``worker_id`` (every executor's
+        scheduler ignores it): after a None, no idle worker is offered work
+        again before the next completion event.
         """
         ...
 
