@@ -51,21 +51,16 @@ def blocks():
     return build_blocks()
 
 
-def _worker_plan(blocks, scenario: str, name: str) -> FaultPlan:
-    chain, block = blocks["fuzz"]
-    return FaultPlan(
-        f"0:{scenario}:{name}",
-        SCENARIOS[scenario].config,
-        _chaos_policy(chain, block, scenario),
-    )
-
-
 def _run(blocks, name: str, case: str, observer=None):
     """Run ``name`` on ``case`` (a block, or a worker plan on the fuzz
     block); returns the fault plan (None on a block)."""
     if case in WORKER_PLANS:
         chain, block = blocks["fuzz"]
-        plan = _worker_plan(blocks, case, name)
+        plan = FaultPlan(
+            f"0:{case}:{name}",
+            SCENARIOS[case].config,
+            _chaos_policy(chain, block, case),
+        )
         executor = make_executor(
             name, FAULT_THREADS, observer=observer, fault_plan=plan
         )
