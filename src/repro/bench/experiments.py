@@ -624,7 +624,7 @@ def run_overhead():
     for block in block_list:
         overlay = BlockOverlay()
         for tx in block.txs:
-            tracer = SSATracer(cost_model=cost_model)
+            tracer = SSATracer()
             result, meter = run_speculative(
                 chain.world, overlay, tx, block.env, cost_model, tracer=tracer
             )
@@ -670,7 +670,7 @@ def run_overhead():
         gc.collect()
         tracemalloc.start()
         for tx in block.txs:
-            tracer = SSATracer(cost_model=cost_model) if with_tracer else None
+            tracer = SSATracer() if with_tracer else None
             result, _ = run_speculative(
                 chain.world, overlay, tx, block.env, cost_model, tracer=tracer
             )
@@ -773,7 +773,7 @@ def run_log_compaction():
         overlay = BlockOverlay()
         world = chain.fresh_world()
         for tx in block.txs:
-            tracer = tracer_cls(cost_model=DEFAULT_COST_MODEL)
+            tracer = tracer_cls()
             result, meter = run_speculative(
                 world, overlay, tx, block.env, DEFAULT_COST_MODEL, tracer=tracer
             )

@@ -28,10 +28,9 @@ from ..concurrency import SerialExecutor
 from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 from ..core.schedule import ScheduledValidatorExecutor, propose_schedule
 from ..obs.metrics import NULL_METRICS
-from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.receipts import receipts_root
 from ..workloads import Block, Chain
-from .replay import RedoReplayChecker
+from .replay import RedoReplayChecker, logs_of
 
 # Every concurrent config is certified against the serial reference.
 _CONCURRENT_EXECUTORS = tuple(name for name in EXECUTOR_NAMES if name != "serial")
@@ -92,10 +91,6 @@ def _diff_keys(ours: dict, theirs: dict, limit: int = 4) -> str:
     return f"{len(keys)} keys: {shown}{more}"
 
 
-def _logs_of(result) -> list[tuple]:
-    return [(log.address, tuple(log.topics), log.data) for log in result.logs]
-
-
 def certify_block(
     chain: Chain,
     block: Block,
@@ -127,7 +122,7 @@ def certify_block(
         chain.fresh_world(), block.txs, block.env
     )
     serial_receipts = receipts_root(serial.tx_results)
-    serial_logs = {r.tx.tx_index: _logs_of(r) for r in serial.tx_results}
+    serial_logs = {r.tx.tx_index: logs_of(r) for r in serial.tx_results}
     serial_success = {r.tx.tx_index: r.success for r in serial.tx_results}
 
     report = CertificationReport(block_number=block.number, tx_count=len(block))
@@ -157,7 +152,7 @@ def certify_block(
                 i for i in flags if flags.get(i) != serial_success.get(i)
             )
             found.append(Divergence(name, "success", f"tx indices {wrong[:8]}"))
-        logs = {r.tx.tx_index: _logs_of(r) for r in result.tx_results}
+        logs = {r.tx.tx_index: logs_of(r) for r in result.tx_results}
         if logs != serial_logs:
             wrong = sorted(
                 i
@@ -198,9 +193,7 @@ def certify_block(
             ).inc()
 
     for name in executors:
-        checker = RedoReplayChecker(
-            cost_model=DEFAULT_COST_MODEL, strict=False, metrics=metrics
-        )
+        checker = RedoReplayChecker(strict=False, metrics=metrics)
         executor = factory(name, threads, redo_checker=checker)
         if getattr(executor, "redo_checker", None) is not checker:
             checker = None

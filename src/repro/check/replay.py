@@ -23,7 +23,7 @@ from ..concurrency.base import run_speculative
 from ..errors import ConcurrencyError
 from ..evm.message import BlockEnv, Transaction, TxResult
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
+from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
 
@@ -32,7 +32,8 @@ class ReplayDivergence(ConcurrencyError):
     """A successful redo did not match from-scratch re-execution."""
 
 
-def _logs_of(result: TxResult) -> list[tuple]:
+def logs_of(result: TxResult) -> list[tuple]:
+    """``result``'s LOG records as comparable ``(address, topics, data)``."""
     return [(log.address, tuple(log.topics), log.data) for log in result.logs]
 
 
@@ -47,7 +48,6 @@ class RedoReplayChecker:
     ``redo_replay_checks_total`` / ``redo_replay_divergences_total``.
     """
 
-    cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     strict: bool = True
     metrics: MetricsRegistry = NULL_METRICS
     checks: int = 0
@@ -64,7 +64,7 @@ class RedoReplayChecker:
         """Compare ``redone`` (the post-redo result) with a fresh run."""
         self.checks += 1
         self.metrics.counter("redo_replay_checks_total").inc()
-        fresh, _meter = run_speculative(world, overlay, tx, env, self.cost_model)
+        fresh, _meter = run_speculative(world, overlay, tx, env, DEFAULT_COST_MODEL)
 
         mismatches: list[str] = []
         if redone.success != fresh.success:
@@ -87,7 +87,7 @@ class RedoReplayChecker:
                 if redone.read_set.get(k) != fresh.read_set.get(k)
             )
             mismatches.append(f"read_set differs on {keys[:4]}")
-        if _logs_of(redone) != _logs_of(fresh):
+        if logs_of(redone) != logs_of(fresh):
             mismatches.append("log records differ")
         if redone.return_data != fresh.return_data:
             mismatches.append("return data differs")

@@ -126,10 +126,16 @@ class BlockExecutor(ABC):
     ``None``-guarded, so an unfaulted run's makespans stay bit-identical to
     a build without the resilience layer.
 
+    ``cost_model`` is the one place a :class:`~repro.sim.cost.CostModel` is
+    chosen: each execution, validation, commit and redo is priced by it,
+    through :func:`run_speculative` / :func:`run_serial_pass` (which charge
+    a ``CostMeter(cost_model)``), :func:`validation_cost_us` and
+    :func:`commit_cost_us`.
+
     Executors meet the simulated clock through :meth:`simulate` (the one
-    :class:`~repro.sim.machine.SimMachine`), :attr:`deadline_us` and
-    :meth:`block_result` (the stats-publishing epilogue); spans outside the
-    machine go through :func:`emit_span`.
+    :class:`~repro.sim.machine.SimMachine`), :meth:`check_deadline` (for a
+    serial tail after it) and :meth:`block_result` (the stats-publishing
+    epilogue); spans outside the machine go through :func:`emit_span`.
 
     ``durability`` is an optional
     :class:`repro.durability.DurableCommitPipeline`.  When attached,
@@ -192,6 +198,15 @@ class BlockExecutor(ABC):
             fault_plan=self.fault_plan,
             deadline_us=self.deadline_us,
         ).run(scheduler)
+
+    def check_deadline(self, at_us: float) -> None:
+        """Raise :class:`BlockDeadlineExceeded` at ``at_us`` if it passes the
+        deadline: the watchdog for work an executor adds to the makespan
+        after :meth:`simulate` returns (a commit spine, a lock-manager tail,
+        a serial phase)."""
+        deadline = self.deadline_us
+        if deadline is not None and at_us > deadline:
+            raise BlockDeadlineExceeded(at_us, deadline)
 
     def block_result(
         self, overlay: BlockOverlay, results: list[TxResult], makespan_us, stats
@@ -338,18 +353,13 @@ def run_speculative(
     """One read-phase execution: run ``tx`` against world+overlay.
 
     Returns the result (read/write sets, logs, gas) and the meter whose
-    total is the execution's simulated duration.  ``hasher`` is the
-    interpreter's Keccak-256 — an executor passes its ``digests`` memo; None
-    means plain ``keccak256``.
+    total is the execution's simulated duration, priced by ``cost_model``.
+    ``hasher`` is the interpreter's Keccak-256 — an executor passes its
+    ``digests`` memo; None means plain ``keccak256``.
     """
-    meter = CostMeter()
-    if tracer is not None and getattr(tracer, "meter", None) is None:
-        tracer.meter = meter
-    view = StateView(world, base=overlay, meter=meter, cost_model=cost_model)
-    result = execute_transaction(
-        view, tx, env, tracer=tracer, meter=meter, cost_model=cost_model,
-        hasher=hasher,
-    )
+    meter = CostMeter(cost_model)
+    view = StateView(world, base=overlay, meter=meter)
+    result = execute_transaction(view, tx, env, tracer=tracer, hasher=hasher)
     return result, meter
 
 

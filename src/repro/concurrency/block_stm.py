@@ -137,13 +137,12 @@ class _BlockSTMScheduler:
         cm = self.executor.cost_model
         self.status[index] = RUNNING
         self.executions += 1
-        meter = CostMeter()
+        meter = CostMeter(cm)
         adapter = MVReadAdapter(self.mv, index, _MISS)
-        view = StateView(self.world, base=adapter, meter=meter, cost_model=cm)
+        view = StateView(self.world, base=adapter, meter=meter)
         try:
             result = execute_transaction(
-                view, self.txs[index], self.env, meter=meter, cost_model=cm,
-                hasher=self.executor.digests,
+                view, self.txs[index], self.env, hasher=self.executor.digests
             )
         except EstimateDependency as dep:
             self.estimate_suspensions += 1
@@ -309,6 +308,7 @@ class BlockSTMExecutor(BlockExecutor):
             )
             tail += cost
         makespan += tail
+        self.check_deadline(makespan)
         overlay = BlockOverlay()
         overlay.apply(scheduler.mv.final_writes(len(txs)))
         settle_fees(overlay, world, results, env)

@@ -18,7 +18,6 @@ the hot-spot benchmarks show exactly that.
 
 from __future__ import annotations
 
-from ..errors import BlockDeadlineExceeded
 from ..evm.message import BlockEnv, Transaction, TxResult
 from ..sim.machine import Task
 from ..state.view import BlockOverlay
@@ -89,7 +88,6 @@ class TwoPhaseExecutor(BlockExecutor):
     ) -> BlockResult:
         cm = self.cost_model
         observer = self.observer
-        deadline = self.deadline_us
 
         # ---- Phase 1: everyone runs against the pre-block state ----------
         phase1 = _SpeculateScheduler(self, world, txs, env)
@@ -134,8 +132,7 @@ class TwoPhaseExecutor(BlockExecutor):
                 start = phase1_us + phase2_us
                 emit_span(observer, 0, kind, start, start + duration, index)
             phase2_us += duration
-            if deadline is not None and phase1_us + phase2_us > deadline:
-                raise BlockDeadlineExceeded(phase1_us + phase2_us, deadline)
+            self.check_deadline(phase1_us + phase2_us)
 
         for i, tx in enumerate(txs):
             if survivor[i]:

@@ -43,10 +43,9 @@ class _AccessTraceTracer:
 
     def __init__(self) -> None:
         self.accesses: list[StateKey] = []
-        self.meter = None  # satisfies run_speculative's tracer contract
 
     def __getattr__(self, name):
-        if name.startswith("trace_") or name in ("begin_frame", "end_frame"):
+        if name.startswith("trace_") or name in ("bind", "begin_frame", "end_frame"):
             return self._ignore
         raise AttributeError(name)
 
@@ -320,6 +319,7 @@ class TwoPLExecutor(BlockExecutor):
                 self.observer, self.threads, "lock-manager",
                 makespan, makespan + lock_table_us,
             )
+        self.check_deadline(makespan + lock_table_us)
         stats = {
             "wounds": scheduler.wounds,
             "lock_acquisitions": scheduler.acquisitions,

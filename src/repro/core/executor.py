@@ -78,7 +78,7 @@ class _ParallelEVMScheduler(OCCScheduler):
 
     def execute(self, index: int) -> Task:
         cm = self.executor.cost_model
-        tracer = SSATracer(cost_model=cm)
+        tracer = SSATracer()
         result, meter = run_speculative(
             self.world, self.overlay, self.txs[index], self.env, cm,
             tracer=tracer, hasher=self.executor.digests,
@@ -151,12 +151,11 @@ class _ParallelEVMScheduler(OCCScheduler):
         self.redo_request = None
         cm = self.executor.cost_model
         result, tracer = self.exec_done[index]
-        redo_meter = CostMeter()
+        redo_meter = CostMeter(cm)
         outcome = redo(
             tracer.log,
             conflicts,
             meter=redo_meter,
-            cost_model=cm,
             metrics=self.metrics,
             inject_guard_fault=(
                 self.fault_plan is not None

@@ -32,7 +32,7 @@ from ..evm import gas as G
 from ..evm.interpreter import ALU_FUNCS
 from ..evm.opcodes import Op
 from ..obs.metrics import NULL_METRICS
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
+from ..sim.meter import CostMeter
 from ..state.keys import StateKey
 from .ssa_log import LogEntry, PseudoOp, SSAOperationLog
 
@@ -59,8 +59,7 @@ REDO_SLICE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 def redo(
     log: SSAOperationLog,
     conflicts: dict[StateKey, object],
-    meter=None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    meter: CostMeter | None = None,
     metrics=NULL_METRICS,
     inject_guard_fault: bool = False,
 ) -> RedoOutcome:
@@ -73,6 +72,9 @@ def redo(
     been partially mutated and is **poisoned**: every subsequent redo
     attempt on it fails immediately (the transaction must be re-executed
     from scratch, which produces a fresh log).
+
+    The re-executed entries are charged to ``meter`` at its model's
+    ``redo_entry_us`` (a fresh :class:`CostMeter` when None is given).
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`, by default the
     discarding :data:`~repro.obs.metrics.NULL_METRICS`) receives
@@ -90,7 +92,7 @@ def redo(
             False, reason="injected fault: corrupted constraint guard"
         )
     else:
-        outcome = _redo(log, conflicts, meter, cost_model)
+        outcome = _redo(log, conflicts, meter or CostMeter())
     if not outcome.success:
         log.poisoned = True
     metrics.counter(
@@ -105,10 +107,7 @@ def redo(
 
 
 def _redo(
-    log: SSAOperationLog,
-    conflicts: dict[StateKey, object],
-    meter=None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    log: SSAOperationLog, conflicts: dict[StateKey, object], meter: CostMeter
 ) -> RedoOutcome:
     if log.poisoned:
         return RedoOutcome(
@@ -131,8 +130,7 @@ def _redo(
     source_set = set(sources)
 
     outcome = RedoOutcome(True)
-    if meter is not None:
-        meter.charge_compute(cost_model.redo_entry_us * len(affected), 0)
+    meter.charge_compute(meter.model.redo_entry_us * len(affected), 0)
 
     # Lines 7-16: replay.
     for lsn in affected:

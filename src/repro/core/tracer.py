@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from ..evm import gas as G
 from ..evm.opcodes import Op
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.meter import CostMeter
 from ..state.keys import StateKey
 from .shadow import FrameShadow
@@ -45,18 +44,15 @@ class SSATracer:
 
     Each hook is one Python call (it runs once per traced opcode): it adds
     to ``meter``'s fields inline and works on the top frame's shadow stack
-    list, which ``begin_frame`` / ``end_frame`` bind.  ``run_speculative``
-    binds the execution's meter when none was given; a tracer driven any
-    other way charges one of its own.
+    list, which ``begin_frame`` / ``end_frame`` bind.  ``execute_transaction``
+    binds the execution's meter (:meth:`bind`) before the first hook.
     """
 
-    def __init__(
-        self, meter=None, cost_model: CostModel = DEFAULT_COST_MODEL
-    ) -> None:
+    def __init__(self) -> None:
         self.log = SSAOperationLog()
-        self.meter = meter
-        self._event_us = cost_model.shadow_event_us
-        self._entry_us = cost_model.log_entry_us
+        self.meter: CostMeter | None = None
+        self._event_us = 0.0
+        self._entry_us = 0.0
         self.frames: list[FrameShadow] = []
         # The top frame's shadow and its stack list (None between frames).
         self._shadow: FrameShadow | None = None
@@ -66,12 +62,16 @@ class SSATracer:
         # Events seen (≈ opcodes traced) — the §6.4 tracking-overhead stat.
         self.events = 0
 
+    def bind(self, meter: CostMeter) -> None:
+        """Charge every later hook to ``meter``, at its model's prices."""
+        self.meter = meter
+        self._event_us = meter.model.shadow_event_us
+        self._entry_us = meter.model.log_entry_us
+
     # ------------------------------------------------------------- helpers
 
     def _append(self, entry: LogEntry) -> int:
         meter = self.meter
-        if meter is None:
-            meter = self.meter = CostMeter()
         meter.tracking_us += self._entry_us
         meter.log_entries += 1
         return self.log.append(entry)
@@ -92,8 +92,6 @@ class SSATracer:
     # ------------------------------------------------------ frame lifecycle
 
     def begin_frame(self, frame) -> None:
-        if self.meter is None:
-            self.meter = CostMeter()
         shadow = FrameShadow()
         if self._pending_calldata is not None:
             shadow.calldata = self._pending_calldata

@@ -29,7 +29,7 @@ from __future__ import annotations
 from .. import rlp
 from ..core.serialize import decode_value, encode_value_bytes
 from ..errors import JournalCorruptionError
-from ..sim.cost import CostModel
+from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.world import WorldState
 from .journal import BAD_CRC, PARTIAL_HEADER, frame, read_frame
 
@@ -149,12 +149,13 @@ def latest_valid_snapshot(
     return None
 
 
-def snapshot_cost_us(world: WorldState, blob: bytes, cost_model: CostModel) -> float:
+def snapshot_cost_us(world: WorldState, blob: bytes) -> float:
     """Simulated time to make a snapshot durable: keys, bytes, one fsync."""
+    cost = DEFAULT_COST_MODEL
     return (
-        len(world.db) * cost_model.snapshot_key_us
-        + len(blob) * cost_model.journal_byte_us
-        + cost_model.fsync_us
+        len(world.db) * cost.snapshot_key_us
+        + len(blob) * cost.journal_byte_us
+        + cost.fsync_us
     )
 
 

@@ -18,11 +18,13 @@ of operations is the whole contract:
 4. **Checkpoint** (every ``checkpoint_interval`` committed blocks) — a
    CRC-framed snapshot, a CHECKPT marker, then journal pruning.
 
-All I/O costs are charged in *simulated* microseconds through the
-:class:`~repro.sim.cost.CostModel` (``journal_byte_us``, ``fsync_us``,
-``snapshot_key_us``) and mirrored into ``durability_*`` metrics when a
-registry is attached; with no pipeline attached executors run the exact
-pre-durability commit path, so benchmark makespans are untouched.
+All I/O costs are charged in *simulated* microseconds at
+:data:`~repro.sim.cost.DEFAULT_COST_MODEL`'s prices (``journal_byte_us``,
+``fsync_us``, ``snapshot_key_us``): the pipeline commits a finished block,
+off every executor's priced path.  They are mirrored into ``durability_*``
+metrics when a registry is attached; with no pipeline attached executors
+run the exact pre-durability commit path, so benchmark makespans are
+untouched.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import hashlib
 
 from ..obs.metrics import NULL_METRICS
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
+from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.world import WorldState
 from .checkpoint import SnapshotEncoder, prune_behind_snapshot, snapshot_cost_us
 from .journal import (
@@ -85,8 +87,6 @@ class DurableCommitPipeline:
     medium:
         A :class:`MemoryMedium`/:class:`FileMedium`; defaults to a fresh
         in-memory medium.
-    cost_model:
-        Source of the simulated journal/fsync/snapshot costs.
     checkpoint_interval:
         Snapshot every N committed blocks (0 disables checkpoints, the
         default — the journal then reaches back to genesis).
@@ -107,14 +107,12 @@ class DurableCommitPipeline:
     def __init__(
         self,
         medium=None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         checkpoint_interval: int = 0,
         crash=None,
         metrics=NULL_METRICS,
         epoch: int = 0,
     ) -> None:
         self.medium = medium if medium is not None else MemoryMedium()
-        self.cost_model = cost_model
         self.checkpoint_interval = checkpoint_interval
         self.crash = crash
         self.metrics = metrics
@@ -142,7 +140,7 @@ class DurableCommitPipeline:
 
     def _fsync(self) -> float:
         self.fsyncs += 1
-        return self.cost_model.fsync_us
+        return DEFAULT_COST_MODEL.fsync_us
 
     # -------------------------------------------------------------- commit
 
@@ -153,7 +151,7 @@ class DurableCommitPipeline:
         executor's makespan.  Raises :class:`SimulatedCrash` only under an
         armed crash injector.
         """
-        cost = self.cost_model
+        cost = DEFAULT_COST_MODEL
         writes = result.writes
         crash = self.crash
         elapsed = 0.0
@@ -273,7 +271,7 @@ class DurableCommitPipeline:
             crash.crash("mid-snapshot")
         self.medium.write_snapshot(block_number, blob)
         self.fsyncs += 1
-        elapsed = snapshot_cost_us(world, blob, self.cost_model)
+        elapsed = snapshot_cost_us(world, blob)
         self.journal.append(CheckpointRecord(block_number), site=None)
         pruned = prune_behind_snapshot(self.journal, block_number)
         self.metrics.counter("durability_checkpoints").inc()

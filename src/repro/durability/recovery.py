@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from ..errors import JournalCorruptionError, RecoveryError
 from ..obs.metrics import NULL_METRICS
 from ..resilience.policy import RecoveryPolicy
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
+from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.world import WorldState
 from .checkpoint import latest_valid_snapshot
 from .commit import delta_digest
@@ -66,7 +66,7 @@ class ReplayedBlock:
     delta_digest: bytes = b""
     post_root: bytes | None = None  # from the SEAL record, when present
 
-    def apply_verified(self, world: WorldState, cost_model: CostModel) -> float | None:
+    def apply_verified(self, world: WorldState) -> float | None:
         """Apply the writes to ``world`` if they match the COMMIT digest.
 
         Returns the simulated replay cost, or None (``world`` untouched).
@@ -74,7 +74,8 @@ class ReplayedBlock:
         if delta_digest(self.pre_root, self.writes) != self.delta_digest:
             return None
         world.apply(self.writes)
-        return len(self.writes) * cost_model.commit_key_us + cost_model.fsync_us
+        cost = DEFAULT_COST_MODEL
+        return len(self.writes) * cost.commit_key_us + cost.fsync_us
 
     def seal_matches(self, world: WorldState) -> bool:
         """Whether ``world`` holds the SEAL record's post-state (or no SEAL)."""
@@ -178,7 +179,6 @@ def recover(
     medium,
     genesis_factory,
     policy: RecoveryPolicy | None = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     metrics=NULL_METRICS,
 ) -> RecoveryResult:
     """Rebuild the world state from the durable medium.
@@ -258,7 +258,7 @@ def recover(
             # Already folded into the snapshot; frames survive only when
             # the crash hit between snapshot write and journal pruning.
             continue
-        cost = block.apply_verified(world, cost_model)
+        cost = block.apply_verified(world)
         if cost is None:
             raise RecoveryError(
                 f"block {block.number}: replayed delta does not match the "

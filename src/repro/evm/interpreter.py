@@ -49,8 +49,6 @@ from ..errors import (
     StackUnderflow,
     WriteProtection,
 )
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
-from ..sim.meter import CostMeter
 from ..state.keys import balance_key, code_key, nonce_key, storage_key
 from ..state.view import StateView
 from . import gas as G
@@ -131,8 +129,9 @@ def _plain_keccak256(data: bytes) -> bytes:
 
 
 class EVM:
-    """An interpreter bound to one state view, block env, tracer and meter.
+    """An interpreter bound to one state view, block env and tracer.
 
+    It charges the view's meter, at the prices of the meter's model.
     ``hasher`` is the Keccak-256 every hashing opcode goes through
     (``bytes -> 32-byte digest``).  Block executors hand in their
     :class:`~repro.crypto.DigestMemo`, so an input one executor has hashed
@@ -146,16 +145,13 @@ class EVM:
         env: BlockEnv,
         tx: Transaction,
         tracer=None,
-        meter: CostMeter | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         hasher=None,
     ) -> None:
         self.view = view
         self.env = env
         self.tx = tx
         self.tracer = tracer
-        self.meter = meter
-        self.cm = cost_model
+        self.meter = view.meter
         self.hasher = hasher if hasher is not None else _plain_keccak256
         self.logs: list[LogRecord] = []
         self.ops_executed = 0
@@ -200,14 +196,13 @@ class EVM:
         table = frame.analysis.table
         stack = frame.stack
         meter = self.meter
-        dispatch_us = self.cm.op_dispatch_us
+        dispatch_us = meter.model.op_dispatch_us
         steps = 0
         try:
             while True:
                 handler, arg, static_gas, min_stack, max_stack = table[frame.pc]
                 steps += 1
-                if meter is not None:
-                    meter.compute_us += dispatch_us
+                meter.compute_us += dispatch_us
                 depth = len(stack)
                 if depth < min_stack or depth > max_stack:
                     _stack_fault(handler, arg, min_stack, depth)
@@ -221,8 +216,7 @@ class EVM:
             return halt.data
         finally:
             self.ops_executed += steps
-            if meter is not None:
-                meter.ops += steps
+            meter.ops += steps
 
     # ----------------------------------------------------- memory helpers
 
@@ -271,9 +265,9 @@ class EVM:
         stack = frame.stack
         base = stack.pop()
         exponent = stack[-1]
-        if self.meter is not None:
-            exponent_bytes = (exponent.bit_length() + 7) // 8
-            self.meter.charge_compute(self.cm.exp_byte_us * exponent_bytes, 0)
+        meter = self.meter
+        exponent_bytes = (exponent.bit_length() + 7) // 8
+        meter.charge_compute(meter.model.exp_byte_us * exponent_bytes, 0)
         gas_cost = G.exp_gas(exponent)
         frame.charge(gas_cost)
         stack[-1] = result = prim.exp(base, exponent)
@@ -290,8 +284,8 @@ class EVM:
         result = int.from_bytes(self.hasher(data), "big")
         stack.append(result)
         frame.pc += 1
-        if self.meter is not None:
-            self.meter.charge_compute(self.cm.hash_cost(size), 0)
+        meter = self.meter
+        meter.charge_compute(meter.model.hash_cost(size), 0)
         if self.tracer is not None:
             self.tracer.trace_sha3(frame, offset, size, data, result)
 
@@ -357,8 +351,8 @@ class EVM:
         value = int.from_bytes(self.hasher(code), "big") if code else 0
         frame.stack.append(value)
         frame.pc += 1
-        if self.meter is not None:
-            self.meter.charge_compute(self.cm.hash_cost(len(code)), 0)
+        meter = self.meter
+        meter.charge_compute(meter.model.hash_cost(len(code)), 0)
         if self.tracer is not None:
             self.tracer.trace_alu(
                 frame, op, (prim.address_to_word(address),), value,
@@ -399,8 +393,8 @@ class EVM:
         data = frame.msg.data[src : src + size].ljust(size, b"\x00")
         frame.memory.write(dest, data)
         frame.pc += 1
-        if self.meter is not None:
-            self.meter.charge_compute(self.cm.copy_cost(size), 0)
+        meter = self.meter
+        meter.charge_compute(meter.model.copy_cost(size), 0)
         if self.tracer is not None:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
@@ -411,8 +405,8 @@ class EVM:
         data = frame.code[src : src + size].ljust(size, b"\x00")
         frame.memory.write(dest, data)
         frame.pc += 1
-        if self.meter is not None:
-            self.meter.charge_compute(self.cm.copy_cost(size), 0)
+        meter = self.meter
+        meter.charge_compute(meter.model.copy_cost(size), 0)
         if self.tracer is not None:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
@@ -424,8 +418,8 @@ class EVM:
         self._expand(frame, dest, size)
         frame.memory.write(dest, frame.return_data[src : src + size])
         frame.pc += 1
-        if self.meter is not None:
-            self.meter.charge_compute(self.cm.copy_cost(size), 0)
+        meter = self.meter
+        meter.charge_compute(meter.model.copy_cost(size), 0)
         if self.tracer is not None:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
@@ -603,8 +597,8 @@ class EVM:
         if value > 0:
             self._transfer(frame.msg.to, to, value)
 
-        if self.meter is not None:
-            self.meter.charge_compute(self.cm.call_frame_us, 0)
+        meter = self.meter
+        meter.charge_compute(meter.model.call_frame_us, 0)
 
         if delegate:
             # DELEGATECALL: run the target's code with the *current* frame's
@@ -820,19 +814,21 @@ def execute_transaction(
     tx: Transaction,
     env: BlockEnv,
     tracer=None,
-    meter: CostMeter | None = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     hasher=None,
 ) -> TxResult:
     """Run one transaction against ``view`` (the paper's read phase body).
 
     Applies the full envelope: intrinsic gas, nonce bump, value transfer,
     bytecode execution, and the gas fee charge — all buffered in the view.
-    The caller decides what to do with the view's read/write sets.
-    ``hasher`` is handed to the :class:`EVM` (plain ``keccak256`` when None).
+    The caller decides what to do with the view's read/write sets.  Every
+    charge goes to the view's meter; ``tracer`` is bound to it here, before
+    its first hook.  ``hasher`` is handed to the :class:`EVM` (plain
+    ``keccak256`` when None).
     """
-    if meter is not None:
-        meter.charge_compute(cost_model.tx_fixed_us, 0)
+    meter = view.meter
+    meter.charge_compute(meter.model.tx_fixed_us, 0)
+    if tracer is not None:
+        tracer.bind(meter)
 
     intrinsic = G.intrinsic_gas(tx.data)
     if intrinsic > tx.gas_limit:
@@ -859,10 +855,7 @@ def execute_transaction(
         )
 
     view.mark_warm(("a", tx.sender))
-    evm = EVM(
-        view, env, tx, tracer=tracer, meter=meter, cost_model=cost_model,
-        hasher=hasher,
-    )
+    evm = EVM(view, env, tx, tracer=tracer, hasher=hasher)
 
     success = True
     error = None
@@ -923,6 +916,6 @@ def execute_transaction(
         logs=evm.logs,
         read_set=dict(view.read_set),
         write_set=view.write_set,
-        duration_us=meter.total_us if meter is not None else 0.0,
+        duration_us=meter.total_us,
         ops_executed=evm.ops_executed,
     )

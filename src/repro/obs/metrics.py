@@ -149,8 +149,8 @@ class MetricsRegistry:
             raise ValueError("label_limit must be positive (or None)")
         self.label_limit = label_limit
         self._series: dict[tuple[str, LabelKey], Counter | Gauge | Histogram] = {}
-        # Per-series baseline of the previous window_snapshot() call.
-        self._window_base: dict[tuple[str, LabelKey], object] = {}
+        # Per-counter baseline of the previous window_snapshot() call.
+        self._window_base: dict[tuple[str, LabelKey], int | float] = {}
         # Distinct non-overflow label sets per series name, and how many
         # creations each name has folded into its overflow series.
         self._label_counts: dict[str, int] = {}
@@ -228,14 +228,6 @@ class MetricsRegistry:
             if series_name == name
         }
 
-    def kinds(self) -> dict[str, str]:
-        """``series-name -> "counter" | "gauge" | "histogram"`` for every
-        series, letting snapshot consumers filter by metric semantics."""
-        return {
-            _series_name(name, key): type(metric).__name__.lower()
-            for name, key, metric in self.series()
-        }
-
     def counter_totals(self, window: bool = False) -> dict:
         """Counter totals, labelled series folded into their base names.
 
@@ -247,55 +239,34 @@ class MetricsRegistry:
         line; folding keeps line width bounded no matter how many distinct
         label values a long run touches.  Zero-valued series are omitted.
         """
-        kinds = self.kinds()
-        values = self.window_snapshot() if window else self.as_dict()
+        if window:
+            values = self.window_snapshot()
+        else:
+            values = {
+                _series_name(name, key): metric.value
+                for name, key, metric in self.series()
+                if isinstance(metric, Counter)
+            }
         totals: dict = {}
         for series, value in values.items():
-            if kinds.get(series) != "counter" or not value:
+            if not value:
                 continue
             base = series.split("{", 1)[0]
             totals[base] = totals.get(base, 0) + value
         return totals
 
     def window_snapshot(self) -> dict:
-        """A delta-since-last-snapshot view of every series.
-
-        Counters report the increase since the previous call (the first
-        call reports their full value); histograms likewise report delta
-        counts/count/sum alongside their (constant) bucket boundaries;
-        gauges report their current value — a delta of a point-in-time
-        reading means nothing.  Keys and ordering match :meth:`as_dict`,
-        so windowed rates need no caller-side diffing of cumulative
-        counters.  Calling this advances the window baseline.
+        """Every counter's increase since the previous call (the first call
+        reports its full value), keyed and ordered like :meth:`as_dict`, so
+        windowed rates need no caller-side diffing.  Gauges and histograms
+        are left out.  Calling this advances the window baseline.
         """
         snapshot: dict = {}
         for name, key, metric in self.series():
-            series = _series_name(name, key)
             if isinstance(metric, Counter):
                 base = self._window_base.get((name, key), 0)
-                snapshot[series] = metric.value - base
+                snapshot[_series_name(name, key)] = metric.value - base
                 self._window_base[(name, key)] = metric.value
-            elif isinstance(metric, Histogram):
-                base_counts, base_count, base_sum = self._window_base.get(
-                    (name, key), ([0] * len(metric.counts), 0, 0.0)
-                )
-                snapshot[series] = {
-                    "buckets": list(metric.buckets) + ["+inf"],
-                    "bounds": metric.bucket_bounds(),
-                    "counts": [
-                        now - before
-                        for now, before in zip(metric.counts, base_counts)
-                    ],
-                    "count": metric.count - base_count,
-                    "sum": metric.sum - base_sum,
-                }
-                self._window_base[(name, key)] = (
-                    list(metric.counts),
-                    metric.count,
-                    metric.sum,
-                )
-            else:
-                snapshot[series] = metric.value
         return snapshot
 
     # ------------------------------------------------------------- export

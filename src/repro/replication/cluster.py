@@ -42,7 +42,6 @@ from ..errors import JournalCorruptionError, ReplicationError
 from ..obs.lifecycle import FlightRecorder
 from ..obs.metrics import NULL_METRICS
 from ..service.chain_service import ChainService
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..workloads.block import ChainView
 from .failover import FailoverController, FailoverPolicy, FailoverReport
 from .replica import ReplicaService
@@ -76,14 +75,12 @@ class ReplicatedChainService:
         chain,
         executor: str,
         config: ClusterConfig | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         metrics=NULL_METRICS,
         observer=None,
     ) -> None:
         self.chain = chain
         self.executor_name = executor
         self.config = config or ClusterConfig()
-        self.cost_model = cost_model
         self.metrics = metrics
         self.observer = observer
         self.controller = FailoverController(self.config.policy, metrics=metrics)
@@ -108,7 +105,6 @@ class ReplicatedChainService:
             ReplicaService(
                 f"replica-{i}",
                 self.feed,
-                cost_model=cost_model,
                 metrics=metrics,
                 flight=FlightRecorder(),
             )
@@ -120,7 +116,6 @@ class ReplicatedChainService:
         commit pipeline journaling at ``epoch``."""
         pipeline = DurableCommitPipeline(
             self.medium,
-            cost_model=self.cost_model,
             checkpoint_interval=self.config.checkpoint_interval,
             metrics=self.metrics,
             epoch=epoch,
@@ -224,7 +219,7 @@ class ReplicatedChainService:
         )
         blob = encode_snapshot(new_world, snapshot_at)
         self.medium.write_snapshot(snapshot_at, blob)
-        promotion_us = snapshot_cost_us(new_world, blob, self.cost_model)
+        promotion_us = snapshot_cost_us(new_world, blob)
         old_service = self.service
         new_service = self._primary_service(
             ChainView(new_world, self.chain.env), epoch

@@ -53,7 +53,6 @@ from ..durability.medium import MemoryMedium
 from ..durability.recovery import BlockFold, ReplayedBlock, recover
 from ..errors import JournalCorruptionError, ReplicaDivergence, StaleEpoch
 from ..obs.metrics import NULL_METRICS
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
 
 # How many StaleEpoch instances a replica retains as rejection evidence.
@@ -67,13 +66,11 @@ class ReplicaService:
         self,
         name: str,
         feed,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         metrics=NULL_METRICS,
         flight=None,
     ) -> None:
         self.name = name
         self.feed = feed
-        self.cost_model = cost_model
         self.metrics = metrics
         self.flight = flight
         self.medium = MemoryMedium()
@@ -284,7 +281,7 @@ class ReplicaService:
             self._checkpoint(number)
 
     def _apply(self, block: ReplayedBlock, now_us: float) -> None:
-        cost = block.apply_verified(self.world, self.cost_model)
+        cost = block.apply_verified(self.world)
         if cost is None:
             self._diverge(
                 block.number,
@@ -351,12 +348,7 @@ class ReplicaService:
         every sealed block — recovery re-verifies that from our own
         durable copy, the promotion-time self-check).
         """
-        result = recover(
-            self.medium,
-            WorldState,
-            cost_model=self.cost_model,
-            metrics=self.metrics,
-        )
+        result = recover(self.medium, WorldState, metrics=self.metrics)
         self.world = result.world
         self.last_committed_block = result.last_committed_block
         self.last_sealed_block = result.last_committed_block

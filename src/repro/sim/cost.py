@@ -17,6 +17,12 @@ Calibration targets (all from the paper):
 
 All numbers are simulated microseconds.  Absolute values are irrelevant to
 the reproduced figures (which are ratios); only the *proportions* matter.
+
+A model is chosen in one place, ``BlockExecutor.cost_model``, and rides into
+each execution as the ``model`` of its :class:`~repro.sim.meter.CostMeter`:
+the state view, the interpreter, the SSA tracer and the redo phase price
+every charge from the meter they charge.  Durability, recovery and
+replication price a finished block at :data:`DEFAULT_COST_MODEL`.
 """
 
 from __future__ import annotations

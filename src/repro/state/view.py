@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.meter import CostMeter
 from .keys import StateKey
 from .world import WorldState
@@ -69,7 +68,9 @@ class StateView:
         e.g. the block overlay snapshot it executes against.  May be None.
     meter:
         Cost meter charged for the simulated latency of reads that reach the
-        world state, and overlay-probe costs for the rest.
+        world state, and overlay-probe costs for the rest, at the prices of
+        its ``model``.  A view built without one charges a fresh
+        :class:`CostMeter` of its own.
     """
 
     def __init__(
@@ -77,12 +78,10 @@ class StateView:
         world: WorldState,
         base: BlockOverlay | Mapping | None = None,
         meter: CostMeter | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> None:
         self.world = world
         self.base = base
-        self.meter = meter
-        self.cost_model = cost_model
+        self.meter = meter or CostMeter()
         self._local: dict[StateKey, object] = {}
         self.read_set: dict[StateKey, object] = {}
         self._journal: list[tuple[StateKey, object]] = []
@@ -98,37 +97,37 @@ class StateView:
         the transaction's own writes do not, mirroring the type-I/type-II
         SLOAD distinction of §5.2.2.
         """
+        meter = self.meter
         value = self._local.get(key, _MISSING)
         if value is not _MISSING:
-            if self.meter is not None:
-                self.meter.charge_compute(self.cost_model.overlay_read_us)
+            meter.charge_compute(meter.model.overlay_read_us)
             return value
         # peek_committed, inlined (the hottest call of a replay).
         if self.base is not None:
             value = self.base.get(key, _MISSING)
         if value is _MISSING:
-            value = self.world.read(key, self.meter)
-        elif self.meter is not None:
-            self.meter.charge_compute(self.cost_model.overlay_read_us)
+            value = self.world.read(key, meter)
+        else:
+            meter.charge_compute(meter.model.overlay_read_us)
         if key not in self.read_set:
             self.read_set[key] = value
         return value
 
     def peek_committed(self, key: StateKey):
         """Read committed state without touching the read set (validation)."""
+        meter = self.meter
         value = _MISSING if self.base is None else self.base.get(key, _MISSING)
         if value is _MISSING:
-            return self.world.read(key, self.meter)
-        if self.meter is not None:
-            self.meter.charge_compute(self.cost_model.overlay_read_us)
+            return self.world.read(key, meter)
+        meter.charge_compute(meter.model.overlay_read_us)
         return value
 
     def write(self, key: StateKey, value) -> None:
         """Buffer a write locally, journalling the previous local value."""
         self._journal.append((key, self._local.get(key, _MISSING)))
         self._local[key] = value
-        if self.meter is not None:
-            self.meter.charge_compute(self.cost_model.sstore_buffer_us)
+        meter = self.meter
+        meter.charge_compute(meter.model.sstore_buffer_us)
 
     # ------------------------------------------------------------ journal
 
@@ -160,8 +159,3 @@ class StateView:
     def write_set(self) -> dict[StateKey, object]:
         """The surviving (non-reverted) writes of this execution."""
         return dict(self._local)
-
-    def discard_writes(self) -> None:
-        """Drop all local writes (a fully aborted speculation)."""
-        self._local.clear()
-        self._journal.clear()

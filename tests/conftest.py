@@ -129,7 +129,7 @@ def run_tx(env):
     def _run(world, tx, tracer=None, base=None):
         meter = CostMeter()
         view = StateView(world, base=base, meter=meter)
-        return execute_transaction(view, tx, env, tracer=tracer, meter=meter)
+        return execute_transaction(view, tx, env, tracer=tracer)
 
     return _run
 

@@ -82,11 +82,10 @@ class Stack:
         self.metrics.window_snapshot()
         rejected = self.tracker.rejected
         response = self.request(method, params, now_us)
-        kinds = self.metrics.kinds()
         counters = {
             series: value
             for series, value in self.metrics.window_snapshot().items()
-            if kinds[series] == "counter" and value
+            if value
         }
         assert response["jsonrpc"] == "2.0" and response["id"] == 7
         error = response["error"]

@@ -67,7 +67,7 @@ def trace_digest(world, txs, env) -> str:
     digest = hashlib.sha256()
     overlay = BlockOverlay()
     for tx in txs:
-        tracer = SSATracer(cost_model=DEFAULT_COST_MODEL)
+        tracer = SSATracer()
         result, meter = run_speculative(
             world, overlay, tx, env, DEFAULT_COST_MODEL, tracer=tracer
         )

@@ -50,7 +50,7 @@ def build_world(balances: list[int], allowances: list[int]) -> WorldState:
 def execute(world: WorldState, tx: Transaction, tracer=None):
     meter = CostMeter()
     view = StateView(world, meter=meter)
-    return execute_transaction(view, tx, ENV, tracer=tracer, meter=meter)
+    return execute_transaction(view, tx, ENV, tracer=tracer)
 
 
 transactions = st.one_of(

@@ -37,7 +37,6 @@ from repro.durability.journal import (
 )
 from repro.durability.recovery import ReplayedBlock
 from repro.errors import JournalCorruptionError, ReplicaDivergence
-from repro.sim.cost import DEFAULT_COST_MODEL
 
 
 def group_blocks(records) -> tuple[list[ReplayedBlock], int | None]:
@@ -107,7 +106,6 @@ class ReplicaReference:
 
     def __init__(self, world, last_committed_block, fence_epoch) -> None:
         self.world = world
-        self.cost_model = DEFAULT_COST_MODEL
         self.fence_epoch = fence_epoch
         self.last_committed_block = last_committed_block
         self.last_sealed_block = last_committed_block
@@ -190,7 +188,7 @@ class ReplicaReference:
 
     def _handle_commit(self, record: CommitRecord, block: ReplayedBlock) -> None:
         block.delta_digest = record.delta_digest
-        cost = block.apply_verified(self.world, self.cost_model)
+        cost = block.apply_verified(self.world)
         if cost is None:
             self._diverge(
                 block.number,

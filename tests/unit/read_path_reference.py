@@ -53,7 +53,7 @@ def reference_peek_committed(view, key):
             value = view.base.get(key, _MISSING)
         if value is not _MISSING:
             if view.meter is not None:
-                view.meter.charge_compute(view.cost_model.overlay_read_us)
+                view.meter.charge_compute(view.meter.model.overlay_read_us)
             return value
     return reference_world_read(view.world, key, view.meter)
 
@@ -63,7 +63,7 @@ def reference_read(view, key):
     local = view._local.get(key, _MISSING)
     if local is not _MISSING:
         if view.meter is not None:
-            view.meter.charge_compute(view.cost_model.overlay_read_us)
+            view.meter.charge_compute(view.meter.model.overlay_read_us)
         return local
     value = reference_peek_committed(view, key)
     if key not in view.read_set:

@@ -118,7 +118,7 @@ class TestResultBookkeeping:
         meter = CostMeter()
         view = StateView(world, meter=meter)
         tx = Transaction(sender=SENDER, to=RECIPIENT, value=1, gas_limit=21_000)
-        result = execute_transaction(view, tx, BlockEnv(), meter=meter)
+        result = execute_transaction(view, tx, BlockEnv())
         assert result.duration_us == meter.total_us > 0
 
     def test_coinbase_not_touched_per_tx(self):

@@ -44,6 +44,7 @@ from repro.replication import (
     ShippingMedium,
 )
 from repro.resilience.policy import RecoveryPolicy
+from repro.sim.cost import DEFAULT_COST_MODEL
 from repro.state.keys import balance_key
 from repro.state.world import WorldState
 from repro.workloads import ChainSpec, build_chain
@@ -316,7 +317,7 @@ class TestOneBlockGrammar:
             after_1,
         )
         # Block 1 (one write) is applied, and charged, once.
-        cost = replica.cost_model
+        cost = DEFAULT_COST_MODEL
         assert replica.apply_us == cost.commit_key_us + cost.fsync_us
 
     def test_a_txwrite_after_commit(self):

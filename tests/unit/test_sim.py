@@ -23,12 +23,11 @@ class TestMeter:
         meter.charge_compute(1.5)
         meter.charge_storage(20.0, cold=True)
         meter.charge_storage(0.5, cold=False)
-        meter.charge_tracking(0.1, entries=2)
+        meter.tracking_us += 0.1  # the SSA tracer charges inline
         assert meter.total_us == pytest.approx(22.1)
         assert meter.ops == 1
         assert meter.storage_reads == 2
         assert meter.storage_cold_reads == 1
-        assert meter.log_entries == 2
 
 
 class TestListSchedule:

@@ -260,7 +260,7 @@ class TestLazyDUG:
         world = fuzzer.chain.fresh_world()
         edges = 0
         for tx in block.txs:
-            tracer = SSATracer(cost_model=DEFAULT_COST_MODEL)
+            tracer = SSATracer()
             result, _ = run_speculative(
                 world, overlay, tx, block.env, DEFAULT_COST_MODEL, tracer=tracer
             )

@@ -408,8 +408,3 @@ class TestStateView:
         view.mark_warm(key)
         assert view.is_warm(key)
 
-    def test_discard_writes(self):
-        _, view = self._view()
-        view.write(balance_key(A), 1)
-        view.discard_writes()
-        assert view.write_set == {}

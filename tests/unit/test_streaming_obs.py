@@ -78,55 +78,10 @@ class TestWindowSnapshot:
         # No activity -> zero delta, not the cumulative value.
         assert registry.window_snapshot()["events_total"] == 0
 
-    def test_gauges_report_current_value_not_delta(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("occupancy")
-        gauge.set(7.0)
-        registry.window_snapshot()
-        gauge.set(3.0)
-        assert registry.window_snapshot()["occupancy"] == 3.0
-
-    def test_histogram_deltas_keep_constant_bounds(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("sizes", [10, 100])
-        h.observe(5)
-        first = registry.window_snapshot()["sizes"]
-        assert first["counts"] == [1, 0, 0]
-        assert first["bounds"] == [["-inf", 10], [10, 100], [100, "+inf"]]
-        h.observe(50)
-        second = registry.window_snapshot()["sizes"]
-        assert second["counts"] == [0, 1, 0]
-        assert second["count"] == 1
-        assert second["bounds"] == first["bounds"]
-
     def test_labelled_series_use_rendered_names(self):
         registry = MetricsRegistry()
         registry.counter("faults", executor="occ").inc(3)
         assert registry.window_snapshot()["faults{executor=occ}"] == 3
-
-    def test_histogram_overflow_bucket_survives_window_deltas(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("spans_us", [10, 100])
-        h.observe(5_000.0)  # above the last finite edge: +inf bucket
-        first = registry.window_snapshot()["spans_us"]
-        assert first["buckets"][-1] == "+inf"
-        assert first["counts"] == [0, 0, 1]
-        h.observe(7_000.0)
-        second = registry.window_snapshot()["spans_us"]
-        # The overflow count is a per-window delta too, not cumulative.
-        assert second["counts"] == [0, 0, 1]
-        assert registry.window_snapshot()["spans_us"]["counts"] == [0, 0, 0]
-
-    def test_kinds_classifies_every_series(self):
-        registry = MetricsRegistry()
-        registry.counter("a_total")
-        registry.gauge("b_now")
-        registry.histogram("c_sizes", [1])
-        assert registry.kinds() == {
-            "a_total": "counter",
-            "b_now": "gauge",
-            "c_sizes": "histogram",
-        }
 
 
 class TestHistogramBounds:

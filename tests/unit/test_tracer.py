@@ -225,9 +225,7 @@ class TestCrossFrameTracking:
 
 class TestTrackingOverheadAccounting:
     def test_tracer_charges_tracking_meter(self, world, run_tx, token, alice, bob):
-        from repro.sim.meter import CostMeter
-
-        tracer = SSATracer(meter=CostMeter())
+        tracer = SSATracer()
         result = run_tx(world, transfer_tx(alice, token, bob, 1), tracer=tracer)
         assert result.success
         assert tracer.meter.tracking_us > 0
