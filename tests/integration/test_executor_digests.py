@@ -24,7 +24,15 @@ The cases:
 The literals were recorded before the OCC-family schedulers shared one
 commit protocol and the executors one machine entry, epilogue and span
 seam, and this test ran green there: a refactor of the scheduling layer
-that moves one simulated ulp, one span or one metric fails here.  To
+that moves one simulated ulp, one span or one metric fails here.
+
+``TIME_MASKED`` pins a twin of every case with each simulated time masked:
+the makespan, every span's start and end, every counter sample's
+timestamp, and every stat, metric and plan counter whose name holds
+``_us``.  A change that moves the simulated clock by rounding only (the
+integer-nanosecond meter) re-records ``RECORDED_AT_PARENT`` and leaves
+these unedited: every write, read set, stat, span order, edge and count
+stays what it was.  To
 re-record after an *intended* change, run ``PYTHONPATH=src python -m
 tests.integration.test_executor_digests`` on the parent commit, check the
 test passes there, and paste the printed literals.
@@ -33,6 +41,7 @@ test passes there, and paste the printed literals.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -171,6 +180,119 @@ RECORDED_AT_PARENT = {
     "deadline/parallelevm": "48a3971c7adfcdec",
     "deadline/parallelevm-preexec": "048478b1d0cdd1d7",
 }
+TIME_MASKED = {
+    "mainnet/serial/observed": "2d0839262271a891",
+    "mainnet/serial/detached": "c8f2c42206cd898d",
+    "mainnet/2pl/observed": "23a1fde02cb814cd",
+    "mainnet/2pl/detached": "60507f9e34e79693",
+    "mainnet/occ/observed": "a62d68c29150ef87",
+    "mainnet/occ/detached": "7de7babdea883ed4",
+    "mainnet/block-stm/observed": "5d095fb6e474a361",
+    "mainnet/block-stm/detached": "c8e983ee48f5dbec",
+    "mainnet/two-phase/observed": "ef501fc704a394ad",
+    "mainnet/two-phase/detached": "b738de61183dba71",
+    "mainnet/parallelevm/observed": "9650d1269f40a526",
+    "mainnet/parallelevm/detached": "2094edd358d4a5b5",
+    "mainnet/parallelevm-preexec/observed": "bee7c69d4dc0f01c",
+    "mainnet/parallelevm-preexec/detached": "8b9ee8e6f7060b3a",
+    "mainnet/scheduled/graph": "075054e5d662b6ad",
+    "mainnet/scheduled/values": "075054e5d662b6ad",
+    "mainnet/scheduled/stale": "ffcfe4b5e3f0be7a",
+    "contended/serial/observed": "38ab48ec2fad256c",
+    "contended/serial/detached": "fe229e84307a3047",
+    "contended/2pl/observed": "d2e7aa126c04345c",
+    "contended/2pl/detached": "5be7bd87c52e268d",
+    "contended/occ/observed": "c8b609fa1807ca14",
+    "contended/occ/detached": "0221617826bb47bb",
+    "contended/block-stm/observed": "09ef89a4e7700d7b",
+    "contended/block-stm/detached": "c11bccb83b903f4f",
+    "contended/two-phase/observed": "0ba32e11bfe1ec14",
+    "contended/two-phase/detached": "8c471b59f5d88aad",
+    "contended/parallelevm/observed": "687b850a4073f6cc",
+    "contended/parallelevm/detached": "2da07e348314e4f9",
+    "contended/parallelevm-preexec/observed": "dcfa1f640c3867b9",
+    "contended/parallelevm-preexec/detached": "2da07e348314e4f9",
+    "contended/scheduled/graph": "31271351539d9f66",
+    "contended/scheduled/values": "31271351539d9f66",
+    "contended/scheduled/stale": "a515c5f41ec6c788",
+    "storage-spike/serial": "db071f78a2238488",
+    "storage-spike/2pl": "314c4abfc0806ba0",
+    "storage-spike/occ": "10a61b4bd71180ac",
+    "storage-spike/block-stm": "0ec0c69d8f16c909",
+    "storage-spike/two-phase": "871ec55079a81634",
+    "storage-spike/parallelevm": "4db1f8f516913a49",
+    "storage-spike/parallelevm-preexec": "9fa58cc619325efb",
+    "storage-flaky/serial": "77884f6cc9d6a69e",
+    "storage-flaky/2pl": "be2a02d98d7b0909",
+    "storage-flaky/occ": "0c98ccab14e902ed",
+    "storage-flaky/block-stm": "b6e5bae43fc4a1cf",
+    "storage-flaky/two-phase": "07da3dccb6a02b30",
+    "storage-flaky/parallelevm": "35b553e2ee74ca97",
+    "storage-flaky/parallelevm-preexec": "ac7677312ec42611",
+    "cache-thrash/serial": "0c8de0d70ceb807b",
+    "cache-thrash/2pl": "cd0b0e185e7d3056",
+    "cache-thrash/occ": "7999a454b39435c4",
+    "cache-thrash/block-stm": "edeb9720b8115db4",
+    "cache-thrash/two-phase": "171567157c183a07",
+    "cache-thrash/parallelevm": "1aa8f493c53a77b3",
+    "cache-thrash/parallelevm-preexec": "26790c4563a3627c",
+    "worker-stall/serial": "87945e32c1574e3b",
+    "worker-stall/2pl": "68d8d2e43a1b1262",
+    "worker-stall/occ": "a1cb9cc85c20f351",
+    "worker-stall/block-stm": "534dc8477356b2ca",
+    "worker-stall/two-phase": "6b67ae8d6132f5f4",
+    "worker-stall/parallelevm": "6f2b53d19eda28a7",
+    "worker-stall/parallelevm-preexec": "f09d423c56176801",
+    "worker-crash/serial": "87945e32c1574e3b",
+    "worker-crash/2pl": "43486b033aab9f86",
+    "worker-crash/occ": "2cfb21c26c269424",
+    "worker-crash/block-stm": "bde5a0502920733c",
+    "worker-crash/two-phase": "3f3b4ea41384bed2",
+    "worker-crash/parallelevm": "6ffa64ad207f09ca",
+    "worker-crash/parallelevm-preexec": "61af5ef5c7c7fd87",
+    "worker-slow/serial": "87945e32c1574e3b",
+    "worker-slow/2pl": "ccc6a5a7dab3c38e",
+    "worker-slow/occ": "0e4697f6abb9af05",
+    "worker-slow/block-stm": "571110d34e7e919d",
+    "worker-slow/two-phase": "d44702a524a0396e",
+    "worker-slow/parallelevm": "ceeb5ce5aa82f861",
+    "worker-slow/parallelevm-preexec": "8798fb491b42fd24",
+    "redo-storm/serial": "87945e32c1574e3b",
+    "redo-storm/2pl": "47787f82dbe6ad10",
+    "redo-storm/occ": "dbd89548bb1ba971",
+    "redo-storm/block-stm": "a690c35b3bcab08e",
+    "redo-storm/two-phase": "3d5737fd8a0aa326",
+    "redo-storm/parallelevm": "bdbeaf4655cb018c",
+    "redo-storm/parallelevm-preexec": "f57a0a83960680e3",
+    "corrupt-guard/serial": "87945e32c1574e3b",
+    "corrupt-guard/2pl": "47787f82dbe6ad10",
+    "corrupt-guard/occ": "dbd89548bb1ba971",
+    "corrupt-guard/block-stm": "a690c35b3bcab08e",
+    "corrupt-guard/two-phase": "3d5737fd8a0aa326",
+    "corrupt-guard/parallelevm": "8d3f1dc806eb244b",
+    "corrupt-guard/parallelevm-preexec": "7903b1430f04e762",
+    "abort-storm/serial": "87945e32c1574e3b",
+    "abort-storm/2pl": "47787f82dbe6ad10",
+    "abort-storm/occ": "dbd89548bb1ba971",
+    "abort-storm/block-stm": "5860aa3d6c8820ec",
+    "abort-storm/two-phase": "3d5737fd8a0aa326",
+    "abort-storm/parallelevm": "e2b242f810221382",
+    "abort-storm/parallelevm-preexec": "337d77a2418e43fb",
+    "havoc/serial": "de0b85b13939ab08",
+    "havoc/2pl": "e12f431ed86409aa",
+    "havoc/occ": "acc3e318b6cc3db5",
+    "havoc/block-stm": "83dc12fc8efc2cff",
+    "havoc/two-phase": "ae6a9d8c6a49b312",
+    "havoc/parallelevm": "4e2301d3a9222df9",
+    "havoc/parallelevm-preexec": "7e891446013bfc44",
+    "deadline/serial": "87945e32c1574e3b",
+    "deadline/2pl": "99c5c06b4fa00dfb",
+    "deadline/occ": "b498599d83edc357",
+    "deadline/block-stm": "7884c561e84ef5dd",
+    "deadline/two-phase": "b97af7b060cba204",
+    "deadline/parallelevm": "2da477fa310f7463",
+    "deadline/parallelevm-preexec": "affd3c0a057578c0",
+}
 
 
 def build_blocks():
@@ -196,12 +318,27 @@ def blocks():
     return build_blocks()
 
 
-def _fold_result(digest, result) -> None:
+def _hex(us: float) -> str:
+    return us.hex()
+
+
+def _masked(us: float) -> str:
+    return "T"
+
+
+def _is_time(name: str) -> bool:
+    return "_us" in name
+
+
+def _fold_result(digest, result, time) -> None:
+    stats = result.stats.items()
+    if time is _masked:
+        stats = [(k, "T" if _is_time(k) else v) for k, v in stats]
     digest.update(
         repr(
             (
-                result.makespan_us.hex(),
-                sorted((k, repr(v)) for k, v in result.stats.items()),
+                time(result.makespan_us),
+                sorted((k, repr(v)) for k, v in stats),
                 result.threads,
                 list(result.writes.items()),
             )
@@ -223,12 +360,12 @@ def _fold_result(digest, result) -> None:
         )
 
 
-def _fold_observer(digest, observer: BlockObserver) -> None:
+def _fold_observer(digest, observer: BlockObserver, time) -> None:
     trace = observer.trace
     digest.update(
         repr(
             [
-                (s.worker_id, s.kind, s.tx_index, s.start_us.hex(), s.end_us.hex())
+                (s.worker_id, s.kind, s.tx_index, time(s.start_us), time(s.end_us))
                 for s in trace.spans
             ]
         ).encode()
@@ -238,23 +375,36 @@ def _fold_observer(digest, observer: BlockObserver) -> None:
     )
     digest.update(
         repr(
-            [(c.name, c.ts_us.hex(), repr(c.value)) for c in trace.counters]
+            [(c.name, time(c.ts_us), repr(c.value)) for c in trace.counters]
         ).encode()
     )
-    digest.update(observer.metrics.to_json().encode())
+    metrics = observer.metrics.to_json()
+    if time is _masked:
+        series = json.loads(metrics)
+        metrics = json.dumps(
+            {k: "T" if _is_time(k.split("{")[0]) else v for k, v in series.items()}
+        )
+    digest.update(metrics.encode())
 
 
-def _run(executor, chain, block, observer=None, plan=None, world=None) -> str:
+def _run(executor, chain, block, observer=None, plan=None, world=None):
+    """The case's (timed, time-masked) digests."""
     if world is None:
         world = chain.fresh_world()
     result = executor.execute_block(world, block.txs, block.env)
-    digest = hashlib.sha256()
-    _fold_result(digest, result)
-    if observer is not None:
-        _fold_observer(digest, observer)
-    if plan is not None:
-        digest.update(repr(sorted(plan.counters.items())).encode())
-    return digest.hexdigest()[:16]
+    digests = []
+    for time in (_hex, _masked):
+        digest = hashlib.sha256()
+        _fold_result(digest, result, time)
+        if observer is not None:
+            _fold_observer(digest, observer, time)
+        if plan is not None:
+            counters = sorted(plan.counters.items())
+            if time is _masked:
+                counters = [(k, "T" if _is_time(k) else v) for k, v in counters]
+            digest.update(repr(counters).encode())
+        digests.append(digest.hexdigest()[:16])
+    return tuple(digests)
 
 
 def _chaos_policy(chain, block, scenario: str) -> RecoveryPolicy:
@@ -267,7 +417,7 @@ def _chaos_policy(chain, block, scenario: str) -> RecoveryPolicy:
     return replace(policy, **SCENARIOS[scenario].recovery_overrides)
 
 
-def case_digest(blocks, case: str) -> str:
+def case_digest(blocks, case: str) -> tuple[str, str]:
     family, *rest = case.split("/")
     if family in ("mainnet", "contended"):
         chain, block = blocks[family]
@@ -323,16 +473,22 @@ def all_cases() -> list[str]:
 
 def test_the_case_list_is_the_recorded_one():
     assert len(FAULT_SCENARIOS) == 10
-    assert all_cases() == list(RECORDED_AT_PARENT)
+    assert all_cases() == list(RECORDED_AT_PARENT) == list(TIME_MASKED)
 
 
 @pytest.mark.parametrize("case", list(RECORDED_AT_PARENT))
 def test_executor_outcome_equals_the_parents(blocks, case):
-    assert case_digest(blocks, case) == RECORDED_AT_PARENT[case]
+    timed, masked = case_digest(blocks, case)
+    assert masked == TIME_MASKED[case]
+    assert timed == RECORDED_AT_PARENT[case]
 
 
 if __name__ == "__main__":
     # Print the current digests (to re-record after an intended change).
     shared = build_blocks()
-    for name in all_cases():
-        print(f'    "{name}": "{case_digest(shared, name)}",')
+    digests = {name: case_digest(shared, name) for name in all_cases()}
+    for label, column in (("RECORDED_AT_PARENT", 0), ("TIME_MASKED", 1)):
+        print(f"{label} = {{")
+        for name, pair in digests.items():
+            print(f'    "{name}": "{pair[column]}",')
+        print("}")
