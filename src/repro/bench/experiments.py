@@ -741,8 +741,7 @@ class UnfoldedTracer(SSATracer):
     """SSATracer with constant folding disabled: every ALU op is logged."""
 
     def trace_alu(self, frame, opcode, operands, result, gas_cost, dynamic_gas):
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         n = len(operands)
         shadows = tuple(stack[-1 : -n - 1 : -1])
@@ -751,7 +750,7 @@ class UnfoldedTracer(SSATracer):
             len(self.log.entries), opcode, operands, result, shadows, None, (),
             None, gas_cost, dynamic_gas,
         )
-        stack.append(self._append(entry))
+        stack.append(self.log.append(entry))
 
 
 def run_log_compaction():

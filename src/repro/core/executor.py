@@ -85,7 +85,7 @@ class _ParallelEVMScheduler(OCCScheduler):
         )
         self.executions += 1
         self.log_entries_total += len(tracer.log)
-        self.metrics.counter("ssa_events_total").inc(tracer.events)
+        self.metrics.counter("ssa_events_total").inc(meter.events)
         self.metrics.counter("ssa_log_entries_total").inc(len(tracer.log))
         self.instructions_total += result.ops_executed
         return Task(

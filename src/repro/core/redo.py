@@ -130,7 +130,7 @@ def _redo(
     source_set = set(sources)
 
     outcome = RedoOutcome(True)
-    meter.charge_compute(meter.model.redo_entry_us * len(affected), 0)
+    meter.compute_ns += meter.model.ns.redo_entry * len(affected)
 
     # Lines 7-16: replay.
     for lsn in affected:

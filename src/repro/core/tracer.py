@@ -42,44 +42,38 @@ from .ssa_log import LogEntry, PseudoOp, SSAOperationLog
 class SSATracer:
     """Builds the SSA operation log for one transaction execution.
 
-    Each hook is one Python call (it runs once per traced opcode): it adds
-    to ``meter``'s fields inline and works on the top frame's shadow stack
-    list, which ``begin_frame`` / ``end_frame`` bind.  ``execute_transaction``
-    binds the execution's meter (:meth:`bind`) before the first hook.
+    Each hook is one Python call (it runs once per traced opcode): it counts
+    one shadow event on ``meter`` and works on the top frame's shadow stack
+    list, which ``begin_frame`` / ``end_frame`` bind.  ``begin_frame`` also
+    hands the list to the frame (``Frame.shadow``): the interpreter moves
+    the cells of its stack-only opcodes (push, pop, dup, swap, transaction
+    constants) itself and calls no hook for them.  ``execute_transaction``
+    binds the execution's meter (:meth:`bind`) before the first hook; the
+    meter counts the log's entries off the log itself.
     """
 
     def __init__(self) -> None:
         self.log = SSAOperationLog()
         self.meter: CostMeter | None = None
-        self._event_us = 0.0
-        self._entry_us = 0.0
         self.frames: list[FrameShadow] = []
         # The top frame's shadow and its stack list (None between frames).
         self._shadow: FrameShadow | None = None
         self._stack: list[int | None] | None = None
         self._pending_calldata: dict[int, tuple[int, int]] | None = None
         self._pending_returndata: dict[int, tuple[int, int]] = {}
-        # Events seen (≈ opcodes traced) — the §6.4 tracking-overhead stat.
-        self.events = 0
 
     def bind(self, meter: CostMeter) -> None:
-        """Charge every later hook to ``meter``, at its model's prices."""
+        """Count every later event, and the log's entries, on ``meter``."""
         self.meter = meter
-        self._event_us = meter.model.shadow_event_us
-        self._entry_us = meter.model.log_entry_us
+        meter.bind_log(self.log.entries)
 
     # ------------------------------------------------------------- helpers
 
-    def _append(self, entry: LogEntry) -> int:
-        meter = self.meter
-        meter.tracking_us += self._entry_us
-        meter.log_entries += 1
-        return self.log.append(entry)
-
     def _guard_eq(self, value: int, def_lsn: int) -> None:
         """Emit an ASSERT_EQ constraint guard on a non-constant operand."""
-        lsn = len(self.log.entries)
-        self._append(LogEntry(lsn, PseudoOp.ASSERT_EQ, (value,), None, (def_lsn,)))
+        log = self.log
+        lsn = len(log.entries)
+        log.append(LogEntry(lsn, PseudoOp.ASSERT_EQ, (value,), None, (def_lsn,)))
 
     def _guard_operands(
         self, values: tuple[int, ...], shadows: tuple[int | None, ...]
@@ -98,6 +92,7 @@ class SSATracer:
             self._pending_calldata = None
         self.frames.append(shadow)
         self._shadow, self._stack = shadow, shadow.stack
+        frame.shadow = shadow.stack
 
     def end_frame(self, frame, success: bool) -> None:
         frames = self.frames
@@ -116,35 +111,6 @@ class SSATracer:
             self._shadow = self._stack = None
         self._pending_returndata = {}
 
-    # -------------------------------------------------------- stack traffic
-
-    def trace_push(self, frame, value: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
-        self._stack.append(None)
-
-    def trace_pop(self, frame) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
-        self._stack.pop()
-
-    def trace_dup(self, frame, n: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
-        stack = self._stack
-        stack.append(stack[-n])
-
-    def trace_swap(self, frame, n: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
-        stack = self._stack
-        stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
-
-    def trace_tx_const(self, frame, opcode: int, value: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
-        self._stack.append(None)
-
     # ---------------------------------------------------------- computation
 
     def trace_alu(
@@ -156,8 +122,7 @@ class SSATracer:
         gas_cost: int,
         dynamic_gas: bool,
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         n = len(operands)  # every ALU opcode pops at least one
         shadows = tuple(stack[-1 : -n - 1 : -1])
@@ -170,13 +135,12 @@ class SSATracer:
             len(self.log.entries), opcode, operands, result, shadows, None, (),
             None, gas_cost, dynamic_gas,
         )
-        stack.append(self._append(entry))
+        stack.append(self.log.append(entry))
 
     def trace_sha3(
         self, frame, offset: int, size: int, data: bytes, result: int
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         self._guard_operands((offset, size), (stack.pop(), stack.pop()))
         deps = self._shadow.memory_deps(offset, size)
@@ -187,15 +151,14 @@ class SSATracer:
             len(self.log.entries), Op.SHA3, (data,), result, (), None, deps,
             None, G.sha3_gas(size),
         )
-        stack.append(self._append(entry))
+        stack.append(self.log.append(entry))
 
     # -------------------------------------------------------------- storage
 
     def trace_sload(
         self, frame, key: StateKey, value: int, gas_cost: int, operand_count: int
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         if operand_count:
             # The slot/address operand is a runtime-context address: guard it
@@ -209,7 +172,7 @@ class SSATracer:
             len(log.entries), Op.SLOAD, (), value, (), log.latest_writes.get(key),
             (), key, gas_cost,
         )
-        stack.append(self._append(entry))
+        stack.append(log.append(entry))
         log.record_load(entry)
 
     def trace_sstore(
@@ -221,8 +184,7 @@ class SSATracer:
         current: int = 0,
         cold: bool = False,
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         slot_shadow, value_shadow = stack.pop(), stack.pop()
         if slot_shadow is not None:
@@ -232,14 +194,13 @@ class SSATracer:
             len(log.entries), Op.SSTORE, (value,), value, (value_shadow,), None,
             (), key, gas_cost, True, {"current": current, "cold": cold},
         )
-        self._append(entry)
+        log.append(entry)
         log.record_store(entry)
 
     # --------------------------------------------------------------- memory
 
     def trace_mload(self, frame, offset: int, value: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         offset_shadow = stack.pop()
         if offset_shadow is not None:
@@ -252,11 +213,10 @@ class SSATracer:
             len(self.log.entries), Op.MLOAD, (value.to_bytes(32, "big"),),
             value, (), None, deps, None, G.GAS_FASTEST,
         )
-        stack.append(self._append(entry))
+        stack.append(self.log.append(entry))
 
     def trace_mstore(self, frame, offset: int, value: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         offset_shadow, value_shadow = stack.pop(), stack.pop()
         if offset_shadow is not None:
@@ -264,8 +224,7 @@ class SSATracer:
         self._shadow.mark_memory(offset, 32, value_shadow)
 
     def trace_mstore8(self, frame, offset: int, value: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         offset_shadow, value_shadow = stack.pop(), stack.pop()
         if offset_shadow is not None:
@@ -273,8 +232,7 @@ class SSATracer:
         self._shadow.mark_memory(offset, 1, value_shadow)
 
     def trace_calldataload(self, frame, offset: int, value: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         offset_shadow = stack.pop()
         if offset_shadow is not None:
@@ -288,7 +246,7 @@ class SSATracer:
             len(self.log.entries), Op.CALLDATALOAD, (value.to_bytes(32, "big"),),
             value, (), None, deps, None, G.GAS_FASTEST,
         )
-        stack.append(self._append(entry))
+        stack.append(self.log.append(entry))
 
     def trace_copy(
         self,
@@ -299,8 +257,7 @@ class SSATracer:
         size: int,
         operand_count: int,
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         shadows = tuple(stack[-1 : -operand_count - 1 : -1])
         del stack[-operand_count:]
@@ -316,15 +273,13 @@ class SSATracer:
     # --------------------------------------------------------- control flow
 
     def trace_jump(self, frame, dest: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         dest_shadow = self._stack.pop()
         if dest_shadow is not None:
             self._guard_eq(dest, dest_shadow)
 
     def trace_jumpi(self, frame, dest: int, cond: int, taken: bool) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         dest_shadow, cond_shadow = stack.pop(), stack.pop()
         if dest_shadow is not None:
@@ -342,8 +297,7 @@ class SSATracer:
         args_offset: int,
         args_size: int,
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         n = len(operands)
         shadows = tuple(stack[-1 : -n - 1 : -1])
@@ -358,8 +312,7 @@ class SSATracer:
     def trace_call_end(
         self, frame, success: bool, ret_offset: int, ret_copy_size: int
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         top = self._shadow
         top.copy_into_memory(ret_offset, ret_copy_size, top.returndata, 0)
         self._stack.append(None)  # the success flag is constant under the guards
@@ -367,8 +320,7 @@ class SSATracer:
     def trace_log(
         self, frame, record, topic_count: int, offset: int, size: int
     ) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         stack = self._stack
         offset_shadow, size_shadow = stack.pop(), stack.pop()
         topic_shadows = tuple(stack[-1 : -topic_count - 1 : -1])
@@ -385,11 +337,10 @@ class SSATracer:
             len(self.log.entries), PseudoOp.LOGDATA, (record.topics, record.data),
             None, topic_shadows, None, data_deps, None, 0, False, {"record": record},
         )
-        self._append(entry)
+        self.log.append(entry)
 
     def trace_halt(self, frame, opcode: int, offset: int, size: int) -> None:
-        self.events += 1
-        self.meter.tracking_us += self._event_us
+        self.meter.events += 1
         if opcode == Op.STOP:
             self._pending_returndata = {}
             return
@@ -416,7 +367,7 @@ class SSATracer:
                     len(self.log.entries), PseudoOp.RETDATA, (data,), data, (),
                     None, deps,
                 )
-                self._append(entry)
+                self.log.append(entry)
 
     # ----------------------------------------------------- intrinsic traffic
 
@@ -439,11 +390,11 @@ class SSATracer:
             len(log.entries), PseudoOp.ILOAD, (), observed, (),
             log.latest_writes.get(key), (), key,
         )
-        load_lsn = self._append(load)
+        load_lsn = log.append(load)
         log.record_load(load)
 
         if minimum is not None:
-            self._append(
+            log.append(
                 LogEntry(
                     len(log.entries), PseudoOp.GUARD_GE, (observed, minimum), None,
                     (load_lsn,),
@@ -454,7 +405,7 @@ class SSATracer:
             return
 
         updated = observed + delta
-        add_lsn = self._append(
+        add_lsn = log.append(
             LogEntry(
                 len(log.entries), PseudoOp.IADD, (observed, delta), updated,
                 (load_lsn, None),
@@ -464,5 +415,5 @@ class SSATracer:
             len(log.entries), PseudoOp.ISTORE, (updated,), updated, (add_lsn,),
             None, (), key,
         )
-        self._append(store)
+        log.append(store)
         log.record_store(store)

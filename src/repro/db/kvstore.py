@@ -62,6 +62,9 @@ class SimulatedDiskKV:
         self._data: dict[Hashable, object] = {}
         self.disk_latency_us = disk_latency_us
         self.cache_latency_us = cache_latency_us
+        # The two latencies in the meter's unit, whole nanoseconds.
+        self._disk_ns = round(disk_latency_us * 1000)
+        self._cache_ns = round(cache_latency_us * 1000)
         self.cache = LRUCache(cache_capacity)
         self.disk_reads = 0
         self.cache_reads = 0
@@ -85,11 +88,12 @@ class SimulatedDiskKV:
 
     def read_into(self, key: Hashable, default, meter=None):
         """The one read path: ``key``'s value, its latency charged to
-        ``meter`` as :meth:`CostMeter.charge_storage` would.  A fault
-        injector may first evict the key from the block cache, and may spike
-        the latency or add simulated retry/backoff time; values are never
-        corrupted, and past the retry budget the read raises
-        :class:`repro.errors.TransientStorageError`.
+        ``meter``'s ``storage_ns`` (and counted in ``storage_reads`` /
+        ``storage_cold_reads``).  A fault injector may first evict the key
+        from the block cache, and may spike the latency or add simulated
+        retry/backoff time, which is rounded to a whole nanosecond here;
+        values are never corrupted, and past the retry budget the read
+        raises :class:`repro.errors.TransientStorageError`.
         """
         faults = self.faults
         cache = self.cache
@@ -102,17 +106,18 @@ class SimulatedDiskKV:
             entries.move_to_end(key)
             cache.hits += 1
             self.cache_reads += 1
-            latency, hit = self.cache_latency_us, True
+            latency, hit = self._cache_ns, True
         else:
             cache.misses += 1
             self.disk_reads += 1
             value = self._data.get(key, default)
             cache.put(key, value)
-            latency, hit = self.disk_latency_us, False
+            latency, hit = self._disk_ns, False
         if faults is not None:
-            latency = faults.on_read(key, ReadSample(value, latency, hit)).latency_us
+            sample = faults.on_read(key, ReadSample(value, latency / 1000, hit))
+            latency = round(sample.latency_us * 1000)
         if meter is not None:
-            meter.storage_us += latency
+            meter.storage_ns += latency
             meter.storage_reads += 1
             if not hit:
                 meter.storage_cold_reads += 1

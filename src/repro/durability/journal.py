@@ -337,10 +337,13 @@ class WriteAheadJournal:
 
     ``_begins`` indexes ``(block_number, offset)`` of every BEGIN frame; it
     is exact while the medium is ``_size`` bytes of whole frames this
-    journal wrote (None when it was opened on a non-empty medium).  Other
-    bytes — a torn frame, another writer — leave another length, which the
-    next BEGIN append or prune sees, and pruning then rebuilds the index
-    with one scan.  ``_keys`` is the current block's key-encoding memo.
+    journal wrote (None when it was opened on a non-empty medium), i.e.
+    while the medium's ``journal_writes`` counter is still the ``_writes``
+    this journal's last write left.  Any other write — a torn frame,
+    another writer, even one that restores the length — moves the counter,
+    which the next append or prune sees: the index is dropped, and pruning
+    rebuilds it with one scan.  ``_keys`` is the current block's
+    key-encoding memo.
     """
 
     def __init__(self, medium, crash=None) -> None:
@@ -350,11 +353,13 @@ class WriteAheadJournal:
         self.records_written = 0
         self._begins: list[tuple[int, int]] = []
         self._size: int | None = None
+        self._writes = medium.journal_writes
         self._keys: dict = {}
         if self.medium.journal_size() == 0:
             self.medium.append_journal(JOURNAL_MAGIC)
             self.bytes_written += len(JOURNAL_MAGIC)
             self._size = len(JOURNAL_MAGIC)
+            self._writes = medium.journal_writes
 
     def append(self, record: JournalRecord, site: str | None = None) -> int:
         """Frame and append one record; returns the frame's byte length.
@@ -363,27 +368,29 @@ class WriteAheadJournal:
         the frame reaches the medium before :class:`SimulatedCrash` is
         raised; armed on ``<site>``, the full frame lands first.
         """
+        medium = self.medium
+        if medium.journal_writes != self._writes:
+            # Someone wrote the medium since this journal's last write:
+            # forget the index until a prune rescans.
+            self._size = None
         offset = self._size
         if isinstance(record, BeginRecord):
             self._keys.clear()  # bounded by one block's write set
-            if offset is not None and self.medium.journal_size() != offset:
-                # Another writer moved the medium since this journal's
-                # last write: forget the index until a prune rescans.
-                offset = self._size = None
         data = frame(encode_record(record, self._keys))
         crash = self.crash
         if crash is not None and site is not None:
             torn = crash.tear_fraction(site)
             if torn is not None:
                 cut = max(1, int(len(data) * torn))
-                self.medium.append_journal(data[:cut])
+                medium.append_journal(data[:cut])
                 self.bytes_written += cut
                 crash.crash(f"torn:{site}")
-        self.medium.append_journal(data)
+        medium.append_journal(data)
         self.bytes_written += len(data)
         self.records_written += 1
         if offset is not None:
             self._size = offset + len(data)
+            self._writes = medium.journal_writes
             if isinstance(record, BeginRecord):
                 self._begins.append((record.block_number, offset))
         if crash is not None and site is not None:
@@ -399,8 +406,10 @@ class WriteAheadJournal:
         A cut at one of the journal's own BEGIN frames keeps the index
         exact; any other cut leaves it to the next prune's scan.
         """
-        known = self._size == self.medium.journal_size()
-        self.medium.truncate_journal(length)
+        medium = self.medium
+        known = self._size is not None and medium.journal_writes == self._writes
+        medium.truncate_journal(length)
+        self._writes = medium.journal_writes
         begins = self._begins
         boundary = length == self._size
         while begins and begins[-1][1] >= length:
@@ -415,8 +424,9 @@ class WriteAheadJournal:
         retained region are byte-identical, so offsets shift but CRCs and
         recovery semantics are untouched.
         """
-        data = self.medium.read_journal()
-        if len(data) != self._size:
+        medium = self.medium
+        data = medium.read_journal()
+        if self._size is None or medium.journal_writes != self._writes:
             scan = scan_journal(data)
             self._begins = [
                 (record.block_number, offset)
@@ -426,6 +436,7 @@ class WriteAheadJournal:
             # An empty medium scans clean but has no magic to append behind.
             clean = data and scan.tail_status == "clean"
             self._size = len(data) if clean else None
+            self._writes = medium.journal_writes
         # Everything survives from the first BEGIN of a newer block on; if
         # no newer block exists, the whole journal (including any torn
         # tail) is reclaimable.
@@ -437,7 +448,8 @@ class WriteAheadJournal:
         if cut <= len(JOURNAL_MAGIC):
             return 0
         survivor = JOURNAL_MAGIC + data[cut:]
-        self.medium.reset_journal(survivor)
+        medium.reset_journal(survivor)
+        self._writes = medium.journal_writes
         shift = cut - len(JOURNAL_MAGIC)
         self._begins = [(number, offset - shift) for number, offset in kept]
         if self._size is not None:

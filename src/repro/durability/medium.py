@@ -15,7 +15,10 @@ Two implementations share one small interface:
   --durable-dir`` / ``recover`` pair.
 
 Neither medium interprets the bytes it holds; framing, checksums and
-torn-tail semantics live in :mod:`repro.durability.journal`.
+torn-tail semantics live in :mod:`repro.durability.journal`.  Each counts
+the journal writes made through it (``journal_writes``: appends,
+truncations and rewrites), so a journal can tell whether anyone wrote the
+medium since its own last write, even when the length came out the same.
 """
 
 from __future__ import annotations
@@ -34,10 +37,12 @@ class MemoryMedium:
     def __init__(self) -> None:
         self._journal = bytearray()
         self._snapshots: dict[int, bytes] = {}
+        self.journal_writes = 0
 
     # ------------------------------------------------------------- journal
 
     def append_journal(self, data: bytes) -> None:
+        self.journal_writes += 1
         self._journal.extend(data)
 
     def read_journal(self) -> bytes:
@@ -47,10 +52,12 @@ class MemoryMedium:
         return len(self._journal)
 
     def truncate_journal(self, length: int) -> None:
+        self.journal_writes += 1
         del self._journal[length:]
 
     def reset_journal(self, data: bytes) -> None:
         """Atomically replace the whole journal (pruning)."""
+        self.journal_writes += 1
         self._journal = bytearray(data)
 
     # ----------------------------------------------------------- snapshots
@@ -90,6 +97,7 @@ class FileMedium:
         os.makedirs(directory, exist_ok=True)
         self._journal_path = os.path.join(directory, self.JOURNAL_NAME)
         self._append_handle = None
+        self.journal_writes = 0
 
     def close(self) -> None:
         """Close the held append handle (idempotent; a later append reopens)."""
@@ -100,6 +108,7 @@ class FileMedium:
     # ------------------------------------------------------------- journal
 
     def append_journal(self, data: bytes) -> None:
+        self.journal_writes += 1
         handle = self._append_handle
         if handle is None:
             handle = self._append_handle = open(
@@ -123,11 +132,13 @@ class FileMedium:
             return 0
 
     def truncate_journal(self, length: int) -> None:
+        self.journal_writes += 1
         self.close()
         with open(self._journal_path, "ab") as fh:
             fh.truncate(length)
 
     def reset_journal(self, data: bytes) -> None:
+        self.journal_writes += 1
         self.close()
         tmp = self._journal_path + ".tmp"
         with open(tmp, "wb") as fh:

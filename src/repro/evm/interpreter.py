@@ -11,8 +11,9 @@ min_stack, max_stack)`` row per instruction, built once per distinct
 bytecode and memoised by the bytes themselves.  ``OPCODE_ENTRIES``, below
 the ``EVM`` class, is the one opcode -> row table the analysis lays out.
 The step loop (``EVM._run``) does each step's common work inline, in geth's
-order: add the dispatch cost to the meter, check the stack depth against
-the row's bounds, charge its static gas, ``handler(evm, frame, arg)``.  No
+order: check the stack depth against the row's bounds, charge its static
+gas, ``handler(evm, frame, arg)``; the frame's step count is added to the
+meter's ``ops`` when the frame ends, and its model prices them.  No
 opcode is classified and no immediate decoded at run time; handlers work on
 ``frame.stack`` as a bare list and charge only dynamic gas (EXP, SHA3 and
 copy words, memory expansion, warmth, SSTORE, LOG, CALL).
@@ -30,7 +31,11 @@ fees are accumulated and credited once per block by the executor
 (see repro.concurrency.base.settle_fees).
 
 Tracer hooks fire after each successful operation with concrete values;
-repro.core.tracer.SSATracer, the one tracer, defines them.
+repro.core.tracer.SSATracer, the one tracer, defines them.  The stack-only
+opcodes (PUSHn, PUSH0, DUPn, SWAPn, POP and the transaction constants) call
+no hook: a traced frame carries its shadow stack (``Frame.shadow``, bound by
+the tracer's ``begin_frame``), and they move its cells and count the shadow
+event on the meter inline.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ class Frame:
     pc: int = 0
     gas: int = 0
     return_data: bytes = b""  # returndata of the *last completed* sub-call
+    # The SSA tracer's shadow stack for this frame (None when untraced).
+    shadow: list | None = None
 
     def charge(self, amount: int) -> None:
         if amount > self.gas:
@@ -195,14 +202,11 @@ class EVM:
         """Step until a halt; step counts are summed when the frame ends."""
         table = frame.analysis.table
         stack = frame.stack
-        meter = self.meter
-        dispatch_us = meter.model.op_dispatch_us
         steps = 0
         try:
             while True:
                 handler, arg, static_gas, min_stack, max_stack = table[frame.pc]
                 steps += 1
-                meter.compute_us += dispatch_us
                 depth = len(stack)
                 if depth < min_stack or depth > max_stack:
                     _stack_fault(handler, arg, min_stack, depth)
@@ -216,7 +220,7 @@ class EVM:
             return halt.data
         finally:
             self.ops_executed += steps
-            meter.ops += steps
+            self.meter.ops += steps
 
     # ----------------------------------------------------- memory helpers
 
@@ -267,7 +271,7 @@ class EVM:
         exponent = stack[-1]
         meter = self.meter
         exponent_bytes = (exponent.bit_length() + 7) // 8
-        meter.charge_compute(meter.model.exp_byte_us * exponent_bytes, 0)
+        meter.compute_ns += meter.model.ns.exp_byte * exponent_bytes
         gas_cost = G.exp_gas(exponent)
         frame.charge(gas_cost)
         stack[-1] = result = prim.exp(base, exponent)
@@ -285,7 +289,7 @@ class EVM:
         stack.append(result)
         frame.pc += 1
         meter = self.meter
-        meter.charge_compute(meter.model.hash_cost(size), 0)
+        meter.compute_ns += meter.model.ns.hash(size)
         if self.tracer is not None:
             self.tracer.trace_sha3(frame, offset, size, data, result)
 
@@ -296,8 +300,10 @@ class EVM:
         value = getter(self, frame)
         frame.stack.append(value)
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_tx_const(frame, op, value)
+        shadow = frame.shadow
+        if shadow is not None:
+            shadow.append(None)
+            self.meter.events += 1
 
     # -- account-state reads -------------------------------------------------
 
@@ -352,7 +358,7 @@ class EVM:
         frame.stack.append(value)
         frame.pc += 1
         meter = self.meter
-        meter.charge_compute(meter.model.hash_cost(len(code)), 0)
+        meter.compute_ns += meter.model.ns.hash(len(code))
         if self.tracer is not None:
             self.tracer.trace_alu(
                 frame, op, (prim.address_to_word(address),), value,
@@ -394,7 +400,7 @@ class EVM:
         frame.memory.write(dest, data)
         frame.pc += 1
         meter = self.meter
-        meter.charge_compute(meter.model.copy_cost(size), 0)
+        meter.compute_ns += meter.model.ns.copy(size)
         if self.tracer is not None:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
@@ -406,7 +412,7 @@ class EVM:
         frame.memory.write(dest, data)
         frame.pc += 1
         meter = self.meter
-        meter.charge_compute(meter.model.copy_cost(size), 0)
+        meter.compute_ns += meter.model.ns.copy(size)
         if self.tracer is not None:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
@@ -419,44 +425,58 @@ class EVM:
         frame.memory.write(dest, frame.return_data[src : src + size])
         frame.pc += 1
         meter = self.meter
-        meter.charge_compute(meter.model.copy_cost(size), 0)
+        meter.compute_ns += meter.model.ns.copy(size)
         if self.tracer is not None:
             self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
 
     # -- stack housekeeping ---------------------------------------------------
+    #
+    # A traced frame's shadow cells move with the values: a pushed constant
+    # is a constant (None) cell, DUP copies its cell's definition, SWAP and
+    # POP move and drop cells.
 
     def _op_pop(self, frame: Frame, op: int) -> None:
         frame.stack.pop()
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_pop(frame)
+        shadow = frame.shadow
+        if shadow is not None:
+            shadow.pop()
+            self.meter.events += 1
 
     def _op_push(self, frame: Frame, arg: tuple[int, int]) -> None:
         value, next_pc = arg
         frame.stack.append(value)
         frame.pc = next_pc
-        if self.tracer is not None:
-            self.tracer.trace_push(frame, value)
+        shadow = frame.shadow
+        if shadow is not None:
+            shadow.append(None)
+            self.meter.events += 1
 
     def _op_push0(self, frame: Frame, op: int) -> None:
         frame.stack.append(0)
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_push(frame, 0)
+        shadow = frame.shadow
+        if shadow is not None:
+            shadow.append(None)
+            self.meter.events += 1
 
     def _op_dup(self, frame: Frame, n: int) -> None:
         stack = frame.stack
         stack.append(stack[-n])
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_dup(frame, n)
+        shadow = frame.shadow
+        if shadow is not None:
+            shadow.append(shadow[-n])
+            self.meter.events += 1
 
     def _op_swap(self, frame: Frame, n: int) -> None:
         stack = frame.stack
         stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_swap(frame, n)
+        shadow = frame.shadow
+        if shadow is not None:
+            shadow[-1], shadow[-1 - n] = shadow[-1 - n], shadow[-1]
+            self.meter.events += 1
 
     # -- memory ----------------------------------------------------------------
 
@@ -598,7 +618,7 @@ class EVM:
             self._transfer(frame.msg.to, to, value)
 
         meter = self.meter
-        meter.charge_compute(meter.model.call_frame_us, 0)
+        meter.compute_ns += meter.model.ns.call_frame
 
         if delegate:
             # DELEGATECALL: run the target's code with the *current* frame's
@@ -826,7 +846,7 @@ def execute_transaction(
     ``keccak256`` when None).
     """
     meter = view.meter
-    meter.charge_compute(meter.model.tx_fixed_us, 0)
+    meter.compute_ns += meter.model.ns.tx_fixed
     if tracer is not None:
         tracer.bind(meter)
 

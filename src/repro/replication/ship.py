@@ -88,6 +88,10 @@ class ShippingMedium:
     def journal_size(self) -> int:
         return self.inner.journal_size()
 
+    @property
+    def journal_writes(self) -> int:
+        return self.inner.journal_writes
+
     def truncate_journal(self, length: int) -> None:
         self.inner.truncate_journal(length)
 

@@ -15,24 +15,73 @@ Calibration targets (all from the paper):
   per-traced-event shadow cost plus a per-created-entry cost and verify the
   resulting ratio in the overhead benchmarks.
 
-All numbers are simulated microseconds.  Absolute values are irrelevant to
-the reproduced figures (which are ratios); only the *proportions* matter.
+All constants are given in simulated microseconds.  Absolute values are
+irrelevant to the reproduced figures (which are ratios); only the
+*proportions* matter.
 
 A model is chosen in one place, ``BlockExecutor.cost_model``, and rides into
-each execution as the ``model`` of its :class:`~repro.sim.meter.CostMeter`:
-the state view, the interpreter, the SSA tracer and the redo phase price
-every charge from the meter they charge.  Durability, recovery and
-replication price a finished block at :data:`DEFAULT_COST_MODEL`.
+each execution as the ``model`` of its :class:`~repro.sim.meter.CostMeter`.
+The meter only counts: opcodes, shadow events, log entries, overlay reads,
+buffered writes, and the integer nanoseconds of the size-dependent charges.
+The model prices those counts once, in whole nanoseconds: :attr:`CostModel.ns`
+is the :class:`NsPrices` table of every per-execution constant, built when
+the (frozen) model is, and every such constant must be a whole number of
+nanoseconds.  Task-level costs (validation, commit, scheduling, the lock
+table) stay in microseconds and are summed per task.  Durability, recovery
+and replication price a finished block at :data:`DEFAULT_COST_MODEL`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
+class NsPrices:
+    """A model's per-execution prices in whole nanoseconds.
+
+    Each field is the ``<name>_us`` constant of :class:`CostModel` times
+    1 000.  A meter's counts are priced by these, so a total is an exact
+    integer sum whatever order its charges came in.
+    """
+
+    op_dispatch: int
+    hash_base: int
+    hash_word: int
+    copy_word: int
+    exp_byte: int
+    call_frame: int
+    overlay_read: int
+    sstore_buffer: int
+    tx_fixed: int
+    shadow_event: int
+    log_entry: int
+    redo_entry: int
+
+    def hash(self, length: int) -> int:
+        """Cost of Keccak-hashing ``length`` bytes."""
+        return self.hash_base + (length + 31) // 32 * self.hash_word
+
+    def copy(self, length: int) -> int:
+        """Cost of copying ``length`` bytes between memory regions."""
+        return (length + 31) // 32 * self.copy_word
+
+
+def _whole_ns(us: float) -> int:
+    """``us`` in nanoseconds; ValueError unless that is a whole number."""
+    ns = round(us * 1000)
+    if abs(us * 1000 - ns) > 1e-6:
+        raise ValueError(f"{us} us is not a whole number of nanoseconds")
+    return ns
+
+
+@dataclass(frozen=True)
 class CostModel:
-    """Tunable cost constants for the simulated machine."""
+    """Cost constants for the simulated machine.
+
+    ``ns`` is the model's :class:`NsPrices` table, built once here; the
+    model is frozen, so the table cannot go stale.
+    """
 
     # --- interpreter -----------------------------------------------------
     # Calibration note: the workload contracts in repro.contracts are
@@ -84,15 +133,11 @@ class CostModel:
     # execution (2.89x).
     lock_table_serial_us: float = 1.6
 
-    def hash_cost(self, length: int) -> float:
-        """Cost of Keccak-hashing ``length`` bytes."""
-        words = (length + 31) // 32
-        return self.hash_base_us + words * self.hash_word_us
-
-    def copy_cost(self, length: int) -> float:
-        """Cost of copying ``length`` bytes between memory regions."""
-        words = (length + 31) // 32
-        return words * self.copy_word_us
+    def __post_init__(self) -> None:
+        prices = {
+            f.name: _whole_ns(getattr(self, f.name + "_us")) for f in fields(NsPrices)
+        }
+        object.__setattr__(self, "ns", NsPrices(**prices))
 
 
 DEFAULT_COST_MODEL = CostModel()

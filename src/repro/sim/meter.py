@@ -1,14 +1,21 @@
-"""Cost meters: accumulate the simulated cost of a unit of real work.
+"""Cost meters: count the work of one execution; its model prices it once.
 
 Every real execution in this repo (a transaction's read phase, a validation
 pass, a redo slice, a serial re-execution) carries a :class:`CostMeter`; the
-EVM interpreter, the state layer and the SSA tracer charge it as they go.
-The resulting totals become task durations on the simulated machine.
+EVM interpreter, the state layer, the store and the SSA tracer count on it
+as they go.  The meter holds integers only: opcodes dispatched, SSA shadow
+events, overlay reads, buffered writes, and the nanoseconds of the charges
+whose price depends on a size or a latency (hashing, copies, EXP, call
+frames, the per-transaction setup, redo, store reads).  The SSA log entries
+are counted off the log the tracer bound (:meth:`bind_log`).
 
-A meter carries the :class:`~repro.sim.cost.CostModel` its charges are priced
+A meter carries the :class:`~repro.sim.cost.CostModel` its counts are priced
 by (``model``).  An executor builds ``CostMeter(self.cost_model)`` once per
-execution and hands it down through the state view; every charge below reads
-its constant from the meter it charges, so no other code takes a model.
+execution and hands it down through the state view; the microsecond totals
+(``compute_us``, ``tracking_us``, ``storage_us``, ``total_us``) are derived
+from the counts at the model's integer-nanosecond prices
+(:attr:`CostModel.ns`) when a task duration is built, so a total is exact
+whatever order the work was counted in.
 """
 
 from __future__ import annotations
@@ -20,30 +27,60 @@ from .cost import DEFAULT_COST_MODEL, CostModel
 
 @dataclass(slots=True)
 class CostMeter:
-    """Accumulates simulated microseconds, split by cost source."""
+    """Counts one execution's simulated work, split by cost source."""
 
     model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
-    compute_us: float = 0.0
-    storage_us: float = 0.0
-    # SSA-log upkeep, kept apart for §6.4's tracking share (paper: ≈4.5 %).
-    tracking_us: float = 0.0
-    ops: int = 0
+    ops: int = 0  # opcodes dispatched
+    events: int = 0  # SSA shadow events (≈ opcodes traced)
+    overlay_reads: int = 0  # reads served by a tx or block overlay
+    buffered_writes: int = 0  # writes buffered in the tx overlay
+    compute_ns: int = 0  # hashing, copies, EXP, call frames, tx setup, redo
+    storage_ns: int = 0  # committed-state read latency
     storage_reads: int = 0
     storage_cold_reads: int = 0
-    log_entries: int = 0
+    # The entries of the SSA log traced into this meter (``bind_log``).
+    _log: list | None = field(default=None, init=False, repr=False)
 
-    def charge_compute(self, us: float, ops: int = 1) -> None:
-        """Charge interpreter work (opcode dispatch, arithmetic, hashing)."""
-        self.compute_us += us
-        self.ops += ops
+    def bind_log(self, entries: list) -> None:
+        """Count ``entries`` (an SSA log's entry list) as this meter's log."""
+        self._log = entries
 
-    def charge_storage(self, us: float, cold: bool) -> None:
-        """Charge a committed-state read (simulated LevelDB latency)."""
-        self.storage_us += us
-        self.storage_reads += 1
-        if cold:
-            self.storage_cold_reads += 1
+    @property
+    def log_entries(self) -> int:
+        """SSA log entries created."""
+        log = self._log
+        return 0 if log is None else len(log)
+
+    @property
+    def compute_us(self) -> float:
+        return self._compute_ns() / 1000
+
+    @property
+    def tracking_us(self) -> float:
+        # SSA-log upkeep, kept apart for §6.4's tracking share (paper: ≈4.5 %).
+        return self._tracking_ns() / 1000
+
+    @property
+    def storage_us(self) -> float:
+        return self.storage_ns / 1000
+
+    @property
+    def total_ns(self) -> int:
+        return self._compute_ns() + self._tracking_ns() + self.storage_ns
 
     @property
     def total_us(self) -> float:
-        return self.compute_us + self.storage_us + self.tracking_us
+        return self.total_ns / 1000
+
+    def _compute_ns(self) -> int:
+        ns = self.model.ns
+        return (
+            self.compute_ns
+            + self.ops * ns.op_dispatch
+            + self.overlay_reads * ns.overlay_read
+            + self.buffered_writes * ns.sstore_buffer
+        )
+
+    def _tracking_ns(self) -> int:
+        ns = self.model.ns
+        return self.events * ns.shadow_event + self.log_entries * ns.log_entry

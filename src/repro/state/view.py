@@ -68,8 +68,8 @@ class StateView:
         e.g. the block overlay snapshot it executes against.  May be None.
     meter:
         Cost meter charged for the simulated latency of reads that reach the
-        world state, and overlay-probe costs for the rest, at the prices of
-        its ``model``.  A view built without one charges a fresh
+        world state; it counts the overlay reads and buffered writes, which
+        its ``model`` prices.  A view built without one charges a fresh
         :class:`CostMeter` of its own.
     """
 
@@ -97,37 +97,34 @@ class StateView:
         the transaction's own writes do not, mirroring the type-I/type-II
         SLOAD distinction of §5.2.2.
         """
-        meter = self.meter
         value = self._local.get(key, _MISSING)
         if value is not _MISSING:
-            meter.charge_compute(meter.model.overlay_read_us)
+            self.meter.overlay_reads += 1
             return value
         # peek_committed, inlined (the hottest call of a replay).
         if self.base is not None:
             value = self.base.get(key, _MISSING)
         if value is _MISSING:
-            value = self.world.read(key, meter)
+            value = self.world.read(key, self.meter)
         else:
-            meter.charge_compute(meter.model.overlay_read_us)
+            self.meter.overlay_reads += 1
         if key not in self.read_set:
             self.read_set[key] = value
         return value
 
     def peek_committed(self, key: StateKey):
         """Read committed state without touching the read set (validation)."""
-        meter = self.meter
         value = _MISSING if self.base is None else self.base.get(key, _MISSING)
         if value is _MISSING:
-            return self.world.read(key, meter)
-        meter.charge_compute(meter.model.overlay_read_us)
+            return self.world.read(key, self.meter)
+        self.meter.overlay_reads += 1
         return value
 
     def write(self, key: StateKey, value) -> None:
         """Buffer a write locally, journalling the previous local value."""
         self._journal.append((key, self._local.get(key, _MISSING)))
         self._local[key] = value
-        meter = self.meter
-        meter.charge_compute(meter.model.sstore_buffer_us)
+        self.meter.buffered_writes += 1
 
     # ------------------------------------------------------------ journal
 

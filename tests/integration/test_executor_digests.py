@@ -29,10 +29,19 @@ that moves one simulated ulp, one span or one metric fails here.
 ``TIME_MASKED`` pins a twin of every case with each simulated time masked:
 the makespan, every span's start and end, every counter sample's
 timestamp, and every stat, metric and plan counter whose name holds
-``_us``.  A change that moves the simulated clock by rounding only (the
-integer-nanosecond meter) re-records ``RECORDED_AT_PARENT`` and leaves
-these unedited: every write, read set, stat, span order, edge and count
-stays what it was.  To
+``_us``.  A change that moves the simulated clock by rounding only
+re-records ``RECORDED_AT_PARENT`` and leaves these unedited: every write,
+read set, stat, span order, edge and count stays what it was.  Recorded
+before the meter counted integer nanoseconds; two of them changed with it,
+each at a tie the old float sums and the new ones break differently:
+
+- ``mainnet/2pl/observed``: transactions 14 and 18 (identical transfers)
+  each finish a run segment at 2372.3032491723866 us, an exact tie before
+  (broken by task order) and one ulp apart after, so the lock hand-offs
+  that follow differ (makespan 11416.318 -> 11414.484 us, stats equal);
+- ``contended/block-stm/observed``: tx 39's suspend and tx 14's execute
+  both end at 1647.6 us; only the order their spans are reported in
+  changes.  To
 re-record after an *intended* change, run ``PYTHONPATH=src python -m
 tests.integration.test_executor_digests`` on the parent commit, check the
 test passes there, and paste the printed literals.
@@ -68,122 +77,122 @@ FAULT_SCENARIOS = tuple(
 )
 
 RECORDED_AT_PARENT = {
-    "mainnet/serial/observed": "323616a038646120",
-    "mainnet/serial/detached": "068082eb540eb4cc",
-    "mainnet/2pl/observed": "933170cbf20b6fe3",
-    "mainnet/2pl/detached": "75de74bc5c421fce",
-    "mainnet/occ/observed": "99e497e9823b298c",
-    "mainnet/occ/detached": "aaabdcab795ef3e3",
-    "mainnet/block-stm/observed": "7000c3250dea5877",
-    "mainnet/block-stm/detached": "2b4b898d51f400f2",
-    "mainnet/two-phase/observed": "d0e1db12b42cbb16",
-    "mainnet/two-phase/detached": "8319b5cd7b683744",
-    "mainnet/parallelevm/observed": "37a4bd3cd6778e01",
-    "mainnet/parallelevm/detached": "ccaa024b94ec60b2",
-    "mainnet/parallelevm-preexec/observed": "f9ec1af726341ad9",
+    "mainnet/serial/observed": "25e6edc45d42dc31",
+    "mainnet/serial/detached": "4623d5d732639ed7",
+    "mainnet/2pl/observed": "d4dac5503dd321a9",
+    "mainnet/2pl/detached": "3560e1860a3e7a62",
+    "mainnet/occ/observed": "2b02fa539e95372e",
+    "mainnet/occ/detached": "98985478c92102f4",
+    "mainnet/block-stm/observed": "c81c8de906964edc",
+    "mainnet/block-stm/detached": "7f76bbc52d4b5bd1",
+    "mainnet/two-phase/observed": "4c97203d34dffeb5",
+    "mainnet/two-phase/detached": "009126194d38d978",
+    "mainnet/parallelevm/observed": "26a310b0e70670b2",
+    "mainnet/parallelevm/detached": "1e593a5923b8c37e",
+    "mainnet/parallelevm-preexec/observed": "208911fca89ac678",
     "mainnet/parallelevm-preexec/detached": "e4b968544b82a27b",
-    "mainnet/scheduled/graph": "434cfc66bf73a045",
-    "mainnet/scheduled/values": "14e4e87a708dd903",
-    "mainnet/scheduled/stale": "e1462100ac0cdd58",
-    "contended/serial/observed": "9474c9f6cc75887c",
-    "contended/serial/detached": "f16de34081c42dc6",
-    "contended/2pl/observed": "9cadee2c83fc7357",
-    "contended/2pl/detached": "8f584276231970bb",
-    "contended/occ/observed": "e03852449fccdf08",
-    "contended/occ/detached": "9a1733c5f5ac425f",
-    "contended/block-stm/observed": "6398ef1c9a0e1b21",
-    "contended/block-stm/detached": "57baa7d5a5153cc9",
-    "contended/two-phase/observed": "2e23051a47c4d6d6",
-    "contended/two-phase/detached": "b6144513094f3231",
-    "contended/parallelevm/observed": "4663c35dc46fdba9",
-    "contended/parallelevm/detached": "51ea6255868d8b79",
+    "mainnet/scheduled/graph": "2a95337acac03e36",
+    "mainnet/scheduled/values": "dbbf737714ded2f4",
+    "mainnet/scheduled/stale": "83d65a1c496c6d98",
+    "contended/serial/observed": "d02f7da318f122a9",
+    "contended/serial/detached": "944841ff91d381d0",
+    "contended/2pl/observed": "3c6f2342ffa20440",
+    "contended/2pl/detached": "169d4d381b26bbc4",
+    "contended/occ/observed": "8bd46ac3eb921389",
+    "contended/occ/detached": "ecc0f0934e312a32",
+    "contended/block-stm/observed": "9e608790f23d70e7",
+    "contended/block-stm/detached": "fb5ecff05db5f143",
+    "contended/two-phase/observed": "e2f999e16625511c",
+    "contended/two-phase/detached": "3e4c7a6d8d279521",
+    "contended/parallelevm/observed": "b352c978c93c3285",
+    "contended/parallelevm/detached": "b1787863441c9687",
     "contended/parallelevm-preexec/observed": "b8e6342135bfd729",
     "contended/parallelevm-preexec/detached": "2522d07639808450",
-    "contended/scheduled/graph": "54d6d813033b99e2",
-    "contended/scheduled/values": "5d2ef4ad31952c85",
-    "contended/scheduled/stale": "9ec2b6a3fe92a3e2",
-    "storage-spike/serial": "ba9804c5edfe0241",
-    "storage-spike/2pl": "1ec9d24ab085af8e",
-    "storage-spike/occ": "26eca0a4a39e8db8",
-    "storage-spike/block-stm": "7e72768eae638b8e",
-    "storage-spike/two-phase": "81620dad780670a6",
-    "storage-spike/parallelevm": "076d6eeb048d14a2",
-    "storage-spike/parallelevm-preexec": "1c088da8ca37c3f6",
-    "storage-flaky/serial": "2c30ec97b450393d",
-    "storage-flaky/2pl": "ca49f7ea8bd3a38e",
-    "storage-flaky/occ": "f2be16535ec2e264",
-    "storage-flaky/block-stm": "836a0eb5b5469454",
-    "storage-flaky/two-phase": "f9962943f9fc21d9",
-    "storage-flaky/parallelevm": "82b682dc362ce18c",
-    "storage-flaky/parallelevm-preexec": "3c9a81c29b24645c",
-    "cache-thrash/serial": "99ac4fbce2ee4de5",
-    "cache-thrash/2pl": "315ec1d308ceea73",
-    "cache-thrash/occ": "b9d99ed9378d4118",
-    "cache-thrash/block-stm": "c350a4707f0c923e",
-    "cache-thrash/two-phase": "88adb8ebe292c157",
-    "cache-thrash/parallelevm": "c7443f127cf9200f",
-    "cache-thrash/parallelevm-preexec": "cf933a31d329aaaa",
-    "worker-stall/serial": "f04e96ce239cc97c",
-    "worker-stall/2pl": "96df98ac61e8b1a3",
-    "worker-stall/occ": "50a2bb16103a750c",
-    "worker-stall/block-stm": "51478c904c848f75",
-    "worker-stall/two-phase": "d22f985f29ddc89f",
-    "worker-stall/parallelevm": "fa4e5502f66e5b0b",
+    "contended/scheduled/graph": "9990095d4a3fa3e8",
+    "contended/scheduled/values": "da3ff4b014c398af",
+    "contended/scheduled/stale": "ca025763f25676a2",
+    "storage-spike/serial": "135e3145d0acbf62",
+    "storage-spike/2pl": "9cf3f86ac03d4984",
+    "storage-spike/occ": "d960172c245c23af",
+    "storage-spike/block-stm": "bcb199c3aa5626a1",
+    "storage-spike/two-phase": "b1f0d28b3bf5a46f",
+    "storage-spike/parallelevm": "5b3cbd2db711ec64",
+    "storage-spike/parallelevm-preexec": "7cf875d78afdd7c8",
+    "storage-flaky/serial": "18d7a8570ecb6b9b",
+    "storage-flaky/2pl": "6db525b4334e030f",
+    "storage-flaky/occ": "f16c01a37a84cab5",
+    "storage-flaky/block-stm": "a48dd254a9e8f647",
+    "storage-flaky/two-phase": "3e3c32b46a2605ee",
+    "storage-flaky/parallelevm": "0f895770ceeb0ddb",
+    "storage-flaky/parallelevm-preexec": "0040475f4e7915ba",
+    "cache-thrash/serial": "cf837b5c171c9ff4",
+    "cache-thrash/2pl": "662cf7a6d53e1451",
+    "cache-thrash/occ": "4488dcb8bd9d16cc",
+    "cache-thrash/block-stm": "da3b85a1009f3e3e",
+    "cache-thrash/two-phase": "1b1748bac6cd4e47",
+    "cache-thrash/parallelevm": "e6ea972bc8d54fbf",
+    "cache-thrash/parallelevm-preexec": "722e4e350f42cdfd",
+    "worker-stall/serial": "034ad1753aa52f29",
+    "worker-stall/2pl": "f8e19db4c270d74c",
+    "worker-stall/occ": "4ad14a92c9269e87",
+    "worker-stall/block-stm": "dd13a4978f8b41c1",
+    "worker-stall/two-phase": "083d11dfd31c3f78",
+    "worker-stall/parallelevm": "825e655402b25490",
     "worker-stall/parallelevm-preexec": "6642f34cf86c9aaf",
-    "worker-crash/serial": "f04e96ce239cc97c",
-    "worker-crash/2pl": "75e6b27f5a2efad5",
-    "worker-crash/occ": "690375d3d64ef7c6",
-    "worker-crash/block-stm": "35fc582652aef98d",
-    "worker-crash/two-phase": "f82ba9aa8dc9b2af",
-    "worker-crash/parallelevm": "9bc9d3b722a9e36e",
-    "worker-crash/parallelevm-preexec": "7520fe0257a38cdf",
-    "worker-slow/serial": "f04e96ce239cc97c",
-    "worker-slow/2pl": "6dd2629ab3615ecc",
-    "worker-slow/occ": "88a5a85da3bff05c",
-    "worker-slow/block-stm": "cde74beb0d0406a1",
-    "worker-slow/two-phase": "2677b63010df54b9",
-    "worker-slow/parallelevm": "df80bc0e78c0a2b6",
-    "worker-slow/parallelevm-preexec": "5da9c4cb9e049cf5",
-    "redo-storm/serial": "f04e96ce239cc97c",
-    "redo-storm/2pl": "1b57cdebb8572d43",
-    "redo-storm/occ": "57d82b5a2782eb19",
-    "redo-storm/block-stm": "f86488b43a5c4069",
-    "redo-storm/two-phase": "cf72a6b14cb9342b",
-    "redo-storm/parallelevm": "74c0e61999f17476",
-    "redo-storm/parallelevm-preexec": "7da052904477d7df",
-    "corrupt-guard/serial": "f04e96ce239cc97c",
-    "corrupt-guard/2pl": "1b57cdebb8572d43",
-    "corrupt-guard/occ": "57d82b5a2782eb19",
-    "corrupt-guard/block-stm": "f86488b43a5c4069",
-    "corrupt-guard/two-phase": "cf72a6b14cb9342b",
-    "corrupt-guard/parallelevm": "2d2af11d1165c35c",
-    "corrupt-guard/parallelevm-preexec": "10d6adef698d6691",
-    "abort-storm/serial": "f04e96ce239cc97c",
-    "abort-storm/2pl": "1b57cdebb8572d43",
-    "abort-storm/occ": "57d82b5a2782eb19",
-    "abort-storm/block-stm": "1e051f2afa038b4f",
-    "abort-storm/two-phase": "cf72a6b14cb9342b",
-    "abort-storm/parallelevm": "ae627056c2ef8645",
-    "abort-storm/parallelevm-preexec": "87188677898ea0e8",
-    "havoc/serial": "6b5fd9a361ca6287",
-    "havoc/2pl": "93b2b6143b13f542",
-    "havoc/occ": "c0b8d3aacc5ac720",
-    "havoc/block-stm": "d109f2e58b4e7f4e",
-    "havoc/two-phase": "0a109f6b7091283b",
-    "havoc/parallelevm": "b0a6cc05f81bfd1d",
-    "havoc/parallelevm-preexec": "5befe24969f9a32a",
-    "deadline/serial": "f04e96ce239cc97c",
-    "deadline/2pl": "a472f539fbe7fcfe",
-    "deadline/occ": "920df6ee920ce02d",
-    "deadline/block-stm": "dc47e2662f876a0b",
-    "deadline/two-phase": "1355ef3f95c1271f",
-    "deadline/parallelevm": "48a3971c7adfcdec",
-    "deadline/parallelevm-preexec": "048478b1d0cdd1d7",
+    "worker-crash/serial": "034ad1753aa52f29",
+    "worker-crash/2pl": "f5b9548512ffe99f",
+    "worker-crash/occ": "991cab652d8c16f8",
+    "worker-crash/block-stm": "25bf5d2602a910d0",
+    "worker-crash/two-phase": "e426e57860b7bb43",
+    "worker-crash/parallelevm": "3df3d0da6aba4b99",
+    "worker-crash/parallelevm-preexec": "a0b82ab63ca761c5",
+    "worker-slow/serial": "034ad1753aa52f29",
+    "worker-slow/2pl": "7c40e4507e991c9b",
+    "worker-slow/occ": "d7b173c97c8e0db3",
+    "worker-slow/block-stm": "467ad281f64bec4d",
+    "worker-slow/two-phase": "b190f96bdf7a3939",
+    "worker-slow/parallelevm": "13fdb0e791171b94",
+    "worker-slow/parallelevm-preexec": "37a9190000503d7b",
+    "redo-storm/serial": "034ad1753aa52f29",
+    "redo-storm/2pl": "f5f0fef0553fe3e3",
+    "redo-storm/occ": "799dae59117f759a",
+    "redo-storm/block-stm": "240e1e3468961eeb",
+    "redo-storm/two-phase": "8b6d2eabbf8f9d16",
+    "redo-storm/parallelevm": "7b6c3bfe9293f277",
+    "redo-storm/parallelevm-preexec": "2cbeca8085297c8a",
+    "corrupt-guard/serial": "034ad1753aa52f29",
+    "corrupt-guard/2pl": "f5f0fef0553fe3e3",
+    "corrupt-guard/occ": "799dae59117f759a",
+    "corrupt-guard/block-stm": "240e1e3468961eeb",
+    "corrupt-guard/two-phase": "8b6d2eabbf8f9d16",
+    "corrupt-guard/parallelevm": "281ef82c8a4a6be8",
+    "corrupt-guard/parallelevm-preexec": "404ad1bc64d01927",
+    "abort-storm/serial": "034ad1753aa52f29",
+    "abort-storm/2pl": "f5f0fef0553fe3e3",
+    "abort-storm/occ": "799dae59117f759a",
+    "abort-storm/block-stm": "7761c25f2faf8199",
+    "abort-storm/two-phase": "8b6d2eabbf8f9d16",
+    "abort-storm/parallelevm": "6fe021b6e861c474",
+    "abort-storm/parallelevm-preexec": "7a91576a8479003c",
+    "havoc/serial": "fb873a09de22bcc7",
+    "havoc/2pl": "d36acb33e41125be",
+    "havoc/occ": "3ab654310a62da06",
+    "havoc/block-stm": "422bc6de3e8e1380",
+    "havoc/two-phase": "8eda13d15ef1c5c6",
+    "havoc/parallelevm": "db671e5ad54d367f",
+    "havoc/parallelevm-preexec": "1e4ae875f4631610",
+    "deadline/serial": "034ad1753aa52f29",
+    "deadline/2pl": "78c43aeb99ba7f81",
+    "deadline/occ": "84a34c3e9fbd7c15",
+    "deadline/block-stm": "56e23718536771b1",
+    "deadline/two-phase": "41cbde32898e30c5",
+    "deadline/parallelevm": "96520753af456506",
+    "deadline/parallelevm-preexec": "3c5fb26c8c630299",
 }
 TIME_MASKED = {
     "mainnet/serial/observed": "2d0839262271a891",
     "mainnet/serial/detached": "c8f2c42206cd898d",
-    "mainnet/2pl/observed": "23a1fde02cb814cd",
+    "mainnet/2pl/observed": "0836218355787df2",
     "mainnet/2pl/detached": "60507f9e34e79693",
     "mainnet/occ/observed": "a62d68c29150ef87",
     "mainnet/occ/detached": "7de7babdea883ed4",
@@ -204,7 +213,7 @@ TIME_MASKED = {
     "contended/2pl/detached": "5be7bd87c52e268d",
     "contended/occ/observed": "c8b609fa1807ca14",
     "contended/occ/detached": "0221617826bb47bb",
-    "contended/block-stm/observed": "09ef89a4e7700d7b",
+    "contended/block-stm/observed": "81a0cfe6e4333631",
     "contended/block-stm/detached": "c11bccb83b903f4f",
     "contended/two-phase/observed": "0ba32e11bfe1ec14",
     "contended/two-phase/detached": "8c471b59f5d88aad",

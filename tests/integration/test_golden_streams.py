@@ -30,16 +30,16 @@ GOLDEN = {
         "9a64bc42499b2ebdea1f18b78f9d8df9bc4716bacd944a912231cbd273bac1a4"
     ),
     "soak-loadgen/soak.jsonl": (
-        "bb854ccffcfe9ab1a075241706d53e11f49002f1dcfc40296c744b28fdb76c01"
+        "eb31ca8c239777c76ae966c134892295734845c54d2040f55a55f564eb82c97d"
     ),
     "soak-loadgen/report.json": (
-        "7627a29866ef2d05e2b715a3fa069763752920c80ea331e6e863717331966ad1"
+        "afeb750042a07f4b8194aa0e8144a51c0f57010d8be046c610008903143fe65f"
     ),
     "soak-faults/soak.jsonl": (
-        "e053d4891b552a65d0373c897899d61b2ed67985b96c0f59c94f8ded76acd5ad"
+        "7f851ffa3e329d0c6c66378c8bd41b7e6e5270bce0d4ab4bf35a0f2adaeed241"
     ),
     "soak-faults/report.json": (
-        "321f09149b9da962d9972d1552ef7bd7008a6a5962911b12dc28fb5497a1aa3d"
+        "d5af0ad84065831c6f807756d2632355cd93db28aaa7d6d203ac1ef78e7994fc"
     ),
     "replicate/replicate.jsonl": (
         "821312c6e387fa68fdfccc4eda2800aa96dc6f823776c0229aae7df452aacb74"
@@ -59,7 +59,7 @@ GOLDEN = {
     # again when 2PL moved onto the simulated machine: with every "2pl"
     # executor entry masked, the document is the old one.
     "bench/tiny.json": (
-        "091666f0a060d028734e72729abb6b928332cd8a3a3df9eb21da08b01c3a7105"
+        "1f62780407d65007af7ba913b356c4d5dc53786e7ba6bf74626626369d0f180a"
     ),
     # Recorded before the sweep-engine / seed-matrix-command refactor: the
     # pipelined sweep and one chaos scenario per non-fault kind.  (The
@@ -93,13 +93,13 @@ GOLDEN = {
     # every soak / loadgen flag that only reaches its field through the
     # CLI's flag-to-config mapping.
     "soak-pipeline-durable/soak.jsonl": (
-        "b9e0d0067a1f54f213935f436aa610d76b8f45ed17a6dc504cfbf002601910f2"
+        "f86f9875045d9a26f19cb62950755c7f6521333b1692d9f1b94413f7e9f41bda"
     ),
     "soak-pipeline-durable/report.json": (
-        "6735456e899e2ed2837054a7a7b720391846d7c6fa537101b4ef5a8fa7267a18"
+        "59a4f359573e1339510ff6328aeacde11589dde6d9ce7fce6c8126de2d6747e7"
     ),
     "soak-loadgen-knobs/soak.jsonl": (
-        "251e4921f926823fa4528a8ea22cd4ba7cbb2b582fbac2708e654ead3154ba9a"
+        "4b641cb9daaa7546b0f4db5d9f6e97b949261590913cb2196ac99d704e0b58df"
     ),
     "soak-loadgen-knobs/report.json": (
         "356f8d97b5168f590e9355f63cdca5b2d814653643e3fde5c4d4c36ffdc94b5d"
@@ -111,25 +111,25 @@ GOLDEN = {
         "99df0cfa434eb9ea0e720f69bd4a639e539982c6016c7a429377e9fefd707cde"
     ),
     "loadgen-traffic-spike/windows.jsonl": (
-        "bb5297e3a0ac56b1d13a3022bc4c7ee38735a49763ebdb81978f3f59d9317814"
+        "87e654c22c26912c1d7561f05a5c70ef2340826ee5c53371fe8fc92fc878357c"
     ),
     "loadgen-traffic-spike/report.json": (
-        "a93a5fdc227f6c94e13139047f6f167fd9a62946fca50cae0a807be8cbfc848d"
+        "39b61b6a50d14bb1bd99f30a6ada6adb1361bf26658b0ae41988e9f1618b8f0a"
     ),
     # Recorded before metrics became never-None: the --metrics-json of the
     # four executors that write per-key series (conflict_keys,
     # redo_induced_*, stm_abort_keys) and the certifier's report.
     "run-parallelevm/metrics.json": (
-        "00bfa49418f4b1b0fb3d67be8b4f21a85eedd70e45929c4908b923ef511f00b7"
+        "5fc172c524505986ed1639b9276821625927ccbc2c0c13a503bdf217bd345110"
     ),
     "run-block-stm/metrics.json": (
-        "f38f02da30a94121479370bd77f48c1b719accba8b8c242ecf847c55bbf5aaac"
+        "d64d1eed9a68008d2b394b043deef2669e25671d76434f84dc33ba1483408fe5"
     ),
     "run-occ/metrics.json": (
-        "87d6be7c1090ad51771455a971c9067ead1ab99b01e5fa13b5eeaea15ad649f2"
+        "728895da170623add13dc0cc0ecabdb25affe37ead6f8fff2870c7829883745f"
     ),
     "run-two-phase/metrics.json": (
-        "7c37eade98856db8ed79b5bcececa095f476a7e4311ddecd4a83425d60fd8853"
+        "8ff3ba049938b3ed0c9f43e53857fbac1b092396127022f5e8c4ade76a6df813"
     ),
     "certify/stdout": (
         "c12d1c9ad06dcf31cbe4a7c42a0b5d17f9de4d117697557dbe9216f2ef0e5ce4"

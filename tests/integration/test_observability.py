@@ -29,15 +29,16 @@ from repro.workloads import conflict_ratio_block
 THREADS = 4
 
 # Pre-observability makespans of the standard block (accounts=60, 24 txs,
-# block 14_000_000, 4 threads), captured at the seed commit.  These are
-# exact floats: the simulation is deterministic, so any drift is a real
-# behaviour change, not noise.
+# block 14_000_000, 4 threads), captured at the seed commit and re-captured
+# once when the meter began counting integer nanoseconds (each moved by
+# < 6e-16 relative).  These are exact floats: the simulation is
+# deterministic, so any drift is a real behaviour change, not noise.
 SEED_MAKESPANS_US = {
     "serial": 4505.839999999999,
-    "2pl": 3879.013505159004,
-    "occ": 1576.7800000000002,
-    "block-stm": 1610.5,
-    "parallelevm": 1397.2199999999996,
+    "2pl": 3879.013505159005,
+    "occ": 1576.7799999999993,
+    "block-stm": 1610.4999999999995,
+    "parallelevm": 1397.22,
 }
 
 

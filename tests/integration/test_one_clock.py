@@ -36,13 +36,15 @@ from tests.integration.test_executor_digests import (
 WORKER_PLANS = ("worker-stall", "worker-crash", "worker-slow")
 
 # sha256 prefix of the sorted ``(kind, tx, start.hex(), end.hex())`` spans of
-# one observed two-phase run, recorded with the list-scheduled phase 1.
+# one observed two-phase run, recorded with the list-scheduled phase 1 and
+# re-recorded once when the meter began counting integer nanoseconds (every
+# span's kind and tx stayed, every start and end moved by < 2e-15 relative).
 TWO_PHASE_SPANS = {
-    "mainnet": "57308c37047afd67",
-    "contended": "f1fab6f0396f0e20",
-    "worker-stall": "1426e80009b3a5e9",
-    "worker-crash": "0119c6aeec7e75e8",
-    "worker-slow": "c5a1a7dd2a7b5d43",
+    "mainnet": "c50777a50cc53ded",
+    "contended": "1f5a6409ce80077b",
+    "worker-stall": "1cb1e748a846b9a4",
+    "worker-crash": "15fda2c981c1212b",
+    "worker-slow": "963119395417ec61",
 }
 
 

@@ -5,13 +5,14 @@ transaction runs in block order through ``run_speculative`` with an
 ``SSATracer`` attached, over a ``BlockOverlay`` that accumulates the earlier
 transactions' writes.  Per transaction, every entry's eleven fields (a LOG's
 record as ``(address, topics, data)``), the log's tracking maps and DUG, its
-``redoable`` flag, the tracer's event count and the meter's entry count and
-exact tracking microseconds (``float.hex``) are folded into one digest per
-case.  The literals were recorded before the tracer's per-event path was
-flattened (bound shadow stack, inline charging, positional entries) and this
-test ran green there, so a tracer change that moves one entry, one edge or
-one ulp of simulated tracking time fails here even when every redo and
-certifier still agrees.
+``redoable`` flag, the meter's event and entry counts and exact tracking
+microseconds (``float.hex``) are folded into one digest per case.  The
+literals were recorded before the tracer's per-event path was flattened
+(bound shadow stack, inline charging, positional entries) and this test ran
+green there, so a tracer change that moves one entry, one edge or one ulp
+of simulated tracking time fails here even when every redo and certifier
+still agrees.  They were re-recorded once, when the meter began counting
+integer nanoseconds (every tracking time moved by < 1e-14 relative).
 
 ``TIME_MASKED`` pins a twin of every case without the tracking time: a
 change that moves it by rounding only re-records ``RECORDED_AT_PARENT``
@@ -32,15 +33,15 @@ from repro.state.view import BlockOverlay
 from repro.workloads import ChainSpec, MainnetConfig, MainnetWorkload, build_chain
 
 RECORDED_AT_PARENT = {
-    "fuzz-0": "fc77d489db1cc4f5",
-    "fuzz-1": "9fccbefeda5c8418",
-    "fuzz-2": "7912c31e08f1dbf9",
-    "fuzz-3": "25fc71624ee63d74",
-    "fuzz-4": "50c0f65eaeada5be",
-    "fuzz-5": "9124e758ddf55b6d",
-    "fuzz-6": "3a1eca7afbacdea3",
-    "fuzz-7": "60173bca991fc477",
-    "mainnet": "e948cfe9bc70a232",
+    "fuzz-0": "a66110e0c9ac377f",
+    "fuzz-1": "c1ec9cfa234a9039",
+    "fuzz-2": "9358d1b0c1fea4cb",
+    "fuzz-3": "00af936a1b8a0b3e",
+    "fuzz-4": "296044a1bc94c9a2",
+    "fuzz-5": "533856e2a822aeb9",
+    "fuzz-6": "e51d02a3a7cc5e5c",
+    "fuzz-7": "438bc9fc12a89f4a",
+    "mainnet": "9e2d03d35861df3a",
 }
 TIME_MASKED = {
     "fuzz-0": "2cbe3f3ae1411087",
@@ -97,7 +98,7 @@ def trace_digest(world, txs, env) -> tuple[str, str]:
             list(log.direct_reads.items()),
             list(log.writes_by_key.items()),
             log.redoable,
-            tracer.events,
+            meter.events,
             meter.log_entries,
         )
         digest.update(repr(row + (meter.tracking_us.hex(),)).encode())

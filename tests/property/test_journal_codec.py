@@ -13,8 +13,9 @@ pruning went through the journal's BEGIN index.  Three properties:
 - one state machine drives a ``WriteAheadJournal`` and a
   ``ReferenceJournal`` over two media through appends, prunes, truncation
   through the journal, torn appends, foreign raw appends and truncations
-  (what recovery does) and reopening, and after every step the two media
-  hold the same bytes.
+  (what recovery does), foreign rewrites that leave the medium's length as
+  it was, and reopening, and after every step the two media hold the same
+  bytes.
 
 The example budget comes from the active Hypothesis profile (CI re-runs
 this file under ``--hypothesis-profile=ci``).
@@ -184,6 +185,16 @@ class JournalMachine(RuleBasedStateMachine):
         length = data.draw(st.integers(0, self.reference.journal_size()))
         self.medium.truncate_journal(length)
         self.reference.truncate_journal(length)
+
+    @rule(raw=foreign_bytes)
+    def foreign_rewrite(self, raw):
+        # Cut the medium behind the journal's back and append as many foreign
+        # bytes as were cut: the length is what the journal left.
+        size = self.reference.journal_size()
+        raw = raw[:size]
+        for medium in (self.medium, self.reference):
+            medium.truncate_journal(size - len(raw))
+            medium.append_journal(raw)
 
     @rule()
     def reopen(self):

@@ -5,7 +5,7 @@ A committed read is ``StateView.read`` → ``base.get`` → ``WorldState.read``
 charges the meter itself.  The oracle is ``tests/unit/read_path_reference.py``:
 ``_read_committed``'s ``isinstance`` dispatch, a ``ReadSample`` per read
 from ``LRUCache.get`` and the injector's ``drop_cache`` / ``on_read``, and
-``CostMeter.charge_storage``.
+the meter's old ``charge_storage`` (its latency rounded to whole ns).
 
 Two identical sides — a world over a store of one capacity in {0, 1, 3,
 100}, a base (none, a ``BlockOverlay`` or a plain mapping), one view and

@@ -4,7 +4,8 @@
 base (``BlockOverlay.get(key)`` or ``mapping.get(key, missing)``), then
 ``WorldState.read`` took a :class:`ReadSample` from ``SimulatedDiskKV.read``
 — one ``LRUCache.get`` probe, the fault injector's ``drop_cache`` /
-``on_read`` around it — and handed its latency to ``CostMeter.charge_storage``.
+``on_read`` around it — and handed its latency to ``CostMeter.charge_storage``
+(here: the latency rounded to whole ns, as the meter now counts it).
 Kept as the oracle of ``tests/property/test_read_path.py``: it drives the
 same objects through ``LRUCache.get`` / ``put``, the store's counters and
 backing dict, so it shares no code with ``SimulatedDiskKV.read_into``.
@@ -37,10 +38,13 @@ def reference_db_read(db, key, default=None) -> ReadSample:
 
 
 def reference_world_read(world, key, meter=None):
-    """``WorldState.read``: a sample, then ``charge_storage``."""
+    """``WorldState.read``: a sample, then ``charge_storage`` in ns."""
     sample = reference_db_read(world.db, key, default_value(key))
     if meter is not None:
-        meter.charge_storage(sample.latency_us, cold=not sample.cache_hit)
+        meter.storage_ns += round(sample.latency_us * 1000)
+        meter.storage_reads += 1
+        if not sample.cache_hit:
+            meter.storage_cold_reads += 1
     return sample.value
 
 
@@ -53,7 +57,7 @@ def reference_peek_committed(view, key):
             value = view.base.get(key, _MISSING)
         if value is not _MISSING:
             if view.meter is not None:
-                view.meter.charge_compute(view.meter.model.overlay_read_us)
+                view.meter.overlay_reads += 1
             return value
     return reference_world_read(view.world, key, view.meter)
 
@@ -63,7 +67,7 @@ def reference_read(view, key):
     local = view._local.get(key, _MISSING)
     if local is not _MISSING:
         if view.meter is not None:
-            view.meter.charge_compute(view.meter.model.overlay_read_us)
+            view.meter.overlay_reads += 1
         return local
     value = reference_peek_committed(view, key)
     if key not in view.read_set:

@@ -13,7 +13,13 @@ scan parses every module of ``src/repro`` and fails on the change that:
   ``SimulatedDiskKV.read_into``, whose meter-free read is how validation
   re-reads committed state;
 - rebinds another object's ``meter`` (the tracer is bound to the
-  execution's meter in one place, ``SSATracer.bind``).
+  execution's meter in one place, ``SSATracer.bind``);
+- adds to a meter's ``*_us`` attribute (the meter counts work and integer
+  nanoseconds; its microseconds are derived once, from the model's prices);
+- calls ``charge_compute`` / ``charge_storage``, or names one of the
+  stack-only tracer hooks (``trace_push`` / ``trace_pop`` / ``trace_dup``
+  / ``trace_swap`` / ``trace_tx_const``): the interpreter moves a traced
+  frame's shadow cells for those opcodes itself.
 
 One execution and one redo under a model with every constant doubled then
 show the path is whole: each model-priced total doubles exactly.
@@ -47,6 +53,15 @@ COST_MODEL_FUNCTIONS = {
     )
 }
 METER_CHECKS_ALLOWED = {("db/kvstore.py", "read_into")}
+RETIRED_NAMES = {
+    "charge_compute",
+    "charge_storage",
+    "trace_push",
+    "trace_pop",
+    "trace_dup",
+    "trace_swap",
+    "trace_tx_const",
+}
 
 
 def _modules():
@@ -161,6 +176,34 @@ def foreign_meter_bindings(tree) -> list[int]:
     return found
 
 
+def meter_us_additions(tree) -> list[int]:
+    """Lines adding to (or otherwise updating) a meter's ``*_us``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr.endswith("_us")
+        and _is_meter(node.target.value)
+    ]
+
+
+def retired_names(tree) -> list[tuple[str, int]]:
+    """``(name, line)`` of every use or definition of a retired name."""
+    found = []
+    for node in ast.walk(tree):
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else None
+        )
+        if name in RETIRED_NAMES:
+            found.append((name, node.lineno))
+    return found
+
+
 def test_only_the_executor_family_takes_a_cost_model():
     modules = list(_modules())
     family = _executor_family(tree for _, tree in modules)
@@ -195,6 +238,24 @@ def test_no_code_rebinds_another_objects_meter():
     assert hits == []
 
 
+def test_no_meter_time_is_summed_per_charge():
+    hits = [
+        f"{rel}:{line}"
+        for rel, tree in _modules()
+        for line in meter_us_additions(tree)
+    ]
+    assert hits == []
+
+
+def test_no_retired_charge_or_stack_hook_is_named():
+    hits = [
+        f"{rel}:{line} {name}"
+        for rel, tree in _modules()
+        for name, line in retired_names(tree)
+    ]
+    assert hits == []
+
+
 def test_scans_find_every_form():
     source = (
         "class Tracer:\n"
@@ -211,6 +272,17 @@ def test_scans_find_every_form():
         "class Executor(BlockExecutor):\n"
         "    def __init__(self, cost_model=None): pass\n"
         "def commit_cost_us(result, cost_model): pass\n"
+        "def charge(meter, tracer, frame):\n"
+        "    meter.compute_us += 0.5\n"
+        "    self.meter.tracking_us += 0.02\n"
+        "    redo_meter.storage_us -= 1.0\n"
+        "    self.redo_time_us += meter.total_us\n"
+        "    meter.compute_ns += 500\n"
+        "    meter.charge_compute(0.5)\n"
+        "    tracer.trace_push(frame, 1)\n"
+        "class Hooks:\n"
+        "    def trace_swap(self, frame, n): pass\n"
+        "    hook = trace_tx_const\n"
     )
     tree = ast.parse(source)
     family = _executor_family([tree])
@@ -226,13 +298,23 @@ def test_scans_find_every_form():
     ]
     assert sorted(line for _, line in meter_none_checks(tree)) == [5, 6, 7]
     assert foreign_meter_bindings(tree) == [9]
+    assert meter_us_additions(tree) == [16, 17, 18]
+    assert sorted(retired_names(tree)) == [
+        ("charge_compute", 21),
+        ("trace_push", 22),
+        ("trace_swap", 24),
+        ("trace_tx_const", 25),
+    ]
 
 
 def test_a_model_prices_every_charge_it_reaches(world, token, alice, bob):
     """The view, the interpreter, the tracer and redo all charge at the
     executor's model: doubling every constant doubles each priced total
-    exactly (scaling by two is exact in binary floating point), while the
-    storage latency, which the store prices, stays."""
+    exactly (the counts stay, every price doubles in whole nanoseconds),
+    while the storage latency, which the store prices, stays.  The counts
+    are the transfer's own: 65 opcodes dispatched (overlay reads and
+    buffered writes no longer count as ops), and the 64 shadow events and
+    17 log entries the tracer counted before the meter took them over."""
     doubled = CostModel(
         **{f.name: 2 * getattr(DEFAULT_COST_MODEL, f.name) for f in fields(CostModel)}
     )
@@ -254,3 +336,5 @@ def test_a_model_prices_every_charge_it_reaches(world, token, alice, bob):
     assert redo_meter.compute_us == 2 * base_redo.compute_us
     assert meter.storage_us == base.storage_us
     assert (meter.ops, meter.log_entries) == (base.ops, base.log_entries)
+    assert (base.ops, base.events, base.log_entries) == (65, 64, 17)
+    assert meter.total_ns == 2 * base.total_ns - base.storage_ns

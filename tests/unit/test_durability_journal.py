@@ -35,6 +35,7 @@ from repro.errors import (
     ResilienceError,
 )
 from repro.primitives import make_address
+from repro.replication.ship import ShipFeed, ShippingMedium
 from repro.state.keys import balance_key, storage_key
 
 from tests.unit.journal_reference import reference_prune
@@ -238,6 +239,29 @@ class TestPruneIndex:
         journal.append(begin(3))  # the journal believes it sits at second + size
         journal.truncate(second + size)
         self.prune_both(journal, 1)
+
+    def test_an_equal_length_foreign_rewrite_drops_the_index(self):
+        journal = WriteAheadJournal(MemoryMedium())
+        offset = journal.medium.journal_size()
+        assert journal.append(begin(5)) == 30
+        journal.medium.truncate_journal(offset)  # cut behind the journal's back
+        foreign = frame(encode_record(begin(7)))
+        assert len(foreign) == 30  # the medium has the length the index expects
+        journal.medium.append_journal(foreign)
+        before = journal.medium.read_journal()
+        assert journal.prune_through(6) == 0
+        assert journal.medium.read_journal() == reference_prune(before, 6) == before
+
+    def test_every_medium_counts_its_journal_writes(self, tmp_path):
+        feed_medium = ShippingMedium(MemoryMedium(), ShipFeed())
+        for medium in (MemoryMedium(), FileMedium(str(tmp_path)), feed_medium):
+            medium.append_journal(b"abc")
+            medium.truncate_journal(1)
+            medium.reset_journal(b"x")
+            assert medium.journal_writes == 3
+            assert medium.read_journal() == b"x"
+            if isinstance(medium, FileMedium):
+                medium.close()
 
 
 class TestSnapshotFiles:

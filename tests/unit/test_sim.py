@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,15 +21,25 @@ from repro.sim.meter import CostMeter
 
 class TestMeter:
     def test_charges_accumulate_by_category(self):
+        """The meter counts; its model prices the counts once, in ns."""
         meter = CostMeter()
-        meter.charge_compute(1.5)
-        meter.charge_storage(20.0, cold=True)
-        meter.charge_storage(0.5, cold=False)
-        meter.tracking_us += 0.1  # the SSA tracer charges inline
-        assert meter.total_us == pytest.approx(22.1)
-        assert meter.ops == 1
-        assert meter.storage_reads == 2
-        assert meter.storage_cold_reads == 1
+        ns = meter.model.ns
+        meter.ops += 3
+        meter.overlay_reads += 1
+        meter.buffered_writes += 2
+        meter.compute_ns += 1_500
+        meter.storage_ns += 20_000 + 500
+        meter.events += 5
+        meter.bind_log([None] * 4)  # an SSA log of four entries
+        compute = 1_500 + 3 * ns.op_dispatch + ns.overlay_read + 2 * ns.sstore_buffer
+        tracking = 5 * ns.shadow_event + 4 * ns.log_entry
+        assert meter.log_entries == 4
+        assert meter.compute_us == compute / 1000
+        assert meter.tracking_us == tracking / 1000
+        assert meter.storage_us == 20.5
+        assert meter.total_ns == compute + tracking + 20_500
+        assert meter.total_us == meter.total_ns / 1000
+        assert CostMeter().total_ns == 0
 
 
 class TestListSchedule:
@@ -207,10 +219,19 @@ class TestListSchedulePlacements:
 
 class TestCostModel:
     def test_hash_cost_scales_with_words(self):
-        cm = CostModel()
-        assert cm.hash_cost(64) > cm.hash_cost(32) > cm.hash_cost(0)
+        ns = CostModel().ns
+        assert ns.hash(64) > ns.hash(32) > ns.hash(0) == ns.hash_base == 600
 
     def test_copy_cost(self):
+        ns = CostModel().ns
+        assert ns.copy(0) == 0
+        assert ns.copy(33) == 2 * ns.copy_word == 40
+
+    def test_prices_are_whole_nanoseconds_of_a_frozen_model(self):
         cm = CostModel()
-        assert cm.copy_cost(0) == 0
-        assert cm.copy_cost(33) == 2 * cm.copy_word_us
+        assert (cm.ns.op_dispatch, cm.ns.shadow_event, cm.ns.log_entry) == (550, 20, 150)
+        with pytest.raises(FrozenInstanceError):
+            cm.op_dispatch_us = 1.0
+        assert CostModel(op_dispatch_us=1.1).ns.op_dispatch == 1100
+        with pytest.raises(ValueError, match="whole number of nanoseconds"):
+            CostModel(op_dispatch_us=0.0005)

@@ -230,4 +230,4 @@ class TestTrackingOverheadAccounting:
         assert result.success
         assert tracer.meter.tracking_us > 0
         assert tracer.meter.log_entries == len(tracer.log)
-        assert tracer.events > 0
+        assert tracer.meter.events > 0
