@@ -18,6 +18,13 @@ opcode is classified and no immediate decoded at run time; handlers work on
 ``frame.stack`` as a bare list and charge only dynamic gas (EXP, SHA3 and
 copy words, memory expansion, warmth, SSTORE, LOG, CALL).
 
+Opcodes that differ in one value share a handler whose row ``arg`` carries
+it after the opcode byte: the three copies share ``_op_copy`` (a
+``source(frame, src, size)``), EXTCODESIZE / EXTCODEHASH ``_op_extcode`` (a
+``measure(evm, code)``), RETURN / REVERT ``_op_halt`` (the exception that
+ends the frame), the ALU ops a ``primitives`` function, the transaction
+constants a getter; the three calls share ``_op_call``.
+
 ``execute_transaction`` wraps a frame in the transaction envelope: intrinsic
 gas, nonce bump, value transfer, fee charge — each of which is reported to
 the tracer as *intrinsic* read-modify-write operations so they participate
@@ -90,31 +97,31 @@ class Frame:
 
 # Pure ALU semantics, keyed by opcode, applied to operands in pop order.
 ALU_FUNCS = {
-    Op.ADD: lambda a, b: prim.add(a, b),
-    Op.MUL: lambda a, b: prim.mul(a, b),
-    Op.SUB: lambda a, b: prim.sub(a, b),
-    Op.DIV: lambda a, b: prim.div(a, b),
-    Op.SDIV: lambda a, b: prim.sdiv(a, b),
-    Op.MOD: lambda a, b: prim.mod(a, b),
-    Op.SMOD: lambda a, b: prim.smod(a, b),
-    Op.ADDMOD: lambda a, b, n: prim.addmod(a, b, n),
-    Op.MULMOD: lambda a, b, n: prim.mulmod(a, b, n),
-    Op.SIGNEXTEND: lambda i, v: prim.signextend(i, v),
-    Op.LT: lambda a, b: prim.lt(a, b),
-    Op.GT: lambda a, b: prim.gt(a, b),
-    Op.SLT: lambda a, b: prim.slt(a, b),
-    Op.SGT: lambda a, b: prim.sgt(a, b),
-    Op.EQ: lambda a, b: prim.eq(a, b),
-    Op.ISZERO: lambda a: prim.iszero(a),
-    Op.AND: lambda a, b: prim.and_(a, b),
-    Op.OR: lambda a, b: prim.or_(a, b),
-    Op.XOR: lambda a, b: prim.xor(a, b),
-    Op.NOT: lambda a: prim.not_(a),
-    Op.BYTE: lambda i, v: prim.byte(i, v),
-    Op.SHL: lambda s, v: prim.shl(s, v),
-    Op.SHR: lambda s, v: prim.shr(s, v),
-    Op.SAR: lambda s, v: prim.sar(s, v),
-    Op.EXP: lambda b, e: prim.exp(b, e),
+    Op.ADD: prim.add,
+    Op.MUL: prim.mul,
+    Op.SUB: prim.sub,
+    Op.DIV: prim.div,
+    Op.SDIV: prim.sdiv,
+    Op.MOD: prim.mod,
+    Op.SMOD: prim.smod,
+    Op.ADDMOD: prim.addmod,
+    Op.MULMOD: prim.mulmod,
+    Op.SIGNEXTEND: prim.signextend,
+    Op.LT: prim.lt,
+    Op.GT: prim.gt,
+    Op.SLT: prim.slt,
+    Op.SGT: prim.sgt,
+    Op.EQ: prim.eq,
+    Op.ISZERO: prim.iszero,
+    Op.AND: prim.and_,
+    Op.OR: prim.or_,
+    Op.XOR: prim.xor,
+    Op.NOT: prim.not_,
+    Op.BYTE: prim.byte,
+    Op.SHL: prim.shl,
+    Op.SHR: prim.shr,
+    Op.SAR: prim.sar,
+    Op.EXP: prim.exp,
 }
 
 
@@ -182,15 +189,12 @@ class EVM:
             self.tracer.begin_frame(frame)
         try:
             data = self._run(frame)
-        except Revert as exc:
+        except EVMError as exc:
             self.view.revert_to(mark)
             if self.tracer is not None:
                 self.tracer.end_frame(frame, success=False)
-            return False, exc.data, frame.gas
-        except EVMError:
-            self.view.revert_to(mark)
-            if self.tracer is not None:
-                self.tracer.end_frame(frame, success=False)
+            if isinstance(exc, Revert):
+                return False, exc.data, frame.gas
             return False, b"", 0
         if self.tracer is not None:
             self.tracer.end_frame(frame, success=True)
@@ -307,11 +311,16 @@ class EVM:
 
     # -- account-state reads -------------------------------------------------
 
+    def _touch(self, key) -> bool:
+        """Mark an account or storage ``key`` warm (EIP-2929); True if cold."""
+        view = self.view
+        cold = not view.is_warm(key)
+        view.mark_warm(key)
+        return cold
+
     def _op_balance(self, frame: Frame, op: int) -> None:
         address = prim.word_to_address(frame.stack.pop())
-        warm_key = ("a", address)
-        cold = not self.view.is_warm(warm_key)
-        self.view.mark_warm(warm_key)
+        cold = self._touch(("a", address))
         gas_cost = G.GAS_ACCOUNT_COLD if cold else G.GAS_ACCOUNT_WARM
         frame.charge(gas_cost)
         key = balance_key(address)
@@ -329,36 +338,16 @@ class EVM:
         if self.tracer is not None:
             self.tracer.trace_sload(frame, key, value, G.GAS_FAST, operand_count=0)
 
-    def _op_extcodesize(self, frame: Frame, op: int) -> None:
+    def _op_extcode(self, frame: Frame, arg: tuple) -> None:
+        op, measure = arg
         address = prim.word_to_address(frame.stack.pop())
-        warm_key = ("a", address)
-        cold = not self.view.is_warm(warm_key)
-        self.view.mark_warm(warm_key)
+        cold = self._touch(("a", address))
         frame.charge(G.GAS_ACCOUNT_COLD if cold else G.GAS_ACCOUNT_WARM)
         # Code is immutable post-genesis: the result is constant per tx, so
         # the tracer treats it like an environment value.
-        code = self.view.peek_committed(code_key(address))
-        value = len(code)
+        value = measure(self, self.view.peek_committed(code_key(address)))
         frame.stack.append(value)
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_alu(
-                frame, op, (prim.address_to_word(address),), value,
-                G.GAS_ACCOUNT_WARM, False,
-            )
-
-    def _op_extcodehash(self, frame: Frame, op: int) -> None:
-        address = prim.word_to_address(frame.stack.pop())
-        warm_key = ("a", address)
-        cold = not self.view.is_warm(warm_key)
-        self.view.mark_warm(warm_key)
-        frame.charge(G.GAS_ACCOUNT_COLD if cold else G.GAS_ACCOUNT_WARM)
-        code = self.view.peek_committed(code_key(address))
-        value = int.from_bytes(self.hasher(code), "big") if code else 0
-        frame.stack.append(value)
-        frame.pc += 1
-        meter = self.meter
-        meter.compute_ns += meter.model.ns.hash(len(code))
         if self.tracer is not None:
             self.tracer.trace_alu(
                 frame, op, (prim.address_to_word(address),), value,
@@ -392,37 +381,13 @@ class EVM:
         if self.tracer is not None:
             self.tracer.trace_calldataload(frame, offset, value)
 
-    def _op_calldatacopy(self, frame: Frame, op: int) -> None:
+    def _op_copy(self, frame: Frame, arg: tuple) -> None:
+        op, source = arg
         dest, src, size = _pop_n(frame.stack, 3)
         frame.charge(G.copy_gas(size))
+        data = source(frame, src, size)
         self._expand(frame, dest, size)
-        data = frame.msg.data[src : src + size].ljust(size, b"\x00")
         frame.memory.write(dest, data)
-        frame.pc += 1
-        meter = self.meter
-        meter.compute_ns += meter.model.ns.copy(size)
-        if self.tracer is not None:
-            self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
-
-    def _op_codecopy(self, frame: Frame, op: int) -> None:
-        dest, src, size = _pop_n(frame.stack, 3)
-        frame.charge(G.copy_gas(size))
-        self._expand(frame, dest, size)
-        data = frame.code[src : src + size].ljust(size, b"\x00")
-        frame.memory.write(dest, data)
-        frame.pc += 1
-        meter = self.meter
-        meter.compute_ns += meter.model.ns.copy(size)
-        if self.tracer is not None:
-            self.tracer.trace_copy(frame, op, dest, src, size, operand_count=3)
-
-    def _op_returndatacopy(self, frame: Frame, op: int) -> None:
-        dest, src, size = _pop_n(frame.stack, 3)
-        frame.charge(G.copy_gas(size))
-        if src + size > len(frame.return_data):
-            raise EVMError("RETURNDATACOPY out of bounds")
-        self._expand(frame, dest, size)
-        frame.memory.write(dest, frame.return_data[src : src + size])
         frame.pc += 1
         meter = self.meter
         meter.compute_ns += meter.model.ns.copy(size)
@@ -512,8 +477,7 @@ class EVM:
     def _op_sload(self, frame: Frame, op: int) -> None:
         slot = frame.stack.pop()
         key = storage_key(frame.msg.to, slot)
-        cold = not self.view.is_warm(key)
-        self.view.mark_warm(key)
+        cold = self._touch(key)
         gas_cost = G.sload_gas(cold)
         frame.charge(gas_cost)
         value = self.view.read(key)
@@ -528,8 +492,7 @@ class EVM:
         stack = frame.stack
         slot, value = stack.pop(), stack.pop()
         key = storage_key(frame.msg.to, slot)
-        cold = not self.view.is_warm(key)
-        self.view.mark_warm(key)
+        cold = self._touch(key)
         current = self.view.read(key)
         gas_cost = G.sstore_gas(current, value, cold)
         frame.charge(gas_cost)
@@ -596,10 +559,7 @@ class EVM:
             raise EVMError("call depth limit exceeded")
 
         to = prim.word_to_address(to_word)
-        warm_key = ("a", to)
-        cold = not self.view.is_warm(warm_key)
-        self.view.mark_warm(warm_key)
-        frame.charge(G.call_gas(value, cold))
+        frame.charge(G.call_gas(value, self._touch(("a", to))))
         self._expand(frame, args_off, args_size)
         self._expand(frame, ret_off, ret_size)
 
@@ -620,30 +580,19 @@ class EVM:
         meter = self.meter
         meter.compute_ns += meter.model.ns.call_frame
 
-        if delegate:
-            # DELEGATECALL: run the target's code with the *current* frame's
-            # address, storage, caller and value.
-            msg = CallMessage(
-                caller=frame.msg.caller,
-                to=frame.msg.to,
-                value=frame.msg.value,
-                data=call_data,
-                gas=callee_gas,
-                static=static,
-                depth=frame.msg.depth + 1,
-            )
-            success, return_data, gas_left = self.call(msg, code_address=to)
-        else:
-            msg = CallMessage(
-                caller=frame.msg.to,
-                to=to,
-                value=value,
-                data=call_data,
-                gas=callee_gas,
-                static=static,
-                depth=frame.msg.depth + 1,
-            )
-            success, return_data, gas_left = self.call(msg)
+        # DELEGATECALL runs the target's code with the *current* frame's
+        # address, storage, caller and value.
+        parent = frame.msg
+        msg = CallMessage(
+            caller=parent.caller if delegate else parent.to,
+            to=parent.to if delegate else to,
+            value=parent.value if delegate else value,
+            data=call_data,
+            gas=callee_gas,
+            static=static,
+            depth=parent.depth + 1,
+        )
+        success, return_data, gas_left = self.call(msg, code_address=to)
         if not success and value > 0:
             # The callee's own writes were already rolled back by call();
             # unwind the value transfer as well.
@@ -686,21 +635,14 @@ class EVM:
 
     # -- halts ---------------------------------------------------------------
 
-    def _op_return(self, frame: Frame, op: int) -> None:
+    def _op_halt(self, frame: Frame, arg: tuple) -> None:
+        op, halt = arg
         offset, size = _pop_n(frame.stack, 2)
         self._expand(frame, offset, size)
         data = frame.memory.read(offset, size)
         if self.tracer is not None:
             self.tracer.trace_halt(frame, op, offset, size)
-        raise _Halt(data)
-
-    def _op_revert(self, frame: Frame, op: int) -> None:
-        offset, size = _pop_n(frame.stack, 2)
-        self._expand(frame, offset, size)
-        data = frame.memory.read(offset, size)
-        if self.tracer is not None:
-            self.tracer.trace_halt(frame, op, offset, size)
-        raise Revert(data)
+        raise halt(data)
 
     def _op_invalid(self, frame: Frame, op: int) -> None:
         raise InvalidOpcode("INVALID opcode executed")
@@ -727,6 +669,36 @@ _TX_CONST_GETTERS = {
     Op.MSIZE: lambda evm, frame: len(frame.memory),
     Op.GAS: lambda evm, frame: frame.gas,
     Op.RETURNDATASIZE: lambda evm, frame: len(frame.return_data),
+}
+
+
+def _returndata(frame: Frame, src: int, size: int) -> bytes:
+    """RETURNDATACOPY's source: raises, before any memory expansion, on a
+    read past the end of the return data."""
+    if src + size > len(frame.return_data):
+        raise EVMError("RETURNDATACOPY out of bounds")
+    return frame.return_data[src : src + size]
+
+
+def _code_hash(evm: EVM, code: bytes) -> int:
+    """EXTCODEHASH's measure: charges the hash, 0 for an empty account."""
+    meter = evm.meter
+    meter.compute_ns += meter.model.ns.hash(len(code))
+    return int.from_bytes(evm.hasher(code), "big") if code else 0
+
+
+# The copy opcodes' sources, ``source(frame, src, size) -> bytes``: calldata
+# and code read as zero past their end.
+_COPY_SOURCES = {
+    Op.CALLDATACOPY: lambda f, src, n: f.msg.data[src : src + n].ljust(n, b"\0"),
+    Op.CODECOPY: lambda f, src, n: f.code[src : src + n].ljust(n, b"\0"),
+    Op.RETURNDATACOPY: _returndata,
+}
+
+# EXTCODESIZE's and EXTCODEHASH's ``measure(evm, code) -> int``.
+_CODE_MEASURES = {
+    Op.EXTCODESIZE: lambda evm, code: len(code),
+    Op.EXTCODEHASH: _code_hash,
 }
 
 
@@ -757,8 +729,9 @@ def _opcode_entries() -> tuple:
     """The ``(handler, arg, static_gas, min_stack, max_stack)`` row of each
     of the 256 opcodes, which ``analysis.analyse`` lays out per pc.
 
-    Opcode arguments are plain ints (what the tracer has always been handed:
-    ``code[pc]``).  PUSH1-32 carry no argument here: theirs is
+    Arguments are the opcode byte the tracer is handed (``code[pc]``) or a
+    tuple that starts with it; DUPn, SWAPn and LOGn carry n.  PUSH1-32 carry
+    no argument here: theirs is
     ``(immediate, next_pc)``, which only the analysis of a particular
     bytecode knows.  A byte with no row of its own gets ``_op_undefined``,
     which raises only if it is ever executed.  GAS, PC and the like go
@@ -778,9 +751,6 @@ def _opcode_entries() -> tuple:
         Op.BALANCE: (EVM._op_balance, 0, 1, 1),
         Op.SELFBALANCE: (EVM._op_selfbalance, G.GAS_FAST, 0, 1),
         Op.CALLDATALOAD: (EVM._op_calldataload, G.GAS_FASTEST, 1, 1),
-        Op.CALLDATACOPY: (EVM._op_calldatacopy, G.GAS_FASTEST, 3, 0),
-        Op.CODECOPY: (EVM._op_codecopy, G.GAS_FASTEST, 3, 0),
-        Op.RETURNDATACOPY: (EVM._op_returndatacopy, G.GAS_FASTEST, 3, 0),
         Op.POP: (EVM._op_pop, G.GAS_QUICK, 1, 0),
         Op.PUSH0: (EVM._op_push0, G.GAS_QUICK, 0, 1),
         Op.MLOAD: (EVM._op_mload, G.GAS_FASTEST, 1, 1),
@@ -794,11 +764,7 @@ def _opcode_entries() -> tuple:
         Op.CALL: (EVM._op_call, 0, 7, 1),
         Op.DELEGATECALL: (EVM._op_call, 0, 6, 1),
         Op.STATICCALL: (EVM._op_call, 0, 6, 1),
-        Op.EXTCODESIZE: (EVM._op_extcodesize, 0, 1, 1),
-        Op.EXTCODEHASH: (EVM._op_extcodehash, 0, 1, 1),
         Op.BLOCKHASH: (EVM._op_blockhash, G.GAS_EXT, 1, 1),
-        Op.RETURN: (EVM._op_return, 0, 2, 0),
-        Op.REVERT: (EVM._op_revert, 0, 2, 0),
         Op.INVALID: (EVM._op_invalid, 0, 0, 0),
     }
     # (handler, arg, static_gas, pops, pushes) until the last line.
@@ -818,6 +784,12 @@ def _opcode_entries() -> tuple:
         entries[Op.SWAP1 + n - 1] = (EVM._op_swap, n, G.GAS_FASTEST, n + 1, n + 1)
     for n in range(5):
         entries[Op.LOG0 + n] = (EVM._op_log, n, 0, 2 + n, 0)
+    for op, source in _COPY_SOURCES.items():
+        entries[op] = (EVM._op_copy, (int(op), source), G.GAS_FASTEST, 3, 0)
+    for op, measure in _CODE_MEASURES.items():
+        entries[op] = (EVM._op_extcode, (int(op), measure), 0, 1, 1)
+    for op, halt in ((Op.RETURN, _Halt), (Op.REVERT, Revert)):
+        entries[op] = (EVM._op_halt, (int(op), halt), 0, 2, 0)
     for op, (handler, gas, pops, pushes) in rows.items():
         entries[op] = (handler, int(op), gas, pops, pushes)
     return tuple(
@@ -895,8 +867,6 @@ def execute_transaction(
                 value=tx.value,
                 data=tx.data,
                 gas=gas_left,
-                static=False,
-                depth=0,
             )
             success, return_data, gas_left = evm.call(msg)
             if not success:
