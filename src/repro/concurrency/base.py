@@ -21,6 +21,7 @@ Key decisions common to all algorithms:
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -105,6 +106,38 @@ def chain_depth(dependencies: list[list[int]], weights=None):
         start = max((finish[i] for i in deps), default=0)
         finish.append(start + (1 if weights is None else weights[j]))
     return max(finish, default=0)
+
+
+def guarded(execute_block):
+    """Decorate an executor's ``execute_block`` with the serial-fallback
+    guarantee.
+
+    Its body is the executor's parallel attempt.  Storage faults are
+    installed around it; if it degrades past the point of recovery — the
+    deadline watchdog fires, Block-STM detects an abort storm, or a storage
+    read fails past its retry budget — the whole block is re-executed
+    serially with fault injection suspended, and the fallback's makespan is
+    charged on top of the simulated time the doomed attempt burned.  Every
+    executor's ``execute_block`` is decorated (``test_guard_seam.py``), so
+    "every executor completes every scenario with serial-equivalent state"
+    is one structural property, not one promise per executor.
+    """
+
+    @functools.wraps(execute_block)
+    def guarded_execute_block(
+        self, world: WorldState, txs: list[Transaction], env: BlockEnv
+    ) -> BlockResult:
+        plan = self.fault_plan
+        try:
+            with self.storage_faults(world):
+                result = execute_block(self, world, txs, env)
+        except (BlockDeadlineExceeded, AbortStormDetected, TransientStorageError) as exc:
+            result = self._serial_fallback(world, txs, env, exc)
+        if plan is not None:
+            plan.publish(self.metrics, executor=self.name)
+        return result
+
+    return guarded_execute_block
 
 
 class BlockExecutor(ABC):
@@ -242,40 +275,6 @@ class BlockExecutor(ABC):
         finally:
             db.faults = previous
 
-    def guarded_block(
-        self,
-        world: WorldState,
-        txs: list[Transaction],
-        env: BlockEnv,
-        run,
-    ) -> BlockResult:
-        """Run ``run()`` under the serial-fallback guarantee.
-
-        ``run`` is the executor's parallel attempt.  Storage faults are
-        installed around it; if it degrades past the point of recovery —
-        the deadline watchdog fires, Block-STM detects an abort storm, or a
-        storage read fails past its retry budget — the whole block is
-        re-executed serially with fault injection suspended, and the
-        fallback's makespan is charged on top of the simulated time the
-        doomed parallel attempt burned.  Every executor routes through
-        here, which is what makes "all executors complete under every
-        scenario with serial-equivalent state" a structural property
-        instead of six separate promises.
-        """
-        plan = self.fault_plan
-        try:
-            with self.storage_faults(world):
-                result = run()
-        except (
-            BlockDeadlineExceeded,
-            AbortStormDetected,
-            TransientStorageError,
-        ) as exc:
-            result = self._serial_fallback(world, txs, env, exc)
-        if plan is not None:
-            plan.publish(self.metrics, executor=self.name)
-        return result
-
     def _serial_fallback(
         self,
         world: WorldState,
@@ -333,7 +332,8 @@ class BlockExecutor(ABC):
     def execute_block(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
-        """Execute ``txs`` in block order against ``world``.
+        """Execute ``txs`` in block order against ``world``; implementations
+        are :func:`guarded`.
 
         Must NOT mutate ``world`` permanently except via the returned
         ``writes`` (callers decide whether to apply them); reading through

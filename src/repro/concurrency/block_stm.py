@@ -34,6 +34,7 @@ from .base import (
     commit_cost_us,
     count_keys,
     emit_span,
+    guarded,
     observer_counter_hook,
     observer_edge_hook,
     settle_fees,
@@ -276,14 +277,8 @@ class BlockSTMExecutor(BlockExecutor):
 
     name = "block-stm"
 
+    @guarded
     def execute_block(
-        self, world: WorldState, txs: list[Transaction], env: BlockEnv
-    ) -> BlockResult:
-        return self.guarded_block(
-            world, txs, env, lambda: self._run(world, txs, env)
-        )
-
-    def _run(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         scheduler = _BlockSTMScheduler(self, world, txs, env)

@@ -31,6 +31,7 @@ from .base import (
     commit_cost_us,
     count_keys,
     find_conflicts,
+    guarded,
     observer_counter_hook,
     observer_edge_hook,
     run_speculative,
@@ -196,14 +197,8 @@ class OCCExecutor(BlockExecutor):
 
     name = "occ"
 
+    @guarded
     def execute_block(
-        self, world: WorldState, txs: list[Transaction], env: BlockEnv
-    ) -> BlockResult:
-        return self.guarded_block(
-            world, txs, env, lambda: self._run(world, txs, env)
-        )
-
-    def _run(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         scheduler = OCCScheduler(self, world, txs, env)

@@ -12,6 +12,7 @@ from ..state.world import WorldState
 from .base import (
     BlockExecutor,
     BlockResult,
+    guarded,
     publish_stats,
     run_serial_pass,
 )
@@ -20,22 +21,16 @@ from .base import (
 class SerialExecutor(BlockExecutor):
     """Executes transactions one after another on a single thread.
 
-    Even the baseline routes through :meth:`BlockExecutor.guarded_block`:
-    under chaos a serial run can still hit a hard storage failure, and the
+    Even the baseline's ``execute_block`` is :func:`~.base.guarded`: under
+    chaos a serial run can still hit a hard storage failure, and the
     guarantee that every executor completes every scenario includes this
     one (the fallback is simply the same pass re-run fault-free).
     """
 
     name = "serial"
 
+    @guarded
     def execute_block(
-        self, world: WorldState, txs: list[Transaction], env: BlockEnv
-    ) -> BlockResult:
-        return self.guarded_block(
-            world, txs, env, lambda: self._run(world, txs, env)
-        )
-
-    def _run(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         overlay, results, makespan = run_serial_pass(

@@ -29,6 +29,7 @@ from .base import (
     count_keys,
     emit_span,
     find_conflicts,
+    guarded,
     observer_edge_hook,
     run_speculative,
     settle_fees,
@@ -76,14 +77,8 @@ class TwoPhaseExecutor(BlockExecutor):
 
     name = "two-phase"
 
+    @guarded
     def execute_block(
-        self, world: WorldState, txs: list[Transaction], env: BlockEnv
-    ) -> BlockResult:
-        return self.guarded_block(
-            world, txs, env, lambda: self._run(world, txs, env)
-        )
-
-    def _run(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         cm = self.cost_model

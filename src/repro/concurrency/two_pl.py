@@ -33,6 +33,7 @@ from .base import (
     commit_cost_us,
     count_keys,
     emit_span,
+    guarded,
     run_speculative,
 )
 from .occ import OCCScheduler
@@ -296,14 +297,8 @@ class TwoPLExecutor(BlockExecutor):
 
     name = "2pl"
 
+    @guarded
     def execute_block(
-        self, world: WorldState, txs: list[Transaction], env: BlockEnv
-    ) -> BlockResult:
-        return self.guarded_block(
-            world, txs, env, lambda: self._run(world, txs, env)
-        )
-
-    def _run(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         scheduler = _TwoPLScheduler(self, world, txs, env)

@@ -30,6 +30,7 @@ from ..concurrency.base import (
     commit_cost_us,
     count_keys,
     find_conflicts,
+    guarded,
     overlay_get,
     run_speculative,
 )
@@ -242,14 +243,8 @@ class ParallelEVMExecutor(BlockExecutor):
         # attach one only in correctness harnesses, never in benchmarks.
         self.redo_checker = redo_checker
 
+    @guarded
     def execute_block(
-        self, world: WorldState, txs: list[Transaction], env: BlockEnv
-    ) -> BlockResult:
-        return self.guarded_block(
-            world, txs, env, lambda: self._run(world, txs, env)
-        )
-
-    def _run(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:
         scheduler = _ParallelEVMScheduler(self, world, txs, env)

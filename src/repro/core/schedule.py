@@ -39,6 +39,7 @@ from ..concurrency.base import (
     commit_cost_us,
     dependency_graph,
     find_conflicts,
+    guarded,
     run_speculative,
     validation_cost_us,
 )
@@ -202,6 +203,7 @@ class ScheduledValidatorExecutor(BlockExecutor):
         self.schedule = schedule
         self.use_read_values = use_read_values
 
+    @guarded
     def execute_block(
         self, world: WorldState, txs: list[Transaction], env: BlockEnv
     ) -> BlockResult:

@@ -374,7 +374,7 @@ class TestCrashSites:
         assert site_expected_state("mid-apply") == "post"
 
     def test_simulated_crash_bypasses_the_recovery_ladder(self):
-        # Deliberately NOT a ResilienceError: guarded_block's escalation
+        # Deliberately NOT a ResilienceError: guarded's escalation
         # ladder must never absorb a process death.
         assert issubclass(SimulatedCrash, ReproError)
         assert not issubclass(SimulatedCrash, ResilienceError)
