@@ -27,7 +27,6 @@ class BlockConflictAnalysis:
     """
 
     tx_count: int
-    durations_us: list[float]
     dependencies: list[list[int]]
     conflicting_txs: int
     hot_keys: list[tuple[StateKey, int]]  # (key, number of touching txs)
@@ -101,7 +100,6 @@ def analyze_block(
 
     return BlockConflictAnalysis(
         tx_count=len(block.txs),
-        durations_us=durations,
         dependencies=dependencies,
         conflicting_txs=len(in_conflict),
         hot_keys=hot_keys,

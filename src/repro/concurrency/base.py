@@ -453,17 +453,12 @@ def settle_fees(
     results: list[TxResult],
     env: BlockEnv,
 ) -> None:
-    """Credit the accumulated gas fees to the coinbase, once per block.
-
-    Published via :meth:`BlockOverlay.update`, not ``apply``: the
-    settlement is a block-level adjustment, not a committed transaction,
-    and must not inflate ``committed_count``.
-    """
+    """Credit the accumulated gas fees to the coinbase, once per block."""
     total = sum(r.gas_used * r.tx.gas_price for r in results)
     if total == 0:
         return
     key = balance_key(env.coinbase)
-    overlay.update({key: overlay_get(overlay, world, key) + total})
+    overlay.apply({key: overlay_get(overlay, world, key) + total})
 
 
 def publish_stats(metrics, stats: dict, prefix: str = "stats_") -> None:

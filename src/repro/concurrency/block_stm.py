@@ -42,8 +42,6 @@ from .base import (
 )
 from .mv_memory import EstimateDependency, MVMemory, MVReadAdapter
 
-_MISS = object()
-
 READY = "ready"
 RUNNING = "running"
 EXECUTED = "executed"
@@ -139,7 +137,7 @@ class _BlockSTMScheduler:
         self.status[index] = RUNNING
         self.executions += 1
         meter = CostMeter(cm)
-        adapter = MVReadAdapter(self.mv, index, _MISS)
+        adapter = MVReadAdapter(self.mv, index)
         view = StateView(self.world, base=adapter, meter=meter)
         try:
             result = execute_transaction(

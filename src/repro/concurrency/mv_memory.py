@@ -121,10 +121,9 @@ class MVReadAdapter:
     Records the version of every read for Block-STM's validation pass.
     """
 
-    def __init__(self, mv: MVMemory, tx_index: int, miss_sentinel) -> None:
+    def __init__(self, mv: MVMemory, tx_index: int) -> None:
         self._mv = mv
         self._tx_index = tx_index
-        self._miss = miss_sentinel
         self.read_versions: dict[StateKey, ReadVersion] = {}
 
     def get(self, key: StateKey, default=None):

@@ -181,9 +181,10 @@ def _inputs(log: SSAOperationLog, entry: LogEntry) -> list:
     ]
 
 
-def _patched_buffer(log: SSAOperationLog, entry: LogEntry) -> bytes:
-    """The entry's input byte buffer with def.memory ranges re-fetched."""
-    data = bytearray(entry.operands[0])
+def _patched_buffer(log: SSAOperationLog, entry: LogEntry, original: bytes) -> bytes:
+    """``original``, the entry's recorded input bytes, with its def.memory
+    ranges re-fetched from their (possibly updated) defining entries."""
+    data = bytearray(original)
     for start, length, lsn, offset in entry.def_memory:
         source = log.result_bytes(lsn)
         data[start : start + length] = source[offset : offset + length]
@@ -237,17 +238,14 @@ def _reexecute(
             return _check_store_gas(log, entry, conflicts, outcome)
         return None
 
-    if opcode in (Op.MLOAD, Op.CALLDATALOAD):
-        entry.result = int.from_bytes(_patched_buffer(log, entry), "big")
-        return None
-
-    if opcode == Op.SHA3:
-        entry.result = int.from_bytes(keccak256(_patched_buffer(log, entry)), "big")
-        return None
-
-    if opcode == PseudoOp.RETDATA:
-        entry.result = _patched_buffer(log, entry)
-        outcome.updated_return_data = entry.result
+    if opcode in (Op.MLOAD, Op.CALLDATALOAD, Op.SHA3, PseudoOp.RETDATA):
+        data = _patched_buffer(log, entry, entry.operands[0])
+        if opcode == PseudoOp.RETDATA:
+            entry.result = outcome.updated_return_data = data
+        elif opcode == Op.SHA3:
+            entry.result = int.from_bytes(keccak256(data), "big")
+        else:
+            entry.result = int.from_bytes(data, "big")
         return None
 
     if opcode == PseudoOp.LOGDATA:
@@ -257,11 +255,7 @@ def _reexecute(
             original_topics[i] if dep is None else log.entries[dep].result
             for i, dep in enumerate(entry.def_stack)
         )
-        data = bytearray(original_data)
-        for start, length, lsn, offset in entry.def_memory:
-            source = log.result_bytes(lsn)
-            data[start : start + length] = source[offset : offset + length]
-        record.data = bytes(data)
+        record.data = _patched_buffer(log, entry, original_data)
         return None
 
     if opcode in ALU_FUNCS:

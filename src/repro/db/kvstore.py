@@ -88,7 +88,7 @@ class SimulatedDiskKV:
 
     def read_into(self, key: Hashable, default, meter=None):
         """The one read path: ``key``'s value, its latency charged to
-        ``meter``'s ``storage_ns`` (and counted in ``storage_reads`` /
+        ``meter``'s ``storage_ns`` (a cache miss also counted in its
         ``storage_cold_reads``).  A fault injector may first evict the key
         from the block cache, and may spike the latency or add simulated
         retry/backoff time, which is rounded to a whole nanosecond here;
@@ -118,7 +118,6 @@ class SimulatedDiskKV:
             latency = round(sample.latency_us * 1000)
         if meter is not None:
             meter.storage_ns += latency
-            meter.storage_reads += 1
             if not hit:
                 meter.storage_cold_reads += 1
         return value

@@ -122,7 +122,6 @@ class DurableCommitPipeline:
         # since the previous one.
         self._snapshots = SnapshotEncoder()
         self.blocks_committed = 0
-        self.commit_us_total = 0.0
         self.fsyncs = 0
         # The reader-visible portion of the last commit: journaling the
         # block body publishes each write to the in-memory buffer as its
@@ -242,7 +241,6 @@ class DurableCommitPipeline:
         ):
             elapsed += self._checkpoint(world, block_number)
 
-        self.commit_us_total += elapsed
         metrics = self.metrics
         metrics.counter("durability_blocks_committed").inc()
         metrics.counter("durability_journal_records").inc(

@@ -84,7 +84,6 @@ class ReplicatedChainService:
         self.metrics = metrics
         self.observer = observer
         self.controller = FailoverController(self.config.policy, metrics=metrics)
-        self.primary_name = "primary-0"
         self.primary_alive = True
         self.quarantine_events: list[Exception] = []
         self._start_block = chain.env.number
@@ -242,7 +241,6 @@ class ReplicatedChainService:
         )
 
         self.previous_service = old_service
-        self.primary_name = candidate.name
         candidate.state = "promoted"
         self.replicas = survivors
         self.service = new_service

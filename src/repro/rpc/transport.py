@@ -22,11 +22,11 @@ from .dispatcher import RpcDispatcher
 
 
 class SimTransport:
-    """Deterministic in-process transport with a simulated per-call cost."""
+    """Deterministic in-process transport: each request makes the full JSON
+    text round trip through the dispatcher, and ``requests`` counts them."""
 
-    def __init__(self, dispatcher: RpcDispatcher, request_us: float = 50.0) -> None:
+    def __init__(self, dispatcher: RpcDispatcher) -> None:
         self.dispatcher = dispatcher
-        self.request_us = request_us
         self.requests = 0
 
     def request(self, payload, now_us: float = 0.0) -> dict:

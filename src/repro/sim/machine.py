@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from ..errors import BlockDeadlineExceeded, SimulationError
@@ -60,7 +60,6 @@ class Task:
     duration_us: float
     payload: object = None
     tx_index: int | None = None
-    task_id: int = field(default_factory=itertools.count().__next__)
 
 
 class Scheduler(Protocol):

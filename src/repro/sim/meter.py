@@ -36,7 +36,6 @@ class CostMeter:
     buffered_writes: int = 0  # writes buffered in the tx overlay
     compute_ns: int = 0  # hashing, copies, EXP, call frames, tx setup, redo
     storage_ns: int = 0  # committed-state read latency
-    storage_reads: int = 0
     storage_cold_reads: int = 0
     # The entries of the SSA log traced into this meter (``bind_log``).
     _log: list | None = field(default=None, init=False, repr=False)

@@ -28,7 +28,6 @@ class BlockOverlay:
 
     def __init__(self) -> None:
         self._data: dict[StateKey, object] = {}
-        self.committed_count = 0
 
     def get(self, key: StateKey, default=_MISSING):
         return self._data.get(key, default)
@@ -37,16 +36,8 @@ class BlockOverlay:
         return key in self._data
 
     def apply(self, writes: Mapping[StateKey, object]) -> None:
-        """Publish one committed transaction's write set."""
-        self._data.update(writes)
-        self.committed_count += 1
-
-    def update(self, writes: Mapping[StateKey, object]) -> None:
-        """Publish block-level writes that are not a transaction commit.
-
-        Fee settlement and similar once-per-block adjustments go through
-        here so ``committed_count`` stays an exact transaction count.
-        """
+        """Publish one committed transaction's write set (or the block's
+        fee settlement)."""
         self._data.update(writes)
 
     def items(self):

