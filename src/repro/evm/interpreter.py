@@ -731,12 +731,11 @@ def _opcode_entries() -> tuple:
 
     Arguments are the opcode byte the tracer is handed (``code[pc]``) or a
     tuple that starts with it; DUPn, SWAPn and LOGn carry n.  PUSH1-32 carry
-    no argument here: theirs is
-    ``(immediate, next_pc)``, which only the analysis of a particular
-    bytecode knows.  A byte with no row of its own gets ``_op_undefined``,
-    which raises only if it is ever executed.  GAS, PC and the like go
-    through ``_op_tx_const``: their values are constant for the transaction
-    under the paper's gas-flow and control-flow guards.
+    no argument here: theirs is ``(immediate, next_pc)``, which only the
+    analysis of a particular bytecode knows.  A byte with no row of its own
+    gets ``_op_undefined``, which raises only if it is ever executed.  GAS,
+    PC and the like go through ``_op_tx_const``: their values are constant
+    for the transaction under the paper's gas-flow and control-flow guards.
 
     The last three columns are geth's ``constantGas`` / ``minStack`` /
     ``maxStack``: popping ``p`` and pushing ``q`` items needs ``p`` and

@@ -19,7 +19,6 @@ class ZipfSampler:
         if population <= 0:
             raise ValueError("population must be positive")
         self.population = population
-        self.exponent = exponent
         weights = [1.0 / (k + 1) ** exponent for k in range(population)]
         total = sum(weights)
         self._cdf: list[float] = []
