@@ -163,7 +163,8 @@ class BlockExecutor(ABC):
     chosen: each execution, validation, commit and redo is priced by it,
     through :func:`run_speculative` / :func:`run_serial_pass` (which charge
     a ``CostMeter(cost_model)``), :func:`validation_cost_us` and
-    :func:`commit_cost_us`.
+    :func:`commit_cost_us`, and every scheduled task pays its scheduler slot
+    through :meth:`task`.
 
     Executors meet the simulated clock through :meth:`simulate` (the one
     :class:`~repro.sim.machine.SimMachine`), :meth:`check_deadline` (for a
@@ -231,6 +232,11 @@ class BlockExecutor(ABC):
             fault_plan=self.fault_plan,
             deadline_us=self.deadline_us,
         ).run(scheduler)
+
+    def task(self, kind: str, index: int, busy_us: float, payload=None) -> Task:
+        """A machine task serving transaction ``index``: ``busy_us`` of work,
+        then the model's scheduler slot."""
+        return Task(kind, busy_us + self.cost_model.scheduler_slot_us, payload, index)
 
     def check_deadline(self, at_us: float) -> None:
         """Raise :class:`BlockDeadlineExceeded` at ``at_us`` if it passes the

@@ -90,8 +90,6 @@ class _BlockSTMScheduler:
     # -------------------------------------------------------------- tasks
 
     def next_task(self, worker_id: int, now_us: float) -> Task | None:
-        cm = self.executor.cost_model
-
         while self.validation_queue:
             index = heapq.heappop(self.validation_queue)
             self.in_validation.discard(index)
@@ -110,19 +108,18 @@ class _BlockSTMScheduler:
                 # fail, driving an extra abort + incarnation (capped per tx
                 # by the injector so injection alone cannot livelock).
                 valid = False
-            result = self.results[index]
-            duration = validation_cost_us(result, cm) if result else cm.validate_key_us
-            return Task(
-                kind="validate",
-                duration_us=duration + cm.scheduler_slot_us,
-                payload=(
+            executor = self.executor
+            return executor.task(
+                "validate",
+                index,
+                validation_cost_us(self.results[index], executor.cost_model),
+                (
                     index,
                     self.incarnation[index],
                     self.validation_epoch[index],
                     valid,
                     bad_keys,
                 ),
-                tx_index=index,
             )
 
         while self.exec_queue:
@@ -133,29 +130,23 @@ class _BlockSTMScheduler:
         return None
 
     def _execute(self, index: int) -> Task:
-        cm = self.executor.cost_model
+        executor = self.executor
         self.status[index] = RUNNING
         self.executions += 1
-        meter = CostMeter(cm)
+        meter = CostMeter(executor.cost_model)
         adapter = MVReadAdapter(self.mv, index)
         view = StateView(self.world, base=adapter, meter=meter)
         try:
             result = execute_transaction(
-                view, self.txs[index], self.env, hasher=self.executor.digests
+                view, self.txs[index], self.env, hasher=executor.digests
             )
         except EstimateDependency as dep:
             self.estimate_suspensions += 1
-            return Task(
-                kind="suspend",
-                duration_us=meter.total_us + cm.scheduler_slot_us,
-                payload=(index, dep.blocking_tx),
-                tx_index=index,
+            return executor.task(
+                "suspend", index, meter.total_us, (index, dep.blocking_tx)
             )
-        return Task(
-            kind="execute",
-            duration_us=meter.total_us + cm.scheduler_slot_us,
-            payload=(index, result, adapter.read_versions),
-            tx_index=index,
+        return executor.task(
+            "execute", index, meter.total_us, (index, result, adapter.read_versions)
         )
 
     # ---------------------------------------------------------- completion

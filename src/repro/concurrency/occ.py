@@ -121,18 +121,13 @@ class OCCScheduler:
 
     def execute(self, index: int) -> Task:
         """The read phase: one speculative execution over committed state."""
-        cm = self.executor.cost_model
+        executor = self.executor
         result, meter = run_speculative(
-            self.world, self.overlay, self.txs[index], self.env, cm,
-            hasher=self.executor.digests,
+            self.world, self.overlay, self.txs[index], self.env,
+            executor.cost_model, hasher=executor.digests,
         )
         self.executions += 1
-        return Task(
-            kind="execute",
-            duration_us=meter.total_us + cm.scheduler_slot_us,
-            payload=(index, (result, None)),
-            tx_index=index,
-        )
+        return executor.task("execute", index, meter.total_us, (index, (result, None)))
 
     def commit_point_task(self, index: int) -> Task:
         """The commit point's task for ``index``, the next tx in block order.
@@ -152,12 +147,7 @@ class OCCScheduler:
         duration = validation_cost_us(result, cm)
         if not conflicts:
             duration += commit_cost_us(result, cm)
-        return Task(
-            kind="validate",
-            duration_us=duration + cm.scheduler_slot_us,
-            payload=(index, conflicts),
-            tx_index=index,
-        )
+        return self.executor.task("validate", index, duration, (index, conflicts))
 
     def commit_point_done(self, task: Task) -> None:
         """Completion of a commit-point task other than a validation (OCC

@@ -53,17 +53,13 @@ class _SpeculateScheduler:
         index = len(self.results)
         if index == len(self.txs):
             return None
-        cm = self.executor.cost_model
+        executor = self.executor
         result, meter = run_speculative(
-            self.world, None, self.txs[index], self.env, cm,
-            hasher=self.executor.digests,
+            self.world, None, self.txs[index], self.env, executor.cost_model,
+            hasher=executor.digests,
         )
         self.results.append(result)
-        return Task(
-            kind="speculate",
-            duration_us=meter.total_us + cm.scheduler_slot_us,
-            tx_index=index,
-        )
+        return executor.task("speculate", index, meter.total_us)
 
     def on_complete(self, task: Task, now_us: float) -> None:
         pass

@@ -78,22 +78,19 @@ class _ParallelEVMScheduler(OCCScheduler):
     # ------------------------------------------------------------ read phase
 
     def execute(self, index: int) -> Task:
-        cm = self.executor.cost_model
+        executor = self.executor
         tracer = SSATracer()
         result, meter = run_speculative(
-            self.world, self.overlay, self.txs[index], self.env, cm,
-            tracer=tracer, hasher=self.executor.digests,
+            self.world, self.overlay, self.txs[index], self.env,
+            executor.cost_model, tracer=tracer, hasher=executor.digests,
         )
         self.executions += 1
         self.log_entries_total += len(tracer.log)
         self.metrics.counter("ssa_events_total").inc(meter.events)
         self.metrics.counter("ssa_log_entries_total").inc(len(tracer.log))
         self.instructions_total += result.ops_executed
-        return Task(
-            kind="execute",
-            duration_us=meter.total_us + cm.scheduler_slot_us,
-            payload=(index, (result, tracer)),
-            tx_index=index,
+        return executor.task(
+            "execute", index, meter.total_us, (index, (result, tracer))
         )
 
     # ---------------------------------------------------------- commit point
@@ -115,13 +112,11 @@ class _ParallelEVMScheduler(OCCScheduler):
             self.executions += 1
             self.exec_done[index] = (result, None)
             ladder.note_serial_fallback(index)
-            return Task(
-                kind="serial-fallback",
-                duration_us=meter.total_us
-                + commit_cost_us(result, cm)
-                + cm.scheduler_slot_us,
-                payload=(index,),
-                tx_index=index,
+            return self.executor.task(
+                "serial-fallback",
+                index,
+                meter.total_us + commit_cost_us(result, cm),
+                (index,),
             )
         result, _tracer = self.exec_done[index]
         conflicts = find_conflicts(result.read_set, self.world, self.overlay)
@@ -172,12 +167,7 @@ class _ParallelEVMScheduler(OCCScheduler):
         # count) to every key that induced it.
         count_keys(self.metrics, "redo_induced_slices", conflicts)
         count_keys(self.metrics, "redo_induced_ops", conflicts, outcome.reexecuted)
-        return Task(
-            kind="redo",
-            duration_us=duration + cm.scheduler_slot_us,
-            payload=(index, conflicts, outcome),
-            tx_index=index,
-        )
+        return self.executor.task("redo", index, duration, (index, conflicts, outcome))
 
     def commit_point_done(self, task: Task) -> None:
         if task.kind == "serial-fallback":

@@ -126,18 +126,13 @@ class _ScheduledScheduler(OCCScheduler):
                 # Committed, or executed and waiting at the commit point.
                 result = self.results[dep] or self.exec_done[dep][0]
                 base.update(result.write_set)
-        cm = self.executor.cost_model
+        executor = self.executor
         result, meter = run_speculative(
-            self.world, base, self.txs[index], self.env, cm,
-            hasher=self.executor.digests,
+            self.world, base, self.txs[index], self.env, executor.cost_model,
+            hasher=executor.digests,
         )
         self.executions += 1
-        return Task(
-            kind="execute",
-            duration_us=meter.total_us + cm.scheduler_slot_us,
-            payload=(index, (result, None)),
-            tx_index=index,
-        )
+        return executor.task("execute", index, meter.total_us, (index, (result, None)))
 
     def on_complete(self, task: Task, now_us: float) -> None:
         super().on_complete(task, now_us)
@@ -163,12 +158,7 @@ class _ScheduledScheduler(OCCScheduler):
             self.exec_done[index] = (result, None)
             duration += meter.total_us
         duration += commit_cost_us(result, cm)
-        return Task(
-            kind="commit",
-            duration_us=duration + cm.scheduler_slot_us,
-            payload=index,
-            tx_index=index,
-        )
+        return self.executor.task("commit", index, duration, index)
 
     def commit_point_done(self, task: Task) -> None:
         self.commit(task.payload)

@@ -1,9 +1,10 @@
 """In-memory key-value stores with a simulated disk-latency model.
 
-`SimulatedDiskKV` plays the role of the paper's on-disk LevelDB: reads that
-miss the block cache are charged a disk latency on the *simulated* clock (no
-real I/O happens).  The store never sleeps — it just reports how long each
-read would have taken, and the discrete-event machine accounts for it.
+`SimulatedDiskKV` plays the role of the paper's on-disk LevelDB: each read
+is counted on the reader's meter as a cold read (a block-cache miss) or a
+warm one, and the meter's :class:`~repro.sim.cost.CostModel` prices them on
+the *simulated* clock (no real I/O happens).  The store never sleeps and
+holds no price of its own.
 
 It is also where every incremental reader of committed state — the state
 root, the state fingerprint, the snapshot encoder — learns what changed.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, NamedTuple
 
+from ..sim.cost import DEFAULT_COST_MODEL
 from ..sim.meter import CostMeter
 from .cache import LRUCache
 
@@ -40,31 +42,16 @@ class ReadSample(NamedTuple):
 
 
 class SimulatedDiskKV:
-    """Dict-backed store that models LevelDB read latency and a block cache.
+    """Dict-backed store that models LevelDB reads through a block cache.
 
-    Parameters
-    ----------
-    disk_latency_us:
-        Simulated cost of a read that misses the cache (a LevelDB point read
-        from SSD; the paper identifies these as the execution bottleneck).
-    cache_latency_us:
-        Simulated cost of a cache hit (an in-memory map probe).
-    cache_capacity:
-        Number of entries the block cache retains.
+    ``cache_capacity`` is the number of entries the block cache retains.
+    What a read costs is the reader's model's ``disk_read_us`` (a miss: a
+    LevelDB point read from SSD, the paper's execution bottleneck) or
+    ``cache_read_us`` (a hit).
     """
 
-    def __init__(
-        self,
-        disk_latency_us: float = 38.0,
-        cache_latency_us: float = 0.25,
-        cache_capacity: int = 200_000,
-    ) -> None:
+    def __init__(self, cache_capacity: int = 200_000) -> None:
         self._data: dict[Hashable, object] = {}
-        self.disk_latency_us = disk_latency_us
-        self.cache_latency_us = cache_latency_us
-        # The two latencies in the meter's unit, whole nanoseconds.
-        self._disk_ns = round(disk_latency_us * 1000)
-        self._cache_ns = round(cache_latency_us * 1000)
         self.cache = LRUCache(cache_capacity)
         self.disk_reads = 0
         self.cache_reads = 0
@@ -87,13 +74,15 @@ class SimulatedDiskKV:
         return ReadSample(value, meter.storage_us, not meter.storage_cold_reads)
 
     def read_into(self, key: Hashable, default, meter=None):
-        """The one read path: ``key``'s value, its latency charged to
-        ``meter``'s ``storage_ns`` (a cache miss also counted in its
-        ``storage_cold_reads``).  A fault injector may first evict the key
-        from the block cache, and may spike the latency or add simulated
-        retry/backoff time, which is rounded to a whole nanosecond here;
-        values are never corrupted, and past the retry budget the read
-        raises :class:`repro.errors.TransientStorageError`.
+        """The one read path: ``key``'s value, counted in ``meter``'s
+        ``storage_cold_reads`` (a cache miss) or ``storage_warm_reads``.  A
+        fault injector may first evict the key from the block cache, and may
+        spike the read's price (``meter.model``'s, or the default model's
+        for a meter-free read) or add simulated retry/backoff time; the
+        excess, rounded to a whole nanosecond, goes to the meter's
+        ``storage_fault_ns``.  Values are never corrupted, and past the
+        retry budget the read raises
+        :class:`repro.errors.TransientStorageError`.
         """
         faults = self.faults
         cache = self.cache
@@ -106,20 +95,25 @@ class SimulatedDiskKV:
             entries.move_to_end(key)
             cache.hits += 1
             self.cache_reads += 1
-            latency, hit = self._cache_ns, True
+            hit = True
         else:
             cache.misses += 1
             self.disk_reads += 1
             value = self._data.get(key, default)
             cache.put(key, value)
-            latency, hit = self._disk_ns, False
+            hit = False
         if faults is not None:
-            sample = faults.on_read(key, ReadSample(value, latency / 1000, hit))
-            latency = round(sample.latency_us * 1000)
+            prices = (DEFAULT_COST_MODEL if meter is None else meter.model).ns
+            price = prices.cache_read if hit else prices.disk_read
+            sample = faults.on_read(key, ReadSample(value, price / 1000, hit))
+            fault_ns = round(sample.latency_us * 1000) - price
         if meter is not None:
-            meter.storage_ns += latency
-            if not hit:
+            if hit:
+                meter.storage_warm_reads += 1
+            else:
                 meter.storage_cold_reads += 1
+            if faults is not None:
+                meter.storage_fault_ns += fault_ns
         return value
 
     def write(self, key: Hashable, value) -> None:
@@ -221,17 +215,13 @@ class SimulatedDiskKV:
     def copy(self) -> "SimulatedDiskKV":
         """An independent store with the same entries and the same write log.
 
-        The copy has the same latencies and cache capacity, a cold cache,
-        zeroed counters and no fault injector.  Copying the log (not sharing
-        it) is what lets a reader's cursor be copied along with the reader:
-        the cursor means the same thing in both stores, and from then on
-        each store logs only its own writes.
+        The copy has the same cache capacity, a cold cache, zeroed counters
+        and no fault injector.  Copying the log (not sharing it) is what
+        lets a reader's cursor be copied along with the reader: the cursor
+        means the same thing in both stores, and from then on each store
+        logs only its own writes.
         """
-        other = SimulatedDiskKV(
-            disk_latency_us=self.disk_latency_us,
-            cache_latency_us=self.cache_latency_us,
-            cache_capacity=self.cache.capacity,
-        )
+        other = SimulatedDiskKV(self.cache.capacity)
         other._data = dict(self._data)
         if self.written is not None:
             other.written = dict(self.written)

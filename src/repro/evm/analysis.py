@@ -16,8 +16,8 @@ address simply looks up (or builds) a different entry, and worlds that share
 a bytecode — ``WorldState.clone()`` shares the ``bytes`` objects — share its
 analysis.  The cache is bounded by :data:`ANALYSIS_CACHE_SIZE`.
 
-:func:`decode` is the one instruction-stream walker under ``repro.evm``:
-the analysis and :func:`repro.evm.assembler.disassemble` both consume it.
+:func:`decode` is the one instruction-stream walker under ``repro.evm``;
+the analysis consumes it.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ class CodeAnalysis:
 
     ``table[pc]`` is the ``OPCODE_ENTRIES`` row of the instruction that
     starts at ``pc``, a PUSH's ``(immediate, next_pc)`` argument filled in
-    (None inside PUSH data, which a validated pc never reaches).  ``table[len(code)]`` is a STOP entry: running off the end of
-    the code halts, and a truncated trailing PUSH continues there.
+    (PUSH0's immediate is 0; None inside PUSH data, which a validated pc
+    never reaches).  ``table[len(code)]`` is a STOP entry: running off the
+    end of the code halts, and a truncated trailing PUSH continues there.
     """
 
     jumpdests: frozenset[int]
@@ -86,6 +87,8 @@ def analyse(code: bytes) -> CodeAnalysis:
         entry = OPCODE_ENTRIES[opcode]
         if immediate is not None:
             entry = (entry[0], (immediate, min(next_pc, length))) + entry[2:]
+        elif opcode == Op.PUSH0:
+            entry = (entry[0], (0, next_pc)) + entry[2:]
         elif opcode == Op.JUMPDEST:
             jumpdests.append(pc)
         table[pc] = entry

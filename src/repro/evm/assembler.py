@@ -18,8 +18,7 @@ contracts are far below 64 KiB.
 from __future__ import annotations
 
 from ..errors import AssemblerError
-from .analysis import decode
-from .opcodes import Op, is_push, opcode_name
+from .opcodes import Op, is_push
 
 _MNEMONICS: dict[str, int] = {op.name: op.value for op in Op}
 for _i in range(1, 33):
@@ -130,14 +129,3 @@ def assemble(source: str) -> bytes:
             out += target.to_bytes(2, "big")
     return bytes(out)
 
-
-def disassemble(code: bytes) -> list[tuple[int, str, int | None]]:
-    """Decode bytecode into (pc, mnemonic, immediate) rows for debugging.
-
-    A trailing PUSH whose operand is cut short by the end of the code shows
-    the value the EVM would push: the missing low bytes read as zero.
-    """
-    return [
-        (pc, opcode_name(opcode), immediate)
-        for pc, opcode, immediate, _next_pc in decode(code)
-    ]

@@ -241,7 +241,7 @@ class EVM:
     # ------------------------------------------------------ opcode bodies
     #
     # Every handler is called as ``handler(evm, frame, arg)`` with the
-    # argument its OPCODE_ENTRIES row (or, for PUSHn, the code analysis)
+    # argument its OPCODE_ENTRIES row (or, for PUSH0-32, the code analysis)
     # pre-computed; ``op`` arguments are the opcode byte, for the tracer.
     # The loop has checked the stack bounds and charged the static gas.
 
@@ -412,14 +412,6 @@ class EVM:
         value, next_pc = arg
         frame.stack.append(value)
         frame.pc = next_pc
-        shadow = frame.shadow
-        if shadow is not None:
-            shadow.append(None)
-            self.meter.events += 1
-
-    def _op_push0(self, frame: Frame, op: int) -> None:
-        frame.stack.append(0)
-        frame.pc += 1
         shadow = frame.shadow
         if shadow is not None:
             shadow.append(None)
@@ -730,12 +722,13 @@ def _opcode_entries() -> tuple:
     of the 256 opcodes, which ``analysis.analyse`` lays out per pc.
 
     Arguments are the opcode byte the tracer is handed (``code[pc]``) or a
-    tuple that starts with it; DUPn, SWAPn and LOGn carry n.  PUSH1-32 carry
-    no argument here: theirs is ``(immediate, next_pc)``, which only the
-    analysis of a particular bytecode knows.  A byte with no row of its own
-    gets ``_op_undefined``, which raises only if it is ever executed.  GAS,
-    PC and the like go through ``_op_tx_const``: their values are constant
-    for the transaction under the paper's gas-flow and control-flow guards.
+    tuple that starts with it; DUPn, SWAPn and LOGn carry n.  PUSH0-32 carry
+    no argument here: theirs is ``(immediate, next_pc)`` (PUSH0's immediate
+    is 0), which only the analysis of a particular bytecode knows.  A byte
+    with no row of its own gets ``_op_undefined``, which raises only if it
+    is ever executed.  GAS, PC and the like go through ``_op_tx_const``:
+    their values are constant for the transaction under the paper's
+    gas-flow and control-flow guards.
 
     The last three columns are geth's ``constantGas`` / ``minStack`` /
     ``maxStack``: popping ``p`` and pushing ``q`` items needs ``p`` and
@@ -751,7 +744,6 @@ def _opcode_entries() -> tuple:
         Op.SELFBALANCE: (EVM._op_selfbalance, G.GAS_FAST, 0, 1),
         Op.CALLDATALOAD: (EVM._op_calldataload, G.GAS_FASTEST, 1, 1),
         Op.POP: (EVM._op_pop, G.GAS_QUICK, 1, 0),
-        Op.PUSH0: (EVM._op_push0, G.GAS_QUICK, 0, 1),
         Op.MLOAD: (EVM._op_mload, G.GAS_FASTEST, 1, 1),
         Op.MSTORE: (EVM._op_mstore, G.GAS_FASTEST, 2, 0),
         Op.MSTORE8: (EVM._op_mstore8, G.GAS_FASTEST, 2, 0),
@@ -776,6 +768,7 @@ def _opcode_entries() -> tuple:
             entries[op] = (EVM._op_alu, arg, gas, pops, 1)
     for op, gas in TX_CONST_OPS.items():
         entries[op] = (EVM._op_tx_const, (int(op), _TX_CONST_GETTERS[op]), gas, 0, 1)
+    entries[Op.PUSH0] = (EVM._op_push, None, G.GAS_QUICK, 0, 1)
     for n in range(1, 33):
         entries[Op.PUSH0 + n] = (EVM._op_push, None, G.GAS_FASTEST, 0, 1)
     for n in range(1, 17):

@@ -60,7 +60,8 @@ class PipelineConfig:
 
     ``io_depth`` models the parallel read requests the prefetcher keeps in
     flight against the simulated LevelDB: warming ``k`` cold keys costs
-    ``k * disk_latency_us / io_depth`` on the prefetch lane.
+    ``k * disk_read_us / io_depth`` on the prefetch lane, at the executor's
+    cost model's cold-read price.
     """
 
     prefetch: bool = True
@@ -133,22 +134,20 @@ class PipelineCoordinator:
 
     # ------------------------------------------------------------ prefetch
 
-    def prefetch(self, world, txs) -> int:
+    def prefetch(self, world, txs, disk_read_us: float) -> int:
         """Warm the block's predicted read set; returns keys newly cached.
 
         Called by the service after the block is generated and before it
-        executes.  The host-side warm happens *now* (after the previous
-        block's writes are applied, so cached values are current); the
-        simulated prefetch interval is placed on the prefetch lane
-        starting when the block became known.
+        executes, with its executor's cold-read price.  The host-side warm
+        happens *now* (after the previous block's writes are applied, so
+        cached values are current); the simulated prefetch interval is
+        placed on the prefetch lane starting when the block became known.
         """
         if not self.config.prefetch:
             self._pending = (self.window_open_at, 0.0, 0)
             return 0
         warmed = world.warm(predicted_read_keys(txs))
-        prefetch_us = (
-            warmed * world.db.disk_latency_us / max(1, self.config.io_depth)
-        )
+        prefetch_us = warmed * disk_read_us / max(1, self.config.io_depth)
         start = max(self.prefetch_free_at, self.window_open_at)
         done = start + prefetch_us
         self.prefetch_free_at = done

@@ -197,16 +197,18 @@ class ChainService:
 
     def _execute_and_commit(self, block) -> BlockOutcome:
         number = self.height
+        executor = self.executor
         pipeline = self.pipeline
         if pipeline is not None:
             # Warm the block's statically-predicted read set before it
             # executes; the simulated prefetch interval lands on the
             # coordinator's prefetch lane, overlapped with earlier blocks.
-            pipeline.prefetch(self.world, block.txs)
+            pipeline.prefetch(
+                self.world, block.txs, executor.cost_model.disk_read_us
+            )
         observer = self.observer
         if observer is not None:
             observer.begin_block()
-        executor = self.executor
         if self.fault_plan_factory is not None:
             executor.fault_plan = self.fault_plan_factory(number)
         result = executor.execute_block(self.world, block.txs, block.env)

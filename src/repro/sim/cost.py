@@ -5,9 +5,9 @@ Calibration targets (all from the paper):
 - Storage reads dominate serial block time: prefetching alone yields a 2.89×
   serial speedup (Table 2), implying roughly 65% of serial time is cold-read
   latency.  We model a LevelDB point read at 38.0 µs and a cache hit at
-  0.25 µs (``SimulatedDiskKV``'s defaults: SSD point-read and in-memory map
-  scales).  Table 2's measured 2.71× prefetch-only speedup is what pins
-  the 38.0 µs (see the cost-constant provenance item in ROADMAP.md).
+  0.25 µs (SSD point-read and in-memory map scales); the 38.0 µs is fitted
+  to Table 2's prefetch-only row (see the cost-constant provenance item in
+  ROADMAP.md).
 - The interpreter executes simple opcodes at tens of millions per second in
   Go; we charge a small per-opcode dispatch cost plus surcharges for hashing
   and memory copies.
@@ -22,13 +22,15 @@ irrelevant to the reproduced figures (which are ratios); only the
 A model is chosen in one place, ``BlockExecutor.cost_model``, and rides into
 each execution as the ``model`` of its :class:`~repro.sim.meter.CostMeter`.
 The meter only counts: opcodes, shadow events, log entries, overlay reads,
-buffered writes, and the integer nanoseconds of the size-dependent charges.
-The model prices those counts once, in whole nanoseconds: :attr:`CostModel.ns`
-is the :class:`NsPrices` table of every per-execution constant, built when
-the (frozen) model is, and every such constant must be a whole number of
-nanoseconds.  Task-level costs (validation, commit, scheduling, the lock
-table) stay in microseconds and are summed per task.  Durability, recovery
-and replication price a finished block at :data:`DEFAULT_COST_MODEL`.
+buffered writes, cold and warm store reads, and the integer nanoseconds of
+the size-dependent charges.  The model prices those counts once, in whole
+nanoseconds: :attr:`CostModel.ns` is the :class:`NsPrices` table of every
+per-execution constant, built when the (frozen) model is, and every such
+constant must be a whole number of nanoseconds.  Task-level costs
+(validation, commit, scheduling, the lock table) stay in microseconds and
+are summed per task; the scheduler slot is added once, by
+``BlockExecutor.task``.  Durability, recovery and replication price a
+finished block at :data:`DEFAULT_COST_MODEL`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class NsPrices:
     shadow_event: int
     log_entry: int
     redo_entry: int
+    disk_read: int
+    cache_read: int
 
     def hash(self, length: int) -> int:
         """Cost of Keccak-hashing ``length`` bytes."""
@@ -98,8 +102,11 @@ class CostModel:
     call_frame_us: float = 3.0  # frame setup/teardown for CALL
 
     # --- state accesses --------------------------------------------------
-    # Cold/warm latencies come from the backing SimulatedDiskKV; these are
-    # the in-overlay costs for accesses that never reach the database.
+    # The store counts its reads; these price them.  Fitted: Table 2's
+    # prefetch-only speedup (paper 2.89x) pins the cold read.
+    disk_read_us: float = 38.0  # LevelDB point read from SSD (cache miss)
+    cache_read_us: float = 0.25  # block-cache hit (in-memory map probe)
+    # In-overlay costs for accesses that never reach the database.
     overlay_read_us: float = 0.10  # read satisfied by a tx/block overlay
     sstore_buffer_us: float = 0.50  # buffering a storage write
 

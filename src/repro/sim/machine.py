@@ -14,7 +14,7 @@ import heapq
 import itertools
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from ..errors import BlockDeadlineExceeded, SimulationError
 

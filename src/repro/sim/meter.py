@@ -4,10 +4,11 @@ Every real execution in this repo (a transaction's read phase, a validation
 pass, a redo slice, a serial re-execution) carries a :class:`CostMeter`; the
 EVM interpreter, the state layer, the store and the SSA tracer count on it
 as they go.  The meter holds integers only: opcodes dispatched, SSA shadow
-events, overlay reads, buffered writes, and the nanoseconds of the charges
-whose price depends on a size or a latency (hashing, copies, EXP, call
-frames, the per-transaction setup, redo, store reads).  The SSA log entries
-are counted off the log the tracer bound (:meth:`bind_log`).
+events, overlay reads, buffered writes, cold and warm store reads, and the
+nanoseconds of the charges whose price depends on a size (hashing, copies,
+EXP, call frames, the per-transaction setup, redo) or on an injected storage
+fault.  The SSA log entries are counted off the log the tracer bound
+(:meth:`bind_log`).
 
 A meter carries the :class:`~repro.sim.cost.CostModel` its counts are priced
 by (``model``).  An executor builds ``CostMeter(self.cost_model)`` once per
@@ -35,8 +36,9 @@ class CostMeter:
     overlay_reads: int = 0  # reads served by a tx or block overlay
     buffered_writes: int = 0  # writes buffered in the tx overlay
     compute_ns: int = 0  # hashing, copies, EXP, call frames, tx setup, redo
-    storage_ns: int = 0  # committed-state read latency
-    storage_cold_reads: int = 0
+    storage_cold_reads: int = 0  # store reads that missed the block cache
+    storage_warm_reads: int = 0  # store reads served by the block cache
+    storage_fault_ns: int = 0  # injected spikes and retries over the price
     # The entries of the SSA log traced into this meter (``bind_log``).
     _log: list | None = field(default=None, init=False, repr=False)
 
@@ -58,6 +60,16 @@ class CostMeter:
     def tracking_us(self) -> float:
         # SSA-log upkeep, kept apart for §6.4's tracking share (paper: ≈4.5 %).
         return self._tracking_ns() / 1000
+
+    @property
+    def storage_ns(self) -> int:
+        """Committed-state read latency at the model's read prices."""
+        ns = self.model.ns
+        return (
+            self.storage_cold_reads * ns.disk_read
+            + self.storage_warm_reads * ns.cache_read
+            + self.storage_fault_ns
+        )
 
     @property
     def storage_us(self) -> float:

@@ -32,15 +32,6 @@ class ZipfSampler:
         """One rank draw (0 is the hottest)."""
         return bisect.bisect_left(self._cdf, rng.random())
 
-    def head_share(self, head_fraction: float) -> float:
-        """The probability mass carried by the hottest ``head_fraction``.
-
-        Used by the Figure 3 benchmark to report e.g. the share of
-        invocations going to the hottest 0.1% of contracts.
-        """
-        head = max(1, int(self.population * head_fraction))
-        return self._cdf[head - 1]
-
 
 _EXACT_LIMIT = 100_000
 
@@ -69,9 +60,8 @@ def generalized_harmonic(n: int, s: float) -> float:
 def zipf_head_share(population: int, exponent: float, head_fraction: float) -> float:
     """Share of accesses hitting the hottest ``head_fraction`` of a Zipf law.
 
-    Closed-form counterpart of :meth:`ZipfSampler.head_share` for
-    populations too large to materialise (the paper's 10M contracts and
-    200M storage slots).
+    Closed form, so it serves populations too large to materialise (the
+    paper's 10M contracts and 200M storage slots).
     """
     head = max(1, int(population * head_fraction))
     return generalized_harmonic(head, exponent) / generalized_harmonic(

@@ -58,7 +58,10 @@ def test_instructions_equal_a_naive_decoder(code):
         starts.add(pc)
         handler, argument, static_gas, min_stack, max_stack = table[pc]
         assert handler is OPCODE_ENTRIES[opcode][0]
-        if immediate is None:
+        if opcode == Op.PUSH0:
+            assert argument == (0, next_pc)
+            assert (static_gas, min_stack, max_stack) == OPCODE_ENTRIES[opcode][2:]
+        elif immediate is None:
             assert table[pc] is OPCODE_ENTRIES[opcode]
         else:
             # A truncated trailing PUSH continues at the implicit STOP.

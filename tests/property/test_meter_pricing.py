@@ -1,9 +1,10 @@
 """Property: the counting meter's totals equal its charges priced one by one.
 
 ``CostMeter`` counts work (opcodes, shadow events, overlay reads, buffered
-writes, log entries) and integer nanoseconds (hashing, copies, EXP, call
-frames, the transaction's setup, store latency); its model prices the
-counts once.  The reference here is a meter that also keeps every charge as
+writes, cold and warm store reads, log entries) and integer nanoseconds
+(hashing, copies, EXP, call frames, the transaction's setup, injected
+storage faults); its model prices the counts once, a store read at the
+model's ``disk_read_us`` / ``cache_read_us``.  The reference here is a meter that also keeps every charge as
 it lands (``ReferenceMeter.charges``: the field and the amount of each
 update) and prices each charge on its own, from the model's microsecond
 constants:
@@ -52,14 +53,17 @@ PRICED = {
     "events": "shadow_event_us",
     "overlay_reads": "overlay_read_us",
     "buffered_writes": "sstore_buffer_us",
+    "storage_cold_reads": "disk_read_us",
+    "storage_warm_reads": "cache_read_us",
 }
-NANOSECONDS = ("compute_ns", "storage_ns")
+NANOSECONDS = ("compute_ns", "storage_fault_ns")
 # The default model, one with the per-unit prices halved and one with the
 # size-dependent ones doubled (all still whole nanoseconds).
 MODELS = (
     DEFAULT_COST_MODEL,
     CostModel(**{name + "_us": getattr(DEFAULT_COST_MODEL, name + "_us") / 2
-                 for name in ("op_dispatch", "shadow_event", "log_entry")}),
+                 for name in ("op_dispatch", "shadow_event", "log_entry",
+                              "disk_read", "cache_read")}),
     CostModel(**{name: 2 * getattr(DEFAULT_COST_MODEL, name)
                  for name in ("hash_base_us", "hash_word_us", "copy_word_us",
                               "exp_byte_us", "call_frame_us", "overlay_read_us",
@@ -187,16 +191,17 @@ def test_a_mainnet_transaction_is_priced_as_its_charges(index, execution):
 
 
 def test_the_executions_reach_every_priced_charge():
-    """The traced transactions of the block charge every counted field,
-    both nanosecond fields and log entries, so the properties above compare
-    each of them."""
+    """The traced transactions of the block, unfaulted and under spiked
+    storage, charge every counted field, both nanosecond fields and log
+    entries, so the properties above compare each of them."""
     seen = set()
     entries = 0
     for index in range(16):
-        meter = run_in_block(index, model=DEFAULT_COST_MODEL, traced=True,
-                             plan_name=None, seed=0)
-        check(meter)
-        seen.update(name for name, _ in meter.charges)
-        entries += meter.log_entries
+        for plan_name in (None, "storage-spike"):
+            meter = run_in_block(index, model=DEFAULT_COST_MODEL, traced=True,
+                                 plan_name=plan_name, seed=0)
+            check(meter)
+            seen.update(name for name, _ in meter.charges)
+            entries += meter.log_entries
     assert seen == set(PRICED) | set(NANOSECONDS)
     assert entries > 0

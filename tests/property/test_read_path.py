@@ -2,18 +2,21 @@
 
 A committed read is ``StateView.read`` → ``base.get`` → ``WorldState.read``
 → ``SimulatedDiskKV.read_into``, which probes the block cache inline and
-charges the meter itself.  The oracle is ``tests/unit/read_path_reference.py``:
-``_read_committed``'s ``isinstance`` dispatch, a ``ReadSample`` per read
-from ``LRUCache.get`` and the injector's ``drop_cache`` / ``on_read``, and
-the meter's old ``charge_storage`` (its latency rounded to whole ns).
+counts the read on the meter itself.  The oracle is
+``tests/unit/read_path_reference.py``: ``_read_committed``'s ``isinstance``
+dispatch, a ``ReadSample`` per read from ``LRUCache.get`` priced at the
+meter's model, the injector's ``drop_cache`` / ``on_read``, and the read
+counted on the meter as cold or warm plus the sample's whole-ns excess over
+the model's price.
 
 Two identical sides — a world over a store of one capacity in {0, 1, 3,
 100}, a base (none, a ``BlockOverlay`` or a plain mapping), one view and
-one meter — run the same random operations, one side through the program
-and the other through the oracle: view reads and committed peeks, world
-reads with and without a meter, store samples, local writes, base writes,
-store writes, prefetches and cache resizes, over keys whose defaults differ (code is
-``b""``, the rest 0).  Each side has its own fault plan from the same seed:
+one meter under the default model or one with other read prices — run the
+same random operations, one side through the program and the other through
+the oracle: view reads and committed peeks, world reads with and without a
+meter, store samples, local writes, base writes, store writes, prefetches
+and cache resizes, over keys whose defaults differ (code is ``b""``, the
+rest 0).  Each side has its own fault plan from the same seed:
 none, ``storage-spike``, ``storage-flaky`` (also with a retry budget small
 enough to raise ``TransientStorageError``) or ``cache-thrash``.  After every
 operation the two agree bit for bit on the returned value or raised error,
@@ -36,6 +39,7 @@ from repro.db import SimulatedDiskKV
 from repro.errors import TransientStorageError
 from repro.primitives import make_address
 from repro.resilience import SCENARIOS, FaultPlan, RecoveryPolicy
+from repro.sim.cost import DEFAULT_COST_MODEL, CostModel
 from repro.sim.meter import CostMeter
 from repro.state.keys import CODE_TAG, balance_key, code_key, nonce_key, storage_key
 from repro.state.view import BlockOverlay, StateView
@@ -59,6 +63,7 @@ OPS = (
     "write", "base_write", "db_write", "warm", "resize",
 )
 PLANS = (None, "storage-spike", "storage-flaky", "cache-thrash")
+MODELS = (DEFAULT_COST_MODEL, CostModel(disk_read_us=20.0, cache_read_us=0.5))
 
 keys = st.sampled_from(KEYS)
 operations = st.lists(
@@ -73,7 +78,9 @@ def _value(key, n: int):
 class Side:
     """One world, base, view and meter, driven through one read path."""
 
-    def __init__(self, stored, capacity, base_kind, plan_name, seed, attempts):
+    def __init__(
+        self, stored, capacity, base_kind, plan_name, seed, attempts, model=MODELS[0]
+    ):
         self.world = WorldState(SimulatedDiskKV(cache_capacity=capacity))
         for key, n in stored:
             self.world.db.write(key, _value(key, n))
@@ -85,7 +92,7 @@ class Side:
         self.base = {"none": None, "overlay": BlockOverlay(), "mapping": {}}[
             base_kind
         ]
-        self.meter = CostMeter()
+        self.meter = CostMeter(model)
         self.view = StateView(self.world, base=self.base, meter=self.meter)
 
     def step(self, op: str, key, n: int, reference: bool):
@@ -158,12 +165,13 @@ class Side:
     plan_name=st.sampled_from(PLANS),
     seed=st.integers(0, 2**16),
     attempts=st.sampled_from([6, 2]),
+    model=st.sampled_from(MODELS),
 )
 def test_one_read_path_equals_the_composed_one(
-    stored, ops, capacity, base_kind, plan_name, seed, attempts
+    stored, ops, capacity, base_kind, plan_name, seed, attempts, model
 ):
     program, oracle = (
-        Side(stored, capacity, base_kind, plan_name, seed, attempts)
+        Side(stored, capacity, base_kind, plan_name, seed, attempts, model)
         for _ in range(2)
     )
     for op, key, n in ops:

@@ -1,12 +1,13 @@
-"""The EVM assembler: mnemonics, pushes, labels, errors, disassembly."""
+"""The EVM assembler: mnemonics, pushes, labels, errors, decoding back."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import AssemblerError
-from repro.evm.assembler import assemble, disassemble
-from repro.evm.opcodes import Op
+from repro.evm.analysis import decode
+from repro.evm.assembler import assemble
+from repro.evm.opcodes import Op, opcode_name
 
 
 class TestBasics:
@@ -128,21 +129,24 @@ class TestDupSwap:
 
 
 class TestDisassemble:
+    """Assembled code decodes back to its instructions (``analysis.decode``
+    rows: pc, opcode, immediate, next pc)."""
+
     def test_roundtrip_mnemonics(self):
         source = "PUSH1 0x2a PUSH1 0x01 ADD STOP"
-        rows = disassemble(assemble(source))
-        assert [r[1] for r in rows] == ["PUSH1", "PUSH1", "ADD", "STOP"]
+        rows = list(decode(assemble(source)))
+        assert [opcode_name(r[1]) for r in rows] == ["PUSH1", "PUSH1", "ADD", "STOP"]
         assert rows[0][2] == 0x2A
 
     def test_pc_accounts_for_immediates(self):
-        rows = disassemble(assemble("PUSH2 0x1234 STOP"))
+        rows = list(decode(assemble("PUSH2 0x1234 STOP")))
         assert rows[0][0] == 0
         assert rows[1][0] == 3
 
     def test_truncated_trailing_push_is_zero_padded_on_the_right(self):
         # Bytes past the end of the code read as zero (yellow paper, geth):
         # `PUSH2 AB` pushes 0xAB00, not 0xAB.
-        assert disassemble(bytes.fromhex("61ab")) == [(0, "PUSH2", 0xAB00)]
-        assert disassemble(bytes.fromhex("0160")) == [
-            (0, "ADD", None), (1, "PUSH1", 0),
+        assert list(decode(bytes.fromhex("61ab"))) == [(0, 0x61, 0xAB00, 3)]
+        assert list(decode(bytes.fromhex("0160"))) == [
+            (0, 0x01, None, 1), (1, 0x60, 0, 3),
         ]

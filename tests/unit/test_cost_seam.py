@@ -4,25 +4,33 @@
 executor family) prices every execution: ``run_speculative`` and
 ``run_serial_pass`` charge a ``CostMeter(cost_model)``, Block-STM and
 ParallelEVM's redo build theirs the same way, and ``validation_cost_us`` /
-``commit_cost_us`` price the commit lane.  Below that, every charge reads
-its constant from ``meter.model``, and every execution has a meter, so this
-scan parses every module of ``src/repro`` and fails on the change that:
+``commit_cost_us`` price the commit lane, and ``BlockExecutor.task`` adds
+the scheduler slot to every task.  Below that, every charge reads its
+constant from ``meter.model`` — the store only counts cold and warm reads —
+and every execution has a meter, so this scan parses every module of
+``src/repro`` and fails on the change that:
 
 - gives any other ``def`` or dataclass field a ``cost_model`` parameter;
+- reads ``scheduler_slot_us`` outside ``BlockExecutor.task`` (and the
+  model's own module, ``sim/cost.py``);
 - tests a ``meter`` name or attribute against None, except in
   ``SimulatedDiskKV.read_into``, whose meter-free read is how validation
   re-reads committed state;
 - rebinds another object's ``meter`` (the tracer is bound to the
   execution's meter in one place, ``SSATracer.bind``);
-- adds to a meter's ``*_us`` attribute (the meter counts work and integer
-  nanoseconds; its microseconds are derived once, from the model's prices);
-- calls ``charge_compute`` / ``charge_storage``, or names one of the
+- adds to a meter's ``*_us`` attribute or its ``storage_ns`` (the meter
+  counts work and integer nanoseconds; its read latency and microseconds are
+  derived once, from the model's prices);
+- calls ``charge_compute`` / ``charge_storage``, names one of the
   stack-only tracer hooks (``trace_push`` / ``trace_pop`` / ``trace_dup``
-  / ``trace_swap`` / ``trace_tx_const``): the interpreter moves a traced
-  frame's shadow cells for those opcodes itself.
+  / ``trace_swap`` / ``trace_tx_const``) — the interpreter moves a traced
+  frame's shadow cells for those opcodes itself — or names a store latency
+  (``disk_latency_us`` / ``cache_latency_us`` / ``_disk_ns`` /
+  ``_cache_ns``), as a name, attribute, parameter or keyword.
 
 One execution and one redo under a model with every constant doubled then
-show the path is whole: each model-priced total doubles exactly.
+show the path is whole: each model-priced total, the store reads' included,
+doubles exactly.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ COST_MODEL_FUNCTIONS = {
     )
 }
 METER_CHECKS_ALLOWED = {("db/kvstore.py", "read_into")}
+SLOT_READ_ALLOWED = ("BlockExecutor", "task")
 RETIRED_NAMES = {
     "charge_compute",
     "charge_storage",
@@ -61,6 +70,10 @@ RETIRED_NAMES = {
     "trace_dup",
     "trace_swap",
     "trace_tx_const",
+    "disk_latency_us",
+    "cache_latency_us",
+    "_disk_ns",
+    "_cache_ns",
 }
 
 
@@ -127,6 +140,16 @@ def cost_model_parameters(rel: str, tree, family: set[str]) -> list[str]:
     return found
 
 
+def scheduler_slot_reads(tree) -> list[tuple[str | None, str | None, int]]:
+    """``(class, function, line)`` of every ``scheduler_slot_us`` name."""
+    return [
+        (owner, function, node.lineno)
+        for node, owner, function in _walk(tree)
+        if "scheduler_slot_us"
+        in (getattr(node, "attr", None), getattr(node, "id", None))
+    ]
+
+
 def _is_meter(node: ast.expr) -> bool:
     name = (
         node.id if isinstance(node, ast.Name)
@@ -177,13 +200,14 @@ def foreign_meter_bindings(tree) -> list[int]:
 
 
 def meter_us_additions(tree) -> list[int]:
-    """Lines adding to (or otherwise updating) a meter's ``*_us``."""
+    """Lines adding to (or otherwise updating) a meter's ``*_us`` or its
+    ``storage_ns``."""
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.AugAssign)
         and isinstance(node.target, ast.Attribute)
-        and node.target.attr.endswith("_us")
+        and (node.target.attr.endswith("_us") or node.target.attr == "storage_ns")
         and _is_meter(node.target.value)
     ]
 
@@ -197,6 +221,7 @@ def retired_names(tree) -> list[tuple[str, int]]:
             else node.attr if isinstance(node, ast.Attribute)
             else node.name
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else node.arg if isinstance(node, (ast.arg, ast.keyword))
             else None
         )
         if name in RETIRED_NAMES:
@@ -216,6 +241,21 @@ def test_only_the_executor_family_takes_a_cost_model():
     assert hits == []
 
 
+def test_only_block_executor_task_adds_the_scheduler_slot():
+    hits = []
+    allowed = []
+    for rel, tree in _modules():
+        if rel == "sim/cost.py":
+            continue  # the model's own field
+        for owner, function, line in scheduler_slot_reads(tree):
+            (allowed if (owner, function) == SLOT_READ_ALLOWED else hits).append(
+                f"{rel}:{line}"
+            )
+    assert hits == []
+    # The one reader still exists, so the allowance is not stale.
+    assert allowed == [allowed[0]] and allowed[0].startswith("concurrency/base.py:")
+
+
 def test_no_meter_none_checks_outside_the_committed_read():
     hits = []
     allowed = []
@@ -225,8 +265,9 @@ def test_no_meter_none_checks_outside_the_committed_read():
                 f"{rel}:{line}"
             )
     assert hits == []
-    # The exception still exists, so the allow-list is not stale.
-    assert len(allowed) == 1
+    # The exception still exists, so the allow-list is not stale: the
+    # injector's base price and the meter's counts each test the meter.
+    assert len(allowed) == 2
 
 
 def test_no_code_rebinds_another_objects_meter():
@@ -283,6 +324,15 @@ def test_scans_find_every_form():
         "class Hooks:\n"
         "    def trace_swap(self, frame, n): pass\n"
         "    hook = trace_tx_const\n"
+        "class BlockExecutor:\n"
+        "    def task(self, kind, index, busy_us, payload=None):\n"
+        "        return busy_us + self.cost_model.scheduler_slot_us\n"
+        "def execute(executor, cm, meter, latency):\n"
+        "    slot = cm.scheduler_slot_us + executor.cost_model.scheduler_slot_us\n"
+        "    meter.storage_ns += latency\n"
+        "    meter.storage_cold_reads += 1\n"
+        "    store = SimulatedDiskKV(disk_latency_us=38.0)\n"
+        "    def read(cache_latency_us=0.25): return store._disk_ns\n"
     )
     tree = ast.parse(source)
     family = _executor_family([tree])
@@ -298,9 +348,17 @@ def test_scans_find_every_form():
     ]
     assert sorted(line for _, line in meter_none_checks(tree)) == [5, 6, 7]
     assert foreign_meter_bindings(tree) == [9]
-    assert meter_us_additions(tree) == [16, 17, 18]
+    assert meter_us_additions(tree) == [16, 17, 18, 31]
+    assert scheduler_slot_reads(tree) == [
+        ("BlockExecutor", "task", 28),
+        (None, "execute", 30),
+        (None, "execute", 30),
+    ]
     assert sorted(retired_names(tree)) == [
+        ("_disk_ns", 34),
+        ("cache_latency_us", 34),
         ("charge_compute", 21),
+        ("disk_latency_us", 33),
         ("trace_push", 22),
         ("trace_swap", 24),
         ("trace_tx_const", 25),
@@ -308,13 +366,13 @@ def test_scans_find_every_form():
 
 
 def test_a_model_prices_every_charge_it_reaches(world, token, alice, bob):
-    """The view, the interpreter, the tracer and redo all charge at the
-    executor's model: doubling every constant doubles each priced total
-    exactly (the counts stay, every price doubles in whole nanoseconds),
-    while the storage latency, which the store prices, stays.  The counts
-    are the transfer's own: 65 opcodes dispatched (overlay reads and
-    buffered writes no longer count as ops), and the 64 shadow events and
-    17 log entries the tracer counted before the meter took them over."""
+    """The view, the interpreter, the tracer, the store and redo all charge
+    at the executor's model: doubling every constant doubles each priced
+    total exactly (the counts stay, every price doubles in whole
+    nanoseconds), the store reads' latency included.  The counts are the
+    transfer's own: 65 opcodes dispatched (overlay reads and buffered
+    writes no longer count as ops), and the 64 shadow events and 17 log
+    entries the tracer counted before the meter took them over."""
     doubled = CostModel(
         **{f.name: 2 * getattr(DEFAULT_COST_MODEL, f.name) for f in fields(CostModel)}
     )
@@ -334,7 +392,7 @@ def test_a_model_prices_every_charge_it_reaches(world, token, alice, bob):
     assert meter.compute_us == 2 * base.compute_us
     assert meter.tracking_us == 2 * base.tracking_us
     assert redo_meter.compute_us == 2 * base_redo.compute_us
-    assert meter.storage_us == base.storage_us
+    assert base.storage_us > 0 and meter.storage_us == 2 * base.storage_us
     assert (meter.ops, meter.log_entries) == (base.ops, base.log_entries)
     assert (base.ops, base.events, base.log_entries) == (65, 64, 17)
-    assert meter.total_ns == 2 * base.total_ns - base.storage_ns
+    assert meter.total_ns == 2 * base.total_ns

@@ -6,6 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import LRUCache, SimulatedDiskKV
+from repro.sim.cost import CostModel
+from repro.sim.meter import CostMeter
+
+# Read prices other than the default model's: the reader's model, not the
+# store, sets what a read costs.
+PRICES = CostModel(disk_read_us=20.0, cache_read_us=0.5)
+
+
+def priced_read(kv, key, default=None):
+    """``key``'s value and the meter its read was counted on, at PRICES."""
+    meter = CostMeter(PRICES)
+    return kv.read_into(key, default, meter), meter
 
 
 class TestLRUCache:
@@ -91,19 +103,27 @@ class TestLRUCache:
 
 class TestSimulatedDiskKV:
     def test_first_read_is_cold(self):
-        kv = SimulatedDiskKV(disk_latency_us=20.0, cache_latency_us=0.5)
+        kv = SimulatedDiskKV()
         kv.write("k", 1)
-        sample = kv.read("k")
-        assert sample.latency_us == 20.0
-        assert not sample.cache_hit
+        value, meter = priced_read(kv, "k")
+        assert value == 1
+        assert meter.storage_us == 20.0
+        assert (meter.storage_cold_reads, meter.storage_warm_reads) == (1, 0)
 
     def test_second_read_is_warm(self):
-        kv = SimulatedDiskKV(disk_latency_us=20.0, cache_latency_us=0.5)
+        kv = SimulatedDiskKV()
         kv.write("k", 1)
-        kv.read("k")
-        sample = kv.read("k")
-        assert sample.latency_us == 0.5
-        assert sample.cache_hit
+        priced_read(kv, "k")
+        value, meter = priced_read(kv, "k")
+        assert value == 1
+        assert meter.storage_us == 0.5
+        assert (meter.storage_cold_reads, meter.storage_warm_reads) == (0, 1)
+
+    def test_a_sample_is_priced_at_the_default_model(self):
+        kv = SimulatedDiskKV()
+        kv.write("k", 1)
+        assert kv.read("k") == (1, 38.0, False)
+        assert kv.read("k") == (1, 0.25, True)
 
     def test_missing_key_returns_default_and_caches(self):
         kv = SimulatedDiskKV()
@@ -164,9 +184,7 @@ class TestSimulatedDiskKV:
         assert kv.written_since(middle) == (["a", "c"], 4)
 
     def test_copy_has_the_entries_and_its_own_copy_of_the_log(self):
-        kv = SimulatedDiskKV(
-            disk_latency_us=20.0, cache_latency_us=0.5, cache_capacity=7
-        )
+        kv = SimulatedDiskKV(cache_capacity=7)
         kv.write("before", 1)
         assert kv.copy().written is None  # an unread store copies no log
         _, cursor = kv.written_since(None)
@@ -174,7 +192,6 @@ class TestSimulatedDiskKV:
         kv.read("k")
         other = kv.copy()
         assert dict(other.items()) == dict(kv.items())
-        assert (other.disk_latency_us, other.cache_latency_us) == (20.0, 0.5)
         assert other.cache.capacity == 7 and len(other.cache) == 0
         assert (other.disk_reads, other.cache_reads) == (0, 0)
         assert other.written == kv.written and other.written is not kv.written
@@ -185,7 +202,7 @@ class TestSimulatedDiskKV:
         assert "mine" not in kv and "yours" not in other
 
     def test_warm_makes_reads_cache_hits(self):
-        kv = SimulatedDiskKV(disk_latency_us=20.0, cache_latency_us=0.5)
+        kv = SimulatedDiskKV()
         kv.write("a", 1)
         # Without a default resolver, absent keys are left cold rather than
         # cached under a sentinel a direct cache reader could observe.
@@ -196,7 +213,7 @@ class TestSimulatedDiskKV:
         assert kv.read("b", default=99).value == 99
 
     def test_warm_with_default_resolver_caches_absent_keys(self):
-        kv = SimulatedDiskKV(disk_latency_us=20.0, cache_latency_us=0.5)
+        kv = SimulatedDiskKV()
         kv.write("a", 1)
         warmed = kv.warm(["a", "b"], default_for=lambda key: 0)
         assert warmed == 2

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.concurrency.mv_memory import (
-    ESTIMATE,
     EstimateDependency,
     MVMemory,
     MVReadAdapter,

@@ -22,6 +22,7 @@ from repro.pipeline import (
     PipelineCoordinator,
     predicted_read_keys,
 )
+from repro.sim.cost import DEFAULT_COST_MODEL
 from repro.state.keys import balance_key, nonce_key, storage_key
 
 
@@ -166,12 +167,13 @@ class TestCoordinatorTimeline:
             ),
         )
         coord = PipelineCoordinator(PipelineConfig(io_depth=2))
-        warmed = coord.prefetch(world, [tx])
+        # Priced at the cold-read price it is handed (the executor's model's).
+        warmed = coord.prefetch(world, [tx], 20.0)
         assert warmed == len(predicted_read_keys([tx]))
-        expected_us = warmed * world.db.disk_latency_us / 2
+        expected_us = warmed * 20.0 / 2
         assert coord.prefetch_free_at == expected_us
         # Warmed again: everything is already cached, nothing to do.
-        assert coord.prefetch(world, [tx]) == 0
+        assert coord.prefetch(world, [tx], 20.0) == 0
         # The warmed keys now read as cache hits.
         before = world.db.cache_reads
         world.read(balance_key(sender))
@@ -182,7 +184,7 @@ class TestCoordinatorTimeline:
         world = chain.fresh_world()
         tx = Transaction(sender=b"\x01" * 20, to=b"\x02" * 20)
         coord = PipelineCoordinator(PipelineConfig(io_depth=1))
-        coord.prefetch(world, [tx])
+        coord.prefetch(world, [tx], DEFAULT_COST_MODEL.disk_read_us)
         done = coord.prefetch_free_at
         assert done > 0.0
         timing = coord.account(0, FakeBlockResult(100.0), 10.0)

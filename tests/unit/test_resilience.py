@@ -33,7 +33,9 @@ from repro.resilience import (
     default_suite,
     scenario_of_kind,
 )
+from repro.sim.cost import CostModel
 from repro.sim.machine import SimMachine, Task
+from repro.sim.meter import CostMeter
 
 
 def _any_rate_enabled(config) -> bool:
@@ -206,18 +208,25 @@ class TestStorageFaultInjector:
         assert sample.latency_us == pytest.approx(380.0)
 
     def test_kvstore_injection_costs_time_not_values(self):
-        db = SimulatedDiskKV(disk_latency_us=38.0)
+        db = SimulatedDiskKV()
+        model = CostModel(disk_read_us=38.0, cache_read_us=0.25)
+
+        def read():
+            meter = CostMeter(model)
+            return db.read_into("a", None, meter), meter
+
         db.write("a", 123)
-        baseline = db.read("a")  # cached after the first read
+        value, baseline = read()  # cached after the first read
         db.faults = FaultPlan(
             2, FaultConfig(cache_drop_rate=1.0, storage_spike_rate=1.0)
         ).storage
-        faulted = db.read("a")
-        assert faulted.value == baseline.value == 123
-        assert faulted.cache_hit is False  # the drop forced a cold re-read
-        assert faulted.latency_us > baseline.latency_us
+        faulted_value, faulted = read()
+        assert faulted_value == value == 123
+        assert faulted.storage_cold_reads == 1  # the drop forced a cold re-read
+        assert faulted.storage_fault_ns > 0  # the spike, over the model's price
+        assert faulted.storage_us > baseline.storage_us
         db.faults = None
-        assert db.read("a").cache_hit is True
+        assert read()[1].storage_warm_reads == 1
 
 
 class TestMachineFaults:

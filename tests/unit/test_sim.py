@@ -28,7 +28,9 @@ class TestMeter:
         meter.overlay_reads += 1
         meter.buffered_writes += 2
         meter.compute_ns += 1_500
-        meter.storage_ns += 20_000 + 500
+        meter.storage_cold_reads += 1
+        meter.storage_warm_reads += 2
+        meter.storage_fault_ns += 4_000
         meter.events += 5
         meter.bind_log([None] * 4)  # an SSA log of four entries
         compute = 1_500 + 3 * ns.op_dispatch + ns.overlay_read + 2 * ns.sstore_buffer
@@ -36,8 +38,10 @@ class TestMeter:
         assert meter.log_entries == 4
         assert meter.compute_us == compute / 1000
         assert meter.tracking_us == tracking / 1000
-        assert meter.storage_us == 20.5
-        assert meter.total_ns == compute + tracking + 20_500
+        storage = ns.disk_read + 2 * ns.cache_read + 4_000
+        assert storage == 38_000 + 500 + 4_000
+        assert meter.storage_us == storage / 1000
+        assert meter.total_ns == compute + tracking + storage
         assert meter.total_us == meter.total_ns / 1000
         assert CostMeter().total_ns == 0
 
