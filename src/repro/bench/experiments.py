@@ -47,7 +47,7 @@ from ..workloads.zipf import zipf_head_share
 from .harness import (
     DEFAULT_THREADS,
     TABLE1_EXECUTORS,
-    block_touched_keys,
+    against_serial,
     measure_speedups,
     standard_chain,
     standard_workload,
@@ -135,11 +135,7 @@ def run_table1():
     block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
     summaries = measure_speedups(chain, block_list, _table1_suite(DEFAULT_THREADS))
 
-    data = {
-        name: summary.mean
-        for name, summary in summaries.items()
-        if name != "serial"
-    }
+    data = {name: summary.mean for name, summary in summaries.items()}
     rows = [
         [name, PAPER_TABLE1.get(name, "-"), f"{mean:.2f}x"]
         for name, mean in data.items()
@@ -182,39 +178,16 @@ def run_table2():
     """
     chain = standard_chain()
     block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
-
-    sums: dict[str, float] = {}
-    counts = 0
-    for block in block_list:
-        serial_cold = SerialExecutor().execute_block(
-            chain.fresh_world(), block.txs, block.env
-        )
-        keys = block_touched_keys(serial_cold)
-
-        warm_world = chain.fresh_world()
-        warm_world.warm(keys)
-        serial_warm = SerialExecutor().execute_block(
-            warm_world, block.txs, block.env
-        )
-        if serial_warm.writes != serial_cold.writes:
-            raise ConcurrencyError("prefetched serial run diverged")
-        sums["prefetch"] = sums.get("prefetch", 0.0) + (
-            serial_cold.makespan_us / serial_warm.makespan_us
-        )
-
-        for executor in _table1_suite(DEFAULT_THREADS):
-            world = chain.fresh_world()
-            world.warm(keys)
-            result = executor.execute_block(world, block.txs, block.env)
-            if result.writes != serial_cold.writes:
-                raise ConcurrencyError(f"{executor.name}+prefetch diverged")
-            name = executor.name + "+"
-            sums[name] = sums.get(name, 0.0) + (
-                serial_cold.makespan_us / result.makespan_us
-            )
-        counts += 1
-
-    data = {name: total / counts for name, total in sums.items()}
+    summaries = measure_speedups(
+        chain,
+        block_list,
+        [SerialExecutor(), *_table1_suite(DEFAULT_THREADS)],
+        prefetched=True,
+    )
+    data = {
+        "prefetch" if name == "serial" else name + "+": summary.mean
+        for name, summary in summaries.items()
+    }
     rows = [
         [name, PAPER_TABLE2.get(name, "-"), f"{mean:.2f}x"]
         for name, mean in data.items()
@@ -238,8 +211,8 @@ def _table2_text(results) -> str:
         f"{t2['parallelevm+']:.2f}x (paper {paper['parallelevm+']}x).  Our 2PL+ "
         f"({t2['2pl+']:.2f}x) is {t2['2pl+'] / t2['occ+']:.2f}x OCC+ "
         f"({t2['occ+']:.2f}x), where the paper's is "
-        f"{paper['2pl+'] / paper['occ+']:.2f}x: warm reads shrink its "
-        "lock-wait chains more than the paper's real lock manager allowed."
+        f"{paper['2pl+'] / paper['occ+']:.2f}x.  Why 2PL+ overtakes OCC+ is "
+        "open and not yet diagnosed (ROADMAP 1(e))."
     )
 
 
@@ -257,18 +230,8 @@ def run_preexec():
     chain = standard_chain()
     block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
 
-    total = 0.0
-    for block in block_list:
-        serial = SerialExecutor().execute_block(
-            chain.fresh_world(), block.txs, block.env
-        )
-        executor = ParallelEVMExecutor(threads=DEFAULT_THREADS, preexecute=True)
-        result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
-        if result.writes != serial.writes:
-            raise ConcurrencyError("pre-executed ParallelEVM diverged")
-        total += serial.makespan_us / result.makespan_us
-
-    mean = total / len(block_list)
+    executor = ParallelEVMExecutor(threads=DEFAULT_THREADS, preexecute=True)
+    mean = measure_speedups(chain, block_list, [executor])[executor.name].mean
     data = {"parallelevm-preexec": mean}
     rendered = render_table(
         "Pre-execution optimization (§6.3)",
@@ -384,8 +347,6 @@ def run_fig10():
     for threads in FIG10_THREAD_COUNTS:
         summaries = measure_speedups(chain, block_list, _table1_suite(threads))
         for name, summary in summaries.items():
-            if name == "serial":
-                continue
             series.setdefault(name, []).append(summary.mean)
 
     rendered = render_series(
@@ -636,7 +597,7 @@ def run_overhead():
             tracking_us += meter.tracking_us
             total_us += meter.total_us
 
-    # -- redo statistics from real ParallelEVM runs ------------------------
+    # -- redo statistics from ParallelEVM runs that equal serial's writes --
     redo_entries = 0
     conflicts = 0
     redo_successes = 0
@@ -644,8 +605,9 @@ def run_overhead():
     redo_time = 0.0
     block_time = 0.0
     for block in block_list:
-        executor = ParallelEVMExecutor(threads=DEFAULT_THREADS)
-        result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
+        _, (result,) = against_serial(
+            chain, block, [ParallelEVMExecutor(threads=DEFAULT_THREADS)]
+        )
         stats = result.stats
         redo_entries += stats["redo_entries_total"]
         conflicts += stats["conflicting_txs"]
@@ -831,26 +793,22 @@ def run_schedule():
     """
     chain = standard_chain()
     block = standard_workload(chain, TXS_PER_BLOCK).block(START_BLOCK)
-    serial = SerialExecutor().execute_block(
-        chain.fresh_world(), block.txs, block.env
-    )
-
-    two_phase = TwoPhaseExecutor(threads=DEFAULT_THREADS).execute_block(
-        chain.fresh_world(), block.txs, block.env
-    )
     schedule, proposer = propose_schedule(
         chain.fresh_world(), block.txs, block.env, threads=DEFAULT_THREADS
     )
-    dep_validator = ScheduledValidatorExecutor(
-        schedule, threads=DEFAULT_THREADS
-    ).execute_block(chain.fresh_world(), block.txs, block.env)
-    value_validator = ScheduledValidatorExecutor(
-        schedule, threads=DEFAULT_THREADS, use_read_values=True
-    ).execute_block(chain.fresh_world(), block.txs, block.env)
-
-    for result in (two_phase, proposer, dep_validator, value_validator):
-        if result.writes != serial.writes:
-            raise ConcurrencyError("a §7 schedule configuration diverged")
+    serial, (two_phase, dep_validator, value_validator) = against_serial(
+        chain,
+        block,
+        [
+            TwoPhaseExecutor(threads=DEFAULT_THREADS),
+            ScheduledValidatorExecutor(schedule, threads=DEFAULT_THREADS),
+            ScheduledValidatorExecutor(
+                schedule, threads=DEFAULT_THREADS, use_read_values=True
+            ),
+        ],
+    )
+    if proposer.writes != serial.writes:
+        raise ConcurrencyError("the §7 proposer diverged from serial")
 
     def speedup(result):
         return serial.makespan_us / result.makespan_us
@@ -919,23 +877,18 @@ def run_bounds():
         ("mainnet-like", standard_workload(chain, TXS_PER_BLOCK).block(START_BLOCK)),
         ("100% conflicting ERC20", conflict_ratio_block(chain, 77, 150, ratio=1.0)),
     ):
-        serial = SerialExecutor().execute_block(
-            chain.fresh_world(), block.txs, block.env
-        )
-        analysis = analyze_block(chain, block, serial)
-        bound = analysis.tx_level_speedup_bound
-        speedups = {}
-        for executor in (
+        executors = [
             OCCExecutor(threads=DEFAULT_THREADS),
             BlockSTMExecutor(threads=DEFAULT_THREADS),
             ParallelEVMExecutor(threads=DEFAULT_THREADS),
-        ):
-            result = executor.execute_block(
-                chain.fresh_world(), block.txs, block.env
-            )
-            if result.writes != serial.writes:
-                raise ConcurrencyError(f"{executor.name} diverged on {label}")
-            speedups[executor.name] = serial.makespan_us / result.makespan_us
+        ]
+        serial, results = against_serial(chain, block, executors)
+        analysis = analyze_block(chain, block, serial)
+        bound = analysis.tx_level_speedup_bound
+        speedups = {
+            executor.name: serial.makespan_us / result.makespan_us
+            for executor, result in zip(executors, results)
+        }
         rows.append(
             [
                 label,

@@ -1,4 +1,5 @@
-"""Common experiment machinery: fixtures, the Table 1 selection, speedup runs."""
+"""Common experiment machinery: fixtures, the Table 1 selection, and the one
+measurement protocol (:func:`against_serial`) every speedup goes through."""
 
 from __future__ import annotations
 
@@ -41,60 +42,62 @@ class SpeedupSummary:
 
     name: str
     speedups: list[float] = field(default_factory=list)
-    stats: list[dict] = field(default_factory=list)
 
     @property
     def mean(self) -> float:
         return statistics.mean(self.speedups)
 
-    @property
-    def minimum(self) -> float:
-        return min(self.speedups)
 
-    @property
-    def maximum(self) -> float:
-        return max(self.speedups)
+def against_serial(
+    chain: Chain,
+    block: Block,
+    executors: list[BlockExecutor],
+    *,
+    prefetched: bool = False,
+) -> tuple[BlockResult, list[BlockResult]]:
+    """The measurement protocol of §6: ``block`` under every executor,
+    checked against one cold serial reference run.
 
-    def describe(self) -> str:
-        return (
-            f"{self.name}: mean {self.mean:.2f}x "
-            f"(min {self.minimum:.2f}, max {self.maximum:.2f}, "
-            f"n={len(self.speedups)})"
-        )
+    Every executor gets a fresh clone of the genesis world (cold caches),
+    mirroring how the paper replays each block under each system; with
+    ``prefetched`` its world has the block's keys already cached
+    (:func:`prefetched_world`, Table 2's second phase).  A run whose writes
+    differ from the reference's raises ConcurrencyError.  Returns the
+    reference and the executors' results, in executor order.
+    """
+    serial = SerialExecutor().execute_block(
+        chain.fresh_world(), block.txs, block.env
+    )
+    results = []
+    for executor in executors:
+        world = prefetched_world(chain, serial) if prefetched else chain.fresh_world()
+        result = executor.execute_block(world, block.txs, block.env)
+        if result.writes != serial.writes:
+            raise ConcurrencyError(
+                f"{executor.name} diverged from serial on block {block.number}"
+            )
+        results.append(result)
+    return serial, results
 
 
 def measure_speedups(
     chain: Chain,
     blocks: list[Block],
     executors: list[BlockExecutor],
+    *,
+    prefetched: bool = False,
 ) -> dict[str, SpeedupSummary]:
-    """Run every executor over every block; speedups vs cold serial.
-
-    Every executor gets a fresh clone of the genesis world (cold caches),
-    mirroring how the paper replays each block under each system; a run
-    whose writes differ from the serial reference's raises ConcurrencyError.
-    """
+    """Every executor's speedups over cold serial, one per block
+    (:func:`against_serial`)."""
     summaries = {ex.name: SpeedupSummary(ex.name) for ex in executors}
-    summaries["serial"] = SpeedupSummary("serial")
     for block in blocks:
-        serial = SerialExecutor().execute_block(
-            chain.fresh_world(), block.txs, block.env
+        serial, results = against_serial(
+            chain, block, executors, prefetched=prefetched
         )
-        summaries["serial"].speedups.append(1.0)
-        summaries["serial"].stats.append({"makespan_us": serial.makespan_us})
-        for executor in executors:
-            result = executor.execute_block(
-                chain.fresh_world(), block.txs, block.env
-            )
-            if result.writes != serial.writes:
-                raise ConcurrencyError(
-                    f"{executor.name} diverged from serial on block "
-                    f"{block.number}"
-                )
+        for executor, result in zip(executors, results):
             summaries[executor.name].speedups.append(
                 serial.makespan_us / result.makespan_us
             )
-            summaries[executor.name].stats.append(dict(result.stats))
     return summaries
 
 

@@ -20,16 +20,14 @@ import json
 from dataclasses import asdict, dataclass
 
 from ..analysis.conflict_graph import analyze_block
-from ..concurrency import SerialExecutor
 from ..concurrency.registry import EXECUTOR_NAMES, make_executor
-from ..errors import ConcurrencyError
 
 # Submodule imports (not the obs package) — repro.obs itself renders tables
 # through repro.bench.report, so going through the packages would cycle.
 from ..obs.critical_path import critical_path
 from ..obs.trace import BlockObserver
 from ..workloads import MainnetConfig, MainnetWorkload, conflict_ratio_block
-from .harness import standard_chain
+from .harness import against_serial, standard_chain
 
 # Bump when the document layout changes incompatibly; ``compare_bench``
 # refuses to gate across versions.
@@ -92,21 +90,20 @@ def _mainnet_block(chain, config: BenchSuiteConfig, txs: int):
 
 def _run_point(chain, block, threads: int) -> dict:
     """One sweep point: serial reference + every executor, fully observed."""
-    serial = SerialExecutor().execute_block(
-        chain.fresh_world(), block.txs, block.env
+    observers = {name: BlockObserver() for name in EXECUTOR_NAMES}
+    serial, results = against_serial(
+        chain,
+        block,
+        [
+            make_executor(name, threads, observer=observer)
+            for name, observer in observers.items()
+        ],
     )
     serial_us = serial.makespan_us
     tx_count = len(block.txs) or 1
     analysis = analyze_block(chain, block, serial)
     executors: dict[str, dict] = {}
-    for name in EXECUTOR_NAMES:
-        observer = BlockObserver()
-        executor = make_executor(name, threads, observer=observer)
-        result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
-        if result.writes != serial.writes:
-            raise ConcurrencyError(
-                f"bench: {name} diverged from serial on block {block.number}"
-            )
+    for (name, observer), result in zip(observers.items(), results):
         metrics = observer.metrics
         conflicts = metrics.sum_by_name("conflict_keys")
         stm_aborts = metrics.sum_by_name("stm_abort_keys")

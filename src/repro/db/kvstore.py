@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, NamedTuple
 
 from ..sim.cost import DEFAULT_COST_MODEL
-from ..sim.meter import CostMeter
 from .cache import LRUCache
 
 # Private miss marker for the single cache probe in `read_into`.  It is never
@@ -66,12 +65,6 @@ class SimulatedDiskKV:
         # number of the newest logged write (0: none yet).
         self.written: dict[Hashable, int] | None = None
         self.sequence = 0
-
-    def read(self, key: Hashable, default=None) -> ReadSample:
-        """:meth:`read_into` on a meter of its own, as a :class:`ReadSample`."""
-        meter = CostMeter()
-        value = self.read_into(key, default, meter)
-        return ReadSample(value, meter.storage_us, not meter.storage_cold_reads)
 
     def read_into(self, key: Hashable, default, meter=None):
         """The one read path: ``key``'s value, counted in ``meter``'s
@@ -164,9 +157,9 @@ class SimulatedDiskKV:
     def peek(self, key: Hashable, default=None):
         """Read ``key`` with no side effects at all.
 
-        Unlike :meth:`read`, a peek touches neither the block cache nor the
-        read counters and never consults the fault injector — it observes
-        the store without perturbing the simulation.  The durability layer
+        Unlike :meth:`read_into`, a peek touches neither the block cache nor
+        the read counters and never consults the fault injector — it
+        observes the store without perturbing the simulation.  The durability layer
         uses it to collect undo preimages without disturbing the cache
         state (and hence the makespans) of the run being journaled.
         """
@@ -184,9 +177,9 @@ class SimulatedDiskKV:
         to the block's critical path by the prefetch experiment harness.
 
         Keys absent from the backing dict are cached as ``default_for(key)``
-        — the same value a cold :meth:`read` with that default would have
-        cached.  With no ``default_for``, absent keys are left cold rather
-        than cached under a sentinel that direct cache readers could
+        — the same value a cold :meth:`read_into` with that default would
+        have cached.  With no ``default_for``, absent keys are left cold
+        rather than cached under a sentinel that direct cache readers could
         observe (:class:`~repro.state.world.WorldState` always supplies its
         per-key default resolver, so state-key prefetches never skip).
         """

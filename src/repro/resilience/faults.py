@@ -9,7 +9,7 @@ other sites interleave, and a scenario is replayable from its seed alone.
 Injection sites (all optional, all no-ops at rate 0):
 
 - **storage** (:class:`StorageFaultInjector`) — hooked into
-  :meth:`repro.db.kvstore.SimulatedDiskKV.read`: read-latency spikes,
+  :meth:`repro.db.kvstore.SimulatedDiskKV.read_into`: read-latency spikes,
   cache-entry eviction (forcing cold re-reads through the block cache),
   and transient read failures absorbed by the recovery policy's
   simulated-time retry/backoff loop;

@@ -14,9 +14,9 @@ Two identical sides — a world over a store of one capacity in {0, 1, 3,
 one meter under the default model or one with other read prices — run the
 same random operations, one side through the program and the other through
 the oracle: view reads and committed peeks, world reads with and without a
-meter, store samples, local writes, base writes, store writes, prefetches
-and cache resizes, over keys whose defaults differ (code is ``b""``, the
-rest 0).  Each side has its own fault plan from the same seed:
+meter, store reads on a meter of their own, local writes, base writes,
+store writes, prefetches and cache resizes, over keys whose defaults differ
+(code is ``b""``, the rest 0).  Each side has its own fault plan from the same seed:
 none, ``storage-spike``, ``storage-flaky`` (also with a retry budget small
 enough to raise ``TransientStorageError``) or ``cache-thrash``.  After every
 operation the two agree bit for bit on the returned value or raised error,
@@ -115,11 +115,15 @@ class Side:
                 )
             elif op == "db_read":
                 default = _value(key, n)
-                value = tuple(
-                    reference_db_read(world.db, key, default)
-                    if reference
-                    else world.db.read(key, default)
-                )
+                if reference:
+                    value = tuple(reference_db_read(world.db, key, default))
+                else:
+                    meter = CostMeter()
+                    value = (
+                        world.db.read_into(key, default, meter),
+                        meter.storage_us,
+                        not meter.storage_cold_reads,
+                    )
             elif op == "write":
                 value = view.write(key, _value(key, n))
             elif op == "base_write":

@@ -3,8 +3,9 @@
 ``StateView.read`` probed its own writes, then ``_read_committed`` asked the
 base (``BlockOverlay.get(key)`` or ``mapping.get(key, missing)``), then
 ``WorldState.read`` took a :class:`ReadSample` from ``SimulatedDiskKV.read``
-— one ``LRUCache.get`` probe, the fault injector's ``drop_cache`` /
-``on_read`` around it — and handed its latency to ``CostMeter.charge_storage``.
+(since removed) — one ``LRUCache.get`` probe, the fault injector's
+``drop_cache`` / ``on_read`` around it — and handed its latency to
+``CostMeter.charge_storage``.
 Here a sample is priced at the meter's model's ``disk_read_us`` /
 ``cache_read_us`` (the default model's without a meter), and the meter
 counts the read as cold or warm plus the sample's whole-ns excess over that

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench.report import render_histogram, render_series, render_table
 
 
@@ -64,21 +66,47 @@ class TestHarness:
         assert [ex.name for ex in suite] == ["2pl", "occ", "block-stm", "parallelevm"]
         assert all(ex.threads == 4 for ex in suite)
 
-    def test_speedup_summary_stats(self):
-        from repro.bench.harness import SpeedupSummary
-
-        summary = SpeedupSummary("x", [1.0, 2.0, 3.0])
-        assert summary.mean == 2.0
-        assert summary.minimum == 1.0
-        assert summary.maximum == 3.0
-        assert "x" in summary.describe()
-
-    def test_measure_speedups_checks_state(self):
-        from repro.bench.harness import measure_speedups, standard_chain
-        from repro.concurrency import SerialExecutor
+    def _chain_and_blocks(self, count: int):
+        from repro.bench.harness import standard_chain
         from repro.workloads import MainnetConfig, MainnetWorkload
 
         chain = standard_chain(accounts=60, tokens=2, amm_pairs=1)
-        block = MainnetWorkload(chain, MainnetConfig(txs_per_block=10)).block(1)
-        summaries = measure_speedups(chain, [block], [SerialExecutor()])
+        workload = MainnetWorkload(chain, MainnetConfig(txs_per_block=10))
+        return chain, workload.blocks(1, count)
+
+    def test_a_serial_executor_reports_one_speedup_per_block(self):
+        from repro.bench.harness import measure_speedups
+        from repro.concurrency import SerialExecutor
+
+        chain, blocks = self._chain_and_blocks(2)
+        summaries = measure_speedups(chain, blocks, [SerialExecutor()])
+        assert list(summaries) == ["serial"]
         assert summaries["serial"].speedups == [1.0, 1.0]
+        assert summaries["serial"].mean == 1.0
+
+    def test_prefetched_serial_beats_cold_serial(self):
+        from repro.bench.harness import measure_speedups
+        from repro.concurrency import SerialExecutor
+
+        chain, blocks = self._chain_and_blocks(1)
+        summaries = measure_speedups(
+            chain, blocks, [SerialExecutor()], prefetched=True
+        )
+        (speedup,) = summaries["serial"].speedups
+        assert speedup > 1.0
+
+    def test_against_serial_raises_on_a_divergent_executor(self):
+        from repro.bench.harness import against_serial, standard_chain
+        from repro.check.mutations import inject_conflict_bug
+        from repro.core.executor import ParallelEVMExecutor
+        from repro.errors import ConcurrencyError
+        from repro.workloads import conflict_ratio_block
+
+        chain = standard_chain(accounts=60, tokens=2, amm_pairs=1)
+        block = conflict_ratio_block(chain, 77, 12, ratio=1.0)
+        executor = ParallelEVMExecutor(threads=4)
+        serial, (result,) = against_serial(chain, block, [executor])
+        assert result.writes == serial.writes
+        with inject_conflict_bug("conflict-blind"):
+            with pytest.raises(ConcurrencyError, match="parallelevm.*block 77"):
+                against_serial(chain, block, [executor])

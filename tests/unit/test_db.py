@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import LRUCache, SimulatedDiskKV
-from repro.sim.cost import CostModel
+from repro.sim.cost import DEFAULT_COST_MODEL, CostModel
 from repro.sim.meter import CostMeter
 
 # Read prices other than the default model's: the reader's model, not the
@@ -14,9 +14,9 @@ from repro.sim.meter import CostMeter
 PRICES = CostModel(disk_read_us=20.0, cache_read_us=0.5)
 
 
-def priced_read(kv, key, default=None):
-    """``key``'s value and the meter its read was counted on, at PRICES."""
-    meter = CostMeter(PRICES)
+def priced_read(kv, key, default=None, prices=PRICES):
+    """``key``'s value and the meter its read was counted on, at ``prices``."""
+    meter = CostMeter(prices)
     return kv.read_into(key, default, meter), meter
 
 
@@ -122,20 +122,24 @@ class TestSimulatedDiskKV:
     def test_a_sample_is_priced_at_the_default_model(self):
         kv = SimulatedDiskKV()
         kv.write("k", 1)
-        assert kv.read("k") == (1, 38.0, False)
-        assert kv.read("k") == (1, 0.25, True)
+        value, meter = priced_read(kv, "k", prices=DEFAULT_COST_MODEL)
+        assert value == 1 and meter.storage_cold_reads == 1
+        assert meter.storage_us == DEFAULT_COST_MODEL.disk_read_us == 38.0
+        value, meter = priced_read(kv, "k", prices=DEFAULT_COST_MODEL)
+        assert value == 1 and meter.storage_warm_reads == 1
+        assert meter.storage_us == DEFAULT_COST_MODEL.cache_read_us == 0.25
 
     def test_missing_key_returns_default_and_caches(self):
         kv = SimulatedDiskKV()
-        assert kv.read("missing", default=0).value == 0
-        assert kv.read("missing", default=0).cache_hit
+        assert priced_read(kv, "missing", 0)[0] == 0
+        assert priced_read(kv, "missing", 0)[1].storage_warm_reads == 1
 
     def test_write_updates_cached_value(self):
         kv = SimulatedDiskKV()
         kv.write("k", 1)
-        kv.read("k")
+        priced_read(kv, "k")
         kv.write("k", 2)
-        assert kv.read("k").value == 2
+        assert priced_read(kv, "k")[0] == 2
 
     def test_an_unread_store_keeps_no_write_log(self):
         kv = SimulatedDiskKV()
@@ -151,7 +155,7 @@ class TestSimulatedDiskKV:
         assert kv.written == {}  # the log starts now, after "before"
         kv.write("k", 1)
         kv.write("k", 1)  # same value: still a write
-        kv.read("other")
+        priced_read(kv, "other")
         kv.peek("third")
         kv.warm(["before"])
         assert list(kv.written) == ["k"]
@@ -189,7 +193,7 @@ class TestSimulatedDiskKV:
         assert kv.copy().written is None  # an unread store copies no log
         _, cursor = kv.written_since(None)
         kv.write("k", 1)
-        kv.read("k")
+        priced_read(kv, "k")
         other = kv.copy()
         assert dict(other.items()) == dict(kv.items())
         assert other.cache.capacity == 7 and len(other.cache) == 0
@@ -208,23 +212,23 @@ class TestSimulatedDiskKV:
         # cached under a sentinel a direct cache reader could observe.
         warmed = kv.warm(["a", "b"])
         assert warmed == 1
-        assert kv.read("a").cache_hit
-        assert not kv.read("b", default=99).cache_hit
-        assert kv.read("b", default=99).value == 99
+        assert priced_read(kv, "a")[1].storage_warm_reads == 1
+        assert priced_read(kv, "b", 99)[1].storage_cold_reads == 1
+        assert priced_read(kv, "b", 99)[0] == 99
 
     def test_warm_with_default_resolver_caches_absent_keys(self):
         kv = SimulatedDiskKV()
         kv.write("a", 1)
         warmed = kv.warm(["a", "b"], default_for=lambda key: 0)
         assert warmed == 2
-        sample = kv.read("b", default=0)
-        assert sample.cache_hit
-        assert sample.value == 0
+        value, meter = priced_read(kv, "b", 0)
+        assert meter.storage_warm_reads == 1
+        assert value == 0
 
     def test_cache_never_holds_a_sentinel(self):
         # The regression this guards: `warm` used to cache a module-private
         # marker object for absent keys, which leaked to anything reading
-        # through `LRUCache.get` directly instead of `SimulatedDiskKV.read`.
+        # through `LRUCache.get` directly instead of `SimulatedDiskKV.read_into`.
         kv = SimulatedDiskKV()
         kv.write("a", 1)
         kv.warm(["a", "missing"], default_for=lambda key: 0)
@@ -240,8 +244,8 @@ class TestSimulatedDiskKV:
     def test_read_counters(self):
         kv = SimulatedDiskKV()
         kv.write("a", 1)
-        kv.read("a")
-        kv.read("a")
+        priced_read(kv, "a")
+        priced_read(kv, "a")
         assert kv.disk_reads == 1
         assert kv.cache_reads == 1
         kv.reset_stats()
@@ -251,9 +255,9 @@ class TestSimulatedDiskKV:
         kv = SimulatedDiskKV(cache_capacity=1)
         kv.write("a", 1)
         kv.write("b", 2)
-        kv.read("a")
-        kv.read("b")  # evicts a
-        assert not kv.read("a").cache_hit
+        priced_read(kv, "a")
+        priced_read(kv, "b")  # evicts a
+        assert priced_read(kv, "a")[1].storage_cold_reads == 1
 
 
 # One op per step: write, read, or warm (with/without a default resolver).
@@ -284,7 +288,7 @@ class TestCacheAccounting:
             if op == "write":
                 kv.write(key, value)
             elif op == "read":
-                kv.read(key, default=value)
+                priced_read(kv, key, value)
                 reads += 1
             elif op == "warm":
                 kv.warm([key])

@@ -161,15 +161,15 @@ class TestSoakTelemetry:
         db = SimulatedDiskKV(cache_capacity=8)
         db.write("k", 1)
         telemetry = SoakTelemetry(window_blocks=1, db=db)
-        db.read("k")  # cold: disk read
-        db.read("k")  # warm: cache read
+        db.read_into("k", None)  # cold: disk read
+        db.read_into("k", None)  # warm: cache read
         [snap] = _feed(telemetry, 1)
         cache = snap["cache"]
         assert cache["window_disk_reads"] == 1
         assert cache["window_cache_reads"] == 1
         assert cache["hit_rate"] == 0.5
         assert cache["capacity"] == 8
-        db.read("k")
+        db.read_into("k", None)
         [snap2] = _feed(telemetry, 1)
         assert snap2["cache"]["window_disk_reads"] == 0  # delta, not total
         assert snap2["cache"]["hit_rate"] == 1.0
