@@ -73,8 +73,9 @@ def main() -> None:
         f"{', '.join(f'L{s}' for s in sources)}): the definition-use DFS "
         f"selects {len(affected)} of {len(log)} entries:"
     )
+    entries = log.entries  # built from the log's rows on each read
     for lsn in affected:
-        entry = log.entries[lsn]
+        entry = entries[lsn]
         marker = "  (source)" if lsn in sources else ""
         print(f"  L{lsn:<3} {name_of(entry.opcode)}{marker}")
 

@@ -7,8 +7,8 @@ Runs every entry of ``repro.bench.experiments.EXPERIMENTS`` and writes
 ``benchmarks/results/<name>.json``; then assembles EXPERIMENTS.md from those
 files alone.  The entries run two at a time, each in a fresh process; the
 pool is only a speed-up.  No result depends on what ran before it in the
-process: ``run_overhead`` collects garbage before each ``tracemalloc`` pass,
-so its memory row is the same alone and in a batch.
+process (``run_overhead``'s memory row counts log structures at stated
+sizes, not allocated bytes).
 """
 
 from __future__ import annotations

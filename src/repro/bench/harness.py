@@ -88,8 +88,20 @@ def measure_speedups(
     prefetched: bool = False,
 ) -> dict[str, SpeedupSummary]:
     """Every executor's speedups over cold serial, one per block
-    (:func:`against_serial`)."""
-    summaries = {ex.name: SpeedupSummary(ex.name) for ex in executors}
+    (:func:`against_serial`), keyed by executor name.
+
+    Raises ValueError, before running a block, when two executors share a
+    name (``make_executor("parallelevm-preexec", n).name`` is
+    ``"parallelevm"``): their speedups would pool into one summary.
+    """
+    summaries: dict[str, SpeedupSummary] = {}
+    for executor in executors:
+        if executor.name in summaries:
+            raise ValueError(
+                f"two executors are named {executor.name!r}; "
+                "measure_speedups keys its summaries by name"
+            )
+        summaries[executor.name] = SpeedupSummary(executor.name)
     for block in blocks:
         serial, results = against_serial(
             chain, block, executors, prefetched=prefetched

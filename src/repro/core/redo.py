@@ -21,6 +21,9 @@ the replay patches entry results in place *before* it can discover a guard
 violation, a failed redo leaves the log partially mutated; :func:`redo`
 therefore poisons the log on failure so any further attempt is refused
 rather than replayed over incoherent state.
+
+It works on the log's rows (see :mod:`repro.core.ssa_log`): it patches a
+row's result in place and builds no :class:`~repro.core.ssa_log.LogEntry`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,23 @@ from ..evm.opcodes import Op
 from ..obs.metrics import NULL_METRICS
 from ..sim.meter import CostMeter
 from ..state.keys import StateKey
-from .ssa_log import LogEntry, PseudoOp, SSAOperationLog
+from .ssa_log import (
+    DEF_MEMORY,
+    DEF_STACK,
+    DEF_STORAGE,
+    GAS_COST,
+    GAS_DYNAMIC,
+    KEY,
+    LOADS,
+    LSN,
+    META,
+    OPCODE,
+    OPERANDS,
+    RESULT,
+    STORES,
+    PseudoOp,
+    SSAOperationLog,
+)
 
 
 @dataclass(slots=True)
@@ -50,6 +69,15 @@ class RedoOutcome:
     # Corrected top-level return buffer, when a RETDATA entry was affected.
     updated_return_data: bytes | None = None
 
+
+# The pseudo-ops and buffer reads ``_reexecute`` dispatches on, bound once:
+# ``EnumType.__getattr__`` keeps CPython 3.11 from specialising a member
+# read through its class.
+_ASSERT_EQ, _GUARD_GE, _IADD, _LOGDATA, _RETDATA, _SHA3 = (
+    PseudoOp.ASSERT_EQ, PseudoOp.GUARD_GE, PseudoOp.IADD, PseudoOp.LOGDATA,
+    PseudoOp.RETDATA, Op.SHA3,
+)
+_BUFFER_READS = frozenset((Op.MLOAD, Op.CALLDATALOAD, _SHA3, _RETDATA))
 
 # Redo-slice size histogram edges (log entries re-executed per redo).  The
 # paper's §6.4 average is ~7 entries per conflicting transaction.
@@ -116,13 +144,13 @@ def _redo(
     if not log.redoable:
         return RedoOutcome(False, reason="transaction contained a reverted frame")
 
-    entries = log.entries
+    rows = log.rows
 
     # Lines 2-5: patch the direct readers of conflicting keys.
     sources: list[int] = []
     for key, corrected in conflicts.items():
         for lsn in log.direct_reads.get(key, ()):
-            entries[lsn].result = corrected
+            rows[lsn][RESULT] = corrected
             sources.append(lsn)
 
     # Line 6: everything transitively dependent, in execution order.
@@ -136,8 +164,7 @@ def _redo(
     for lsn in affected:
         if lsn in source_set:
             continue
-        entry = entries[lsn]
-        failure = _reexecute(log, entry, conflicts, outcome)
+        failure = _reexecute(log, rows[lsn], conflicts, outcome)
         if failure is not None:
             return RedoOutcome(False, reexecuted=outcome.reexecuted, reason=failure)
         outcome.reexecuted += 1
@@ -150,8 +177,7 @@ def _redo(
         for lsn in log.writes_by_key.get(key, ()):
             if lsn in affected_set:
                 continue
-            entry = entries[lsn]
-            failure = _check_store_gas(log, entry, conflicts, outcome)
+            failure = _check_store_gas(log, rows[lsn], conflicts, outcome)
             if failure is not None:
                 return RedoOutcome(
                     False, reexecuted=outcome.reexecuted, reason=failure
@@ -159,33 +185,32 @@ def _redo(
 
     # Fold the corrected write chains into the outcome.
     changed_keys = {
-        entries[lsn].key
-        for lsn in affected_set
-        if entries[lsn].opcode in (Op.SSTORE, PseudoOp.ISTORE)
+        rows[lsn][KEY] for lsn in affected_set if rows[lsn][OPCODE] in STORES
     }
     for key in changed_keys:
-        outcome.updated_writes[key] = entries[log.latest_writes[key]].result
+        outcome.updated_writes[key] = rows[log.latest_writes[key]][RESULT]
 
     return outcome
 
 
-def _inputs(log: SSAOperationLog, entry: LogEntry) -> list:
+def _inputs(rows: list[list], row: list) -> list:
     """Reconstruct an entry's inputs (Algorithm 1 line 13).
 
     Each operand is either an immediate (def None -> recorded value) or the
     (possibly just-updated) result of its defining entry.
     """
+    operands = row[OPERANDS]
     return [
-        entry.operands[i] if dep is None else log.entries[dep].result
-        for i, dep in enumerate(entry.def_stack)
+        operands[i] if dep is None else rows[dep][RESULT]
+        for i, dep in enumerate(row[DEF_STACK])
     ]
 
 
-def _patched_buffer(log: SSAOperationLog, entry: LogEntry, original: bytes) -> bytes:
+def _patched_buffer(log: SSAOperationLog, row: list, original: bytes) -> bytes:
     """``original``, the entry's recorded input bytes, with its def.memory
     ranges re-fetched from their (possibly updated) defining entries."""
     data = bytearray(original)
-    for start, length, lsn, offset in entry.def_memory:
+    for start, length, lsn, offset in row[DEF_MEMORY]:
         source = log.result_bytes(lsn)
         data[start : start + length] = source[offset : offset + length]
     return bytes(data)
@@ -193,90 +218,89 @@ def _patched_buffer(log: SSAOperationLog, entry: LogEntry, original: bytes) -> b
 
 def _reexecute(
     log: SSAOperationLog,
-    entry: LogEntry,
+    row: list,
     conflicts: dict[StateKey, object],
     outcome: RedoOutcome,
 ) -> str | None:
-    """Re-execute one entry in place; returns a failure reason or None."""
-    opcode = entry.opcode
+    """Re-execute one entry (its row, in place); returns a failure reason or
+    None."""
+    rows = log.rows
+    opcode = row[OPCODE]
 
-    if opcode == PseudoOp.ASSERT_EQ:
+    if opcode == _ASSERT_EQ:
         outcome.guards_checked += 1
-        current = log.entries[entry.def_stack[0]].result
-        if current != entry.operands[0]:
+        current = rows[row[DEF_STACK][0]][RESULT]
+        expected = row[OPERANDS][0]
+        if current != expected:
             return (
-                f"ASSERT_EQ violated at L{entry.lsn}: "
-                f"{current!r} != {entry.operands[0]!r}"
+                f"ASSERT_EQ violated at L{row[LSN]}: {current!r} != {expected!r}"
             )
         return None
 
-    if opcode == PseudoOp.GUARD_GE:
+    if opcode == _GUARD_GE:
         outcome.guards_checked += 1
-        current = log.entries[entry.def_stack[0]].result
-        if current < entry.operands[1]:
-            return (
-                f"GUARD_GE violated at L{entry.lsn}: "
-                f"{current!r} < {entry.operands[1]!r}"
-            )
+        current = rows[row[DEF_STACK][0]][RESULT]
+        minimum = row[OPERANDS][1]
+        if current < minimum:
+            return f"GUARD_GE violated at L{row[LSN]}: {current!r} < {minimum!r}"
         return None
 
-    if opcode == PseudoOp.IADD:
-        a, b = _inputs(log, entry)
-        entry.result = a + b
+    if opcode == _IADD:
+        a, b = _inputs(rows, row)
+        row[RESULT] = a + b
         return None
 
-    if opcode in (PseudoOp.ILOAD, Op.SLOAD):
+    if opcode in LOADS:
         # Only type-II loads can appear here (type-I loads have no deps and
         # are either sources — skipped — or unreachable by the DFS).
-        entry.result = log.entries[entry.def_storage].result
+        row[RESULT] = rows[row[DEF_STORAGE]][RESULT]
         return None
 
-    if opcode in (Op.SSTORE, PseudoOp.ISTORE):
-        (value,) = _inputs(log, entry)
-        entry.result = value
-        if entry.gas_dynamic:
-            return _check_store_gas(log, entry, conflicts, outcome)
+    if opcode in STORES:
+        (row[RESULT],) = _inputs(rows, row)
+        if row[GAS_DYNAMIC]:
+            return _check_store_gas(log, row, conflicts, outcome)
         return None
 
-    if opcode in (Op.MLOAD, Op.CALLDATALOAD, Op.SHA3, PseudoOp.RETDATA):
-        data = _patched_buffer(log, entry, entry.operands[0])
-        if opcode == PseudoOp.RETDATA:
-            entry.result = outcome.updated_return_data = data
-        elif opcode == Op.SHA3:
-            entry.result = int.from_bytes(keccak256(data), "big")
+    if opcode in _BUFFER_READS:
+        data = _patched_buffer(log, row, row[OPERANDS][0])
+        if opcode == _RETDATA:
+            row[RESULT] = outcome.updated_return_data = data
+        elif opcode == _SHA3:
+            row[RESULT] = int.from_bytes(keccak256(data), "big")
         else:
-            entry.result = int.from_bytes(data, "big")
+            row[RESULT] = int.from_bytes(data, "big")
         return None
 
-    if opcode == PseudoOp.LOGDATA:
-        record = entry.meta["record"]
-        original_topics, original_data = entry.operands
+    if opcode == _LOGDATA:
+        record = row[META]["record"]
+        original_topics, original_data = row[OPERANDS]
         record.topics = tuple(
-            original_topics[i] if dep is None else log.entries[dep].result
-            for i, dep in enumerate(entry.def_stack)
+            original_topics[i] if dep is None else rows[dep][RESULT]
+            for i, dep in enumerate(row[DEF_STACK])
         )
-        record.data = _patched_buffer(log, entry, original_data)
+        record.data = _patched_buffer(log, row, original_data)
         return None
 
     if opcode in ALU_FUNCS:
-        inputs = _inputs(log, entry)
-        entry.result = ALU_FUNCS[opcode](*inputs)
-        if entry.gas_dynamic:  # EXP: cost depends on the exponent value
+        inputs = _inputs(rows, row)
+        row[RESULT] = ALU_FUNCS[opcode](*inputs)
+        if row[GAS_DYNAMIC]:  # EXP: cost depends on the exponent value
             outcome.guards_checked += 1
             new_cost = G.exp_gas(inputs[1])
-            if new_cost != entry.gas_cost:
+            if new_cost != row[GAS_COST]:
                 return (
-                    f"gas-flow violated at L{entry.lsn} (EXP): "
-                    f"{new_cost} != {entry.gas_cost}"
+                    f"gas-flow violated at L{row[LSN]} (EXP): "
+                    f"{new_cost} != {row[GAS_COST]}"
                 )
         return None
 
-    return f"entry L{entry.lsn} opcode {opcode:#x} is not re-executable"
+    return f"entry L{row[LSN]} opcode {opcode:#x} is not re-executable"
 
 
 def _check_store_gas(
     log: SSAOperationLog,
-    entry: LogEntry,
+    row: list,
     conflicts: dict[StateKey, object],
     outcome: RedoOutcome,
 ) -> str | None:
@@ -287,21 +311,23 @@ def _check_store_gas(
     value when the slot is conflicting, falling back to the originally
     observed value.
     """
-    if entry.meta is None:
+    meta = row[META]
+    if meta is None:
         return None  # intrinsic stores carry no EVM gas
     outcome.guards_checked += 1
-    prior_writes = log.writes_by_key[entry.key]
-    position = prior_writes.index(entry.lsn)
+    key = row[KEY]
+    prior_writes = log.writes_by_key[key]
+    position = prior_writes.index(row[LSN])
     if position > 0:
-        current = log.entries[prior_writes[position - 1]].result
-    elif entry.key in conflicts:
-        current = conflicts[entry.key]
+        current = log.rows[prior_writes[position - 1]][RESULT]
+    elif key in conflicts:
+        current = conflicts[key]
     else:
-        current = entry.meta["current"]
-    new_cost = G.sstore_gas(current, entry.result, entry.meta["cold"])
-    if new_cost != entry.gas_cost:
+        current = meta["current"]
+    new_cost = G.sstore_gas(current, row[RESULT], meta["cold"])
+    if new_cost != row[GAS_COST]:
         return (
-            f"gas-flow violated at L{entry.lsn} (SSTORE {entry.key}): "
-            f"{new_cost} != {entry.gas_cost}"
+            f"gas-flow violated at L{row[LSN]} (SSTORE {key}): "
+            f"{new_cost} != {row[GAS_COST]}"
         )
     return None

@@ -17,8 +17,10 @@ One :class:`FrameShadow` mirrors each interpreter call frame:
   leaves implicit.
 
 The maps are almost always empty (most memory traffic is ABI buffers of
-constants), so every method returns at once when there is nothing to read
-or clear.
+constants): the tracer calls :func:`fold_runs`, ``capture_region`` and
+``copy_into_memory`` only over a non-empty map, and the interpreter's MLOAD,
+MSTORE and CALLDATALOAD take their constant path while theirs is empty.
+Every method still returns at once when there is nothing to read or clear.
 """
 
 from __future__ import annotations

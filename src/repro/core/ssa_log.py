@@ -17,16 +17,22 @@ Entry ``def`` fields mirror the paper:
   come from bytes ``[offset:offset+length)`` of entry ``lsn``'s result
   (Figure 8c).
 
-The definition-use graph (DUG, §5.2.5) is built on first read (the first
-redo), then maintained incrementally as entries are appended.
+The log keeps each entry as a *row*: a list of the eleven :class:`LogEntry`
+fields in field order, indexed by the ``LSN`` .. ``META`` constants below.
+The tracer appends rows and updates the tracking maps inline, one Python
+call per logged operation; the redo phase reads and patches the rows.
+:class:`LogEntry` objects are built only when ``entries`` is read (tests,
+``dump``), never on an execution's path.  The definition-use graph (DUG,
+§5.2.5) is built from the rows on first read (the first redo); rows appended
+after that are wired on the next read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
-from ..evm.opcodes import opcode_name
+from ..evm.opcodes import Op, opcode_name
 from ..state.keys import StateKey
 
 
@@ -45,6 +51,16 @@ class PseudoOp(IntEnum):
 # def_memory dependency: bytes [start:start+length) of the op's input buffer
 # come from bytes [offset:offset+length) of entry `lsn`'s result.
 MemDep = tuple[int, int, int, int]  # (start, length, lsn, offset)
+
+# The positions of a row's fields (LogEntry's, in field order).
+(
+    LSN, OPCODE, OPERANDS, RESULT, DEF_STACK, DEF_STORAGE, DEF_MEMORY, KEY,
+    GAS_COST, GAS_DYNAMIC, META,
+) = range(11)
+
+# Storage and intrinsic loads and stores: what the tracking maps index.
+LOADS = frozenset((Op.SLOAD, PseudoOp.ILOAD))
+STORES = frozenset((Op.SSTORE, PseudoOp.ISTORE))
 
 
 @dataclass(slots=True)
@@ -75,12 +91,13 @@ class LogEntry:
 
 
 class SSAOperationLog:
-    """The per-transaction log plus its tracking maps and DUG."""
+    """The per-transaction log (its rows) plus its tracking maps and DUG."""
 
     def __init__(self) -> None:
-        self.entries: list[LogEntry] = []
+        self.rows: list[list] = []
         # DUG (see ``uses``); None until first read.
         self._uses: dict[int, list[int]] | None = None
+        self._wired = 0  # rows[:_wired] have their DUG edges
         # latest_writes: key -> LSN of the most recent store (§5.2.2).
         self.latest_writes: dict[StateKey, int] = {}
         # direct_reads: key -> LSNs of type-I loads of that key (§5.2.2).
@@ -97,14 +114,21 @@ class SSAOperationLog:
         self.poisoned: bool = False
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> list[LogEntry]:
+        """The rows as :class:`LogEntry` objects, built on each read.
+
+        A snapshot: a later redo patches the rows, not these objects.
+        """
+        return [LogEntry(*row) for row in self.rows]
 
     def append(self, entry: LogEntry) -> int:
-        """Add ``entry`` (its lsn must equal the next index); wire DUG edges."""
-        assert entry.lsn == len(self.entries), "non-sequential LSN"
-        self.entries.append(entry)
-        if self._uses is not None:
-            self._add_edges(entry)
+        """Add a hand-built ``entry`` as a row (its lsn must equal the next
+        index).  The tracer appends its rows inline."""
+        assert entry.lsn == len(self.rows), "non-sequential LSN"
+        self.rows.append([getattr(entry, f.name) for f in fields(entry)])
         return entry.lsn
 
     @property
@@ -112,35 +136,31 @@ class SSAOperationLog:
         """The DUG: defining LSN -> LSNs of entries using its result."""
         if self._uses is None:
             self._uses = {}
-            for entry in self.entries:
-                self._add_edges(entry)
+        rows = self.rows
+        if self._wired < len(rows):
+            self._add_edges(rows[self._wired :])
+            self._wired = len(rows)
         return self._uses
 
-    def next_lsn(self) -> int:
-        return len(self.entries)
-
-    def _add_edges(self, entry: LogEntry) -> None:
-        seen: set[int] = set()
-        for dep in entry.def_stack:
+    def _add_edges(self, rows: list[list]) -> None:
+        """Wire ``rows`` into the DUG: each uses its stack, storage and
+        memory definitions, each LSN once, in that order of first mention."""
+        uses = self._uses
+        for row in rows:
+            lsn = row[LSN]
+            seen: set[int] = set()
+            for dep in row[DEF_STACK]:
+                if dep is not None and dep not in seen:
+                    seen.add(dep)
+                    uses.setdefault(dep, []).append(lsn)
+            dep = row[DEF_STORAGE]
             if dep is not None and dep not in seen:
                 seen.add(dep)
-                self._uses.setdefault(dep, []).append(entry.lsn)
-        if entry.def_storage is not None and entry.def_storage not in seen:
-            seen.add(entry.def_storage)
-            self._uses.setdefault(entry.def_storage, []).append(entry.lsn)
-        for _, _, lsn, _ in entry.def_memory:
-            if lsn not in seen:
-                seen.add(lsn)
-                self._uses.setdefault(lsn, []).append(entry.lsn)
-
-    def record_load(self, entry: LogEntry) -> None:
-        """Track a load entry in ``direct_reads`` when it is type I."""
-        if entry.def_storage is None:
-            self.direct_reads.setdefault(entry.key, []).append(entry.lsn)
-
-    def record_store(self, entry: LogEntry) -> None:
-        self.latest_writes[entry.key] = entry.lsn
-        self.writes_by_key.setdefault(entry.key, []).append(entry.lsn)
+                uses.setdefault(dep, []).append(lsn)
+            for _, _, dep, _ in row[DEF_MEMORY]:
+                if dep not in seen:
+                    seen.add(dep)
+                    uses.setdefault(dep, []).append(lsn)
 
     def dependents_of(self, sources: list[int]) -> list[int]:
         """All entries transitively using ``sources`` (DFS on the DUG).
@@ -161,7 +181,7 @@ class SSAOperationLog:
 
     def result_bytes(self, lsn: int) -> bytes:
         """An entry's result as a 32-byte big-endian buffer (memory deps)."""
-        result = self.entries[lsn].result
+        result = self.rows[lsn][RESULT]
         if isinstance(result, bytes):
             return result
         return int(result).to_bytes(32, "big")

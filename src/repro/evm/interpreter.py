@@ -42,7 +42,13 @@ repro.core.tracer.SSATracer, the one tracer, defines them.  The stack-only
 opcodes (PUSHn, PUSH0, DUPn, SWAPn, POP and the transaction constants) call
 no hook: a traced frame carries its shadow stack (``Frame.shadow``, bound by
 the tracer's ``begin_frame``), and they move its cells and count the shadow
-event on the meter inline.
+event on the meter inline.  Six more families do the same while their
+operands are constant — every operand cell None — and the tracer has bound
+the frame's ``FrameShadow`` (``Frame.shadow_state``): binary ALU ops,
+JUMP and JUMPI always, MLOAD and MSTORE while its shadow memory is empty,
+CALLDATALOAD while its call-data map is empty.  Otherwise they call the
+hook.  A frame with no shadow stack calls no hook of these opcodes (2PL's
+access tracer binds none, and ignores those hooks).
 """
 
 from __future__ import annotations
@@ -85,8 +91,10 @@ class Frame:
     pc: int = 0
     gas: int = 0
     return_data: bytes = b""  # returndata of the *last completed* sub-call
-    # The SSA tracer's shadow stack for this frame (None when untraced).
+    # The SSA tracer's shadow stack for this frame (None when untraced), and
+    # its FrameShadow when the six inline constant paths may be taken.
     shadow: list | None = None
+    shadow_state: object | None = None
 
     def charge(self, amount: int) -> None:
         if amount > self.gas:
@@ -257,8 +265,17 @@ class EVM:
         b = stack[-1]
         stack[-1] = result = fn(a, b)
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_alu(frame, op, (a, b), result, gas_cost, False)
+        shadow = frame.shadow
+        if shadow is not None:
+            if (
+                shadow[-1] is None
+                and shadow[-2] is None
+                and frame.shadow_state is not None
+            ):
+                del shadow[-1]  # constant operands fold to a constant
+                self.meter.events += 1
+            else:
+                self.tracer.trace_alu(frame, op, (a, b), result, gas_cost, False)
 
     def _op_alu(self, frame: Frame, arg: tuple) -> None:
         op, pops, gas_cost, fn = arg
@@ -378,8 +395,13 @@ class EVM:
         chunk = data[offset : offset + 32] if offset < len(data) else b""
         stack[-1] = value = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_calldataload(frame, offset, value)
+        shadow = frame.shadow
+        if shadow is not None:
+            state = frame.shadow_state
+            if shadow[-1] is None and state is not None and not state.calldata:
+                self.meter.events += 1  # constant offset, constant call data
+            else:
+                self.tracer.trace_calldataload(frame, offset, value)
 
     def _op_copy(self, frame: Frame, arg: tuple) -> None:
         op, source = arg
@@ -443,8 +465,13 @@ class EVM:
         self._expand(frame, offset, 32)
         stack[-1] = value = frame.memory.read_word(offset)
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_mload(frame, offset, value)
+        shadow = frame.shadow
+        if shadow is not None:
+            state = frame.shadow_state
+            if shadow[-1] is None and state is not None and not state.memory:
+                self.meter.events += 1  # constant offset, constant memory
+            else:
+                self.tracer.trace_mload(frame, offset, value)
 
     def _op_mstore(self, frame: Frame, op: int) -> None:
         stack = frame.stack
@@ -452,8 +479,19 @@ class EVM:
         self._expand(frame, offset, 32)
         frame.memory.write_word(offset, value)
         frame.pc += 1
-        if self.tracer is not None:
-            self.tracer.trace_mstore(frame, offset, value)
+        shadow = frame.shadow
+        if shadow is not None:
+            state = frame.shadow_state
+            if (
+                shadow[-1] is None
+                and shadow[-2] is None
+                and state is not None
+                and not state.memory
+            ):
+                del shadow[-2:]  # a constant into constant memory
+                self.meter.events += 1
+            else:
+                self.tracer.trace_mstore(frame, offset, value)
 
     def _op_mstore8(self, frame: Frame, op: int) -> None:
         stack = frame.stack
@@ -499,8 +537,13 @@ class EVM:
         dest = frame.stack.pop()
         if dest not in frame.analysis.jumpdests:
             raise InvalidJump(f"JUMP to non-JUMPDEST {dest}")
-        if self.tracer is not None:
-            self.tracer.trace_jump(frame, dest)
+        shadow = frame.shadow
+        if shadow is not None:
+            if shadow[-1] is None and frame.shadow_state is not None:
+                shadow.pop()  # a constant target needs no guard
+                self.meter.events += 1
+            else:
+                self.tracer.trace_jump(frame, dest)
         frame.pc = dest
 
     def _op_jumpi(self, frame: Frame, op: int) -> None:
@@ -509,8 +552,17 @@ class EVM:
         taken = cond != 0
         if taken and dest not in frame.analysis.jumpdests:
             raise InvalidJump(f"JUMPI to non-JUMPDEST {dest}")
-        if self.tracer is not None:
-            self.tracer.trace_jumpi(frame, dest, cond, taken)
+        shadow = frame.shadow
+        if shadow is not None:
+            if (
+                shadow[-1] is None
+                and shadow[-2] is None
+                and frame.shadow_state is not None
+            ):
+                del shadow[-2:]  # a constant target and condition
+                self.meter.events += 1
+            else:
+                self.tracer.trace_jumpi(frame, dest, cond, taken)
         frame.pc = dest if taken else frame.pc + 1
 
     def _op_jumpdest(self, frame: Frame, op: int) -> None:

@@ -7,8 +7,8 @@ as they go.  The meter holds integers only: opcodes dispatched, SSA shadow
 events, overlay reads, buffered writes, cold and warm store reads, and the
 nanoseconds of the charges whose price depends on a size (hashing, copies,
 EXP, call frames, the per-transaction setup, redo) or on an injected storage
-fault.  The SSA log entries are counted off the log the tracer bound
-(:meth:`bind_log`).
+fault.  The SSA log entries are counted off the row list of the log the
+tracer bound (:meth:`bind_log`).
 
 A meter carries the :class:`~repro.sim.cost.CostModel` its counts are priced
 by (``model``).  An executor builds ``CostMeter(self.cost_model)`` once per
@@ -39,12 +39,12 @@ class CostMeter:
     storage_cold_reads: int = 0  # store reads that missed the block cache
     storage_warm_reads: int = 0  # store reads served by the block cache
     storage_fault_ns: int = 0  # injected spikes and retries over the price
-    # The entries of the SSA log traced into this meter (``bind_log``).
+    # The rows of the SSA log traced into this meter (``bind_log``).
     _log: list | None = field(default=None, init=False, repr=False)
 
-    def bind_log(self, entries: list) -> None:
-        """Count ``entries`` (an SSA log's entry list) as this meter's log."""
-        self._log = entries
+    def bind_log(self, rows: list) -> None:
+        """Count ``rows`` (an SSA log's row list) as this meter's log."""
+        self._log = rows
 
     @property
     def log_entries(self) -> int:

@@ -84,6 +84,18 @@ class TestHarness:
         assert summaries["serial"].speedups == [1.0, 1.0]
         assert summaries["serial"].mean == 1.0
 
+    def test_executors_sharing_a_name_are_refused(self):
+        from repro.bench.harness import measure_speedups
+        from repro.concurrency.registry import make_executor
+
+        chain, blocks = self._chain_and_blocks(1)
+        suite = [
+            make_executor("parallelevm", 4),
+            make_executor("parallelevm-preexec", 4),
+        ]
+        with pytest.raises(ValueError, match="'parallelevm'"):
+            measure_speedups(chain, blocks, suite)
+
     def test_prefetched_serial_beats_cold_serial(self):
         from repro.bench.harness import measure_speedups
         from repro.concurrency import SerialExecutor

@@ -27,20 +27,21 @@ KEY_B = storage_key(make_address(1), 2)
 
 def sload(log: SSAOperationLog, key, value, def_storage=None) -> LogEntry:
     entry = LogEntry(
-        lsn=log.next_lsn(),
+        lsn=len(log),
         opcode=Op.SLOAD,
         key=key,
         result=value,
         def_storage=def_storage,
     )
     log.append(entry)
-    log.record_load(entry)
+    if def_storage is None:
+        log.direct_reads.setdefault(key, []).append(entry.lsn)
     return entry
 
 
 def sstore(log: SSAOperationLog, key, value, value_def=None) -> LogEntry:
     entry = LogEntry(
-        lsn=log.next_lsn(),
+        lsn=len(log),
         opcode=Op.SSTORE,
         key=key,
         operands=(value,),
@@ -48,13 +49,14 @@ def sstore(log: SSAOperationLog, key, value, value_def=None) -> LogEntry:
         result=value,
     )
     log.append(entry)
-    log.record_store(entry)
+    log.latest_writes[key] = entry.lsn
+    log.writes_by_key.setdefault(key, []).append(entry.lsn)
     return entry
 
 
 def alu(log: SSAOperationLog, opcode, operands, defs, result) -> LogEntry:
     entry = LogEntry(
-        lsn=log.next_lsn(),
+        lsn=len(log),
         opcode=opcode,
         operands=operands,
         def_stack=defs,
@@ -95,7 +97,7 @@ class TestDUG:
         log = SSAOperationLog()
         e0 = sload(log, KEY_A, 10)
         entry = LogEntry(
-            lsn=log.next_lsn(),
+            lsn=len(log),
             opcode=Op.MLOAD,
             operands=(b"\x00" * 32,),
             def_memory=((0, 32, e0.lsn, 0),),
