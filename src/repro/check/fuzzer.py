@@ -40,6 +40,7 @@ from ..workloads.block import ETHER, FUND_ETHER, TOKEN_BALANCE
 ERC20_GAS = 200_000
 FUZZ_BLOCK_BASE = 15_000_000  # fuzz blocks live above the replay window
 HOT_OWNERS = 2  # accounts pre-approved as transferFrom victims
+HOT_RECIPIENTS = 2  # the last accounts, where hot_recipient_share lands
 SEED_SALT = 0xF0CC  # separates fuzz streams from workload streams
 
 
@@ -56,7 +57,6 @@ class FuzzConfig:
     accounts: int = 64
     tokens: int = 3
     amm_pairs: int = 2
-    hot_recipients: int = 2
     hot_recipient_share: float = 0.35
 
 
@@ -110,7 +110,7 @@ class BlockFuzzer:
 
     @property
     def hot_recipients(self) -> list[bytes]:
-        return self.chain.accounts[-self.config.hot_recipients :]
+        return self.chain.accounts[-HOT_RECIPIENTS:]
 
     # --------------------------------------------------------------- blocks
 

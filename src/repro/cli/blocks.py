@@ -11,7 +11,12 @@ import sys
 
 from ..analysis.conflict_graph import analyze_block
 from ..bench.experiments import EXPERIMENTS, run_experiment
-from ..bench.harness import TABLE1_EXECUTORS, standard_chain, standard_workload
+from ..bench.harness import (
+    TABLE1_EXECUTORS,
+    against_serial,
+    standard_chain,
+    standard_workload,
+)
 from ..bench.suite import (
     SUITES,
     compare_bench,
@@ -21,6 +26,7 @@ from ..bench.suite import (
 )
 from ..concurrency import SerialExecutor
 from ..concurrency.registry import make_executor
+from ..errors import ConcurrencyError
 from ..obs import BlockObserver, render_block_report, structural_bound_lines
 from .options import add_durability, add_executor, positive_int
 
@@ -33,13 +39,9 @@ def _add_block_arguments(parser, *, txs: int, accounts: int, threads: int = 16):
 
 
 def _standard_block(args: argparse.Namespace):
-    """The chain, the requested block and its serial reference result."""
+    """The chain and the requested standard-workload block."""
     chain = standard_chain(accounts=args.accounts)
-    block = standard_workload(chain, args.txs).block(args.block)
-    serial = SerialExecutor().execute_block(
-        chain.fresh_world(), block.txs, block.env
-    )
-    return chain, block, serial
+    return chain, standard_workload(chain, args.txs).block(args.block)
 
 
 def _add_compare(sub) -> None:
@@ -56,19 +58,21 @@ def _add_compare(sub) -> None:
 def _cmd_compare(args: argparse.Namespace) -> int:
     import json
 
-    chain, block, serial = _standard_block(args)
+    chain, block = _standard_block(args)
+    runs = [make_executor(name, args.threads) for name in TABLE1_EXECUTORS]
+    try:
+        serial, results = against_serial(chain, block, runs)
+    except ConcurrencyError as exc:
+        print(f"STATE DIVERGED: {exc}", file=sys.stderr)
+        return 1
     analysis = analyze_block(chain, block, serial)
-    executors: dict[str, dict] = {}
-    for name in TABLE1_EXECUTORS:
-        executor = make_executor(name, args.threads)
-        result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
-        if result.writes != serial.writes:
-            print(f"{executor.name:<14}  STATE DIVERGED", file=sys.stderr)
-            return 1
-        executors[executor.name] = {
+    executors = {
+        executor.name: {
             "makespan_us": result.makespan_us,
             "speedup": serial.makespan_us / result.makespan_us,
         }
+        for executor, result in zip(runs, results)
+    }
 
     if args.json:
         print(
@@ -118,7 +122,10 @@ def _add_run(sub) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    chain, block, serial = _standard_block(args)
+    chain, block = _standard_block(args)
+    serial = SerialExecutor().execute_block(
+        chain.fresh_world(), block.txs, block.env
+    )
 
     observer = BlockObserver()
     executor = make_executor(args.executor, args.threads, observer=observer)

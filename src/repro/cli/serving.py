@@ -14,6 +14,7 @@ import sys
 
 from ..mempool import MempoolConfig
 from ..obs import SloConfig, format_window_line
+from ..pipeline import PipelineConfig
 from ..resilience import scenario_of_kind
 from ..service import SoakConfig, run_soak
 from .options import UsageError, add_durability, add_executor, given
@@ -143,8 +144,8 @@ def _add_soak(sub) -> None:
             const=False, help="with --pipeline: commit synchronously (no commit lane)",
         ),
         soak.add_argument(
-            "--prefetch-io-depth", type=int,
-            help="parallel reads the prefetcher keeps in flight",
+            "--prefetch-io-depth", dest="io_depth", metavar="PREFETCH_IO_DEPTH",
+            type=int, help="parallel reads the prefetcher keeps in flight",
         ),
     ]
     soak.add_argument(
@@ -177,14 +178,17 @@ def _add_soak(sub) -> None:
 
 def soak_config(args: argparse.Namespace) -> SoakConfig:
     """The :class:`SoakConfig` a ``soak`` command line asks for."""
-    config = SoakConfig(**given(args, SoakConfig))
+    fields = given(args, SoakConfig)
+    if fields.pop("pipeline", False):
+        fields["pipeline"] = PipelineConfig(**given(args, PipelineConfig))
+    config = SoakConfig(**fields)
     if config.scenario:
         _catalogue_scenario(config.scenario, "faults")
     if config.loadgen_clients > 0:
         _reject_set(args, args.stream_only, "with --loadgen")
     else:
         _reject_set(args, args.loadgen_only, "without --loadgen")
-    if not config.pipeline:
+    if config.pipeline is None:
         _reject_set(args, args.pipeline_only, "without --pipeline")
     return config
 

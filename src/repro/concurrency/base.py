@@ -467,11 +467,12 @@ def settle_fees(
     overlay.apply({key: overlay_get(overlay, world, key) + total})
 
 
-def publish_stats(metrics, stats: dict, prefix: str = "stats_") -> None:
-    """Mirror an executor's ``stats`` dict into a metrics registry as gauges
-    (executors call it at the end of every ``execute_block``)."""
+def publish_stats(metrics, stats: dict) -> None:
+    """Mirror an executor's ``stats`` dict into a metrics registry as
+    ``stats_<key>`` gauges (executors call it at the end of every
+    ``execute_block``)."""
     for key, value in stats.items():
-        metrics.gauge(prefix + key).set(value)
+        metrics.gauge("stats_" + key).set(value)
 
 
 def count_keys(metrics, name: str, keys, amount: int | float = 1) -> None:

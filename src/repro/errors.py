@@ -169,7 +169,6 @@ RETRYABLE = frozenset(
         "mempool-full",
         "backpressure",
         "circuit-open",
-        "rate-limited",
     }
 )
 
@@ -181,12 +180,12 @@ class AdmissionError(ResilienceError):
     in the error ``data``: ``malformed``, ``invalid-signature``,
     ``wrong-chain-id``, ``too-large`` and ``intrinsic-gas`` from the
     stateless wire check; ``fee-too-low``, ``nonce-too-low``, ``nonce-gap``,
-    ``replacement-underpriced``, ``sender-quota``, ``insufficient-balance``,
-    ``mempool-full`` and ``rate-limited`` from the pool; ``backpressure``
-    and ``circuit-open`` from the facade's overload guards.  ``retryable``
+    ``replacement-underpriced``, ``sender-quota``, ``insufficient-balance``
+    and ``mempool-full`` from the pool; ``backpressure`` and
+    ``circuit-open`` from the facade's overload guards.  ``retryable``
     (``code in RETRYABLE``) says whether resubmitting the same transaction
     later can succeed, and ``retry_after_us`` carries the suggested pacing
-    delay where the rejecting layer has one.  Sitting on the resilience
+    delay where the rejecting layer has one (the facade's two guards).  Sitting on the resilience
     hierarchy keeps the contract uniform: overload is a fault the system
     degrades through, not a crash.
     """

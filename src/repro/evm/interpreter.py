@@ -23,7 +23,8 @@ it after the opcode byte: the three copies share ``_op_copy`` (a
 ``source(frame, src, size)``), EXTCODESIZE / EXTCODEHASH ``_op_extcode`` (a
 ``measure(evm, code)``), RETURN / REVERT ``_op_halt`` (the exception that
 ends the frame), the ALU ops a ``primitives`` function, the transaction
-constants a getter; the three calls share ``_op_call``.
+constants a getter, and the three calls ``_op_call`` (``(op, pops,
+delegate, static)``).
 
 ``execute_transaction`` wraps a frame in the transaction envelope: intrinsic
 gas, nonce bump, value transfer, fee charge — each of which is reported to
@@ -587,11 +588,11 @@ class EVM:
 
     # -- calls -------------------------------------------------------------------
 
-    def _op_call(self, frame: Frame, op: int) -> None:
-        operands = _pop_n(frame.stack, 7 if op == Op.CALL else 6)
-        delegate = op == Op.DELEGATECALL
-        static = frame.msg.static or op == Op.STATICCALL
-        if op == Op.CALL:
+    def _op_call(self, frame: Frame, arg: tuple) -> None:
+        op, pops, delegate, static = arg
+        operands = _pop_n(frame.stack, pops)
+        static = frame.msg.static or static
+        if pops == 7:  # CALL, the one that carries a value
             gas_req, to_word, value, args_off, args_size, ret_off, ret_size = operands
             if static and value != 0:
                 raise WriteProtection("value-bearing CALL in a static context")
@@ -804,9 +805,6 @@ def _opcode_entries() -> tuple:
         Op.JUMP: (EVM._op_jump, G.GAS_MID, 1, 0),
         Op.JUMPI: (EVM._op_jumpi, G.GAS_HIGH, 2, 0),
         Op.JUMPDEST: (EVM._op_jumpdest, G.GAS_JUMPDEST, 0, 0),
-        Op.CALL: (EVM._op_call, 0, 7, 1),
-        Op.DELEGATECALL: (EVM._op_call, 0, 6, 1),
-        Op.STATICCALL: (EVM._op_call, 0, 6, 1),
         Op.BLOCKHASH: (EVM._op_blockhash, G.GAS_EXT, 1, 1),
         Op.INVALID: (EVM._op_invalid, 0, 0, 0),
     }
@@ -834,6 +832,12 @@ def _opcode_entries() -> tuple:
         entries[op] = (EVM._op_extcode, (int(op), measure), 0, 1, 1)
     for op, halt in ((Op.RETURN, _Halt), (Op.REVERT, Revert)):
         entries[op] = (EVM._op_halt, (int(op), halt), 0, 2, 0)
+    for op, pops, delegate, static in (
+        (Op.CALL, 7, False, False),
+        (Op.DELEGATECALL, 6, True, False),
+        (Op.STATICCALL, 6, False, True),
+    ):
+        entries[op] = (EVM._op_call, (int(op), pops, delegate, static), 0, pops, 1)
     for op, (handler, gas, pops, pushes) in rows.items():
         entries[op] = (handler, int(op), gas, pops, pushes)
     return tuple(

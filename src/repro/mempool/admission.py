@@ -29,6 +29,9 @@ _SECP256K1_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD036414
 
 _REQUIRED_FIELDS = ("sender", "nonce", "gas_limit", "gas_price")
 
+#: Largest billable wire size (:func:`wire_size`) admission accepts.
+MAX_TX_BYTES = 4096
+
 
 def transaction_hash(tx: Transaction) -> bytes:
     """The canonical hash of a transaction's signed payload.
@@ -112,7 +115,6 @@ def decode_wire_transaction(
     params,
     *,
     chain_id: int = 1,
-    max_tx_bytes: int = 4096,
     block_gas_limit: int = 30_000_000,
 ) -> Transaction:
     """Decode and structurally validate a wire transaction.
@@ -128,9 +130,9 @@ def decode_wire_transaction(
             raise AdmissionError("malformed", f"missing field {field!r}")
 
     size = wire_size(params)
-    if size > max_tx_bytes:
+    if size > MAX_TX_BYTES:
         raise AdmissionError(
-            "too-large", f"transaction is {size} bytes; cap is {max_tx_bytes}"
+            "too-large", f"transaction is {size} bytes; cap is {MAX_TX_BYTES}"
         )
 
     got_chain = params.get("chain_id", chain_id)

@@ -22,7 +22,8 @@ same-seed runs shed and select identically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import AdmissionError
 from ..evm.message import Transaction
@@ -33,36 +34,32 @@ from .admission import transaction_hash
 
 @dataclass(slots=True, frozen=True)
 class MempoolConfig:
-    """Admission-control and shedding knobs.
+    """Admission-control and shedding settings.
 
-    Watermarks are fractions of ``capacity``: above ``high_watermark`` the
+    Settable: ``capacity`` (``--capacity``, the ingress scenarios),
+    ``per_sender_quota`` (the ingress-overload experiment) and
+    ``tx_ttl_us``, the queue deadline used for load shedding (the ingress
+    scenarios): once the pool is pressured, pooled txs older than their
+    deadline are shed cheapest-first until depth reaches the low
+    watermark.
+
+    Fixed: a fee floor of ``min_gas_price`` = 1 wei, a replacement must
+    bid ``replacement_bump_pct`` = 10 % more, a new nonce may run at most
+    ``max_nonce_gap`` = 4 past the sender's executable sequence, and the
+    watermarks are 85 % and 60 % of ``capacity``: above the high one the
     facade answers submissions with backpressure until depth drains below
-    ``low_watermark`` (hysteresis, so the signal does not flap).
-    ``tx_ttl_us`` is the queue deadline used for load shedding: once the
-    pool is pressured, pooled txs older than their deadline are shed
-    cheapest-first until depth reaches the low watermark.
-
-    ``sender_rate_per_s`` turns on per-sender token-bucket rate shaping
-    (0 disables it, the default): each sender's bucket starts full at
-    ``sender_burst`` tokens, refills continuously at the configured rate
-    on the simulated clock, and every admission attempt spends one token.
-    An empty bucket rejects with code ``rate-limited`` carrying
-    ``retry_after_us`` — fairness beyond the static quota, so a
-    single chatty sender cannot monopolise admission throughput even
-    while staying under its pooled-count quota.
+    the low one (hysteresis, so the signal does not flap).
     """
 
     capacity: int = 2048
     per_sender_quota: int = 16
-    min_gas_price: int = 1
-    replacement_bump_pct: float = 10.0
-    max_nonce_gap: int = 4
-    high_watermark: float = 0.85
-    low_watermark: float = 0.60
     tx_ttl_us: float = 1_500_000.0
-    max_tx_bytes: int = 4096
-    sender_rate_per_s: float = 0.0
-    sender_burst: int = 4
+
+    min_gas_price: ClassVar[int] = 1
+    replacement_bump_pct: ClassVar[float] = 10.0
+    max_nonce_gap: ClassVar[int] = 4
+    high_watermark: ClassVar[float] = 0.85
+    low_watermark: ClassVar[float] = 0.60
 
     @property
     def high_depth(self) -> int:
@@ -113,9 +110,6 @@ class Mempool:
         self._by_sender: dict[bytes, dict[int, PoolEntry]] = {}
         self._by_hash: dict[bytes, PoolEntry] = {}
         self._seq = 0
-        # sender -> [tokens, last_refill_us]; only touched when rate
-        # shaping is enabled, so the default path stays allocation-free.
-        self._buckets: dict[bytes, list[float]] = {}
 
     # -- introspection -------------------------------------------------
 
@@ -137,46 +131,15 @@ class Mempool:
     def under_low_watermark(self) -> bool:
         return len(self._by_hash) <= self.config.low_depth
 
-    def _reject(
-        self, code: str, message: str, retry_after_us: float | None = None
-    ) -> AdmissionError:
+    def _reject(self, code: str, message: str) -> AdmissionError:
         """Count one rejection under its code; the caller raises it."""
         self.metrics.counter("mempool_rejected_total", reason=code).inc()
-        return AdmissionError(code, message, retry_after_us)
+        return AdmissionError(code, message)
 
     def _gauge_depth(self) -> None:
         self.metrics.gauge("mempool_depth").set(len(self._by_hash))
 
     # -- admission -----------------------------------------------------
-
-    def _shape_rate(self, sender: bytes, now_us: float) -> None:
-        """Spend one token from the sender's bucket or reject ``rate-limited``.
-
-        The bucket refills continuously on the simulated clock; tokens
-        are spent per admission *attempt* (not per success), so hammering
-        with doomed transactions burns allowance just like valid ones.
-        """
-        rate = self.config.sender_rate_per_s
-        if rate <= 0.0:
-            return
-        burst = float(max(1, self.config.sender_burst))
-        bucket = self._buckets.get(sender)
-        if bucket is None:
-            bucket = self._buckets[sender] = [burst, now_us]
-        tokens, last = bucket
-        tokens = min(burst, tokens + (now_us - last) * rate / 1e6)
-        if tokens < 1.0:
-            bucket[0] = tokens
-            bucket[1] = now_us
-            retry_after_us = (1.0 - tokens) / rate * 1e6
-            raise self._reject(
-                "rate-limited",
-                f"sender 0x{sender.hex()} is over its admission rate; "
-                f"retry after {retry_after_us:.0f} us",
-                retry_after_us,
-            )
-        bucket[0] = tokens - 1.0
-        bucket[1] = now_us
 
     def _expected_nonce(self, sender: bytes, on_chain: int) -> int:
         """The end of the sender's contiguous executable sequence."""
@@ -190,14 +153,13 @@ class Mempool:
     def add(self, tx: Transaction, tx_hash: bytes | None = None, now_us: float = 0.0) -> bytes:
         """Admit ``tx`` or raise an :class:`AdmissionError` naming the check.
 
-        Returns the tx hash on success.  Checks run cheapest-first:
-        per-sender rate shaping (when enabled), fee floor, sender quota,
-        nonce discipline, replacement-by-fee, cumulative balance cover,
-        then capacity (with fee-based displacement of the cheapest pooled
-        tx as the last resort).
+        Returns the tx hash on success.  Checks run cheapest-first: fee
+        floor (1 wei), sender quota, nonce discipline (at most 4 past the
+        executable sequence), replacement-by-fee (a 10 % bump), cumulative
+        balance cover, then capacity (with fee-based displacement of the
+        cheapest pooled tx as the last resort).
         """
         config = self.config
-        self._shape_rate(tx.sender, now_us)
         if tx.gas_price < config.min_gas_price:
             raise self._reject(
                 "fee-too-low",

@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .metrics import NULL_METRICS
 from .streaming import LogHistogram, format_stat
@@ -159,17 +160,19 @@ class SloConfig:
     ``latency_objective_us``/``latency_goal``: at least ``latency_goal``
     of committed transactions finish within the objective.  ``error_goal``:
     at least that fraction of submissions avoid *server-caused* rejection
-    (:data:`SERVER_FAULT_REASONS` plus post-admission expiry).  A window
-    whose bad-fraction burns the error budget (``1 - goal``) at
-    ``burn_alert``x or faster fires one deterministic alert.
+    (:data:`SERVER_FAULT_REASONS` plus post-admission expiry).  A
+    ``window_us`` window whose bad-fraction burns the error budget
+    (``1 - goal``) at ``burn_alert``x or faster fires one deterministic
+    alert.  Only the objective is settable; the rest are ``ClassVar``s.
     """
 
     latency_objective_us: float = 100_000.0
-    latency_goal: float = 0.99
-    error_goal: float = 0.99
-    window_us: float = 500_000.0
-    burn_alert: float = 2.0
-    max_alerts: int = 64
+
+    latency_goal: ClassVar[float] = 0.99
+    error_goal: ClassVar[float] = 0.99
+    window_us: ClassVar[float] = 500_000.0
+    burn_alert: ClassVar[float] = 2.0
+    max_alerts: ClassVar[int] = 64
 
 
 class _Objective:
@@ -316,17 +319,19 @@ class FlightRecorder:
 
     ``record`` pushes one terminal lifecycle record (a plain dict);
     ``trigger`` snapshots the ring under the incident's name.  Both the
-    ring and the number of retained dumps are bounded, and every stored
-    value is simulated-time data, so the dump artifact is deterministic
-    for a given seed — a repro you can diff across runs.
+    ring (``CAPACITY`` records) and the number of retained dumps
+    (``MAX_DUMPS``) are bounded, and every stored value is simulated-time
+    data, so the dump artifact is deterministic for a given seed — a repro
+    you can diff across runs.
     """
 
-    def __init__(self, capacity: int = 128, max_dumps: int = 8) -> None:
-        if capacity <= 0 or max_dumps <= 0:
+    CAPACITY = 128
+    MAX_DUMPS = 8
+
+    def __init__(self) -> None:
+        if self.CAPACITY <= 0 or self.MAX_DUMPS <= 0:
             raise ValueError("flight recorder needs positive bounds")
-        self.capacity = capacity
-        self.max_dumps = max_dumps
-        self._ring: deque[dict] = deque(maxlen=capacity)
+        self._ring: deque[dict] = deque(maxlen=self.CAPACITY)
         self.dumps: list[dict] = []
         self.triggered = 0
 
@@ -334,9 +339,9 @@ class FlightRecorder:
         self._ring.append(entry)
 
     def trigger(self, reason: str, now_us: float) -> None:
-        """Snapshot the ring; retention is bounded by ``max_dumps``."""
+        """Snapshot the ring; retention is bounded by ``MAX_DUMPS``."""
         self.triggered += 1
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.dumps) >= self.MAX_DUMPS:
             return
         self.dumps.append(
             {
@@ -348,8 +353,8 @@ class FlightRecorder:
 
     def as_dict(self) -> dict:
         return {
-            "capacity": self.capacity,
-            "max_dumps": self.max_dumps,
+            "capacity": self.CAPACITY,
+            "max_dumps": self.MAX_DUMPS,
             "triggered": self.triggered,
             "dumps": self.dumps,
         }
@@ -418,10 +423,10 @@ class LifecycleTracker:
     / ``on_block`` / ``on_incident``); the ingress harness adds retry
     provenance via ``note_submission``.  Memory is bounded: in-flight
     records are capped (the mempool bounds them in practice), terminal
-    records fold into sketches and rollups and are dropped — unless a
-    ``sink`` (writable) is attached, in which case each terminal record is
-    emitted as one sorted-keys JSONL line, or a :class:`FlightRecorder`
-    keeps its bounded ring.
+    records fold into sketches and rollups and are dropped — unless the
+    session points ``sink`` (writable) at its ``--waterfalls`` file, in
+    which case each terminal record is emitted as one sorted-keys JSONL
+    line, or a :class:`FlightRecorder` keeps its bounded ring.
 
     ``trace=True`` additionally records one serving-lane span per phase of
     every committed transaction plus any counter samples
@@ -429,27 +434,23 @@ class LifecycleTracker:
     default because spans accrue per transaction.
     """
 
+    MAX_HOT_SENDERS = 64
+
     def __init__(
         self,
         metrics=NULL_METRICS,
         slo: SloMonitor | None = None,
         recorder: FlightRecorder | None = None,
-        slow_threshold_us: float | None = None,
-        max_hot_senders: int = 64,
         trace: bool = False,
-        sink=None,
     ) -> None:
         self.metrics = metrics
         self.slo = slo
         self.recorder = recorder
-        if slow_threshold_us is None:
-            slow_threshold_us = (
-                slo.config.latency_objective_us if slo is not None else 100_000.0
-            )
-        self.slow_threshold_us = slow_threshold_us
-        self.max_hot_senders = max_hot_senders
+        self.slow_threshold_us = (
+            slo.config.latency_objective_us if slo is not None else 100_000.0
+        )
         self.trace = TraceRecorder() if trace else None
-        self.sink = sink
+        self.sink = None
         self.inflight: dict[str, TxLifecycle] = {}
         self.total = _PhaseSketches()
         self.window = _PhaseSketches()
@@ -554,7 +555,7 @@ class LifecycleTracker:
     def _sender_stats(self, sender: str) -> SenderStats:
         stats = self.senders.get(sender)
         if stats is None:
-            if len(self.senders) >= self.max_hot_senders:
+            if len(self.senders) >= self.MAX_HOT_SENDERS:
                 sender = "(overflow)"
                 stats = self.senders.get(sender)
                 if stats is not None:

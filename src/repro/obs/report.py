@@ -65,9 +65,7 @@ def utilization_table(
     )
 
 
-def commit_point_stall_us(
-    trace: TraceRecorder, makespan_us: float, kinds: frozenset = COMMIT_POINT_KINDS
-) -> float:
+def commit_point_stall_us(trace: TraceRecorder, makespan_us: float) -> float:
     """Simulated time the ordered commit point spent idle.
 
     The commit point is the serial spine of every ordered-commit executor:
@@ -78,7 +76,7 @@ def commit_point_stall_us(
     intervals = sorted(
         (span.start_us, span.end_us)
         for span in trace.spans
-        if span.kind in kinds
+        if span.kind in COMMIT_POINT_KINDS
     )
     covered = 0.0
     cursor = 0.0

@@ -37,46 +37,36 @@ SUMMARY_QUANTILES = (0.50, 0.90, 0.99)
 class LogHistogram:
     """A bounded-memory quantile sketch over log-scaled fixed buckets.
 
-    Bucket ``i`` (``1 <= i <= n``) covers ``[min_edge * g**(i-1),
-    min_edge * g**i)`` with growth factor ``g = 10 ** (1 /
-    buckets_per_decade)``; bucket 0 is the underflow bucket ``[0,
-    min_edge)`` and bucket ``n + 1`` catches everything at or above the
-    last edge.  Quantile queries return the geometric midpoint of the
+    Bucket ``i`` (``1 <= i <= n``) covers ``[MIN_EDGE * g**(i-1),
+    MIN_EDGE * g**i)`` with growth factor ``g = 10 ** (1 /
+    BUCKETS_PER_DECADE)``; bucket 0 is the underflow bucket ``[0,
+    MIN_EDGE)`` and bucket ``n + 1`` catches everything at or above
+    ``MAX_EDGE``.  Quantile queries return the geometric midpoint of the
     selected bucket (clamped to the exactly-tracked min/max), so the
     relative error of any quantile is at most ``sqrt(g) - 1`` — about 5%
-    at the default 24 buckets per decade.
+    at 24 buckets per decade.
 
     Negative observations are rejected: the sketch measures simulated
     durations and sizes, which are non-negative by construction.
     """
 
-    __slots__ = (
-        "min_edge",
-        "buckets_per_decade",
-        "counts",
-        "count",
-        "sum",
-        "min",
-        "max",
-        "_inner",
-    )
+    #: Lower edge of the first inner bucket (1 us for a latency).
+    MIN_EDGE = 1.0
+    #: Upper edge of the last inner bucket (60 s of simulated time).
+    MAX_EDGE = 60e6
+    BUCKETS_PER_DECADE = 24
+    #: Inner buckets between the edges.
+    INNER = math.ceil(math.log10(MAX_EDGE / MIN_EDGE) * BUCKETS_PER_DECADE)
+    #: The per-bucket geometric growth factor ``g``.
+    growth = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
+    #: Worst-case relative error of a quantile query (``sqrt(g) - 1``).
+    relative_error = math.sqrt(growth) - 1.0
 
-    def __init__(
-        self,
-        min_edge: float = 1.0,
-        max_edge: float = 60e6,
-        buckets_per_decade: int = 24,
-    ) -> None:
-        if min_edge <= 0 or max_edge <= min_edge:
-            raise ValueError("need 0 < min_edge < max_edge")
-        if buckets_per_decade <= 0:
-            raise ValueError("buckets_per_decade must be positive")
-        self.min_edge = float(min_edge)
-        self.buckets_per_decade = buckets_per_decade
-        decades = math.log10(max_edge / min_edge)
-        self._inner = max(1, math.ceil(decades * buckets_per_decade))
+    __slots__ = ("counts", "count", "sum", "min", "max")
+
+    def __init__(self) -> None:
         # underflow + inner + overflow
-        self.counts = [0] * (self._inner + 2)
+        self.counts = [0] * (self.INNER + 2)
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
@@ -85,12 +75,12 @@ class LogHistogram:
     # ------------------------------------------------------------ recording
 
     def _index(self, value: float) -> int:
-        if value < self.min_edge:
+        if value < self.MIN_EDGE:
             return 0
         index = 1 + int(
-            math.log10(value / self.min_edge) * self.buckets_per_decade
+            math.log10(value / self.MIN_EDGE) * self.BUCKETS_PER_DECADE
         )
-        return min(index, self._inner + 1)
+        return min(index, self.INNER + 1)
 
     def observe(self, value: float) -> None:
         if value < 0:
@@ -105,25 +95,15 @@ class LogHistogram:
 
     # -------------------------------------------------------------- queries
 
-    @property
-    def growth(self) -> float:
-        """The per-bucket geometric growth factor ``g``."""
-        return 10.0 ** (1.0 / self.buckets_per_decade)
-
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative error of a quantile query (``sqrt(g) - 1``)."""
-        return math.sqrt(self.growth) - 1.0
-
     def _bucket_lower(self, index: int) -> float:
         if index == 0:
             return 0.0
-        return self.min_edge * self.growth ** (index - 1)
+        return self.MIN_EDGE * self.growth ** (index - 1)
 
     def _bucket_value(self, index: int) -> float:
         """The representative value of a bucket (its geometric midpoint)."""
         if index == 0:
-            return self.min_edge / 2.0
+            return self.MIN_EDGE / 2.0
         return self._bucket_lower(index) * math.sqrt(self.growth)
 
     def quantile(self, q: float) -> float | None:

@@ -76,13 +76,11 @@ class ReplicatedChainService:
         executor: str,
         config: ClusterConfig | None = None,
         metrics=NULL_METRICS,
-        observer=None,
     ) -> None:
         self.chain = chain
         self.executor_name = executor
         self.config = config or ClusterConfig()
         self.metrics = metrics
-        self.observer = observer
         self.controller = FailoverController(self.config.policy, metrics=metrics)
         self.primary_alive = True
         self.quarantine_events: list[Exception] = []
@@ -124,7 +122,6 @@ class ReplicatedChainService:
             make_executor(
                 self.executor_name, self.config.threads, durability=pipeline
             ),
-            observer=self.observer,
             chain=chain,
         )
 

@@ -29,23 +29,25 @@ simulated time, no jitter — so a chaos run is replayable from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import RedoBudgetExceeded
 
 
 @dataclass(slots=True, frozen=True)
 class RecoveryPolicy:
-    """Tunable constants of the escalation ladder (all simulated time)."""
+    """Constants of the escalation ladder (all simulated time); the
+    ``ClassVar`` ones are fixed, the fields are what callers tune."""
 
     # --- transient storage retry ----------------------------------------
     backoff_base_us: float = 50.0  # first retry wait
-    backoff_factor: float = 2.0  # exponential growth per retry
+    backoff_factor: ClassVar[float] = 2.0  # exponential growth per retry
     backoff_cap_us: float = 1600.0  # ceiling on a single wait
-    max_read_attempts: int = 6  # consecutive failures before giving up
+    max_read_attempts: ClassVar[int] = 6  # failures before giving up
 
     # --- redo escalation (ParallelEVM) ----------------------------------
     redo_budget: int = 3  # redo attempts per transaction
-    reexec_budget: int = 3  # full re-executions before serial fallback
+    reexec_budget: ClassVar[int] = 3  # re-executions before serial fallback
 
     # --- block-level watchdogs -------------------------------------------
     block_deadline_us: float | None = None  # None disables the watchdog
@@ -59,7 +61,7 @@ class RecoveryPolicy:
     corrupt_tail_policy: str = "truncate"
     # Reorgs deeper than this (or past the pruning horizon) raise
     # ReorgDepthExceeded instead of attempting an in-place rollback.
-    max_reorg_depth: int = 64
+    max_reorg_depth: ClassVar[int] = 64
 
     def backoff_us(self, attempt: int) -> float:
         """Simulated wait before retry ``attempt`` (0-based), capped.

@@ -89,14 +89,13 @@ class RpcFacade:
         service,
         mempool: Mempool,
         config: RpcConfig | None = None,
-        policy: RecoveryPolicy | None = None,
         metrics=NULL_METRICS,
         lifecycle=None,
     ) -> None:
         self.service = service
         self.mempool = mempool
         self.config = config or RpcConfig()
-        self.policy = policy or ingress_backoff_policy()
+        self.policy = ingress_backoff_policy()
         self.metrics = metrics
         # Optional per-tx lifecycle tracker (repro.obs.lifecycle).  Every
         # call site is None-guarded: a facade without one executes the
@@ -204,7 +203,6 @@ class RpcFacade:
             tx = decode_wire_transaction(
                 params,
                 chain_id=self.chain_id,
-                max_tx_bytes=self.mempool.config.max_tx_bytes,
                 block_gas_limit=self.service.chain.env.gas_limit,
             )
             tx_hash = transaction_hash(tx)

@@ -20,6 +20,10 @@ from ..errors import DuplicateTransaction, NonMonotonicBlock
 from ..obs.metrics import NULL_METRICS
 from ..workloads.stream import BlockStream
 
+#: Ingested blocks whose tx hashes :meth:`ChainService.ingest_block`
+#: checks a new block against for duplicates.
+RECENT_BLOCKS = 64
+
 
 class SoakObserver:
     """A bounded-memory observer for long runs.
@@ -117,7 +121,6 @@ class ChainService:
         pipeline=None,
         *,
         chain=None,
-        recent_blocks: int = 64,
         slo=None,
     ) -> None:
         if stream is None and chain is None:
@@ -148,7 +151,7 @@ class ChainService:
         # the external-ingest path.  The stream path never computes hashes,
         # so its makespans and telemetry stay bit-identical.
         self._recent_tx_hashes: deque[frozenset[bytes]] = deque(
-            maxlen=recent_blocks
+            maxlen=RECENT_BLOCKS
         )
 
     def ingest_block(self, block, tx_hashes=None) -> BlockOutcome:
@@ -161,7 +164,7 @@ class ChainService:
         * ``block.number`` must be exactly the service's next height
           (:class:`~repro.errors.NonMonotonicBlock` otherwise), and
         * no transaction hash may repeat, within the block or against the
-          last ``recent_blocks`` ingested blocks
+          last ``RECENT_BLOCKS`` ingested blocks
           (:class:`~repro.errors.DuplicateTransaction`).
 
         ``tx_hashes`` (optional) supplies precomputed hashes in tx order —

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from ..concurrency.registry import make_executor
 from ..obs.lifecycle import SloConfig, SloMonitor, describe_serving_sections
@@ -21,6 +22,9 @@ from ..obs.streaming import SoakTelemetry, format_stat, snapshot_sink
 from ..resilience import block_fault_plans
 from ..workloads.stream import BlockStream, StreamSpec, build_stream_chain
 from .chain_service import ChainService, SoakObserver
+
+if TYPE_CHECKING:  # imported where used: an unpipelined soak loads none of it
+    from ..pipeline import PipelineConfig
 
 
 @dataclass(slots=True)
@@ -40,12 +44,9 @@ class SoakConfig:
     scenario: str | None = None  # a repro.resilience chaos scenario name
     durable_dir: str | None = None
     checkpoint_interval: int = 0
-    # The multi-block pipeline (repro.pipeline): off by default, keeping
+    # The multi-block pipeline (repro.pipeline): None (the default) keeps
     # the synchronous service path — and its JSONL stream — bit-identical.
-    pipeline: bool = False
-    prefetch: bool = True
-    async_commit: bool = True
-    prefetch_io_depth: int = 8
+    pipeline: PipelineConfig | None = None
     # Serving-path load generation (repro.workloads.clients): when
     # ``loadgen_clients`` > 0 the soak feeds the service through the full
     # RPC stack — open-loop client fleet, admission control, mempool,
@@ -162,17 +163,10 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
             checkpoint_interval=config.checkpoint_interval,
             metrics=registry,
         )
-    if config.pipeline:
-        from ..pipeline import PipelineConfig, PipelineCoordinator
+    if config.pipeline is not None:
+        from ..pipeline import PipelineCoordinator
 
-        pipeline = PipelineCoordinator(
-            PipelineConfig(
-                prefetch=config.prefetch,
-                async_commit=config.async_commit,
-                io_depth=config.prefetch_io_depth,
-            ),
-            metrics=registry,
-        )
+        pipeline = PipelineCoordinator(config.pipeline, metrics=registry)
     fault_plans = block_fault_plans(f"soak:{config.seed}", config.scenario)
 
     if config.loadgen_clients > 0:

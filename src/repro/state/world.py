@@ -92,17 +92,17 @@ class WorldState:
         """
         return self.db.peek(key, default_value(key))
 
-    def get_balance(self, address: bytes, meter=None) -> int:
-        return self.read(balance_key(address), meter)
+    def get_balance(self, address: bytes) -> int:
+        return self.read(balance_key(address))
 
-    def get_nonce(self, address: bytes, meter=None) -> int:
-        return self.read(nonce_key(address), meter)
+    def get_nonce(self, address: bytes) -> int:
+        return self.read(nonce_key(address))
 
-    def get_code(self, address: bytes, meter=None) -> bytes:
-        return self.read(code_key(address), meter)
+    def get_code(self, address: bytes) -> bytes:
+        return self.read(code_key(address))
 
-    def get_storage(self, address: bytes, slot: int, meter=None) -> int:
-        return self.read(storage_key(address, slot), meter)
+    def get_storage(self, address: bytes, slot: int) -> int:
+        return self.read(storage_key(address, slot))
 
     # ------------------------------------------------------------- writing
 

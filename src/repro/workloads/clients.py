@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..evm.message import Transaction
 from ..mempool.admission import wire_transaction
@@ -41,8 +42,10 @@ class ClientSpec:
     read_share: float = 0.15
     malformed_share: float = 0.0
     nonce_gap_share: float = 0.0
-    max_retries: int = 4
     seed: int = 1
+
+    #: Retries after which a client gives up on a transaction.
+    max_retries: ClassVar[int] = 4
 
 
 #: One corruption per AdmissionError the stateless validator can raise.

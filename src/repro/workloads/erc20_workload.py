@@ -26,9 +26,9 @@ def conflict_ratio_block(
     tx_count: int,
     ratio: float,
     seed: int = 0,
-    token_index: int = 0,
 ) -> Block:
-    """A block where ``ratio`` of the transactions share one hot balance.
+    """A block where ``ratio`` of the transactions share one hot balance
+    of the chain's first token.
 
     ``ratio=0`` gives a fully parallel block; ``ratio=1`` makes every
     transaction (except the first to commit) observe a stale
@@ -37,7 +37,7 @@ def conflict_ratio_block(
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"conflict ratio {ratio} outside [0, 1]")
     rng = random.Random((seed << 16) ^ number)
-    token = chain.tokens[token_index]
+    token = chain.tokens[0]
     accounts = chain.accounts
     if tx_count * 2 + 1 > len(accounts):
         raise ValueError(
@@ -82,7 +82,7 @@ def conflict_ratio_block(
 
 
 def hot_recipient_block(
-    chain: Chain, number: int, tx_count: int, seed: int = 0, token_index: int = 0
+    chain: Chain, number: int, tx_count: int, seed: int = 0
 ) -> Block:
     """Every transfer credits the same recipient (exchange-deposit pattern).
 
@@ -91,7 +91,7 @@ def hot_recipient_block(
     operation-level conflict handling.
     """
     rng = random.Random((seed << 16) ^ number ^ 0x5EED)
-    token = chain.tokens[token_index]
+    token = chain.tokens[0]
     hot = chain.accounts[-1]
     senders = rng.sample(chain.accounts[:-1], min(tx_count, len(chain.accounts) - 1))
     txs = [

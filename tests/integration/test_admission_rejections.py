@@ -17,6 +17,8 @@ tests.integration.test_admission_rejections`` and paste the printed dict.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.concurrency.registry import make_executor
@@ -98,6 +100,22 @@ class Stack:
         }
 
 
+def _pool_constants(**constants):
+    """Run a case with ``MempoolConfig`` class constants patched."""
+
+    def wrap(case):
+        @functools.wraps(case)
+        def patched():
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in constants.items():
+                    mp.setattr(MempoolConfig, name, value)
+                return case()
+
+        return patched
+
+    return wrap
+
+
 def _malformed():
     stack = Stack()
     wire = stack.wire()
@@ -133,13 +151,14 @@ def _intrinsic_gas():
     return stack.observe("send_transaction", wire)
 
 
+@_pool_constants(min_gas_price=5)
 def _fee_too_low():
-    stack = Stack(min_gas_price=5)
+    stack = Stack()
     return stack.observe("send_transaction", stack.wire(gas_price=4))
 
 
 def _replacement_underpriced():
-    stack = Stack(replacement_bump_pct=10.0)
+    stack = Stack()
     stack.admit(stack.wire(sender=5, gas_price=100))
     return stack.observe("send_transaction", stack.wire(sender=5, gas_price=105))
 
@@ -150,8 +169,9 @@ def _nonce_too_low():
     return stack.observe("send_transaction", stack.wire(sender=3, nonce=4))
 
 
+@_pool_constants(max_nonce_gap=2)
 def _nonce_gap():
-    stack = Stack(max_nonce_gap=2)
+    stack = Stack()
     return stack.observe("send_transaction", stack.wire(sender=4, nonce=3))
 
 
@@ -167,24 +187,27 @@ def _sender_quota():
     return stack.observe("send_transaction", stack.wire(sender=6, nonce=2))
 
 
+# A watermark above capacity keeps backpressure out of the way.
+@_pool_constants(high_watermark=2.0)
 def _mempool_full():
-    # A watermark above capacity keeps backpressure out of the way.
-    stack = Stack(capacity=2, high_watermark=2.0)
+    stack = Stack(capacity=2)
     stack.admit(stack.wire(sender=0, gas_price=10))
     stack.admit(stack.wire(sender=2, gas_price=20))
     return stack.observe("send_transaction", stack.wire(sender=3, gas_price=10))
 
 
+# capacity 8, high watermark 4: the fifth submission trips the signal.
+@_pool_constants(high_watermark=0.5, low_watermark=0.25)
 def _backpressure():
-    # capacity 8, high watermark 4: the fifth submission trips the signal.
-    stack = Stack(capacity=8, high_watermark=0.5, low_watermark=0.25)
+    stack = Stack(capacity=8)
     for sender in range(4):
         stack.admit(stack.wire(sender=sender))
     return stack.observe("send_transaction", stack.wire(sender=5), now_us=10.0)
 
 
+@_pool_constants(high_watermark=0.5, low_watermark=0.25)
 def _backpressure_sustained():
-    stack = Stack(capacity=8, high_watermark=0.5, low_watermark=0.25)
+    stack = Stack(capacity=8)
     for sender in range(4):
         stack.admit(stack.wire(sender=sender))
     stack.send(stack.wire(sender=5))
@@ -198,14 +221,6 @@ def _circuit_open():
     stack.facade._account_lag(100_000.0, 200_000.0)
     address = "0x" + stack.chain.accounts[0].hex()
     return stack.observe("get_balance", {"address": address}, now_us=100_000.0)
-
-
-def _rate_limited():
-    stack = Stack(sender_rate_per_s=4.0, sender_burst=1)
-    stack.admit(stack.wire(sender=1, nonce=0), now_us=0.0)
-    return stack.observe(
-        "send_transaction", stack.wire(sender=1, nonce=1), now_us=50_000.0
-    )
 
 
 CASES = {
@@ -224,7 +239,6 @@ CASES = {
     "backpressure": _backpressure,
     "backpressure-sustained": _backpressure_sustained,
     "circuit-open": _circuit_open,
-    "rate-limited": _rate_limited,
 }
 
 RECORDED_AT_PARENT = {
@@ -350,18 +364,6 @@ RECORDED_AT_PARENT = {
             'mempool_rejected_total{reason=nonce-too-low}': 1,
             'rpc_errors_total{reason=nonce-too-low}': 1,
             'rpc_rejected_total{reason=nonce-too-low}': 1,
-            'rpc_requests_total{method=send_transaction}': 1,
-        },
-        'lifecycle_rejected': 1,
-    },
-    'rate-limited': {
-        'message': 'sender 0xa000000000000000000000000000000000002711 is over its admission rate; retry after 200000 us',
-        'data': {'reason': 'rate-limited', 'retry_after_us': 200000.0, 'retryable': True},
-        'counters': {
-            'lifecycle_rejected_total{reason=rate-limited}': 1,
-            'mempool_rejected_total{reason=rate-limited}': 1,
-            'rpc_errors_total{reason=rate-limited}': 1,
-            'rpc_rejected_total{reason=rate-limited}': 1,
             'rpc_requests_total{method=send_transaction}': 1,
         },
         'lifecycle_rejected': 1,

@@ -168,10 +168,11 @@ class TestSerialFallbacks:
         assert result.makespan_us > result.stats["fallback_at_us"]
         assert result.writes == serial.writes
 
-    def test_escalation_reaches_per_tx_serial_fallback(self):
+    def test_escalation_reaches_per_tx_serial_fallback(self, monkeypatch):
         # redo_budget=0 escalates every conflict straight to re-execution;
         # reexec_budget=1 then forces the per-tx serial fallback at the
         # commit point.  State must still match serial exactly.
+        monkeypatch.setattr(RecoveryPolicy, "reexec_budget", 1)
         chain = build_chain(ChainSpec(tokens=1, amm_pairs=0, accounts=24))
         block = conflict_ratio_block(chain, 61, 10, ratio=1.0)
         serial = SerialExecutor().execute_block(
@@ -180,7 +181,7 @@ class TestSerialFallbacks:
         plan = FaultPlan(
             7,
             FaultConfig(reconflict_rate=1.0, corrupt_guard_rate=1.0),
-            RecoveryPolicy(redo_budget=0, reexec_budget=1),
+            RecoveryPolicy(redo_budget=0),
         )
         executor = ParallelEVMExecutor(threads=4, fault_plan=plan)
         result = executor.execute_block(

@@ -11,6 +11,7 @@ import pytest
 
 from repro.concurrency.registry import EXECUTOR_NAMES
 from repro.obs.lifecycle import TILING_EPS_US, WATERFALL_PHASES, SloConfig
+from repro.pipeline import PipelineConfig
 from repro.resilience import SCENARIOS
 from repro.rpc import IngressConfig, run_ingress
 from repro.service import SoakConfig, run_soak
@@ -166,7 +167,8 @@ class TestLoadgenSoak:
     def test_pipelined_loadgen_soak_composes(self):
         config = SoakConfig(
             blocks=12, window_blocks=6, accounts=1_000, txs_per_block=12,
-            loadgen_clients=4, rate_multiplier=1.4, seed=9, pipeline=True,
+            loadgen_clients=4, rate_multiplier=1.4, seed=9,
+            pipeline=PipelineConfig(),
         )
         report = run_soak(config)
         assert report.lifecycle["committed"] > 0

@@ -76,8 +76,8 @@ def _service_run(
 
 class TestPipelineDeterminism:
     def test_pipelined_soak_jsonl_is_byte_identical(self):
-        first, report_a = _soak(pipeline=True)
-        second, report_b = _soak(pipeline=True)
+        first, report_a = _soak(pipeline=PipelineConfig())
+        second, report_b = _soak(pipeline=PipelineConfig())
         assert first == second
         assert first
         assert report_a.as_dict() == report_b.as_dict()
@@ -85,12 +85,12 @@ class TestPipelineDeterminism:
     def test_pipeline_off_stream_unchanged_by_the_subsystem(self):
         """SoakConfig defaults leave the synchronous stream untouched."""
         baseline, _ = _soak()
-        explicit_off, _ = _soak(pipeline=False)
+        explicit_off, _ = _soak(pipeline=None)
         assert baseline == explicit_off
 
     def test_pipelined_stream_differs_from_synchronous(self):
         """The pipeline visibly changes throughput telemetry when on."""
-        on, _ = _soak(pipeline=True)
+        on, _ = _soak(pipeline=PipelineConfig())
         off, _ = _soak()
         assert on != off
 
@@ -113,7 +113,8 @@ class TestPipelineEquivalence:
         unfaulted synchronous run: same counters, same final summary
         fingerprint inputs (gas, txs), cache still bounded."""
         _, faulted = _soak(
-            pipeline=True, scenario="redo-storm", executor="parallelevm"
+            pipeline=PipelineConfig(), scenario="redo-storm",
+            executor="parallelevm",
         )
         _, baseline = _soak(executor="serial")
         assert (

@@ -32,6 +32,7 @@ from __future__ import annotations
 import sys
 from dataclasses import astuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,15 +80,16 @@ class Side:
     """One world, base, view and meter, driven through one read path."""
 
     def __init__(
-        self, stored, capacity, base_kind, plan_name, seed, attempts, model=MODELS[0]
+        self, stored, capacity, base_kind, plan_name, seed, model=MODELS[0]
     ):
         self.world = WorldState(SimulatedDiskKV(cache_capacity=capacity))
         for key, n in stored:
             self.world.db.write(key, _value(key, n))
         self.plan = None
         if plan_name is not None:
-            policy = RecoveryPolicy(max_read_attempts=attempts)
-            self.plan = FaultPlan(seed, SCENARIOS[plan_name].config, policy)
+            self.plan = FaultPlan(
+                seed, SCENARIOS[plan_name].config, RecoveryPolicy()
+            )
             self.world.db.faults = self.plan.storage
         self.base = {"none": None, "overlay": BlockOverlay(), "mapping": {}}[
             base_kind
@@ -174,26 +176,31 @@ class Side:
 def test_one_read_path_equals_the_composed_one(
     stored, ops, capacity, base_kind, plan_name, seed, attempts, model
 ):
-    program, oracle = (
-        Side(stored, capacity, base_kind, plan_name, seed, attempts, model)
-        for _ in range(2)
-    )
-    for op, key, n in ops:
-        assert program.step(op, key, n, False) == oracle.step(op, key, n, True)
-        assert program.observed() == oracle.observed()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RecoveryPolicy, "max_read_attempts", attempts)
+        program, oracle = (
+            Side(stored, capacity, base_kind, plan_name, seed, model)
+            for _ in range(2)
+        )
+        for op, key, n in ops:
+            assert program.step(op, key, n, False) == oracle.step(
+                op, key, n, True
+            )
+            assert program.observed() == oracle.observed()
 
 
-def test_the_faulted_plans_raise_and_perturb():
+def test_the_faulted_plans_raise_and_perturb(monkeypatch):
     """The plans reach every branch the property compares: a raised read,
     a spiked latency and a dropped cache entry."""
-    side = Side([], 100, "none", "storage-flaky", 0, 2)
+    monkeypatch.setattr(RecoveryPolicy, "max_read_attempts", 2)
+    side = Side([], 100, "none", "storage-flaky", 0)
     raised = [side.step("read", KEYS[0], 0, False)[0] for _ in range(64)]
     assert "raised" in raised
     for plan_name, counter in (
         ("storage-spike", "storage_latency_spikes"),
         ("cache-thrash", "cache_drops"),
     ):
-        side = Side([], 100, "none", plan_name, 0, 6)
+        side = Side([], 100, "none", plan_name, 0)
         for _ in range(64):
             side.step("world_read", KEYS[0], 0, False)
         assert side.plan.counters[counter] > 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import inspect
 from operator import attrgetter
 from types import SimpleNamespace
@@ -18,9 +20,26 @@ from repro.replication import FailoverPolicy
 from repro.rpc import IngressConfig, RpcConfig
 from repro.service import SoakConfig
 
+
+def _soak_fields(args):
+    """``soak_config``'s fields, its pipeline read out as the flags name it:
+    ``pipeline`` (on or not), ``prefetch``, ``async_commit`` and
+    ``prefetch_io_depth``."""
+    config = soak_config(args)
+    fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    pipeline = config.pipeline
+    fields.update(
+        pipeline=pipeline is not None,
+        prefetch=getattr(pipeline, "prefetch", None),
+        async_commit=getattr(pipeline, "async_commit", None),
+        prefetch_io_depth=getattr(pipeline, "io_depth", None),
+    )
+    return SimpleNamespace(**fields)
+
+
 #: What each command's handler builds from its parsed command line.
 _BUILT = {
-    "soak": soak_config,
+    "soak": _soak_fields,
     "loadgen": loadgen_config,
     "serve": lambda args: SimpleNamespace(
         **dict(zip(("rpc", "mempool"), serve_configs(args)))
@@ -335,6 +354,44 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "parallelevm" in out
         assert "speedup" in out
+
+    def test_compare_json_document_is_pinned(self, capsys):
+        # The sha256 of the whole --json document: analysis, serial
+        # makespan and every executor's makespan and speedup, byte for byte.
+        code = main(
+            ["compare", "--txs", "12", "--accounts", "60", "--threads", "4",
+             "--json"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c26a07fe3f024a8eeae939c6fdd3283fd3730bb1539b796e92cd5ad4f15c081b"
+        )
+
+    def test_compare_divergence_is_one_stderr_line(self, capsys, monkeypatch):
+        from repro.cli import blocks
+
+        real = blocks.make_executor
+
+        class Diverging:
+            def __init__(self, name, threads):
+                self.inner = real(name, threads)
+                self.name = self.inner.name
+
+            def execute_block(self, world, txs, env):
+                result = self.inner.execute_block(world, txs, env)
+                result.writes = {**result.writes, "bogus-key": 1}
+                return result
+
+        monkeypatch.setattr(blocks, "make_executor", Diverging)
+        code = main(
+            ["compare", "--txs", "12", "--accounts", "60", "--threads", "4"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "diverged" in captured.err.lower()
 
     def test_inspect_prints_a_log(self, capsys):
         code = main(["inspect", "--tx-index", "0", "--accounts", "60"])

@@ -56,8 +56,9 @@ class TestShape:
 
 
 class TestRetry:
-    def test_budget_and_jittered_backoff(self):
-        spec = ClientSpec(clients=1, max_retries=2)
+    def test_budget_and_jittered_backoff(self, monkeypatch):
+        monkeypatch.setattr(ClientSpec, "max_retries", 2)
+        spec = ClientSpec(clients=1)
         client = fleet(spec)[0]
         policy = client.policy
         delay = client.retry_delay_us(0, 0.0)

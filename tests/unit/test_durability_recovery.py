@@ -449,9 +449,10 @@ class TestReorgRollback:
         assert ReorgManager(pipeline).rollback(world, 3) == []
         assert world.fingerprint() == fps[3]
 
-    def test_policy_depth_limit(self):
+    def test_policy_depth_limit(self, monkeypatch):
+        monkeypatch.setattr(RecoveryPolicy, "max_reorg_depth", 1)
         _medium, pipeline, world, _fps = self.build()
-        manager = ReorgManager(pipeline, policy=RecoveryPolicy(max_reorg_depth=1))
+        manager = ReorgManager(pipeline, policy=RecoveryPolicy())
         with pytest.raises(ReorgDepthExceeded):
             manager.rollback(world, 1)
 

@@ -101,8 +101,10 @@ class TestTxLifecycle:
 
 
 class TestSloMonitor:
-    def test_burn_is_bad_fraction_over_budget(self):
-        slo = SloMonitor(SloConfig(latency_goal=0.9, window_us=1_000.0))
+    def test_burn_is_bad_fraction_over_budget(self, monkeypatch):
+        monkeypatch.setattr(SloConfig, "latency_goal", 0.9)
+        monkeypatch.setattr(SloConfig, "window_us", 1_000.0)
+        slo = SloMonitor(SloConfig())
         # 10 observations in window 0, 2 over the objective: fraction 0.2,
         # budget 0.1 -> burn 2.0.
         for i in range(10):
@@ -110,11 +112,14 @@ class TestSloMonitor:
         slo.finalize(500.0)
         assert slo.latency.last_burn == pytest.approx(2.0)
 
-    def test_alert_fires_at_threshold_and_counts_metric(self):
+    def test_alert_fires_at_threshold_and_counts_metric(self, monkeypatch):
+        monkeypatch.setattr(SloConfig, "latency_goal", 0.5)
+        monkeypatch.setattr(SloConfig, "window_us", 100.0)
+        monkeypatch.setattr(SloConfig, "burn_alert", 1.5)
         registry = MetricsRegistry()
         fired = []
         slo = SloMonitor(
-            SloConfig(latency_goal=0.5, window_us=100.0, burn_alert=1.5),
+            SloConfig(),
             metrics=registry,
             on_alert=fired.append,
         )
@@ -125,18 +130,20 @@ class TestSloMonitor:
         assert fired == [{"objective": "latency", "window": 0, "burn": 2.0}]
         assert registry.value("slo_alerts_total", objective="latency") == 1
 
-    def test_quiet_window_does_not_alert(self):
-        slo = SloMonitor(SloConfig(window_us=100.0))
+    def test_quiet_window_does_not_alert(self, monkeypatch):
+        monkeypatch.setattr(SloConfig, "window_us", 100.0)
+        slo = SloMonitor(SloConfig())
         slo.observe_latency(10.0, 1.0)
         slo.observe_latency(350.0, 1.0)  # two empty windows roll past
         slo.finalize(350.0)
         assert slo.alerts == []
         assert slo.windows_closed >= 3
 
-    def test_alert_log_is_bounded(self):
-        slo = SloMonitor(
-            SloConfig(latency_goal=0.5, window_us=10.0, max_alerts=3)
-        )
+    def test_alert_log_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(SloConfig, "latency_goal", 0.5)
+        monkeypatch.setattr(SloConfig, "window_us", 10.0)
+        monkeypatch.setattr(SloConfig, "max_alerts", 3)
+        slo = SloMonitor(SloConfig())
         for window in range(8):
             slo.observe_latency(window * 10.0, 1e9)
         slo.finalize(90.0)
@@ -144,8 +151,12 @@ class TestSloMonitor:
         # Alerts beyond the bound still count in the summary totals.
         assert slo.windows_closed >= 8
 
-    def test_server_faults_burn_error_budget_client_faults_do_not(self):
-        slo = SloMonitor(SloConfig(error_goal=0.5, window_us=1e9))
+    def test_server_faults_burn_error_budget_client_faults_do_not(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(SloConfig, "error_goal", 0.5)
+        monkeypatch.setattr(SloConfig, "window_us", 1e9)
+        slo = SloMonitor(SloConfig())
         assert "backpressure" in SERVER_FAULT_REASONS
         slo.observe_error(1.0, True)
         slo.observe_error(2.0, False)
@@ -155,8 +166,9 @@ class TestSloMonitor:
 
 
 class TestFlightRecorder:
-    def test_ring_is_bounded_and_dump_snapshots_it(self):
-        recorder = FlightRecorder(capacity=4)
+    def test_ring_is_bounded_and_dump_snapshots_it(self, monkeypatch):
+        monkeypatch.setattr(FlightRecorder, "CAPACITY", 4)
+        recorder = FlightRecorder()
         for i in range(10):
             recorder.record({"tx": i})
         recorder.trigger("circuit-open", 123.0)
@@ -164,17 +176,22 @@ class TestFlightRecorder:
         assert dump["reason"] == "circuit-open"
         assert [r["tx"] for r in dump["records"]] == [6, 7, 8, 9]
 
-    def test_dump_retention_is_bounded_but_triggers_keep_counting(self):
-        recorder = FlightRecorder(capacity=2, max_dumps=2)
+    def test_dump_retention_is_bounded_but_triggers_keep_counting(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(FlightRecorder, "CAPACITY", 2)
+        monkeypatch.setattr(FlightRecorder, "MAX_DUMPS", 2)
+        recorder = FlightRecorder()
         for i in range(5):
             recorder.trigger(f"incident-{i}", float(i))
         assert recorder.triggered == 5
         assert len(recorder.dumps) == 2
         json.loads(recorder.to_json())  # deterministic, serialisable
 
-    def test_rejects_nonpositive_bounds(self):
+    def test_rejects_nonpositive_bounds(self, monkeypatch):
+        monkeypatch.setattr(FlightRecorder, "CAPACITY", 0)
         with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+            FlightRecorder()
 
 
 class TestLifecycleTracker:
@@ -211,7 +228,9 @@ class TestLifecycleTracker:
         tracker.note_submission("0xff", 0.0, attempts=2)
 
     def test_slow_tx_blames_dominant_phase_and_hot_sender(self):
-        tracker = LifecycleTracker(slow_threshold_us=100.0)
+        tracker = LifecycleTracker(
+            slo=SloMonitor(SloConfig(latency_objective_us=100.0))
+        )
         self._commit_one(tracker, tick=5_000.0)  # queue-dominated
         report = tracker.report()
         assert report.slow_txs == 1
@@ -219,8 +238,9 @@ class TestLifecycleTracker:
         [hot] = report.hot_senders
         assert hot["sender"] == "0xs1" and hot["slow_txs"] == 1
 
-    def test_hot_sender_rollup_folds_into_overflow(self):
-        tracker = LifecycleTracker(max_hot_senders=2)
+    def test_hot_sender_rollup_folds_into_overflow(self, monkeypatch):
+        monkeypatch.setattr(LifecycleTracker, "MAX_HOT_SENDERS", 2)
+        tracker = LifecycleTracker()
         for i in range(4):
             self._commit_one(tracker, tx_hash=bytes([i + 1]), sender=f"0xs{i}")
         senders = set(tracker.senders)

@@ -126,14 +126,16 @@ class TestPoolAdmission:
         pool.mark_committed(entries)
         assert len(pool) == 0
 
-    def test_fee_floor(self, chain):
-        pool = self.pool(chain, min_gas_price=5)
+    def test_fee_floor(self, chain, monkeypatch):
+        monkeypatch.setattr(MempoolConfig, "min_gas_price", 5)
+        pool = self.pool(chain)
         with rejected("fee-too-low") as err:
             pool.add(transfer(chain, gas_price=4))
         assert err.value.retryable
 
-    def test_nonce_too_low_and_gap_window(self, chain):
-        pool = self.pool(chain, max_nonce_gap=2)
+    def test_nonce_too_low_and_gap_window(self, chain, monkeypatch):
+        monkeypatch.setattr(MempoolConfig, "max_nonce_gap", 2)
+        pool = self.pool(chain)
         from repro.state.keys import nonce_key
 
         bumped = build_chain(ChainSpec(accounts=8, tokens=1, amm_pairs=0, seed=3))
@@ -149,7 +151,7 @@ class TestPoolAdmission:
         pool.add(transfer(chain, sender_index=4, nonce=3))
 
     def test_replacement_needs_a_fee_bump(self, chain):
-        pool = self.pool(chain, replacement_bump_pct=10.0)
+        pool = self.pool(chain)  # a 10 % bump
         pool.add(transfer(chain, sender_index=5, gas_price=100))
         with rejected("replacement-underpriced"):
             pool.add(transfer(chain, sender_index=5, gas_price=105))
@@ -165,7 +167,7 @@ class TestPoolAdmission:
             pool.add(transfer(chain, sender_index=6, nonce=2))
 
     def test_cumulative_balance_cover(self, chain):
-        pool = self.pool(chain, per_sender_quota=8, max_nonce_gap=8)
+        pool = self.pool(chain, per_sender_quota=8)
         # 1000 ETH funded; two txs of 600 ETH each cannot both be covered.
         huge = 600 * 10**18
         pool.add(transfer(chain, sender_index=7, nonce=0, value=huge))
@@ -185,11 +187,12 @@ class TestPoolAdmission:
         prices = sorted(e.gas_price for e in pool.select(2, 30_000_000))
         assert prices == [20, 30]
 
-    def test_ttl_shedding_only_fires_above_the_high_watermark(self, chain):
-        pool = self.pool(
-            chain, capacity=4, high_watermark=0.5, low_watermark=0.25,
-            tx_ttl_us=100.0,
-        )
+    def test_ttl_shedding_only_fires_above_the_high_watermark(
+        self, chain, monkeypatch
+    ):
+        monkeypatch.setattr(MempoolConfig, "high_watermark", 0.5)
+        monkeypatch.setattr(MempoolConfig, "low_watermark", 0.25)
+        pool = self.pool(chain, capacity=4, tx_ttl_us=100.0)
         pool.add(transfer(chain, sender_index=0, gas_price=1), now_us=0.0)
         assert pool.shed_expired(1_000.0) == []  # depth 1 < high watermark 2
         pool.add(transfer(chain, sender_index=2, gas_price=9), now_us=0.0)

@@ -1,7 +1,7 @@
 """Replication building blocks: shipping, replicas, fencing, failover.
 
-Unit coverage for :mod:`repro.replication` plus the satellites that ride
-on it: per-sender rate shaping in the mempool and the obs report table.
+Unit coverage for :mod:`repro.replication` plus the satellite that rides
+on it: the obs report table.
 The cluster-level end-to-end paths (failover sweep, chaos scenarios)
 live in ``tests/integration/test_replication.py``.
 """
@@ -31,8 +31,6 @@ from repro.errors import (
     ReplicaDivergence,
     StaleEpoch,
 )
-from repro.evm.message import Transaction
-from repro.mempool import Mempool, MempoolConfig
 from repro.obs import MetricsRegistry, replication_table
 from repro.obs.lifecycle import FlightRecorder
 from repro.replication import (
@@ -47,9 +45,7 @@ from repro.resilience.policy import RecoveryPolicy
 from repro.sim.cost import DEFAULT_COST_MODEL
 from repro.state.keys import balance_key
 from repro.state.world import WorldState
-from repro.workloads import ChainSpec, build_chain
 
-from ..conftest import rejected
 
 # A snapshot whose frame and CRC are sound but whose body does not decode.
 MALFORMED_SNAPSHOT = SNAPSHOT_MAGIC + frame(
@@ -394,75 +390,6 @@ class TestFailoverController:
         as_dict = report.as_dict()
         assert as_dict["total_us"] == 150.0
         assert as_dict["promoted"] == "replica-1"
-
-
-# -- satellite: per-sender rate shaping ----------------------------------
-
-
-@pytest.fixture(scope="module")
-def chain():
-    return build_chain(ChainSpec(accounts=16, tokens=1, amm_pairs=0, seed=7))
-
-
-def _transfer(chain, sender_index=0, nonce=0, gas_price=10):
-    return Transaction(
-        sender=chain.accounts[sender_index],
-        to=chain.accounts[-1],
-        value=1_000,
-        data=b"",
-        gas_limit=21_000,
-        gas_price=gas_price,
-        nonce=nonce,
-    )
-
-
-class TestRateShaping:
-    def test_disabled_by_default(self, chain):
-        pool = Mempool(MempoolConfig(), chain.world)
-        for nonce in range(8):
-            pool.add(_transfer(chain, nonce=nonce), now_us=0.0)
-        assert len(pool) == 8
-
-    def test_burst_then_rate_limited_with_retry_hint(self, chain):
-        metrics = MetricsRegistry()
-        config = MempoolConfig(sender_rate_per_s=10.0, sender_burst=3)
-        pool = Mempool(config, chain.world, metrics=metrics)
-        for nonce in range(3):
-            pool.add(_transfer(chain, nonce=nonce), now_us=0.0)
-        with rejected("rate-limited") as excinfo:
-            pool.add(_transfer(chain, nonce=3), now_us=0.0)
-        # 10 tokens/s -> one token every 100 ms of simulated time.
-        assert excinfo.value.retry_after_us == pytest.approx(100_000.0)
-        assert excinfo.value.retryable
-        assert metrics.value(
-            "mempool_rejected_total", reason="rate-limited"
-        ) == 1.0
-
-    def test_bucket_refills_on_the_simulated_clock(self, chain):
-        config = MempoolConfig(sender_rate_per_s=10.0, sender_burst=1)
-        pool = Mempool(config, chain.world)
-        pool.add(_transfer(chain, nonce=0), now_us=0.0)
-        with rejected("rate-limited"):
-            pool.add(_transfer(chain, nonce=1), now_us=50_000.0)
-        pool.add(_transfer(chain, nonce=1), now_us=200_000.0)
-        assert len(pool) == 2
-
-    def test_buckets_are_per_sender(self, chain):
-        config = MempoolConfig(sender_rate_per_s=10.0, sender_burst=1)
-        pool = Mempool(config, chain.world)
-        pool.add(_transfer(chain, sender_index=0), now_us=0.0)
-        pool.add(_transfer(chain, sender_index=1), now_us=0.0)
-        with rejected("rate-limited"):
-            pool.add(_transfer(chain, sender_index=0, nonce=1), now_us=0.0)
-
-    def test_failed_attempts_still_burn_tokens(self, chain):
-        config = MempoolConfig(sender_rate_per_s=10.0, sender_burst=2, min_gas_price=5)
-        pool = Mempool(config, chain.world)
-        for _ in range(2):
-            with rejected("fee-too-low"):
-                pool.add(_transfer(chain, gas_price=1), now_us=0.0)
-        with rejected("rate-limited"):
-            pool.add(_transfer(chain, gas_price=10), now_us=0.0)
 
 
 # -- satellite: the obs table --------------------------------------------

@@ -65,9 +65,8 @@ class TestErrorTaxonomy:
 
 class TestRecoveryPolicy:
     def test_backoff_schedule_is_exponential_and_capped(self):
-        policy = RecoveryPolicy(
-            backoff_base_us=50.0, backoff_factor=2.0, backoff_cap_us=300.0
-        )
+        # Doubling (backoff_factor 2) from 50 us, capped at 300 us.
+        policy = RecoveryPolicy(backoff_base_us=50.0, backoff_cap_us=300.0)
         assert [policy.backoff_us(a) for a in range(5)] == [
             50.0,
             100.0,
@@ -79,9 +78,7 @@ class TestRecoveryPolicy:
             policy.backoff_us(-1)
 
     def test_retry_wait_charges_latency_plus_backoff_per_failure(self):
-        policy = RecoveryPolicy(
-            backoff_base_us=50.0, backoff_factor=2.0, backoff_cap_us=1600.0
-        )
+        policy = RecoveryPolicy(backoff_base_us=50.0, backoff_cap_us=1600.0)
         # Two failed attempts: (lat + 50) + (lat + 100).
         assert policy.retry_wait_us(2, 38.0) == pytest.approx(38.0 * 2 + 150.0)
         assert policy.retry_wait_us(0, 38.0) == 0.0
@@ -93,8 +90,9 @@ class TestRecoveryPolicy:
 
 
 class TestEscalationLadder:
-    def test_escalation_order_redo_then_reexec_then_serial(self):
-        policy = RecoveryPolicy(redo_budget=2, reexec_budget=2)
+    def test_escalation_order_redo_then_reexec_then_serial(self, monkeypatch):
+        monkeypatch.setattr(RecoveryPolicy, "reexec_budget", 2)
+        policy = RecoveryPolicy(redo_budget=2)
         ladder = EscalationLadder(policy)
         # Rung 1: the redo budget is consumed attempt by attempt.
         ladder.charge_redo(5)
@@ -174,13 +172,9 @@ class TestFaultPlanDeterminism:
 
 
 class TestStorageFaultInjector:
-    def test_transient_failures_become_simulated_latency(self):
-        policy = RecoveryPolicy(
-            backoff_base_us=50.0,
-            backoff_factor=2.0,
-            backoff_cap_us=1600.0,
-            max_read_attempts=10,
-        )
+    def test_transient_failures_become_simulated_latency(self, monkeypatch):
+        monkeypatch.setattr(RecoveryPolicy, "max_read_attempts", 10)
+        policy = RecoveryPolicy(backoff_base_us=50.0, backoff_cap_us=1600.0)
         plan = FaultPlan(
             1, FaultConfig(storage_fail_rate=1.0, storage_fail_streak=1), policy
         )
@@ -191,8 +185,9 @@ class TestStorageFaultInjector:
         assert plan.counters["storage_transient_faults"] == 1
         assert plan.counters["storage_retries"] == 1
 
-    def test_exhausted_retry_budget_raises_typed_error(self):
-        policy = RecoveryPolicy(max_read_attempts=1)
+    def test_exhausted_retry_budget_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(RecoveryPolicy, "max_read_attempts", 1)
+        policy = RecoveryPolicy()
         plan = FaultPlan(
             1, FaultConfig(storage_fail_rate=1.0, storage_fail_streak=1), policy
         )

@@ -18,12 +18,14 @@ from ..conftest import rejected
 
 
 @pytest.fixture()
-def stack():
+def stack(monkeypatch):
+    monkeypatch.setattr(MempoolConfig, "high_watermark", 0.5)
+    monkeypatch.setattr(MempoolConfig, "low_watermark", 0.25)
     chain = build_chain(ChainSpec(accounts=12, tokens=1, amm_pairs=0, seed=5))
     executor = make_executor("serial", 1)
     service = ChainService(None, executor, chain=chain)
     metrics = MetricsRegistry()
-    mempool = Mempool(MempoolConfig(capacity=8, high_watermark=0.5, low_watermark=0.25), chain.world, metrics=metrics)
+    mempool = Mempool(MempoolConfig(capacity=8), chain.world, metrics=metrics)
     facade = RpcFacade(service, mempool, RpcConfig(block_txs=4), metrics=metrics)
     transport = SimTransport(RpcDispatcher(facade, metrics=metrics))
     return chain, service, mempool, facade, transport

@@ -56,7 +56,7 @@ class TestLogHistogram:
             LogHistogram().observe(-1.0)
 
     def test_underflow_and_overflow_buckets(self):
-        h = LogHistogram(min_edge=10.0, max_edge=1000.0)
+        h = LogHistogram()
         h.observe(0.5)  # underflow
         h.observe(1e9)  # overflow
         sparse = {i: c for i, c in enumerate(h.counts) if c}
