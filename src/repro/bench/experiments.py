@@ -24,16 +24,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from ..analysis import analyze_block
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-)
 from ..concurrency.base import run_speculative
 from ..concurrency.registry import make_executor
 from ..core import ScheduledValidatorExecutor, propose_schedule
-from ..core.executor import ParallelEVMExecutor
 from ..core.ssa_log import DEF_MEMORY, DEF_STACK, META, OPERANDS, RESULT
 from ..core.tracer import SSATracer
 from ..errors import ConcurrencyError
@@ -43,6 +36,7 @@ from ..workloads import MainnetConfig, MainnetWorkload, conflict_ratio_block
 from ..workloads.zipf import zipf_head_share
 from .harness import (
     DEFAULT_THREADS,
+    START_BLOCK,
     TABLE1_EXECUTORS,
     against_serial,
     measure_speedups,
@@ -51,15 +45,10 @@ from .harness import (
 )
 from .report import render_histogram, render_series, render_table
 
-START_BLOCK = 14_000_000  # the paper's evaluation window starts here
 # The record's one scale.  Runners use ``standard_chain()`` (500 accounts)
 # and DEFAULT_THREADS unless they state otherwise.
 BLOCKS = 3  # Tables 1 and 2, pre-execution and §6.4
 TXS_PER_BLOCK = 200  # every mainnet-like block without a size of its own
-
-
-def _table1_suite(threads: int) -> list:
-    return [make_executor(name, threads) for name in TABLE1_EXECUTORS]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,27 +112,49 @@ PAPER_OVERHEAD = {
 }
 
 
-# --------------------------------------------------------------- Table 1
+# ----------------------------------------- Tables 1 and 2, pre-execution
+
+
+def _speedup_table(
+    title: str,
+    label: str,
+    names: tuple[str, ...],
+    paper: Mapping,
+    rows: tuple[str, ...] | None = None,
+    *,
+    prefetched: bool = False,
+):
+    """The mean speedup over cold serial of each registry config in
+    ``names`` on the shared ``BLOCKS`` x ``TXS_PER_BLOCK`` sample, one row
+    each, named ``rows`` (default: ``names``) beside its ``paper`` value.
+
+    Rows follow the names given, not ``executor.name``:
+    ``parallelevm-preexec`` reports itself as ``parallelevm``.
+    """
+    chain = standard_chain()
+    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
+    executors = [make_executor(name, DEFAULT_THREADS) for name in names]
+    summaries = measure_speedups(chain, block_list, executors, prefetched=prefetched)
+    data = {
+        row: summary.mean for row, summary in zip(rows or names, summaries.values())
+    }
+    rendered = render_table(
+        title,
+        [label, "paper", "measured"],
+        [[row, paper.get(row, "-"), f"{mean:.2f}x"] for row, mean in data.items()],
+    )
+    return data, rendered
 
 
 def run_table1():
     """Table 1: mean speedup of each algorithm on mainnet-like blocks."""
-    chain = standard_chain()
-    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
-    summaries = measure_speedups(chain, block_list, _table1_suite(DEFAULT_THREADS))
-
-    data = {name: summary.mean for name, summary in summaries.items()}
-    rows = [
-        [name, PAPER_TABLE1.get(name, "-"), f"{mean:.2f}x"]
-        for name, mean in data.items()
-    ]
-    rendered = render_table(
+    return _speedup_table(
         f"Table 1 — speedup vs serial ({DEFAULT_THREADS} threads, "
         f"{BLOCKS} blocks x {TXS_PER_BLOCK} txs)",
-        ["algorithm", "paper", "measured"],
-        rows,
+        "algorithm",
+        TABLE1_EXECUTORS,
+        PAPER_TABLE1,
     )
-    return data, rendered
 
 
 def _table1_text(results) -> str:
@@ -173,28 +184,14 @@ def run_table2():
     slots; phase two is measured.  All speedups are against the *cold*
     serial baseline, as in the paper.
     """
-    chain = standard_chain()
-    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
-    summaries = measure_speedups(
-        chain,
-        block_list,
-        [SerialExecutor(), *_table1_suite(DEFAULT_THREADS)],
+    return _speedup_table(
+        f"Table 2 — speedups with prefetching ({DEFAULT_THREADS} threads)",
+        "configuration",
+        ("serial", *TABLE1_EXECUTORS),
+        PAPER_TABLE2,
+        ("prefetch", *(name + "+" for name in TABLE1_EXECUTORS)),
         prefetched=True,
     )
-    data = {
-        "prefetch" if name == "serial" else name + "+": summary.mean
-        for name, summary in summaries.items()
-    }
-    rows = [
-        [name, PAPER_TABLE2.get(name, "-"), f"{mean:.2f}x"]
-        for name, mean in data.items()
-    ]
-    rendered = render_table(
-        f"Table 2 — speedups with prefetching ({DEFAULT_THREADS} threads)",
-        ["configuration", "paper", "measured"],
-        rows,
-    )
-    return data, rendered
 
 
 def _table2_text(results) -> str:
@@ -224,18 +221,12 @@ def run_preexec():
     reality) the state it touches is already cached when the block arrives;
     stale reads surface as conflicts repaired by the redo phase.
     """
-    chain = standard_chain()
-    block_list = standard_workload(chain, TXS_PER_BLOCK).blocks(START_BLOCK, BLOCKS)
-
-    executor = ParallelEVMExecutor(threads=DEFAULT_THREADS, preexecute=True)
-    mean = measure_speedups(chain, block_list, [executor])[executor.name].mean
-    data = {"parallelevm-preexec": mean}
-    rendered = render_table(
+    return _speedup_table(
         "Pre-execution optimization (§6.3)",
-        ["configuration", "paper", "measured"],
-        [["parallelevm-preexec", PAPER_PREEXEC["parallelevm-preexec"], f"{mean:.2f}x"]],
+        "configuration",
+        ("parallelevm-preexec",),
+        PAPER_PREEXEC,
     )
-    return data, rendered
 
 
 def _preexec_text(results) -> str:
@@ -283,7 +274,7 @@ def run_fig9():
             MainnetWorkload(chain, config).block(START_BLOCK + i)
         )
     summaries = measure_speedups(
-        chain, block_list, [ParallelEVMExecutor(threads=DEFAULT_THREADS)]
+        chain, block_list, [make_executor("parallelevm", DEFAULT_THREADS)]
     )
     speedups = summaries["parallelevm"].speedups
 
@@ -342,7 +333,8 @@ def run_fig10():
 
     series: dict[str, list[float]] = {}
     for threads in FIG10_THREAD_COUNTS:
-        summaries = measure_speedups(chain, block_list, _table1_suite(threads))
+        executors = [make_executor(name, threads) for name in TABLE1_EXECUTORS]
+        summaries = measure_speedups(chain, block_list, executors)
         for name, summary in summaries.items():
             series.setdefault(name, []).append(summary.mean)
 
@@ -373,24 +365,22 @@ def _fig10_text(results) -> str:
 
 FIG11_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 FIG11_TXS_PER_BLOCK = 150
+# The paper's Fig. 11 columns; the critical-path bound analysis reuses them.
+FIG11_EXECUTORS = ("occ", "block-stm", "parallelevm")
 
 
 def run_fig11():
     """Figure 11: ERC20 blocks with a controlled conflicting-tx ratio."""
     chain = standard_chain()
-    executors = [
-        OCCExecutor(threads=DEFAULT_THREADS),
-        BlockSTMExecutor(threads=DEFAULT_THREADS),
-        ParallelEVMExecutor(threads=DEFAULT_THREADS),
-    ]
-    series: dict[str, list[float]] = {ex.name: [] for ex in executors}
+    executors = [make_executor(name, DEFAULT_THREADS) for name in FIG11_EXECUTORS]
+    series: dict[str, list[float]] = {name: [] for name in FIG11_EXECUTORS}
     for i, ratio in enumerate(FIG11_RATIOS):
         block = conflict_ratio_block(
             chain, START_BLOCK + i, FIG11_TXS_PER_BLOCK, ratio=ratio, seed=7
         )
         summaries = measure_speedups(chain, [block], executors)
-        for ex in executors:
-            series[ex.name].append(summaries[ex.name].mean)
+        for name in FIG11_EXECUTORS:
+            series[name].append(summaries[name].mean)
 
     rendered = render_series(
         "Figure 11 — speedup vs conflicting-transaction ratio (ERC20 blocks)",
@@ -430,7 +420,7 @@ def run_fig12():
         workload = standard_workload(chain, size)
         blocks = workload.blocks(START_BLOCK + 10 * i, FIG12_BLOCKS_PER_SIZE)
         summaries = measure_speedups(
-            chain, blocks, [ParallelEVMExecutor(threads=DEFAULT_THREADS)]
+            chain, blocks, [make_executor("parallelevm", DEFAULT_THREADS)]
         )
         speedups.append(summaries["parallelevm"].mean)
 
@@ -475,7 +465,7 @@ def run_fig3():
     invocations: dict[bytes, int] = {}
     slot_accesses: dict[tuple, int] = {}
     for block in workload.blocks(START_BLOCK, FIG3_BLOCKS):
-        serial = SerialExecutor().execute_block(
+        serial = make_executor("serial", DEFAULT_THREADS).execute_block(
             chain.fresh_world(), block.txs, block.env
         )
         for result in serial.tx_results:
@@ -655,6 +645,20 @@ _OVERHEAD_ROWS = (
 )
 
 
+def _traced_txs(world, block, tracer_cls=SSATracer):
+    """Run ``block``'s transactions in order through ``run_speculative``
+    over ``world``, each under a fresh ``tracer_cls`` and over the writes of
+    those before it; yields ``(tx, result, meter, tracer)`` per transaction."""
+    overlay = BlockOverlay()
+    for tx in block.txs:
+        tracer = tracer_cls()
+        result, meter = run_speculative(
+            world, overlay, tx, block.env, DEFAULT_COST_MODEL, tracer=tracer
+        )
+        overlay.apply(result.write_set)
+        yield tx, result, meter, tracer
+
+
 def run_overhead():
     """§6.4: SSA-log size, redo cost, tracking and memory overheads."""
     chain = standard_chain()
@@ -666,15 +670,8 @@ def run_overhead():
     tracked_txs = 0
     tracking_us = 0.0
     total_us = 0.0
-    cost_model = ParallelEVMExecutor().cost_model
     for block in block_list:
-        overlay = BlockOverlay()
-        for tx in block.txs:
-            tracer = SSATracer()
-            result, meter = run_speculative(
-                chain.world, overlay, tx, block.env, cost_model, tracer=tracer
-            )
-            overlay.apply(result.write_set)
+        for tx, result, meter, tracer in _traced_txs(chain.world, block):
             if tx.to is not None and result.ops_executed > 0:
                 instructions += result.ops_executed
                 log_entries += len(tracer.log)
@@ -691,7 +688,7 @@ def run_overhead():
     block_time = 0.0
     for block in block_list:
         _, (result,) = against_serial(
-            chain, block, [ParallelEVMExecutor(threads=DEFAULT_THREADS)]
+            chain, block, [make_executor("parallelevm", DEFAULT_THREADS)]
         )
         stats = result.stats
         redo_entries += stats["redo_entries_total"]
@@ -710,15 +707,9 @@ def run_overhead():
     # in-flight transactions (one per thread), relative to the node's
     # committed state at the same sizes.
     block = block_list[0]
-    overlay = BlockOverlay()
-    ssa_bytes = 0
-    for tx in block.txs:
-        tracer = SSATracer()
-        result, _ = run_speculative(
-            chain.world, overlay, tx, block.env, cost_model, tracer=tracer
-        )
-        overlay.apply(result.write_set)
-        ssa_bytes += _ssa_bytes(tracer.log)
+    ssa_bytes = sum(
+        _ssa_bytes(tracer.log) for *_, tracer in _traced_txs(chain.world, block)
+    )
     ssa_bytes_per_tx = ssa_bytes / len(block.txs)
     state_bytes = _state_footprint_bytes(chain.world)
     memory_overhead = (DEFAULT_THREADS * ssa_bytes_per_tx) / max(1, state_bytes)
@@ -814,14 +805,8 @@ def run_log_compaction():
     sizes = {"folded": 0, "unfolded": 0, "instructions": 0,
              "tracking_folded": 0.0, "tracking_unfolded": 0.0}
     for label, tracer_cls in (("folded", SSATracer), ("unfolded", UnfoldedTracer)):
-        overlay = BlockOverlay()
-        world = chain.fresh_world()
-        for tx in block.txs:
-            tracer = tracer_cls()
-            result, meter = run_speculative(
-                world, overlay, tx, block.env, DEFAULT_COST_MODEL, tracer=tracer
-            )
-            overlay.apply(result.write_set)
+        traced = _traced_txs(chain.fresh_world(), block, tracer_cls)
+        for _, result, meter, tracer in traced:
             sizes[label] += len(tracer.log)
             sizes[f"tracking_{label}"] += meter.tracking_us
             if label == "folded":
@@ -883,7 +868,7 @@ def run_schedule():
         chain,
         block,
         [
-            TwoPhaseExecutor(threads=DEFAULT_THREADS),
+            make_executor("two-phase", DEFAULT_THREADS),
             ScheduledValidatorExecutor(schedule, threads=DEFAULT_THREADS),
             ScheduledValidatorExecutor(
                 schedule, threads=DEFAULT_THREADS, use_read_values=True
@@ -960,17 +945,13 @@ def run_bounds():
         ("mainnet-like", standard_workload(chain, TXS_PER_BLOCK).block(START_BLOCK)),
         ("100% conflicting ERC20", conflict_ratio_block(chain, 77, 150, ratio=1.0)),
     ):
-        executors = [
-            OCCExecutor(threads=DEFAULT_THREADS),
-            BlockSTMExecutor(threads=DEFAULT_THREADS),
-            ParallelEVMExecutor(threads=DEFAULT_THREADS),
-        ]
+        executors = [make_executor(name, DEFAULT_THREADS) for name in FIG11_EXECUTORS]
         serial, results = against_serial(chain, block, executors)
         analysis = analyze_block(chain, block, serial)
         bound = analysis.tx_level_speedup_bound
         speedups = {
-            executor.name: serial.makespan_us / result.makespan_us
-            for executor, result in zip(executors, results)
+            name: serial.makespan_us / result.makespan_us
+            for name, result in zip(FIG11_EXECUTORS, results)
         }
         rows.append(
             [
@@ -1054,8 +1035,9 @@ def run_pipeline():
             ),
             cache_capacity=100_000,
         )
-        executor = ParallelEVMExecutor(threads=DEFAULT_THREADS)
-        executor.durability = DurableCommitPipeline()
+        executor = make_executor(
+            "parallelevm", DEFAULT_THREADS, durability=DurableCommitPipeline()
+        )
         coordinator = (
             PipelineCoordinator(pipeline_config)
             if pipeline_config is not None

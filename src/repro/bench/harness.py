@@ -12,6 +12,7 @@ from ..state.world import WorldState
 from ..workloads import Block, Chain, ChainSpec, MainnetConfig, MainnetWorkload, build_chain
 
 DEFAULT_THREADS = 16
+START_BLOCK = 14_000_000  # the paper's evaluation window starts here
 
 
 def standard_chain(accounts: int = 500, tokens: int = 8, amm_pairs: int = 3) -> Chain:

@@ -25,15 +25,15 @@ from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 # Submodule imports (not the obs package) — repro.obs itself renders tables
 # through repro.bench.report, so going through the packages would cycle.
 from ..obs.critical_path import critical_path
+from ..obs.metrics import json_document
 from ..obs.trace import BlockObserver
 from ..workloads import MainnetConfig, MainnetWorkload, conflict_ratio_block
-from .harness import against_serial, standard_chain
+from .harness import START_BLOCK, against_serial, standard_chain
 
 # Bump when the document layout changes incompatibly; ``compare_bench``
 # refuses to gate across versions.
 BENCH_SCHEMA_VERSION = 1
 
-START_BLOCK = 14_000_000
 
 @dataclass(slots=True, frozen=True)
 class BenchSuiteConfig:
@@ -198,7 +198,7 @@ def run_suite(config: BenchSuiteConfig | str) -> dict:
 def to_json(document: dict) -> str:
     """The canonical serialization: sorted keys, stable float repr, no
     wall-clock anywhere — byte-identical across runs of the same suite."""
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return json_document(document)
 
 
 def load_bench(path: str) -> dict:

@@ -40,7 +40,8 @@ from ..workloads.block import ETHER, FUND_ETHER, TOKEN_BALANCE
 ERC20_GAS = 200_000
 FUZZ_BLOCK_BASE = 15_000_000  # fuzz blocks live above the replay window
 HOT_OWNERS = 2  # accounts pre-approved as transferFrom victims
-HOT_RECIPIENTS = 2  # the last accounts, where hot_recipient_share lands
+HOT_RECIPIENTS = 2  # the last accounts, where HOT_RECIPIENT_SHARE lands
+HOT_RECIPIENT_SHARE = 0.35  # of recipient draws, aimed at HOT_RECIPIENTS
 SEED_SALT = 0xF0CC  # separates fuzz streams from workload streams
 
 
@@ -57,7 +58,6 @@ class FuzzConfig:
     accounts: int = 64
     tokens: int = 3
     amm_pairs: int = 2
-    hot_recipient_share: float = 0.35
 
 
 class BlockFuzzer:
@@ -137,7 +137,7 @@ class BlockFuzzer:
         return rng.choice(self.chain.accounts)
 
     def _recipient(self, rng: random.Random, sender: bytes) -> bytes:
-        if rng.random() < self.config.hot_recipient_share:
+        if rng.random() < HOT_RECIPIENT_SHARE:
             return rng.choice(self.hot_recipients)
         recipient = rng.choice(self.chain.accounts)
         return recipient if recipient != sender else self.hot_recipients[0]

@@ -12,6 +12,7 @@ import sys
 from ..analysis.conflict_graph import analyze_block
 from ..bench.experiments import EXPERIMENTS, run_experiment
 from ..bench.harness import (
+    START_BLOCK,
     TABLE1_EXECUTORS,
     against_serial,
     standard_chain,
@@ -27,7 +28,8 @@ from ..bench.suite import (
 from ..concurrency import SerialExecutor
 from ..concurrency.registry import make_executor
 from ..errors import ConcurrencyError
-from ..obs import BlockObserver, render_block_report, structural_bound_lines
+from ..obs import BlockObserver, json_document, render_block_report
+from ..obs import structural_bound_lines
 from .options import add_durability, add_executor, positive_int
 
 def _add_block_arguments(parser, *, txs: int, accounts: int, threads: int = 16):
@@ -35,7 +37,7 @@ def _add_block_arguments(parser, *, txs: int, accounts: int, threads: int = 16):
     parser.add_argument("--txs", type=int, default=txs)
     parser.add_argument("--threads", type=positive_int, default=threads)
     parser.add_argument("--accounts", type=int, default=accounts)
-    parser.add_argument("--block", type=int, default=14_000_000)
+    parser.add_argument("--block", type=int, default=START_BLOCK)
 
 
 def _standard_block(args: argparse.Namespace):
@@ -56,8 +58,6 @@ def _add_compare(sub) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    import json
-
     chain, block = _standard_block(args)
     runs = [make_executor(name, args.threads) for name in TABLE1_EXECUTORS]
     try:
@@ -75,20 +75,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     }
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "block": block.number,
-                    "txs": len(block),
-                    "threads": args.threads,
-                    "serial_us": serial.makespan_us,
-                    "analysis": analysis.as_dict(),
-                    "executors": executors,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        document = {
+            "block": block.number,
+            "txs": len(block),
+            "threads": args.threads,
+            "serial_us": serial.makespan_us,
+            "analysis": analysis.as_dict(),
+            "executors": executors,
+        }
+        print(json_document(document), end="")
         return 0
 
     print(
@@ -236,7 +231,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _add_replay(sub) -> None:
     replay = sub.add_parser("replay", help="replay blocks with root validation")
-    replay.add_argument("--block", type=int, default=14_000_000)
+    replay.add_argument("--block", type=int, default=START_BLOCK)
     replay.add_argument("--count", type=int, default=3)
     replay.add_argument("--txs", type=int, default=60)
     replay.add_argument("--threads", type=positive_int, default=16)
@@ -344,7 +339,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _add_inspect(sub) -> None:
     inspect = sub.add_parser("inspect", help="print one tx's SSA operation log")
-    inspect.add_argument("--block", type=int, default=14_000_000)
+    inspect.add_argument("--block", type=int, default=START_BLOCK)
     inspect.add_argument("--tx-index", type=int, default=0)
     inspect.add_argument("--accounts", type=int, default=200)
     inspect.set_defaults(func=_cmd_inspect)

@@ -9,11 +9,10 @@ lives in the config; a flag the chosen mode would ignore is a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..mempool import MempoolConfig
-from ..obs import SloConfig, format_window_line
+from ..obs import SloConfig, format_window_line, json_document
 from ..pipeline import PipelineConfig
 from ..resilience import scenario_of_kind
 from ..service import SoakConfig, run_soak
@@ -434,9 +433,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     _write_report_json(args, report)
     if args.flight_dump:
         with open(args.flight_dump, "w") as fh:
-            fh.write(
-                json.dumps(report.flight or {}, sort_keys=True, indent=2) + "\n"
-            )
+            fh.write(json_document(report.flight or {}))
         print(f"flight recorder -> {args.flight_dump}")
     if not report.ok:
         for detail in report.divergences:

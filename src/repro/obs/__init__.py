@@ -43,7 +43,7 @@ from .critical_path import (
     critical_path,
     critical_path_table,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, json_document
 from .streaming import (
     LogHistogram,
     SoakTelemetry,
@@ -106,6 +106,7 @@ __all__ = [
     "critical_path_table",
     "degradation_table",
     "format_window_line",
+    "json_document",
     "durability_table",
     "replication_table",
     "phase_breakdown_table",

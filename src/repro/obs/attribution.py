@@ -51,16 +51,6 @@ class SlotAttribution:
         """Ranking score: total trouble events the key triggered."""
         return self.conflicts + self.stm_aborts + self.redo_slices
 
-    def as_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "contract": self.contract,
-            "conflicts": self.conflicts,
-            "stm_aborts": self.stm_aborts,
-            "redo_slices": self.redo_slices,
-            "redo_ops": self.redo_ops,
-        }
-
 
 @dataclass(slots=True)
 class AttributionReport:
@@ -87,15 +77,6 @@ class AttributionReport:
         return sorted(
             merged.values(), key=lambda s: (-s.score, -s.redo_ops, s.contract)
         )
-
-    def as_dict(self, top: int = 10) -> dict:
-        return {
-            "hot_slots": [slot.as_dict() for slot in self.hot_slots(top)],
-            "hot_contracts": [
-                agg.as_dict() for agg in self.by_contract()[:top]
-            ],
-            "total_keys": len(self.slots),
-        }
 
 
 def collect_attribution(metrics: MetricsRegistry) -> AttributionReport | None:

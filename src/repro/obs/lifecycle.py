@@ -359,9 +359,6 @@ class FlightRecorder:
             "dumps": self.dumps,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
-
 
 @dataclass(slots=True, frozen=True)
 class _LaneTask:

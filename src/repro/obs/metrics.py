@@ -287,6 +287,12 @@ class MetricsRegistry:
             fh.write("\n")
 
 
+def json_document(obj) -> str:
+    """``obj`` as a JSON file's text: sorted keys, two-space indent and a
+    final newline, so equal values write equal bytes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 class _Discard:
     """The one metric :data:`NULL_METRICS` hands out: every update is
     dropped, but a negative increment still raises like a real counter."""

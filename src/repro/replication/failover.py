@@ -62,21 +62,6 @@ class FailoverReport:
     def total_us(self) -> float:
         return self.detection_us + self.catchup_us + self.promotion_us
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "promoted": self.promoted,
-            "detection_us": round(self.detection_us, 3),
-            "catchup_us": round(self.catchup_us, 3),
-            "promotion_us": round(self.promotion_us, 3),
-            "total_us": round(self.total_us, 3),
-            "last_committed_block": self.last_committed_block,
-            "last_sealed_block": self.last_sealed_block,
-            "blocks_preserved": self.blocks_preserved,
-            "stale_frames_rejected": self.stale_frames_rejected,
-            "quarantined": list(self.quarantined),
-        }
-
 
 class FailoverController:
     """Liveness tracking + deterministic successor election."""

@@ -259,30 +259,24 @@ def scenario_of_kind(name: str, kind: str) -> ChaosScenario:
 
 
 def block_fault_plans(
-    seed_prefix: str,
-    scenario: str | None = None,
-    fault_config: FaultConfig | None = None,
+    seed_prefix: str, scenario: str | None = None
 ) -> Callable[[int], FaultPlan] | None:
     """The per-block :class:`FaultPlan` factory a chain service injects from.
 
     ``scenario`` names a ``kind="faults"`` catalogue entry (its recovery
-    overrides applied to the stock policy); an explicit ``fault_config``
-    is used when no scenario is named.  Each block's plan is seeded
+    overrides applied to the stock policy).  Each block's plan is seeded
     ``f"{seed_prefix}:{number}"``, so injection streams are a pure
-    function of (harness, seed, height).  Returns None when neither is
-    given — the service then runs with no plan attached at all.
+    function of (harness, seed, height).  Returns None when no scenario is
+    named — the service then runs with no plan attached at all.
     """
-    recovery = None
-    if scenario is not None:
-        chosen = scenario_of_kind(scenario, "faults")
-        fault_config = chosen.config
-        recovery = replace(RecoveryPolicy(), **chosen.recovery_overrides)
-    if fault_config is None:
+    if scenario is None:
         return None
+    chosen = scenario_of_kind(scenario, "faults")
+    recovery = replace(RecoveryPolicy(), **chosen.recovery_overrides)
 
     def factory(number: int) -> FaultPlan:
         return FaultPlan(
-            f"{seed_prefix}:{number}", config=fault_config, recovery=recovery
+            f"{seed_prefix}:{number}", config=chosen.config, recovery=recovery
         )
 
     return factory

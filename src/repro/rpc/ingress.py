@@ -25,11 +25,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 from ..concurrency.registry import make_executor
 from ..mempool.pool import MempoolConfig
 from ..obs.lifecycle import SloConfig, describe_serving_sections
-from ..obs.metrics import HARNESS_LABEL_LIMIT, MetricsRegistry
+from ..obs.metrics import HARNESS_LABEL_LIMIT, MetricsRegistry, json_document
 from ..resilience import block_fault_plans
 from ..state.receipts import receipts_root
 from ..workloads.block import ChainSpec, build_chain
@@ -49,8 +50,10 @@ class IngressConfig:
     touching the offered rate — the slow-consumer scenario.
     """
 
+    # Simulated us between production ticks, before ``consumer_slowdown``.
+    BLOCK_INTERVAL_US: ClassVar[float] = 50_000.0
+
     blocks: int = 40
-    block_interval_us: float = 50_000.0
     txs_per_block: int = 16
     executor: str = "parallelevm"
     threads: int = 4
@@ -68,10 +71,8 @@ class IngressConfig:
     consumer_slowdown: float = 1.0
     # admission knobs
     mempool: MempoolConfig = field(default_factory=MempoolConfig)
-    # fault injection on the execution path (zero-rate inertness is a
-    # tested guarantee): a chaos scenario name, or an explicit FaultConfig.
+    # fault injection on the execution path: a chaos scenario name.
     scenario: str | None = None
-    fault_config: object | None = None
     # Overlap prefetch/execution/commit across served blocks
     # (repro.pipeline); block latency then includes lane stalls, which the
     # lifecycle waterfall charges to the commit phase.
@@ -120,7 +121,7 @@ class IngressReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_document(self.as_dict())
 
     def describe(self) -> str:
         shed_total = sum(self.shed.values())
@@ -177,7 +178,7 @@ def run_ingress(
         pipeline = PipelineCoordinator(PipelineConfig(), metrics=registry)
     rpc = RpcConfig(
         block_txs=config.txs_per_block,
-        block_interval_us=config.block_interval_us,
+        block_interval_us=config.BLOCK_INTERVAL_US,
         record_blocks=True,
     )
     session = ServingSession(
@@ -189,7 +190,7 @@ def run_ingress(
         metrics=registry,
         pipeline=pipeline,
         fault_plan_factory=block_fault_plans(
-            f"ingress:{config.seed}", config.scenario, config.fault_config
+            f"ingress:{config.seed}", config.scenario
         ),
         lifecycle=config.lifecycle,
         slo=config.slo,
@@ -237,7 +238,7 @@ def run_ingress(
             committed[tx_hash] = produced.outcome.number
         live_roots.append(receipts_root(session.service.last_result.tx_results))
 
-    span_us = config.blocks * config.block_interval_us * config.consumer_slowdown
+    span_us = config.blocks * config.BLOCK_INTERVAL_US * config.consumer_slowdown
     session.run(
         ClientSpec(
             clients=config.clients,
@@ -251,7 +252,7 @@ def run_ingress(
             seed=config.seed,
         ),
         config.blocks,
-        config.block_interval_us * config.consumer_slowdown,
+        config.BLOCK_INTERVAL_US * config.consumer_slowdown,
         config.window_blocks,
         out=out,
         progress=progress,

@@ -11,13 +11,12 @@ seeded and every reported number is simulated time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from ..concurrency.registry import make_executor
 from ..obs.lifecycle import SloConfig, SloMonitor, describe_serving_sections
-from ..obs.metrics import HARNESS_LABEL_LIMIT, MetricsRegistry
+from ..obs.metrics import HARNESS_LABEL_LIMIT, MetricsRegistry, json_document
 from ..obs.streaming import SoakTelemetry, format_stat, snapshot_sink
 from ..resilience import block_fault_plans
 from ..workloads.stream import BlockStream, StreamSpec, build_stream_chain
@@ -95,7 +94,7 @@ class SoakReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_document(self.as_dict())
 
     def describe(self) -> str:
         throughput = self.summary["throughput"]

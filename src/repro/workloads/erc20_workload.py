@@ -79,29 +79,3 @@ def conflict_ratio_block(
         )
     rng.shuffle(txs)
     return Block(number=number, txs=txs, env=chain.env)
-
-
-def hot_recipient_block(
-    chain: Chain, number: int, tx_count: int, seed: int = 0
-) -> Block:
-    """Every transfer credits the same recipient (exchange-deposit pattern).
-
-    The conflict is on ``balances[hot]`` — a pure commutative RMW that
-    ParallelEVM's redo resolves with a three-entry slice, the best case of
-    operation-level conflict handling.
-    """
-    rng = random.Random((seed << 16) ^ number ^ 0x5EED)
-    token = chain.tokens[0]
-    hot = chain.accounts[-1]
-    senders = rng.sample(chain.accounts[:-1], min(tx_count, len(chain.accounts) - 1))
-    txs = [
-        Transaction(
-            sender=sender,
-            to=token,
-            data=encode_call("transfer(address,uint256)", hot, 3),
-            gas_limit=TRANSFER_GAS,
-            nonce=chain.next_nonce(sender),
-        )
-        for sender in senders
-    ]
-    return Block(number=number, txs=txs, env=chain.env)

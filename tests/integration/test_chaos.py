@@ -98,17 +98,30 @@ class TestDisabledInjectionIsFree:
             assert quiet_run.makespan_us == plain.makespan_us, name
             assert quiet_run.writes == plain.writes, name
 
-    def test_zero_rate_plan_on_the_ingress_path_is_byte_identical(self, tmp_path):
-        # Same contract one layer up (ISSUE 8): wiring a zero-rate fault
-        # plan into the served execution path must leave the whole ingress
-        # session — every telemetry window and the end-of-run report —
-        # byte-identical to a run with no plan attached at all.
-        from repro.rpc import IngressConfig, run_ingress
+    def test_zero_rate_plan_on_the_ingress_path_is_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        # Same contract one layer up: wiring a zero-rate fault plan into the
+        # served execution path must leave the whole ingress session —
+        # every telemetry window and the end-of-run report — byte-identical
+        # to a run with no plan attached at all.
+        import repro.rpc.ingress as ingress
 
-        def run(tag: str, fault_config):
+        planned = []
+
+        def zero_rate_plans(seed_prefix, scenario=None):
+            def factory(number):
+                planned.append(number)
+                return FaultPlan(
+                    f"{seed_prefix}:{number}", FaultConfig(), RecoveryPolicy()
+                )
+
+            return factory
+
+        def run(tag: str):
             path = tmp_path / f"{tag}.jsonl"
-            report = run_ingress(
-                IngressConfig(
+            report = ingress.run_ingress(
+                ingress.IngressConfig(
                     blocks=8,
                     txs_per_block=8,
                     accounts=64,
@@ -116,14 +129,15 @@ class TestDisabledInjectionIsFree:
                     threads=4,
                     seed=11,
                     window_blocks=4,
-                    fault_config=fault_config,
                 ),
                 out=str(path),
             )
             return path.read_bytes(), report
 
-        plain_blob, plain_report = run("plain", None)
-        quiet_blob, quiet_report = run("quiet", FaultConfig())
+        plain_blob, plain_report = run("plain")
+        monkeypatch.setattr(ingress, "block_fault_plans", zero_rate_plans)
+        quiet_blob, quiet_report = run("quiet")
+        assert planned, "the served path never asked for a fault plan"
         assert plain_report.ok and quiet_report.ok
         assert plain_blob and plain_blob == quiet_blob
         assert plain_report.as_dict() == quiet_report.as_dict()

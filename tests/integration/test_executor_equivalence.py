@@ -7,6 +7,8 @@ floods, and AMM-heavy traffic.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.concurrency import (
@@ -16,15 +18,18 @@ from repro.concurrency import (
     TwoPhaseExecutor,
     TwoPLExecutor,
 )
+from repro.contracts import encode_call
 from repro.core.executor import ParallelEVMExecutor
+from repro.evm.message import Transaction
 from repro.workloads import (
+    Block,
     ChainSpec,
     MainnetConfig,
     MainnetWorkload,
     build_chain,
     conflict_ratio_block,
 )
-from repro.workloads.erc20_workload import hot_recipient_block
+from repro.workloads.erc20_workload import TRANSFER_GAS
 
 EXECUTOR_CLASSES = [
     TwoPLExecutor,
@@ -38,6 +43,30 @@ EXECUTOR_CLASSES = [
 @pytest.fixture(scope="module")
 def chain():
     return build_chain(ChainSpec(tokens=4, amm_pairs=2, accounts=160))
+
+
+def hot_recipient_block(chain, number: int, tx_count: int, seed: int = 0) -> Block:
+    """Every transfer credits the same recipient (exchange-deposit pattern).
+
+    The conflict is on ``balances[hot]`` — a pure commutative RMW that
+    ParallelEVM's redo resolves with a three-entry slice, the best case of
+    operation-level conflict handling.
+    """
+    rng = random.Random((seed << 16) ^ number ^ 0x5EED)
+    token = chain.tokens[0]
+    hot = chain.accounts[-1]
+    senders = rng.sample(chain.accounts[:-1], min(tx_count, len(chain.accounts) - 1))
+    txs = [
+        Transaction(
+            sender=sender,
+            to=token,
+            data=encode_call("transfer(address,uint256)", hot, 3),
+            gas_limit=TRANSFER_GAS,
+            nonce=chain.next_nonce(sender),
+        )
+        for sender in senders
+    ]
+    return Block(number=number, txs=txs, env=chain.env)
 
 
 def blocks_under_test(chain):

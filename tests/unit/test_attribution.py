@@ -45,10 +45,10 @@ class TestCollect:
         assert contracts["bb02"].conflicts == 1
 
     def test_as_dict_top_n(self):
-        d = collect_attribution(registry_with_trouble()).as_dict(top=2)
-        assert len(d["hot_slots"]) == 2
-        assert d["total_keys"] == 3
-        assert d["hot_slots"][0]["key"] == "slotA"
+        report = collect_attribution(registry_with_trouble())
+        assert len(report.hot_slots(2)) == 2
+        assert len(report.slots) == 3
+        assert report.hot_slots(2)[0].key == "slotA"
 
     def test_tables_render(self):
         report = collect_attribution(registry_with_trouble())

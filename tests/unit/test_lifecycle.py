@@ -186,7 +186,7 @@ class TestFlightRecorder:
             recorder.trigger(f"incident-{i}", float(i))
         assert recorder.triggered == 5
         assert len(recorder.dumps) == 2
-        json.loads(recorder.to_json())  # deterministic, serialisable
+        json.loads(json.dumps(recorder.as_dict()))  # serialisable
 
     def test_rejects_nonpositive_bounds(self, monkeypatch):
         monkeypatch.setattr(FlightRecorder, "CAPACITY", 0)

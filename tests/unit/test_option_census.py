@@ -10,10 +10,16 @@ A setter is any of:
 - a keyword argument of a call to the class, or of ``partial(Class, ...)``;
 - a positional argument of a call to the class (the fields in order);
 - a ``dataclasses.replace`` keyword (whatever the class of its target);
-- a string key of a dict literal, or a ``dict(...)`` keyword: the override
-  dicts that are ``**``-expanded into a config, such as a chaos scenario's
-  ``recovery_overrides``;
-- an argparse ``dest``, or the flag that implies it (``--capacity``);
+- a string key of a dict literal passed as a keyword argument (nested
+  dicts included), or a ``dict(...)`` keyword: the override dicts that are
+  ``**``-expanded into a config, such as a chaos scenario's
+  ``recovery_overrides``.  A dict that is a report row or a size table
+  sets nothing;
+- an argparse ``dest`` of a ``repro`` subcommand, credited only to the
+  classes that command's handler passes to ``options.given`` (a call the
+  handler makes, directly or through functions of its own module): soak's
+  ``--hot-share`` sets ``SoakConfig.hot_recipient_share``, not the
+  same-named field of ``FuzzConfig``;
 - an assignment to an attribute of that name on anything but ``self``
   (``config.native_share = ...`` on a mutable config).
 
@@ -23,8 +29,12 @@ census does not count.
 
 from __future__ import annotations
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
+
+from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[2]
 SETTINGS = ROOT / "src" / "repro"
@@ -33,12 +43,15 @@ SUFFIXES = ("Config", "Policy", "Spec")
 
 #: Fields the census finds no setter of, each with why it stays.
 ALLOWED = {
-    # Set by --slo-objective-us, whose dest _add_lifecycle_arguments takes
-    # as a parameter: a name the census cannot read.
-    "SoakConfig.slo_config",
-    # A test seam: only the zero-rate-inertness test passes an explicit
-    # FaultConfig into the served path (commands name a --scenario).
-    "IngressConfig.fault_config",
+    # The only certified run of the pipelined served path: `soak --loadgen
+    # --pipeline` runs it uncertified.
+    "IngressConfig.pipeline",
+    # The only path on which a replica's snapshot advances past genesis;
+    # the replica catch-up cost (ROADMAP item 5) is measured on it.
+    "ClusterConfig.checkpoint_interval",
+    # `asdict` writes both into every BENCH_*.json `suite` header.
+    "BenchSuiteConfig.seed",
+    "BenchSuiteConfig.block",
 }
 
 
@@ -96,14 +109,42 @@ def _settings_classes() -> dict[str, list[str]]:
     return classes
 
 
-def _flag_dest(call: ast.Call) -> str | None:
-    for keyword in call.keywords:
-        if keyword.arg == "dest" and isinstance(keyword.value, ast.Constant):
-            return keyword.value.value
-    for arg in call.args:
-        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--"):
-            return arg.value[2:].replace("-", "_")
-    return None
+def _given_classes(handler) -> set[str]:
+    """The names ``handler`` passes to ``given(args, ...)``, directly or
+    through the functions of its own module it calls."""
+    tree = ast.parse(inspect.getsource(inspect.getmodule(handler)))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, consumers = set(), [handler.__name__], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _name(node.func)
+            if callee == "given" and len(node.args) == 2:
+                consumers.add(_name(node.args[1]))
+            elif callee in functions:
+                todo.append(callee)
+    return consumers
+
+
+def _command_dests(classes) -> dict[str, set[str]]:
+    """Per class, the argparse dests of the subcommands that pass it to
+    ``options.given``."""
+    dests: dict[str, set[str]] = {name: set() for name in classes}
+    [subcommands] = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for command in subcommands.choices.values():
+        for name in _given_classes(command.get_default("func")) & set(classes):
+            dests[name].update(action.dest for action in command._actions)
+    return dests
 
 
 def _setters(classes) -> dict[str, set[str]]:
@@ -113,11 +154,6 @@ def _setters(classes) -> dict[str, set[str]]:
     paths = [p for d in SETTER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Dict):
-                anywhere.update(
-                    k.value for k in node.keys
-                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                )
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = getattr(node, "targets", None) or [node.target]
                 anywhere.update(
@@ -128,6 +164,13 @@ def _setters(classes) -> dict[str, set[str]]:
                 continue
             callee = _name(node.func)
             keywords = {k.arg for k in node.keywords if k.arg is not None}
+            anywhere.update(
+                key.value
+                for k in node.keywords
+                for d in ast.walk(k.value) if isinstance(d, ast.Dict)
+                for key in d.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
             args = node.args
             if callee == "partial" and args and _name(args[0]) in classes:
                 callee, args = _name(args[0]), args[1:]
@@ -137,12 +180,9 @@ def _setters(classes) -> dict[str, set[str]]:
                 by_class[callee].update(keywords)
             elif callee in ("replace", "dict"):
                 anywhere.update(keywords)
-            elif callee == "add_argument":
-                dest = _flag_dest(node)
-                if dest is not None:
-                    anywhere.add(dest)
+    dests = _command_dests(classes)
     return {
-        name: by_class[name] | (set(fields) & anywhere)
+        name: by_class[name] | dests[name] | (set(fields) & anywhere)
         for name, fields in classes.items()
     }
 

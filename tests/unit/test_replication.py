@@ -387,9 +387,7 @@ class TestFailoverController:
             blocks_preserved=3,
         )
         assert report.total_us == 150.0
-        as_dict = report.as_dict()
-        assert as_dict["total_us"] == 150.0
-        assert as_dict["promoted"] == "replica-1"
+        assert report.promoted == "replica-1"
 
 
 # -- satellite: the obs table --------------------------------------------

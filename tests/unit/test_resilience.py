@@ -351,17 +351,6 @@ class TestBlockFaultPlans:
         assert plan.recovery.abort_storm_floor == 8
         assert factory(13).seed == "soak:7:13"
 
-    def test_explicit_config_runs_under_the_stock_policy(self):
-        config = FaultConfig(storage_spike_rate=0.5)
-        plan = block_fault_plans("ingress:1", None, config)(3)
-        assert plan.seed == "ingress:1:3"
-        assert plan.config is config
-        assert plan.recovery == RecoveryPolicy()
-
-    def test_a_named_scenario_wins_over_an_explicit_config(self):
-        plan = block_fault_plans("x", "havoc", FaultConfig())(0)
-        assert plan.config is SCENARIOS["havoc"].config
-
     @pytest.mark.parametrize("name", ["bogus", "traffic-spike"])
     def test_non_fault_scenarios_are_refused(self, name):
         with pytest.raises(ValueError, match="scenario"):

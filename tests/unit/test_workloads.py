@@ -16,7 +16,6 @@ from repro.workloads import (
     build_chain,
     conflict_ratio_block,
 )
-from repro.workloads.erc20_workload import hot_recipient_block
 from repro.workloads.zipf import generalized_harmonic, zipf_head_share
 
 
@@ -208,11 +207,6 @@ class TestConflictRatioBlocks:
             chain.fresh_world(), block.txs, block.env
         )
         assert all(r.success for r in result.tx_results)
-
-    def test_hot_recipient_block_targets_one_address(self, chain):
-        block = hot_recipient_block(chain, 1, 15)
-        recipients = {tx.data[4:36] for tx in block.txs}
-        assert len(recipients) == 1
 
 
 @settings(max_examples=20, deadline=None)
