@@ -25,7 +25,6 @@ from ..concurrency.registry import EXECUTOR_NAMES, make_executor
 # Submodule imports (not the obs package) — repro.obs itself renders tables
 # through repro.bench.report, so going through the packages would cycle.
 from ..obs.critical_path import critical_path
-from ..obs.metrics import json_document
 from ..obs.trace import BlockObserver
 from ..workloads import MainnetConfig, MainnetWorkload, conflict_ratio_block
 from .harness import START_BLOCK, against_serial, standard_chain
@@ -193,12 +192,6 @@ def run_suite(config: BenchSuiteConfig | str) -> dict:
         },
         "sweeps": sweeps,
     }
-
-
-def to_json(document: dict) -> str:
-    """The canonical serialization: sorted keys, stable float repr, no
-    wall-clock anywhere — byte-identical across runs of the same suite."""
-    return json_document(document)
 
 
 def load_bench(path: str) -> dict:

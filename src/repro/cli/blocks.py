@@ -23,7 +23,6 @@ from ..bench.suite import (
     compare_bench,
     load_bench,
     run_suite,
-    to_json,
 )
 from ..concurrency import SerialExecutor
 from ..concurrency.registry import make_executor
@@ -200,7 +199,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"  {sweep['parameter']}={point['point']}: {speedups}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(to_json(document))
+            fh.write(json_document(document))
         print(f"\nwrote {args.out}")
     if args.compare:
         baseline = load_bench(args.compare)

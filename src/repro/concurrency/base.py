@@ -38,7 +38,7 @@ from ..obs.metrics import NULL_METRICS
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..sim.machine import SimMachine, Task
 from ..sim.meter import CostMeter
-from ..state.keys import StateKey, balance_key, key_address
+from ..state.keys import StateKey, balance_key
 from ..state.view import BlockOverlay, StateView
 from ..state.world import WorldState
 
@@ -478,18 +478,12 @@ def publish_stats(metrics, stats: dict) -> None:
 def count_keys(metrics, name: str, keys, amount: int | float = 1) -> None:
     """Add ``amount`` to the per-key counter ``name`` of every state key.
 
-    This is the one per-key label format (conflict heatmap, hot-slot
-    attribution): ``key`` is the key itself and ``contract`` its owning
-    account, which :mod:`repro.obs.attribution` rolls keys up by.  The one
-    place that checks for :data:`~repro.obs.metrics.NULL_METRICS`: a
-    detached run skips building labels nobody keeps.
+    Each series is labelled by :func:`repro.obs.metrics.key_labels`, the
+    one per-key label format, through ``MetricsRegistry.key_counter``;
+    :data:`~repro.obs.metrics.NULL_METRICS` builds no labels.
     """
-    if metrics is NULL_METRICS:
-        return
     for key in keys:
-        metrics.counter(
-            name, key=str(key), contract=key_address(key).hex()
-        ).inc(amount)
+        metrics.key_counter(name, key).inc(amount)
 
 
 def emit_span(

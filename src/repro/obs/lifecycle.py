@@ -135,8 +135,10 @@ class TxLifecycle:
         )
         return segments
 
-    def as_dict(self) -> dict:
-        """The JSONL-ready record: timestamps plus the phase durations."""
+    def as_dict(self, segments, latency: float) -> dict:
+        """The JSONL-ready record: timestamps plus the phase durations of
+        ``segments`` (this record's :meth:`waterfall`) and ``latency`` (its
+        :meth:`client_latency_us`), which the caller has already computed."""
         out = {
             "tx_hash": self.tx_hash,
             "sender": self.sender,
@@ -145,10 +147,8 @@ class TxLifecycle:
             "outcome": self.outcome,
             "block_number": self.block_number,
             "queue_depth": self.queue_depth,
-            "latency_us": self.client_latency_us(),
-            "phases": {
-                name: end - start for name, start, end in self.waterfall()
-            },
+            "latency_us": latency,
+            "phases": {name: end - start for name, start, end in segments},
         }
         return out
 
@@ -377,10 +377,10 @@ class _PhaseSketches:
         self.phases = {name: LogHistogram() for name in WATERFALL_PHASES}
         self.latency = LogHistogram()
 
-    def fold(self, record: TxLifecycle) -> None:
-        for name, start, end in record.waterfall():
+    def fold(self, segments, latency: float) -> None:
+        for name, start, end in segments:
             self.phases[name].observe(max(0.0, end - start))
-        self.latency.observe(max(0.0, record.client_latency_us()))
+        self.latency.observe(max(0.0, latency))
 
     def section(self) -> dict:
         return {
@@ -423,7 +423,10 @@ class LifecycleTracker:
     records fold into sketches and rollups and are dropped — unless the
     session points ``sink`` (writable) at its ``--waterfalls`` file, in
     which case each terminal record is emitted as one sorted-keys JSONL
-    line, or a :class:`FlightRecorder` keeps its bounded ring.
+    line, or a :class:`FlightRecorder` keeps its bounded ring.  A terminal
+    record's waterfall and client latency are computed once, and that one
+    result feeds both sketches, the slow-tx blame, the exported record and
+    the lane spans.
 
     ``trace=True`` additionally records one serving-lane span per phase of
     every committed transaction plus any counter samples
@@ -541,11 +544,9 @@ class LifecycleTracker:
             record.outcome = "committed"
             self.committed += 1
             self._window_committed += 1
-            self._finish(record, shed=False)
+            client_latency = self._finish(record, shed=False)
             if self.slo is not None:
-                self.slo.observe_latency(
-                    record.done_us, record.client_latency_us()
-                )
+                self.slo.observe_latency(record.done_us, client_latency)
 
     # -- folding ---------------------------------------------------------
 
@@ -560,10 +561,12 @@ class LifecycleTracker:
             stats = self.senders[sender] = SenderStats(sender=sender)
         return stats
 
-    def _finish(self, record: TxLifecycle, shed: bool) -> None:
-        self.total.fold(record)
-        self.window.fold(record)
+    def _finish(self, record: TxLifecycle, shed: bool) -> float:
+        """Fold one terminal record everywhere it goes; returns its latency."""
+        segments = record.waterfall()
         latency = record.client_latency_us()
+        self.total.fold(segments, latency)
+        self.window.fold(segments, latency)
         stats = self._sender_stats(record.sender)
         stats.txs += 1
         stats.latency_sum_us += latency
@@ -574,7 +577,6 @@ class LifecycleTracker:
         slow = latency > self.slow_threshold_us
         if slow:
             stats.slow_txs += 1
-            segments = record.waterfall()
             dominant = max(segments, key=lambda s: s[2] - s[1])[0]
             self.dominant_slow[dominant] = self.dominant_slow.get(dominant, 0) + 1
             self.metrics.counter(
@@ -584,19 +586,20 @@ class LifecycleTracker:
             "lifecycle_txs_total",
             outcome="shed" if shed else "committed",
         ).inc()
-        entry = record.as_dict()
+        entry = record.as_dict(segments, latency)
         if self.recorder is not None:
             self.recorder.record(entry)
         if self.sink is not None:
             self.sink.write(json.dumps(entry, sort_keys=True))
             self.sink.write("\n")
         if self.trace is not None and not shed:
-            self._trace_spans(record)
+            self._trace_spans(segments)
+        return latency
 
-    def _trace_spans(self, record: TxLifecycle) -> None:
+    def _trace_spans(self, segments) -> None:
         ordinal = self._span_ordinal
         self._span_ordinal += 1
-        for lane, (name, start, end) in enumerate(record.waterfall()):
+        for lane, (name, start, end) in enumerate(segments):
             if end - start <= 0.0:
                 continue
             self.trace.on_span(lane, _LaneTask(f"lc:{name}", ordinal), start, end)

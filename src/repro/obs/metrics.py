@@ -12,9 +12,12 @@ Design constraints:
   registry on its own: a component that is handed none publishes into
   :data:`NULL_METRICS`, whose every metric is one shared discard object.
   Instrumentation sites therefore call the registry unconditionally; an
-  unobserved run pays a no-op call per site and holds no series.  Only
-  :func:`repro.concurrency.base.count_keys` checks for it, to skip
-  building per-key labels nobody keeps.
+  unobserved run pays a no-op call per site and holds no series.  The
+  registry's accessors answer for it, so a detached run builds no labels.
+- **One lookup per update.**  An unlabelled series is one dict lookup, and
+  a per-state-key series (:meth:`MetricsRegistry.key_counter`) is one
+  lookup under its key's :func:`key_labels`, with no kwargs dict, sort or
+  factory closure.
 - **Deterministic export.**  ``as_dict()`` orders series by (name, labels);
   two identical runs serialise to byte-identical JSON.
 - **Simulated time.**  All ``*_us`` series hold simulated microseconds, not
@@ -26,6 +29,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from typing import Iterator, Sequence
+
+from ..state.keys import StateKey, key_address
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -39,6 +44,13 @@ HARNESS_LABEL_LIMIT = 512
 
 def _label_key(labels: dict[str, str]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def key_labels(key: StateKey) -> LabelKey:
+    """The one per-state-key label format (conflict heatmap, hot-slot
+    attribution): ``key`` is the key itself and ``contract`` its owning
+    account, which :mod:`repro.obs.attribution` rolls keys up by."""
+    return (("contract", key_address(key).hex()), ("key", str(key)))
 
 
 def _series_name(name: str, key: LabelKey) -> str:
@@ -151,47 +163,63 @@ class MetricsRegistry:
         self._series: dict[tuple[str, LabelKey], Counter | Gauge | Histogram] = {}
         # Per-counter baseline of the previous window_snapshot() call.
         self._window_base: dict[tuple[str, LabelKey], int | float] = {}
-        # Distinct non-overflow label sets per series name, and how many
-        # creations each name has folded into its overflow series.
+        # Distinct non-overflow label sets per series name.
         self._label_counts: dict[str, int] = {}
-        self._overflow: dict[str, int] = {}
 
     # ------------------------------------------------------------ creation
 
     def counter(self, name: str, **labels: str) -> Counter:
-        return self._get(name, labels, Counter, lambda: Counter())
+        if not labels:
+            metric = self._series.get((name, ()))
+            if type(metric) is Counter:
+                return metric
+        return self._get(name, _label_key(labels), Counter, Counter)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get(name, labels, Gauge, lambda: Gauge())
+        if not labels:
+            metric = self._series.get((name, ()))
+            if type(metric) is Gauge:
+                return metric
+        return self._get(name, _label_key(labels), Gauge, Gauge)
 
     def histogram(
         self, name: str, buckets: Sequence[float], **labels: str
     ) -> Histogram:
-        return self._get(name, labels, Histogram, lambda: Histogram(buckets))
+        if not labels:
+            metric = self._series.get((name, ()))
+            if type(metric) is Histogram:
+                return metric
+        return self._get(
+            name, _label_key(labels), Histogram, lambda: Histogram(buckets)
+        )
 
-    def _get(self, name, labels, kind, factory):
-        key = (name, _label_key(labels))
+    def key_counter(self, name: str, key: StateKey) -> Counter:
+        """The counter ``name`` of one state key, labelled by
+        :func:`key_labels`."""
+        labels = key_labels(key)
+        metric = self._series.get((name, labels))
+        if type(metric) is Counter:
+            return metric
+        return self._get(name, labels, Counter, Counter)
+
+    def _get(self, name, labels: LabelKey, kind, factory):
+        # Creation, overflow folding and the kind check: every accessor's
+        # fast path that found its series of the right kind never gets here.
+        key = (name, labels)
         metric = self._series.get(key)
         if metric is None:
-            # Creation path only: the hot path (series exists) pays one
-            # dict lookup exactly as before the cardinality guard.
             if (
                 self.label_limit is not None
                 and labels
                 and self._label_counts.get(name, 0) >= self.label_limit
             ):
-                self._overflow[name] = self._overflow.get(name, 0) + 1
-                key = (name, tuple((k, OVERFLOW_LABEL) for k in sorted(labels)))
+                key = (name, tuple((k, OVERFLOW_LABEL) for k, _ in labels))
                 metric = self._series.get(key)
-                if metric is None:
-                    metric = self._series[key] = factory()
-            else:
-                if labels:
-                    self._label_counts[name] = (
-                        self._label_counts.get(name, 0) + 1
-                    )
+            elif labels:
+                self._label_counts[name] = self._label_counts.get(name, 0) + 1
+            if metric is None:
                 metric = self._series[key] = factory()
-        elif type(metric) is not kind:
+        if type(metric) is not kind:
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}"
             )
@@ -278,8 +306,13 @@ class MetricsRegistry:
             for name, key, metric in self.series()
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        """:meth:`as_dict` as two-space-indented JSON, in registry order.
+
+        Not :func:`json_document`: the keys are left in :meth:`as_dict`'s
+        (name, labels) order rather than re-sorted, because every
+        ``--metrics-json`` golden pins that order."""
+        return json.dumps(self.as_dict(), indent=2, sort_keys=False)
 
     def write_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -319,8 +352,10 @@ _DISCARD = _Discard()
 class _NullRegistry(MetricsRegistry):
     """A registry that never holds a series (see :data:`NULL_METRICS`)."""
 
-    def _get(self, name, labels, kind, factory):
+    def _discard(self, *args, **labels):
         return _DISCARD
+
+    counter = gauge = histogram = key_counter = _discard
 
 
 #: The registry of every component that was handed none: counters, gauges

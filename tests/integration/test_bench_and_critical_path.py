@@ -20,10 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.suite import compare_bench, run_suite, to_json
+from repro.bench.suite import compare_bench, run_suite
 from repro.check import BlockFuzzer, FuzzConfig
 from repro.concurrency.registry import EXECUTOR_NAMES, make_executor
-from repro.obs import BlockObserver, collect_attribution, critical_path
+from repro.obs import (
+    BlockObserver,
+    collect_attribution,
+    critical_path,
+    json_document,
+)
 
 THREADS = 4
 REL_TOL = 1e-6
@@ -117,7 +122,7 @@ class TestBenchSuite:
 
     def test_byte_identical_across_runs(self, tiny_doc):
         again = run_suite("tiny")
-        assert to_json(tiny_doc) == to_json(again)
+        assert json_document(tiny_doc) == json_document(again)
 
     def test_document_shape(self, tiny_doc):
         assert tiny_doc["schema_version"] == 1
@@ -143,7 +148,7 @@ class TestBenchSuite:
         assert_within_tx_level_bound(json.loads(BASELINE.read_text()))
 
     def test_json_roundtrips(self, tiny_doc):
-        assert json.loads(to_json(tiny_doc)) == tiny_doc
+        assert json.loads(json_document(tiny_doc)) == tiny_doc
 
     def test_gate_passes_against_itself(self, tiny_doc):
         assert compare_bench(tiny_doc, copy.deepcopy(tiny_doc)) == []

@@ -93,7 +93,8 @@ class TestTxLifecycle:
         assert record.client_latency_us() is None
 
     def test_as_dict_phases_sum_to_latency(self):
-        entry = _committed_record().as_dict()
+        record = _committed_record()
+        entry = record.as_dict(record.waterfall(), record.client_latency_us())
         assert entry["latency_us"] == pytest.approx(
             sum(entry["phases"].values()), abs=TILING_EPS_US
         )
@@ -313,7 +314,12 @@ class TestLabelCardinalityGuard:
         registry.counter("hits", key="d").inc(2)
         exported = registry.as_dict()
         assert exported[f"hits{{key={OVERFLOW_LABEL}}}"] == 7
-        assert registry._overflow == {"hits": 2}
+        # Both creations past the limit folded: "c" and "d" have no series.
+        assert exported == {
+            "hits{key=a}": 1,
+            "hits{key=b}": 1,
+            f"hits{{key={OVERFLOW_LABEL}}}": 7,
+        }
         # Folded totals stay correct.
         assert registry.sum_by_name("hits") == 9
 
@@ -327,13 +333,14 @@ class TestLabelCardinalityGuard:
         registry.counter("one", key="x").inc()
         for name in ("a", "b", "c"):
             registry.counter(name).inc()
-        assert registry._overflow == {}
+        assert registry.as_dict() == {"a": 1, "b": 1, "c": 1, "one{key=x}": 1}
+        assert all(registry.sum_by_name(name) == 1 for name in ("a", "b", "c"))
 
     def test_limit_is_per_series_name(self):
         registry = MetricsRegistry(label_limit=1)
         registry.counter("first", key="a").inc()
         registry.counter("second", key="a").inc()
-        assert registry._overflow == {}
+        assert registry.as_dict() == {"first{key=a}": 1, "second{key=a}": 1}
 
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):

@@ -17,9 +17,19 @@ from repro.obs import (
     render_block_report,
     utilization_table,
 )
-from repro.obs.metrics import NULL_METRICS, Counter, Gauge, Histogram
+from repro.obs.metrics import (
+    NULL_METRICS,
+    OVERFLOW_LABEL,
+    Counter,
+    Gauge,
+    Histogram,
+)
 from repro.obs.trace import Span
+from repro.primitives import make_address
 from repro.sim.machine import Task
+from repro.state.keys import balance_key, storage_key
+
+from tests.unit.metrics_reference import CreationPathRegistry
 
 
 class TestCounter:
@@ -100,6 +110,27 @@ class TestMetricsRegistry:
         m.counter("x")
         with pytest.raises(TypeError):
             m.gauge("x")
+        # The same check on every fast path.
+        key = balance_key(make_address(7))
+        m.gauge("g")
+        m.gauge("k", key=str(key), contract=key[1].hex())
+        with pytest.raises(TypeError):
+            m.counter("g")
+        with pytest.raises(TypeError):
+            m.histogram("g", [1, 2])
+        with pytest.raises(TypeError):
+            m.key_counter("k", key)
+        m.histogram("h", [1, 2])
+        with pytest.raises(TypeError):
+            m.gauge("h")
+
+    def test_kind_collision_rejected_on_the_overflow_series(self):
+        m = MetricsRegistry(label_limit=1)
+        m.counter("x", shard="a")
+        m.counter("x", shard="b").inc()
+        with pytest.raises(TypeError):
+            m.gauge("x", shard="c")
+        assert m.as_dict() == {"x{shard=(overflow)}": 1, "x{shard=a}": 0}
 
     def test_value_of_missing_series_is_none(self):
         assert MetricsRegistry().value("nope") is None
@@ -142,6 +173,7 @@ class TestNullMetrics:
         assert NULL_METRICS.counter("b", key="k") is discard
         assert NULL_METRICS.gauge("a") is discard
         assert NULL_METRICS.histogram("h", [1, 2], phase="p") is discard
+        assert NULL_METRICS.key_counter("conflict_keys", ("b", b"\x01")) is discard
         # No bucket validation either: the factory is never called.
         assert NULL_METRICS.histogram("h", [2, 1]) is discard
 
@@ -158,6 +190,46 @@ class TestNullMetrics:
     def test_negative_increment_raises_like_a_real_counter(self):
         with pytest.raises(ValueError):
             NULL_METRICS.counter("c").inc(-1)
+        with pytest.raises(ValueError):
+            NULL_METRICS.key_counter("conflict_keys", ("b", b"\x01")).inc(-1)
+
+
+PER_KEY_NAMES = ("conflict_keys", "redo_induced_slices", "redo_induced_ops")
+KEYS = [
+    balance_key(make_address(1)),
+    storage_key(make_address(2), 5),
+    storage_key(make_address(2), 6),
+    balance_key(make_address(3)),
+]
+
+
+def _drive(registry) -> list[dict]:
+    """One fixed run of updates; returns every window snapshot taken."""
+    windows = []
+    for block in range(3):
+        for step, key in enumerate(KEYS[: 2 + block]):
+            for name in PER_KEY_NAMES:
+                registry.key_counter(name, key).inc(step + 1)
+            registry.counter("txs_total").inc()
+            registry.counter("txs_total", outcome="committed").inc(2)
+            registry.gauge("depth").set(step * 1.5)
+            registry.gauge("depth").add(0.25)
+            registry.histogram("slice_ops", [1, 4, 16]).observe(step * 3)
+        windows.append(registry.window_snapshot())
+    return windows
+
+
+@pytest.mark.parametrize("label_limit", [None, 1, 2])
+def test_fast_paths_export_what_the_creation_path_does(label_limit):
+    fast = MetricsRegistry(label_limit=label_limit)
+    reference = CreationPathRegistry(label_limit=label_limit)
+    assert _drive(fast) == _drive(reference)
+    assert list(fast.as_dict().items()) == list(reference.as_dict().items())
+    assert fast.counter_totals() == reference.counter_totals()
+    if label_limit == 1:
+        # Three of the four keys folded into each name's overflow series.
+        overflow = f"conflict_keys{{contract={OVERFLOW_LABEL},key={OVERFLOW_LABEL}}}"
+        assert fast.as_dict()[overflow] > 0
 
 
 # The hot balance slot of ``conflict_ratio_block(chain, 1, 16, 0.9)`` and its
@@ -178,19 +250,19 @@ HOT_SLOT_SERIES = {
 
 
 def test_per_key_labels_are_built_only_when_attached(monkeypatch):
-    import repro.concurrency.base as base
+    import repro.obs.metrics as metrics
     from repro.bench.harness import standard_chain
     from repro.core.executor import ParallelEVMExecutor
     from repro.workloads.erc20_workload import conflict_ratio_block
 
     calls = []
-    real_key_address = base.key_address
+    real_key_labels = metrics.key_labels
 
     def spy(key):
         calls.append(key)
-        return real_key_address(key)
+        return real_key_labels(key)
 
-    monkeypatch.setattr(base, "key_address", spy)
+    monkeypatch.setattr(metrics, "key_labels", spy)
     chain = standard_chain(accounts=40, tokens=1, amm_pairs=0)
     block = conflict_ratio_block(chain, 1, 16, ratio=0.9)
 
