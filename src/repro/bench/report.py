@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+# Characters in a histogram's longest bar.
+HISTOGRAM_WIDTH = 40
+
 
 def render_table(
     title: str,
@@ -39,23 +42,20 @@ def render_series(
     x_label: str,
     xs: Sequence[object],
     series: Mapping[str, Sequence[float]],
-    y_format: str = "{:.2f}",
 ) -> str:
     """A figure as a table: one row per x value, one column per series."""
     columns = [x_label] + list(series)
     rows = []
     for i, x in enumerate(xs):
-        rows.append([x] + [y_format.format(series[name][i]) for name in series])
+        rows.append([x] + [f"{series[name][i]:.2f}" for name in series])
     return render_table(title, columns, rows)
 
 
 def render_histogram(
-    title: str,
-    bucket_edges: Sequence[float],
-    counts: Sequence[int],
-    width: int = 40,
+    title: str, bucket_edges: Sequence[float], counts: Sequence[int]
 ) -> str:
     """A horizontal ASCII histogram (the Figure 9 rendering)."""
+    width = HISTOGRAM_WIDTH
     total = sum(counts) or 1
     peak = max(counts) or 1
     lines = [title, "-" * (width + 24)]

@@ -65,7 +65,7 @@ from .mutations import (
     inject_conflict_bug,
     mutation_self_test,
 )
-from .replay import RedoReplayChecker, ReplayDivergence
+from .replay import RedoReplayChecker
 from .shrink import ShrinkResult, shrink_block
 from .sweep import SweepReport
 
@@ -87,7 +87,6 @@ __all__ = [
     "FuzzConfig",
     "MUTATIONS",
     "RedoReplayChecker",
-    "ReplayDivergence",
     "SelfTestReport",
     "ShrinkResult",
     "SweepReport",

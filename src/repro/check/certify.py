@@ -35,6 +35,9 @@ from .replay import RedoReplayChecker, logs_of
 # Every concurrent config is certified against the serial reference.
 _CONCURRENT_EXECUTORS = tuple(name for name in EXECUTOR_NAMES if name != "serial")
 
+# Differing keys a divergence message names before "(+N more)".
+_KEYS_SHOWN = 4
+
 
 @dataclass(slots=True)
 class Divergence:
@@ -80,14 +83,16 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def _diff_keys(ours: dict, theirs: dict, limit: int = 4) -> str:
+def _diff_keys(ours: dict, theirs: dict) -> str:
     keys = sorted(
         k
         for k in set(ours) | set(theirs)
         if ours.get(k) != theirs.get(k)
     )
-    shown = ", ".join(repr(k) for k in keys[:limit])
-    more = f" (+{len(keys) - limit} more)" if len(keys) > limit else ""
+    shown = ", ".join(repr(k) for k in keys[:_KEYS_SHOWN])
+    more = (
+        f" (+{len(keys) - _KEYS_SHOWN} more)" if len(keys) > _KEYS_SHOWN else ""
+    )
     return f"{len(keys)} keys: {shown}{more}"
 
 
@@ -193,7 +198,7 @@ def certify_block(
             ).inc()
 
     for name in executors:
-        checker = RedoReplayChecker(strict=False, metrics=metrics)
+        checker = RedoReplayChecker(metrics=metrics)
         executor = factory(name, threads, redo_checker=checker)
         if getattr(executor, "redo_checker", None) is not checker:
             checker = None

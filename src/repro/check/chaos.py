@@ -117,18 +117,16 @@ def run_chaos_block(
     scenario: ChaosScenario | str,
     seed: int | str = 0,
     threads: int = 8,
-    recovery: RecoveryPolicy | None = None,
     redo_budget: int | None = None,
     check_roots: bool = True,
     metrics=NULL_METRICS,
 ) -> ChaosBlockReport:
     """Certify ``block`` with every executor running under ``scenario``.
 
-    ``recovery`` overrides the harness-built policy entirely (the
-    scenario's ``recovery_overrides`` are then NOT applied — an explicit
-    policy is taken as authoritative, e.g. a test pinning a tiny redo
-    budget or deadline).  ``redo_budget`` overrides just that knob on
-    whichever policy is in force (the CLI's ``--budget``).
+    The recovery policy is the harness-built one (a deadline of
+    ``DEADLINE_FACTOR`` × the serial makespan) with the scenario's
+    ``recovery_overrides`` applied; ``redo_budget`` overrides that one
+    knob (the CLI's ``--budget``).
     """
     if isinstance(scenario, str):
         scenario = SCENARIOS[scenario]
@@ -158,17 +156,14 @@ def run_chaos_block(
             metrics=metrics,
         )
         return chaos_report(scenario, seed, *outcome, metrics)
-    if recovery is None:
-        probe = SerialExecutor().execute_block(
-            chain.fresh_world(), block.txs, block.env
-        )
-        policy = RecoveryPolicy(
-            block_deadline_us=max(probe.makespan_us, 1.0) * DEADLINE_FACTOR
-        )
-        if scenario.recovery_overrides:
-            policy = replace(policy, **scenario.recovery_overrides)
-    else:
-        policy = recovery
+    probe = SerialExecutor().execute_block(
+        chain.fresh_world(), block.txs, block.env
+    )
+    policy = RecoveryPolicy(
+        block_deadline_us=max(probe.makespan_us, 1.0) * DEADLINE_FACTOR
+    )
+    if scenario.recovery_overrides:
+        policy = replace(policy, **scenario.recovery_overrides)
     if redo_budget is not None:
         policy = replace(policy, redo_budget=redo_budget)
     # The chaos suite covers every config, including the serial baseline

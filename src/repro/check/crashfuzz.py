@@ -208,8 +208,6 @@ def pipelined_crash_sweep_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: Sequence[str] = EXECUTOR_NAMES,
-    check_roots: bool = True,
     metrics=NULL_METRICS,
 ) -> PipelinedCrashSweepReport:
     """Certify that pipelined speculation never contaminates recovery.
@@ -218,7 +216,8 @@ def pipelined_crash_sweep_block(
     into blocks N and N+1.  Per executor config: N+1's result is computed
     speculatively against N's uncommitted write overlay — the multi-block
     pipeline's overlap — and *never* committed while N's durable commit is
-    crashed at every enumerated site.  For each site the certified
+    crashed at every enumerated site, on every config of
+    ``EXECUTOR_NAMES``, with state roots checked.  For each site the certified
     invariants are:
 
     1. recovery lands on exactly pre-N or post-N state per
@@ -242,11 +241,11 @@ def pipelined_crash_sweep_block(
         tx_count=len(block),
         sites=enumerate_crash_sites(len(block_n.txs), checkpoint=False),
     )
-    root_genesis(chain, check_roots)
-    pre = world_state(chain.fresh_world(), check_roots)
+    root_genesis(chain, True)
+    pre = world_state(chain.fresh_world(), True)
     # Serial reference of the fully resumed chain: N then N+1.
     final_fp, final_root = world_state(
-        apply_serially(chain.fresh_world(), block_n, block_n1), check_roots
+        apply_serially(chain.fresh_world(), block_n, block_n1), True
     )
 
     def prepare(name: str):
@@ -256,7 +255,7 @@ def pipelined_crash_sweep_block(
         )
         post_world = chain.fresh_world()
         post_world.apply(result_n.writes)
-        boundary = CommitBoundary(pre, world_state(post_world, check_roots))
+        boundary = CommitBoundary(pre, world_state(post_world, True))
 
         # The pipeline overlap: N+1 executes against N's uncommitted
         # overlay while N's durable commit is in flight.  ``spec_fp`` is
@@ -308,7 +307,7 @@ def pipelined_crash_sweep_block(
                 report.speculations_salvaged += 1
         if world.fingerprint() != final_fp:
             return "resumed tip differs from the serial N,N+1 reference"
-        if check_roots and world.state_root() != final_root:
+        if world.state_root() != final_root:
             return "resumed MPT root differs"
         with failing_as("post-resume recovery"):
             resumed_rec = recover(medium, chain.fresh_world, metrics=metrics)
@@ -319,9 +318,11 @@ def pipelined_crash_sweep_block(
             )
         return None
 
+    # Read as this module's global at call time: tests narrow the sweep by
+    # patching ``repro.check.crashfuzz.EXECUTOR_NAMES``.
     run_sweep(
         report,
-        executors,
+        EXECUTOR_NAMES,
         prepare,
         check,
         metrics,

@@ -25,6 +25,10 @@ from ..workloads import Chain, conflict_ratio_block
 from .certify import CertificationReport, certify_block
 from .shrink import ShrinkResult, shrink_block
 
+# The self-test's contended block: its number and its transaction count.
+SELF_TEST_BLOCK = 77
+SELF_TEST_TXS = 12
+
 
 def _drop_all(conflicts: dict) -> dict:
     return {}
@@ -99,10 +103,7 @@ class SelfTestReport:
 def mutation_self_test(
     chain: Chain,
     mutation: str = "storage-blind",
-    tx_count: int = 12,
     threads: int = 8,
-    shrink: bool = True,
-    block_number: int = 77,
 ) -> SelfTestReport:
     """Inject ``mutation``, certify a contended block, shrink the failure.
 
@@ -112,7 +113,9 @@ def mutation_self_test(
     overlap.  Only the mutated executor is certified — the point is the
     oracle, not the honest baselines.
     """
-    block = conflict_ratio_block(chain, block_number, tx_count, ratio=1.0)
+    block = conflict_ratio_block(
+        chain, SELF_TEST_BLOCK, SELF_TEST_TXS, ratio=1.0
+    )
     mutant_suite = ["parallelevm"]
 
     with inject_conflict_bug(mutation):
@@ -130,7 +133,7 @@ def mutation_self_test(
             certification=report,
             divergence_fields=[d.field for d in report.divergences],
         )
-        if result.caught and shrink:
+        if result.caught:
             result.shrink = shrink_block(
                 block,
                 lambda candidate: not certify_block(

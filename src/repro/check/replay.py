@@ -20,16 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..concurrency.base import run_speculative
-from ..errors import ConcurrencyError
 from ..evm.message import BlockEnv, Transaction, TxResult
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.view import BlockOverlay
 from ..state.world import WorldState
-
-
-class ReplayDivergence(ConcurrencyError):
-    """A successful redo did not match from-scratch re-execution."""
 
 
 def logs_of(result: TxResult) -> list[tuple]:
@@ -41,14 +36,12 @@ def logs_of(result: TxResult) -> list[tuple]:
 class RedoReplayChecker:
     """Cross-validates every successful redo against a fresh execution.
 
-    ``strict=True`` raises :class:`ReplayDivergence` on the first mismatch
-    (unit/integration tests); ``strict=False`` records divergences for the
-    certifier to report.  ``metrics`` (by default the discarding
+    Each mismatch is recorded in ``divergences`` for the certifier to
+    report.  ``metrics`` (by default the discarding
     :data:`~repro.obs.metrics.NULL_METRICS`) receives
     ``redo_replay_checks_total`` / ``redo_replay_divergences_total``.
     """
 
-    strict: bool = True
     metrics: MetricsRegistry = NULL_METRICS
     checks: int = 0
     divergences: list[str] = field(default_factory=list)
@@ -97,5 +90,3 @@ class RedoReplayChecker:
         message = f"redo of {tx.describe()} diverged: " + "; ".join(mismatches)
         self.divergences.append(message)
         self.metrics.counter("redo_replay_divergences_total").inc()
-        if self.strict:
-            raise ReplayDivergence(message)

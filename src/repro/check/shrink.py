@@ -27,6 +27,10 @@ from ..workloads import Block
 
 IsFailing = Callable[[Block], bool]
 
+# Predicate evaluations one shrink may spend (each runs the block through
+# executors); on exhaustion the best reduction so far is returned.
+MAX_ATTEMPTS = 500
+
 
 @dataclass(slots=True)
 class ShrinkResult:
@@ -49,19 +53,15 @@ def _rebuild(block: Block, txs: list[Transaction]) -> Block:
     )
 
 
-def shrink_block(
-    block: Block,
-    is_failing: IsFailing,
-    max_attempts: int = 500,
-) -> ShrinkResult:
+def shrink_block(block: Block, is_failing: IsFailing) -> ShrinkResult:
     """Minimize ``block`` while ``is_failing`` holds.
 
     Raises ``ValueError`` if the original block does not fail — a shrink
-    without a failing input is a harness bug, not a repro.
-    ``max_attempts`` bounds predicate evaluations (each one runs the
-    block through executors); on exhaustion the best reduction so far is
-    returned, still failing.
+    without a failing input is a harness bug, not a repro.  At most
+    ``MAX_ATTEMPTS`` predicate evaluations are spent; on exhaustion the
+    best reduction so far is returned, still failing.
     """
+    max_attempts = MAX_ATTEMPTS
     attempts = 0
 
     def failing(txs: list[Transaction]) -> bool:

@@ -31,10 +31,10 @@ from ..obs import BlockObserver, json_document, render_block_report
 from ..obs import structural_bound_lines
 from .options import add_durability, add_executor, positive_int
 
-def _add_block_arguments(parser, *, txs: int, accounts: int, threads: int = 16):
+def _add_block_arguments(parser, *, txs: int, accounts: int):
     """``--txs/--threads/--accounts/--block``: one standard-workload block."""
     parser.add_argument("--txs", type=int, default=txs)
-    parser.add_argument("--threads", type=positive_int, default=threads)
+    parser.add_argument("--threads", type=positive_int, default=16)
     parser.add_argument("--accounts", type=int, default=accounts)
     parser.add_argument("--block", type=int, default=START_BLOCK)
 

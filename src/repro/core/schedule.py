@@ -45,7 +45,6 @@ from ..concurrency.base import (
 )
 from ..concurrency.occ import OCCScheduler
 from ..evm.message import BlockEnv, Transaction
-from ..sim.cost import DEFAULT_COST_MODEL
 from ..sim.machine import Task
 from ..state.keys import StateKey
 from ..state.world import WorldState
@@ -186,10 +185,9 @@ class ScheduledValidatorExecutor(BlockExecutor):
         self,
         schedule: BlockSchedule,
         threads: int = 16,
-        cost_model=DEFAULT_COST_MODEL,
         use_read_values: bool = False,
     ):
-        super().__init__(threads, cost_model)
+        super().__init__(threads)
         self.schedule = schedule
         self.use_read_values = use_read_values
 

@@ -97,11 +97,11 @@ class LRUCache:
             "peak_entries": self.peak_entries,
         }
 
-    def publish(self, metrics, name: str = "block_cache") -> None:
+    def publish(self, metrics) -> None:
         """Snapshot the counters into a :class:`repro.obs.MetricsRegistry`.
 
         The cache is a hot path shared by every executor, so it is sampled
         (after a run) rather than instrumented per access.
         """
         for field, value in self.as_dict().items():
-            metrics.gauge(f"{name}_{field}").set(value)
+            metrics.gauge(f"block_cache_{field}").set(value)

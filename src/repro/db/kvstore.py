@@ -52,8 +52,6 @@ class SimulatedDiskKV:
     def __init__(self, cache_capacity: int = 200_000) -> None:
         self._data: dict[Hashable, object] = {}
         self.cache = LRUCache(cache_capacity)
-        self.disk_reads = 0
-        self.cache_reads = 0
         # Optional resilience hook (a StorageFaultInjector).  None on every
         # path that matters for calibration: with no injector installed the
         # read path below is byte-identical to the unfaulted build.
@@ -87,11 +85,9 @@ class SimulatedDiskKV:
         if value is not _CACHE_MISS:
             entries.move_to_end(key)
             cache.hits += 1
-            self.cache_reads += 1
             hit = True
         else:
             cache.misses += 1
-            self.disk_reads += 1
             value = self._data.get(key, default)
             cache.put(key, value)
             hit = False
@@ -222,12 +218,11 @@ class SimulatedDiskKV:
         return other
 
     def reset_stats(self) -> None:
-        self.disk_reads = 0
-        self.cache_reads = 0
         self.cache.reset_stats()
 
-    def publish(self, metrics, name: str = "db") -> None:
-        """Snapshot read counters (and the block cache's) into a registry."""
-        metrics.gauge(f"{name}_disk_reads").set(self.disk_reads)
-        metrics.gauge(f"{name}_cache_reads").set(self.cache_reads)
+    def publish(self, metrics) -> None:
+        """Snapshot the block cache's counters into a registry; its misses
+        and hits are the store's disk and cache reads."""
+        metrics.gauge("db_disk_reads").set(self.cache.misses)
+        metrics.gauge("db_cache_reads").set(self.cache.hits)
         self.cache.publish(metrics)

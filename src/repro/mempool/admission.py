@@ -203,7 +203,7 @@ def pseudo_signature(tx: Transaction) -> bytes:
     return r.to_bytes(32, "big") + s.to_bytes(32, "big") + bytes([v])
 
 
-def wire_transaction(tx: Transaction, *, chain_id: int = 1, sig: bytes | None = None) -> dict:
+def wire_transaction(tx: Transaction, *, chain_id: int = 1) -> dict:
     """Encode a :class:`Transaction` as the wire dict clients submit."""
     wire = {
         "sender": "0x" + tx.sender.hex(),
@@ -212,7 +212,7 @@ def wire_transaction(tx: Transaction, *, chain_id: int = 1, sig: bytes | None = 
         "gas_limit": tx.gas_limit,
         "gas_price": tx.gas_price,
         "chain_id": chain_id,
-        "sig": "0x" + (sig if sig is not None else pseudo_signature(tx)).hex(),
+        "sig": "0x" + pseudo_signature(tx).hex(),
     }
     if tx.to is not None:
         wire["to"] = "0x" + tx.to.hex()

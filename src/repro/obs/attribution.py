@@ -34,6 +34,10 @@ _SERIES_FIELDS = (
     ("redo_induced_ops", "redo_ops"),
 )
 
+# Rows of the hot-slot and per-contract tables.
+HOT_SLOT_ROWS = 10
+CONTRACT_ROWS = 5
+
 
 @dataclass(slots=True)
 class SlotAttribution:
@@ -108,8 +112,9 @@ def _short_contract(contract: str) -> str:
     return f"0x{contract[:8]}…" if len(contract) > 10 else contract
 
 
-def attribution_table(report: AttributionReport, top: int = 10) -> str:
+def attribution_table(report: AttributionReport) -> str:
     """The hottest state keys with everything they caused."""
+    top = HOT_SLOT_ROWS
     rows = [
         [
             slot.key,
@@ -128,10 +133,9 @@ def attribution_table(report: AttributionReport, top: int = 10) -> str:
     )
 
 
-def contract_attribution_table(
-    report: AttributionReport, top: int = 5
-) -> str:
+def contract_attribution_table(report: AttributionReport) -> str:
     """Per-contract rollup of the hot-slot table."""
+    top = CONTRACT_ROWS
     contracts = report.by_contract()
     rows = [
         [

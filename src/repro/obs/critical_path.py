@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..bench.report import render_table
-from .trace import DependencyEdge, Span, TraceRecorder
+from .trace import Span, TraceRecorder
 
 # Tolerance for "this task ends exactly when that one starts" in simulated
 # microseconds; far below any cost-model quantum.
@@ -40,11 +40,10 @@ STALL = "stall"
 
 # Task kinds serialized at the ordered commit point (mirrors
 # repro.obs.report.COMMIT_POINT_KINDS without importing it circularly).
-# "commit-lane" is the pipeline's virtual commit core (repro.pipeline):
-# block-level trie/journal commits chained after the per-tx commit point.
-_COMMIT_KINDS = frozenset(
-    {"validate", "redo", "commit", "serial-fallback", "commit-lane"}
-)
+_COMMIT_KINDS = frozenset({"validate", "redo", "commit", "serial-fallback"})
+
+# Rows of the blamed-transactions table.
+BLAMED_TXS = 3
 
 
 @dataclass(slots=True, frozen=True)
@@ -176,26 +175,18 @@ def _pick_predecessor(
 
 
 def critical_path(
-    trace: TraceRecorder | list[Span],
-    makespan_us: float,
-    edges: list[DependencyEdge] | None = None,
+    trace: TraceRecorder, makespan_us: float
 ) -> CriticalPathReport:
     """Extract the blame chain of a recorded schedule.
 
-    ``trace`` is a recorder (its reported dependency edges are used
-    automatically) or a bare span list.  The returned report's segments
-    tile ``[0, makespan_us]`` exactly: chain-task segments plus stall
-    segments, in chronological order.
+    The recorder's spans are the schedule and its dependency edges the
+    conflicts.  The returned report's segments tile ``[0, makespan_us]``
+    exactly: chain-task segments plus stall segments, in chronological
+    order.
     """
-    if isinstance(trace, TraceRecorder):
-        spans = trace.spans
-        if edges is None:
-            edges = trace.edges
-    else:
-        spans = trace
-    edges = edges or []
+    spans = trace.spans
     edge_sources: dict[int, set[int]] = {}
-    for edge in edges:
+    for edge in trace.edges:
         if edge.src_tx is not None and edge.dst_tx is not None:
             edge_sources.setdefault(edge.dst_tx, set()).add(edge.src_tx)
 
@@ -264,9 +255,9 @@ def critical_path_table(report: CriticalPathReport) -> str:
     )
 
 
-def blamed_txs_table(report: CriticalPathReport, n: int = 3) -> str | None:
-    """The top-``n`` transactions bounding the makespan."""
-    top = report.top_txs(n)
+def blamed_txs_table(report: CriticalPathReport) -> str | None:
+    """The top ``BLAMED_TXS`` transactions bounding the makespan."""
+    top = report.top_txs(BLAMED_TXS)
     if not top:
         return None
     horizon = report.makespan_us or 1.0

@@ -15,9 +15,10 @@ from .metrics import MetricsRegistry
 from .trace import BlockObserver, TraceRecorder
 
 # Task kinds that run at the ordered commit point (one in flight at a time).
-# "commit-lane" is the pipeline's virtual commit core (repro.pipeline),
-# which serialises block-level commits the same way.
-COMMIT_POINT_KINDS = frozenset({"validate", "redo", "commit", "commit-lane"})
+COMMIT_POINT_KINDS = frozenset({"validate", "redo", "commit"})
+
+# Rows of the conflict heatmap.
+HEATMAP_KEYS = 10
 
 
 def phase_breakdown_table(trace: TraceRecorder, makespan_us: float) -> str:
@@ -88,10 +89,9 @@ def commit_point_stall_us(trace: TraceRecorder, makespan_us: float) -> float:
     return max(0.0, makespan_us - covered)
 
 
-def conflict_heatmap_table(
-    metrics: MetricsRegistry, top: int = 10
-) -> str | None:
+def conflict_heatmap_table(metrics: MetricsRegistry) -> str | None:
     """The hottest conflicting storage keys (``conflict_keys`` counters)."""
+    top = HEATMAP_KEYS
     values = metrics.labelled_values("conflict_keys")
     if not values:
         return None

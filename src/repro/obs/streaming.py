@@ -200,9 +200,9 @@ class SoakTelemetry:
     counters are folded into their base series name so line size stays
     bounded no matter how many distinct hot keys a long run touches.
     ``db`` (optional, a :class:`repro.db.SimulatedDiskKV`) is sampled per
-    window for state-cache occupancy/hit-rate/eviction accounting — the
-    db's own read counters, not the LRU's, since the store probes
-    membership before calling :meth:`LRUCache.get`.
+    window for state-cache occupancy/hit-rate/eviction accounting: the
+    block cache's hits and misses are the store's cache and disk reads
+    (every read is exactly one of them).
     """
 
     def __init__(
@@ -281,8 +281,8 @@ class SoakTelemetry:
     def _db_counters(self) -> dict:
         cache = self.db.cache
         return {
-            "cache_reads": self.db.cache_reads,
-            "disk_reads": self.db.disk_reads,
+            "cache_reads": cache.hits,
+            "disk_reads": cache.misses,
             "evictions": cache.evictions,
         }
 
@@ -358,12 +358,12 @@ class SoakTelemetry:
         }
         if self.db is not None:
             cache = self.db.cache
-            probes = self.db.cache_reads + self.db.disk_reads
+            probes = cache.hits + cache.misses
             out["cache"] = {
                 "entries": len(cache),
                 "capacity": cache.capacity,
                 "peak_entries": cache.peak_entries,
-                "hit_rate": self.db.cache_reads / probes if probes else 0.0,
+                "hit_rate": cache.hits / probes if probes else 0.0,
                 "evictions": cache.evictions,
             }
         return out

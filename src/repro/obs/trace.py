@@ -249,23 +249,12 @@ class TraceRecorder:
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
-    def to_chrome_json(
-        self,
-        process_name: str = "repro",
-        thread_names: dict[int, str] | None = None,
-    ) -> str:
-        return json.dumps(
-            self.to_chrome_trace(process_name, thread_names), sort_keys=True
-        )
+    def to_chrome_json(self) -> str:
+        return json.dumps(self.to_chrome_trace(), sort_keys=True)
 
-    def write_chrome_trace(
-        self,
-        path: str,
-        process_name: str = "repro",
-        thread_names: dict[int, str] | None = None,
-    ) -> None:
+    def write_chrome_trace(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_chrome_json(process_name, thread_names))
+            fh.write(self.to_chrome_json())
             fh.write("\n")
 
 

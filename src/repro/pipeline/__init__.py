@@ -23,21 +23,11 @@ Entry points::
 or ``python -m repro soak --pipeline`` from the CLI.
 """
 
-from .driver import (
-    COMMIT_LANE,
-    EXEC_LANE,
-    PREFETCH_LANE,
-    BlockTiming,
-    PipelineConfig,
-    PipelineCoordinator,
-)
+from .driver import BlockTiming, PipelineConfig, PipelineCoordinator
 from .prefetch import predicted_read_keys
 
 __all__ = [
     "BlockTiming",
-    "COMMIT_LANE",
-    "EXEC_LANE",
-    "PREFETCH_LANE",
     "PipelineConfig",
     "PipelineCoordinator",
     "predicted_read_keys",

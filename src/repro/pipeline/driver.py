@@ -43,15 +43,7 @@ from dataclasses import dataclass
 from ..concurrency.base import block_read_keys
 from ..durability.commit import publish_order
 from ..obs.metrics import NULL_METRICS
-from ..sim.machine import Task
 from .prefetch import predicted_read_keys
-
-# Virtual lane ids for emitted spans.  Executor workers are 0..threads-1
-# in per-block traces; the coordinator's lanes use their own small ids in
-# its own (global-clock) trace, so the two never mix coordinates.
-EXEC_LANE = 0
-COMMIT_LANE = 1
-PREFETCH_LANE = 2
 
 
 @dataclass(slots=True)
@@ -97,21 +89,14 @@ class PipelineCoordinator:
     One coordinator serves one :class:`~repro.service.ChainService` for the
     lifetime of a run; it carries the lane clocks and the previous block's
     in-flight write set across blocks.  ``metrics`` (a
-    :class:`~repro.obs.MetricsRegistry`) receives ``pipeline_*`` counters;
-    ``trace`` (an optional :class:`~repro.obs.TraceRecorder`) receives one
-    span per lane occupation on the *global* pipeline clock, which is what
-    makes the commit lane visible to the critical-path profiler.
+    :class:`~repro.obs.MetricsRegistry`) receives ``pipeline_*`` counters.
     """
 
     def __init__(
-        self,
-        config: PipelineConfig | None = None,
-        metrics=NULL_METRICS,
-        trace=None,
+        self, config: PipelineConfig | None = None, metrics=NULL_METRICS
     ) -> None:
         self.config = config if config is not None else PipelineConfig()
         self.metrics = metrics
-        self.trace = trace
         self.clock_us = 0.0  # the service clock: last durable commit
         self.exec_free_at = 0.0
         self.commit_free_at = 0.0
@@ -123,14 +108,6 @@ class PipelineCoordinator:
         # (start, publish span, {key: rank}, key count).
         self._inflight: tuple[float, float, dict, int] | None = None
         self._pending: tuple[float, float, int] | None = None
-        self.blocks = 0
-        self.timings_total_us = {
-            "advance": 0.0,
-            "serial": 0.0,  # what the synchronous service would have spent
-            "prefetch": 0.0,
-            "prefetch_stall": 0.0,
-            "barrier_stall": 0.0,
-        }
 
     # ------------------------------------------------------------ prefetch
 
@@ -151,13 +128,6 @@ class PipelineCoordinator:
         start = max(self.prefetch_free_at, self.window_open_at)
         done = start + prefetch_us
         self.prefetch_free_at = done
-        if self.trace is not None and prefetch_us > 0.0:
-            self.trace.on_span(
-                PREFETCH_LANE,
-                Task(kind="prefetch", duration_us=prefetch_us),
-                start,
-                done,
-            )
         self._pending = (done, prefetch_us, warmed)
         return warmed
 
@@ -251,27 +221,6 @@ class PipelineCoordinator:
     # ------------------------------------------------------------- records
 
     def _record(self, timing: BlockTiming, result, commit_us: float) -> None:
-        self.blocks += 1
-        totals = self.timings_total_us
-        totals["advance"] += timing.advance_us
-        totals["serial"] += result.makespan_us + commit_us
-        totals["prefetch"] += timing.prefetch_us
-        totals["prefetch_stall"] += timing.prefetch_stall_us
-        totals["barrier_stall"] += timing.barrier_stall_us
-        if self.trace is not None:
-            self.trace.on_span(
-                EXEC_LANE,
-                Task(kind="exec-lane", duration_us=result.makespan_us),
-                timing.exec_start_us,
-                timing.exec_end_us,
-            )
-            if commit_us > 0.0:
-                self.trace.on_span(
-                    COMMIT_LANE,
-                    Task(kind="commit-lane", duration_us=commit_us),
-                    timing.commit_start_us,
-                    timing.commit_end_us,
-                )
         metrics = self.metrics
         metrics.counter("pipeline_blocks").inc()
         metrics.counter("pipeline_advance_us").inc(timing.advance_us)

@@ -83,7 +83,6 @@ class ReplicatedChainService:
         self.metrics = metrics
         self.controller = FailoverController(self.config.policy, metrics=metrics)
         self.primary_alive = True
-        self.quarantine_events: list[Exception] = []
         self._start_block = chain.env.number
 
         self.feed = ShipFeed(epoch=self.controller.epoch, metrics=metrics)
@@ -140,23 +139,24 @@ class ReplicatedChainService:
 
     # -- the replicated ingest path -------------------------------------
 
-    def ingest_block(self, block, tx_hashes=None, now_us: float | None = None):
+    def ingest_block(self, block, tx_hashes=None):
         outcome = self.service.ingest_block(block, tx_hashes)
-        now = self.service.sim_time_us if now_us is None else now_us
+        now = self.service.sim_time_us
         if self.primary_alive:
             self.controller.heartbeat(now)
         self.poll_replicas(now)
         return outcome
 
     def poll_replicas(self, now_us: float = 0.0) -> int:
-        """One poll tick per replica; quarantines are caught and kept."""
+        """One poll tick per replica; a quarantine is caught (the replica
+        keeps its own ``error`` and leaves the healthy set)."""
         consumed = 0
         tip = self.service.height - 1
         for replica in self.replicas:
             try:
                 consumed += replica.poll(now_us)
-            except (ReplicationError, JournalCorruptionError) as exc:
-                self.quarantine_events.append(exc)
+            except (ReplicationError, JournalCorruptionError):
+                pass
             self.metrics.gauge(
                 "replication_lag_blocks", replica=replica.name
             ).set(float(replica.lag_blocks(tip)))
@@ -181,8 +181,8 @@ class ReplicatedChainService:
         for replica in self.healthy_replicas():
             try:
                 replica.poll(now_us, max_frames=0)  # 0 = unbounded drain
-            except (ReplicationError, JournalCorruptionError) as exc:
-                self.quarantine_events.append(exc)
+            except (ReplicationError, JournalCorruptionError):
+                pass
         for replica in self.healthy_replicas():
             replica.finalize_source()
         candidate = self.controller.pick_candidate(self.replicas)
@@ -229,7 +229,6 @@ class ReplicatedChainService:
         new_service.sim_time_us = old_service.sim_time_us
         new_service.blocks_committed = old_service.blocks_committed
         new_service.txs_committed = old_service.txs_committed
-        new_service.gas_used = old_service.gas_used
         # A *copy*: a zombie predecessor ingesting more blocks must not
         # leak hashes into the promoted node's duplicate-rejection window.
         new_service._recent_tx_hashes = deque(
@@ -261,7 +260,6 @@ class ReplicatedChainService:
                 r.name for r in survivors if r.state == "quarantined"
             ],
         )
-        self.controller.record(report)
         return report
 
     def rebase_survivors(self) -> None:

@@ -74,7 +74,6 @@ class FailoverController:
         self.epoch = 1
         self.last_heartbeat_us = 0.0
         self.failovers = 0
-        self.reports: list[FailoverReport] = []
 
     # ------------------------------------------------------------ liveness
 
@@ -114,6 +113,3 @@ class FailoverController:
         self.metrics.counter("replication_failovers_total").inc()
         self.metrics.gauge("replication_epoch").set(float(self.epoch))
         return self.epoch
-
-    def record(self, report: FailoverReport) -> None:
-        self.reports.append(report)

@@ -80,8 +80,6 @@ class ReplicaService:
         self.fence_epoch = feed.epoch
         self.snapshot_block: int | None = None
         self.last_committed_block: int | None = None
-        self.last_sealed_block: int | None = None
-        self.blocks_applied = 0
         self.apply_us = 0.0
         self.stale_frames_rejected = 0
         self.stale_rejections: list[StaleEpoch] = []
@@ -113,8 +111,8 @@ class ReplicaService:
         have = self.last_committed_block
         return max(0, primary_tip - have) if have is not None else primary_tip
 
-    def _count(self, counter: str, value: float = 1) -> None:
-        self.metrics.counter(counter, replica=self.name).inc(value)
+    def _count(self, counter: str) -> None:
+        self.metrics.counter(counter, replica=self.name).inc()
 
     # -- failure modes -------------------------------------------------
 
@@ -180,7 +178,6 @@ class ReplicaService:
         number, self.world = best
         self.snapshot_block = number
         self.last_committed_block = number
-        self.last_sealed_block = number
         self.medium.write_snapshot(number, snapshots[number])
         self.medium.append_journal(JOURNAL_MAGIC)
         self.state = "streaming"
@@ -296,7 +293,6 @@ class ReplicaService:
             )
         self.apply_us += cost
         self.last_committed_block = block.number
-        self.blocks_applied += 1
         self._count("replication_blocks_applied_total")
 
     def _verify_seal(self, block: ReplayedBlock, now_us: float) -> None:
@@ -306,7 +302,6 @@ class ReplicaService:
                 "post-apply state fingerprint does not match the sealed root",
                 now_us,
             )
-        self.last_sealed_block = block.number
         self.metrics.gauge(
             "replication_last_sealed_block", replica=self.name
         ).set(float(block.number))
@@ -351,5 +346,4 @@ class ReplicaService:
         result = recover(self.medium, WorldState, metrics=self.metrics)
         self.world = result.world
         self.last_committed_block = result.last_committed_block
-        self.last_sealed_block = result.last_committed_block
         return result

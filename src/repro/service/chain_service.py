@@ -145,7 +145,6 @@ class ChainService:
         self.sim_time_us = 0.0
         self.blocks_committed = 0
         self.txs_committed = 0
-        self.gas_used = 0
         self.last_result = None
         # Tx hashes of recently ingested blocks, for duplicate rejection on
         # the external-ingest path.  The stream path never computes hashes,
@@ -246,7 +245,6 @@ class ChainService:
         self.sim_time_us += outcome.service_advance_us
         self.blocks_committed += 1
         self.txs_committed += outcome.tx_count
-        self.gas_used += outcome.gas_used
         if self.slo is not None:
             self.slo.observe_latency(self.sim_time_us, outcome.latency_us)
         return outcome

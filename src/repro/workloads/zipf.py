@@ -18,7 +18,6 @@ class ZipfSampler:
     def __init__(self, population: int, exponent: float = 1.1) -> None:
         if population <= 0:
             raise ValueError("population must be positive")
-        self.population = population
         weights = [1.0 / (k + 1) ** exponent for k in range(population)]
         total = sum(weights)
         self._cdf: list[float] = []

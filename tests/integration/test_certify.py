@@ -22,6 +22,7 @@ from repro.check import (
     certify_block,
     inject_conflict_bug,
     mutation_self_test,
+    mutations,
 )
 from repro.core.executor import ParallelEVMExecutor
 from repro.obs import MetricsRegistry
@@ -67,7 +68,7 @@ class TestCertifier:
     def test_strict_checker_is_silent_on_honest_executor(self):
         chain = build_chain(ChainSpec(tokens=1, amm_pairs=0, accounts=24))
         block = conflict_ratio_block(chain, 51, 10, ratio=1.0)
-        checker = RedoReplayChecker(strict=True)
+        checker = RedoReplayChecker()
         executor = ParallelEVMExecutor(threads=4, redo_checker=checker)
         executor.execute_block(chain.fresh_world(), block.txs, block.env)
         assert checker.checks > 0
@@ -76,11 +77,10 @@ class TestCertifier:
 
 class TestMutationSelfTest:
     @pytest.mark.parametrize("mutation", ["conflict-blind", "storage-blind"])
-    def test_injected_bug_is_caught_and_shrunk(self, mutation):
+    def test_injected_bug_is_caught_and_shrunk(self, mutation, monkeypatch):
+        monkeypatch.setattr(mutations, "SELF_TEST_TXS", 10)
         chain = build_chain(ChainSpec(tokens=1, amm_pairs=0, accounts=24))
-        outcome = mutation_self_test(
-            chain, mutation=mutation, tx_count=10, threads=4
-        )
+        outcome = mutation_self_test(chain, mutation=mutation, threads=4)
         assert outcome.caught, outcome.describe()
         assert "writes" in outcome.divergence_fields
         # Two overlapping drains of the hot slot are the minimal repro.

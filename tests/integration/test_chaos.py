@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import BlockFuzzer, FuzzConfig, run_chaos_block
+from repro.check import BlockFuzzer, FuzzConfig, chaos, run_chaos_block
 from repro.cli import main
 from repro.concurrency import SerialExecutor
 from repro.concurrency.registry import EXECUTOR_NAMES, make_executor
@@ -144,18 +144,17 @@ class TestDisabledInjectionIsFree:
 
 
 class TestSerialFallbacks:
-    def test_impossible_deadline_degrades_to_serial_fallback(self, fuzzer, block):
-        # A 1 us deadline is unmeetable: every parallel executor must abort
-        # through BlockDeadlineExceeded into the serial fallback — and the
-        # block still certifies.
+    def test_impossible_deadline_degrades_to_serial_fallback(
+        self, fuzzer, block, monkeypatch
+    ):
+        # A deadline below 1 us is unmeetable: every parallel executor must
+        # abort through BlockDeadlineExceeded into the serial fallback — and
+        # the block still certifies.
+        monkeypatch.setattr(chaos, "DEADLINE_FACTOR", 1e-6)
         report = run_chaos_block(
-            fuzzer.chain,
-            block,
-            "worker-stall",
-            seed=2,
-            threads=4,
-            recovery=RecoveryPolicy(block_deadline_us=1.0),
+            fuzzer.chain, block, "worker-stall", seed=2, threads=4
         )
+        assert report.deadline_us < 1.0
         assert report.ok, report.describe()
         # Everyone except the serial baseline runs against the deadline.
         assert report.counters["deadline_aborts"] == len(EXECUTOR_NAMES) - 1

@@ -36,6 +36,7 @@ from repro.durability import (
     ReorgManager,
     encode_snapshot,
 )
+from repro.obs import MetricsRegistry
 from repro.replication import ReplicaService, ShipFeed, ShippingMedium
 from repro.service import ChainService
 from repro.workloads import BlockStream, StreamSpec, build_stream_chain
@@ -140,12 +141,16 @@ def run_replica() -> str:
     medium = ShippingMedium(MemoryMedium(), feed)
     genesis = SPEC.start_block - 1
     medium.write_snapshot(genesis, encode_snapshot(chain.world, genesis))
-    replica = ReplicaService("r0", feed)
+    metrics = MetricsRegistry()
+    replica = ReplicaService("r0", feed, metrics=metrics)
     digest = run_service(
         chain,
         DigestingPipeline(medium, replica=replica, checkpoint_interval=INTERVAL),
     )
-    assert replica.last_sealed_block == SPEC.start_block + BLOCKS - 1
+    assert (
+        metrics.value("replication_last_sealed_block", replica="r0")
+        == SPEC.start_block + BLOCKS - 1
+    )
     assert replica.snapshot_block == SPEC.start_block + BLOCKS - 1
     return digest
 

@@ -56,10 +56,12 @@ def _hashes(block):
 
 class TestClusterStreaming:
     def test_replicas_track_the_primary_exactly(self, fuzzer):
+        metrics = MetricsRegistry()
         cluster = ReplicatedChainService(
             ChainView(fuzzer.chain.fresh_world(), fuzzer.chain.env),
             "parallelevm",
             ClusterConfig(replicas=2, threads=4),
+            metrics=metrics,
         )
         for block in _blocks(fuzzer, 3):
             cluster.ingest_block(block, tx_hashes=_hashes(block))
@@ -67,7 +69,12 @@ class TestClusterStreaming:
         for replica in cluster.replicas:
             assert replica.state == "streaming"
             assert replica.world.fingerprint() == tip_fp
-            assert replica.last_sealed_block == cluster.service.height - 1
+            assert (
+                metrics.value(
+                    "replication_last_sealed_block", replica=replica.name
+                )
+                == cluster.service.height - 1
+            )
         tip = cluster.service.height - 1
         assert all(r.lag_blocks(tip) == 0 for r in cluster.replicas)
         assert not cluster.laggards()

@@ -115,9 +115,10 @@ class TestCrashSweepFailures:
         self, fuzzer, block, monkeypatch
     ):
         monkeypatch.setattr("repro.check.crashfuzz.recover", _amnesiac_recover)
+        monkeypatch.setattr("repro.check.crashfuzz.EXECUTOR_NAMES", EXECUTORS)
         metrics = MetricsRegistry()
         report = pipelined_crash_sweep_block(
-            fuzzer.chain, block, threads=2, executors=EXECUTORS, metrics=metrics
+            fuzzer.chain, block, threads=2, metrics=metrics
         )
         sites = enumerate_crash_sites(len(block.txs) // 2)
         post = set(_post_marker(sites))
@@ -156,9 +157,8 @@ class TestCrashSweepFailures:
             return replace(recover(medium, genesis_factory, **kwargs), world=world)
 
         monkeypatch.setattr("repro.check.crashfuzz.recover", leaky)
-        report = pipelined_crash_sweep_block(
-            fuzzer.chain, block, threads=2, executors=["serial"]
-        )
+        monkeypatch.setattr("repro.check.crashfuzz.EXECUTOR_NAMES", ["serial"])
+        report = pipelined_crash_sweep_block(fuzzer.chain, block, threads=2)
         sites = enumerate_crash_sites(len(block.txs) // 2)
         assert [(d.field, d.detail) for d in report.divergences] == [
             (f"pipeline:{site}", "speculative N+1 state leaked into recovery")

@@ -56,7 +56,7 @@ def _digest(chain, blocks) -> str:
             digest.update(repr(row).encode())
     db = chain.world.db
     digest.update(chain.world.fingerprint())
-    digest.update(repr((db.disk_reads, db.cache_reads, len(db.cache))).encode())
+    digest.update(repr((db.cache.misses, db.cache.hits, len(db.cache))).encode())
     return digest.hexdigest()[:16]
 
 

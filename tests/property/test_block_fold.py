@@ -58,6 +58,7 @@ from repro.durability.crash import CrashInjector, SimulatedCrash
 from repro.durability.journal import encode_record, frame
 from repro.durability.recovery import BlockFold
 from repro.errors import JournalCorruptionError, ReplicaDivergence
+from repro.obs import MetricsRegistry
 from repro.primitives import make_address
 from repro.replication import ReplicaService, ShipFeed, ShippingMedium
 from repro.state.keys import balance_key, storage_key
@@ -220,12 +221,24 @@ def _describe(error):
     return ("corrupt", error.offset, error.detail)
 
 
+def _seals_and_applies(replica):
+    """The last verified seal and the blocks applied: the replica publishes
+    both to its registry, the reference keeps them as fields."""
+    if isinstance(replica, ReplicaService):
+        value = replica.metrics.value
+        return (
+            value("replication_last_sealed_block", replica=replica.name),
+            value("replication_blocks_applied_total", replica=replica.name)
+            or 0,
+        )
+    return replica.last_sealed_block, replica.blocks_applied
+
+
 def _state(replica, error):
     return (
         _describe(error),
         replica.last_committed_block,
-        replica.last_sealed_block,
-        replica.blocks_applied,
+        *_seals_and_applies(replica),
         replica.world.fingerprint(),
         replica.stale_frames_rejected,
     )
@@ -235,7 +248,7 @@ def _replica(data: bytes, snapshots):
     feed = ShipFeed(epoch=1)
     feed.snapshots = list(snapshots)
     feed.append(data)
-    replica = ReplicaService("replica-0", feed)
+    replica = ReplicaService("replica-0", feed, metrics=MetricsRegistry())
     try:
         replica.poll()
     except (JournalCorruptionError, ReplicaDivergence) as error:

@@ -21,8 +21,7 @@ none, ``storage-spike``, ``storage-flaky`` (also with a retry budget small
 enough to raise ``TransientStorageError``) or ``cache-thrash``.  After every
 operation the two agree bit for bit on the returned value or raised error,
 the read set, every ``CostMeter`` field (floats as ``float.hex``),
-``cache_reads`` / ``disk_reads``, the LRU's hits, misses, evictions and
-entries in recency order, and the plan's counters.  The example budget comes
+the LRU's hits, misses, evictions and entries in recency order, and the plan's counters.  The example budget comes
 from the active Hypothesis profile (CI re-runs this file under
 ``--hypothesis-profile=ci``).
 """
@@ -145,15 +144,13 @@ class Side:
         return ("returned", repr(value))
 
     def observed(self) -> tuple:
-        db, cache = self.world.db, self.world.db.cache
+        cache = self.world.db.cache
         return (
             list(self.view.read_set.items()),
             tuple(
                 field.hex() if isinstance(field, float) else field
                 for field in astuple(self.meter)
             ),
-            db.cache_reads,
-            db.disk_reads,
             cache.hits,
             cache.misses,
             cache.evictions,

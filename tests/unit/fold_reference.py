@@ -108,7 +108,7 @@ class ReplicaReference:
         self.world = world
         self.fence_epoch = fence_epoch
         self.last_committed_block = last_committed_block
-        self.last_sealed_block = last_committed_block
+        self.last_sealed_block = None  # no seal verified yet
         self.blocks_applied = 0
         self.apply_us = 0.0
         self.stale_frames_rejected = 0

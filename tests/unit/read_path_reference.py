@@ -30,10 +30,8 @@ def reference_db_read(db, key, default=None, model=DEFAULT_COST_MODEL) -> ReadSa
         db.cache.drop(key)
     value = db.cache.get(key, _MISSING)
     if value is not _MISSING:
-        db.cache_reads += 1
         sample = ReadSample(value, model.cache_read_us, True)
     else:
-        db.disk_reads += 1
         value = db._data.get(key, default)
         db.cache.put(key, value)
         sample = ReadSample(value, model.disk_read_us, False)

@@ -46,7 +46,7 @@ class TestRenderHistogram:
         assert " 0.0%" in text
 
     def test_peak_bar_is_longest(self):
-        text = render_histogram("H", [0, 1, 2], [1, 4], width=20)
+        text = render_histogram("H", [0, 1, 2], [1, 4])
         lines = [l for l in text.splitlines() if "|" in l]
         bars = [l.split("|")[1].count("#") for l in lines]
         assert bars[1] > bars[0] > 0

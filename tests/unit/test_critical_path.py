@@ -40,7 +40,7 @@ class TestBlameChain:
             span(0, "execute", 1, 12.0, 30.0),
             span(0, "commit", 1, 30.0, 31.0),
         ]
-        report = critical_path(spans, 31.0)
+        report = critical_path(record(spans), 31.0)
         assert report.stall_us == 0.0
         assert report.path_work_us == pytest.approx(31.0)
         assert report.path_task_count == 4
@@ -55,7 +55,7 @@ class TestBlameChain:
             span(0, "execute", 0, 0.0, 10.0),
             span(0, "commit", 0, 15.0, 20.0),  # 5us of nothing before it
         ]
-        report = critical_path(spans, 20.0)
+        report = critical_path(record(spans), 20.0)
         stalls = [s for s in report.segments if s.phase == STALL]
         assert len(stalls) == 1
         assert stalls[0].start_us == pytest.approx(10.0)
@@ -64,7 +64,7 @@ class TestBlameChain:
         assert report.path_work_us + report.stall_us == pytest.approx(20.0)
 
     def test_leading_stall_when_nothing_starts_at_zero(self):
-        report = critical_path([span(0, "execute", 0, 4.0, 9.0)], 9.0)
+        report = critical_path(record([span(0, "execute", 0, 4.0, 9.0)]), 9.0)
         assert report.segments[0].phase == STALL
         assert report.segments[0].start_us == 0.0
         assert report.segments[0].end_us == pytest.approx(4.0)
@@ -77,7 +77,7 @@ class TestBlameChain:
             span(1, "execute", 1, 2.0, 10.0),
             span(2, "validate", 1, 10.0, 14.0),
         ]
-        report = critical_path(spans, 14.0)
+        report = critical_path(record(spans), 14.0)
         chain_txs = [s.tx_index for s in report.segments if s.phase != STALL]
         assert chain_txs[-2:] == [1, 1]
 
@@ -89,8 +89,11 @@ class TestBlameChain:
         ]
         # tx 2 conflicts with tx 0's writes: blame tx 0, not the same-worker
         # tx 1.
-        edges = [DependencyEdge(kind="conflict", src_tx=0, dst_tx=2, key="k")]
-        report = critical_path(spans, 18.0, edges=edges)
+        trace = record(spans)
+        trace.edges.append(
+            DependencyEdge(kind="conflict", src_tx=0, dst_tx=2, key="k")
+        )
+        report = critical_path(trace, 18.0)
         chain_txs = [s.tx_index for s in report.segments if s.phase != STALL]
         assert chain_txs == [0, 2]
 
@@ -112,11 +115,11 @@ class TestBlameChain:
             span(0, "execute", 0, 0.0, 10.0),
             span(1, "guard", 1, 10.0, 10.0),  # must not wedge the walk
         ]
-        report = critical_path(spans, 10.0)
+        report = critical_path(record(spans), 10.0)
         assert [s.phase for s in report.segments] == ["execute"]
 
     def test_empty_trace_is_one_stall(self):
-        report = critical_path([], 12.0)
+        report = critical_path(record([]), 12.0)
         assert [s.phase for s in report.segments] == [STALL]
         assert report.stall_us == pytest.approx(12.0)
         assert report.total_work_us == 0.0
@@ -126,8 +129,8 @@ class TestBlameChain:
             span(w, "execute", t, float(t), float(t) + 5.0)
             for w, t in enumerate(range(8))
         ]
-        a = critical_path(list(spans), 12.0)
-        b = critical_path(list(reversed(spans)), 12.0)
+        a = critical_path(record(spans), 12.0)
+        b = critical_path(record(reversed(spans)), 12.0)
         assert [(s.start_us, s.end_us, s.phase, s.tx_index) for s in a.segments] == [
             (s.start_us, s.end_us, s.phase, s.tx_index) for s in b.segments
         ]
@@ -136,12 +139,14 @@ class TestBlameChain:
 class TestAttributions:
     def _report(self):
         return critical_path(
-            [
-                span(0, "execute", 0, 0.0, 10.0),
-                span(0, "validate", 0, 10.0, 12.0),
-                span(0, "execute", 1, 12.0, 14.0),
-                span(0, "commit", 1, 20.0, 22.0),
-            ],
+            record(
+                [
+                    span(0, "execute", 0, 0.0, 10.0),
+                    span(0, "validate", 0, 10.0, 12.0),
+                    span(0, "execute", 1, 12.0, 14.0),
+                    span(0, "commit", 1, 20.0, 22.0),
+                ]
+            ),
             22.0,
         )
 

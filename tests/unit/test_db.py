@@ -197,7 +197,7 @@ class TestSimulatedDiskKV:
         other = kv.copy()
         assert dict(other.items()) == dict(kv.items())
         assert other.cache.capacity == 7 and len(other.cache) == 0
-        assert (other.disk_reads, other.cache_reads) == (0, 0)
+        assert (other.cache.misses, other.cache.hits) == (0, 0)
         assert other.written == kv.written and other.written is not kv.written
         other.write("mine", 1)
         kv.write("yours", 1)
@@ -246,10 +246,10 @@ class TestSimulatedDiskKV:
         kv.write("a", 1)
         priced_read(kv, "a")
         priced_read(kv, "a")
-        assert kv.disk_reads == 1
-        assert kv.cache_reads == 1
+        assert kv.cache.misses == 1
+        assert kv.cache.hits == 1
         kv.reset_stats()
-        assert kv.disk_reads == 0
+        assert kv.cache.misses == 0
 
     def test_cache_eviction_causes_recold(self):
         kv = SimulatedDiskKV(cache_capacity=1)
@@ -295,6 +295,3 @@ class TestCacheAccounting:
             else:
                 kv.warm([key], default_for=lambda k: 0)
         assert kv.cache.hits + kv.cache.misses == reads
-        assert kv.cache_reads == kv.cache.hits
-        assert kv.disk_reads == kv.cache.misses
-        assert kv.cache_reads + kv.disk_reads == reads

@@ -107,7 +107,7 @@ class TestWireCodec:
             decode_wire_transaction(wire)
         # The deterministic pseudo-signature passes the shape checks.
         assert len(pseudo_signature(tx)) == 65
-        decode_wire_transaction(wire_transaction(tx, sig=pseudo_signature(tx)))
+        decode_wire_transaction(wire_transaction(tx))
 
 
 class TestPoolAdmission:

@@ -15,13 +15,8 @@ from repro.concurrency.base import block_read_keys
 from repro.contracts.abi import encode_address, encode_call
 from repro.contracts.erc20 import balance_slot
 from repro.evm.message import Transaction
-from repro.obs import MetricsRegistry, TraceRecorder
-from repro.pipeline import (
-    COMMIT_LANE,
-    PipelineConfig,
-    PipelineCoordinator,
-    predicted_read_keys,
-)
+from repro.obs import MetricsRegistry
+from repro.pipeline import PipelineConfig, PipelineCoordinator, predicted_read_keys
 from repro.sim.cost import DEFAULT_COST_MODEL
 from repro.state.keys import balance_key, nonce_key, storage_key
 
@@ -99,19 +94,26 @@ class TestPredictedReadKeys:
 class TestCoordinatorTimeline:
     def test_synchronous_config_matches_serial_accounting(self):
         """prefetch+async off: every block advances by makespan + commit."""
+        registry = MetricsRegistry()
         coord = PipelineCoordinator(
-            PipelineConfig(prefetch=False, async_commit=False)
+            PipelineConfig(prefetch=False, async_commit=False), metrics=registry
         )
         for number in range(3):
             timing = coord.account(number, FakeBlockResult(100.0), 20.0)
             assert timing.advance_us == 120.0
             assert timing.latency_us == 120.0
         assert coord.clock_us == 360.0
-        totals = coord.timings_total_us
-        assert totals["serial"] - totals["advance"] == 0.0
+        assert (
+            registry.value("pipeline_serial_us")
+            - registry.value("pipeline_advance_us")
+            == 0.0
+        )
 
     def test_async_commit_overlaps_disjoint_blocks(self):
-        coord = PipelineCoordinator(PipelineConfig(prefetch=False))
+        registry = MetricsRegistry()
+        coord = PipelineCoordinator(
+            PipelineConfig(prefetch=False), metrics=registry
+        )
         first = coord.account(
             0, FakeBlockResult(100.0, writes={"a": 1}), 50.0, publish_us=10.0
         )
@@ -126,8 +128,11 @@ class TestCoordinatorTimeline:
         # The commit lane serialises: block 1 commits after block 0.
         assert second.commit_start_us == 200.0
         assert second.advance_us == 100.0  # the commit cost is hidden
-        totals = coord.timings_total_us
-        assert totals["serial"] - totals["advance"] == 50.0
+        assert (
+            registry.value("pipeline_serial_us")
+            - registry.value("pipeline_advance_us")
+            == 50.0
+        )
 
     def test_read_barrier_waits_for_publish_fraction_only(self):
         coord = PipelineCoordinator(PipelineConfig(prefetch=False))
@@ -175,9 +180,9 @@ class TestCoordinatorTimeline:
         # Warmed again: everything is already cached, nothing to do.
         assert coord.prefetch(world, [tx], 20.0) == 0
         # The warmed keys now read as cache hits.
-        before = world.db.cache_reads
+        before = world.db.cache.hits
         world.read(balance_key(sender))
-        assert world.db.cache_reads == before + 1
+        assert world.db.cache.hits == before + 1
 
     def test_prefetch_stall_charged_when_warm_outruns_exec_lane(self):
         chain = standard_chain(accounts=16)
@@ -191,11 +196,10 @@ class TestCoordinatorTimeline:
         assert timing.exec_start_us == done
         assert timing.prefetch_stall_us == done
 
-    def test_metrics_and_commit_lane_spans_published(self):
+    def test_metrics_published(self):
         registry = MetricsRegistry()
-        trace = TraceRecorder()
         coord = PipelineCoordinator(
-            PipelineConfig(prefetch=False), metrics=registry, trace=trace
+            PipelineConfig(prefetch=False), metrics=registry
         )
         coord.account(0, FakeBlockResult(100.0, writes={"a": 1}), 50.0, 10.0)
         coord.account(1, FakeBlockResult(100.0, reads={"a"}), 50.0, 10.0)
@@ -203,9 +207,3 @@ class TestCoordinatorTimeline:
         assert registry.counter("pipeline_serial_us").value == 300.0
         assert registry.counter("pipeline_advance_us").value == coord.clock_us
         assert registry.counter("pipeline_barrier_blocks").value == 1
-        lanes = {span.kind for span in trace.spans}
-        assert lanes == {"exec-lane", "commit-lane"}
-        commit_spans = [
-            span for span in trace.spans if span.worker_id == COMMIT_LANE
-        ]
-        assert [span.kind for span in commit_spans] == ["commit-lane"] * 2

@@ -114,13 +114,14 @@ class TestShipping:
 class TestReplica:
     def test_streams_commits_and_verifies_seals(self):
         feed, _medium, pipeline, world = _shipped_pipeline()
-        replica = ReplicaService("r0", feed)
+        metrics = MetricsRegistry()
+        replica = ReplicaService("r0", feed, metrics=metrics)
         _commit(pipeline, world, 1)
         _commit(pipeline, world, 2)
         replica.poll()
         assert replica.state == "streaming"
         assert replica.last_committed_block == 2
-        assert replica.last_sealed_block == 2
+        assert metrics.value("replication_last_sealed_block", replica="r0") == 2
         assert replica.world.fingerprint() == world.fingerprint()
         assert replica.lag_blocks(2) == 0
         assert replica.lag_blocks(5) == 3
@@ -259,12 +260,14 @@ def _violation_at(records, index: int, detail: str, after_block_1: bytes):
     feed = ShipFeed(epoch=1)
     feed.ship_snapshot(0, encode_snapshot(WorldState(), 0))
     feed.append(data)
-    replica = ReplicaService("r0", feed)
+    metrics = MetricsRegistry()
+    replica = ReplicaService("r0", feed, metrics=metrics)
     with pytest.raises(JournalCorruptionError) as excinfo:
         replica.poll()
     assert (excinfo.value.offset, excinfo.value.detail) == (offset, detail)
     assert replica.state == "quarantined"
-    assert replica.last_committed_block == replica.blocks_applied == 1
+    assert replica.last_committed_block == 1
+    assert metrics.value("replication_blocks_applied_total", replica="r0") == 1
     assert replica.world.fingerprint() == after_block_1
 
     strict = RecoveryPolicy(corrupt_tail_policy="raise")

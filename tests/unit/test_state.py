@@ -124,7 +124,7 @@ class TestWorldState:
         world.state_root()
         world.set_storage(B, 1, 3)
         world.state_root()
-        assert (world.db.disk_reads, world.db.cache_reads) == (0, 0)
+        assert (world.db.cache.misses, world.db.cache.hits) == (0, 0)
         assert len(world.db.cache) == 0
 
     def test_state_root_drops_what_became_empty_and_brings_it_back(self):
@@ -248,7 +248,7 @@ class TestWorldState:
         world.fingerprint()
         world.set_balance(A, 6)
         world.fingerprint()
-        assert (world.db.disk_reads, world.db.cache_reads) == (0, 0)
+        assert (world.db.cache.misses, world.db.cache.hits) == (0, 0)
         assert len(world.db.cache) == 0
 
     def test_fingerprint_and_state_root_do_not_take_each_others_keys(self):
@@ -294,7 +294,7 @@ class TestWorldState:
         world.read(balance_key(A))  # warm the cache
         clone = world.clone()
         assert not clone.read(balance_key(A), CostMeter()) != 5
-        assert clone.db.disk_reads == 1  # the clone started cold
+        assert clone.db.cache.misses == 1  # the clone started cold
         clone.set_balance(A, 9)
         assert world.get_balance(A) == 5
 

@@ -32,7 +32,7 @@ class TestBuildStreamChain:
         )
         db = chain.world.db
         assert db.cache.capacity == 123
-        assert db.disk_reads == 0 and db.cache_reads == 0
+        assert db.cache.misses == 0 and db.cache.hits == 0
         assert len(db.cache) == 0
 
     def test_large_universe_builds_without_quadratic_funding(self):
@@ -79,7 +79,7 @@ class TestLazyFunding:
         stream.block(SMALL.start_block)
         # Generation provisions balances/allowances but must not touch the
         # simulated read path (cache contents, latency counters).
-        assert db.disk_reads == 0 and db.cache_reads == 0
+        assert db.cache.misses == 0 and db.cache.hits == 0
         assert len(db.cache) == 0
 
     def test_token_balances_appear_on_first_use(self):

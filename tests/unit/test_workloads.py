@@ -21,7 +21,7 @@ from repro.workloads.zipf import generalized_harmonic, zipf_head_share
 
 def head_share(sampler: ZipfSampler, head_fraction: float) -> float:
     """The probability mass of ``sampler``'s hottest ``head_fraction``."""
-    return sampler._cdf[max(1, int(sampler.population * head_fraction)) - 1]
+    return sampler._cdf[max(1, int(len(sampler._cdf) * head_fraction)) - 1]
 
 
 @pytest.fixture(scope="module")
