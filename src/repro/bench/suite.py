@@ -1,4 +1,4 @@
-"""Regression benchmark suite: deterministic ``BENCH_<name>.json`` emission.
+"""Regression benchmark suite: the deterministic ``BENCH_small.json``.
 
 ``run_suite`` drives three sweeps (worker count, contention ratio, block
 size) through every executor the CLI knows, with a fresh
@@ -9,15 +9,13 @@ conflict/redo/abort rates, the schedule's critical-path breakdown
 structural work-span bound (:mod:`repro.analysis.conflict_graph`).
 
 Everything is simulated time over deterministic workloads, so the document
-is byte-identical run to run for a fixed suite config — which is what makes
-``compare_bench`` a usable regression gate: a committed baseline stays
-valid until the cost model or a scheduler actually changes.
+is byte-identical run to run.  The committed
+``benchmarks/baselines/BENCH_small.json`` is this document, and
+``tests/integration/test_bench_and_critical_path.py`` pins it byte for
+byte: it stays valid until the cost model or a scheduler actually changes.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import asdict, dataclass
 
 from ..analysis.conflict_graph import analyze_block
 from ..concurrency.registry import EXECUTOR_NAMES, make_executor
@@ -29,62 +27,23 @@ from ..obs.trace import BlockObserver
 from ..workloads import MainnetConfig, MainnetWorkload, conflict_ratio_block
 from .harness import START_BLOCK, against_serial, standard_chain
 
-# Bump when the document layout changes incompatibly; ``compare_bench``
-# refuses to gate across versions.
+# Bump when the document layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
 
-
-@dataclass(slots=True, frozen=True)
-class BenchSuiteConfig:
-    """Size knobs of one suite run (all deterministic inputs)."""
-
-    name: str
-    accounts: int
-    base_txs: int
-    thread_sweep: tuple[int, ...]
-    contention_sweep: tuple[float, ...]
-    block_size_sweep: tuple[int, ...]
-    threads_default: int
-    seed: int = 7
-    block: int = START_BLOCK
+# The suite's sizes, all deterministic inputs; the document's ``suite``
+# header records them.
+ACCOUNTS = 60
+BASE_TXS = 24
+THREAD_SWEEP = (2, 8)
+CONTENTION_SWEEP = (0.0, 0.6)
+BLOCK_SIZE_SWEEP = (12, 24)
+THREADS_DEFAULT = 8
+SEED = 7
 
 
-SUITES = {
-    # "tiny" exists for the CLI's own tests: one point per sweep, seconds
-    # to run.  "small" is the CI smoke suite with a committed baseline.
-    "tiny": BenchSuiteConfig(
-        name="tiny",
-        accounts=40,
-        base_txs=10,
-        thread_sweep=(4,),
-        contention_sweep=(0.5,),
-        block_size_sweep=(8,),
-        threads_default=4,
-    ),
-    "small": BenchSuiteConfig(
-        name="small",
-        accounts=60,
-        base_txs=24,
-        thread_sweep=(2, 8),
-        contention_sweep=(0.0, 0.6),
-        block_size_sweep=(12, 24),
-        threads_default=8,
-    ),
-    "default": BenchSuiteConfig(
-        name="default",
-        accounts=200,
-        base_txs=80,
-        thread_sweep=(2, 4, 8, 16),
-        contention_sweep=(0.0, 0.3, 0.6, 0.9),
-        block_size_sweep=(40, 80, 160),
-        threads_default=16,
-    ),
-}
-
-
-def _mainnet_block(chain, config: BenchSuiteConfig, txs: int):
+def _mainnet_block(chain, txs: int):
     workload = MainnetWorkload(chain, MainnetConfig(txs_per_block=txs))
-    return workload.block(config.block)
+    return workload.block(START_BLOCK)
 
 
 def _run_point(chain, block, threads: int) -> dict:
@@ -144,28 +103,26 @@ def _run_point(chain, block, threads: int) -> dict:
     }
 
 
-def run_suite(config: BenchSuiteConfig | str) -> dict:
+def run_suite() -> dict:
     """Run the whole suite; returns the JSON-ready benchmark document."""
-    if isinstance(config, str):
-        config = SUITES[config]
-    chain = standard_chain(accounts=config.accounts)
+    chain = standard_chain(accounts=ACCOUNTS)
 
     sweeps: dict[str, dict] = {}
 
     points = []
-    for threads in config.thread_sweep:
-        block = _mainnet_block(chain, config, config.base_txs)
+    for threads in THREAD_SWEEP:
+        block = _mainnet_block(chain, BASE_TXS)
         point = _run_point(chain, block, threads)
         point["point"] = threads
         points.append(point)
     sweeps["threads"] = {"parameter": "threads", "points": points}
 
     points = []
-    for ratio in config.contention_sweep:
+    for ratio in CONTENTION_SWEEP:
         block = conflict_ratio_block(
-            chain, config.block, config.base_txs, ratio=ratio, seed=config.seed
+            chain, START_BLOCK, BASE_TXS, ratio=ratio, seed=SEED
         )
-        point = _run_point(chain, block, config.threads_default)
+        point = _run_point(chain, block, THREADS_DEFAULT)
         point["point"] = ratio
         points.append(point)
     sweeps["contention"] = {
@@ -174,75 +131,27 @@ def run_suite(config: BenchSuiteConfig | str) -> dict:
     }
 
     points = []
-    for size in config.block_size_sweep:
-        block = _mainnet_block(chain, config, size)
-        point = _run_point(chain, block, config.threads_default)
+    for size in BLOCK_SIZE_SWEEP:
+        block = _mainnet_block(chain, size)
+        point = _run_point(chain, block, THREADS_DEFAULT)
         point["point"] = size
         points.append(point)
     sweeps["block_size"] = {"parameter": "txs_per_block", "points": points}
 
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
-        # Tuples become lists so the document survives a JSON round-trip
-        # unchanged (compare_bench diffs freshly-run docs against loaded
-        # baselines).
+        # Lists, not tuples, so the document survives a JSON round-trip
+        # unchanged.
         "suite": {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in asdict(config).items()
+            "name": "small",
+            "accounts": ACCOUNTS,
+            "base_txs": BASE_TXS,
+            "thread_sweep": list(THREAD_SWEEP),
+            "contention_sweep": list(CONTENTION_SWEEP),
+            "block_size_sweep": list(BLOCK_SIZE_SWEEP),
+            "threads_default": THREADS_DEFAULT,
+            "seed": SEED,
+            "block": START_BLOCK,
         },
         "sweeps": sweeps,
     }
-
-
-def load_bench(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def compare_bench(
-    current: dict, baseline: dict, gate_pct: float = 25.0
-) -> list[str]:
-    """Regression check: current vs baseline makespans, per (sweep, point,
-    executor).
-
-    Returns human-readable regression messages; empty means the gate
-    passes.  A makespan more than ``gate_pct`` percent *slower* than the
-    baseline fails, as does a missing sweep/point/executor (so the gate
-    cannot silently pass by dropping coverage).  Faster is never a failure.
-    """
-    problems: list[str] = []
-    if current.get("schema_version") != baseline.get("schema_version"):
-        return [
-            f"schema version mismatch: current "
-            f"{current.get('schema_version')} vs baseline "
-            f"{baseline.get('schema_version')}"
-        ]
-    allowed = 1.0 + gate_pct / 100.0
-    for sweep_name, sweep in sorted(baseline.get("sweeps", {}).items()):
-        current_sweep = current.get("sweeps", {}).get(sweep_name)
-        if current_sweep is None:
-            problems.append(f"sweep {sweep_name!r} missing from current run")
-            continue
-        current_points = {
-            point["point"]: point for point in current_sweep.get("points", [])
-        }
-        for point in sweep.get("points", []):
-            where = f"{sweep_name}@{point['point']}"
-            current_point = current_points.get(point["point"])
-            if current_point is None:
-                problems.append(f"{where}: point missing from current run")
-                continue
-            for name, base_entry in sorted(point.get("executors", {}).items()):
-                entry = current_point.get("executors", {}).get(name)
-                if entry is None:
-                    problems.append(f"{where}: executor {name!r} missing")
-                    continue
-                base_us = base_entry["makespan_us"]
-                now_us = entry["makespan_us"]
-                if base_us > 0 and now_us > base_us * allowed:
-                    problems.append(
-                        f"{where}: {name} makespan {now_us:.1f} us is "
-                        f"{now_us / base_us - 1.0:+.1%} vs baseline "
-                        f"{base_us:.1f} us (gate ±{gate_pct:g}%)"
-                    )
-    return problems

@@ -5,7 +5,7 @@ Commands
 compare      run one synthesized block through every executor, print speedups
 run          run one block under one executor with tracing/metrics attached
 experiment   run a named paper experiment (table1, fig11, ...), print it
-bench        run a regression benchmark suite, emit/gate BENCH_<name>.json
+bench        run the regression benchmark suite, emit BENCH_small.json
 replay       replay a span of blocks with MPT state-root validation
 recover      rebuild world state from an on-disk journal + snapshots
 inspect      print the SSA operation log of one transaction and walk a redo

@@ -7,6 +7,7 @@ compare, run, bench, experiment, replay, recover, inspect — each declared
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..analysis.conflict_graph import analyze_block
@@ -18,24 +19,19 @@ from ..bench.harness import (
     standard_chain,
     standard_workload,
 )
-from ..bench.suite import (
-    SUITES,
-    compare_bench,
-    load_bench,
-    run_suite,
-)
+from ..bench.suite import run_suite
 from ..concurrency import SerialExecutor
 from ..concurrency.registry import make_executor
 from ..errors import ConcurrencyError
 from ..obs import BlockObserver, json_document, render_block_report
 from ..obs import structural_bound_lines
-from .options import add_durability, add_executor, positive_int
+from .options import UsageError, add_durability, add_executor, positive_int
 
 def _add_block_arguments(parser, *, txs: int, accounts: int):
     """``--txs/--threads/--accounts/--block``: one standard-workload block."""
-    parser.add_argument("--txs", type=int, default=txs)
+    parser.add_argument("--txs", type=positive_int, default=txs)
     parser.add_argument("--threads", type=positive_int, default=16)
-    parser.add_argument("--accounts", type=int, default=accounts)
+    parser.add_argument("--accounts", type=positive_int, default=accounts)
     parser.add_argument("--block", type=int, default=START_BLOCK)
 
 
@@ -162,32 +158,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _add_bench(sub) -> None:
     bench = sub.add_parser(
-        "bench", help="run a regression benchmark suite (BENCH_<name>.json)"
-    )
-    bench.add_argument(
-        "--suite", choices=sorted(SUITES), default="small",
-        help="suite size (default: small, the CI smoke suite)",
+        "bench", help="run the regression benchmark suite (BENCH_small.json)"
     )
     bench.add_argument(
         "--out", metavar="FILE", help="write the benchmark document here"
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="gate this run against a baseline BENCH_*.json; non-zero exit "
-        "on regression",
-    )
-    bench.add_argument(
-        "--gate",
-        type=float,
-        default=25.0,
-        help="allowed makespan slowdown in percent (default 25)",
     )
     bench.set_defaults(func=_cmd_bench)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    document = run_suite(args.suite)
+    document = run_suite()
     for sweep_name, sweep in sorted(document["sweeps"].items()):
         print(f"{sweep_name} sweep ({sweep['parameter']}):")
         for point in sweep["points"]:
@@ -201,19 +181,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         with open(args.out, "w") as fh:
             fh.write(json_document(document))
         print(f"\nwrote {args.out}")
-    if args.compare:
-        baseline = load_bench(args.compare)
-        problems = compare_bench(document, baseline, gate_pct=args.gate)
-        if problems:
-            print(
-                f"\nREGRESSION vs {args.compare} "
-                f"({len(problems)} finding(s)):",
-                file=sys.stderr,
-            )
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        print(f"\ngate ok vs {args.compare} (±{args.gate:g}%)")
     return 0
 
 
@@ -232,9 +199,9 @@ def _add_replay(sub) -> None:
     replay = sub.add_parser("replay", help="replay blocks with root validation")
     replay.add_argument("--block", type=int, default=START_BLOCK)
     replay.add_argument("--count", type=int, default=3)
-    replay.add_argument("--txs", type=int, default=60)
+    replay.add_argument("--txs", type=positive_int, default=60)
     replay.add_argument("--threads", type=positive_int, default=16)
-    replay.add_argument("--accounts", type=int, default=120)
+    replay.add_argument("--accounts", type=positive_int, default=120)
     add_durability(
         replay,
         "commit through an on-disk write-ahead journal in DIR "
@@ -301,7 +268,7 @@ def _add_recover(sub) -> None:
     )
     recover.add_argument(
         "--accounts",
-        type=int,
+        type=positive_int,
         default=120,
         help="genesis sizing; must match the replay that wrote the journal",
     )
@@ -319,6 +286,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from ..errors import DurabilityError
     from ..resilience import RecoveryPolicy
 
+    if not os.path.isdir(args.dir):
+        # FileMedium would create it and recover an empty chain.
+        raise UsageError(f"--dir {args.dir}: not an existing directory")
     chain = standard_chain(accounts=args.accounts)
     policy = RecoveryPolicy(
         corrupt_tail_policy="raise" if args.strict else "truncate"
@@ -340,7 +310,7 @@ def _add_inspect(sub) -> None:
     inspect = sub.add_parser("inspect", help="print one tx's SSA operation log")
     inspect.add_argument("--block", type=int, default=START_BLOCK)
     inspect.add_argument("--tx-index", type=int, default=0)
-    inspect.add_argument("--accounts", type=int, default=200)
+    inspect.add_argument("--accounts", type=positive_int, default=200)
     inspect.set_defaults(func=_cmd_inspect)
 
 

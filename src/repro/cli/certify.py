@@ -374,7 +374,7 @@ def _add_replicate(sub) -> None:
         "--warmup", dest="warmup_blocks", metavar="WARMUP", type=int,
         help="warm-up blocks",
     )
-    replicate.add_argument("--replicas", type=int)
+    replicate.add_argument("--replicas", type=positive_int)
     replicate.add_argument(
         "--heartbeat-us", dest="heartbeat_timeout_us", metavar="HEARTBEAT_US",
         type=float, help="heartbeat silence declaring the primary dead (simulated us)",

@@ -250,15 +250,11 @@ class ReplicatedChainService:
             catchup_us=catchup_us,
             promotion_us=promotion_us,
             last_committed_block=last_committed,
-            last_sealed_block=last_committed,
             blocks_preserved=(
                 last_committed - self._start_block + 1
                 if last_committed is not None
                 else 0
             ),
-            quarantined=[
-                r.name for r in survivors if r.state == "quarantined"
-            ],
         )
         return report
 

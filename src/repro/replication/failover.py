@@ -23,7 +23,7 @@ promotion in a :class:`FailoverReport`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs.metrics import NULL_METRICS
 
@@ -53,10 +53,8 @@ class FailoverReport:
     catchup_us: float
     promotion_us: float
     last_committed_block: int | None
-    last_sealed_block: int | None
     blocks_preserved: int
     stale_frames_rejected: int = 0
-    quarantined: list[str] = field(default_factory=list)
 
     @property
     def total_us(self) -> float:

@@ -53,14 +53,6 @@ GOLDEN = {
     "crashfuzz/stdout": (
         "9bae429b253d14c49523ed40fe16817385462ba6b079a2e16b500ae7075a0430"
     ),
-    # Re-recorded when the tx-level bound became the warm one: with the
-    # analysis' critical_path_us / total_us / tx_level_speedup_bound and
-    # every bound_fraction masked, the document is the old one.  Re-recorded
-    # again when 2PL moved onto the simulated machine: with every "2pl"
-    # executor entry masked, the document is the old one.
-    "bench/tiny.json": (
-        "1f62780407d65007af7ba913b356c4d5dc53786e7ba6bf74626626369d0f180a"
-    ),
     # Recorded before the sweep-engine / seed-matrix-command refactor: the
     # pipelined sweep and one chaos scenario per non-fault kind.  (The
     # fourth, primary-crash, costs 6 s; test_replication.py pins the
@@ -313,16 +305,6 @@ def test_crashfuzz_block(tmp_path, capsys):
          "--threads", "2", "--checkpoint-interval", "1"],
         tmp_path,
         capsys,
-    )
-
-
-def test_tiny_bench_document(tmp_path, capsys):
-    _check(
-        "bench",
-        ["bench", "--suite", "tiny"],
-        tmp_path,
-        capsys,
-        files=[("--out", "tiny.json")],
     )
 
 

@@ -330,6 +330,14 @@ class TestParser:
             ("loadgen", "--malformed-share", "-0.1"),
             ("loadgen", "--nonce-gap-share", "1.5"),
             ("loadgen", "--read-share", "x"),
+            ("compare", "--txs", "0"),
+            ("run", "--txs", "-1"),
+            ("replay", "--txs", "0"),
+            ("compare", "--accounts", "0"),
+            ("replay", "--accounts", "0"),
+            ("inspect", "--accounts", "0"),
+            ("recover", "--accounts", "0"),
+            ("replicate", "--replicas", "0"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, command, flag, value, capsys):
@@ -513,11 +521,23 @@ class TestCommands:
         assert "state fingerprint" in out
 
     def test_recover_empty_directory_is_genesis(self, capsys, tmp_path):
+        (tmp_path / "empty").mkdir()
         assert (
             main(["recover", "--dir", str(tmp_path / "empty"), "--accounts", "40"])
             == 0
         )
         assert "recovered to genesis" in capsys.readouterr().out
+
+    def test_recover_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        """A mistyped --dir is refused before anything is created."""
+        missing = tmp_path / "missing"
+        assert main(["recover", "--dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"recover: --dir {missing}: not an existing directory"
+        ]
+        assert not missing.exists()
 
     def test_soak_small(self, capsys, tmp_path):
         import json

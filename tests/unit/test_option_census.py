@@ -70,9 +70,6 @@ ALLOWED = {
     # The only path on which a replica's snapshot advances past genesis;
     # the replica catch-up cost (ROADMAP item 5) is measured on it.
     "ClusterConfig.checkpoint_interval",
-    # `asdict` writes both into every BENCH_*.json `suite` header.
-    "BenchSuiteConfig.seed",
-    "BenchSuiteConfig.block",
 }
 
 #: Default-valued parameters no call outside the tests passes, each with why

@@ -386,7 +386,6 @@ class TestFailoverController:
             catchup_us=40.0,
             promotion_us=10.0,
             last_committed_block=7,
-            last_sealed_block=7,
             blocks_preserved=3,
         )
         assert report.total_us == 150.0
