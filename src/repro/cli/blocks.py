@@ -25,7 +25,9 @@ from ..concurrency.registry import make_executor
 from ..errors import ConcurrencyError
 from ..obs import BlockObserver, json_document, render_block_report
 from ..obs import structural_bound_lines
-from .options import UsageError, add_durability, add_executor, positive_int
+from .options import UsageError, add_durability, add_executor
+from .options import non_negative_int, positive_int
+
 
 def _add_block_arguments(parser, *, txs: int, accounts: int):
     """``--txs/--threads/--accounts/--block``: one standard-workload block."""
@@ -198,7 +200,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _add_replay(sub) -> None:
     replay = sub.add_parser("replay", help="replay blocks with root validation")
     replay.add_argument("--block", type=int, default=START_BLOCK)
-    replay.add_argument("--count", type=int, default=3)
+    replay.add_argument("--count", type=positive_int, default=3)
     replay.add_argument("--txs", type=positive_int, default=60)
     replay.add_argument("--threads", type=positive_int, default=16)
     replay.add_argument("--accounts", type=positive_int, default=120)
@@ -309,7 +311,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _add_inspect(sub) -> None:
     inspect = sub.add_parser("inspect", help="print one tx's SSA operation log")
     inspect.add_argument("--block", type=int, default=START_BLOCK)
-    inspect.add_argument("--tx-index", type=int, default=0)
+    inspect.add_argument("--tx-index", type=non_negative_int, default=0)
     inspect.add_argument("--accounts", type=positive_int, default=200)
     inspect.set_defaults(func=_cmd_inspect)
 

@@ -37,22 +37,6 @@ def _slo_objective(text: str) -> SloConfig:
     return SloConfig(latency_objective_us=float(text))
 
 
-def _add_lifecycle_arguments(
-    parser, slo_field: str, no_lifecycle_help: str, slo_help: str
-) -> argparse.Action:
-    """``--no-lifecycle/--slo-objective-us``: per-tx tracing and its SLO
-    (fields ``lifecycle`` and ``slo_field``); returns the first."""
-    no_lifecycle = parser.add_argument(
-        "--no-lifecycle", dest="lifecycle", action="store_const", const=False,
-        help=no_lifecycle_help,
-    )
-    parser.add_argument(
-        "--slo-objective-us", dest=slo_field, metavar="SLO_OBJECTIVE_US",
-        type=_slo_objective, help=slo_help,
-    )
-    return no_lifecycle
-
-
 def _reject_set(args: argparse.Namespace, actions, why: str) -> None:
     """A usage error naming every flag of ``actions`` this command line set."""
     flags = [a.option_strings[0] for a in actions if getattr(args, a.dest) is not None]
@@ -109,17 +93,15 @@ def _add_soak(sub) -> None:
         help="state block-cache capacity in entries (the memory bound the "
         "run is gated on)",
     )
-    stream_only = [
-        soak.add_argument(
-            "--hot-share", dest="hot_recipient_share", metavar="HOT_SHARE",
-            type=share,
-            help="share of transfers aimed at the hot recipients (conflict rate)",
-        ),
-        soak.add_argument(
-            "--hot-drift", dest="hot_drift_per_1k", metavar="HOT_DRIFT",
-            type=float, help="hot-share drift per 1000 blocks (conflict trajectory)",
-        ),
-    ]
+    soak.add_argument(
+        "--hot-share", dest="hot_recipient_share", metavar="HOT_SHARE",
+        type=share,
+        help="share of transfers aimed at the hot recipients (conflict rate)",
+    )
+    soak.add_argument(
+        "--hot-drift", dest="hot_drift_per_1k", metavar="HOT_DRIFT",
+        type=float, help="hot-share drift per 1000 blocks (conflict trajectory)",
+    )
     soak.add_argument(
         "--scenario",
         metavar="NAME",
@@ -148,31 +130,12 @@ def _add_soak(sub) -> None:
         ),
     ]
     soak.add_argument(
-        "--loadgen", dest="loadgen_clients", type=int, metavar="N",
-        help="drive the service through the RPC stack with N open-loop "
-        "clients instead of the trusted block stream (0 = stream mode)",
+        "--slo-objective-us", dest="slo_config", metavar="SLO_OBJECTIVE_US",
+        type=_slo_objective,
+        help="per-block latency SLO objective in simulated microseconds",
     )
-    loadgen_only = [
-        soak.add_argument(
-            "--interval-us", dest="block_interval_us", metavar="INTERVAL_US",
-            type=positive_float,
-            help="with --loadgen: block production interval in simulated us",
-        ),
-        soak.add_argument(
-            "--rate", dest="rate_multiplier", metavar="RATE", type=positive_float,
-            help="with --loadgen: offered load over the sustainable rate",
-        ),
-        _add_lifecycle_arguments(
-            soak, "slo_config", "with --loadgen: disable per-tx lifecycle tracing",
-            "latency SLO objective in simulated us (per tx with --loadgen, "
-            "per block in stream mode)",
-        ),
-    ]
     _add_report_arguments(soak)
-    soak.set_defaults(
-        func=_cmd_soak, stream_only=stream_only, pipeline_only=pipeline_only,
-        loadgen_only=loadgen_only,
-    )
+    soak.set_defaults(func=_cmd_soak, pipeline_only=pipeline_only)
 
 
 def soak_config(args: argparse.Namespace) -> SoakConfig:
@@ -183,10 +146,6 @@ def soak_config(args: argparse.Namespace) -> SoakConfig:
     config = SoakConfig(**fields)
     if config.scenario:
         _catalogue_scenario(config.scenario, "faults")
-    if config.loadgen_clients > 0:
-        _reject_set(args, args.stream_only, "with --loadgen")
-    else:
-        _reject_set(args, args.loadgen_only, "without --loadgen")
     if config.pipeline is None:
         _reject_set(args, args.pipeline_only, "without --pipeline")
     return config
@@ -383,12 +342,20 @@ def _add_loadgen(sub) -> None:
         metavar="FILE",
         help="write the flight-recorder ring dumps (incident snapshots)",
     )
-    _add_lifecycle_arguments(
-        loadgen,
-        "slo",
-        "disable per-tx lifecycle tracing (also disables --waterfalls, "
+    loadgen.add_argument(
+        "--pipeline", action="store_const", const=True,
+        help="overlap prefetch, execution and commit across served blocks "
+        "on the simulated clock (repro.pipeline)",
+    )
+    loadgen.add_argument(
+        "--no-lifecycle", dest="lifecycle", action="store_const", const=False,
+        help="disable per-tx lifecycle tracing (also disables --waterfalls, "
         "--trace and --flight-dump)",
-        "per-tx latency SLO objective in simulated microseconds",
+    )
+    loadgen.add_argument(
+        "--slo-objective-us", dest="slo", metavar="SLO_OBJECTIVE_US",
+        type=_slo_objective,
+        help="per-tx latency SLO objective in simulated microseconds",
     )
     _add_report_arguments(loadgen)
     loadgen.set_defaults(func=_cmd_loadgen, explicit_only=explicit_only)

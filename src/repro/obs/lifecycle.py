@@ -728,8 +728,8 @@ def describe_serving_sections(
     """The lifecycle / SLO / flight-recorder lines of an end-of-run report.
 
     Takes the three sections in their report (``as_dict``) form, each None
-    when lifecycle tracing was off, so the soak and ingress reports render
-    them identically — including after a JSON round trip.
+    when lifecycle tracing was off, so an ingress report renders the same
+    after a JSON round trip; the stream soak passes its SLO section alone.
     """
     lines = []
     if lifecycle is not None:

@@ -220,8 +220,8 @@ class SoakTelemetry:
         self.db = db
         # Optional serving-plane sections (repro.obs.lifecycle): a
         # LifecycleTracker contributes per-window waterfall-phase sketches,
-        # an SloMonitor its burn-rate section — this is how loadgen
-        # (overload) and soak (long-run) telemetry compose in one stream.
+        # an SloMonitor its burn-rate section, riding the same stream as
+        # the execution (and, given ``db``, state-cache) sections.
         self.lifecycle = lifecycle
         self.slo = slo
         self.window = _WindowAccumulator()

@@ -54,7 +54,6 @@ class FailoverReport:
     promotion_us: float
     last_committed_block: int | None
     blocks_preserved: int
-    stale_frames_rejected: int = 0
 
     @property
     def total_us(self) -> float:

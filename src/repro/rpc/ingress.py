@@ -295,7 +295,8 @@ def run_ingress(
         divergences.append("final state diverges from serial replay")
 
     fleet = session.fleet
-    sections = session.report_sections()
+    counters = registry.counter_totals()
+    tracker, slo, recorder = session.tracker, session.slo, session.recorder
     return IngressReport(
         executor=config.executor,
         threads=config.threads,
@@ -313,7 +314,11 @@ def run_ingress(
         retries=sum(c.retries for c in fleet),
         gave_up=sum(c.gave_up for c in fleet),
         backpressure_events=backpressure_events,
-        circuit_opened=int(sections["counters"].get("rpc_circuit_opened_total", 0)),
+        circuit_opened=int(counters.get("rpc_circuit_opened_total", 0)),
         divergences=divergences,
-        **sections,
+        summary=session.telemetry.summary(),
+        counters=counters,
+        lifecycle=tracker.report().as_dict() if tracker is not None else None,
+        slo=slo.summary() if slo is not None else None,
+        flight=recorder.as_dict() if recorder is not None else None,
     )

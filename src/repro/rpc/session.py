@@ -1,10 +1,10 @@
 """One serving session: the assembled stack and the event loop driving it.
 
-``run_ingress`` (overload certification), the soak's loadgen mode (long-run
-telemetry) and ``repro serve`` (the HTTP demo, which uses the stack without
-the simulated loop) are thin callers of :class:`ServingSession`: each builds
-its chain, passes its config values as plain arguments, and hooks its own
-bookkeeping in through ``on_response`` / ``on_block``.
+``run_ingress`` (``repro loadgen``, the certified served run) and ``repro
+serve`` (the HTTP demo, which uses the stack without the simulated loop)
+are thin callers of :class:`ServingSession`: each builds its chain and
+passes its config values as plain arguments; ``run_ingress`` hooks its
+conservation ledgers in through ``on_response`` / ``on_block``.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ class ServingSession:
     executor → :class:`ChainService` → mempool → :class:`RpcFacade` →
     dispatcher → :class:`SimTransport`, driven by :meth:`run`.
 
-    ``durability`` / ``pipeline`` / ``fault_plan_factory`` are the built
-    objects (or None) the execution path runs with.  ``lifecycle`` attaches
-    per-tx tracing: a flight recorder, an SLO monitor whose alerts snapshot
-    the recorder's ring (an alert is itself an incident, dumped at the close
-    of the offending window so the dump carries the txs that burned the
-    budget), and the tracker feeding both.
+    ``pipeline`` / ``fault_plan_factory`` are the built objects (or None)
+    the execution path runs with.  ``lifecycle`` attaches per-tx tracing: a
+    flight recorder, an SLO monitor whose alerts snapshot the recorder's
+    ring (an alert is itself an incident, dumped at the close of the
+    offending window so the dump carries the txs that burned the budget),
+    and the tracker feeding both.
     """
 
     def __init__(
@@ -52,7 +52,6 @@ class ServingSession:
         rpc: RpcConfig,
         mempool: MempoolConfig | None = None,
         metrics: MetricsRegistry,
-        durability=None,
         pipeline=None,
         fault_plan_factory=None,
         lifecycle: bool = True,
@@ -64,9 +63,7 @@ class ServingSession:
         observer = SoakObserver(metrics=metrics)
         self.service = ChainService(
             None,
-            make_executor(
-                executor, threads, observer=observer, durability=durability
-            ),
+            make_executor(executor, threads, observer=observer),
             observer=observer,
             fault_plan_factory=fault_plan_factory,
             pipeline=pipeline,
@@ -113,7 +110,6 @@ class ServingSession:
         out=None,
         progress=None,
         waterfalls=None,
-        db=None,
         on_response=None,
         on_block=None,
     ) -> None:
@@ -122,12 +118,10 @@ class ServingSession:
         Windowed telemetry streams to ``out`` / ``progress`` as in
         :func:`~repro.obs.streaming.snapshot_sink`; ``waterfalls`` (path or
         file, lifecycle sessions only) receives one JSONL line per terminal
-        transaction; ``db`` adds state-cache accounting to every window.
-        ``on_response(request, response)`` sees every round trip and
-        ``on_block(produced)`` every production tick (empty ones included)
-        — the caller's bookkeeping.  A non-None ``on_block`` return is
-        booked as the block's service-clock advance (a pipelined soak's
-        throughput clock); otherwise the block's latency is.
+        transaction.  ``on_response(request, response)`` sees every round
+        trip and ``on_block(produced)`` every production tick (empty ones
+        included) — the caller's bookkeeping.  Throughput is booked over
+        each block's latency.
         """
         tracker, recorder = self.tracker, self.recorder
         self.fleet = build_fleet(
@@ -139,7 +133,6 @@ class ServingSession:
         telemetry = self.telemetry = SoakTelemetry(
             window_blocks=window_blocks,
             registry=self.metrics,
-            db=db,
             lifecycle=tracker,
             slo=self.slo,
         )
@@ -190,7 +183,8 @@ class ServingSession:
                     if total > degradation_seen[name]:
                         recorder.trigger(f"degradation:{name}", now_us)
                     degradation_seen[name] = total
-            advance_us = on_block(produced) if on_block is not None else None
+            if on_block is not None:
+                on_block(produced)
             outcome = produced.outcome
             if outcome is None:
                 return
@@ -203,7 +197,6 @@ class ServingSession:
                     now_us + outcome.latency_us - entry.admitted_at_us
                     for entry in produced.entries
                 ],
-                advance_us=advance_us,
             )
             if snapshot is not None:
                 emit(snapshot)
@@ -247,15 +240,3 @@ class ServingSession:
             tail = telemetry.finish()
             if tail is not None:
                 emit(tail)
-
-    def report_sections(self) -> dict:
-        """The report fields every serving harness shares, after :meth:`run`."""
-        return {
-            "summary": self.telemetry.summary(),
-            "counters": self.metrics.counter_totals(),
-            "lifecycle": (
-                self.tracker.report().as_dict() if self.tracker is not None else None
-            ),
-            "slo": self.slo.summary() if self.slo is not None else None,
-            "flight": self.recorder.as_dict() if self.recorder is not None else None,
-        }

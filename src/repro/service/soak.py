@@ -11,7 +11,7 @@ seeded and every reported number is simulated time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from ..concurrency.registry import make_executor
@@ -46,21 +46,8 @@ class SoakConfig:
     # The multi-block pipeline (repro.pipeline): None (the default) keeps
     # the synchronous service path — and its JSONL stream — bit-identical.
     pipeline: PipelineConfig | None = None
-    # Serving-path load generation (repro.workloads.clients): when
-    # ``loadgen_clients`` > 0 the soak feeds the service through the full
-    # RPC stack — open-loop client fleet, admission control, mempool,
-    # production ticks — instead of the trusted block stream, and the one
-    # windowed JSONL stream carries execution, cache, lifecycle and SLO
-    # sections together.  ``rate_multiplier`` is offered load over the
-    # sustainable rate, as in the ingress harness.
-    loadgen_clients: int = 0
-    block_interval_us: float = 50_000.0
-    rate_multiplier: float = 1.0
-    # Per-tx lifecycle tracing on the loadgen path (observation only; the
-    # simulated clock and committed state are identical either way).  In
-    # stream mode ``slo_config`` attaches a block-latency SLO monitor to
-    # the service instead — same stream section, coarser signal.
-    lifecycle: bool = True
+    # A block-latency SLO monitor on the service (per-tx latency SLOs are
+    # the served run's: ``repro loadgen``).
     slo_config: SloConfig | None = None
 
     def spec(self) -> StreamSpec:
@@ -85,10 +72,8 @@ class SoakReport:
     summary: dict
     snapshots: int
     cache_bounded: bool
-    counters: dict = field(default_factory=dict)
-    lifecycle: dict | None = None
-    slo: dict | None = None
-    flight: dict | None = None
+    counters: dict
+    slo: dict | None
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -123,7 +108,7 @@ class SoakReport:
                 f"{cache['evictions']} evictions, hit rate "
                 f"{cache['hit_rate']:.1%}) — {bounded}"
             )
-        lines += describe_serving_sections(self.lifecycle, self.slo, self.flight)
+        lines += describe_serving_sections(None, self.slo, None)
         interesting = {
             name: value
             for name, value in sorted(self.counters.items())
@@ -143,12 +128,6 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
     ``progress`` (optional) is called with every snapshot dict — the CLI
     uses it for the live per-window report.  The snapshot stream is
     byte-identical across runs of the same config.
-
-    With ``loadgen_clients`` > 0 this is the serving-path soak: the same
-    executor / durability / pipeline / chaos stack, but blocks are drawn
-    from the mempool by production ticks and every transaction arrives
-    through the facade — so the stream's windows carry queueing, lifecycle
-    and SLO truth, not just execution.
     """
     spec = config.spec()
     chain = build_stream_chain(spec, cache_capacity=config.cache_capacity)
@@ -168,95 +147,48 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
         pipeline = PipelineCoordinator(config.pipeline, metrics=registry)
     fault_plans = block_fault_plans(f"soak:{config.seed}", config.scenario)
 
-    if config.loadgen_clients > 0:
-        # Lazy: a stream soak never needs the serving stack.
-        from ..rpc.facade import RpcConfig
-        from ..rpc.session import ServingSession
-        from ..workloads.clients import ClientSpec
-
-        rpc = RpcConfig(
-            block_txs=config.txs_per_block,
-            block_interval_us=config.block_interval_us,
-        )
-        session = ServingSession(
-            chain,
+    observer = SoakObserver(metrics=registry)
+    slo = (
+        SloMonitor(config.slo_config, metrics=registry)
+        if config.slo_config is not None
+        else None
+    )
+    service = ChainService(
+        BlockStream(chain),
+        make_executor(
             config.executor,
             config.threads,
-            rpc=rpc,
-            metrics=registry,
-            durability=durability,
-            pipeline=pipeline,
-            fault_plan_factory=fault_plans,
-            lifecycle=config.lifecycle,
-            slo=config.slo_config,
-        )
-        session.run(
-            ClientSpec(
-                clients=config.loadgen_clients,
-                base_rate_tps=config.rate_multiplier * rpc.sustainable_tps,
-                seed=config.seed,
-            ),
-            config.blocks,
-            config.block_interval_us,
-            config.window_blocks,
-            out=out,
-            progress=progress,
-            db=chain.world.db,
-            on_block=lambda produced: (
-                produced.outcome.advance_us if produced.outcome else None
-            ),
-        )
-        service, telemetry = session.service, session.telemetry
-        sections = session.report_sections()
-    else:
-        observer = SoakObserver(metrics=registry)
-        slo = (
-            SloMonitor(config.slo_config, metrics=registry)
-            if config.slo_config is not None
-            else None
-        )
-        service = ChainService(
-            BlockStream(chain),
-            make_executor(
-                config.executor,
-                config.threads,
-                observer=observer,
-                durability=durability,
-            ),
             observer=observer,
-            fault_plan_factory=fault_plans,
-            pipeline=pipeline,
-            slo=slo,
-        )
-        telemetry = SoakTelemetry(
-            window_blocks=config.window_blocks,
-            registry=registry,
-            db=chain.world.db,
-            slo=slo,
-        )
-        with snapshot_sink(out, progress) as emit:
-            for outcome in service.run(config.blocks):
-                snapshot = telemetry.record_block(
-                    outcome.number,
-                    tx_count=outcome.tx_count,
-                    gas_used=outcome.gas_used,
-                    latency_us=outcome.latency_us,
-                    tx_latencies_us=outcome.tx_latencies_us,
-                    advance_us=outcome.advance_us,
-                )
-                if snapshot is not None:
-                    emit(snapshot)
-            if slo is not None:
-                slo.finalize(service.sim_time_us)
-            tail = telemetry.finish()
-            if tail is not None:
-                emit(tail)
-        sections = {
-            "summary": telemetry.summary(),
-            "counters": registry.counter_totals(),
-            "slo": slo.summary() if slo is not None else None,
-        }
-
+            durability=durability,
+        ),
+        observer=observer,
+        fault_plan_factory=fault_plans,
+        pipeline=pipeline,
+        slo=slo,
+    )
+    telemetry = SoakTelemetry(
+        window_blocks=config.window_blocks,
+        registry=registry,
+        db=chain.world.db,
+        slo=slo,
+    )
+    with snapshot_sink(out, progress) as emit:
+        for outcome in service.run(config.blocks):
+            snapshot = telemetry.record_block(
+                outcome.number,
+                tx_count=outcome.tx_count,
+                gas_used=outcome.gas_used,
+                latency_us=outcome.latency_us,
+                tx_latencies_us=outcome.tx_latencies_us,
+                advance_us=outcome.advance_us,
+            )
+            if snapshot is not None:
+                emit(snapshot)
+        if slo is not None:
+            slo.finalize(service.sim_time_us)
+        tail = telemetry.finish()
+        if tail is not None:
+            emit(tail)
     if durability is not None:
         durability.medium.close()
     cache = chain.world.db.cache
@@ -266,7 +198,9 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
         blocks=service.blocks_committed,
         accounts=spec.accounts,
         seed=config.seed,
+        summary=telemetry.summary(),
         snapshots=telemetry.windows_emitted,
         cache_bounded=cache.peak_entries <= max(cache.capacity, 0),
-        **sections,
+        counters=registry.counter_totals(),
+        slo=slo.summary() if slo is not None else None,
     )

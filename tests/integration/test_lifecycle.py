@@ -1,6 +1,6 @@
 """Lifecycle tracing end to end: the waterfall tiling invariant over the
-full serving stack, zero-cost detachment, SLO alerting under chaos, and
-the composed loadgen-soak stream (ISSUE 9)."""
+full serving stack (pipelined or not), zero-cost detachment, SLO alerting
+under chaos, and the stream soak's block-latency SLO."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro.concurrency.registry import EXECUTOR_NAMES
 from repro.obs.lifecycle import TILING_EPS_US, WATERFALL_PHASES, SloConfig
-from repro.pipeline import PipelineConfig
 from repro.resilience import SCENARIOS
 from repro.rpc import IngressConfig, run_ingress
 from repro.service import SoakConfig, run_soak
@@ -52,6 +51,7 @@ class TestTilingInvariant:
         # Committed records carry all six phases; the report folds them.
         assert set(committed[0]["phases"]) == set(WATERFALL_PHASES)
         assert report.lifecycle["committed"] == len(committed)
+        assert set(report.lifecycle["blame"]["phases"]) == set(WATERFALL_PHASES)
 
     def test_shed_records_tile_up_to_the_shed_instant(self):
         from repro.mempool import MempoolConfig
@@ -135,46 +135,7 @@ class TestSloAndFlightRecorder:
 
 
 class TestLoadgenSoak:
-    def test_single_stream_carries_every_section(self, tmp_path):
-        path = tmp_path / "soak.jsonl"
-        config = SoakConfig(
-            blocks=16, window_blocks=8, accounts=1_500, txs_per_block=16,
-            loadgen_clients=4, rate_multiplier=1.6, seed=7,
-        )
-        report = run_soak(config, out=str(path))
-        lines = path.read_text().splitlines()
-        assert lines
-        for line in lines:
-            snap = json.loads(line)
-            for section in ("cache", "counters", "lifecycle", "slo"):
-                assert section in snap, f"missing {section}"
-        assert report.lifecycle is not None
-        assert report.lifecycle["committed"] > 0
-        assert report.blocks > 0 and report.cache_bounded
-
-    def test_loadgen_soak_is_deterministic(self, tmp_path):
-        config = SoakConfig(
-            blocks=12, window_blocks=6, accounts=1_000, txs_per_block=12,
-            loadgen_clients=4, rate_multiplier=1.4, seed=9,
-        )
-        blobs = []
-        for name in ("a", "b"):
-            path = tmp_path / f"{name}.jsonl"
-            run_soak(config, out=str(path))
-            blobs.append(path.read_bytes())
-        assert blobs[0] and blobs[0] == blobs[1]
-
-    def test_pipelined_loadgen_soak_composes(self):
-        config = SoakConfig(
-            blocks=12, window_blocks=6, accounts=1_000, txs_per_block=12,
-            loadgen_clients=4, rate_multiplier=1.4, seed=9,
-            pipeline=PipelineConfig(),
-        )
-        report = run_soak(config)
-        assert report.lifecycle["committed"] > 0
-        # The pipeline waterfall still closes: blame phases fold cleanly.
-        phases = report.lifecycle["blame"]["phases"]
-        assert set(phases) == set(WATERFALL_PHASES)
+    """The stream soak's block-latency SLO (per-tx SLOs are ``loadgen``'s)."""
 
     def test_stream_mode_block_latency_slo(self):
         config = SoakConfig(
@@ -182,6 +143,5 @@ class TestLoadgenSoak:
             seed=9, slo_config=SloConfig(latency_objective_us=1.0),
         )
         report = run_soak(config)
-        assert report.lifecycle is None  # per-tx tracking needs loadgen
         assert report.slo["latency"]["bad"] == report.slo["latency"]["total"]
         assert report.slo["alerts"] >= 1

@@ -64,9 +64,6 @@ WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 #: Fields the census finds no setter of, each with why it stays.
 ALLOWED = {
-    # The only certified run of the pipelined served path: `soak --loadgen
-    # --pipeline` runs it uncertified.
-    "IngressConfig.pipeline",
     # The only path on which a replica's snapshot advances past genesis;
     # the replica catch-up cost (ROADMAP item 5) is measured on it.
     "ClusterConfig.checkpoint_interval",
