@@ -291,12 +291,19 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.dir):
         # FileMedium would create it and recover an empty chain.
         raise UsageError(f"--dir {args.dir}: not an existing directory")
+    medium = FileMedium(args.dir)
+    if medium.is_blank():
+        # An unrelated directory would otherwise recover as an empty chain.
+        raise UsageError(
+            f"--dir {args.dir}: holds no journal ({FileMedium.JOURNAL_NAME}) "
+            "and no snapshot"
+        )
     chain = standard_chain(accounts=args.accounts)
     policy = RecoveryPolicy(
         corrupt_tail_policy="raise" if args.strict else "truncate"
     )
     try:
-        result = recover(FileMedium(args.dir), chain.fresh_world, policy=policy)
+        result = recover(medium, chain.fresh_world, policy=policy)
     except DurabilityError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return 1

@@ -166,6 +166,12 @@ class FileMedium:
         matches = map(_SNAPSHOT_RE.match, os.listdir(self.directory))
         return sorted(int(match.group(1)) for match in matches if match)
 
+    def is_blank(self) -> bool:
+        """True when the directory holds neither a journal file nor a
+        snapshot: nothing a durable run wrote.  An empty journal file is
+        not blank; it recovers to genesis."""
+        return not os.path.exists(self._journal_path) and not self._snapshot_numbers()
+
     def read_snapshots(self) -> dict[int, bytes]:
         snapshots: dict[int, bytes] = {}
         for block_number in self._snapshot_numbers():

@@ -51,8 +51,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .metrics import NULL_METRICS
-from .streaming import LogHistogram, format_stat
+from .metrics import NULL_METRICS, LabelledCounter
+from .streaming import LogHistogram, format_stat, observe_pair
 from .trace import TraceRecorder
 
 #: Waterfall phases in lifecycle order (also the serving-lane order in the
@@ -377,10 +377,14 @@ class _PhaseSketches:
         self.phases = {name: LogHistogram() for name in WATERFALL_PHASES}
         self.latency = LogHistogram()
 
-    def fold(self, segments, latency: float) -> None:
+    def fold_with(self, twin: "_PhaseSketches", segments, latency: float) -> None:
+        """Fold one waterfall into ``self`` and ``twin``: each clamped
+        phase duration and the client latency are bucketed once and
+        observed into both (see :func:`observe_pair`)."""
+        phases, twin_phases = self.phases, twin.phases
         for name, start, end in segments:
-            self.phases[name].observe(max(0.0, end - start))
-        self.latency.observe(max(0.0, latency))
+            observe_pair(phases[name], twin_phases[name], max(0.0, end - start))
+        observe_pair(self.latency, twin.latency, max(0.0, latency))
 
     def section(self) -> dict:
         return {
@@ -426,7 +430,8 @@ class LifecycleTracker:
     line, or a :class:`FlightRecorder` keeps its bounded ring.  A terminal
     record's waterfall and client latency are computed once, and that one
     result feeds both sketches, the slow-tx blame, the exported record and
-    the lane spans.
+    the lane spans; each value's bucket is computed once too, for the
+    run's and the window's sketch together.
 
     ``trace=True`` additionally records one serving-lane span per phase of
     every committed transaction plus any counter samples
@@ -463,6 +468,7 @@ class LifecycleTracker:
         self.senders: dict[str, SenderStats] = {}
         self.dominant_slow: dict[str, int] = {}
         self._span_ordinal = 0
+        self._txs_total = LabelledCounter(metrics, "lifecycle_txs_total", "outcome")
 
     # -- admission-side events ------------------------------------------
 
@@ -565,8 +571,7 @@ class LifecycleTracker:
         """Fold one terminal record everywhere it goes; returns its latency."""
         segments = record.waterfall()
         latency = record.client_latency_us()
-        self.total.fold(segments, latency)
-        self.window.fold(segments, latency)
+        self.total.fold_with(self.window, segments, latency)
         stats = self._sender_stats(record.sender)
         stats.txs += 1
         stats.latency_sum_us += latency
@@ -582,10 +587,7 @@ class LifecycleTracker:
             self.metrics.counter(
                 "lifecycle_slow_txs_total", sender=record.sender
             ).inc()
-        self.metrics.counter(
-            "lifecycle_txs_total",
-            outcome="shed" if shed else "committed",
-        ).inc()
+        self._txs_total("shed" if shed else "committed").inc()
         entry = record.as_dict(segments, latency)
         if self.recorder is not None:
             self.recorder.record(entry)

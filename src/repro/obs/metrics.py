@@ -14,10 +14,12 @@ Design constraints:
   Instrumentation sites therefore call the registry unconditionally; an
   unobserved run pays a no-op call per site and holds no series.  The
   registry's accessors answer for it, so a detached run builds no labels.
-- **One lookup per update.**  An unlabelled series is one dict lookup, and
-  a per-state-key series (:meth:`MetricsRegistry.key_counter`) is one
-  lookup under its key's :func:`key_labels`, with no kwargs dict, sort or
-  factory closure.
+- **One lookup per update.**  An unlabelled series is one dict lookup; a
+  per-state-key series (:meth:`MetricsRegistry.key_counter`) is one lookup
+  of its memoised handle; a counter labelled from a small fixed set
+  (:class:`LabelledCounter`) is one lookup of the handle its component
+  resolved on first use.  None builds a kwargs dict, sort or factory
+  closure once its series exists.
 - **Deterministic export.**  ``as_dict()`` orders series by (name, labels);
   two identical runs serialise to byte-identical JSON.
 - **Simulated time.**  All ``*_us`` series hold simulated microseconds, not
@@ -165,6 +167,9 @@ class MetricsRegistry:
         self._window_base: dict[tuple[str, LabelKey], int | float] = {}
         # Distinct non-overflow label sets per series name.
         self._label_counts: dict[str, int] = {}
+        # key_counter's (name, state key) -> series memo; overflowed keys
+        # are never memoised, so it is O(label_limit) per name.
+        self._key_series: dict[tuple[str, StateKey], Counter] = {}
 
     # ------------------------------------------------------------ creation
 
@@ -195,12 +200,20 @@ class MetricsRegistry:
 
     def key_counter(self, name: str, key: StateKey) -> Counter:
         """The counter ``name`` of one state key, labelled by
-        :func:`key_labels`."""
-        labels = key_labels(key)
-        metric = self._series.get((name, labels))
-        if type(metric) is Counter:
+        :func:`key_labels`.
+
+        A key's own series is memoised under ``(name, key)``, so a repeat
+        update builds no labels.  A key folded into the overflow series is
+        not: its labels are rebuilt per call, and the memo stays as bounded
+        as the registry."""
+        metric = self._key_series.get((name, key))
+        if metric is not None:
             return metric
-        return self._get(name, labels, Counter, Counter)
+        labels = key_labels(key)
+        metric = self._get(name, labels, Counter, Counter)
+        if self._series.get((name, labels)) is metric:
+            self._key_series[(name, key)] = metric
+        return metric
 
     def _get(self, name, labels: LabelKey, kind, factory):
         # Creation, overflow folding and the kind check: every accessor's
@@ -267,20 +280,10 @@ class MetricsRegistry:
         line; folding keeps line width bounded no matter how many distinct
         label values a long run touches.  Zero-valued series are omitted.
         """
-        if window:
-            values = self.window_snapshot()
-        else:
-            values = {
-                _series_name(name, key): metric.value
-                for name, key, metric in self.series()
-                if isinstance(metric, Counter)
-            }
         totals: dict = {}
-        for series, value in values.items():
-            if not value:
-                continue
-            base = series.split("{", 1)[0]
-            totals[base] = totals.get(base, 0) + value
+        for name, _key, value in self._counter_values(window):
+            if value:
+                totals[name] = totals.get(name, 0) + value
         return totals
 
     def window_snapshot(self) -> dict:
@@ -289,13 +292,24 @@ class MetricsRegistry:
         windowed rates need no caller-side diffing.  Gauges and histograms
         are left out.  Calling this advances the window baseline.
         """
-        snapshot: dict = {}
+        return {
+            _series_name(name, key): delta
+            for name, key, delta in self._counter_values(window=True)
+        }
+
+    def _counter_values(self, window: bool) -> Iterator[tuple[str, LabelKey, object]]:
+        """``(name, labels, value)`` of every counter in (name, labels)
+        order: its value, or with ``window`` its increase since the last
+        windowed read, advancing the baseline as it goes."""
+        base = self._window_base
         for name, key, metric in self.series():
             if isinstance(metric, Counter):
-                base = self._window_base.get((name, key), 0)
-                snapshot[_series_name(name, key)] = metric.value - base
-                self._window_base[(name, key)] = metric.value
-        return snapshot
+                value = metric.value
+                if window:
+                    previous = base.get((name, key), 0)
+                    base[(name, key)] = value
+                    value -= previous
+                yield name, key, value
 
     # ------------------------------------------------------------- export
 
@@ -318,6 +332,32 @@ class MetricsRegistry:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+
+class LabelledCounter:
+    """One counter name under one label whose values come from a small
+    fixed set (an outcome, an RPC method, an error reason).
+
+    ``family(value)`` is the counter of ``name{label=value}``: resolved
+    through the registry on a value's first use and kept, so a repeat
+    update is one dict lookup.  Nothing is created before its first use,
+    so a value never seen exports no zero-valued series.
+    """
+
+    __slots__ = ("_metrics", "_name", "_label", "_series")
+
+    def __init__(self, metrics: "MetricsRegistry", name: str, label: str) -> None:
+        self._metrics = metrics
+        self._name = name
+        self._label = label
+        self._series: dict[str, Counter] = {}
+
+    def __call__(self, value: str) -> Counter:
+        counter = self._series.get(value)
+        if counter is None:
+            counter = self._metrics.counter(self._name, **{self._label: value})
+            self._series[value] = counter
+        return counter
 
 
 def json_document(obj) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 
 from ..errors import AdmissionError, BlockValidationError
-from ..obs.metrics import NULL_METRICS
+from ..obs.metrics import NULL_METRICS, LabelledCounter
 
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
@@ -48,22 +48,23 @@ class RpcDispatcher:
 
     def __init__(self, facade, metrics=NULL_METRICS) -> None:
         self.facade = facade
-        self.metrics = metrics
+        self._requests = LabelledCounter(metrics, "rpc_requests_total", "method")
+        self._errors = LabelledCounter(metrics, "rpc_errors_total", "reason")
 
     def dispatch(self, request, now_us: float = 0.0) -> dict:
         """Serve one decoded request object; always returns a response."""
         if not isinstance(request, dict) or "method" not in request:
-            self.metrics.counter("rpc_requests_total", method="invalid").inc()
+            self._requests("invalid").inc()
             return _error(None, INVALID_REQUEST, "not a JSON-RPC request")
         request_id = request.get("id")
         method = request["method"]
         params = request.get("params", {})
         if not isinstance(method, str) or method not in METHODS:
-            self.metrics.counter("rpc_requests_total", method="unknown").inc()
+            self._requests("unknown").inc()
             return _error(
                 request_id, METHOD_NOT_FOUND, f"unknown method {method!r}"
             )
-        self.metrics.counter("rpc_requests_total", method=method).inc()
+        self._requests(method).inc()
         facade = self.facade
         try:
             if method == "send_transaction":
@@ -80,17 +81,13 @@ class RpcDispatcher:
             data = {"reason": exc.code, "retryable": exc.retryable}
             if exc.retry_after_us is not None:
                 data["retry_after_us"] = exc.retry_after_us
-            self.metrics.counter("rpc_errors_total", reason=exc.code).inc()
+            self._errors(exc.code).inc()
             return _error(request_id, APP_ERROR, str(exc), data)
         except BlockValidationError as exc:
-            self.metrics.counter(
-                "rpc_errors_total", reason="block-validation"
-            ).inc()
+            self._errors("block-validation").inc()
             return _error(request_id, APP_ERROR, str(exc))
         except (KeyError, ValueError, TypeError) as exc:
-            self.metrics.counter(
-                "rpc_errors_total", reason="invalid-params"
-            ).inc()
+            self._errors("invalid-params").inc()
             return _error(request_id, INVALID_PARAMS, f"invalid params: {exc}")
         return _result(request_id, result)
 
@@ -99,9 +96,7 @@ class RpcDispatcher:
         try:
             request = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):
-            self.metrics.counter(
-                "rpc_requests_total", method="parse-error"
-            ).inc()
+            self._requests("parse-error").inc()
             return json.dumps(
                 _error(None, PARSE_ERROR, "parse error"), sort_keys=True
             )

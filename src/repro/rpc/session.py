@@ -121,7 +121,9 @@ class ServingSession:
         transaction.  ``on_response(request, response)`` sees every round
         trip and ``on_block(produced)`` every production tick (empty ones
         included) — the caller's bookkeeping.  Throughput is booked over
-        each block's latency.
+        the production clock: each recorded block advances it from the
+        previous recorded block's tick (the first from 0), so a run's
+        summed ``sim_time_us`` is its last recorded tick's time.
         """
         tracker, recorder = self.tracker, self.recorder
         self.fleet = build_fleet(
@@ -175,7 +177,10 @@ class ServingSession:
                     retry = (client, request, attempt + 1, first_us)
                     push(now_us + delay, "retry", retry)
 
+        recorded_us = 0.0  # the tick of the last block telemetry recorded
+
         def tick(now_us: float, emit) -> None:
+            nonlocal recorded_us
             produced = self.facade.produce_block(now_us)
             if recorder is not None:
                 for name in DEGRADATION_COUNTERS:
@@ -197,7 +202,9 @@ class ServingSession:
                     now_us + outcome.latency_us - entry.admitted_at_us
                     for entry in produced.entries
                 ],
+                advance_us=now_us - recorded_us,
             )
+            recorded_us = now_us
             if snapshot is not None:
                 emit(snapshot)
 

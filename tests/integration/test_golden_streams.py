@@ -17,11 +17,15 @@ import pytest
 from repro.cli import main
 
 GOLDEN = {
+    # The six loadgen windows/report hashes were re-recorded when a served
+    # run's throughput moved onto the production clock: only the
+    # `throughput` sections (per window, `cumulative` and the report's
+    # `summary`) changed; waterfalls and trace did not.
     "loadgen/windows.jsonl": (
-        "29a0407a3d8a3959eaed659f0d04d4986378e194e58c4fde696f12a394bce718"
+        "7fcaea3f9652c7f6d8de4cf49cb822841ee43b4473908092cf306f57782cca05"
     ),
     "loadgen/report.json": (
-        "8e0c39729eb530afd4474fa51e516874d556ddfd69e92fd2bd959cb181460449"
+        "3d45eab534dafa4240ee1985bdb29f64c10f0bf9fe7245609833b0a1c75bc366"
     ),
     "loadgen/waterfalls.jsonl": (
         "73c6c334be8d6c779bf2edf571f14c3915befe6cc93e1d576fb5bfe19ed16e7c"
@@ -88,16 +92,16 @@ GOLDEN = {
         "73abc604b8344ab050f4037b66c096f44674b4b0bbc1cc81f6b8f39773de91a1"
     ),
     "loadgen-knobs/windows.jsonl": (
-        "e5bafd2f6ccc35c8cd00b58b6c7619e064f39176bce03a47c43ab1ef887a2e34"
+        "25e8f2cee150107081c189785526feda50f8a4d30b1e325ea3945c1dce1e7670"
     ),
     "loadgen-knobs/report.json": (
-        "99df0cfa434eb9ea0e720f69bd4a639e539982c6016c7a429377e9fefd707cde"
+        "c6f74919ebad4d61d6e4dcb1cd16eed2954381711b8062430e0c7646959fcafe"
     ),
     "loadgen-traffic-spike/windows.jsonl": (
-        "87e654c22c26912c1d7561f05a5c70ef2340826ee5c53371fe8fc92fc878357c"
+        "6da1f1cc11c8118acc788eaac1a9e0a14031cb98c45884d3832322e0f4d9d7fe"
     ),
     "loadgen-traffic-spike/report.json": (
-        "39b61b6a50d14bb1bd99f30a6ada6adb1361bf26658b0ae41988e9f1618b8f0a"
+        "1cb8dce39d6a7b8d8d191f9e1c6475c7bf673ebda1d7eb7cfe73204a052fd107"
     ),
     # Recorded before metrics became never-None: the --metrics-json of the
     # four executors that write per-key series (conflict_keys,

@@ -17,10 +17,14 @@ from repro.concurrency.registry import make_executor
 from repro.errors import DuplicateTransaction, NonMonotonicBlock
 from repro.evm.message import Transaction
 from repro.mempool import MempoolConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import SCENARIOS
 from repro.rpc import IngressConfig, run_ingress
+from repro.rpc.facade import RpcConfig
+from repro.rpc.session import ServingSession
 from repro.service import ChainService
 from repro.workloads import Block, ChainSpec, build_chain
+from repro.workloads.clients import ClientSpec
 
 
 def small_config(**overrides) -> IngressConfig:
@@ -64,6 +68,44 @@ class TestIngressHarness:
         # the execution path; anything else must fail before any block runs.
         with pytest.raises(ValueError, match="storage-spike"):
             run_ingress(small_config(scenario=name))
+
+
+class TestServedThroughput:
+    def test_sim_time_is_the_last_recorded_tick(self):
+        """Throughput is booked over the production clock: each recorded
+        block advances it from the previous recorded block's tick (the
+        first from 0), so the summed ``sim_time_us`` of the windows and of
+        the summary is the tick of the last block recorded.  The sparse
+        load leaves ticks empty before the first block, between blocks
+        and after the last."""
+        interval_us = 50_000.0
+        chain = build_chain(ChainSpec(accounts=32, tokens=2, amm_pairs=1, seed=1))
+        session = ServingSession(
+            chain,
+            "parallelevm",
+            2,
+            rpc=RpcConfig(block_txs=8, block_interval_us=interval_us),
+            metrics=MetricsRegistry(),
+        )
+        recorded: list[bool] = []
+        windows: list[dict] = []
+        session.run(
+            ClientSpec(clients=2, base_rate_tps=10.0, seed=1),
+            12,
+            interval_us,
+            2,
+            progress=windows.append,
+            on_block=lambda produced: recorded.append(produced.outcome is not None),
+        )
+        hits = [i for i, hit in enumerate(recorded) if hit]
+        ticks = [interval_us * (i + 1) for i in hits]
+        assert hits[0] > 0 and hits[-1] < len(recorded) - 1
+        assert len(hits) < hits[-1] - hits[0] + 1
+        summary = session.telemetry.summary()["throughput"]
+        assert summary["blocks"] == len(ticks)
+        assert summary["sim_time_us"] == ticks[-1]
+        assert sum(w["throughput"]["sim_time_us"] for w in windows) == ticks[-1]
+        assert summary["tx_per_s"] == summary["txs"] / ticks[-1] * 1e6
 
 
 class TestOverloadScenarios:

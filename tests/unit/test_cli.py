@@ -523,13 +523,37 @@ class TestCommands:
         assert "recovered to block" in out
         assert "state fingerprint" in out
 
-    def test_recover_empty_directory_is_genesis(self, capsys, tmp_path):
+    def test_recover_empty_journal_is_genesis(self, capsys, tmp_path):
+        from repro.durability import FileMedium
+
         (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / FileMedium.JOURNAL_NAME).write_bytes(b"")
         assert (
             main(["recover", "--dir", str(tmp_path / "empty"), "--accounts", "40"])
             == 0
         )
         assert "recovered to genesis" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("contents", [(), ("notes.txt", "snapshot-01.bin")])
+    def test_recover_a_directory_without_a_journal_is_a_usage_error(
+        self, capsys, tmp_path, contents
+    ):
+        """An empty or unrelated directory is refused, not recovered as an
+        empty chain (a snapshot name with a leading zero is not one)."""
+        from repro.durability import FileMedium
+
+        unrelated = tmp_path / "unrelated"
+        unrelated.mkdir()
+        for name in contents:
+            (unrelated / name).write_text("x")
+        assert main(["recover", "--dir", str(unrelated)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"recover: --dir {unrelated}: holds no journal "
+            f"({FileMedium.JOURNAL_NAME}) and no snapshot"
+        ]
+        assert sorted(p.name for p in unrelated.iterdir()) == sorted(contents)
 
     def test_recover_missing_directory_is_a_usage_error(self, capsys, tmp_path):
         """A mistyped --dir is refused before anything is created."""

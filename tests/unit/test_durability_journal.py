@@ -350,6 +350,18 @@ class TestFileMediumHandle:
         medium.close()
         assert medium.read_journal() == b"ab"
 
+    def test_blank_means_no_journal_file_and_no_snapshot(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("x")
+        (tmp_path / "snapshot-07.bin").write_bytes(b"x")  # not a snapshot name
+        medium = FileMedium(str(tmp_path))
+        assert medium.is_blank()
+        medium.write_snapshot(3, b"state")
+        assert not medium.is_blank()
+        medium.prune_snapshots(keep=0)
+        assert medium.is_blank()
+        medium.reset_journal(b"")  # an empty journal file is not blank
+        assert not medium.is_blank()
+
 
 class TestCrashSites:
     def test_enumeration_covers_the_protocol(self):

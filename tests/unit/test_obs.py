@@ -232,6 +232,21 @@ def test_fast_paths_export_what_the_creation_path_does(label_limit):
         assert fast.as_dict()[overflow] > 0
 
 
+def test_key_counter_memoises_no_overflowed_key():
+    """200 keys under one name with ``label_limit=2``: the export equals the
+    creation path's, and only the two keys with their own series are
+    memoised, so the memo stays as bounded as the registry."""
+    fast = MetricsRegistry(label_limit=2)
+    reference = CreationPathRegistry(label_limit=2)
+    keys = [storage_key(make_address(7), slot) for slot in range(200)]
+    for registry in (fast, reference):
+        for step, key in enumerate(keys + keys[::-1]):
+            registry.key_counter("conflict_keys", key).inc(step % 3 + 1)
+    assert list(fast.as_dict().items()) == list(reference.as_dict().items())
+    assert len(fast.as_dict()) == 3  # two keys and the overflow series
+    assert set(fast._key_series) == {("conflict_keys", key) for key in keys[:2]}
+
+
 # The hot balance slot of ``conflict_ratio_block(chain, 1, 16, 0.9)`` and its
 # token, and the per-key series an attached ParallelEVM run writes for it
 # (recorded before executors published into NULL_METRICS when detached).
