@@ -7,6 +7,10 @@ RLP list whose first item is a one-byte type tag, so a decoder needs no
 schema: :func:`encode_value_bytes` writes the common types straight to
 bytes, :func:`encode_value` is the generic nested-list form it must equal,
 and :func:`decode_value` inverts both.
+
+:func:`encode_pair` is the one home of the ``[key, value]`` pair journal write
+sets and snapshot entries are lists of; its key comes from :func:`encode_key`,
+a process-lifetime memo, so a key is encoded once in however many blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ _T_BYTES = b"b"
 _T_STR = b"s"
 _T_TUPLE = b"t"
 _T_BOOL = b"o"
+_WORD = 1 << 256  # encode_pair frames the ints below this directly
 
 
 class SerializationError(ReproError):
@@ -95,3 +100,43 @@ def encode_value_bytes(value) -> bytes:
         return rlp.encode(encode_value(value))
     return rlp.list_header(len(body)) + body
 
+
+# encode_key's memo: state keys only, never values (a value changes under its
+# key, and ``True == 1`` would alias two encodings).
+KEY_MEMO_CAPACITY = 65536
+_key_bytes: dict = {}
+
+
+def encode_key(key) -> bytes:
+    """:func:`encode_value_bytes` of a state key, memoised for the process.
+
+    At ``KEY_MEMO_CAPACITY`` entries the oldest makes room, as in
+    ``crypto.DigestMemo``; an encoding never has to be invalidated.
+    """
+    encoded = _key_bytes.get(key)
+    if encoded is None:
+        encoded = encode_value_bytes(key)
+        if len(_key_bytes) >= KEY_MEMO_CAPACITY:
+            del _key_bytes[next(iter(_key_bytes))]
+        _key_bytes[key] = encoded
+    return encoded
+
+
+def encode_pair(key, value) -> bytes:
+    """``rlp.encode([encode_value(key), encode_value(value)])`` as bytes.
+
+    A word value (an int in [0, 2**256)) is framed here: the tag ``i``
+    (0x69), then its minimal big-endian bytes, a byte below 0x80 being its
+    own encoding and zero the empty string.
+    """
+    if type(value) is int and 0 <= value < _WORD:
+        if value < 0x80:
+            encoded = b"\xc2i" + (bytes((value,)) if value else b"\x80")
+        else:
+            size = (value.bit_length() + 7) >> 3
+            head = bytes((0xC2 + size, 0x69, 0x80 + size))
+            encoded = head + value.to_bytes(size, "big")
+    else:
+        encoded = encode_value_bytes(value)
+    key_bytes = encode_key(key)
+    return rlp.list_header(len(key_bytes) + len(encoded)) + key_bytes + encoded

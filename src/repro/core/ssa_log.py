@@ -106,7 +106,8 @@ class SSAOperationLog:
         self.writes_by_key: dict[StateKey, list[int]] = {}
         # Set False when any frame reverted: the log then describes execution
         # whose effects were partially rolled back, so the redo phase must
-        # decline and fall back to full re-execution.
+        # decline and fall back to full re-execution.  Also False for an
+        # insolvent transaction, whose log chains a nonce bump it never writes.
         self.redoable: bool = True
         # Set True by a *failed* redo: entry results were partially patched
         # before the failure, so the log no longer describes any coherent

@@ -13,21 +13,23 @@ sufficient to rebuild the tip, and undo history (hence reorg depth)
 extends exactly back to that snapshot.
 
 The payload is the RLP list ``[block number, fingerprint, [[key, value],
-...]]`` with the entries in sorted-key order.  :class:`SnapshotEncoder`
-produces it incrementally: it remembers each entry's encoded bytes for the
-store it last encoded plus a cursor into that store's write log
-(:mod:`repro.db.kvstore`), so a checkpoint re-encodes only the entries
-written since the previous one and re-frames the rest.  The cursor is the
-encoder's own — the world's state root and fingerprint hold theirs — and the
-store has no delete, so between two checkpoints entries only appear or
-change.  The one-pass nested-list encoder this replaced lives on as the test
-oracle ``tests/unit/snapshot_reference.py``; the blobs are byte-identical.
+...]]`` with the entries in sorted-key order, each one
+``core.serialize.encode_pair`` (the pair journal write sets are lists of).
+:class:`SnapshotEncoder` produces it incrementally: it remembers each
+entry's encoded bytes for the store it last encoded plus a cursor into that
+store's write log (:mod:`repro.db.kvstore`), so a checkpoint re-encodes only
+the entries written since the previous one and re-frames the rest.  The
+cursor is the encoder's own — the world's state root and fingerprint hold
+theirs — and the store has no delete, so between two checkpoints entries
+only appear or change.  The one-pass nested-list encoder this replaced lives
+on as the test oracle ``tests/unit/snapshot_reference.py``; the blobs are
+byte-identical.
 """
 
 from __future__ import annotations
 
 from .. import rlp
-from ..core.serialize import decode_value, encode_value_bytes
+from ..core.serialize import decode_value, encode_pair
 from ..errors import JournalCorruptionError
 from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.world import WorldState
@@ -45,9 +47,8 @@ _FRAME_PROBLEMS = {
 class SnapshotEncoder:
     """Encodes successive snapshots of one store, re-encoding only what changed.
 
-    Holds, for the store it last encoded: every stored entry's RLP bytes
-    (``[encode_value(key), encode_value(value)]``, built as bytes by
-    ``encode_value_bytes``), the keys in sorted order, and its cursor into
+    Holds, for the store it last encoded: every stored entry's
+    ``encode_pair`` bytes, the keys in sorted order, and its cursor into
     the store's write log.  Handed a world over a different store it
     forgets all three and starts over.
     """
@@ -70,8 +71,7 @@ class SnapshotEncoder:
         for key in written:
             if key not in entries:
                 order.append(key)
-            pair = encode_value_bytes(key) + encode_value_bytes(store.peek(key))
-            entries[key] = rlp.list_header(len(pair)) + pair
+            entries[key] = encode_pair(key, store.peek(key))
         order.sort()  # one long sorted run plus the new keys: near-linear
         items = b"".join(map(entries.__getitem__, order))
         head = (

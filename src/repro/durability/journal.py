@@ -10,7 +10,9 @@ The journal opens with a 6-byte magic (``RWAL1\\n``) followed by frames::
     +----------------+----------------+------------------+
 
 Payloads are RLP-encoded records, reusing :mod:`repro.rlp` and the public
-value codec of :mod:`repro.core.serialize` for state keys and values.  The
+value codec of :mod:`repro.core.serialize`: a write set is a sorted list of
+``encode_pair`` pairs, the format snapshot entries share, and each state key
+is encoded once for the process (``encode_key``), not once per block.  The
 per-block record protocol mirrors ARIES-style physical redo/undo logging
 scaled down to block granularity:
 
@@ -39,9 +41,10 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import starmap
 
 from .. import rlp
-from ..core.serialize import decode_value, encode_value_bytes
+from ..core.serialize import decode_value, encode_pair
 from ..errors import JournalCorruptionError
 
 JOURNAL_MAGIC = b"RWAL1\n"
@@ -133,19 +136,9 @@ def _uint(value: int) -> bytes:
     return rlp.encode_bytes(rlp.uint_to_bytes(value))
 
 
-def _write_set_bytes(writes: dict, keys: dict) -> bytes:
-    """A write set as a deterministic (sorted-key) RLP list of pairs.
-
-    ``keys`` memoises key encodings (the journal shares one per block).
-    """
-    pairs = []
-    for key, value in sorted(writes.items()):
-        encoded = keys.get(key)
-        if encoded is None:
-            encoded = keys[key] = encode_value_bytes(key)
-        pair = encoded + encode_value_bytes(value)
-        pairs.append(rlp.list_header(len(pair)) + pair)
-    body = b"".join(pairs)
+def _write_set_bytes(writes: dict) -> bytes:
+    """A write set as a deterministic (sorted-key) RLP list of pairs."""
+    body = b"".join(starmap(encode_pair, sorted(writes.items())))
     return rlp.list_header(len(body)) + body
 
 
@@ -153,24 +146,22 @@ def _decode_writes(item: rlp.RLPItem) -> dict:
     return {decode_value(pair[0]): decode_value(pair[1]) for pair in item}
 
 
-def encode_record(record: JournalRecord, keys: dict | None = None) -> bytes:
+def encode_record(record: JournalRecord) -> bytes:
     """One journal record as RLP payload bytes (frame body, no header).
 
-    Each one-byte tag is its own RLP encoding; ``keys`` as for write sets.
+    Each one-byte tag is its own RLP encoding.
     """
-    if keys is None:
-        keys = {}
     number = _uint(record.block_number)
     if isinstance(record, BeginRecord):
         body = TAG_BEGIN + number + _uint(record.tx_count)
         body += rlp.encode_bytes(record.pre_root) + _uint(record.epoch)
     elif isinstance(record, TxWriteRecord):
         body = TAG_TXWRITE + number + _uint(record.tx_index)
-        body += _write_set_bytes(record.writes, keys)
+        body += _write_set_bytes(record.writes)
     elif isinstance(record, SettleRecord):
-        body = TAG_SETTLE + number + _write_set_bytes(record.writes, keys)
+        body = TAG_SETTLE + number + _write_set_bytes(record.writes)
     elif isinstance(record, UndoRecord):
-        body = TAG_UNDO + number + _write_set_bytes(record.preimages, keys)
+        body = TAG_UNDO + number + _write_set_bytes(record.preimages)
     elif isinstance(record, CommitRecord):
         body = TAG_COMMIT + number + rlp.encode_bytes(record.delta_digest)
     elif isinstance(record, SealRecord):
@@ -342,8 +333,7 @@ class WriteAheadJournal:
     this journal's last write left.  Any other write — a torn frame,
     another writer, even one that restores the length — moves the counter,
     which the next append or prune sees: the index is dropped, and pruning
-    rebuilds it with one scan.  ``_keys`` is the current block's
-    key-encoding memo.
+    rebuilds it with one scan.
     """
 
     def __init__(self, medium, crash=None) -> None:
@@ -354,7 +344,6 @@ class WriteAheadJournal:
         self._begins: list[tuple[int, int]] = []
         self._size: int | None = None
         self._writes = medium.journal_writes
-        self._keys: dict = {}
         if self.medium.journal_size() == 0:
             self.medium.append_journal(JOURNAL_MAGIC)
             self.bytes_written += len(JOURNAL_MAGIC)
@@ -374,9 +363,7 @@ class WriteAheadJournal:
             # forget the index until a prune rescans.
             self._size = None
         offset = self._size
-        if isinstance(record, BeginRecord):
-            self._keys.clear()  # bounded by one block's write set
-        data = frame(encode_record(record, self._keys))
+        data = frame(encode_record(record))
         crash = self.crash
         if crash is not None and site is not None:
             torn = crash.tear_fraction(site)

@@ -890,8 +890,14 @@ def execute_transaction(
     if tracer is not None:
         tracer.trace_intrinsic_rmw(sender_bkey, sender_balance, 0, minimum=upfront)
     if sender_balance < upfront:
+        # It writes nothing, but validation must see its nonce and balance
+        # reads (a later re-fund), and redo must not replay the nonce bump
+        # its log chains (2PL's access tracer keeps no log).
+        if getattr(tracer, "log", None) is not None:
+            tracer.log.redoable = False
         return TxResult(
-            tx=tx, success=False, gas_used=0, error="insufficient funds"
+            tx=tx, success=False, gas_used=0, error="insufficient funds",
+            read_set=dict(view.read_set),
         )
 
     view.mark_warm(("a", tx.sender))

@@ -49,6 +49,16 @@ class TestCertifier:
         assert metrics.value("certify_blocks_total") == 3
         assert metrics.value("certify_failed_blocks_total") is None
 
+    def test_a_refunded_sender_is_serial_equivalent_at_200_txs(self):
+        # The fuzzer's seed-0 block at 200 txs drains a sender, fails its
+        # next spend for insufficient funds, re-funds it and spends again.
+        # A result that dropped the failed spend's reads let OCC commit the
+        # stale failure, and ParallelEVM redid a nonce bump it never wrote.
+        big = BlockFuzzer(FuzzConfig(txs_per_block=200))
+        report = certify_block(big.chain, big.block(0), threads=16)
+        assert report.ok, report.describe()
+        assert len(report.executors) == 8
+
     def test_redo_replays_actually_run(self, fuzzer):
         # The §6.3-style contended block guarantees conflicts, hence redos,
         # hence replay-oracle coverage; zero checks would mean the oracle

@@ -2,14 +2,19 @@
 
 ``tests/unit/journal_reference.py`` holds the record encoder and the
 scanning prune as they were before records were built straight as bytes and
-pruning went through the journal's BEGIN index.  Three properties:
+pruning went through the journal's BEGIN index.  Four properties:
 
 - ``encode_value_bytes(v) == rlp.encode(encode_value(v))`` over the whole
   value codec: ``None``, bools, negative and 256-bit ints, byte strings at
   every RLP length boundary, text, nested tuples — some long enough for the
   long-form list header;
-- ``encode_record`` equals the reference for all seven record types, with a
-  fresh key memo and with one memo shared by a block's records;
+- ``encode_key(k) == encode_value_bytes(k)`` and ``encode_pair(k, v) ==
+  rlp.encode([encode_value(k), encode_value(v)])`` for state keys of all
+  four tags and values at every boundary of the pair's direct int path,
+  byte strings, and ``None``, with the key memo cold, warm, and evicting
+  at a capacity of 2;
+- ``encode_record`` equals the reference for all seven record types, with
+  the key memo cold and then warm;
 - one state machine drives a ``WriteAheadJournal`` and a
   ``ReferenceJournal`` over two media through appends, prunes, truncation
   through the journal, torn appends, foreign raw appends and truncations
@@ -23,13 +28,21 @@ this file under ``--hypothesis-profile=ci``).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import rlp
-from repro.core.serialize import encode_value, encode_value_bytes
+from repro.core import serialize
+from repro.core.serialize import (
+    encode_key,
+    encode_pair,
+    encode_value,
+    encode_value_bytes,
+)
 from repro.durability import (
     BeginRecord,
     CheckpointRecord,
@@ -91,6 +104,35 @@ def test_long_key_tuples_take_the_long_form_header(value):
     assert encoded == rlp.encode(encode_value(value))
 
 
+pair_values = st.one_of(
+    # Every boundary of encode_pair's direct path for ints, and past its top.
+    st.sampled_from([0, 1, 0x7F, 0x80, 0xFF, 0x100, 2**248, 2**256 - 1, 2**256]),
+    st.integers(0, 2**256 - 1),
+    st.sampled_from([0, 1, 55, 56, 1000]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    st.none(),
+)
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm", "evicting"])
+@given(pairs=st.lists(st.tuples(state_keys, pair_values), min_size=1, max_size=6))
+def test_key_and_pair_codecs_equal_the_generic_one(memo, pairs):
+    capacity = 2 if memo == "evicting" else serialize.KEY_MEMO_CAPACITY
+    with mock.patch.object(serialize, "KEY_MEMO_CAPACITY", capacity):
+        with mock.patch.object(serialize, "_key_bytes", {}):
+            if memo == "warm":
+                for key, _value in pairs:
+                    encode_key(key)
+            # A cold memo misses once per key; a small one keeps missing.
+            for _round in range(1 if memo == "cold" else 2):
+                for key, value in pairs:
+                    expected = rlp.encode([encode_value(key), encode_value(value)])
+                    assert encode_pair(key, value) == expected
+                    assert encode_key(key) == encode_value_bytes(key)
+            assert len(serialize._key_bytes) <= capacity
+
+
 # ------------------------------------------------------------ the records
 
 numbers = st.integers(0, 6)
@@ -120,9 +162,10 @@ def test_every_record_type_encodes_as_the_reference(kind, data):
 
 @given(st.lists(records, max_size=12))
 def test_a_shared_key_memo_changes_no_byte(block):
-    keys: dict = {}
-    for record in block:
-        assert encode_record(record, keys) == reference_record(record)
+    with mock.patch.object(serialize, "_key_bytes", {}):
+        for _memo in ("cold", "warm"):
+            for record in block:
+                assert encode_record(record) == reference_record(record)
 
 
 # ------------------------------------------------------------- the prune

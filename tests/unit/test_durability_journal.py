@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from repro.core import serialize
 from repro.durability import (
     BeginRecord,
     CheckpointRecord,
@@ -171,13 +172,23 @@ class TestAppendAndPrune:
         assert scan.tail_status == "clean"
         assert scan.records == [SAMPLE_RECORDS[0]]
 
-    def test_key_memo_holds_only_the_current_blocks_keys(self):
+    def test_key_memo_evicts_its_oldest_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(serialize, "KEY_MEMO_CAPACITY", 2)
+        monkeypatch.setattr(serialize, "_key_bytes", {})
         journal = WriteAheadJournal(MemoryMedium())
+        records = []
         for number in (1, 2, 3):
-            journal.append(BeginRecord(number, 1, b"\x00" * 16))
-            journal.append(TxWriteRecord(number, 0, {k(number): number}))
-            journal.append(UndoRecord(number, {k(number): 0, k(0): 1}))
-        assert sorted(journal._keys) == sorted([k(3), k(0)])
+            records += [
+                BeginRecord(number, 1, b"\x00" * 16),
+                TxWriteRecord(number, 0, {k(number): number}),
+                UndoRecord(number, {k(number): 0, k(0): 1}),
+            ]
+        for record in records:
+            journal.append(record)
+        # Block 3's TXWRITE evicts k(0), its UNDO brings k(0) back over k(2):
+        # a hit never refreshes an entry.
+        assert list(serialize._key_bytes) == [k(3), k(0)]
+        assert journal.scan().records == records
 
     def test_prune_through_keeps_newer_blocks(self):
         journal = WriteAheadJournal(MemoryMedium())

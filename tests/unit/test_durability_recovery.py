@@ -108,11 +108,11 @@ class TestSnapshots:
         encoder = SnapshotEncoder()
         encoder.encode(world, 1)
         encoded = []
-        real = checkpoint.encode_value_bytes
+        real = checkpoint.encode_pair
         monkeypatch.setattr(
             checkpoint,
-            "encode_value_bytes",
-            lambda v: encoded.append(v) or real(v),
+            "encode_pair",
+            lambda key, value: encoded.extend((key, value)) or real(key, value),
         )
         world.apply({k(4): 44, k(10): 11})
         assert encoder.encode(world, 2) == reference_snapshot(world, 2)
